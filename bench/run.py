@@ -11,12 +11,13 @@ seed gives the same inputs.  Every answer is checked (see workloads.py)
 and a digest of the answers to a fixed golden set must equal the one in
 golden.json, recorded with `--record-golden`.
 
-`--trace 0` sends requests for S seconds of busy time and reports the
-end-to-end metrics; each request counts with the least time its input
-took in the run.  `--trace 1` runs one fixed round of requests
-repeatedly, untraced for S/2 seconds and then traced for S/2 seconds, and
-reports per-layer self times and counts per round, the tracing overhead,
-and the growth exponents of four layers on church(n) for n = 10 .. 320.
+`--trace 0` sends requests until S seconds of busy time have passed and
+the current round of the workload's mix is complete, and reports the
+end-to-end metrics over every timed request.  `--trace 1` runs one fixed
+round of requests repeatedly, untraced for S/2 seconds and then traced
+for S/2 seconds, and reports per-layer self times and counts per round,
+the tracing overhead, and the growth exponents of four layers on
+church(n) for n = 10 .. 320.
 
 The last line of stdout is one JSON object with the keys `correct`,
 `attempted`, `failed` and `metrics`; the line before it holds details
@@ -43,7 +44,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 GOLDEN = BENCH / "golden.json"
 
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 TAIL_LADDER = (50, 90, 99)     # tail = highest of these with >= 10 samples above
 SCALING_NS = (10, 20, 40, 80, 160, 320)
 SCALING_METRICS = ("reduction.normalize_s", "system_u.replay_s", "system_e.replay_s",
@@ -184,60 +185,57 @@ class Checker:
         return self.wrong == 0, self.crashed + self.wrong
 
 
-def measure_setup(workload: str, seed: int) -> float:
-    """Median time from starting a fresh interpreter to the first request
-    being ready, over SETUP_PROBES fresh processes."""
-    times = []
-    for _ in range(SETUP_PROBES):
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                               "--workload", workload, "--seed", str(seed), "--setup-probe"],
-                              cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                              timeout=120)
-        times.append(time.perf_counter() - t0)
-        if proc.returncode != 0:
-            sys.exit(f"bench: set-up probe failed: {proc.stderr.decode()[-2000:]}")
-    return statistics.median(times)
+def setup_probe(workload: str, seed: int) -> float:
+    """Time from starting a fresh interpreter to its first request being
+    ready."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--workload", workload, "--seed", str(seed), "--setup-probe"],
+                          cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          timeout=120)
+    if proc.returncode != 0:
+        sys.exit(f"bench: set-up probe failed: {proc.stderr.decode()[-2000:]}")
+    return time.perf_counter() - t0
 
 
 def run_untraced(args, workloads) -> dict:
-    setup_s = measure_setup(args.workload, args.seed)
+    # setup_s is the median of SETUP_PROBES probes spread evenly over the
+    # run, between requests, so that they meet the machine as it varies.
+    setup_times = [setup_probe(args.workload, args.seed)]
     wl = workloads.make(args.workload, args.seed)
     checker = Checker(wl, workloads)
-    sent: list = []               # (request, answered) in order
-    fastest: dict[str, float] = {}
+    samples: list[tuple[int, float]] = []   # (size, latency) of answered requests
+    sent = 0
     busy = 0.0
     clock = time.perf_counter
+    # Only whole rounds are sent, so that every run has the workload's mix.
     for req in wl.stream():
         t0 = clock()
         out = run_one(wl, req, workloads)
         dt = clock() - t0
         busy += dt
-        sent.append((req, out.status != "crash"))
+        sent += 1
         if out.status != "crash":
-            fastest[req.key] = min(dt, fastest.get(req.key, dt))
+            samples.append((req.size, dt))
         checker.record(req, out)
-        if busy >= args.seconds:
+        if len(setup_times) < SETUP_PROBES and \
+                busy >= len(setup_times) * args.seconds / SETUP_PROBES:
+            setup_times.append(setup_probe(args.workload, args.seed))
+        if busy >= args.seconds and sent % wl.round_size == 0:
             break
+    while len(setup_times) < SETUP_PROBES:
+        setup_times.append(setup_probe(args.workload, args.seed))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    # Each request counts with the least time its input took in this run.
-    # The work of an input is the same every time, and on a shared machine
-    # the same work has been seen to take up to 1.8 times as long from one
-    # second to the next; the least time filters that out.  Only whole
-    # rounds count, so that every run has the mix of inputs a cycle has.
-    if len(sent) >= wl.round_size:
-        sent = sent[:len(sent) - len(sent) % wl.round_size]
-    samples = [(req.size, fastest[req.key]) for req, answered in sent if answered]
     latencies = [dt for _, dt in samples]
     pct, tail_s, beyond = tail(latencies)
     exp, medians = growth(samples)
     details = {"tail_percentile": pct, "tail_samples_beyond": beyond,
-               "samples": len(latencies), "inputs": len(fastest), "busy_s": busy,
+               "samples": len(latencies), "sent": sent, "busy_s": busy,
                "median_ms_by_size": {s: m * 1e3 for s, m in medians.items()}}
     correct, failed = checker.finish(details)
     metrics = {
-        "setup_s": (setup_s, "s"),
-        "throughput_rps": (len(latencies) / sum(latencies), "1/s"),
+        "setup_s": (statistics.median(setup_times), "s"),
+        "throughput_rps": (len(latencies) / busy, "1/s"),
         "latency_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
         "latency_tail_ms": (tail_s * 1e3, "ms"),
         "growth_exp": (exp, "1"),
@@ -313,8 +311,9 @@ def run_traced(args, workloads, tracer_mod) -> dict:
 
 def scaling_sweep(workloads, tracer_mod, checker) -> tuple[dict, dict]:
     """Self time of four layers on the CBN image of church(n), spans only,
-    and the log-log slope of each against n.  A call that overflows the
-    stack is a failed request, and its layers leave that n out of the fit."""
+    and the log-log slope of each against n.  A call that raises, as
+    infer_u on church(320) overflows the stack, is a failed request, and
+    its layers leave that n out of the fit."""
     w = workloads
     per_n = {}
     for n in SCALING_NS:
@@ -331,13 +330,14 @@ def scaling_sweep(workloads, tracer_mod, checker) -> tuple[dict, dict]:
                 checker.attempted += 1
                 try:
                     got[name] = call()
-                except RecursionError:
+                except Exception as ex:
                     checker.crashed += 1
-                    checker.errors.append(f"scaling n={n}: {name} overflows the stack")
+                    checker.errors.append(f"scaling n={n}: {name}: {type(ex).__name__}")
         trace, d_e = got.get("trace"), got.get("e")
-        if trace is not None and len(trace.steps) != 2 * n + 4 or d_e is not None and \
-                d_e.counters != (trace.b, trace.e, w.w_size(trace.final)) or \
-                got.get("check", None) is not None:
+        if (trace is not None and len(trace.steps) != 2 * n + 4) or \
+                (trace is not None and d_e is not None
+                 and d_e.counters != (trace.b, trace.e, w.w_size(trace.final))) or \
+                got.get("check") is not None:
             checker.wrong += 1
             checker.errors.append(f"scaling n={n}: wrong answer")
         made = {"reduction.normalize_s": "trace", "system_u.replay_s": "u",

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 from bangcalc import cli
 from bangcalc.cbn_cbv import (
-    check_derivation_n, check_derivation_v, embed_cbn, embed_cbv, infer_n,
-    infer_v, normalize_n, normalize_v, translate_n_to_u, translate_v_to_u,
+    check_derivation_n, check_derivation_v, classify_lambda_nf, embed_cbn,
+    embed_cbv, infer_n, infer_v, normalize_n, normalize_v, translate_n_to_u,
+    translate_v_to_u,
 )
 from bangcalc.gen import rand_bang_term, rand_lambda_term
 from bangcalc.reduction import (
@@ -109,7 +110,10 @@ def church_term(n: int):
     return App(App(numeral, Abs("y", Var("y"))), Var("z"))
 
 
-CHURCH_MIX = {20: 1, 40: 2, 80: 2}   # sessions of each n per cycle
+# Sessions of each n per cycle: 20 requests, so that the median falls in
+# the middle of the n=40 class and p90 inside the n=80 class, each among
+# commands of like cost, not on the step between two.
+CHURCH_MIX = {20: 1, 40: 2, 80: 1}
 CHURCH_COMMANDS = ("trace", "tight", "infer", "infer-cbn", "translate-cbv")
 
 
@@ -230,26 +234,40 @@ SWEEP_MAX_SIZE = 24
 SWEEP_TERMS = 1600         # bang terms in the corpus, and as many lambda terms
 SWEEP_FUEL = 50
 SWEEP_GRAPH_SIZE = 8       # terms up to this size are checked against the graph
-# Divergent, growing lambda terms that overflow the interpreter stack
-# before their fuel runs out.  Each run sends them once, untimed, with the
-# fuel that reproduces the overflow, and counts the crash as a failure.
-SWEEP_KNOWN_CRASHES = ((r"(x x)[x \ f[x \ g (u v)]] (y y)[y \ \x. g (x x)]", 2000),)
+# Some divergent, growing lambda terms overflow the interpreter stack
+# before fuel DEEP_FUEL runs out, as this one does under CBV.  Each run
+# sends it, and every lambda term of the corpus whose CBN or CBV
+# normalization runs out of SWEEP_FUEL, once more, untimed, to that
+# normalizer with DEEP_FUEL; a RecursionError counts as a failed request.
+DEEP_FUEL = 2000
+DEEP_KNOWN = ((r"(x x)[x \ f[x \ g (u v)]] (y y)[y \ \x. g (x x)]", "v"),)
+DEEP_NORMALIZERS = {"n": normalize_n, "v": normalize_v}
+# A lambda term on which infer_v raises IllFormed ("expansion did not
+# rebuild the stated term"); each run sends it once more, untimed, through
+# the whole pipeline, so that the defect counts as a failed request.
+SWEEP_KNOWN_FAILURES = (
+    r"(\y. x)[x \ \z. (y y)[w \ f]][y \ (w (w (\z. w)))[y \ w][w \ \x. z[w \ x][z \ x]]]",
+)
 
 
 class Sweep(Workload):
-    """The corpus is sent over and over, so that every term is timed
-    several times in a run."""
+    """One fixed corpus, sent over and over in an order the seed shuffles.
+    A run ends at the end of a pass over the corpus, so that every run
+    times the same requests: the cost of random terms is heavy-tailed (one
+    term in a few thousand can take as long as all the others together),
+    and a corpus drawn per seed, or a run cut inside a pass, would make
+    throughput depend on whether such a term is in it."""
     name = "sweep"
-    round_size = 400
 
     def __init__(self, seed: int):
         super().__init__(seed)
-        rng = random.Random(f"sweep/{seed}")
+        rng = random.Random("sweep/corpus")
         self.requests = []
         for _ in range(SWEEP_TERMS):
             for lam, gen in ((False, rand_bang_term), (True, rand_lambda_term)):
                 t = gen(rng, rng.randint(1, SWEEP_MAX_SIZE))
                 self.requests.append(_sweep_request(t, lam, SWEEP_FUEL))
+        self.round_size = len(self.requests)
 
     def golden(self) -> list[Request]:
         rng = random.Random("sweep/golden")
@@ -260,10 +278,21 @@ class Sweep(Workload):
         return out
 
     def untimed(self) -> list[Request]:
-        return [_sweep_request(parse_term(text), True, fuel)
-                for text, fuel in SWEEP_KNOWN_CRASHES]
+        out = [_sweep_request(parse_term(text), True, SWEEP_FUEL)
+               for text in SWEEP_KNOWN_FAILURES]
+        out += [_deep_request(parse_term(text), how) for text, how in DEEP_KNOWN]
+        lams = {r.key: r for r in self.requests if r.payload[1]}
+        for req in lams.values():
+            for how, norm in DEEP_NORMALIZERS.items():
+                try:
+                    norm(req.expect, SWEEP_FUEL)
+                except FuelExhausted:
+                    out.append(_deep_request(req.expect, how))
+        return out
 
     def run(self, req: Request) -> Outcome:
+        if req.key.startswith("deep"):
+            return _run_deep(req)
         text, lam, fuel = req.payload
         parts = []
         got = {}
@@ -294,13 +323,15 @@ class Sweep(Workload):
                     if isinstance(d, Derivation):
                         got[name + "_image"] = translate(d)
                         parts.append(_result_text(name + "_image", got))
-        except RecursionError as ex:
-            return Outcome("crash", f"RecursionError: {ex}", got)
+        except Exception as ex:  # an escaped exception is a failed request
+            return Outcome("crash", f"{type(ex).__name__}: {ex}", got)
         return Outcome("ok", "\n".join(parts), got)
 
     def verify(self, req: Request, out: Outcome) -> list[str]:
         if out.status != "ok":
             return [f"{req.key}: {out.output}"]
+        if req.key.startswith("deep"):
+            return _deep_errors(req, out)
         got, key = out.detail, req.key
         errors = []
         if got["term"] != req.expect:
@@ -342,6 +373,31 @@ def _sweep_request(t, lam: bool, fuel: int) -> Request:
     return Request(("lam:" if lam else "bang:") + text, term_size(t), (text, lam, fuel), t)
 
 
+def _deep_request(t, how: str) -> Request:
+    return Request(f"deep-{how}:{print_term(t)}", term_size(t), how, t)
+
+
+def _run_deep(req: Request) -> Outcome:
+    try:
+        final = DEEP_NORMALIZERS[req.payload](req.expect, DEEP_FUEL).final
+    except FuelExhausted:
+        return Outcome("ok", "fuel")
+    except Exception as ex:
+        return Outcome("crash", f"{type(ex).__name__}: {ex}")
+    return Outcome("ok", print_term(final), final)
+
+
+def _deep_errors(req: Request, out: Outcome) -> list[str]:
+    """Running out of fuel is a correct verdict; a final term must be
+    normal for the strategy."""
+    if out.detail is None:
+        return []
+    cls = classify_lambda_nf(out.detail)
+    if not (cls.n_normal if req.payload == "n" else cls.v_normal):
+        return [f"{req.key}: {out.output} is not normal"]
+    return []
+
+
 _CHECKERS = {"e": check_derivation_e, "u": check_derivation_u, "n": check_derivation_n,
              "v": check_derivation_v, "n_image": check_derivation_u,
              "v_image": check_derivation_u}
@@ -377,15 +433,15 @@ def _reparse_errors(key: str, name: str, d, text: str) -> list[str]:
 # tampered.  A cycle has 540 requests: 512 of small corpus derivations, so
 # that the median falls among them, and 8 of the heavy class (n=80 in
 # systems E and U), so that p99, the tail percentile once a run has two
-# cycles, falls inside it.  Every input recurs often enough in a run for
-# its least time to be a steady measure.
+# cycles, falls inside it.  The small derivations are many, so that the
+# median depends little on which ones a seed draws.
 TYPECHECK_CHURCH = (
     (80, "e", 2), (80, "u", 2), (80, "n", 1), (80, "v", 1),
     (40, "e", 1), (40, "u", 1), (40, "n", 1), (40, "v", 1),
     (20, "e", 1), (20, "u", 1), (20, "n", 1), (20, "v", 1),
 )
-TYPECHECK_SMALL = 64          # corpus derivations
-TYPECHECK_SMALL_COPIES = 8    # copies of each per cycle
+TYPECHECK_SMALL = 256         # corpus derivations
+TYPECHECK_SMALL_COPIES = 2    # copies of each per cycle
 
 
 def tamper(obj: dict, rng: random.Random | None = None) -> dict:
