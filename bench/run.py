@@ -11,13 +11,17 @@ seed gives the same inputs.  Every answer is checked (see workloads.py)
 and a digest of the answers to a fixed golden set must equal the one in
 golden.json, recorded with `--record-golden`.
 
-`--trace 0` sends requests until S seconds of busy time have passed and
-the current round of the workload's mix is complete, and reports the
-end-to-end metrics over every timed request.  `--trace 1` runs one fixed
-round of requests repeatedly, untraced for S/2 seconds and then traced
-for S/2 seconds, and reports per-layer self times and counts per round,
-the tracing overhead, and the growth exponents of four layers on
-church(n) for n = 10 .. 320.
+A run sends whole rounds of the workload's mix, as many as fill S seconds
+at the time a round takes on a 2-vCPU 2.1 GHz Xeon VM (`Workload.round_s`).
+The count is fixed, not timed, so that every run of a workload sends the
+same number of requests and counts its failures against the same number
+attempted.  `--trace 0` reports the end-to-end metrics over every timed
+request in reference time (see `Speed`), and the same figures in wall
+time in the details line.  `--trace 1` runs one fixed round of requests
+repeatedly, as many times untraced as fill S/2 seconds and as many times
+again traced, and reports per-layer self times and counts per round, the
+tracing overhead, and the growth exponents of four layers on church(n)
+for n = 10 .. 320.
 
 The last line of stdout is one JSON object with the keys `correct`,
 `attempted`, `failed` and `metrics`; the line before it holds details
@@ -27,6 +31,9 @@ The last line of stdout is one JSON object with the keys `correct`,
 from __future__ import annotations
 
 import argparse
+import bisect
+import gc
+import itertools
 import json
 import math
 import os
@@ -44,13 +51,16 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 GOLDEN = BENCH / "golden.json"
 
-SETUP_PROBES = 7
+SETUP_PROBES = 5
 TAIL_LADDER = (50, 90, 99)     # tail = highest of these with >= 10 samples above
 SCALING_NS = (10, 20, 40, 80, 160, 320)
 SCALING_METRICS = ("reduction.normalize_s", "system_u.replay_s", "system_e.replay_s",
                    "system_u.check_s")
 MIN_GROUP = 5                  # samples a size needs to enter the growth fit
 REQUEST_TIMEOUT_S = 30.0       # a request still running then has failed
+REF_EVERY_S = 0.05             # busy time between two runs of the reference work
+REF_NEAR = 15                  # reference runs on each side that scale a request
+REF_PROBE = 15                 # reference runs before each set-up probe
 
 
 def load():
@@ -87,16 +97,82 @@ def slope(points: list[tuple[float, float]]) -> float:
     return sum((p[0] - mx) * (p[1] - my) for p in pts) / sxx if sxx else 0.0
 
 
-def growth(samples: list[tuple[int, float]]) -> tuple[float, dict]:
+def growth(samples: list[tuple[int, str, float]]) -> tuple[float, dict]:
     """Slope of median latency against request size, over the sizes with
-    at least MIN_GROUP samples."""
-    groups: dict[int, list[float]] = {}
-    for size, dt in samples:
+    at least MIN_GROUP samples.  A size's median is the median over its
+    inputs of each input's median latency: where a size holds an even
+    number of inputs of unlike cost, the median of the raw samples falls in
+    the gap between the two middle inputs and jumps with every slow or fast
+    sample on either side of it."""
+    groups: dict[int, dict[str, list[float]]] = {}
+    for size, key, dt in samples:
         if size > 0:
-            groups.setdefault(size, []).append(dt)
-    medians = {s: statistics.median(v) for s, v in sorted(groups.items())
-               if len(v) >= MIN_GROUP}
+            groups.setdefault(size, {}).setdefault(key, []).append(dt)
+    medians = {s: statistics.median(statistics.median(v) for v in by_key.values())
+               for s, by_key in sorted(groups.items())
+               if sum(map(len, by_key.values())) >= MIN_GROUP}
     return slope(list(medians.items())), medians
+
+
+def reference_work() -> float:
+    """Seconds one run of a fixed piece of pure-Python work takes: build
+    and walk trees of tuples and fill dicts, about 1 ms on a 2-vCPU
+    2.1 GHz Xeon VM.  It calls nothing in bangcalc, and the cyclic
+    collector is off while it runs, so its time does not depend on the
+    program's code or heap."""
+    def build(d):
+        return (d,) if d == 0 else (build(d - 1), d, build(d - 1))
+
+    def walk(t):
+        return t[0] if len(t) == 1 else walk(t[0]) + t[1] + walk(t[2])
+
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(3):
+            walk(build(9))
+            {str(j): j for j in range(400)}
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
+class Speed:
+    """The machine's speed over a run, read from runs of `reference_work`
+    between requests.
+
+    This machine is a share of a host whose other tenants change how fast
+    it runs: the same work takes up to 1.6 times as long from one minute
+    to the next, in phases longer than a run, so wall-clock figures of
+    identical runs spread by more than any useful bound.  Each request's
+    time is therefore also given in reference time: its wall time over
+    the median time of the REF_NEAR reference runs on each side of it,
+    times one millisecond.  Reference work and requests slow down
+    together, so the quotient keeps the program's own cost, its slow
+    requests included, and drops most of the host's."""
+
+    def __init__(self):
+        self.at: list[int] = []        # requests sent before each reference run
+        self.took: list[float] = []
+        self.since = 0.0
+
+    def sample(self, sent: int) -> None:
+        self.at.append(sent)
+        self.took.append(reference_work())
+        self.since = 0.0
+
+    def after(self, sent: int, dt: float) -> None:
+        """Note a request of `dt` seconds; sample when REF_EVERY_S of busy
+        time has passed since the last sample."""
+        self.since += dt
+        if self.since >= REF_EVERY_S:
+            self.sample(sent)
+
+    def scale(self, index: int, dt: float) -> float:
+        """Reference time of the request sent `index`-th (from 0)."""
+        p = bisect.bisect_right(self.at, index)
+        near = self.took[max(0, p - REF_NEAR):p + REF_NEAR]
+        return dt * 1e-3 / statistics.median(near)
 
 
 def src_lines() -> int:
@@ -185,9 +261,11 @@ class Checker:
         return self.wrong == 0, self.crashed + self.wrong
 
 
-def setup_probe(workload: str, seed: int) -> float:
+def setup_probe(workload: str, seed: int) -> tuple[float, float]:
     """Time from starting a fresh interpreter to its first request being
-    ready."""
+    ready, in wall time and in reference time (see `Speed`), scaled by the
+    median of REF_PROBE reference runs just before it."""
+    ref = statistics.median(reference_work() for _ in range(REF_PROBE))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
                            "--workload", workload, "--seed", str(seed), "--setup-probe"],
@@ -195,7 +273,8 @@ def setup_probe(workload: str, seed: int) -> float:
                           timeout=120)
     if proc.returncode != 0:
         sys.exit(f"bench: set-up probe failed: {proc.stderr.decode()[-2000:]}")
-    return time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    return wall, wall * 1e-3 / ref
 
 
 def run_untraced(args, workloads) -> dict:
@@ -204,41 +283,55 @@ def run_untraced(args, workloads) -> dict:
     setup_times = [setup_probe(args.workload, args.seed)]
     wl = workloads.make(args.workload, args.seed)
     checker = Checker(wl, workloads)
-    samples: list[tuple[int, float]] = []   # (size, latency) of answered requests
-    sent = 0
-    busy = 0.0
+    timed: list[tuple[int, str, float, bool]] = []   # (size, key, latency, answered)
+    speed = Speed()
     clock = time.perf_counter
-    # Only whole rounds are sent, so that every run has the workload's mix.
-    for req in wl.stream():
+    total = wl.rounds(args.seconds) * wl.round_size
+    speed.sample(0)
+    for req in itertools.islice(wl.stream(), total):
         t0 = clock()
         out = run_one(wl, req, workloads)
         dt = clock() - t0
-        busy += dt
-        sent += 1
-        if out.status != "crash":
-            samples.append((req.size, dt))
+        timed.append((req.size, req.key, dt, out.status != "crash"))
+        speed.after(len(timed), dt)
         checker.record(req, out)
         if len(setup_times) < SETUP_PROBES and \
-                busy >= len(setup_times) * args.seconds / SETUP_PROBES:
+                len(timed) >= len(setup_times) * total / SETUP_PROBES:
             setup_times.append(setup_probe(args.workload, args.seed))
-        if busy >= args.seconds and sent % wl.round_size == 0:
-            break
     while len(setup_times) < SETUP_PROBES:
         setup_times.append(setup_probe(args.workload, args.seed))
+    speed.sample(len(timed))
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    latencies = [dt for _, dt in samples]
-    pct, tail_s, beyond = tail(latencies)
-    exp, medians = growth(samples)
-    details = {"tail_percentile": pct, "tail_samples_beyond": beyond,
-               "samples": len(latencies), "sent": sent, "busy_s": busy,
-               "median_ms_by_size": {s: m * 1e3 for s, m in medians.items()}}
+
+    def figures(times: list[float]) -> dict:
+        """Throughput, p50, tail and growth over the timed requests, whose
+        latencies are `times`; the throughput counts answered requests
+        over all the time spent."""
+        answered = [(size, key, dt) for (size, key, _, ok), dt in zip(timed, times) if ok]
+        latencies = [dt for _, _, dt in answered]
+        pct, tail_s, beyond = tail(latencies)
+        exp, medians = growth(answered)
+        return {"throughput_rps": len(latencies) / sum(times),
+                "latency_p50_ms": statistics.median(latencies) * 1e3,
+                "latency_tail_ms": tail_s * 1e3, "tail_percentile": pct,
+                "tail_samples_beyond": beyond, "samples": len(latencies), "growth_exp": exp,
+                "median_ms_by_size": {s: m * 1e3 for s, m in medians.items()}}
+
+    wall = figures([dt for _, _, dt, _ in timed])
+    ref = figures([speed.scale(i, dt) for i, (_, _, dt, _) in enumerate(timed)])
+    wall["setup_s"] = statistics.median(w for w, _ in setup_times)
+    ref["setup_s"] = statistics.median(r for _, r in setup_times)
+    details = {"reference_time": ref, "wall_time": wall, "sent": len(timed),
+               "reference_ms": {"median": statistics.median(speed.took) * 1e3,
+                                "least": min(speed.took) * 1e3,
+                                "most": max(speed.took) * 1e3, "runs": len(speed.took)}}
     correct, failed = checker.finish(details)
     metrics = {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "throughput_rps": (len(latencies) / busy, "1/s"),
-        "latency_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
-        "latency_tail_ms": (tail_s * 1e3, "ms"),
-        "growth_exp": (exp, "1"),
+        "setup_s": (ref["setup_s"], "s"),
+        "throughput_rps": (ref["throughput_rps"], "1/s"),
+        "latency_p50_ms": (ref["latency_p50_ms"], "ms"),
+        "latency_tail_ms": (ref["latency_tail_ms"], "ms"),
+        "growth_exp": (ref["growth_exp"], "1"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     return result(correct, checker.attempted, failed, metrics, details)
@@ -248,11 +341,11 @@ def run_traced(args, workloads, tracer_mod) -> dict:
     wl = workloads.make(args.workload, args.seed)
     checker = Checker(wl, workloads)
     rnd = wl.traced_round()
+    rounds = wl.rounds(args.seconds / 2)
     clock = time.perf_counter
 
     untraced = []
-    spent = 0.0
-    while not untraced or spent < args.seconds / 2:
+    for _ in range(rounds):
         t_round = 0.0
         for req in rnd:
             t0 = clock()
@@ -260,12 +353,10 @@ def run_traced(args, workloads, tracer_mod) -> dict:
             t_round += clock() - t0
             checker.record(req, out)
         untraced.append(t_round)
-        spent += t_round
 
     traced, self_s, counts, out_bytes = [], [], [], []
     first = None
-    spent = 0.0
-    while not traced or spent < args.seconds / 2:
+    for _ in range(rounds):
         tr = tracer_mod.Tracer(namespaces=(workloads,))
         outs = []
         t_round = 0.0
@@ -278,7 +369,6 @@ def run_traced(args, workloads, tracer_mod) -> dict:
         for req, out in zip(rnd, outs):
             checker.record(req, out)
         traced.append(t_round)
-        spent += t_round
         self_s.append(tr.self_s)
         counts.append(dict(tr.counts))
         out_bytes.append(sum(len(o.output.encode()) for o in outs))

@@ -120,6 +120,13 @@ CHURCH_COMMANDS = ("trace", "tight", "infer", "infer-cbn", "translate-cbv")
 class Workload:
     name = ""
     round_size = 0
+    round_s = 1.0   # seconds a round takes on a 2-vCPU 2.1 GHz Xeon VM
+
+    def rounds(self, seconds: float) -> int:
+        """Whole rounds that fill `seconds` at `round_s` each.  The count
+        depends on `seconds` alone, so that every run sends the same
+        requests."""
+        return max(1, round(seconds / self.round_s))
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -152,6 +159,7 @@ class Workload:
 
 class Church(Workload):
     name = "church"
+    round_s = 1.5
 
     def __init__(self, seed: int):
         super().__init__(seed)
@@ -258,6 +266,7 @@ class Sweep(Workload):
     and a corpus drawn per seed, or a run cut inside a pass, would make
     throughput depend on whether such a term is in it."""
     name = "sweep"
+    round_s = 7.0
 
     def __init__(self, seed: int):
         super().__init__(seed)
@@ -463,6 +472,7 @@ def tamper(obj: dict, rng: random.Random | None = None) -> dict:
 
 class Typecheck(Workload):
     name = "typecheck"
+    round_s = 5.0
 
     def __init__(self, seed: int):
         super().__init__(seed)
