@@ -214,53 +214,40 @@ def criterion_8_embedding(seed: int = 0, count: int = 300) -> CriterionResult:
 
 
 def criterion_9_translation_round_trips(seed: int = 0, count: int = 300) -> CriterionResult:
-    corpus = _lambda_corpus(seed + 4, count)
-    n_done = v_done = 0
-    for t in corpus:
-        dn = infer_n(t, 400)
-        if isinstance(dn, Derivation):
-            if check_derivation_n(dn) is not None:
-                return False, f"bad N derivation for {print_term(t)}"
-            du = translate_n_to_u(dn)
+    done = {"N": 0, "V": 0}
+    for t in _lambda_corpus(seed + 4, count):
+        for name, infer, check, to_u, from_u in (
+                ("N", infer_n, check_derivation_n, translate_n_to_u, translate_u_to_n),
+                ("V", infer_v, check_derivation_v, translate_v_to_u, translate_u_to_v)):
+            d = infer(t, 400)
+            if not isinstance(d, Derivation):
+                continue
+            if check(d) is not None:
+                return False, f"bad {name} derivation for {print_term(t)}"
+            du = to_u(d)
             if check_derivation_u(du) is not None:
                 return False, f"bad translated U derivation for {print_term(t)}"
-            back = translate_u_to_n(du, t)
-            if check_derivation_n(back) is not None or \
-                    (back.context, back.subject, back.type) != (dn.context, dn.subject, dn.type):
-                return False, f"N round trip broke the judgement for {print_term(t)}"
-            n_done += 1
-        dv = infer_v(t, 400)
-        if isinstance(dv, Derivation):
-            if check_derivation_v(dv) is not None:
-                return False, f"bad V derivation for {print_term(t)}"
-            du = translate_v_to_u(dv)
-            if check_derivation_u(du) is not None:
-                return False, f"bad translated U derivation for {print_term(t)}"
-            back = translate_u_to_v(du, t)
-            if check_derivation_v(back) is not None or \
-                    (back.context, back.subject, back.type) != (dv.context, dv.subject, dv.type):
-                return False, f"V round trip broke the judgement for {print_term(t)}"
-            v_done += 1
-    return True, f"{n_done} CBN and {v_done} CBV round trips"
+            back = from_u(du, t)
+            if check(back) is not None or \
+                    (back.context, back.subject, back.type) != (d.context, d.subject, d.type):
+                return False, f"{name} round trip broke the judgement for {print_term(t)}"
+            done[name] += 1
+    return True, f"{done['N']} CBN and {done['V']} CBV round trips"
 
 
 def criterion_10_quantitative_cbn_cbv(seed: int = 0, count: int = 300) -> CriterionResult:
-    corpus = _lambda_corpus(seed + 5, count)
-    n_done = v_done = 0
-    for t in corpus:
-        dn = infer_n(t, 400)
-        if isinstance(dn, Derivation):
-            tr = normalize_n(t, 400)
-            if size_n(dn) < tr.b + tr.e + n_size(tr.final):
-                return False, f"CBN bound fails on {print_term(t)}"
-            n_done += 1
-        dv = infer_v(t, 400)
-        if isinstance(dv, Derivation):
-            tr = normalize_v(t, 400)
-            if size_v(dv) < tr.b + tr.e + v_size(tr.final):
-                return False, f"CBV bound fails on {print_term(t)}"
-            v_done += 1
-    return True, f"{n_done} CBN and {v_done} CBV bounds hold"
+    done = {"CBN": 0, "CBV": 0}
+    for t in _lambda_corpus(seed + 5, count):
+        for name, infer, normalize, size, term_size in (
+                ("CBN", infer_n, normalize_n, size_n, n_size),
+                ("CBV", infer_v, normalize_v, size_v, v_size)):
+            d = infer(t, 400)
+            if isinstance(d, Derivation):
+                tr = normalize(t, 400)
+                if size(d) < tr.b + tr.e + term_size(tr.final):
+                    return False, f"{name} bound fails on {print_term(t)}"
+                done[name] += 1
+    return True, f"{done['CBN']} CBN and {done['CBV']} CBV bounds hold"
 
 
 def criterion_11_tight_meta(seed: int = 0, count: int = 300) -> CriterionResult:

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
-    decompose_list, free_vars, fresh_name, is_abs_shaped, is_bang_shaped,
+    decompose_list, free_vars, is_abs_shaped, is_bang_shaped,
     is_lambda_term, print_term, subst_meta,
 )
 from .reduction import (
-    Position, RuleKind, Sel, FuelExhausted, Trace, TraceStep, fire_db,
+    Position, RuleKind, Sel, FuelExhausted, Trace, fire_db, fire_spine, normalize,
 )
 from .qtypes import (
     Arrow, Mult, Type, ctx_get, ctx_remove, ctx_union, mult,
 )
 from .system_u import (
-    Derivation, IllFormed, Untypable, Violation,
+    Derivation, IllFormed, Untypable, Violation, check_with, fire_spine_d,
     infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
 )
 
@@ -50,20 +50,7 @@ def fire_sv(t: Term) -> Term:
     """t = s[x \\ L<v>] -> L<s{x:=v}> for a value v."""
     assert isinstance(t, Sub) and _is_value_shaped(t.arg)
     s, x = t.body, t.binder
-    fvs = free_vars(s) - {x}
-
-    def wrap(a: Term) -> Term:
-        if isinstance(a, (Var, Abs)):
-            return subst_meta(s, x, a)
-        assert isinstance(a, Sub)
-        b, y, arg = a.body, a.binder, a.arg
-        if y in fvs:
-            y2 = fresh_name(y, fvs | free_vars(b))
-            b = subst_meta(b, y, Var(y2))
-            y = y2
-        return Sub(wrap(b), y, arg)
-
-    return wrap(t.arg)
+    return fire_spine(t.arg, free_vars(s) - {x}, lambda v: subst_meta(s, x, v))
 
 
 def step_n(t: Term) -> tuple[Position, RuleKind, Term] | None:
@@ -124,28 +111,14 @@ def step_v(t: Term) -> tuple[Position, RuleKind, Term] | None:
     raise NotLambdaTerm(print_term(t))
 
 
-def _normalize(t: Term, fuel: int, stepper) -> Trace:
-    steps: list[TraceStep] = []
-    cur = t
-    for _ in range(fuel):
-        r = stepper(cur)
-        if r is None:
-            return Trace(t, tuple(steps), completed=True)
-        pos, kind, cur = r
-        steps.append(TraceStep(pos, kind, cur))
-    if stepper(cur) is None:
-        return Trace(t, tuple(steps), completed=True)
-    raise FuelExhausted(Trace(t, tuple(steps), completed=False))
-
-
 def normalize_n(t: Term, fuel: int) -> Trace:
     _require_lambda(t)
-    return _normalize(t, fuel, step_n)
+    return normalize(t, fuel, step_n)
 
 
 def normalize_v(t: Term, fuel: int) -> Trace:
     _require_lambda(t)
-    return _normalize(t, fuel, step_v)
+    return normalize(t, fuel, step_v)
 
 
 # ---------------------------------------------------------------------------
@@ -475,26 +448,12 @@ def _check_node_v(d: Derivation) -> str | None:
     return None
 
 
-def _check_with(node_check, d: Derivation) -> Violation | None:
-    def walk(d: Derivation, path: tuple[int, ...]) -> Violation | None:
-        reason = node_check(d)
-        if reason is not None:
-            return Violation(path, reason)
-        for i, p in enumerate(d.premises):
-            v = walk(p, path + (i,))
-            if v is not None:
-                return v
-        return None
-
-    return walk(d, ())
-
-
 def check_derivation_n(d: Derivation) -> Violation | None:
-    return _check_with(_check_node_n, d)
+    return check_with(_check_node_n, d)
 
 
 def check_derivation_v(d: Derivation) -> Violation | None:
-    return _check_with(_check_node_v, d)
+    return check_with(_check_node_v, d)
 
 
 def size_n(d: Derivation) -> int:
@@ -571,28 +530,15 @@ def _u_to_n(d: Derivation, t: Term) -> Derivation:
     raise NotLambdaTerm(print_term(t))
 
 
-def _unbang_spine(d: Derivation, n: int) -> Derivation:
-    """From a derivation of L<!r> : [sigma] (with n closures in L), build
-    the derivation of L<r> : sigma by dropping the unary bg at the core."""
-    if n == 0:
-        if d.rule != "bg" or len(d.premises) != 1:
-            raise ImageMismatch("expected a unary bang node at the head")
-        return d.premises[0]
-    if d.rule != "es":
-        raise ImageMismatch("expected a closure node on the head spine")
-    assert isinstance(d.subject, Sub)
-    return mk_es(d.subject.binder, _unbang_spine(d.premises[0], n - 1), d.premises[1])
+def _unbang(d: Derivation) -> Derivation:
+    """From a derivation of !r : [sigma], the derivation of r : sigma."""
+    if d.rule != "bg" or len(d.premises) != 1:
+        raise ImageMismatch("expected a unary bang node at the head")
+    return d.premises[0]
 
 
-def _rebang_spine(d: Derivation, n: int) -> Derivation:
-    """Inverse of _unbang_spine: wrap the core of a spine derivation in a
-    unary bg."""
-    if n == 0:
-        return mk_bg(d.subject, (d,))
-    if d.rule != "es":
-        raise ImageMismatch("expected a closure node on the head spine")
-    assert isinstance(d.subject, Sub)
-    return mk_es(d.subject.binder, _rebang_spine(d.premises[0], n - 1), d.premises[1])
+def _rebang(d: Derivation) -> Derivation:
+    return mk_bg(d.subject, (d,))
 
 
 def translate_v_to_u(d: Derivation) -> Derivation:
@@ -611,10 +557,8 @@ def translate_v_to_u(d: Derivation) -> Derivation:
             assert isinstance(d.subject, App)
             d_f = translate_v_to_u(d.premises[0])
             d_a = translate_v_to_u(d.premises[1])
-            image_f = embed_cbv(d.subject.fun)
-            if is_bang_shaped(image_f):
-                spine = decompose_list(image_f).spine
-                return mk_app(_unbang_spine(d_f, len(spine)), d_a)
+            if is_bang_shaped(embed_cbv(d.subject.fun)):
+                return mk_app(fire_spine_d(d_f, frozenset(), _unbang), d_a)
             return mk_app(mk_dr(d_f), d_a)
         case "es_v":
             assert isinstance(d.subject, Sub)
@@ -651,10 +595,8 @@ def _u_to_v(d: Derivation, t: Term) -> Derivation:
         case App(f, a):
             if d.rule != "app":
                 raise ImageMismatch("expected an application node")
-            image_f = embed_cbv(f)
-            if is_bang_shaped(image_f):
-                spine = decompose_list(image_f).spine
-                d_f = _u_to_v(_rebang_spine(d.premises[0], len(spine)), f)
+            if is_bang_shaped(embed_cbv(f)):
+                d_f = _u_to_v(fire_spine_d(d.premises[0], frozenset(), _rebang), f)
             else:
                 if d.premises[0].rule != "dr":
                     raise ImageMismatch("expected a dereliction at the head")

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed check, 2 parse error, 3 fuel exhausted,
-4 untypable, 5 internal invariant violation.
+Exit codes: 0 success, 1 failed check, 2 bad input (a parse error,
+malformed derivation JSON, or input nested too deeply to process), 3 fuel
+exhausted, 4 untypable, 5 internal invariant violation.  `main` returns
+one of them for every input and lets no exception escape.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .syntax import ParseError, Term, is_lambda_term, parse_term, print_term, w_
 from .reduction import (
     FuelExhausted, classify_nf, classify_wcf_nf, detect_clash, normalize_dw,
 )
-from .system_u import Derivation, Untypable, check_derivation_u, infer_u, size_u
+from .system_u import Untypable, check_derivation_u, infer_u, size_u
 from .system_e import check_derivation_e, infer_tight, is_tight
 from .cbn_cbv import (
     check_derivation_n, check_derivation_v, classify_lambda_nf, embed_cbn,
@@ -22,8 +24,8 @@ from .cbn_cbv import (
     translate_n_to_u, translate_v_to_u,
 )
 from .serialize import (
-    FORMAT_VERSION, classification_json, derivation_from_json,
-    derivation_to_json, dump_records, trace_records,
+    FORMAT_VERSION, MalformedDerivation, classification_json,
+    derivation_from_json, derivation_to_json, dump_records, trace_records,
 )
 from . import acceptance
 
@@ -33,6 +35,10 @@ EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_UNTYPABLE = 4
 EXIT_INTERNAL = 5
+
+
+class UntypableTerm(Exception):
+    pass
 
 
 def _read_input(args) -> str:
@@ -158,14 +164,18 @@ def cmd_typecheck(args) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _report_inference(args, res, size_fn) -> int:
+def _derived(res):
+    """The derivation an inference returned; a failure is raised instead,
+    for `main` to report."""
     if isinstance(res, FuelExhausted):
-        print("fuel exhausted", file=sys.stderr)
-        return EXIT_FUEL
+        raise res
     if isinstance(res, Untypable):
-        print(f"untypable: normal form {print_term(res.normal_form)} has a clash",
-              file=sys.stderr)
-        return EXIT_UNTYPABLE
+        raise UntypableTerm(f"normal form {print_term(res.normal_form)} has a clash")
+    return res
+
+
+def _report_inference(args, res, size_fn) -> int:
+    res = _derived(res)
     if _machine(args):
         _emit_record({"record": "derivation", "version": FORMAT_VERSION,
                       "size": size_fn(res), "derivation": derivation_to_json(res)})
@@ -185,15 +195,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_tight(args) -> int:
-    t = _parse(args)
-    res = infer_tight(t, args.fuel)
-    if isinstance(res, FuelExhausted):
-        print("fuel exhausted", file=sys.stderr)
-        return EXIT_FUEL
-    if isinstance(res, Untypable):
-        print(f"untypable: normal form {print_term(res.normal_form)} has a clash",
-              file=sys.stderr)
-        return EXIT_UNTYPABLE
+    res = _derived(infer_tight(_parse(args), args.fuel))
     if _machine(args):
         _emit_record({"record": "derivation", "version": FORMAT_VERSION,
                       "counters": list(res.counters), "tight": is_tight(res),
@@ -228,12 +230,7 @@ def cmd_translate(args) -> int:
     else:
         res = infer_v(t, args.fuel)
         translate, size_fn = translate_v_to_u, size_v
-    if isinstance(res, FuelExhausted):
-        print("fuel exhausted", file=sys.stderr)
-        return EXIT_FUEL
-    if isinstance(res, Untypable):
-        print("untypable", file=sys.stderr)
-        return EXIT_UNTYPABLE
+    res = _derived(res)
     translated = translate(res)
     if _machine(args):
         _emit_record({"record": "translation", "version": FORMAT_VERSION,
@@ -250,6 +247,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def fuel(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"fuel must not be negative: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bangcalc",
                                   description="bang-calculus interpreter and "
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         if term:
             p.add_argument("term", nargs="?", default=None,
                            help="input term (defaults to stdin)")
-        p.add_argument("--fuel", type=int, default=10000)
+        p.add_argument("--fuel", type=fuel, default=10000)
         p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default="bang")
         p.add_argument("--output", choices=("text", "machine"), default="text")
         p.add_argument("--seed", type=int, default=0)
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("typecheck", help="check a derivation given as JSON")
     p.add_argument("term", nargs="?", default=None, help="JSON input (defaults to stdin)")
     p.add_argument("--system", choices=("u", "e", "n", "v"), required=True)
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=fuel, default=10000)
     p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default="bang")
     p.add_argument("--output", choices=("text", "machine"), default="text")
     p.add_argument("--seed", type=int, default=0)
@@ -291,24 +295,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=fuel, default=10000)
     p.add_argument("--output", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_selftest)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as ex:  # argparse has printed its usage message
+        return ex.code
     try:
         return args.fn(args)
-    except ParseError as ex:
+    except (ParseError, MalformedDerivation, json.JSONDecodeError) as ex:
         print(f"parse error: {ex}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("input nested too deeply: recursion limit exceeded", file=sys.stderr)
         return EXIT_PARSE
     except FuelExhausted:
         print("fuel exhausted", file=sys.stderr)
         return EXIT_FUEL
-    except (ValueError, AssertionError) as ex:
-        print(f"internal error: {ex}", file=sys.stderr)
+    except UntypableTerm as ex:
+        print(f"untypable: {ex}", file=sys.stderr)
+        return EXIT_UNTYPABLE
+    except Exception as ex:
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -67,17 +67,6 @@ def mult(elements) -> Mult:
 EMPTY_MULT = mult([])
 
 
-def mult_union(*ms: Mult) -> Mult:
-    out: list[Type] = []
-    for m in ms:
-        out.extend(m.elements)
-    return mult(out)
-
-
-def is_tight_type(t: Type) -> bool:
-    return isinstance(t, Tight)
-
-
 def is_tight_mult(m: Mult) -> bool:
     return all(isinstance(e, Tight) for e in m.elements)
 
@@ -103,10 +92,6 @@ Context = dict[str, Mult]
 
 def ctx_get(ctx: Context, x: str) -> Mult:
     return ctx.get(x, EMPTY_MULT)
-
-
-def ctx_normal(pairs) -> Context:
-    return {x: m for x, m in pairs if m.elements}
 
 
 def ctx_union(*ctxs: Context) -> Context:

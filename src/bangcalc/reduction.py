@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
@@ -98,64 +99,43 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Root-rule firing (shared with the CBN/CBV engine for dB)
+# Root-rule firing (shared with the CBN/CBV engine and the derivation engine)
+
+def fire_spine(t: Term, avoid: frozenset[str], at_core: Callable[[Term], Term]) -> Term:
+    """L<c> -> L<at_core(c)> for the maximal closure spine L of t,
+    refreshing the binders of L that are in `avoid` (the free variables
+    the new core brings in, which they would capture)."""
+    if not isinstance(t, Sub):
+        return at_core(t)
+    b, y = t.body, t.binder
+    if y in avoid:
+        y2 = fresh_name(y, avoid | free_vars(b))
+        b = subst_meta(b, y, Var(y2))
+        y = y2
+    return Sub(fire_spine(b, avoid, at_core), y, t.arg)
+
 
 def fire_db(t: Term) -> Term:
-    """t = L<\\x.s> u  ->  L<s[x \\ u]>, refreshing L binders that would
-    capture free variables of u."""
+    """t = L<\\x.s> u  ->  L<s[x \\ u]>."""
     if not isinstance(t, App) or not is_abs_shaped(t.fun):
         raise InvalidPosition("not a dB redex")
     u = t.arg
-    fvu = free_vars(u)
-
-    def wrap(f: Term) -> Term:
-        if isinstance(f, Abs):
-            return Sub(f.body, f.binder, u)
-        assert isinstance(f, Sub)
-        b, y, a = f.body, f.binder, f.arg
-        if y in fvu:
-            y2 = fresh_name(y, fvu | free_vars(b))
-            b = subst_meta(b, y, Var(y2))
-            y = y2
-        return Sub(wrap(b), y, a)
-
-    return wrap(t.fun)
+    return fire_spine(t.fun, free_vars(u), lambda f: Sub(f.body, f.binder, u))
 
 
 def fire_sbang(t: Term) -> Term:
-    """t = s[x \\ L<!u>]  ->  L<s{x:=u}>, refreshing L binders that would
-    capture free variables of s."""
+    """t = s[x \\ L<!u>]  ->  L<s{x:=u}>."""
     if not isinstance(t, Sub) or not is_bang_shaped(t.arg):
         raise InvalidPosition("not an s! redex")
     s, x = t.body, t.binder
-    fvs = free_vars(s) - {x}
-
-    def wrap(a: Term) -> Term:
-        if isinstance(a, Bang):
-            return subst_meta(s, x, a.body)
-        assert isinstance(a, Sub)
-        b, y, arg = a.body, a.binder, a.arg
-        if y in fvs:
-            y2 = fresh_name(y, fvs | free_vars(b))
-            b = subst_meta(b, y, Var(y2))
-            y = y2
-        return Sub(wrap(b), y, arg)
-
-    return wrap(t.arg)
+    return fire_spine(t.arg, free_vars(s) - {x}, lambda bang: subst_meta(s, x, bang.body))
 
 
 def fire_dbang(t: Term) -> Term:
     """t = der(L<!s>)  ->  L<s>."""
     if not isinstance(t, Der) or not is_bang_shaped(t.body):
         raise InvalidPosition("not a d! redex")
-
-    def wrap(b: Term) -> Term:
-        if isinstance(b, Bang):
-            return b.body
-        assert isinstance(b, Sub)
-        return Sub(wrap(b.body), b.binder, b.arg)
-
-    return wrap(t.body)
+    return fire_spine(t.body, frozenset(), lambda bang: bang.body)
 
 
 _ROOT_FIRE = {RuleKind.DB: fire_db, RuleKind.SBANG: fire_sbang, RuleKind.DBANG: fire_dbang}
@@ -197,10 +177,6 @@ def step_at(t: Term, pos: Position, kind: RuleKind) -> Term:
     if fire is None:
         raise InvalidPosition(f"{kind} is not a bang-calculus rule")
     return replace_at(t, pos, fire(sub))
-
-
-def is_w_normal(t: Term) -> bool:
-    return not redexes(t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +230,8 @@ def _nf_bits(t: Term) -> tuple[bool, bool, bool]:
 
 
 def _bits_to_class(ne: bool, na: bool, nb: bool) -> NfClass:
-    members = set()
-    if ne:
-        members.add("ne")
-    if na:
-        members.add("na")
-    if nb:
-        members.add("nb")
-    if na or nb:
-        members.add("no")
-    return NfClass(frozenset(members), na or nb)
+    bits = (("ne", ne), ("na", na), ("nb", nb), ("no", na or nb))
+    return NfClass(frozenset(name for name, bit in bits if bit), na or nb)
 
 
 def classify_nf(t: Term) -> NfClass:
@@ -440,9 +408,6 @@ class Trace:
     def e(self) -> int:
         return len(self.steps) - self.b
 
-    def kinds(self) -> list[RuleKind]:
-        return [s.rule for s in self.steps]
-
 
 class FuelExhausted(Exception):
     """Normalization ran out of fuel; carries the partial trace."""
@@ -452,23 +417,29 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
-def normalize_dw(t: Term, fuel: int) -> Trace:
-    """Iterate step_dw up to `fuel` steps.
+def normalize(t: Term, fuel: int,
+              stepper: Callable[[Term], tuple[Position, RuleKind, Term] | None]) -> Trace:
+    """Iterate `stepper` up to `fuel` steps.
 
-    Returns a completed Trace ending in a w-normal term, or raises
-    FuelExhausted carrying the partial trace.
+    Returns a completed Trace ending in a term the stepper leaves alone,
+    or raises FuelExhausted carrying the partial trace.
     """
     steps: list[TraceStep] = []
     cur = t
     for _ in range(fuel):
-        r = step_dw(cur)
+        r = stepper(cur)
         if r is None:
             return Trace(t, tuple(steps), completed=True)
         pos, kind, cur = r
         steps.append(TraceStep(pos, kind, cur))
-    if step_dw(cur) is None:
+    if stepper(cur) is None:
         return Trace(t, tuple(steps), completed=True)
     raise FuelExhausted(Trace(t, tuple(steps), completed=False))
+
+
+def normalize_dw(t: Term, fuel: int) -> Trace:
+    """The dw trace of t, or FuelExhausted after `fuel` steps."""
+    return normalize(t, fuel, step_dw)
 
 
 # ---------------------------------------------------------------------------

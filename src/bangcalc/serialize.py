@@ -8,27 +8,20 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .syntax import Term, parse_term, print_term
+from .syntax import parse_term, print_term
 from .reduction import (
-    ClashReport, NfClass, RuleKind, Sel, Trace, classify_nf, classify_wcf_nf,
-    detect_clash,
+    ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
+    subterm_at,
 )
-from .qtypes import parse_type, print_type
+from .qtypes import Mult, parse_type, print_type
 from .system_u import Derivation
 from .system_e import DerivationE
 
 FORMAT_VERSION = 1
 
-_SEL_BY_NAME = {s.value: s for s in Sel}
-_RULE_BY_NAME = {k.value: k for k in RuleKind}
-
 
 def position_to_json(pos) -> list[str]:
     return [s.value for s in pos]
-
-
-def position_from_json(items) -> tuple[Sel, ...]:
-    return tuple(_SEL_BY_NAME[i] for i in items)
 
 
 def trace_records(trace: Trace) -> list[dict[str, Any]]:
@@ -42,7 +35,7 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
             "index": i,
             "rule": step.rule.value,
             "position": position_to_json(step.position),
-            "redex": print_term(_subterm(cur, step.position)),
+            "redex": print_term(subterm_at(cur, step.position)),
             "result": print_term(step.result),
         })
         cur = step.result
@@ -60,11 +53,6 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
         "term": print_term(final),
     })
     return records
-
-
-def _subterm(t: Term, pos) -> Term:
-    from .reduction import subterm_at
-    return subterm_at(t, pos)
 
 
 def dump_records(records: list[dict[str, Any]]) -> str:
@@ -87,9 +75,20 @@ def derivation_to_json(d: Derivation | DerivationE) -> dict[str, Any]:
     return obj
 
 
+class MalformedDerivation(ValueError):
+    """Derivation JSON that does not have the shape of
+    schema/derivation.schema.json."""
+
+
 def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
-    from .qtypes import Mult
-    premises = tuple(derivation_from_json(p) for p in obj.get("premises", []))
+    try:
+        return _derivation_from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
+        raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
+
+
+def _derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
+    premises = tuple(_derivation_from_json(p) for p in obj.get("premises", []))
     context = {}
     for x, m in obj.get("context", {}).items():
         ty = parse_type(m)
@@ -99,8 +98,12 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
     subject = parse_term(obj["term"])
     ty = parse_type(obj["type"])
     if "counters" in obj:
-        b, e, s = obj["counters"]
-        return DerivationE(obj["rule"], context, subject, ty, (b, e, s), premises)  # type: ignore[arg-type]
+        counters = obj["counters"]
+        if not (isinstance(counters, list) and len(counters) == 3
+                and all(type(c) is int for c in counters)):
+            raise ValueError("counters must be a list of three integers")
+        return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
+                           tuple(counters), premises)
     return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
 
 

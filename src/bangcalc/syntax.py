@@ -235,10 +235,6 @@ def is_lambda_term(t: Term) -> bool:
             return False
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, (Var, Abs))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 

@@ -15,19 +15,20 @@ survives to the normal form (e.g. (\\x.x) y):
 
 Exact subject reduction maps the second ae_t shape to es_t across the dB
 step and back, which is what forces both generalizations.
+
+The consuming rules are U's rules with counters added, so renaming,
+substitution and subject reduction/expansion are system_u's engine: this
+module registers its rules into the engine's tables and adds the exact
+counter post-conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    Abs, App, Bang, Der, Sub, Term, Var,
-    decompose_list, free_vars, fresh_name, print_term, subst_meta, w_size,
-)
+from .syntax import Abs, App, Bang, Der, Sub, Term, Var, print_term, w_size
 from .reduction import (
-    Position, RuleKind, Sel, FuelExhausted, Trace,
-    classify_nf, classify_wcf_nf, normalize_dw, subterm_at,
+    Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
 )
 from .qtypes import (
     Arrow, Context, Mult, Tight, Type,
@@ -35,12 +36,13 @@ from .qtypes import (
     ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, mult,
     print_type, sort_key,
 )
-from .system_u import Untypable, Violation, IllFormed, NotTypableNormalForm
+from .system_u import (
+    Untypable, Violation, IllFormed, NotTypableNormalForm,
+    antisubst_derivation, check_with, expand_derivation, infer_with,
+    reduce_derivation, register, replay, subst_derivation,
+)
 
 Counters = tuple[int, int, int]
-
-CONSUMING = frozenset({"ax", "ae_d", "ai_d", "bg_d", "dr_d", "es_d"})
-PERSISTENT = frozenset({"ae_t", "ai_t", "bg_t", "dr_t", "es_t"})
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,9 @@ def mk_ai_t(x: str, d_b: DerivationE) -> DerivationE:
                        TIGHT_ABS, (b, e, s + 1), (d_b,))
 
 
-def mk_bg_t(body: Term) -> DerivationE:
+def mk_bg_t(body: Term, premises: tuple[DerivationE, ...] = ()) -> DerivationE:
+    if premises:
+        raise IllFormed("bg_t has no premises")
     return DerivationE("bg_t", {}, Bang(body), TIGHT_BANG, (0, 0, 0))
 
 
@@ -168,10 +172,19 @@ def mk_es_t(x: str, d_b: DerivationE, d_a: DerivationE) -> DerivationE:
                        Sub(d_b.subject, x, d_a.subject), d_b.type, (b, e, s + 1), (d_b, d_a))
 
 
+register(DerivationE,
+         {Var: ("ax", mk_ax_e), App: ("ae_d", mk_ae_d), Abs: ("ai_d", mk_ai_d),
+          Bang: ("bg_d", mk_bg_d), Der: ("dr_d", mk_dr_d), Sub: ("es_d", mk_es_d)},
+         {"ae_t": mk_ae_t, "ai_t": mk_ai_t, "bg_t": mk_bg_t, "dr_t": mk_dr_t, "es_t": mk_es_t},
+         {"ae_d": "es_d", "ae_t": "es_t"})
+
+
 # ---------------------------------------------------------------------------
 # Checking
 
 def _check_node_e(d: DerivationE) -> str | None:
+    if not isinstance(d, DerivationE):
+        return "system E nodes must carry counters"
     for m in d.context.values():
         if not m.elements:
             return "context stores an empty multiset entry"
@@ -307,17 +320,7 @@ def _check_node_e(d: DerivationE) -> str | None:
 
 
 def check_derivation_e(d: DerivationE) -> Violation | None:
-    def walk(d: DerivationE, path: tuple[int, ...]) -> Violation | None:
-        reason = _check_node_e(d)
-        if reason is not None:
-            return Violation(path, reason)
-        for i, p in enumerate(d.premises):
-            v = walk(p, path + (i,))
-            if v is not None:
-                return v
-        return None
-
-    return walk(d, ())
+    return check_with(_check_node_e, d)
 
 
 def is_tight(d: DerivationE) -> bool:
@@ -388,397 +391,26 @@ def _tight_nb(t: Term) -> DerivationE:
 
 
 # ---------------------------------------------------------------------------
-# Renaming / substitution / anti-substitution (counter-carrying)
-
-def rename_free_e(d: DerivationE, old: str, new: str) -> DerivationE:
-    if old not in free_vars(d.subject):
-        return d
-    match d.rule:
-        case "ax":
-            return mk_ax_e(new, d.type)
-        case "ae_d" | "ae_t":
-            f = rename_free_e(d.premises[0], old, new)
-            a = rename_free_e(d.premises[1], old, new)
-            return mk_ae_d(f, a) if d.rule == "ae_d" else mk_ae_t(f, a)
-        case "bg_d" | "bg_t":
-            assert isinstance(d.subject, Bang)
-            body = subst_meta(d.subject.body, old, Var(new))
-            if d.rule == "bg_t":
-                return mk_bg_t(body)
-            return mk_bg_d(body, tuple(rename_free_e(p, old, new) for p in d.premises))
-        case "dr_d" | "dr_t":
-            p = rename_free_e(d.premises[0], old, new)
-            return mk_dr_d(p) if d.rule == "dr_d" else mk_dr_t(p)
-        case "ai_d" | "ai_t":
-            assert isinstance(d.subject, Abs)
-            y, (p_b,) = d.subject.binder, d.premises
-            if y == new:
-                y2 = fresh_name(y, {new} | free_vars(d.subject.body) | {old})
-                p_b = rename_free_e(p_b, y, y2)
-                y = y2
-            p_b = rename_free_e(p_b, old, new)
-            return mk_ai_d(y, p_b) if d.rule == "ai_d" else mk_ai_t(y, p_b)
-        case "es_d" | "es_t":
-            assert isinstance(d.subject, Sub)
-            y = d.subject.binder
-            p_b, p_a = d.premises
-            if old in free_vars(d.subject.arg):
-                p_a = rename_free_e(p_a, old, new)
-            if old in free_vars(d.subject.body) - {y}:
-                if y == new:
-                    y2 = fresh_name(y, {new} | free_vars(d.subject.body) | {old})
-                    p_b = rename_free_e(p_b, y, y2)
-                    y = y2
-                p_b = rename_free_e(p_b, old, new)
-            return mk_es_d(y, p_b, p_a) if d.rule == "es_d" else mk_es_t(y, p_b, p_a)
-    raise IllFormed(f"unknown rule {d.rule!r}")
-
-
-def subst_derivation_e(d_t: DerivationE, x: str, d_us: list[DerivationE]) -> DerivationE:
-    if mult(d.type for d in d_us) != ctx_get(d_t.context, x):
-        raise IllFormed("argument derivations do not realize the multiset of x")
-    for d in d_us[1:]:
-        if d.subject != d_us[0].subject:
-            raise IllFormed("argument derivations type different terms")
-    u = d_us[0].subject if d_us else Var(x)
-    pool = list(d_us)
-    out = _subst_e(d_t, x, u, pool)
-    assert not pool, "unconsumed argument derivations"
-    return out
-
-
-def _subst_e(d: DerivationE, x: str, u: Term, pool: list[DerivationE]) -> DerivationE:
-    if x not in free_vars(d.subject):
-        return d
-    match d.rule:
-        case "ax":
-            for i, cand in enumerate(pool):
-                if cand.type == d.type:
-                    return pool.pop(i)
-            raise IllFormed("no argument derivation left for an axiom occurrence")
-        case "ae_d" | "ae_t":
-            f = _subst_e(d.premises[0], x, u, pool)
-            a = _subst_e(d.premises[1], x, u, pool)
-            return mk_ae_d(f, a) if d.rule == "ae_d" else mk_ae_t(f, a)
-        case "bg_d" | "bg_t":
-            assert isinstance(d.subject, Bang)
-            body = subst_meta(d.subject.body, x, u)
-            if d.rule == "bg_t":
-                return mk_bg_t(body)
-            return mk_bg_d(body, tuple(_subst_e(p, x, u, pool) for p in d.premises))
-        case "dr_d" | "dr_t":
-            p = _subst_e(d.premises[0], x, u, pool)
-            return mk_dr_d(p) if d.rule == "dr_d" else mk_dr_t(p)
-        case "ai_d" | "ai_t":
-            assert isinstance(d.subject, Abs)
-            y, (p_b,) = d.subject.binder, d.premises
-            fvu = free_vars(u)
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(d.subject.body) | {x})
-                p_b = rename_free_e(p_b, y, y2)
-                y = y2
-            p_b = _subst_e(p_b, x, u, pool)
-            return mk_ai_d(y, p_b) if d.rule == "ai_d" else mk_ai_t(y, p_b)
-        case "es_d" | "es_t":
-            assert isinstance(d.subject, Sub)
-            y = d.subject.binder
-            p_b, p_a = d.premises
-            if x in free_vars(d.subject.arg):
-                p_a = _subst_e(p_a, x, u, pool)
-            if x in free_vars(d.subject.body) - {y}:
-                fvu = free_vars(u)
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(d.subject.body) | {x})
-                    p_b = rename_free_e(p_b, y, y2)
-                    y = y2
-                p_b = _subst_e(p_b, x, u, pool)
-            return mk_es_d(y, p_b, p_a) if d.rule == "es_d" else mk_es_t(y, p_b, p_a)
-    raise IllFormed(f"unknown rule {d.rule!r}")
-
-
-def antisubst_derivation_e(d: DerivationE, t: Term, x: str, u: Term
-                           ) -> tuple[DerivationE, list[DerivationE]]:
-    if d.subject != subst_meta(t, x, u):
-        raise IllFormed("subject is not the stated substitution instance")
-    return _antisubst_e(d, t, x, u)
-
-
-def _antisubst_e(d: DerivationE, t: Term, x: str, u: Term
-                 ) -> tuple[DerivationE, list[DerivationE]]:
-    if x not in free_vars(t):
-        return d, []
-    match t:
-        case Var(_):
-            return mk_ax_e(x, d.type), [d]
-        case App(f, a):
-            d_f, us1 = _antisubst_e(d.premises[0], f, x, u)
-            d_a, us2 = _antisubst_e(d.premises[1], a, x, u)
-            node = mk_ae_d(d_f, d_a) if d.rule == "ae_d" else mk_ae_t(d_f, d_a)
-            return node, us1 + us2
-        case Bang(b):
-            if d.rule == "bg_t":
-                return mk_bg_t(b), []
-            out, us = [], []
-            for p in d.premises:
-                dp, usp = _antisubst_e(p, b, x, u)
-                out.append(dp)
-                us.extend(usp)
-            return mk_bg_d(b, tuple(out)), us
-        case Der(b):
-            d_b, us = _antisubst_e(d.premises[0], b, x, u)
-            node = mk_dr_d(d_b) if d.rule == "dr_d" else mk_dr_t(d_b)
-            return node, us
-        case Abs(y, b):
-            (p_b,) = d.premises
-            fvu = free_vars(u)
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                d_b2, us = _antisubst_e(p_b, subst_meta(b, y, Var(y2)), x, u)
-                d_b = rename_free_e(d_b2, y2, y)
-            else:
-                d_b, us = _antisubst_e(p_b, b, x, u)
-            node = mk_ai_d(y, d_b) if d.rule == "ai_d" else mk_ai_t(y, d_b)
-            return node, us
-        case Sub(b, y, a):
-            p_b, p_a = d.premises
-            us: list[DerivationE] = []
-            if x in free_vars(a):
-                p_a, us_a = _antisubst_e(p_a, a, x, u)
-                us.extend(us_a)
-            if x in free_vars(b) - {y}:
-                fvu = free_vars(u)
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                    d_b2, us_b = _antisubst_e(p_b, subst_meta(b, y, Var(y2)), x, u)
-                    p_b = rename_free_e(d_b2, y2, y)
-                else:
-                    p_b, us_b = _antisubst_e(p_b, b, x, u)
-                us = us_b + us
-            node = mk_es_d(y, p_b, p_a) if d.rule == "es_d" else mk_es_t(y, p_b, p_a)
-            return node, us
-    raise IllFormed(f"cannot decompose at {print_term(t)}")
-
-
-# ---------------------------------------------------------------------------
-# Exact subject reduction / expansion (dw steps)
-
-_SEL_TO_RULES = {
-    Sel.FUN: (("ae_d", "ae_t"), 0), Sel.ARG: (("ae_d", "ae_t"), 1),
-    Sel.ABS_BODY: (("ai_d", "ai_t"), 0), Sel.DER_BODY: (("dr_d", "dr_t"), 0),
-    Sel.SUB_BODY: (("es_d", "es_t"), 0), Sel.SUB_ARG: (("es_d", "es_t"), 1),
-}
-
-
-def _descend_e(d: DerivationE, sel: Sel) -> tuple[int, DerivationE]:
-    rules, idx = _SEL_TO_RULES[sel]
-    if d.rule not in rules:
-        raise IllFormed(f"position step {sel} does not match rule {d.rule}")
-    return idx, d.premises[idx]
-
-
-def _rebuild_e(d: DerivationE, idx: int, new_premise: DerivationE) -> DerivationE:
-    ps = list(d.premises)
-    ps[idx] = new_premise
-    match d.rule:
-        case "ae_d":
-            return mk_ae_d(ps[0], ps[1])
-        case "ae_t":
-            return mk_ae_t(ps[0], ps[1])
-        case "ai_d":
-            assert isinstance(d.subject, Abs)
-            return mk_ai_d(d.subject.binder, ps[0])
-        case "ai_t":
-            assert isinstance(d.subject, Abs)
-            return mk_ai_t(d.subject.binder, ps[0])
-        case "dr_d":
-            return mk_dr_d(ps[0])
-        case "dr_t":
-            return mk_dr_t(ps[0])
-        case "es_d":
-            assert isinstance(d.subject, Sub)
-            return mk_es_d(d.subject.binder, ps[0], ps[1])
-        case "es_t":
-            assert isinstance(d.subject, Sub)
-            return mk_es_t(d.subject.binder, ps[0], ps[1])
-    raise IllFormed(f"cannot rebuild under rule {d.rule!r}")
-
+# Exact subject reduction / expansion (dw steps), on the shared engine
 
 def reduce_derivation_e(d: DerivationE, step: tuple[Position, RuleKind]) -> DerivationE:
     """Exact subject reduction: a dB step lowers b by one, an s!/d! step
     lowers e by one; the size counter never moves."""
-    pos, kind = step
-
-    def go(d: DerivationE, pos: Position) -> DerivationE:
-        if not pos:
-            return _fire_e(d, kind)
-        idx, sub = _descend_e(d, pos[0])
-        return _rebuild_e(d, idx, go(sub, pos[1:]))
-
-    out = go(d, pos)
-    expect = (d.b - 1, d.e, d.s) if kind.multiplicative else (d.b, d.e - 1, d.s)
+    out = reduce_derivation(d, step)
+    expect = (d.b - 1, d.e, d.s) if step[1].multiplicative else (d.b, d.e - 1, d.s)
     if out.counters != expect or out.type != d.type or out.context != d.context:
         raise IllFormed("subject reduction did not preserve the judgement exactly")
     return out
 
 
-def _fire_e(d: DerivationE, kind: RuleKind) -> DerivationE:
-    if kind is RuleKind.DB:
-        if d.rule not in ("ae_d", "ae_t"):
-            raise IllFormed("dB redex must be typed by an application rule")
-        persistent = d.rule == "ae_t"
-        d_u = d.premises[1]
-        fvu = free_vars(d_u.subject)
-
-        def wrap(f_d: DerivationE) -> DerivationE:
-            if f_d.rule == "ai_d":
-                assert isinstance(f_d.subject, Abs)
-                x, body = f_d.subject.binder, f_d.premises[0]
-                return mk_es_t(x, body, d_u) if persistent else mk_es_d(x, body, d_u)
-            if f_d.rule not in ("es_d", "es_t"):
-                raise IllFormed("dB function must be a consuming abstraction under closures")
-            assert isinstance(f_d.subject, Sub)
-            y, (p_b, p_a) = f_d.subject.binder, f_d.premises
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(p_b.subject))
-                p_b = rename_free_e(p_b, y, y2)
-                y = y2
-            inner = wrap(p_b)
-            return mk_es_d(y, inner, p_a) if f_d.rule == "es_d" else mk_es_t(y, inner, p_a)
-
-        return wrap(d.premises[0])
-
-    if kind is RuleKind.SBANG:
-        if d.rule != "es_d":
-            raise IllFormed("s! redex must be typed by the consuming closure rule")
-        assert isinstance(d.subject, Sub)
-        x, (d_body, d_arg) = d.subject.binder, d.premises
-        fvs = free_vars(d_body.subject) - {x}
-
-        def wrap(a_d: DerivationE) -> DerivationE:
-            if a_d.rule == "bg_d":
-                assert isinstance(a_d.subject, Bang)
-                pool = list(a_d.premises)
-                out = _subst_e(d_body, x, a_d.subject.body, pool) \
-                    if x in free_vars(d_body.subject) else d_body
-                assert not pool
-                return out
-            if a_d.rule not in ("es_d", "es_t"):
-                raise IllFormed("s! argument must be a consuming bang under closures")
-            assert isinstance(a_d.subject, Sub)
-            y, (p_b, p_a) = a_d.subject.binder, a_d.premises
-            if y in fvs:
-                y2 = fresh_name(y, fvs | free_vars(p_b.subject))
-                p_b = rename_free_e(p_b, y, y2)
-                y = y2
-            inner = wrap(p_b)
-            return mk_es_d(y, inner, p_a) if a_d.rule == "es_d" else mk_es_t(y, inner, p_a)
-
-        return wrap(d_arg)
-
-    if kind is RuleKind.DBANG:
-        if d.rule != "dr_d":
-            raise IllFormed("d! redex must be typed by the consuming dereliction rule")
-
-        def wrap(b_d: DerivationE) -> DerivationE:
-            if b_d.rule == "bg_d":
-                if len(b_d.premises) != 1:
-                    raise IllFormed("dereliction of a bang typed by a non-unary bg")
-                return b_d.premises[0]
-            if b_d.rule not in ("es_d", "es_t"):
-                raise IllFormed("d! body must be a consuming bang under closures")
-            assert isinstance(b_d.subject, Sub)
-            inner = wrap(b_d.premises[0])
-            y = b_d.subject.binder
-            return mk_es_d(y, inner, b_d.premises[1]) if b_d.rule == "es_d" \
-                else mk_es_t(y, inner, b_d.premises[1])
-
-        return wrap(d.premises[0])
-
-    raise IllFormed(f"{kind} is not a bang-calculus rule")
-
-
 def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind]) -> DerivationE:
     """Exact subject expansion: rebuild a derivation for t from one for
     its dw-reduct, raising the matching counter by exactly one."""
-    pos, kind = step
-
-    def go(d: DerivationE, pos: Position, t_sub: Term) -> DerivationE:
-        if not pos:
-            return _expand_e(d, t_sub, kind)
-        idx, sub = _descend_e(d, pos[0])
-        return _rebuild_e(d, idx, go(sub, pos[1:], subterm_at(t_sub, pos[:1])))
-
-    out = go(d, pos, t)
-    if out.subject != t:
-        raise IllFormed("expansion did not rebuild the stated term")
-    expect = (d.b + 1, d.e, d.s) if kind.multiplicative else (d.b, d.e + 1, d.s)
+    out = expand_derivation(d, t, step)
+    expect = (d.b + 1, d.e, d.s) if step[1].multiplicative else (d.b, d.e + 1, d.s)
     if out.counters != expect or out.type != d.type or out.context != d.context:
         raise IllFormed("subject expansion did not preserve the judgement exactly")
     return out
-
-
-def _peel_spine_e(d: DerivationE, n: int) -> tuple[list[DerivationE], DerivationE]:
-    chain = []
-    for _ in range(n):
-        if d.rule not in ("es_d", "es_t"):
-            raise IllFormed("closure spine shorter than the redex spine")
-        chain.append(d)
-        d = d.premises[0]
-    return chain, d
-
-
-def _rewrap_chain(cur: DerivationE, spine_t, chain, spine_fired=None) -> DerivationE:
-    """Wrap cur with the peeled chain nodes, renaming the firing binders
-    back to the binders the pre-step term uses."""
-    fired = spine_fired if spine_fired is not None else \
-        [(node.subject.binder, None) for node in chain]
-    for (y_t, _), (y_f, _), node in zip(reversed(spine_t), reversed(fired), reversed(chain)):
-        assert isinstance(node.subject, Sub)
-        if spine_fired is not None and node.subject.binder != y_f:
-            raise IllFormed("reduct spine does not match the fired closure spine")
-        if y_f != y_t:
-            cur = rename_free_e(cur, y_f, y_t)
-        cur = mk_es_d(y_t, cur, node.premises[1]) if node.rule == "es_d" \
-            else mk_es_t(y_t, cur, node.premises[1])
-    return cur
-
-
-def _expand_e(d: DerivationE, t: Term, kind: RuleKind) -> DerivationE:
-    if kind is RuleKind.DB:
-        assert isinstance(t, App)
-        dec = decompose_list(t.fun)
-        chain, core = _peel_spine_e(d, len(dec.spine))
-        if core.rule not in ("es_d", "es_t"):
-            raise IllFormed("dB reduct core must be a closure node")
-        assert isinstance(core.subject, Sub)
-        cur = mk_ai_d(core.subject.binder, core.premises[0])
-        cur = _rewrap_chain(cur, dec.spine, chain)
-        d_u = core.premises[1]
-        return mk_ae_d(cur, d_u) if core.rule == "es_d" else mk_ae_t(cur, d_u)
-
-    if kind is RuleKind.SBANG:
-        assert isinstance(t, Sub)
-        s, x = t.body, t.binder
-        dec = decompose_list(t.arg)
-        assert isinstance(dec.core, Bang)
-        chain, core = _peel_spine_e(d, len(dec.spine))
-        from .system_u import _sbang_parts
-        u_fired, spine_fired = _sbang_parts(t)
-        d_s, d_us = _antisubst_e(core, s, x, u_fired)
-        cur: DerivationE = mk_bg_d(u_fired, tuple(d_us))
-        cur = _rewrap_chain(cur, dec.spine, chain, spine_fired)
-        return mk_es_d(x, d_s, cur)
-
-    if kind is RuleKind.DBANG:
-        assert isinstance(t, Der)
-        dec = decompose_list(t.body)
-        assert isinstance(dec.core, Bang)
-        chain, core = _peel_spine_e(d, len(dec.spine))
-        cur = mk_bg_d(core.subject, (core,))
-        cur = _rewrap_chain(cur, dec.spine, chain)
-        return mk_dr_d(cur)
-
-    raise IllFormed(f"{kind} is not a bang-calculus rule")
 
 
 # ---------------------------------------------------------------------------
@@ -787,19 +419,12 @@ def _expand_e(d: DerivationE, t: Term, kind: RuleKind) -> DerivationE:
 def infer_tight(t: Term, fuel: int) -> DerivationE | Untypable | FuelExhausted:
     """A tight derivation with counters exactly (b, e, s): b and e from the
     dw trace, s the normal form's size."""
-    try:
-        trace = normalize_dw(t, fuel)
-    except FuelExhausted as ex:
-        return ex
-    p = trace.final
-    if not classify_wcf_nf(p).memberships:
-        return Untypable(p)
-    d = type_normal_form_tight(p)
-    return replay_expansion_e(d, trace)
+    return infer_with(t, fuel, type_normal_form_tight, replay_expansion_e)
 
 
 def replay_expansion_e(d: DerivationE, trace: Trace) -> DerivationE:
-    terms = [trace.start] + [s.result for s in trace.steps]
-    for i in range(len(trace.steps) - 1, -1, -1):
-        d = expand_derivation_e(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
-    return d
+    return replay(d, trace, expand_derivation_e)
+
+
+subst_derivation_e = subst_derivation
+antisubst_derivation_e = antisubst_derivation

@@ -1,4 +1,5 @@
-"""The plain quantitative type system for the bang calculus.
+"""The plain quantitative type system for the bang calculus, and the
+derivation engine it shares with the tight system.
 
 Rules: ax, app, abs, bg, dr, es.  Multisets make the system
 non-idempotent, so derivation size (number of nodes except bg) bounds
@@ -6,15 +7,22 @@ reduction length plus normal-form size.
 
 Derivations store the full judgement at every node.  The `mk_*` helpers
 build nodes bottom-up and raise IllFormed on local rule violations;
-`check_derivation` validates arbitrary trees (e.g. deserialized ones).
-The transformer operations mirror the term-level rewriting exactly, so a
-transformed derivation's subject is always the same syntax tree the
-reduction engine produces.
+`check_derivation_u` validates arbitrary trees (e.g. deserialized ones).
+
+The engine (renaming, substitution, anti-substitution, subject reduction
+and expansion) is written once for every derivation class.  It rebuilds
+each node through the node's own rule, looked up in `MAKERS`, so a
+system's side conditions and counters come from its own constructors;
+system E registers its rules there next to U's.  The transformer
+operations mirror the term-level rewriting exactly, so a transformed
+derivation's subject is always the same syntax tree the reduction engine
+produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
@@ -22,11 +30,11 @@ from .syntax import (
 )
 from .reduction import (
     Position, RuleKind, Sel, FuelExhausted, Trace,
-    classify_wcf_nf, normalize_dw, subterm_at,
+    classify_wcf_nf, fire_spine, normalize_dw, subterm_at,
 )
 from .qtypes import (
     Arrow, Context, Mult, Type, EMPTY_MULT, OMEGA,
-    ctx_get, ctx_remove, ctx_union, has_tight_constants, mult, print_type,
+    ctx_get, ctx_remove, ctx_union, has_tight_constants, mult, print_type, sort_key,
 )
 
 
@@ -82,14 +90,9 @@ def mk_bg(body: Term, premises: tuple[Derivation, ...]) -> Derivation:
     for p in premises:
         if p.subject != body:
             raise IllFormed("bg premises must all type the bang body")
-    premises = tuple(sorted(premises, key=lambda p: _premise_key(p.type)))
+    premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
     return Derivation("bg", ctx_union(*(p.context for p in premises)),
                       Bang(body), mult(p.type for p in premises), premises)
-
-
-def _premise_key(t: Type):
-    from .qtypes import sort_key
-    return sort_key(t)
 
 
 def mk_dr(d_b: Derivation) -> Derivation:
@@ -106,12 +109,69 @@ def mk_es(x: str, d_b: Derivation, d_a: Derivation) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
+# Rule tables
+#
+# Constructors of rules for the same term former take the same arguments
+# in every system: ax (name, type), app (function, argument), abs (binder,
+# body), bg (body term, premises), dr (body), es (binder, body, argument).
+
+# (derivation class, rule name) -> constructor
+MAKERS: dict[tuple[type, str], Callable[..., Any]] = {}
+# (derivation class, term former) -> the consuming rule for that former
+CONSUMING_RULE: dict[tuple[type, type], str] = {}
+# application rule -> the closure rule a dB step turns it into
+DB_CLOSURE: dict[str, str] = {}
+
+
+def register(cls: type, consuming: dict[type, tuple[str, Callable[..., Any]]],
+             persistent: dict[str, Callable[..., Any]], db_closure: dict[str, str]) -> None:
+    """Enter the rules of a derivation class into the engine's tables."""
+    for former, (rule, make) in consuming.items():
+        MAKERS[cls, rule] = make
+        CONSUMING_RULE[cls, former] = rule
+    for rule, make in persistent.items():
+        MAKERS[cls, rule] = make
+    DB_CLOSURE.update(db_closure)
+
+
+register(Derivation,
+         {Var: ("ax", mk_ax), App: ("app", mk_app), Abs: ("abs", mk_abs),
+          Bang: ("bg", mk_bg), Der: ("dr", mk_dr), Sub: ("es", mk_es)},
+         {}, {"app": "es"})
+
+
+def _maker(d) -> Callable[..., Any]:
+    make = MAKERS.get((type(d), d.rule))
+    if make is None:
+        raise IllFormed(f"unknown rule {d.rule!r}")
+    return make
+
+
+def _consuming(cls: type, former: type) -> Callable[..., Any]:
+    return MAKERS[cls, CONSUMING_RULE[cls, former]]
+
+
+# ---------------------------------------------------------------------------
 # Checking
 
 @dataclass(frozen=True)
 class Violation:
     path: tuple[int, ...]
     reason: str
+
+
+def check_with(node_check: Callable[[Any], str | None], d) -> Violation | None:
+    """The first node, in pre-order, that `node_check` rejects, with the
+    path of premise indices that leads to it."""
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        reason = node_check(node)
+        if reason is not None:
+            return Violation(path, reason)
+        ps = node.premises
+        stack.extend((ps[i], path + (i,)) for i in range(len(ps) - 1, -1, -1))
+    return None
 
 
 def _check_node_u(d: Derivation) -> str | None:
@@ -190,17 +250,7 @@ def _check_node_u(d: Derivation) -> str | None:
 
 
 def check_derivation_u(d: Derivation) -> Violation | None:
-    def walk(d: Derivation, path: tuple[int, ...]) -> Violation | None:
-        reason = _check_node_u(d)
-        if reason is not None:
-            return Violation(path, reason)
-        for i, p in enumerate(d.premises):
-            v = walk(p, path + (i,))
-            if v is not None:
-                return v
-        return None
-
-    return walk(d, ())
+    return check_with(_check_node_u, d)
 
 
 def size_u(d: Derivation) -> int:
@@ -288,46 +338,50 @@ def _type_nb(t: Term) -> Derivation:
 # These walk exactly like syntax.subst_meta so that every rebuilt node's
 # subject equals the term the meta-operation produces.
 
-def rename_free_d(d: Derivation, old: str, new: str) -> Derivation:
-    if old not in free_vars(d.subject):
+def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any], Any]):
+    """d{x:=u}, where `leaf` gives the derivation that replaces each axiom
+    for x and `fvu`, once known, holds the free variables of u."""
+    if x not in free_vars(d.subject):
         return d
-    match d.rule:
-        case "ax":
-            return mk_ax(new, d.type)
-        case "app":
-            return mk_app(rename_free_d(d.premises[0], old, new),
-                          rename_free_d(d.premises[1], old, new))
-        case "bg":
-            assert isinstance(d.subject, Bang)
-            return mk_bg(subst_meta(d.subject.body, old, Var(new)),
-                         tuple(rename_free_d(p, old, new) for p in d.premises))
-        case "dr":
-            return mk_dr(rename_free_d(d.premises[0], old, new))
-        case "abs":
-            assert isinstance(d.subject, Abs)
-            y, (p_b,) = d.subject.binder, d.premises
-            if y == new:
-                y2 = fresh_name(y, {new} | free_vars(d.subject.body) | {old})
+    make, ps = _maker(d), d.premises
+    match d.subject:
+        case Var(_):
+            return leaf(d)
+        case App(_, _):
+            return make(_subst(ps[0], x, u, fvu, leaf), _subst(ps[1], x, u, fvu, leaf))
+        case Bang(body):
+            return make(subst_meta(body, x, u), tuple(_subst(p, x, u, fvu, leaf) for p in ps))
+        case Der(_):
+            return make(_subst(ps[0], x, u, fvu, leaf))
+        case Abs(y, body):
+            p_b = ps[0]
+            fvu = free_vars(u) if fvu is None else fvu
+            if y in fvu:
+                y2 = fresh_name(y, fvu | free_vars(body) | {x})
                 p_b = rename_free_d(p_b, y, y2)
                 y = y2
-            return mk_abs(y, rename_free_d(p_b, old, new))
-        case "es":
-            assert isinstance(d.subject, Sub)
-            y = d.subject.binder
-            p_b, p_a = d.premises
-            if old in free_vars(d.subject.arg):
-                p_a = rename_free_d(p_a, old, new)
-            if old in free_vars(d.subject.body) - {y}:
-                if y == new:
-                    y2 = fresh_name(y, {new} | free_vars(d.subject.body) | {old})
+            return make(y, _subst(p_b, x, u, fvu, leaf))
+        case Sub(body, y, arg):
+            p_b, p_a = ps
+            if x in free_vars(arg):
+                p_a = _subst(p_a, x, u, fvu, leaf)
+            if x in free_vars(body) - {y}:
+                fvu = free_vars(u) if fvu is None else fvu
+                if y in fvu:
+                    y2 = fresh_name(y, fvu | free_vars(body) | {x})
                     p_b = rename_free_d(p_b, y, y2)
                     y = y2
-                p_b = rename_free_d(p_b, old, new)
-            return mk_es(y, p_b, p_a)
-    raise IllFormed(f"unknown rule {d.rule!r}")
+                p_b = _subst(p_b, x, u, fvu, leaf)
+            return make(y, p_b, p_a)
+    raise IllFormed(f"cannot substitute into {print_term(d.subject)}")
 
 
-def subst_derivation_u(d_t: Derivation, x: str, d_us: list[Derivation]) -> Derivation:
+def rename_free_d(d, old: str, new: str):
+    """d with its free name `old` renamed to `new`, as subst_meta renames."""
+    return _subst(d, old, Var(new), frozenset((new,)), lambda ax: _maker(ax)(new, ax.type))
+
+
+def subst_derivation(d_t, x: str, d_us: list):
     """Merge derivations of u into a derivation of t, replacing the
     axioms for x.  The conclusion-type bag of d_us must equal the
     x-multiset of d_t's context; matching is by type, left to right."""
@@ -338,351 +392,292 @@ def subst_derivation_u(d_t: Derivation, x: str, d_us: list[Derivation]) -> Deriv
             raise IllFormed("argument derivations type different terms")
     u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
     pool = list(d_us)
-    out = _subst_d(d_t, x, u, pool)
+    out = _subst(d_t, x, u, None, _take_from(pool))
     assert not pool, "unconsumed argument derivations"
     return out
 
 
-def _subst_d(d: Derivation, x: str, u: Term, pool: list[Derivation]) -> Derivation:
-    if x not in free_vars(d.subject):
-        return d
-    match d.rule:
-        case "ax":
-            for i, cand in enumerate(pool):
-                if cand.type == d.type:
-                    return pool.pop(i)
-            raise IllFormed("no argument derivation left for an axiom occurrence")
-        case "app":
-            d_f = _subst_d(d.premises[0], x, u, pool)
-            d_a = _subst_d(d.premises[1], x, u, pool)
-            return mk_app(d_f, d_a)
-        case "bg":
-            assert isinstance(d.subject, Bang)
-            ps = tuple(_subst_d(p, x, u, pool) for p in d.premises)
-            return mk_bg(subst_meta(d.subject.body, x, u), ps)
-        case "dr":
-            return mk_dr(_subst_d(d.premises[0], x, u, pool))
-        case "abs":
-            assert isinstance(d.subject, Abs)
-            y, (p_b,) = d.subject.binder, d.premises
-            fvu = free_vars(u)
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(d.subject.body) | {x})
-                p_b = rename_free_d(p_b, y, y2)
-                y = y2
-            return mk_abs(y, _subst_d(p_b, x, u, pool))
-        case "es":
-            assert isinstance(d.subject, Sub)
-            y = d.subject.binder
-            p_b, p_a = d.premises
-            if x in free_vars(d.subject.arg):
-                p_a = _subst_d(p_a, x, u, pool)
-            if x in free_vars(d.subject.body) - {y}:
-                fvu = free_vars(u)
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(d.subject.body) | {x})
-                    p_b = rename_free_d(p_b, y, y2)
-                    y = y2
-                p_b = _subst_d(p_b, x, u, pool)
-            return mk_es(y, p_b, p_a)
-    raise IllFormed(f"unknown rule {d.rule!r}")
+def _take_from(pool: list) -> Callable[[Any], Any]:
+    def take(ax):
+        for i, cand in enumerate(pool):
+            if cand.type == ax.type:
+                return pool.pop(i)
+        raise IllFormed("no argument derivation left for an axiom occurrence")
+    return take
 
 
-def antisubst_derivation_u(d: Derivation, t: Term, x: str, u: Term
-                           ) -> tuple[Derivation, list[Derivation]]:
+def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     """Invert substitution: from a derivation of t{x:=u}, recover a
     derivation of t (with x recorded in its context) plus one derivation
     of u per typed occurrence of x."""
     if d.subject != subst_meta(t, x, u):
         raise IllFormed("subject is not the stated substitution instance")
-    return _antisubst_d(d, t, x, u)
+    return _antisubst(d, t, x, u)
 
 
-def _antisubst_d(d: Derivation, t: Term, x: str, u: Term
-                 ) -> tuple[Derivation, list[Derivation]]:
+def _antisubst(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     if x not in free_vars(t):
         return d, []
+    if isinstance(t, Var):
+        return _consuming(type(d), Var)(x, d.type), [d]
+    make, ps = _maker(d), d.premises
     match t:
-        case Var(_):
-            return mk_ax(x, d.type), [d]
         case App(f, a):
-            d_f, us1 = _antisubst_d(d.premises[0], f, x, u)
-            d_a, us2 = _antisubst_d(d.premises[1], a, x, u)
-            return mk_app(d_f, d_a), us1 + us2
+            d_f, us1 = _antisubst(ps[0], f, x, u)
+            d_a, us2 = _antisubst(ps[1], a, x, u)
+            return make(d_f, d_a), us1 + us2
         case Bang(b):
             out, us = [], []
-            for p in d.premises:
-                dp, usp = _antisubst_d(p, b, x, u)
+            for p in ps:
+                dp, usp = _antisubst(p, b, x, u)
                 out.append(dp)
                 us.extend(usp)
-            return mk_bg(b, tuple(out)), us
+            return make(b, tuple(out)), us
         case Der(b):
-            d_b, us = _antisubst_d(d.premises[0], b, x, u)
-            return mk_dr(d_b), us
+            d_b, us = _antisubst(ps[0], b, x, u)
+            return make(d_b), us
         case Abs(y, b):
-            (p_b,) = d.premises
-            fvu = free_vars(u)
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                d_b2, us = _antisubst_d(p_b, subst_meta(b, y, Var(y2)), x, u)
-                return mk_abs(y, rename_free_d(d_b2, y2, y)), us
-            d_b, us = _antisubst_d(p_b, b, x, u)
-            return mk_abs(y, d_b), us
+            d_b, us = _antisubst_under(ps[0], b, y, x, u)
+            return make(y, d_b), us
         case Sub(b, y, a):
-            p_b, p_a = d.premises
-            us: list[Derivation] = []
+            p_b, p_a = ps
+            us = []
             if x in free_vars(a):
-                p_a, us_a = _antisubst_d(p_a, a, x, u)
-                us.extend(us_a)
+                p_a, us = _antisubst(p_a, a, x, u)
             if x in free_vars(b) - {y}:
-                fvu = free_vars(u)
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                    d_b2, us_b = _antisubst_d(p_b, subst_meta(b, y, Var(y2)), x, u)
-                    p_b = rename_free_d(d_b2, y2, y)
-                else:
-                    p_b, us_b = _antisubst_d(p_b, b, x, u)
+                p_b, us_b = _antisubst_under(p_b, b, y, x, u)
                 us = us_b + us
-            return mk_es(y, p_b, p_a), us
+            return make(y, p_b, p_a), us
     raise IllFormed(f"cannot decompose at {print_term(t)}")
+
+
+def _antisubst_under(d, b: Term, y: str, x: str, u: Term) -> tuple[Any, list]:
+    """_antisubst of the body b of a binder y, which subst_meta refreshes
+    when it would capture a free variable of u."""
+    fvu = free_vars(u)
+    if y not in fvu:
+        return _antisubst(d, b, x, u)
+    y2 = fresh_name(y, fvu | free_vars(b) | {x})
+    d_b, us = _antisubst(d, subst_meta(b, y, Var(y2)), x, u)
+    return _rebind(rename_free_d(d_b, y2, y), b), us
+
+
+def _rebind(d, t: Term):
+    """d rebuilt so that its subject is exactly t, an alpha-variant of it.
+
+    Renaming a refreshed binder back does not always restore the original
+    term: the refresh may have renamed an inner binder too.  Where a binder
+    of d's subject differs from t's, it is renamed to t's."""
+    if d.subject == t:
+        return d
+    make, ps, s = _maker(d), d.premises, d.subject
+    match t, s:
+        case App(f, a), App(_, _):
+            return make(_rebind(ps[0], f), _rebind(ps[1], a))
+        case Der(b), Der(_):
+            return make(_rebind(ps[0], b))
+        case Bang(b), Bang(_):
+            return make(b, tuple(_rebind(p, b) for p in ps))
+        case Abs(y, b), Abs(z, _):
+            p_b = ps[0] if y == z else rename_free_d(ps[0], z, y)
+            return make(y, _rebind(p_b, b))
+        case Sub(b, y, a), Sub(_, z, _):
+            p_b = ps[0] if y == z else rename_free_d(ps[0], z, y)
+            return make(y, _rebind(p_b, b), _rebind(ps[1], a))
+    raise IllFormed(f"{print_term(s)} is not an alpha-variant of {print_term(t)}")
 
 
 # ---------------------------------------------------------------------------
 # Subject reduction / expansion
 
 _SEL_TO_PREMISE = {
-    Sel.FUN: ("app", 0), Sel.ARG: ("app", 1),
-    Sel.ABS_BODY: ("abs", 0), Sel.DER_BODY: ("dr", 0),
-    Sel.SUB_BODY: ("es", 0), Sel.SUB_ARG: ("es", 1),
+    Sel.FUN: (App, 0), Sel.ARG: (App, 1),
+    Sel.ABS_BODY: (Abs, 0), Sel.DER_BODY: (Der, 0),
+    Sel.SUB_BODY: (Sub, 0), Sel.SUB_ARG: (Sub, 1),
 }
 
 
-def _rebuild(d: Derivation, idx: int, new_premise: Derivation) -> Derivation:
+def _at(d, pos: Position, fire: Callable[[Any], Any]):
+    """d with `fire` applied to its node at pos, the nodes above rebuilt."""
+    if not pos:
+        return fire(d)
+    former, idx = _SEL_TO_PREMISE[pos[0]]
+    if not isinstance(d.subject, former):
+        raise IllFormed(f"position step {pos[0]} does not match rule {d.rule}")
     ps = list(d.premises)
-    ps[idx] = new_premise
-    match d.rule:
-        case "app":
-            return mk_app(ps[0], ps[1])
-        case "abs":
-            assert isinstance(d.subject, Abs)
-            return mk_abs(d.subject.binder, ps[0])
-        case "dr":
-            return mk_dr(ps[0])
-        case "es":
-            assert isinstance(d.subject, Sub)
-            return mk_es(d.subject.binder, ps[0], ps[1])
-    raise IllFormed(f"cannot rebuild under rule {d.rule!r}")
+    ps[idx] = _at(ps[idx], pos[1:], fire)
+    make = _maker(d)
+    if isinstance(d.subject, (Abs, Sub)):
+        return make(d.subject.binder, *ps)
+    return make(*ps)
 
 
-def _descend(d: Derivation, sel: Sel) -> tuple[int, Derivation]:
-    want = _SEL_TO_PREMISE[sel]
-    if d.rule != want[0]:
-        raise IllFormed(f"position step {sel} does not match rule {d.rule}")
-    return want[1], d.premises[want[1]]
+def reduce_derivation(d, step: tuple[Position, RuleKind]):
+    """A derivation of the reduct across the given redex, built rule by
+    rule; the callers check how the judgement and the measure move."""
+    pos, kind = step
+    return _at(d, pos, lambda node: _fire(node, kind))
 
 
 def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Derivation:
     """Weighted subject reduction: transform a derivation of t into one of
     the reduct across the given redex; size strictly decreases."""
-    pos, kind = step
-
-    def go(d: Derivation, pos: Position) -> Derivation:
-        if not pos:
-            return _fire_u(d, kind)
-        idx, sub = _descend(d, pos[0])
-        return _rebuild(d, idx, go(sub, pos[1:]))
-
-    out = go(d, pos)
+    out = reduce_derivation(d, step)
     if out.context != d.context or out.type != d.type or size_u(out) >= size_u(d):
         raise IllFormed("subject reduction did not preserve the judgement")
     return out
 
 
-def _peel_chain(d: Derivation, stop_rule: str) -> tuple[list[Derivation], Derivation]:
-    chain = []
-    while d.rule == "es":
-        chain.append(d)
-        d = d.premises[0]
-    if d.rule != stop_rule:
-        raise IllFormed(f"expected a {stop_rule} node under the closure spine, found {d.rule}")
-    return chain, d
+def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
+    """reduction.fire_spine on derivations: d types L<c>; the result types
+    L<c'> with at_core giving the derivation of c', and the binders of L
+    that are in `avoid` refreshed."""
+    if not isinstance(d.subject, Sub):
+        return at_core(d)
+    y, (p_b, p_a) = d.subject.binder, d.premises
+    if y in avoid:
+        y2 = fresh_name(y, avoid | free_vars(p_b.subject))
+        p_b = rename_free_d(p_b, y, y2)
+        y = y2
+    return _maker(d)(y, fire_spine_d(p_b, avoid, at_core), p_a)
 
 
-def _fire_u(d: Derivation, kind: RuleKind) -> Derivation:
+def _fire(d, kind: RuleKind):
+    cls = type(d)
     if kind is RuleKind.DB:
-        if d.rule != "app":
+        if d.rule not in DB_CLOSURE:
             raise IllFormed("dB redex must be typed by an application rule")
-        d_u = d.premises[1]
-        fvu = free_vars(d_u.subject)
+        close, d_u = MAKERS[cls, DB_CLOSURE[d.rule]], d.premises[1]
 
-        def wrap(f_d: Derivation) -> Derivation:
-            if f_d.rule == "abs":
-                assert isinstance(f_d.subject, Abs)
-                return mk_es(f_d.subject.binder, f_d.premises[0], d_u)
-            if f_d.rule != "es":
-                raise IllFormed("dB function must be an abstraction under closures")
-            assert isinstance(f_d.subject, Sub)
-            y, (p_b, p_a) = f_d.subject.binder, f_d.premises
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(p_b.subject))
-                p_b = rename_free_d(p_b, y, y2)
-                y = y2
-            return mk_es(y, wrap(p_b), p_a)
+        def at_abs(f_d):
+            if f_d.rule != CONSUMING_RULE[cls, Abs]:
+                raise IllFormed("dB function must be a consuming abstraction under closures")
+            return close(f_d.subject.binder, f_d.premises[0], d_u)
 
-        return wrap(d.premises[0])
+        return fire_spine_d(d.premises[0], free_vars(d_u.subject), at_abs)
 
     if kind is RuleKind.SBANG:
-        if d.rule != "es":
-            raise IllFormed("s! redex must be typed by a closure rule")
-        assert isinstance(d.subject, Sub)
+        if d.rule != CONSUMING_RULE[cls, Sub]:
+            raise IllFormed("s! redex must be typed by the consuming closure rule")
         x, (d_body, d_arg) = d.subject.binder, d.premises
-        fvs = free_vars(d_body.subject) - {x}
 
-        def wrap(a_d: Derivation) -> Derivation:
-            if a_d.rule == "bg":
-                assert isinstance(a_d.subject, Bang)
-                pool = list(a_d.premises)
-                out = _subst_d(d_body, x, a_d.subject.body, pool) \
-                    if x in free_vars(d_body.subject) else d_body
-                assert not pool
-                return out
-            if a_d.rule != "es":
-                raise IllFormed("s! argument must be a bang under closures")
-            assert isinstance(a_d.subject, Sub)
-            y, (p_b, p_a) = a_d.subject.binder, a_d.premises
-            if y in fvs:
-                y2 = fresh_name(y, fvs | free_vars(p_b.subject))
-                p_b = rename_free_d(p_b, y, y2)
-                y = y2
-            return mk_es(y, wrap(p_b), p_a)
+        def at_bang(a_d):
+            if a_d.rule != CONSUMING_RULE[cls, Bang]:
+                raise IllFormed("s! argument must be a consuming bang under closures")
+            pool = list(a_d.premises)
+            out = _subst(d_body, x, a_d.subject.body, None, _take_from(pool))
+            assert not pool
+            return out
 
-        return wrap(d_arg)
+        return fire_spine_d(d_arg, free_vars(d_body.subject) - {x}, at_bang)
 
     if kind is RuleKind.DBANG:
-        if d.rule != "dr":
-            raise IllFormed("d! redex must be typed by a dereliction rule")
+        if d.rule != CONSUMING_RULE[cls, Der]:
+            raise IllFormed("d! redex must be typed by the consuming dereliction rule")
 
-        def wrap(b_d: Derivation) -> Derivation:
-            if b_d.rule == "bg":
-                if len(b_d.premises) != 1:
-                    raise IllFormed("dereliction of a bang typed by a non-unary bg")
-                return b_d.premises[0]
-            if b_d.rule != "es":
-                raise IllFormed("d! body must be a bang under closures")
-            assert isinstance(b_d.subject, Sub)
-            return mk_es(b_d.subject.binder, wrap(b_d.premises[0]), b_d.premises[1])
+        def unbang(b_d):
+            if b_d.rule != CONSUMING_RULE[cls, Bang] or len(b_d.premises) != 1:
+                raise IllFormed("d! body must be a unary consuming bang under closures")
+            return b_d.premises[0]
 
-        return wrap(d.premises[0])
+        return fire_spine_d(d.premises[0], frozenset(), unbang)
 
     raise IllFormed(f"{kind} is not a bang-calculus rule")
+
+
+def expand_derivation(d, t: Term, step: tuple[Position, RuleKind]):
+    """A derivation of t from one of its reduct across the given redex,
+    built rule by rule; the callers check how the judgement and the
+    measure move."""
+    pos, kind = step
+    redex = subterm_at(t, pos)
+    out = _at(d, pos, lambda node: _expand(node, redex, kind))
+    if out.subject != t:
+        raise IllFormed("expansion did not rebuild the stated term")
+    return out
 
 
 def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind]) -> Derivation:
     """Weighted subject expansion: from a derivation of the reduct of t at
     the given redex, build a derivation of t itself."""
-    pos, kind = step
-
-    def go(d: Derivation, pos: Position, t_sub: Term) -> Derivation:
-        if not pos:
-            return _expand_u(d, t_sub, kind)
-        idx, sub = _descend(d, pos[0])
-        return _rebuild(d, idx, go(sub, pos[1:], subterm_at(t_sub, pos[:1])))
-
-    out = go(d, pos, subterm_at(t, ()))
-    if out.subject != t:
-        raise IllFormed("expansion did not rebuild the stated term")
+    out = expand_derivation(d, t, step)
     if out.context != d.context or out.type != d.type or size_u(out) <= size_u(d):
         raise IllFormed("subject expansion did not preserve the judgement")
     return out
 
 
-def _expand_u(d: Derivation, t: Term, kind: RuleKind) -> Derivation:
+def _expand(d, t: Term, kind: RuleKind):
+    cls = type(d)
     if kind is RuleKind.DB:
         assert isinstance(t, App)
-        dec = decompose_list(t.fun)
-        chain, core = _peel_spine(d, len(dec.spine))
-        if core.rule != "es":
+        chain, core = _peel_spine(d, t.fun)
+        app = next((a for a, c in DB_CLOSURE.items() if c == core.rule), None)
+        if app is None:
             raise IllFormed("dB reduct core must be a closure node")
-        assert isinstance(core.subject, Sub)
-        cur = mk_abs(core.subject.binder, core.premises[0])
-        d_u = core.premises[1]
-        for (y_t, _), node in zip(reversed(dec.spine), reversed(chain)):
-            assert isinstance(node.subject, Sub)
-            y_d = node.subject.binder
-            if y_d != y_t:
-                cur = rename_free_d(cur, y_d, y_t)
-            cur = mk_es(y_t, cur, node.premises[1])
-        return mk_app(cur, d_u)
+        cur = _consuming(cls, Abs)(core.subject.binder, core.premises[0])
+        return MAKERS[cls, app](_rewrap(cur, chain), core.premises[1])
 
     if kind is RuleKind.SBANG:
         assert isinstance(t, Sub)
-        s, x = t.body, t.binder
-        dec = decompose_list(t.arg)
-        assert isinstance(dec.core, Bang)
-        chain, core = _peel_spine(d, len(dec.spine))
+        chain, core = _peel_spine(d, t.arg)
         # replay the firing renames to know the bang body actually substituted
         u_fired, spine_fired = _sbang_parts(t)
-        d_s, d_us = _antisubst_d(core, s, x, u_fired)
-        cur = mk_bg(u_fired, tuple(d_us))
-        for (y_t, _), (y_f, _), node in zip(reversed(dec.spine), reversed(spine_fired),
-                                            reversed(chain)):
-            assert isinstance(node.subject, Sub)
-            if node.subject.binder != y_f:
-                raise IllFormed("reduct spine does not match the fired closure spine")
-            if y_f != y_t:
-                cur = rename_free_d(cur, y_f, y_t)
-            cur = mk_es(y_t, cur, node.premises[1])
-        return mk_es(x, d_s, cur)
+        if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
+            raise IllFormed("reduct spine does not match the fired closure spine")
+        d_s, d_us = _antisubst(core, t.body, t.binder, u_fired)
+        cur = _consuming(cls, Bang)(u_fired, tuple(d_us))
+        return _consuming(cls, Sub)(t.binder, d_s, _rewrap(cur, chain))
 
     if kind is RuleKind.DBANG:
         assert isinstance(t, Der)
-        dec = decompose_list(t.body)
-        assert isinstance(dec.core, Bang)
-        chain, core = _peel_spine(d, len(dec.spine))
-        cur = mk_bg(core.subject, (core,))
-        for (y_t, _), node in zip(reversed(dec.spine), reversed(chain)):
-            assert isinstance(node.subject, Sub)
-            cur = mk_es(node.subject.binder, cur, node.premises[1])
-        return mk_dr(cur)
+        chain, core = _peel_spine(d, t.body)
+        cur = _consuming(cls, Bang)(core.subject, (core,))
+        return _consuming(cls, Der)(_rewrap(cur, chain))
 
     raise IllFormed(f"{kind} is not a bang-calculus rule")
 
 
-def _peel_spine(d: Derivation, n: int) -> tuple[list[Derivation], Derivation]:
+def _peel_spine(d, spine: Term) -> tuple[list[tuple[Any, Sub]], Any]:
+    """The closure nodes of d, one per closure of the pre-step spine, each
+    paired with that closure, and the node under them."""
     chain = []
-    for _ in range(n):
-        if d.rule != "es":
+    while isinstance(spine, Sub):
+        if not isinstance(d.subject, Sub):
             raise IllFormed("closure spine shorter than the redex spine")
-        chain.append(d)
-        d = d.premises[0]
+        chain.append((d, spine))
+        d, spine = d.premises[0], spine.body
     return chain, d
 
 
-def _sbang_parts(t: Sub) -> tuple[Term, list[tuple[str, Term]]]:
+def _rewrap(cur, chain: list[tuple[Any, Sub]]):
+    """Wrap cur in the peeled closure nodes, innermost first, renaming each
+    binder the firing refreshed back to its pre-step name."""
+    renamed = False
+    for node, closure in reversed(chain):
+        y_fired, y = node.subject.binder, closure.binder
+        if y_fired != y:
+            cur = rename_free_d(cur, y_fired, y)
+            renamed = True
+        cur = _maker(node)(y, cur, node.premises[1])
+    return _rebind(cur, chain[0][1]) if renamed else cur
+
+
+def _sbang_parts(t: Sub) -> tuple[Term, tuple[tuple[str, Term], ...]]:
     """The bang body and closure spine as the s! firing renames them."""
-    fvs = free_vars(t.body) - {t.binder}
-    spine: list[tuple[str, Term]] = []
-    a: Term = t.arg
-    while not isinstance(a, Bang):
-        assert isinstance(a, Sub)
-        b, y, arg = a.body, a.binder, a.arg
-        if y in fvs:
-            y2 = fresh_name(y, fvs | free_vars(b))
-            b = subst_meta(b, y, Var(y2))
-            y = y2
-        spine.append((y, arg))
-        a = b
-    return a.body, spine
+    fired = decompose_list(fire_spine(t.arg, free_vars(t.body) - {t.binder}, lambda bang: bang))
+    assert isinstance(fired.core, Bang)
+    return fired.core.body, fired.spine
 
 
 # ---------------------------------------------------------------------------
 # Inference by normalize-then-expand
 
-def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
-    """Type t by normalizing, typing the normal form, and replaying the
-    trace backwards through subject expansion.  Untypable when the normal
-    form has a clash at a weak position; FuelExhausted (returned, not
-    raised) when normalization does not finish."""
+def infer_with(t: Term, fuel: int, type_nf: Callable[[Term], Any],
+               replay_trace: Callable[[Any, Trace], Any]):
+    """Type t by normalizing, typing the normal form with `type_nf`, and
+    replaying the trace backwards through subject expansion.  Untypable
+    when the normal form has a clash at a weak position; FuelExhausted
+    (returned, not raised) when normalization does not finish."""
     try:
         trace = normalize_dw(t, fuel)
     except FuelExhausted as ex:
@@ -690,12 +685,24 @@ def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     p = trace.final
     if not classify_wcf_nf(p).memberships:
         return Untypable(p)
-    d = type_normal_form_u(p)
-    return replay_expansion_u(d, trace)
+    return replay_trace(type_nf(p), trace)
+
+
+def replay(d, trace: Trace, expand: Callable[[Any, Term, tuple[Position, RuleKind]], Any]):
+    terms = [trace.start] + [s.result for s in trace.steps]
+    for i in range(len(trace.steps) - 1, -1, -1):
+        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
+    return d
+
+
+def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
+    """A plain derivation of t, by normalize-then-expand."""
+    return infer_with(t, fuel, type_normal_form_u, replay_expansion_u)
 
 
 def replay_expansion_u(d: Derivation, trace: Trace) -> Derivation:
-    terms = [trace.start] + [s.result for s in trace.steps]
-    for i in range(len(trace.steps) - 1, -1, -1):
-        d = expand_derivation_u(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
-    return d
+    return replay(d, trace, expand_derivation_u)
+
+
+subst_derivation_u = subst_derivation
+antisubst_derivation_u = antisubst_derivation

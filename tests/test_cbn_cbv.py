@@ -251,3 +251,37 @@ class TestInferAndTranslate:
             if isinstance(dv, Derivation):
                 tr = normalize_v(term, 200)
                 assert size_v(dv) >= tr.b + tr.e + v_size(tr.final)
+
+    def test_expansion_keeps_binders_renamed_back_under_antisubstitution(self):
+        # Expansion refreshes a binder of the pre-step body during
+        # anti-substitution and renames it back; the body must get its own
+        # inner binder names back too.
+        term = t(r"(\y. x)[x \ \z. (y y)[w \ f]]"
+                 r"[y \ (w (w (\z. w)))[y \ w][w \ \x. z[w \ x][z \ x]]]")
+        d = infer_v(term, 2000)
+        assert isinstance(d, Derivation)
+        assert d.subject == term
+        assert check_derivation_v(d) is None
+
+    def test_inference_survives_refreshes_that_collide_with_bound_names(self):
+        # Over x, y and the names fresh_name refreshes them to, a binder
+        # refreshed by a firing often meets one already in the term.
+        names = ("x", "y", "x0", "y0", "y1")
+
+        def term(rng, size):
+            if size <= 1:
+                return Var(rng.choice(names))
+            kind, left = rng.randrange(3), rng.randint(1, size - 1)
+            if kind == 0:
+                return App(term(rng, left), term(rng, size - left))
+            if kind == 1:
+                return Abs(rng.choice(names), term(rng, size - 1))
+            return Sub(term(rng, left), rng.choice(names), term(rng, size - left))
+
+        rng = random.Random(1)
+        for _ in range(600):
+            lam = term(rng, rng.randint(3, 16))
+            for infer, check in ((infer_n, check_derivation_n), (infer_v, check_derivation_v)):
+                d = infer(lam, 60)
+                if isinstance(d, Derivation):
+                    assert d.subject == lam and check(d) is None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bangcalc.cli import main
 from bangcalc.serialize import derivation_from_json, derivation_to_json
 from bangcalc.syntax import parse_term
@@ -104,3 +106,39 @@ def test_infer_machine_output(capsys):
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "--calculus", "cbn", r"(\x.x) y")
     assert code == 0 and "source:" in out and "image:" in out
+
+
+def _u_derivation_json():
+    return json.dumps(derivation_to_json(infer_u(parse_term(T0), 100)))
+
+
+def _e_derivation_with_counters(counters):
+    obj = derivation_to_json(infer_tight(parse_term(T0), 100))
+    obj["counters"] = counters
+    return json.dumps(obj)
+
+
+def _nested_lambdas(n):
+    return "".join(f"\\x{i}. " for i in range(n)) + "x0"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("typecheck", "--system", "u", "not json"), 2, "parse error"),
+    (("typecheck", "--system", "u", '{"rule": "ax", "type": "o0"}'), 2, "malformed derivation"),
+    (("typecheck", "--system", "u", "[1, 2]"), 2, "malformed derivation"),
+    (("typecheck", "--system", "e", _e_derivation_with_counters([1, 2])), 2, "counters"),
+    (("typecheck", "--system", "e", _e_derivation_with_counters("abc")), 2, "counters"),
+    (("typecheck", "--system", "e", _u_derivation_json()), 1, ""),
+    (("reduce", "--fuel", "-5", "x"), 2, "fuel must not be negative"),
+    (("parse", "(" * 2000 + "x" + ")" * 2000), 2, "nested too deeply"),
+    (("tight", _nested_lambdas(1500)), 2, "nested too deeply"),
+], ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
+        "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas"])
+def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 1:
+        assert out.startswith("violation at []") and not err
+    else:
+        assert message in err.strip().splitlines()[-1]

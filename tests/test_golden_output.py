@@ -1,0 +1,106 @@
+"""Byte-stability of `--output machine`: sha256 digests of the CLI's stdout
+on a fixed set of inputs.  A change to the engine that alters one byte of
+a trace, a derivation or a violation report fails here.
+
+To re-record after an intended format change, run this file as a script:
+`PYTHONPATH=src python tests/test_golden_output.py` prints the table.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from bangcalc.cbn_cbv import embed_cbn
+from bangcalc.cli import main
+from bangcalc.syntax import Abs, App, Var, print_term
+
+T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
+
+
+def church_term(n: int):
+    """church(n) (\\y.y) z."""
+    body = Var("x")
+    for _ in range(n):
+        body = App(Var("f"), body)
+    return App(App(Abs("f", Abs("x", body)), Abs("y", Var("y"))), Var("z"))
+
+
+CHURCH5 = print_term(church_term(5))
+CHURCH5_CBN = print_term(embed_cbn(church_term(5)))
+
+
+def run(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def tampered(system: str) -> str:
+    """The machine derivation of T0 in `system` with its last node (in
+    pre-order) given a base type that no rule admits."""
+    command = "tight" if system == "e" else "infer"
+    code, out = run(command, "--output", "machine", T0)
+    assert code == 0
+    obj = json.loads(out)["derivation"]
+    node = obj
+    while node["premises"]:
+        node = node["premises"][-1]
+    node["type"] = "o999"
+    return json.dumps(obj)
+
+
+CASES = {
+    "trace T0": (0, ("trace", T0)),
+    "tight T0": (0, ("tight", T0)),
+    "infer T0": (0, ("infer", T0)),
+    "trace church5-cbn": (0, ("trace", CHURCH5_CBN)),
+    "tight church5-cbn": (0, ("tight", CHURCH5_CBN)),
+    "infer church5-cbn": (0, ("infer", CHURCH5_CBN)),
+    "infer --calculus cbn church5": (0, ("infer", "--calculus", "cbn", CHURCH5)),
+    "infer --calculus cbv church5": (0, ("infer", "--calculus", "cbv", CHURCH5)),
+    "translate --calculus cbn church5": (0, ("translate", "--calculus", "cbn", CHURCH5)),
+    "translate --calculus cbv church5": (0, ("translate", "--calculus", "cbv", CHURCH5)),
+    "typecheck --system u tampered T0": (1, ("typecheck", "--system", "u", "@u")),
+    "typecheck --system e tampered T0": (1, ("typecheck", "--system", "e", "@e")),
+}
+
+DIGESTS = {
+    "infer --calculus cbn church5": "8b91fc287d0809dae3694977b25376d0d67bd5f2d20a3e7405080f5e9999e45b",
+    "infer --calculus cbv church5": "b77370e22c71c66da5eed80fda3f9c01062a63117aa82ed379206ad2eb6224aa",
+    "infer T0": "d5186486041e2aad6016ef1bb73c1f1872bcaf85562d40686041a34164eb2900",
+    "infer church5-cbn": "f4621a4736ba70a494c70e38ced97dfb4b6a82e54a19dab7c7cf5d63bef17754",
+    "tight T0": "3fa33a519ef7398e901aaf6b421ab073b3925087614c606c7f0bc6e547fdb91b",
+    "tight church5-cbn": "c1715c93321aad96a493b571442ed2be4690a83cadbc5b39972bcc5592fe1909",
+    "trace T0": "3127239d291e581a834bdde560604848a8b14de80e90fac0b1a1ec1353341062",
+    "trace church5-cbn": "f85d44659eccdfac29a5af01970129e9a3924ce054d229c20bc071298776a1a4",
+    "translate --calculus cbn church5": "575691cb50b8b22b8852ebedc7c190a3cff95504e27085e29cc2527d905efb3e",
+    "translate --calculus cbv church5": "e033721c02dcb0e0e55de9c08fd1585dfe612f1972c91656ea34edb977401291",
+    "typecheck --system e tampered T0": "849bcb0352da3e46b55019b10bd3a2020ccea255144f05dfd69528124fad7b55",
+    "typecheck --system u tampered T0": "c4b7801f1bad32363b4af9b34b264344369103c98bcc5565703794c8d5281aa6",
+}
+
+
+def machine_output(name: str) -> str:
+    want_code, argv = CASES[name]
+    *head, last = argv
+    if last.startswith("@"):
+        last = tampered(last[1:])
+    code, out = run(*head, "--output", "machine", last)
+    assert code == want_code, (name, code)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_machine_output_digest(name):
+    out = machine_output(name)
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        out = machine_output(name)
+        print(f'    "{name}": "{hashlib.sha256(out.encode()).hexdigest()}",')

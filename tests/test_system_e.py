@@ -17,6 +17,8 @@ from bangcalc.system_e import (
 from bangcalc.system_u import IllFormed, Untypable
 from bangcalc.gen import rand_bang_term
 
+from conftest import REFRESHED_INNER_BINDERS
+
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 
 
@@ -291,3 +293,14 @@ def test_narrow_persistent_application_shape_still_accepted():
     assert d.type == TIGHT_NEUTRAL and d.counters == (0, 0, 1)
     with pytest.raises(IllFormed):
         mk_ae_t(mk_ax_e("x", TIGHT_NEUTRAL), mk_ai_t("q", mk_ax_e("q", TIGHT_NEUTRAL)))
+
+
+@pytest.mark.parametrize("text", REFRESHED_INNER_BINDERS)
+def test_exact_expansion_restores_binders_refreshed_inside_a_renamed_body(text):
+    term = parse_term(text)
+    d = infer_tight(term, 100)
+    tr = normalize_dw(term, 100)
+    assert isinstance(d, DerivationE) and d.subject == term
+    assert check_derivation_e(d) is None
+    assert d.counters == (tr.b, tr.e, w_size(tr.final))
+

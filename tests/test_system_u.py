@@ -14,7 +14,7 @@ from bangcalc.system_u import (
 )
 from bangcalc.gen import rand_bang_term
 
-from conftest import bang_terms
+from conftest import REFRESHED_INNER_BINDERS, bang_terms
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 TAU = BaseVar(0)
@@ -212,6 +212,14 @@ class TestInfer:
     def test_divergence_reports_fuel(self):
         res = infer_u(t(r"(\x. x !x) !(\x. x !x)"), 50)
         assert isinstance(res, FuelExhausted)
+
+
+@pytest.mark.parametrize("text", REFRESHED_INNER_BINDERS)
+def test_expansion_restores_binders_refreshed_inside_a_renamed_body(text):
+    d = infer_u(t(text), 100)
+    assert isinstance(d, Derivation)
+    assert d.subject == t(text)
+    assert check_derivation_u(d) is None
 
 
 def test_corpus_invariants():
