@@ -332,6 +332,8 @@ def mk_es_v(x: str, d_b: Derivation, d_a: Derivation) -> Derivation:
 
 
 def _check_node_n(d: Derivation) -> str | None:
+    if type(d) is not Derivation:
+        return "system N nodes must not carry counters"
     ps = d.premises
     for m in d.context.values():
         if not m.elements:
@@ -392,6 +394,8 @@ def _check_node_n(d: Derivation) -> str | None:
 
 
 def _check_node_v(d: Derivation) -> str | None:
+    if type(d) is not Derivation:
+        return "system V nodes must not carry counters"
     ps = d.premises
     for m in d.context.values():
         if not m.elements:

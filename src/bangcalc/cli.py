@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed check, 2 bad input (a parse error,
-malformed derivation JSON, or input nested too deeply to process), 3 fuel
-exhausted, 4 untypable, 5 internal invariant violation.  `main` returns
-one of them for every input and lets no exception escape.
+malformed derivation JSON, a calculus the command does not take, or input
+nested too deeply to process), 3 fuel exhausted, 4 untypable, 5 internal
+invariant violation.  `main` returns one of them for every input and lets
+no exception escape.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def cmd_tight(args) -> int:
 def cmd_embed(args) -> int:
     if args.calculus == "bang":
         print("embed needs --calculus cbn or cbv", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_PARSE
     t = _parse(args)
     image = embed_cbn(t) if args.calculus == "cbn" else embed_cbv(t)
     if _machine(args):
@@ -222,7 +223,7 @@ def cmd_embed(args) -> int:
 def cmd_translate(args) -> int:
     if args.calculus == "bang":
         print("translate needs --calculus cbn or cbv", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_PARSE
     t = _parse(args)
     if args.calculus == "cbn":
         res = infer_n(t, args.fuel)

@@ -9,6 +9,7 @@ empty entry (absent means empty).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 
@@ -61,7 +62,8 @@ def sort_key(t: Type):
 
 
 def mult(elements) -> Mult:
-    return Mult(tuple(sorted(elements, key=sort_key)))
+    es = tuple(elements)
+    return Mult(es if len(es) < 2 else tuple(sorted(es, key=sort_key)))
 
 
 EMPTY_MULT = mult([])
@@ -95,11 +97,27 @@ def ctx_get(ctx: Context, x: str) -> Mult:
 
 
 def ctx_union(*ctxs: Context) -> Context:
-    names: dict[str, list[Type]] = {}
+    names: dict[str, list[Mult]] = {}
     for ctx in ctxs:
         for x, m in ctx.items():
-            names.setdefault(x, []).extend(m.elements)
-    return {x: mult(es) for x, es in sorted(names.items()) if es}
+            if m.elements:
+                names.setdefault(x, []).append(m)
+    # a name bound in one context only keeps that context's multiset
+    return {x: ms[0] if len(ms) == 1 else _merge(ms) for x, ms in sorted(names.items())}
+
+
+def _merge(ms: list[Mult]) -> Mult:
+    """The bag union of sorted multisets.  When the others are small next
+    to the largest, their elements go into it by binary search, which
+    computes fewer sort keys than sorting the whole bag again."""
+    i = max(range(len(ms)), key=lambda j: len(ms[j]))
+    out = list(ms[i].elements)
+    rest = [e for j, m in enumerate(ms) if j != i for e in m.elements]
+    if len(rest) * len(out).bit_length() >= len(out) + len(rest):
+        return mult(out + rest)
+    for e in rest:
+        insort(out, e, key=sort_key)
+    return Mult(tuple(out))
 
 
 def ctx_remove(ctx: Context, x: str) -> Context:
@@ -113,17 +131,31 @@ def ctx_is_tight(ctx: Context) -> bool:
 # ---------------------------------------------------------------------------
 # Surface syntax:  base vars oN, tight constants a/b/n, [s1,s2], M -> s
 
-def print_type(t: Type) -> str:
+# id(node) -> (node, text), as syntax.PrintMemo
+TypeMemo = dict[int, tuple[Type, str]]
+
+
+def print_type(t: Type, memo: TypeMemo | None = None) -> str:
+    """Surface syntax of t.  As with `syntax.print_term`, every call given
+    the same `memo` prints each node once."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
         case BaseVar(i):
             return f"o{i}"
         case Tight(c):
             return c
         case Mult(elems):
-            return "[" + ",".join(print_type(e) for e in elems) + "]"
+            text = "[" + ",".join(print_type(e, memo) for e in elems) + "]"
         case Arrow(dom, cod):
-            return f"{print_type(dom)} -> {print_type(cod)}"
-    raise TypeError(t)
+            text = f"{print_type(dom, memo)} -> {print_type(cod, memo)}"
+        case _:
+            raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, text)
+    return text
 
 
 class TypeParseError(ValueError):

@@ -8,12 +8,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .syntax import parse_term, print_term
+from .syntax import PrintMemo, parse_term, print_term
 from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
 )
-from .qtypes import Mult, parse_type, print_type
+from .qtypes import Mult, TypeMemo, parse_type, print_type
 from .system_u import Derivation
 from .system_e import DerivationE
 
@@ -25,8 +25,10 @@ def position_to_json(pos) -> list[str]:
 
 
 def trace_records(trace: Trace) -> list[dict[str, Any]]:
+    # consecutive terms share most of their subterms: print each node once
+    memo: PrintMemo = {}
     records: list[dict[str, Any]] = [
-        {"record": "header", "version": FORMAT_VERSION, "term": print_term(trace.start)}
+        {"record": "header", "version": FORMAT_VERSION, "term": print_term(trace.start, memo)}
     ]
     cur = trace.start
     for i, step in enumerate(trace.steps):
@@ -35,8 +37,8 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
             "index": i,
             "rule": step.rule.value,
             "position": position_to_json(step.position),
-            "redex": print_term(subterm_at(cur, step.position)),
-            "result": print_term(step.result),
+            "redex": print_term(subterm_at(cur, step.position), memo),
+            "result": print_term(step.result, memo),
         })
         cur = step.result
     final = trace.final
@@ -50,7 +52,7 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
         "classes": sorted(classify_nf(final).memberships),
         "wcf_classes": sorted(classify_wcf_nf(final).memberships),
         "clash_free": detect_clash(final).clash_free,
-        "term": print_term(final),
+        "term": print_term(final, memo),
     })
     return records
 
@@ -63,12 +65,19 @@ def dump_records(records: list[dict[str, Any]]) -> str:
 # Derivations
 
 def derivation_to_json(d: Derivation | DerivationE) -> dict[str, Any]:
+    # A node's subject is built from its premises' subjects, and its types
+    # and context entries are mostly its premises' too: print each node once.
+    return _derivation_json(d, {}, {})
+
+
+def _derivation_json(d: Derivation | DerivationE, terms: PrintMemo,
+                     types: TypeMemo) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "rule": d.rule,
-        "context": {x: print_type(m) for x, m in sorted(d.context.items())},
-        "term": print_term(d.subject),
-        "type": print_type(d.type),
-        "premises": [derivation_to_json(p) for p in d.premises],
+        "context": {x: print_type(m, types) for x, m in sorted(d.context.items())},
+        "term": print_term(d.subject, terms),
+        "type": print_type(d.type, types),
+        "premises": [_derivation_json(p, terms, types) for p in d.premises],
     }
     if isinstance(d, DerivationE):
         obj["counters"] = list(d.counters)

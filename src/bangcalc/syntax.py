@@ -57,18 +57,48 @@ Term = Var | App | Abs | Bang | Der | Sub
 
 
 def free_vars(t: Term) -> frozenset[str]:
+    """The free names of t, computed once per node and kept on it.
+
+    The set lives in the node's instance dict, outside the dataclass
+    fields, so equality, hashing, repr and pattern matching ignore it.  A
+    node whose set equals a child's shares the child's frozenset."""
+    try:
+        return t._fv  # type: ignore[union-attr]
+    except AttributeError:
+        pass
     match t:
         case Var(x):
-            return frozenset((x,))
+            fv = _SINGLETONS.setdefault(x, frozenset((x,)))
         case App(f, a):
-            return free_vars(f) | free_vars(a)
+            fv = _union(free_vars(f), free_vars(a))
         case Abs(x, b):
-            return free_vars(b) - {x}
+            fv = _without(free_vars(b), x)
         case Bang(b) | Der(b):
-            return free_vars(b)
+            fv = free_vars(b)
         case Sub(b, x, a):
-            return (free_vars(b) - {x}) | free_vars(a)
-    raise TypeError(t)
+            fv = _union(_without(free_vars(b), x), free_vars(a))
+        case _:
+            raise TypeError(t)
+    object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+# One shared set per variable name: a frozenset outweighs the Var node
+# that holds it.  The table only grows with the distinct names seen, and
+# each entry depends on its key alone.
+_SINGLETONS: dict[str, frozenset[str]] = {}
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(a: frozenset[str], x: str) -> frozenset[str]:
+    return a - {x} if x in a else a
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -109,7 +139,7 @@ def subst_meta(t: Term, x: str, u: Term) -> Term:
             return Abs(y, subst_meta(b, x, u))
         case Sub(b, y, a):
             a2 = subst_meta(a, x, u) if x in free_vars(a) else a
-            if x in free_vars(b) - {y}:
+            if x != y and x in free_vars(b):
                 fvu = free_vars(u)
                 if y in fvu:
                     y2 = fresh_name(y, fvu | free_vars(b) | {x})
@@ -382,41 +412,55 @@ def _parse_atom(toks: _Tokens) -> Term:
 # ---------------------------------------------------------------------------
 # Printer
 
-def _atom_str(t: Term) -> str:
+# id(node) -> (node, text); the node is held so that its id stays its own
+PrintMemo = dict[int, tuple[Term, str]]
+
+
+def _atom_str(t: Term, memo: PrintMemo | None) -> str:
     """Render t as an atom, parenthesizing when the grammar requires it."""
     match t:
         case Var(x):
             return x
         case Bang(b):
-            return "!" + _atom_str(b)
+            return "!" + _atom_str(b, memo)
         case Der(_):
-            return print_term(t)
+            return print_term(t, memo)
         case _:
-            return "(" + print_term(t) + ")"
+            return "(" + print_term(t, memo) + ")"
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, memo: PrintMemo | None = None) -> str:
+    """Surface syntax of t.  Every call given the same `memo` prints each
+    node once: subterms shared between the terms it prints are looked up."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
         case Var(x):
             return x
         case Abs(x, b):
-            return f"\\{x}. {print_term(b)}"
+            text = f"\\{x}. {print_term(b, memo)}"
         case App(f, a):
-            fs = f"({print_term(f)})" if isinstance(f, Abs) else print_term(f)
+            fs = f"({print_term(f, memo)})" if isinstance(f, Abs) else print_term(f, memo)
             match a:
                 case App(_, _) | Abs(_, _):
-                    return f"{fs} ({print_term(a)})"
+                    text = f"{fs} ({print_term(a, memo)})"
                 case _:
-                    return f"{fs} {print_term(a)}"
+                    text = f"{fs} {print_term(a, memo)}"
         case Bang(b):
-            return "!" + _atom_str(b)
+            text = "!" + _atom_str(b, memo)
         case Der(b):
-            return f"der({print_term(b)})"
+            text = f"der({print_term(b, memo)})"
         case Sub(b, x, a):
             match b:
                 case Var(_) | Bang(_) | Der(_) | Sub(_, _, _):
-                    bs = print_term(b)
+                    bs = print_term(b, memo)
                 case _:
-                    bs = f"({print_term(b)})"
-            return f"{bs}[{x} \\ {print_term(a)}]"
-    raise TypeError(t)
+                    bs = f"({print_term(b, memo)})"
+            text = f"{bs}[{x} \\ {print_term(a, memo)}]"
+        case _:
+            raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, text)
+    return text

@@ -101,10 +101,11 @@ def mk_bg_d(body: Term, premises: tuple[DerivationE, ...]) -> DerivationE:
     for p in premises:
         if p.subject != body:
             raise IllFormed("bg_d premises must all type the bang body")
+    # sorted by type, so their types make a multiset as they stand
     premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
     b, e, s = _add(*(p.counters for p in premises)) if premises else (0, 0, 0)
     return DerivationE("bg_d", ctx_union(*(p.context for p in premises)), Bang(body),
-                       mult(p.type for p in premises), (b, e + 1, s), premises)
+                       Mult(tuple(p.type for p in premises)), (b, e + 1, s), premises)
 
 
 def mk_dr_d(d_b: DerivationE) -> DerivationE:

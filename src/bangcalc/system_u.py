@@ -90,9 +90,10 @@ def mk_bg(body: Term, premises: tuple[Derivation, ...]) -> Derivation:
     for p in premises:
         if p.subject != body:
             raise IllFormed("bg premises must all type the bang body")
+    # sorted by type, so their types make a multiset as they stand
     premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
     return Derivation("bg", ctx_union(*(p.context for p in premises)),
-                      Bang(body), mult(p.type for p in premises), premises)
+                      Bang(body), Mult(tuple(p.type for p in premises)), premises)
 
 
 def mk_dr(d_b: Derivation) -> Derivation:
@@ -175,6 +176,8 @@ def check_with(node_check: Callable[[Any], str | None], d) -> Violation | None:
 
 
 def _check_node_u(d: Derivation) -> str | None:
+    if type(d) is not Derivation:
+        return "system U nodes must not carry counters"
     for m in d.context.values():
         if not m.elements:
             return "context stores an empty multiset entry"
@@ -254,8 +257,15 @@ def check_derivation_u(d: Derivation) -> Violation | None:
 
 
 def size_u(d: Derivation) -> int:
-    own = 0 if d.rule == "bg" else 1
-    return own + sum(size_u(p) for p in d.premises)
+    """Nodes of d other than bg, counted once per node and kept on it
+    outside the dataclass fields, like `syntax.free_vars`."""
+    try:
+        return d._size_u  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    n = (0 if d.rule == "bg" else 1) + sum(size_u(p) for p in d.premises)
+    object.__setattr__(d, "_size_u", n)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,7 @@ def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any],
             p_b, p_a = ps
             if x in free_vars(arg):
                 p_a = _subst(p_a, x, u, fvu, leaf)
-            if x in free_vars(body) - {y}:
+            if x != y and x in free_vars(body):
                 fvu = free_vars(u) if fvu is None else fvu
                 if y in fvu:
                     y2 = fresh_name(y, fvu | free_vars(body) | {x})
@@ -444,7 +454,7 @@ def _antisubst(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
             us = []
             if x in free_vars(a):
                 p_a, us = _antisubst(p_a, a, x, u)
-            if x in free_vars(b) - {y}:
+            if x != y and x in free_vars(b):
                 p_b, us_b = _antisubst_under(p_b, b, y, x, u)
                 us = us_b + us
             return make(y, p_b, p_a), us

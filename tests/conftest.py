@@ -50,3 +50,73 @@ def lambda_terms(max_leaves: int = 6):
 
 def lambda_values():
     return st.one_of(st.builds(Var, _names), st.builds(Abs, _names, lambda_terms(4)))
+
+
+def church_term(n: int):
+    """church(n) (\\y.y) z, which takes 2n+4 dw steps through the CBN embedding."""
+    body = Var("x")
+    for _ in range(n):
+        body = App(Var("f"), body)
+    return App(App(Abs("f", Abs("x", body)), Abs("y", Var("y"))), Var("z"))
+
+
+# ---------------------------------------------------------------------------
+# Reference walkers: plain recursion that caches nothing, the oracles for
+# the per-node facts bangcalc computes once and keeps.
+
+def ref_free_vars(t) -> frozenset:
+    match t:
+        case Var(x):
+            return frozenset((x,))
+        case App(f, a):
+            return ref_free_vars(f) | ref_free_vars(a)
+        case Abs(x, b):
+            return ref_free_vars(b) - {x}
+        case Bang(b) | Der(b):
+            return ref_free_vars(b)
+        case Sub(b, x, a):
+            return (ref_free_vars(b) - {x}) | ref_free_vars(a)
+    raise TypeError(t)
+
+
+def ref_size_u(d) -> int:
+    return (0 if d.rule == "bg" else 1) + sum(ref_size_u(p) for p in d.premises)
+
+
+def _ref_atom_str(t) -> str:
+    match t:
+        case Var(x):
+            return x
+        case Bang(b):
+            return "!" + _ref_atom_str(b)
+        case Der(_):
+            return ref_print_term(t)
+        case _:
+            return "(" + ref_print_term(t) + ")"
+
+
+def ref_print_term(t) -> str:
+    match t:
+        case Var(x):
+            return x
+        case Abs(x, b):
+            return f"\\{x}. {ref_print_term(b)}"
+        case App(f, a):
+            fs = f"({ref_print_term(f)})" if isinstance(f, Abs) else ref_print_term(f)
+            match a:
+                case App(_, _) | Abs(_, _):
+                    return f"{fs} ({ref_print_term(a)})"
+                case _:
+                    return f"{fs} {ref_print_term(a)}"
+        case Bang(b):
+            return "!" + _ref_atom_str(b)
+        case Der(b):
+            return f"der({ref_print_term(b)})"
+        case Sub(b, x, a):
+            match b:
+                case Var(_) | Bang(_) | Der(_) | Sub(_, _, _):
+                    bs = ref_print_term(b)
+                case _:
+                    bs = f"({ref_print_term(b)})"
+            return f"{bs}[{x} \\ {ref_print_term(a)}]"
+    raise TypeError(t)

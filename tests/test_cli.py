@@ -118,6 +118,12 @@ def _e_derivation_with_counters(counters):
     return json.dumps(obj)
 
 
+def _axiom_with_counters(rule, ty):
+    """An axiom for x, well formed in its system but for its counters."""
+    return json.dumps({"rule": rule, "context": {"x": "[o0]"}, "term": "x", "type": ty,
+                       "counters": [0, 0, 0]})
+
+
 def _nested_lambdas(n):
     return "".join(f"\\x{i}. " for i in range(n)) + "x0"
 
@@ -132,8 +138,14 @@ def _nested_lambdas(n):
     (("reduce", "--fuel", "-5", "x"), 2, "fuel must not be negative"),
     (("parse", "(" * 2000 + "x" + ")" * 2000), 2, "nested too deeply"),
     (("tight", _nested_lambdas(1500)), 2, "nested too deeply"),
+    (("embed", "--calculus", "bang", "x"), 2, "embed needs --calculus cbn or cbv"),
+    (("translate", "--calculus", "bang", "x"), 2, "translate needs --calculus cbn or cbv"),
+    (("typecheck", "--system", "u", _axiom_with_counters("ax", "o0")), 1, ""),
+    (("typecheck", "--system", "n", _axiom_with_counters("ax_n", "o0")), 1, ""),
+    (("typecheck", "--system", "v", _axiom_with_counters("ax_v", "[o0]")), 1, ""),
 ], ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
-        "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas"])
+        "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
+        "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v"])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
     assert got == code

@@ -15,21 +15,15 @@ import pytest
 
 from bangcalc.cbn_cbv import embed_cbn
 from bangcalc.cli import main
-from bangcalc.syntax import Abs, App, Var, print_term
+from bangcalc.syntax import print_term
+
+from conftest import church_term
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
-
-
-def church_term(n: int):
-    """church(n) (\\y.y) z."""
-    body = Var("x")
-    for _ in range(n):
-        body = App(Var("f"), body)
-    return App(App(Abs("f", Abs("x", body)), Abs("y", Var("y"))), Var("z"))
-
-
 CHURCH5 = print_term(church_term(5))
 CHURCH5_CBN = print_term(embed_cbn(church_term(5)))
+CHURCH20 = print_term(church_term(20))
+CHURCH40_CBN = print_term(embed_cbn(church_term(40)))
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -65,6 +59,10 @@ CASES = {
     "translate --calculus cbn church5": (0, ("translate", "--calculus", "cbn", CHURCH5)),
     "translate --calculus cbv church5": (0, ("translate", "--calculus", "cbv", CHURCH5)),
     "typecheck --system u tampered T0": (1, ("typecheck", "--system", "u", "@u")),
+    "trace church40-cbn": (0, ("trace", CHURCH40_CBN)),
+    "tight church40-cbn": (0, ("tight", CHURCH40_CBN)),
+    "infer church40-cbn": (0, ("infer", CHURCH40_CBN)),
+    "translate --calculus cbv church20": (0, ("translate", "--calculus", "cbv", CHURCH20)),
     "typecheck --system e tampered T0": (1, ("typecheck", "--system", "e", "@e")),
 }
 
@@ -72,12 +70,16 @@ DIGESTS = {
     "infer --calculus cbn church5": "8b91fc287d0809dae3694977b25376d0d67bd5f2d20a3e7405080f5e9999e45b",
     "infer --calculus cbv church5": "b77370e22c71c66da5eed80fda3f9c01062a63117aa82ed379206ad2eb6224aa",
     "infer T0": "d5186486041e2aad6016ef1bb73c1f1872bcaf85562d40686041a34164eb2900",
+    "infer church40-cbn": "a9c16b3e02521a4725b1971a9d0ba0fcd4d1bbfecb4ec5d8623b91f1be046685",
     "infer church5-cbn": "f4621a4736ba70a494c70e38ced97dfb4b6a82e54a19dab7c7cf5d63bef17754",
     "tight T0": "3fa33a519ef7398e901aaf6b421ab073b3925087614c606c7f0bc6e547fdb91b",
+    "tight church40-cbn": "cb3f882322850d2315b45d841fe291344fb078d139163198a08cb5ed5a003baa",
     "tight church5-cbn": "c1715c93321aad96a493b571442ed2be4690a83cadbc5b39972bcc5592fe1909",
     "trace T0": "3127239d291e581a834bdde560604848a8b14de80e90fac0b1a1ec1353341062",
+    "trace church40-cbn": "b59956e53ad377a753381a2cc46bd5b9d2ac388e926a6b7ed521aa3626c5675c",
     "trace church5-cbn": "f85d44659eccdfac29a5af01970129e9a3924ce054d229c20bc071298776a1a4",
     "translate --calculus cbn church5": "575691cb50b8b22b8852ebedc7c190a3cff95504e27085e29cc2527d905efb3e",
+    "translate --calculus cbv church20": "eb8a8d2f327f4c2b55a6e9b53f848326082c810c977938f03cede911091bb5f4",
     "translate --calculus cbv church5": "e033721c02dcb0e0e55de9c08fd1585dfe612f1972c91656ea34edb977401291",
     "typecheck --system e tampered T0": "849bcb0352da3e46b55019b10bd3a2020ccea255144f05dfd69528124fad7b55",
     "typecheck --system u tampered T0": "c4b7801f1bad32363b4af9b34b264344369103c98bcc5565703794c8d5281aa6",
