@@ -107,16 +107,14 @@ def ctx_union(*ctxs: Context) -> Context:
 
 
 def _merge(ms: list[Mult]) -> Mult:
-    """The bag union of sorted multisets.  When the others are small next
-    to the largest, their elements go into it by binary search, which
-    computes fewer sort keys than sorting the whole bag again."""
+    """The bag union of sorted multisets.  The other bags' elements go into
+    the largest by binary search, so its own elements are not keyed again."""
     i = max(range(len(ms)), key=lambda j: len(ms[j]))
     out = list(ms[i].elements)
-    rest = [e for j, m in enumerate(ms) if j != i for e in m.elements]
-    if len(rest) * len(out).bit_length() >= len(out) + len(rest):
-        return mult(out + rest)
-    for e in rest:
-        insort(out, e, key=sort_key)
+    for j, m in enumerate(ms):
+        if j != i:
+            for e in m.elements:
+                insort(out, e, key=sort_key)
     return Mult(tuple(out))
 
 

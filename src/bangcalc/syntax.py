@@ -68,7 +68,7 @@ def free_vars(t: Term) -> frozenset[str]:
         pass
     match t:
         case Var(x):
-            fv = _SINGLETONS.setdefault(x, frozenset((x,)))
+            fv = frozenset((x,))
         case App(f, a):
             fv = _union(free_vars(f), free_vars(a))
         case Abs(x, b):
@@ -81,12 +81,6 @@ def free_vars(t: Term) -> frozenset[str]:
             raise TypeError(t)
     object.__setattr__(t, "_fv", fv)
     return fv
-
-
-# One shared set per variable name: a frozenset outweighs the Var node
-# that holds it.  The table only grows with the distinct names seen, and
-# each entry depends on its key alone.
-_SINGLETONS: dict[str, frozenset[str]] = {}
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:

@@ -79,7 +79,6 @@ def test_free_vars_share_a_child_set_when_equal():
     assert free_vars(App(f, Var("x"))) is free_vars(f)
     assert free_vars(Abs("y", f)) is free_vars(f)
     assert free_vars(Sub(f, "y", Var("f"))) is free_vars(f)
-    assert free_vars(Var("q")) is free_vars(Var("q"))
 
 
 def test_size_u_matches_the_reference_walker():
