@@ -8,12 +8,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .syntax import PrintMemo, parse_term, print_term
+from .syntax import ParseMemo, PrintMemo, parse_term, print_term
 from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
 )
-from .qtypes import Mult, TypeMemo, parse_type, print_type
+from .qtypes import Mult, Type, TypeMemo, parse_type, print_type
 from .system_u import Derivation
 from .system_e import DerivationE
 
@@ -90,22 +90,27 @@ class MalformedDerivation(ValueError):
 
 
 def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
+    """The derivation `derivation_to_json` wrote.  Each node restates its
+    subject, type and context in full, so one read parses each distinct
+    text once: equal texts give the same object, and a node's subject is
+    assembled from its premises' subjects, read before it."""
     try:
-        return _derivation_from_json(obj)
+        return _derivation_from_json(obj, {}, {})
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
 
 
-def _derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
-    premises = tuple(_derivation_from_json(p) for p in obj.get("premises", []))
+def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
+                          types: dict[str, Type]) -> Derivation | DerivationE:
+    premises = tuple(_derivation_from_json(p, terms, types) for p in obj.get("premises", []))
     context = {}
     for x, m in obj.get("context", {}).items():
-        ty = parse_type(m)
+        ty = _read_type(m, types)
         if not isinstance(ty, Mult):
             raise ValueError(f"context entry for {x} must be a multiset")
         context[x] = ty
-    subject = parse_term(obj["term"])
-    ty = parse_type(obj["type"])
+    subject = parse_term(obj["term"], memo=terms)
+    ty = _read_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]
         if not (isinstance(counters, list) and len(counters) == 3
@@ -114,6 +119,13 @@ def _derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
         return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
                            tuple(counters), premises)
     return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
+
+
+def _read_type(text: str, types: dict[str, Type]) -> Type:
+    ty = types.get(text)
+    if ty is None:
+        ty = types[text] = parse_type(text)
+    return ty
 
 
 def classification_json(cls: NfClass, wcf: NfClass, clash: ClashReport) -> dict[str, Any]:

@@ -273,14 +273,19 @@ _IDENT_CONT = _IDENT_START | set("0123456789_'")
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: "ParseMemo | None" = None):
         self.text = text
         self.toks: list[tuple[str, str, int]] = []  # (kind, value, pos)
+        self.memo = memo
+        # token index of each "(" -> that of its matching ")", kept only
+        # with a memo, so that a parenthesized text can be looked up whole
+        self.close: dict[int, int] = {}
         self._lex()
         self.i = 0
 
     def _lex(self) -> None:
         s, n, i = self.text, len(self.text), 0
+        opens: list[int] | None = [] if self.memo is not None else None
         while i < n:
             c = s[i]
             if c.isspace():
@@ -297,6 +302,11 @@ class _Tokens:
                 self.toks.append(("sep", ":=", i))
                 i += 2
             elif c in "\\!()[].λ":
+                if opens is not None:
+                    if c == "(":
+                        opens.append(len(self.toks))
+                    elif c == ")" and opens:
+                        self.close[opens.pop()] = len(self.toks)
                 kind = {"λ": "lambda", "\\": "backslash"}.get(c, c)
                 self.toks.append((kind, c, i))
                 i += 1
@@ -319,7 +329,11 @@ class _Tokens:
         return k, v, p
 
 
-def parse_term(text: str, strict: bool = False) -> Term:
+# text -> the term it parses to; see `parse_term`
+ParseMemo = dict[str, Term]
+
+
+def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -> Term:
     """Parse surface syntax.
 
     Grammar (prefix ! / der bind tighter than application, postfix
@@ -334,8 +348,19 @@ def parse_term(text: str, strict: bool = False) -> Term:
                | "(" term ")"
 
     With strict=True, free names are rejected.
+
+    Every call given the same `memo` parses each distinct text once: the
+    whole text and the text inside each pair of parentheses are looked up
+    first, and stored once they have parsed, so equal texts give the same
+    term object.  A strict parse does not use the memo.
     """
-    toks = _Tokens(text)
+    if strict:
+        memo = None
+    elif memo is not None:
+        hit = memo.get(text)
+        if hit is not None:
+            return hit
+    toks = _Tokens(text, memo)
     t = _parse_term(toks)
     k, v, p = toks.peek()
     if k != "eof":
@@ -343,6 +368,8 @@ def parse_term(text: str, strict: bool = False) -> Term:
     if strict and free_vars(t):
         names = ", ".join(sorted(free_vars(t)))
         raise ParseError(f"unbound names: {names}", 0)
+    if memo is not None:
+        memo[text] = t
     return t
 
 
@@ -392,15 +419,32 @@ def _parse_atom(toks: _Tokens) -> Term:
     if k == "der":
         if toks.peek()[0] == "(":
             toks.next()
-            t = _parse_term(toks)
-            toks.expect(")")
-            return Der(t)
+            return Der(_parse_parens(toks))
         return Der(_parse_atom(toks))
     if k == "(":
+        return _parse_parens(toks)
+    raise ParseError(f"unexpected token {v!r}", p)
+
+
+def _parse_parens(toks: _Tokens) -> Term:
+    """The term inside a "(" just read, and its ")".  With a memo, the
+    text between the two is looked up first; a hit skips its tokens."""
+    close = toks.close.get(toks.i - 1)
+    if close is None:
         t = _parse_term(toks)
         toks.expect(")")
         return t
-    raise ParseError(f"unexpected token {v!r}", p)
+    memo = toks.memo
+    assert memo is not None
+    inner = toks.text[toks.toks[toks.i - 1][2] + 1:toks.toks[close][2]]
+    t = memo.get(inner)
+    if t is None:
+        t = _parse_term(toks)
+        toks.expect(")")
+        memo[inner] = t
+    else:
+        toks.i = close + 1
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -263,9 +263,19 @@ def size_u(d: Derivation) -> int:
         return d._size_u  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    n = (0 if d.rule == "bg" else 1) + sum(size_u(p) for p in d.premises)
-    object.__setattr__(d, "_size_u", n)
-    return n
+    # Post-order over the nodes not yet sized, with an explicit stack, so
+    # that a deep derivation does not exhaust the interpreter's stack.
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        todo = [p for p in node.premises if not hasattr(p, "_size_u")]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        n = (0 if node.rule == "bg" else 1) + sum(p._size_u for p in node.premises)
+        object.__setattr__(node, "_size_u", n)
+    return d._size_u  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

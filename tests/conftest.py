@@ -1,7 +1,11 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var
+from bangcalc.qtypes import Mult, parse_type
+from bangcalc.serialize import MalformedDerivation
+from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, parse_term
+from bangcalc.system_e import DerivationE
+from bangcalc.system_u import Derivation
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -120,3 +124,32 @@ def ref_print_term(t) -> str:
                     bs = f"({ref_print_term(b)})"
             return f"{bs}[{x} \\ {ref_print_term(a)}]"
     raise TypeError(t)
+
+
+def ref_derivation_from_json(obj):
+    """The derivation reader that parses every text of every node afresh:
+    the oracle for `serialize.derivation_from_json`, which parses each
+    distinct text once per read."""
+    try:
+        return _ref_derivation_from_json(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as ex:
+        raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
+
+
+def _ref_derivation_from_json(obj):
+    premises = tuple(_ref_derivation_from_json(p) for p in obj.get("premises", []))
+    context = {}
+    for x, m in obj.get("context", {}).items():
+        ty = parse_type(m)
+        if not isinstance(ty, Mult):
+            raise ValueError(f"context entry for {x} must be a multiset")
+        context[x] = ty
+    subject = parse_term(obj["term"])
+    ty = parse_type(obj["type"])
+    if "counters" in obj:
+        counters = obj["counters"]
+        if not (isinstance(counters, list) and len(counters) == 3
+                and all(type(c) is int for c in counters)):
+            raise ValueError("counters must be a list of three integers")
+        return DerivationE(obj["rule"], context, subject, ty, tuple(counters), premises)
+    return Derivation(obj["rule"], context, subject, ty, premises)

@@ -128,6 +128,34 @@ def _nested_lambdas(n):
     return "".join(f"\\x{i}. " for i in range(n)) + "x0"
 
 
+def _bad_value(field, kind):
+    """A value that no text field of a derivation accepts.  ["x"] is a list
+    of one-character strings, which the term lexer can walk like a string."""
+    truncated = {"term": r"(\x. x", "type": "[o0] ->", "context": "[o0,"}[field]
+    return {"number": 7, "list": ["x"], "null": None, "truncated": truncated}[kind]
+
+
+def _bad_text(field, kind, repeated):
+    """The U derivation of T0 with `field` of its root (and, if `repeated`,
+    of the node read first) set to a bad value of `kind`."""
+    obj = derivation_to_json(infer_u(parse_term(T0), 100))
+    value = _bad_value(field, kind)
+    first = obj
+    while first["premises"]:
+        first = first["premises"][0]
+    for node in [first, obj] if repeated else [obj]:
+        if field == "context":
+            node["context"]["x"] = value
+        else:
+            node[field] = value
+    return json.dumps(obj)
+
+
+BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context")
+                  for kind in ("number", "list", "null", "truncated")
+                  for repeated in (False, True)]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("typecheck", "--system", "u", "not json"), 2, "parse error"),
     (("typecheck", "--system", "u", '{"rule": "ax", "type": "o0"}'), 2, "malformed derivation"),
@@ -143,9 +171,13 @@ def _nested_lambdas(n):
     (("typecheck", "--system", "u", _axiom_with_counters("ax", "o0")), 1, ""),
     (("typecheck", "--system", "n", _axiom_with_counters("ax_n", "o0")), 1, ""),
     (("typecheck", "--system", "v", _axiom_with_counters("ax_v", "[o0]")), 1, ""),
-], ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
+] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
+      for case in BAD_TEXT_CASES],
+   ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
         "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
-        "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v"])
+        "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v"] + [
+        f"{field}-{kind}-{'repeated' if repeated else 'once'}"
+        for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
     got, out, err = run(capsys, *argv)
     assert got == code

@@ -24,6 +24,8 @@ CHURCH5 = print_term(church_term(5))
 CHURCH5_CBN = print_term(embed_cbn(church_term(5)))
 CHURCH20 = print_term(church_term(20))
 CHURCH40_CBN = print_term(embed_cbn(church_term(40)))
+CHURCH20_CBN = print_term(embed_cbn(church_term(20)))
+TERMS = {"T0": T0, "church5": CHURCH5, "church20-cbn": CHURCH20_CBN}
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -33,17 +35,43 @@ def run(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def tampered(system: str) -> str:
-    """The machine derivation of T0 in `system` with its last node (in
-    pre-order) given a base type that no rule admits."""
-    command = "tight" if system == "e" else "infer"
-    code, out = run(command, "--output", "machine", T0)
-    assert code == 0
-    obj = json.loads(out)["derivation"]
-    node = obj
+# system -> the command (and calculus) whose machine output is a
+# derivation in that system
+INFER = {
+    "u": ("infer",),
+    "e": ("tight",),
+    "n": ("infer", "--calculus", "cbn"),
+    "v": ("infer", "--calculus", "cbv"),
+}
+
+
+def _last(node: dict) -> dict:
     while node["premises"]:
         node = node["premises"][-1]
-    node["type"] = "o999"
+    return node
+
+
+def _deepest(node: dict) -> dict:
+    """The first node in pre-order at the greatest depth."""
+    best, depth = node, 0
+    stack = [(node, 0)]
+    while stack:
+        n, k = stack.pop()
+        if k > depth:
+            best, depth = n, k
+        stack.extend((p, k + 1) for p in reversed(n["premises"]))
+    return best
+
+
+def tampered(spec: str) -> str:
+    """`system:term[:deepest]`: the machine derivation of the named term
+    in `system` with its last node in pre-order (or its deepest node)
+    given a base type that no rule admits."""
+    system, name, *where = spec.split(":")
+    code, out = run(*INFER[system], "--output", "machine", TERMS[name])
+    assert code == 0
+    obj = json.loads(out)["derivation"]
+    (_deepest if where == ["deepest"] else _last)(obj)["type"] = "o999"
     return json.dumps(obj)
 
 
@@ -58,12 +86,18 @@ CASES = {
     "infer --calculus cbv church5": (0, ("infer", "--calculus", "cbv", CHURCH5)),
     "translate --calculus cbn church5": (0, ("translate", "--calculus", "cbn", CHURCH5)),
     "translate --calculus cbv church5": (0, ("translate", "--calculus", "cbv", CHURCH5)),
-    "typecheck --system u tampered T0": (1, ("typecheck", "--system", "u", "@u")),
+    "typecheck --system u tampered T0": (1, ("typecheck", "--system", "u", "@u:T0")),
     "trace church40-cbn": (0, ("trace", CHURCH40_CBN)),
     "tight church40-cbn": (0, ("tight", CHURCH40_CBN)),
     "infer church40-cbn": (0, ("infer", CHURCH40_CBN)),
     "translate --calculus cbv church20": (0, ("translate", "--calculus", "cbv", CHURCH20)),
-    "typecheck --system e tampered T0": (1, ("typecheck", "--system", "e", "@e")),
+    "typecheck --system e tampered T0": (1, ("typecheck", "--system", "e", "@e:T0")),
+    "typecheck --system n tampered church5": (1, ("typecheck", "--system", "n", "@n:church5")),
+    "typecheck --system v tampered church5": (1, ("typecheck", "--system", "v", "@v:church5")),
+    "typecheck --system u deepest-tampered church20-cbn":
+        (1, ("typecheck", "--system", "u", "@u:church20-cbn:deepest")),
+    "typecheck --system e deepest-tampered church20-cbn":
+        (1, ("typecheck", "--system", "e", "@e:church20-cbn:deepest")),
 }
 
 DIGESTS = {
@@ -81,8 +115,12 @@ DIGESTS = {
     "translate --calculus cbn church5": "575691cb50b8b22b8852ebedc7c190a3cff95504e27085e29cc2527d905efb3e",
     "translate --calculus cbv church20": "eb8a8d2f327f4c2b55a6e9b53f848326082c810c977938f03cede911091bb5f4",
     "translate --calculus cbv church5": "e033721c02dcb0e0e55de9c08fd1585dfe612f1972c91656ea34edb977401291",
+    "typecheck --system e deepest-tampered church20-cbn": "ff32bd1e6b08d6ced909b1b5f58f61f162f8fbb40099b31c699d358980ae9034",
     "typecheck --system e tampered T0": "849bcb0352da3e46b55019b10bd3a2020ccea255144f05dfd69528124fad7b55",
+    "typecheck --system n tampered church5": "546dbd965068056e6792a2294877ef1303ede5f2cfc3053a17e6e4efa522220b",
+    "typecheck --system u deepest-tampered church20-cbn": "9c16b0da85f2ef7b9ea52cd93208f26c9698ccb6e257d62a3eacf7639bd8dadd",
     "typecheck --system u tampered T0": "c4b7801f1bad32363b4af9b34b264344369103c98bcc5565703794c8d5281aa6",
+    "typecheck --system v tampered church5": "735991c13bebf20a344e5f50b39daebe4a60c1458c9d9441625082d6c4c787a7",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -13,8 +14,10 @@ from bangcalc.system_u import (
     subst_derivation_u, type_normal_form_u,
 )
 from bangcalc.gen import rand_bang_term
+from bangcalc.cbn_cbv import embed_cbn
+from bangcalc.system_e import check_derivation_e, infer_tight
 
-from conftest import REFRESHED_INNER_BINDERS, bang_terms
+from conftest import REFRESHED_INNER_BINDERS, bang_terms, church_term
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 TAU = BaseVar(0)
@@ -246,3 +249,23 @@ def test_typable_implies_weak_clash_free(term):
     res = infer_u(term, 60)
     if isinstance(res, Derivation):
         assert is_wcf(term)
+
+
+def test_deep_church_derivations_at_the_default_recursion_limit():
+    """church(320) builds derivations some 650 nodes deep; sizing one must
+    not take a frame per node."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = embed_cbn(church_term(320))
+        d = infer_u(t, 10_000)
+        e = infer_tight(t, 10_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert check_derivation_u(d) is None and check_derivation_e(e) is None
+    stack, nodes = [d], 0
+    while stack:
+        node = stack.pop()
+        nodes += node.rule != "bg"
+        stack.extend(node.premises)
+    assert size_u(d) == nodes
