@@ -9,8 +9,11 @@ empty entry (absent means empty).
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass
+
+from .syntax import memo_spans
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,18 @@ def sort_key(t: Type):
 
 
 def mult(elements) -> Mult:
+    """The multiset of elements, sorted.  Elements already in order, as
+    `print_type` writes them, are kept: adjacent elements that are one
+    object are not keyed, and `sorted` runs only on a pair out of order."""
     es = tuple(elements)
-    return Mult(es if len(es) < 2 else tuple(sorted(es, key=sort_key)))
+    key = None  # the key of the pair's first element, once computed
+    for a, b in zip(es, es[1:]):
+        if a is not b:
+            a_key = sort_key(a) if key is None else key
+            key = sort_key(b)
+            if key < a_key:
+                return Mult(tuple(sorted(es, key=sort_key)))
+    return Mult(es)
 
 
 EMPTY_MULT = mult([])
@@ -73,17 +86,27 @@ def is_tight_mult(m: Mult) -> bool:
     return all(isinstance(e, Tight) for e in m.elements)
 
 
-def has_tight_constants(t: Type) -> bool:
+def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]] | None = None) -> bool:
+    """Whether t holds a tight constant.  Every call given the same `memo`
+    (id(node) -> (node, answer), as `TypeMemo`) looks into each node once."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
         case Tight(_):
-            return True
+            found = True
         case BaseVar(_):
-            return False
+            found = False
         case Mult(elems):
-            return any(has_tight_constants(e) for e in elems)
+            found = any(has_tight_constants(e, memo) for e in elems)
         case Arrow(dom, cod):
-            return has_tight_constants(dom) or has_tight_constants(cod)
-    raise TypeError(t)
+            found = has_tight_constants(dom, memo) or has_tight_constants(cod, memo)
+        case _:
+            raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, found)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -160,71 +183,118 @@ class TypeParseError(ValueError):
     pass
 
 
-def parse_type(text: str) -> Type:
-    toks = _lex_type(text)
+# text -> the type it parses to; see `parse_type`
+TypeParseMemo = dict[str, Type]
+_TYPE_MARKS = re.compile(r"([\[\],])")
+
+
+def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
+    """Parse surface syntax.  As with `syntax.parse_term`, every call given
+    the same `memo` parses each distinct text once: the whole text, each
+    multiset's text and each multiset element's text are looked up first
+    and stored once they have parsed, and a text the memo holds is not lexed."""
+    if memo is not None:
+        hit = memo.get(text)
+        if hit is not None:
+            return hit
+    toks = _TypeTokens(text, memo)
     t, i = _parse_type(toks, 0)
-    if i != len(toks):
+    if i != len(toks.toks):
         raise TypeParseError(f"trailing tokens in type {text!r}")
+    if memo is not None:
+        memo[text] = t
     return t
 
 
-def _lex_type(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[],":
-            toks.append(c)
-            i += 1
-        elif text.startswith("->", i):
-            toks.append("->")
-            i += 2
-        elif c == "o" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        elif c in "abn":
-            toks.append(c)
-            i += 1
-        else:
-            raise TypeParseError(f"bad character {c!r} in type")
-    return toks
+class _TypeTokens:
+    """The tokens of a type text.  With a memo, each part of the text that
+    the memo holds is one "[" token, whose type `hits` holds by token
+    index, and `at` holds the offset of each other "[", "," and "]"."""
+
+    def __init__(self, text: str, memo: TypeParseMemo | None):
+        self.text, self.memo = text, memo
+        self.toks: list[str] = []
+        self.hits: dict[int, Type] = {}
+        self.at: dict[int, int] | None = None
+        i = 0
+        if memo is not None:
+            self.at = {}
+            for a, b, t in memo_spans(text, _TYPE_MARKS, memo, inner=False):
+                self._lex(i, a)
+                self.hits[len(self.toks)] = t
+                self.toks.append("[")
+                i = b
+        self._lex(i, len(text))
+
+    def _lex(self, i: int, n: int) -> None:
+        text, toks, at = self.text, self.toks, self.at
+        while i < n:
+            c = text[i]
+            if c.isspace():
+                i += 1
+            elif c in "[],":
+                if at is not None:
+                    at[len(toks)] = i
+                toks.append(c)
+                i += 1
+            elif text.startswith("->", i):
+                toks.append("->")
+                i += 2
+            elif c == "o" and i + 1 < n and text[i + 1].isdigit():
+                j = i + 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                toks.append(text[i:j])
+                i = j
+            elif c in "abn":
+                toks.append(c)
+                i += 1
+            else:
+                raise TypeParseError(f"bad character {c!r} in type")
+
+    def keep(self, a: int, b: int, t: Type, inner: bool) -> Type:
+        """t, parsed from the text from token a to token b, without them if
+        `inner`; with a memo, the first type parsed from that text."""
+        if self.at is None:
+            return t
+        lo, hi = self.at[a], self.at[b]
+        text = self.text[lo + 1:hi] if inner else self.text[lo:hi + 1]
+        return self.memo.setdefault(text, t)  # type: ignore[union-attr]
 
 
-def _parse_type(toks: list[str], i: int) -> tuple[Type, int]:
-    head, i = _parse_type_atom(toks, i)
+def _parse_type(tt: _TypeTokens, i: int) -> tuple[Type, int]:
+    toks = tt.toks
+    head, i = _parse_type_atom(tt, i)
     if i < len(toks) and toks[i] == "->":
         if not isinstance(head, Mult):
             raise TypeParseError("arrow domain must be a multiset")
-        cod, i = _parse_type(toks, i + 1)
+        cod, i = _parse_type(tt, i + 1)
         return Arrow(head, cod), i
     return head, i
 
 
-def _parse_type_atom(toks: list[str], i: int) -> tuple[Type, int]:
+def _parse_type_atom(tt: _TypeTokens, i: int) -> tuple[Type, int]:
+    toks = tt.toks
     if i >= len(toks):
         raise TypeParseError("unexpected end of type")
     tok = toks[i]
     if tok == "[":
-        i += 1
-        elems: list[Type] = []
-        if i < len(toks) and toks[i] == "]":
-            return mult(elems), i + 1
-        while True:
-            t, i = _parse_type(toks, i)
-            elems.append(t)
-            if i >= len(toks):
+        hit = tt.hits.get(i)
+        if hit is not None:
+            return hit, i + 1
+        start, elems = i, []
+        if i + 1 < len(toks) and toks[i + 1] == "]":
+            return tt.keep(start, i + 1, mult(elems), False), i + 2
+        while True:  # i is at the "[" or "," before an element
+            t, j = _parse_type(tt, i + 1)
+            if j >= len(toks):
                 raise TypeParseError("unterminated multiset")
-            if toks[i] == ",":
-                i += 1
-                continue
-            if toks[i] == "]":
-                return mult(elems), i + 1
-            raise TypeParseError(f"unexpected token {toks[i]!r} in multiset")
+            if toks[j] not in (",", "]"):
+                raise TypeParseError(f"unexpected token {toks[j]!r} in multiset")
+            elems.append(tt.keep(i, j, t, True))
+            if toks[j] == "]":
+                return tt.keep(start, j, mult(elems), False), j + 1
+            i = j
     if tok in ("a", "b", "n"):
         return Tight(tok), i + 1
     if tok.startswith("o"):

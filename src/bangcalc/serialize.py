@@ -13,7 +13,7 @@ from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
 )
-from .qtypes import Mult, Type, TypeMemo, parse_type, print_type
+from .qtypes import Mult, Type, TypeMemo, TypeParseMemo, parse_type, print_type
 from .system_u import Derivation
 from .system_e import DerivationE
 
@@ -101,7 +101,7 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
 
 
 def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
-                          types: dict[str, Type]) -> Derivation | DerivationE:
+                          types: TypeParseMemo) -> Derivation | DerivationE:
     premises = tuple(_derivation_from_json(p, terms, types) for p in obj.get("premises", []))
     context = {}
     for x, m in obj.get("context", {}).items():
@@ -121,11 +121,10 @@ def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
     return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
 
 
-def _read_type(text: str, types: dict[str, Type]) -> Type:
+def _read_type(text: str, types: TypeParseMemo) -> Type:
+    # looked up here as well, so that parse_type is called once per distinct text
     ty = types.get(text)
-    if ty is None:
-        ty = types[text] = parse_type(text)
-    return ty
+    return parse_type(text, types) if ty is None else ty
 
 
 def classification_json(cls: NfClass, wcf: NfClass, clash: ClashReport) -> dict[str, Any]:

@@ -15,8 +15,12 @@ the same type; see `is_lambda_term`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -272,20 +276,79 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_CONT = _IDENT_START | set("0123456789_'")
 
 
+_PARENS = re.compile(r"([()])")
+_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1, ",": 0}
+
+
+def memo_spans(text: str, marks: re.Pattern, memo: dict,
+               inner: bool) -> list[tuple[int, int, Any]]:
+    """The outermost bracketed parts of text that the memo holds, as
+    (start, end, value) in text order.  `marks` captures one bracket or
+    comma.  With `inner`, a pair is looked up by the text between its
+    brackets; otherwise by its whole text, and on a miss by each of its
+    comma-separated elements' texts.  Nothing inside a hit is looked up."""
+    parts = marks.split(text)
+    if len(parts) == 1:
+        return []
+    at = list(accumulate(map(len, parts)))[::2]  # the offset of each mark
+    chars = parts[1::2]
+    depth = list(accumulate(map(_DEPTH.__getitem__, chars)))  # after each mark
+    spans: list[tuple[int, int, Any]] = []
+    todo = [(0, len(chars))]  # ranges of marks whose pairs, one level down, to look up
+    while todo:
+        s, j = todo.pop()
+        while s < j:
+            if chars[s] not in "([":
+                s += 1
+                continue
+            try:  # a pair closes where the depth first falls back below its open's
+                e = depth.index(depth[s] - 1, s + 1)
+            except ValueError:
+                break  # an unclosed pair: the rest lies inside it
+            o, c = at[s], at[e]
+            hit = memo.get(text[o + 1:c] if inner else text[o:c + 1])
+            if hit is not None:
+                spans.append((o, c + 1, hit))
+            elif inner:
+                todo.append((s + 1, e))
+            else:
+                a, k = s, s + 1  # the marks before and after an element
+                while a < e:
+                    if chars[k] == "[":
+                        k = depth.index(depth[k] - 1, k + 1) + 1
+                        continue
+                    hit = memo.get(text[at[a] + 1:at[k]])
+                    if hit is not None:
+                        spans.append((at[a] + 1, at[k], hit))
+                    else:
+                        todo.append((a + 1, k))
+                    a, k = k, k + 1
+            s = e + 1
+    spans.sort(key=itemgetter(0))
+    return spans
+
+
 class _Tokens:
     def __init__(self, text: str, memo: "ParseMemo | None" = None):
         self.text = text
         self.toks: list[tuple[str, str, int]] = []  # (kind, value, pos)
         self.memo = memo
-        # token index of each "(" -> that of its matching ")", kept only
-        # with a memo, so that a parenthesized text can be looked up whole
-        self.close: dict[int, int] = {}
-        self._lex()
+        # offset of a "(" -> the term between it and its ")", which the
+        # memo holds: the "(" is the one token lexed for that text
+        self.hits: dict[int, Term] = {}
+        i = 0
+        if memo is not None:
+            for a, b, t in memo_spans(text, _PARENS, memo, inner=True):
+                self._lex(i, a)
+                self.toks.append(("(", "(", a))
+                self.hits[a] = t
+                i = b
+        self._lex(i, len(text))
+        self.toks.append(("eof", "", len(text)))
         self.i = 0
 
-    def _lex(self) -> None:
-        s, n, i = self.text, len(self.text), 0
-        opens: list[int] | None = [] if self.memo is not None else None
+    def _lex(self, i: int, n: int) -> None:
+        s = self.text
         while i < n:
             c = s[i]
             if c.isspace():
@@ -302,17 +365,11 @@ class _Tokens:
                 self.toks.append(("sep", ":=", i))
                 i += 2
             elif c in "\\!()[].λ":
-                if opens is not None:
-                    if c == "(":
-                        opens.append(len(self.toks))
-                    elif c == ")" and opens:
-                        self.close[opens.pop()] = len(self.toks)
                 kind = {"λ": "lambda", "\\": "backslash"}.get(c, c)
                 self.toks.append((kind, c, i))
                 i += 1
             else:
                 raise ParseError(f"unexpected character {c!r}", i)
-        self.toks.append(("eof", "", n))
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -352,7 +409,8 @@ def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -
     Every call given the same `memo` parses each distinct text once: the
     whole text and the text inside each pair of parentheses are looked up
     first, and stored once they have parsed, so equal texts give the same
-    term object.  A strict parse does not use the memo.
+    term object and a text the memo holds is not lexed again.  A strict
+    parse does not use the memo.
     """
     if strict:
         memo = None
@@ -427,23 +485,16 @@ def _parse_atom(toks: _Tokens) -> Term:
 
 
 def _parse_parens(toks: _Tokens) -> Term:
-    """The term inside a "(" just read, and its ")".  With a memo, the
-    text between the two is looked up first; a hit skips its tokens."""
-    close = toks.close.get(toks.i - 1)
-    if close is None:
-        t = _parse_term(toks)
-        toks.expect(")")
+    """The term inside a "(" just read, and its ")".  With a memo, a text
+    the memo holds was lexed as the "(" alone; one parsed here is stored."""
+    p = toks.toks[toks.i - 1][2]
+    t = toks.hits.get(p)
+    if t is not None:
         return t
-    memo = toks.memo
-    assert memo is not None
-    inner = toks.text[toks.toks[toks.i - 1][2] + 1:toks.toks[close][2]]
-    t = memo.get(inner)
-    if t is None:
-        t = _parse_term(toks)
-        toks.expect(")")
-        memo[inner] = t
-    else:
-        toks.i = close + 1
+    t = _parse_term(toks)
+    q = toks.expect(")")[2]
+    if toks.memo is not None:
+        t = toks.memo.setdefault(toks.text[p + 1:q], t)
     return t
 
 

@@ -175,13 +175,13 @@ def check_with(node_check: Callable[[Any], str | None], d) -> Violation | None:
     return None
 
 
-def _check_node_u(d: Derivation) -> str | None:
+def _check_node_u(d: Derivation, tight: dict[int, tuple[Type, bool]]) -> str | None:
     if type(d) is not Derivation:
         return "system U nodes must not carry counters"
     for m in d.context.values():
         if not m.elements:
             return "context stores an empty multiset entry"
-    if has_tight_constants(d.type) or any(has_tight_constants(m) for m in d.context.values()):
+    if any(has_tight_constants(t, tight) for t in (d.type, *d.context.values())):
         return "tight constants do not belong to this system"
     ps = d.premises
     match d.rule:
@@ -253,7 +253,10 @@ def _check_node_u(d: Derivation) -> str | None:
 
 
 def check_derivation_u(d: Derivation) -> Violation | None:
-    return check_with(_check_node_u, d)
+    # a derivation read from JSON shares its types and context multisets
+    # between nodes: look into each object for tight constants once
+    tight: dict[int, tuple[Type, bool]] = {}
+    return check_with(lambda node: _check_node_u(node, tight), d)
 
 
 def size_u(d: Derivation) -> int:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bangcalc.cli import main
+from bangcalc.gen import generate_corpus
 from bangcalc.serialize import derivation_from_json, derivation_to_json
-from bangcalc.syntax import parse_term
+from bangcalc.syntax import parse_term, print_term
 from bangcalc.system_u import check_derivation_u, infer_u
 from bangcalc.system_e import check_derivation_e, infer_tight
 
@@ -186,3 +191,65 @@ def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
         assert out.startswith("violation at []") and not err
     else:
         assert message in err.strip().splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
+# Random command lines
+
+COMMANDS = ["parse", "reduce", "trace", "classify", "clash", "infer", "tight",
+            "typecheck", "embed", "translate"]
+# each flag's values end with a bad one; --strict and --system belong to
+# one command each
+FLAGS = {
+    "--fuel": ["0", "3", "40", "-1"],
+    "--calculus": ["bang", "cbn", "cbv", "lambda"],
+    "--output": ["text", "machine", "json"],
+    "--seed": ["0", "7", "1.5"],
+    "--max-size": ["4", "big"],
+    "--system": ["u", "e", "n", "v", "w"],
+    "--strict": [None],
+}
+FUZZ_TERMS = [print_term(t) for t in generate_corpus(11, 8, 12)] + [
+    print_term(t) for t in generate_corpus(12, 8, 6, lam=True)] + [T0]
+FUZZ_DERIVATIONS = [json.dumps(derivation_to_json(d)) for d in (
+    infer_u(parse_term(T0), 100), infer_tight(parse_term(T0), 100),
+    infer_u(parse_term(r"(\x. x x) !y"), 100))]
+
+
+def _fuzz_input(data):
+    text = data.draw(st.sampled_from(FUZZ_TERMS + FUZZ_DERIVATIONS))
+    how = data.draw(st.sampled_from(["keep", "keep", "truncate", "mutate", "junk", "deep"]))
+    i = data.draw(st.integers(0, len(text)))
+    if how == "truncate":
+        return text[:i]
+    if how == "mutate":
+        return text[:i] + data.draw(st.text(alphabet="\\λ.()[]!x :=,{}\"o0-> é", max_size=3)) + text[i + 1:]
+    if how == "junk":
+        return data.draw(st.text(max_size=20))
+    if how == "deep":
+        depth = data.draw(st.sampled_from([30, 300, 1500]))
+        return data.draw(st.sampled_from(["(" * depth + "x" + ")" * depth,
+                                          "\\x. " * depth + "x", "!" * depth + "x"]))
+    return text
+
+
+@given(st.data())
+def test_random_command_lines_get_a_documented_exit_code(data):
+    argv = [data.draw(st.sampled_from(COMMANDS))]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=4, unique=True)):
+        value = data.draw(st.sampled_from(FLAGS[flag]))
+        argv += [flag] if value is None else [flag, value]
+    if "--fuel" not in argv:
+        argv += ["--fuel", "40"]
+    if argv[0] == "typecheck" and "--system" not in argv:
+        argv += ["--system", data.draw(st.sampled_from("uenv"))]
+    text = _fuzz_input(data)
+    on_stdin = data.draw(st.booleans())
+    if not on_stdin:
+        argv.append(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(text)):
+        code = main(argv)
+    assert code in range(6), argv
+    assert "Traceback" not in err.getvalue(), argv

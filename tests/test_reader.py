@@ -11,9 +11,10 @@ import io
 import json
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
-from bangcalc import qtypes, serialize
+from bangcalc import qtypes, serialize, syntax, system_u
 from bangcalc.cbn_cbv import check_derivation_n, check_derivation_v, embed_cbn, infer_n, infer_v
 from bangcalc.cli import main
 from bangcalc.gen import generate_corpus
@@ -213,14 +214,64 @@ def test_each_distinct_type_text_is_parsed_once(monkeypatch):
     calls = []
     parse_type = qtypes.parse_type
 
-    def counted(text):
+    def counted(text, memo=None):
         calls.append(text)
-        return parse_type(text)
+        return parse_type(text, memo)
     for mod in (qtypes, serialize):
         monkeypatch.setattr(mod, "parse_type", counted)
     derivation_from_json(obj)
     assert len(texts) > 2 * len(set(texts))
     assert len(calls) <= len(set(texts))
+
+
+def test_sort_keys_are_not_recomputed_for_sorted_multisets(monkeypatch):
+    """print_type writes multisets in order and a read shares equal element
+    texts, so reading keys no more types than there are distinct texts."""
+    obj = church_json("u", 80)
+    texts = {t for o in _nodes(obj) for t in [o["type"], *o["context"].values()]}
+    calls = []
+    sort_key = qtypes.sort_key
+
+    def counted(t):
+        calls.append(t)
+        return sort_key(t)
+    monkeypatch.setattr(qtypes, "sort_key", counted)
+    derivation_from_json(obj)
+    assert len(calls) <= len(texts)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_memo_hits_are_not_lexed(monkeypatch, n):
+    """A parenthesized text the read has already parsed is lexed as one
+    token, so the tokens of a read grow with its nodes, not its text."""
+    obj = church_json("u", n)
+    counts = []
+
+    class Counted(syntax._Tokens):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(len(self.toks))
+    monkeypatch.setattr(syntax, "_Tokens", Counted)
+    derivation_from_json(obj)
+    assert sum(counts) <= 10 * len(list(_nodes(obj)))
+
+
+def test_u_check_looks_into_each_type_object_once(monkeypatch):
+    """A read derivation shares its types, context multisets and their
+    elements between nodes; the U check looks into each object once for
+    tight constants."""
+    d = derivation_from_json(church_json("u", 80))
+    looked = []
+    has_tight = qtypes.has_tight_constants
+
+    def counted(t, memo=None):
+        if memo is None or id(t) not in memo:
+            looked.append(id(t))
+        return has_tight(t) if memo is None else has_tight(t, memo)
+    for mod in (qtypes, system_u):
+        monkeypatch.setattr(mod, "has_tight_constants", counted)
+    assert check_derivation_u(d) is None
+    assert looked and len(looked) == len(set(looked))
 
 
 # ---------------------------------------------------------------------------
