@@ -13,7 +13,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass
 
-from .syntax import memo_spans
+from .syntax import _DEPTH, memo_spans
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,9 @@ def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]] | None = Non
             found = True
         case BaseVar(_):
             found = False
-        case Mult(elems):
-            found = any(has_tight_constants(e, memo) for e in elems)
+        case Mult(elems):  # a run of one element object is looked at once
+            found = any(has_tight_constants(e, memo)
+                        for e, before in zip(elems, (None, *elems)) if e is not before)
         case Arrow(dom, cod):
             found = has_tight_constants(dom, memo) or has_tight_constants(cod, memo)
         case _:
@@ -131,13 +132,17 @@ def ctx_union(*ctxs: Context) -> Context:
 
 def _merge(ms: list[Mult]) -> Mult:
     """The bag union of sorted multisets.  The other bags' elements go into
-    the largest by binary search, so its own elements are not keyed again."""
+    the largest by binary search, so its own elements are not keyed again;
+    an element that is the last one goes at the end, where `insort` puts it."""
     i = max(range(len(ms)), key=lambda j: len(ms[j]))
     out = list(ms[i].elements)
     for j, m in enumerate(ms):
         if j != i:
             for e in m.elements:
-                insort(out, e, key=sort_key)
+                if e is out[-1]:
+                    out.append(e)
+                else:
+                    insort(out, e, key=sort_key)
     return Mult(tuple(out))
 
 
@@ -190,11 +195,14 @@ _TYPE_MARKS = re.compile(r"([\[\],])")
 
 def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
     """Parse surface syntax.  As with `syntax.parse_term`, every call given
-    the same `memo` parses each distinct text once: the whole text, each
-    multiset's text and each multiset element's text are looked up first
-    and stored once they have parsed, and a text the memo holds is not lexed."""
+    the same `memo` parses each distinct text once: the whole text and each
+    multiset's text are looked up first, they and each multiset element's
+    text are stored once they have parsed, and a text the memo holds is not
+    lexed.  Nor is a run `[E,...,E]` of one element text E the memo holds."""
     if memo is not None:
         hit = memo.get(text)
+        if hit is None:
+            hit = _run(text, memo)
         if hit is not None:
             return hit
     toks = _TypeTokens(text, memo)
@@ -204,6 +212,30 @@ def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
     if memo is not None:
         memo[text] = t
     return t
+
+
+def _run(text: str, memo: TypeParseMemo) -> Mult | None:
+    """The multiset a run `[E,...,E]`, one element text E that the memo
+    holds written k times, parses to, stored in the memo; None for any
+    other text.  Only E is scanned: the rest is one string comparison.  The
+    memo holds only texts that parsed, which have no "," outside brackets,
+    so a held E written k times is a run, however E was found."""
+    if text[:1] != "[" or text[-1:] != "]":
+        return None
+    i = text.find(",")
+    e = text[1:i] if i > 0 else text[1:-1]  # the first element, unless that "," lies inside it
+    if e.count("[") != e.count("]"):
+        depth = 0
+        for m in _TYPE_MARKS.finditer(text, 1):
+            if depth == 0 and m.group() != "[":
+                e = text[1:m.start()]
+                break
+            depth += _DEPTH[m.group()]
+    held = memo.get(e)
+    k = (len(text) - 1) // (len(e) + 1)
+    if held is None or "[" + ",".join([e] * k) + "]" != text:
+        return None
+    return memo.setdefault(text, Mult((held,) * k))
 
 
 class _TypeTokens:
@@ -219,7 +251,7 @@ class _TypeTokens:
         i = 0
         if memo is not None:
             self.at = {}
-            for a, b, t in memo_spans(text, _TYPE_MARKS, memo, inner=False):
+            for a, b, t in memo_spans(text, "[]", memo, inner=False):
                 self._lex(i, a)
                 self.hits[len(self.toks)] = t
                 self.toks.append("[")

@@ -276,20 +276,32 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_CONT = _IDENT_START | set("0123456789_'")
 
 
-_PARENS = re.compile(r"([()])")
+_MARKS = {"()": re.compile(r"([()])"), "[]": re.compile(r"([\[\]])")}
 _DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1, ",": 0}
 
 
-def memo_spans(text: str, marks: re.Pattern, memo: dict,
+def memo_spans(text: str, pair: str, memo: dict,
                inner: bool) -> list[tuple[int, int, Any]]:
     """The outermost bracketed parts of text that the memo holds, as
-    (start, end, value) in text order.  `marks` captures one bracket or
-    comma.  With `inner`, a pair is looked up by the text between its
-    brackets; otherwise by its whole text, and on a miss by each of its
-    comma-separated elements' texts.  Nothing inside a hit is looked up."""
-    parts = marks.split(text)
-    if len(parts) == 1:
+    (start, end, value) in text order.  `pair` is the brackets, "()" or
+    "[]".  With `inner`, a pair is looked up by the text between its
+    brackets, otherwise by its whole text.  Nothing inside a hit is looked
+    up.  The text is not split when one lookup settles it: when it has one
+    opening bracket, whose pair ends at the next closing one; or, with
+    `inner`, when the text between the first opening and the last closing
+    bracket is a hit, as the memo holds only texts that parsed, whose
+    brackets balance: then these two are a pair, and the only outermost one."""
+    opener, closer = pair
+    o = text.find(opener)
+    if o < 0:
         return []
+    one = text.find(opener, o + 1) < 0
+    if inner or one:
+        c = text.find(closer, o) if one else text.rfind(closer)
+        hit = memo.get(text[o + 1:c] if inner else text[o:c + 1]) if o < c else None
+        if hit is not None or one:
+            return [] if hit is None else [(o, c + 1, hit)]
+    parts = _MARKS[pair].split(text)
     at = list(accumulate(map(len, parts)))[::2]  # the offset of each mark
     chars = parts[1::2]
     depth = list(accumulate(map(_DEPTH.__getitem__, chars)))  # after each mark
@@ -298,7 +310,7 @@ def memo_spans(text: str, marks: re.Pattern, memo: dict,
     while todo:
         s, j = todo.pop()
         while s < j:
-            if chars[s] not in "([":
+            if chars[s] != opener:
                 s += 1
                 continue
             try:  # a pair closes where the depth first falls back below its open's
@@ -309,20 +321,8 @@ def memo_spans(text: str, marks: re.Pattern, memo: dict,
             hit = memo.get(text[o + 1:c] if inner else text[o:c + 1])
             if hit is not None:
                 spans.append((o, c + 1, hit))
-            elif inner:
-                todo.append((s + 1, e))
             else:
-                a, k = s, s + 1  # the marks before and after an element
-                while a < e:
-                    if chars[k] == "[":
-                        k = depth.index(depth[k] - 1, k + 1) + 1
-                        continue
-                    hit = memo.get(text[at[a] + 1:at[k]])
-                    if hit is not None:
-                        spans.append((at[a] + 1, at[k], hit))
-                    else:
-                        todo.append((a + 1, k))
-                    a, k = k, k + 1
+                todo.append((s + 1, e))
             s = e + 1
     spans.sort(key=itemgetter(0))
     return spans
@@ -338,7 +338,7 @@ class _Tokens:
         self.hits: dict[int, Term] = {}
         i = 0
         if memo is not None:
-            for a, b, t in memo_spans(text, _PARENS, memo, inner=True):
+            for a, b, t in memo_spans(text, "()", memo, inner=True):
                 self._lex(i, a)
                 self.toks.append(("(", "(", a))
                 self.hits[a] = t

@@ -15,6 +15,7 @@ import pytest
 
 from bangcalc.cbn_cbv import embed_cbn
 from bangcalc.cli import main
+from bangcalc.qtypes import parse_type, print_type
 from bangcalc.syntax import print_term
 
 from conftest import church_term
@@ -25,7 +26,9 @@ CHURCH5_CBN = print_term(embed_cbn(church_term(5)))
 CHURCH20 = print_term(church_term(20))
 CHURCH40_CBN = print_term(embed_cbn(church_term(40)))
 CHURCH20_CBN = print_term(embed_cbn(church_term(20)))
-TERMS = {"T0": T0, "church5": CHURCH5, "church20-cbn": CHURCH20_CBN}
+CHURCH80_CBN = print_term(embed_cbn(church_term(80)))
+TERMS = {"T0": T0, "church5": CHURCH5, "church20-cbn": CHURCH20_CBN,
+         "church80-cbn": CHURCH80_CBN}
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -63,15 +66,42 @@ def _deepest(node: dict) -> dict:
     return best
 
 
+def _in_run(obj: dict, how: str) -> None:
+    """Tamper with the middle element of a context run: a context entry
+    whose text is `[E,...,E]`, one element text E written k >= 3 times.
+    The node is the middle one, in pre-order, of the nodes that have such
+    an entry.  `how` is `changed` (that element written as `[E]`),
+    `dropped` (left out) or `duplicated` (written twice)."""
+    found = []
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        for x, text in sorted(node["context"].items()):
+            elems = parse_type(text).elements
+            e = print_type(elems[0])
+            if len(elems) >= 3 and text == "[" + ",".join([e] * len(elems)) + "]":
+                found.append((node, x, e, len(elems)))
+                break
+        stack.extend(reversed(node["premises"]))
+    node, x, e, k = found[len(found) // 2]
+    elems = [e] * k
+    elems[k // 2:k // 2 + 1] = {"changed": [f"[{e}]"], "dropped": [], "duplicated": [e, e]}[how]
+    node["context"][x] = "[" + ",".join(elems) + "]"
+
+
 def tampered(spec: str) -> str:
-    """`system:term[:deepest]`: the machine derivation of the named term
-    in `system` with its last node in pre-order (or its deepest node)
-    given a base type that no rule admits."""
+    """`system:term[:deepest|:run-changed|:run-dropped|:run-duplicated]`:
+    the machine derivation of the named term in `system` with its last node
+    in pre-order (or its deepest node) given a base type that no rule
+    admits, or with one element of a context run tampered (`_in_run`)."""
     system, name, *where = spec.split(":")
     code, out = run(*INFER[system], "--output", "machine", TERMS[name])
     assert code == 0
     obj = json.loads(out)["derivation"]
-    (_deepest if where == ["deepest"] else _last)(obj)["type"] = "o999"
+    if where and where[0].startswith("run-"):
+        _in_run(obj, where[0][4:])
+    else:
+        (_deepest if where == ["deepest"] else _last)(obj)["type"] = "o999"
     return json.dumps(obj)
 
 
@@ -98,6 +128,18 @@ CASES = {
         (1, ("typecheck", "--system", "u", "@u:church20-cbn:deepest")),
     "typecheck --system e deepest-tampered church20-cbn":
         (1, ("typecheck", "--system", "e", "@e:church20-cbn:deepest")),
+    "typecheck --system u run-changed church80-cbn":
+        (1, ("typecheck", "--system", "u", "@u:church80-cbn:run-changed")),
+    "typecheck --system u run-dropped church80-cbn":
+        (1, ("typecheck", "--system", "u", "@u:church80-cbn:run-dropped")),
+    "typecheck --system u run-duplicated church80-cbn":
+        (1, ("typecheck", "--system", "u", "@u:church80-cbn:run-duplicated")),
+    "typecheck --system e run-changed church80-cbn":
+        (1, ("typecheck", "--system", "e", "@e:church80-cbn:run-changed")),
+    "typecheck --system e run-dropped church80-cbn":
+        (1, ("typecheck", "--system", "e", "@e:church80-cbn:run-dropped")),
+    "typecheck --system e run-duplicated church80-cbn":
+        (1, ("typecheck", "--system", "e", "@e:church80-cbn:run-duplicated")),
 }
 
 DIGESTS = {
@@ -116,9 +158,15 @@ DIGESTS = {
     "translate --calculus cbv church20": "eb8a8d2f327f4c2b55a6e9b53f848326082c810c977938f03cede911091bb5f4",
     "translate --calculus cbv church5": "e033721c02dcb0e0e55de9c08fd1585dfe612f1972c91656ea34edb977401291",
     "typecheck --system e deepest-tampered church20-cbn": "ff32bd1e6b08d6ced909b1b5f58f61f162f8fbb40099b31c699d358980ae9034",
+    "typecheck --system e run-changed church80-cbn": "ad9ddda9a4f4658680f8c58fdddfb6b47d474c6454a2d764acd9e265ca516092",
+    "typecheck --system e run-dropped church80-cbn": "ad9ddda9a4f4658680f8c58fdddfb6b47d474c6454a2d764acd9e265ca516092",
+    "typecheck --system e run-duplicated church80-cbn": "ad9ddda9a4f4658680f8c58fdddfb6b47d474c6454a2d764acd9e265ca516092",
     "typecheck --system e tampered T0": "849bcb0352da3e46b55019b10bd3a2020ccea255144f05dfd69528124fad7b55",
     "typecheck --system n tampered church5": "546dbd965068056e6792a2294877ef1303ede5f2cfc3053a17e6e4efa522220b",
     "typecheck --system u deepest-tampered church20-cbn": "9c16b0da85f2ef7b9ea52cd93208f26c9698ccb6e257d62a3eacf7639bd8dadd",
+    "typecheck --system u run-changed church80-cbn": "58841067bcc81d28e5fd45f6d6f2aba2cc2afa680c63ee0ce68f49a84a48cd72",
+    "typecheck --system u run-dropped church80-cbn": "58841067bcc81d28e5fd45f6d6f2aba2cc2afa680c63ee0ce68f49a84a48cd72",
+    "typecheck --system u run-duplicated church80-cbn": "58841067bcc81d28e5fd45f6d6f2aba2cc2afa680c63ee0ce68f49a84a48cd72",
     "typecheck --system u tampered T0": "c4b7801f1bad32363b4af9b34b264344369103c98bcc5565703794c8d5281aa6",
     "typecheck --system v tampered church5": "735991c13bebf20a344e5f50b39daebe4a60c1458c9d9441625082d6c4c787a7",
 }

@@ -15,11 +15,11 @@ from hypothesis import given, strategies as st
 from bangcalc import qtypes
 from bangcalc.gen import generate_corpus
 from bangcalc.qtypes import (
-    _TYPE_MARKS, Arrow, BaseVar, Mult, Tight, TypeParseError, mult, parse_type, print_type,
+    Arrow, BaseVar, Mult, Tight, TypeParseError, mult, parse_type, print_type,
     sort_key,
 )
 from bangcalc.reduction import FuelExhausted
-from bangcalc.syntax import _PARENS, ParseError, memo_spans, parse_term, print_term
+from bangcalc.syntax import ParseError, memo_spans, parse_term, print_term
 from bangcalc.system_u import Untypable, infer_u
 
 # Messages the parsers gave before either took a memo.
@@ -267,15 +267,117 @@ def test_mult_sorts_like_sorted(es, data):
 
 
 # ---------------------------------------------------------------------------
+# Runs: a multiset text that writes one element text k times
+
+RUN_ELEMENTS = ["o0", "a", "[o0]", "[o0] -> o0", "[o0,o1] -> o0", "[n] -> n", "[]",
+                "[[o0] -> o0,[o0] -> o0] -> [o0] -> o0", " o0 "]
+
+
+def run(e, k):
+    return "[" + ",".join([e] * k) + "]"
+
+
+def near_runs(e):
+    """Canonical runs of e, and texts one edit away from one."""
+    texts = [run(e, k) for k in (1, 2, 3, 5)]
+    for i in (0, 2, 4):
+        es = [e] * 5
+        texts += [
+            "[" + ",".join(es[:i] + ["o1"] + es[i + 1:]) + "]",      # changed
+            "[" + ",".join(es[:i] + [f"[{e}]"] + es[i + 1:]) + "]",  # changed
+            "[" + ",".join(es[:i] + [e + " "] + es[i + 1:]) + "]",   # changed spacing
+            "[" + ",".join(es[:i] + es[i + 1:]) + "]",               # dropped
+            "[" + ",".join(es[:i] + [""] + es[i + 1:]) + "]",        # dropped, comma kept
+            "[" + ",".join(es[:i] + [e, "a"] + es[i:]) + "]",        # added
+            "[" + ",".join(es[:i] + [e] + es[i:]) + "]",             # added copy
+        ]
+    texts += [
+        "[" + ", ".join([e] * 3) + "]", "[ " + ",".join([e] * 3) + "]",
+        "[" + ",".join([e] * 3) + " ]", "[" + " , ".join([e] * 3) + "]",
+        run(e, 3)[:-1], run(e, 3)[:-1] + ",", run(e, 3)[:-2], run(e, 3) + "]",
+        run(e, 2) + run(e, 2), "[" + e + " " + e + "]",
+        run(e, 3) + " -> o0", run(e, 3) + " ->", f"[{run(e, 2)} -> o0,{run(e, 2)} -> o0]",
+        run(run(e, 2), 3), run(f"{run(e, 2)} -> a", 4),
+    ]
+    return texts
+
+
+# Messages the type parser gave on malformed near-runs before it took the run path.
+MALFORMED_RUNS = [
+    ("[o0,o0,o0", "unterminated multiset"),
+    ("[o0,o0,o0,", "unexpected end of type"),
+    ("[o0,o0,o", "bad character 'o' in type"),
+    ("[[o0] -> o0,[o0] -> o0,[o0] -> o0]]",
+     "trailing tokens in type '[[o0] -> o0,[o0] -> o0,[o0] -> o0]]'"),
+    ("[[o0] -> o0,[o0] -> o0,[o0] -> o0] ->", "unexpected end of type"),
+    ("[[o0] -> o0,,[o0] -> o0]", "unexpected token ',' in type"),
+    ("[[o0] -> o0,[o0] -> o0,]", "unexpected token ']' in type"),
+    ("[,[o0] -> o0,[o0] -> o0]", "unexpected token ',' in type"),
+    ("[[o0] -> o0 [o0] -> o0]", "unexpected token '[' in multiset"),
+    ("[[o0] -> o0 o1,[o0] -> o0,[o0] -> o0]", "unexpected token 'o1' in multiset"),
+    ("[[o0,o1] -> o0,[o0,o1] -> o0,[o0,o1] -> o0", "unterminated multiset"),
+    ("[[o0,o1] -> o0,[o0,o1] -> o0][[o0,o1] -> o0,[o0,o1] -> o0]",
+     "trailing tokens in type '[[o0,o1] -> o0,[o0,o1] -> o0][[o0,o1] -> o0,[o0,o1] -> o0]'"),
+    ("[[n] -> n,[n] -> n,[n] -> ", "unexpected end of type"),
+    ("[[],[],[", "unexpected end of type"),
+    ("[[] []]", "unexpected token '[' in multiset"),
+    ("[o0 o0]", "unexpected token 'o0' in multiset"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_RUNS)
+def test_malformed_run_messages_are_pinned(text, message):
+    assert outcome(parse_type, text) == ("TypeParseError", message)
+    for e in RUN_ELEMENTS:
+        assert outcome(parse_type, text, {e: parse_type(e)}) == ("TypeParseError", message)
+    for seed in range(4):
+        _, types = seeded_memos(text, seed)
+        assert outcome(parse_type, text, types) == ("TypeParseError", message)
+
+
+@pytest.mark.parametrize("e", RUN_ELEMENTS)
+def test_runs_parse_alike_with_and_without_a_memo(e):
+    held = parse_type(e)
+    for text in near_runs(e):
+        want = outcome(parse_type, text)
+        for memo in ({}, {e: held}, {e: held, "[o0]": parse_type("[o0]")}):
+            assert outcome(parse_type, text, memo) == want, (text, memo)
+            for key, value in memo.items():
+                assert outcome(parse_type, key) == ("ok", value), key
+        for seed in range(3):
+            assert_memo_paths_agree(text, seed)
+
+
+@pytest.mark.parametrize("e", RUN_ELEMENTS)
+def test_a_run_reads_as_copies_of_the_held_element(e):
+    held = parse_type(e)
+    for k in (1, 2, 7):
+        memo = {e: held}
+        got = parse_type(run(e, k), memo)
+        assert got == parse_type(run(e, k))
+        assert len(got) == k and all(x is held for x in got.elements)
+        assert memo[run(e, k)] is got
+        assert parse_type(run(e, k), memo) is got
+
+
+# ---------------------------------------------------------------------------
 # What the lexers skip
 
 def test_memo_spans_are_the_outermost_held_parts():
-    arrow, bag = parse_type("[o0] -> o0"), parse_type("[o0]")
-    held = {"[o0] -> o0": arrow, " [o0]": bag}
-    assert memo_spans("[[o0] -> o0,o1, [o0],[[o0] -> o0]]", _TYPE_MARKS, held, inner=False) == [
-        (1, 11, arrow), (15, 20, bag), (22, 32, arrow)]
-    assert memo_spans("[[o0]] -> [[o0] -> o0]", _TYPE_MARKS, {"[o0]": bag, **held}, inner=False) == [
-        (1, 5, bag), (11, 21, arrow)]
-    fx = parse_term("f x")
-    assert memo_spans("(f x) (g (f x)) ((f x)", _PARENS, {"f x": fx}, inner=True) == [
+    """Types are looked up by a bracketed part's whole text, terms by the
+    text inside a pair of parentheses; element texts are not looked up."""
+    arrow, bag, bags = parse_type("[o0] -> o0"), parse_type("[o0]"), parse_type("[[o0] -> o0]")
+    held = {"[o0] -> o0": arrow, "[o0]": bag, "[[o0] -> o0]": bags}
+    assert memo_spans("[[o0] -> o0,o1, [o0],[[o0] -> o0]]", "[]", held, inner=False) == [
+        (1, 5, bag), (16, 20, bag), (21, 33, bags)]
+    assert memo_spans("[[o0]] -> [[o0] -> o0]", "[]", held, inner=False) == [
+        (1, 5, bag), (10, 22, bags)]
+    assert memo_spans("o0 -> a", "[]", held, inner=False) == []
+    fx, gfx = parse_term("f x"), parse_term("g (f x)")
+    assert memo_spans("(f x) (g (f x)) ((f x)", "()", {"f x": fx}, inner=True) == [
         (0, 5, fx), (9, 14, fx)]
+    # the text between the first "(" and the last ")" is held: one pair
+    assert memo_spans("\\y. h !(g (f x))", "()", {"f x": fx, "g (f x)": gfx}, inner=True) == [
+        (7, 16, gfx)]
+    assert memo_spans(")(f x)", "()", {"f x": fx}, inner=True) == [(1, 6, fx)]
+    assert memo_spans("f x", "()", {"f x": fx}, inner=True) == []

@@ -256,6 +256,77 @@ def test_memo_hits_are_not_lexed(monkeypatch, n):
     assert sum(counts) <= 10 * len(list(_nodes(obj)))
 
 
+@pytest.mark.parametrize("system", "ue")
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_type_memo_hits_are_not_lexed(monkeypatch, system, n):
+    """A bracketed type text the read has already parsed is lexed as one
+    token, and a run of one element text the read has already parsed is
+    not lexed at all, so the type tokens of a read grow with its nodes,
+    not with its text, although each context restates its run in full."""
+    obj = church_json(system, n)
+    counts = []
+
+    class Counted(qtypes._TypeTokens):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(len(self.toks))
+    monkeypatch.setattr(qtypes, "_TypeTokens", Counted)
+    derivation_from_json(obj)
+    assert sum(counts) <= 2 * len(list(_nodes(obj)))
+
+
+def _derivations(d):
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
+def _distinct_types(d):
+    """Every distinct type object of a derivation, and the number of runs
+    of one repeated element object in its multisets."""
+    seen, stack = {}, []
+    for node in _derivations(d):
+        stack += [node.type, *node.context.values()]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if isinstance(t, Mult):
+                stack.extend(t.elements)
+            elif isinstance(t, Arrow):
+                stack += [t.domain, t.codomain]
+    runs = sum(sum(a is not b for a, b in zip(t.elements, t.elements[1:])) + 1
+               for t in seen.values() if isinstance(t, Mult) and t.elements)
+    return len(seen), runs
+
+
+def test_u_check_looks_at_each_run_once(monkeypatch):
+    """Beyond the checker's own calls, one for each node's type and context
+    entry, the tight-constant search makes one call for each distinct type
+    object and each run of one repeated element: the k copies of a church
+    context's element are looked at once, not k times."""
+    d = derivation_from_json(church_json("u", 80))
+    distinct, runs = _distinct_types(d)
+    calls, depth = [], [0]
+    has_tight = qtypes.has_tight_constants
+
+    def counted(t, memo=None):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return has_tight(t, memo)
+        finally:
+            depth[0] -= 1
+    for mod in (qtypes, system_u):
+        monkeypatch.setattr(mod, "has_tight_constants", counted)
+    assert check_derivation_u(d) is None
+    top = sum(1 + len(node.context) for node in _derivations(d))
+    assert calls.count(0) == top
+    assert len(calls) - top <= distinct + runs
+
+
 def test_u_check_looks_into_each_type_object_once(monkeypatch):
     """A read derivation shares its types, context multisets and their
     elements between nodes; the U check looks into each object once for
