@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
     decompose_list, free_vars, is_abs_shaped, is_bang_shaped,
-    is_lambda_term, print_term, subst_meta,
+    is_lambda_term, print_term, spine_core, subst_meta, term_eq,
 )
 from .reduction import (
     Position, RuleKind, Sel, FuelExhausted, Trace, fire_db, fire_spine, normalize,
@@ -43,7 +43,9 @@ def _require_lambda(t: Term) -> None:
 # Strategies
 
 def _is_value_shaped(t: Term) -> bool:
-    return isinstance(decompose_list(t).core, (Var, Abs))
+    """Whether t is L<v> for a value v; on lambda terms, whether its value
+    image is bang-shaped."""
+    return isinstance(spine_core(t), (Var, Abs))
 
 
 def fire_sv(t: Term) -> Term:
@@ -182,49 +184,69 @@ def classify_lambda_nf(t: Term) -> LambdaNfClass:
 
 # ---------------------------------------------------------------------------
 # Embeddings
+#
+# `_cbn` and `_cbv` embed each subterm once for every call given the same
+# `images` (id(term) -> (term, image), as syntax.PrintMemo): a derivation
+# translation embeds many subterms of one term.
+
+Images = dict[int, tuple[Term, Term]]
+
 
 def embed_cbn(t: Term) -> Term:
     _require_lambda(t)
-    return _cbn(t)
+    return _cbn(t, {})
 
 
-def _cbn(t: Term) -> Term:
+def _cbn(t: Term, images: Images) -> Term:
+    hit = images.get(id(t))
+    if hit is not None:
+        return hit[1]
     match t:
         case Var(_):
             return t
         case Abs(x, b):
-            return Abs(x, _cbn(b))
+            image = Abs(x, _cbn(b, images))
         case App(f, a):
-            return App(_cbn(f), Bang(_cbn(a)))
+            image = App(_cbn(f, images), Bang(_cbn(a, images)))
         case Sub(b, x, a):
-            return Sub(_cbn(b), x, Bang(_cbn(a)))
-    raise NotLambdaTerm(print_term(t))
+            image = Sub(_cbn(b, images), x, Bang(_cbn(a, images)))
+        case _:
+            raise NotLambdaTerm(print_term(t))
+    images[id(t)] = (t, image)
+    return image
 
 
 def embed_cbv(t: Term) -> Term:
     _require_lambda(t)
-    return _cbv(t)
+    return _cbv(t, {})
 
 
-def _cbv(t: Term) -> Term:
+def _cbv(t: Term, images: Images) -> Term:
+    hit = images.get(id(t))
+    if hit is not None:
+        return hit[1]
     match t:
         case Var(x):
-            return Bang(Var(x))
+            image = Bang(Var(x))
         case Abs(x, b):
-            return Bang(Abs(x, _cbv(b)))
+            image = Bang(Abs(x, _cbv(b, images)))
         case App(f, a):
-            cf = _cbv(f)
+            cf = _cbv(f, images)
             if is_bang_shaped(cf):
                 dec = decompose_list(cf)
                 assert isinstance(dec.core, Bang)
                 head = dec.core.body
                 for binder, arg in reversed(dec.spine):
                     head = Sub(head, binder, arg)
-                return App(head, _cbv(a))
-            return App(Der(cf), _cbv(a))
+                image = App(head, _cbv(a, images))
+            else:
+                image = App(Der(cf), _cbv(a, images))
         case Sub(b, x, a):
-            return Sub(_cbv(b), x, _cbv(a))
-    raise NotLambdaTerm(print_term(t))
+            image = Sub(_cbv(b, images), x, _cbv(a, images))
+        case _:
+            raise NotLambdaTerm(print_term(t))
+    images[id(t)] = (t, image)
+    return image
 
 
 def unbang_value(v: Term) -> Term:
@@ -478,24 +500,32 @@ def size_v(d: Derivation) -> int:
 # ---------------------------------------------------------------------------
 # Derivation translations
 
+# Each translation to U embeds the subterms that its bg nodes need on its
+# own, so that `mk_bg` compares the premise subjects with images that were
+# not built from them.
+
 def translate_n_to_u(d: Derivation) -> Derivation:
+    return _n_to_u(d, {})
+
+
+def _n_to_u(d: Derivation, images: Images) -> Derivation:
     match d.rule:
         case "ax_n":
             assert isinstance(d.subject, Var)
             return mk_ax(d.subject.name, d.type)
         case "abs_n":
             assert isinstance(d.subject, Abs)
-            return mk_abs(d.subject.binder, translate_n_to_u(d.premises[0]))
+            return mk_abs(d.subject.binder, _n_to_u(d.premises[0], images))
         case "app_n":
             assert isinstance(d.subject, App)
-            d_f = translate_n_to_u(d.premises[0])
-            args = tuple(translate_n_to_u(p) for p in d.premises[1:])
-            return mk_app(d_f, mk_bg(embed_cbn(d.subject.arg), args))
+            d_f = _n_to_u(d.premises[0], images)
+            args = tuple(_n_to_u(p, images) for p in d.premises[1:])
+            return mk_app(d_f, mk_bg(_cbn(d.subject.arg, images), args))
         case "es_n":
             assert isinstance(d.subject, Sub)
-            d_b = translate_n_to_u(d.premises[0])
-            args = tuple(translate_n_to_u(p) for p in d.premises[1:])
-            return mk_es(d.subject.binder, d_b, mk_bg(embed_cbn(d.subject.arg), args))
+            d_b = _n_to_u(d.premises[0], images)
+            args = tuple(_n_to_u(p, images) for p in d.premises[1:])
+            return mk_es(d.subject.binder, d_b, mk_bg(_cbn(d.subject.arg, images), args))
     raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
 
 
@@ -504,7 +534,7 @@ class ImageMismatch(ValueError):
 
 
 def translate_u_to_n(d: Derivation, t: Term) -> Derivation:
-    if d.subject != embed_cbn(t):
+    if not term_eq(d.subject, embed_cbn(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
     return _u_to_n(d, t)
 
@@ -546,6 +576,10 @@ def _rebang(d: Derivation) -> Derivation:
 
 
 def translate_v_to_u(d: Derivation) -> Derivation:
+    return _v_to_u(d, {})
+
+
+def _v_to_u(d: Derivation, images: Images) -> Derivation:
     match d.rule:
         case "ax_v":
             assert isinstance(d.subject, Var) and isinstance(d.type, Mult)
@@ -554,25 +588,25 @@ def translate_v_to_u(d: Derivation) -> Derivation:
         case "abs_v":
             assert isinstance(d.subject, Abs)
             x = d.subject.binder
-            body_image = embed_cbv(d.subject.body)
-            premises = tuple(mk_abs(x, translate_v_to_u(p)) for p in d.premises)
+            body_image = _cbv(d.subject.body, images)
+            premises = tuple(mk_abs(x, _v_to_u(p, images)) for p in d.premises)
             return mk_bg(Abs(x, body_image), premises)
         case "app_v":
             assert isinstance(d.subject, App)
-            d_f = translate_v_to_u(d.premises[0])
-            d_a = translate_v_to_u(d.premises[1])
-            if is_bang_shaped(embed_cbv(d.subject.fun)):
+            d_f = _v_to_u(d.premises[0], images)
+            d_a = _v_to_u(d.premises[1], images)
+            if _is_value_shaped(d.subject.fun):
                 return mk_app(fire_spine_d(d_f, frozenset(), _unbang), d_a)
             return mk_app(mk_dr(d_f), d_a)
         case "es_v":
             assert isinstance(d.subject, Sub)
-            return mk_es(d.subject.binder, translate_v_to_u(d.premises[0]),
-                         translate_v_to_u(d.premises[1]))
+            return mk_es(d.subject.binder, _v_to_u(d.premises[0], images),
+                         _v_to_u(d.premises[1], images))
     raise IllFormed(f"not a call-by-value rule: {d.rule!r}")
 
 
 def translate_u_to_v(d: Derivation, t: Term) -> Derivation:
-    if d.subject != embed_cbv(t):
+    if not term_eq(d.subject, embed_cbv(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
     return _u_to_v(d, t)
 
@@ -599,7 +633,7 @@ def _u_to_v(d: Derivation, t: Term) -> Derivation:
         case App(f, a):
             if d.rule != "app":
                 raise ImageMismatch("expected an application node")
-            if is_bang_shaped(embed_cbv(f)):
+            if _is_value_shaped(f):
                 d_f = _u_to_v(fire_spine_d(d.premises[0], frozenset(), _rebang), f)
             else:
                 if d.premises[0].rule != "dr":

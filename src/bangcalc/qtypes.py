@@ -64,19 +64,25 @@ def sort_key(t: Type):
     raise TypeError(t)
 
 
-def mult(elements) -> Mult:
-    """The multiset of elements, sorted.  Elements already in order, as
-    `print_type` writes them, are kept: adjacent elements that are one
-    object are not keyed, and `sorted` runs only on a pair out of order."""
-    es = tuple(elements)
+def is_sorted(types) -> bool:
+    """Whether the sequence of types is in `sort_key` order.  Adjacent types
+    that are equal are not keyed, and each other type once."""
     key = None  # the key of the pair's first element, once computed
-    for a, b in zip(es, es[1:]):
-        if a is not b:
+    for a, b in zip(types, types[1:]):
+        if a is not b and a != b:  # equal types have one key
             a_key = sort_key(a) if key is None else key
             key = sort_key(b)
             if key < a_key:
-                return Mult(tuple(sorted(es, key=sort_key)))
-    return Mult(es)
+                return False
+    return True
+
+
+def mult(elements) -> Mult:
+    """The multiset of elements, sorted.  Elements already in order, as
+    `print_type` writes them, are kept, and `sorted` runs only on a pair
+    out of order."""
+    es = tuple(elements)
+    return Mult(es if is_sorted(es) else tuple(sorted(es, key=sort_key)))
 
 
 EMPTY_MULT = mult([])
@@ -121,6 +127,9 @@ def ctx_get(ctx: Context, x: str) -> Mult:
 
 
 def ctx_union(*ctxs: Context) -> Context:
+    live = [ctx for ctx in ctxs if ctx]
+    if len(live) <= 1 and all(m.elements for ctx in live for m in ctx.values()):
+        return live[0] if live else {}  # nothing to merge, nothing to drop
     names: dict[str, list[Mult]] = {}
     for ctx in ctxs:
         for x, m in ctx.items():
@@ -132,15 +141,17 @@ def ctx_union(*ctxs: Context) -> Context:
 
 def _merge(ms: list[Mult]) -> Mult:
     """The bag union of sorted multisets.  The other bags' elements go into
-    the largest by binary search, so its own elements are not keyed again;
-    an element that is the last one goes at the end, where `insort` puts it."""
+    the largest by binary search, so its own elements are not keyed again.
+    An element equal to the last one goes at the end, where `insort` puts
+    it, as that last object: a run stays one object and is not keyed."""
     i = max(range(len(ms)), key=lambda j: len(ms[j]))
     out = list(ms[i].elements)
     for j, m in enumerate(ms):
         if j != i:
             for e in m.elements:
-                if e is out[-1]:
-                    out.append(e)
+                last = out[-1]
+                if e is last or e == last:
+                    out.append(last)
                 else:
                     insort(out, e, key=sort_key)
     return Mult(tuple(out))
@@ -173,8 +184,13 @@ def print_type(t: Type, memo: TypeMemo | None = None) -> str:
             return f"o{i}"
         case Tight(c):
             return c
-        case Mult(elems):
-            text = "[" + ",".join(print_type(e, memo) for e in elems) + "]"
+        case Mult(elems):  # a run of one element object is printed once
+            texts, before = [], None
+            for e in elems:
+                if e is not before:
+                    e_text, before = print_type(e, memo), e
+                texts.append(e_text)
+            text = "[" + ",".join(texts) + "]"
         case Arrow(dom, cod):
             text = f"{print_type(dom, memo)} -> {print_type(cod, memo)}"
         case _:

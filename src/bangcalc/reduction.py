@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Callable
 
 from .syntax import (
@@ -234,8 +235,12 @@ def _bits_to_class(ne: bool, na: bool, nb: bool) -> NfClass:
     return NfClass(frozenset(name for name, bit in bits if bit), na or nb)
 
 
+# (ne, na, nb) -> its class: the eight classes, built once
+_CLASSES = {bits: _bits_to_class(*bits) for bits in product((False, True), repeat=3)}
+
+
 def classify_nf(t: Term) -> NfClass:
-    return _bits_to_class(*_nf_bits(t))
+    return _CLASSES[_nf_bits(t)]
 
 
 def _wcf_bits(t: Term) -> tuple[bool, bool, bool]:
@@ -264,7 +269,7 @@ def _wcf_bits(t: Term) -> tuple[bool, bool, bool]:
 
 def classify_wcf_nf(t: Term) -> NfClass:
     """Membership in the weak clash-free normal grammars."""
-    return _bits_to_class(*_wcf_bits(t))
+    return _CLASSES[_wcf_bits(t)]
 
 
 # ---------------------------------------------------------------------------

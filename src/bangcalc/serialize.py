@@ -67,17 +67,22 @@ def dump_records(records: list[dict[str, Any]]) -> str:
 def derivation_to_json(d: Derivation | DerivationE) -> dict[str, Any]:
     # A node's subject is built from its premises' subjects, and its types
     # and context entries are mostly its premises' too: print each node once.
-    return _derivation_json(d, {}, {})
+    # Nodes share context dicts too: print each dict once.
+    return _derivation_json(d, {}, {}, {})
 
 
-def _derivation_json(d: Derivation | DerivationE, terms: PrintMemo,
-                     types: TypeMemo) -> dict[str, Any]:
+def _derivation_json(d: Derivation | DerivationE, terms: PrintMemo, types: TypeMemo,
+                     contexts: dict[int, tuple[dict, dict[str, str]]]) -> dict[str, Any]:
+    hit = contexts.get(id(d.context))
+    if hit is None:
+        hit = contexts[id(d.context)] = (d.context, {
+            x: print_type(m, types) for x, m in sorted(d.context.items())})
     obj: dict[str, Any] = {
         "rule": d.rule,
-        "context": {x: print_type(m, types) for x, m in sorted(d.context.items())},
+        "context": dict(hit[1]),  # a dict of its own, which a caller may change
         "term": print_term(d.subject, terms),
         "type": print_type(d.type, types),
-        "premises": [_derivation_json(p, terms, types) for p in d.premises],
+        "premises": [_derivation_json(p, terms, types, contexts) for p in d.premises],
     }
     if isinstance(d, DerivationE):
         obj["counters"] = list(d.counters)

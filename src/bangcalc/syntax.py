@@ -170,6 +170,26 @@ def canon_key(t: Term):
     return _canon(t, {}, 0)
 
 
+def term_eq(t: Term, u: Term) -> bool:
+    """t == u, walked with an explicit stack so that a deep term does not
+    exhaust the interpreter's; subterms that are one object are not walked."""
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for name in a.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, str):
+                if x != y:
+                    return False
+            else:
+                stack.append((x, y))
+    return True
+
+
 def alpha_eq(t: Term, u: Term) -> bool:
     return t == u or canon_key(t) == canon_key(u)
 
@@ -233,16 +253,23 @@ def decompose_list(t: Term) -> ListDecomposition:
     return ListDecomposition(tuple(spine), t)
 
 
+def spine_core(t: Term) -> Term:
+    """The core of t's closure spine: `decompose_list(t).core`."""
+    while isinstance(t, Sub):
+        t = t.body
+    return t
+
+
 def shape_of(t: Term) -> ShapeClass:
-    return decompose_list(t).shape
+    return shape_of_core(spine_core(t))
 
 
 def is_abs_shaped(t: Term) -> bool:
-    return shape_of(t) is ShapeClass.ABS
+    return isinstance(spine_core(t), Abs)
 
 
 def is_bang_shaped(t: Term) -> bool:
-    return shape_of(t) is ShapeClass.BANG
+    return isinstance(spine_core(t), Bang)
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,12 @@ from .reduction import (
 from .qtypes import (
     Arrow, Context, Mult, Tight, Type,
     TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
-    ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, mult,
-    print_type, sort_key,
+    ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, mult, print_type,
 )
 from .system_u import (
     Untypable, Violation, IllFormed, NotTypableNormalForm,
     antisubst_derivation, check_with, expand_derivation, infer_with,
-    reduce_derivation, register, replay, subst_derivation,
+    reduce_derivation, register, replay, sort_by_type, subst_derivation,
 )
 
 Counters = tuple[int, int, int]
@@ -102,7 +101,7 @@ def mk_bg_d(body: Term, premises: tuple[DerivationE, ...]) -> DerivationE:
         if p.subject != body:
             raise IllFormed("bg_d premises must all type the bang body")
     # sorted by type, so their types make a multiset as they stand
-    premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
+    premises = sort_by_type(premises)
     b, e, s = _add(*(p.counters for p in premises)) if premises else (0, 0, 0)
     return DerivationE("bg_d", ctx_union(*(p.context for p in premises)), Bang(body),
                        Mult(tuple(p.type for p in premises)), (b, e + 1, s), premises)

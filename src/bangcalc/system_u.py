@@ -34,7 +34,8 @@ from .reduction import (
 )
 from .qtypes import (
     Arrow, Context, Mult, Type, EMPTY_MULT, OMEGA,
-    ctx_get, ctx_remove, ctx_union, has_tight_constants, mult, print_type, sort_key,
+    ctx_get, ctx_remove, ctx_union, has_tight_constants, is_sorted, mult, print_type,
+    sort_key,
 )
 
 
@@ -91,9 +92,16 @@ def mk_bg(body: Term, premises: tuple[Derivation, ...]) -> Derivation:
         if p.subject != body:
             raise IllFormed("bg premises must all type the bang body")
     # sorted by type, so their types make a multiset as they stand
-    premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
+    premises = sort_by_type(premises)
     return Derivation("bg", ctx_union(*(p.context for p in premises)),
                       Bang(body), Mult(tuple(p.type for p in premises)), premises)
+
+
+def sort_by_type(premises: tuple) -> tuple:
+    """The premises, stably sorted by type; keyed only when out of order."""
+    if is_sorted([p.type for p in premises]):
+        return premises
+    return tuple(sorted(premises, key=lambda p: sort_key(p.type)))
 
 
 def mk_dr(d_b: Derivation) -> Derivation:

@@ -1,0 +1,331 @@
+"""The write path of inference: merging, sorting and printing that handle a
+run of one element once, translations that embed each subterm once, and
+classification helpers that allocate nothing.  Each fast path is checked
+against a plain reference kept here, and its work is counted."""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bangcalc import cbn_cbv, qtypes, reduction, syntax, system_e, system_u
+from bangcalc.cbn_cbv import (
+    ImageMismatch, _is_value_shaped, check_derivation_n, check_derivation_v, embed_cbn,
+    embed_cbv, fire_spine_d, infer_n, infer_v, mk_abs_v, mk_ax_v, translate_n_to_u,
+    translate_u_to_n, translate_u_to_v, translate_v_to_u,
+)
+from bangcalc.gen import generate_corpus, rand_bang_term, rand_lambda_term
+from bangcalc.qtypes import (
+    Arrow, BaseVar, Mult, Tight, ctx_union, mult, parse_type, print_type, sort_key,
+)
+from bangcalc.reduction import classify_nf, classify_wcf_nf
+from bangcalc.syntax import (
+    Abs, App, ShapeClass, Var, decompose_list, is_abs_shaped, is_bang_shaped, shape_of, term_eq,
+)
+from bangcalc.system_u import (
+    Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+)
+
+from conftest import bang_terms, church_term
+
+FUEL = 200
+
+
+# ---------------------------------------------------------------------------
+# Types and contexts
+
+def _copy(t):
+    """An equal type that shares no object with t."""
+    return parse_type(print_type(t))
+
+
+def types():
+    leaf = st.one_of(st.builds(BaseVar, st.integers(0, 2)),
+                     st.sampled_from([Tight("a"), Tight("b"), Tight("n")]))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.lists(sub, max_size=3).map(mult),
+            st.builds(Arrow, st.lists(sub, max_size=3).map(mult), sub)),
+        max_leaves=5)
+
+
+def multisets():
+    """Sorted multisets with runs of one object, runs of equal but distinct
+    objects, and single elements."""
+    run = st.tuples(types(), st.integers(1, 3), st.booleans()).map(
+        lambda r: [r[0] if r[2] else _copy(r[0]) for _ in range(r[1])])
+    return st.lists(run, max_size=3).map(lambda runs: mult(e for r in runs for e in r))
+
+
+def contexts():
+    return st.dictionaries(st.sampled_from("xyz"), multisets(), max_size=3)
+
+
+def ref_ctx_union(*ctxs):
+    names = {}
+    for ctx in ctxs:
+        for x, m in ctx.items():
+            names.setdefault(x, []).extend(m.elements)
+    return {x: Mult(tuple(sorted(es, key=sort_key))) for x, es in names.items() if es}
+
+
+@given(st.lists(contexts(), max_size=4))
+def test_ctx_union_matches_the_reference(ctxs):
+    out = ctx_union(*ctxs)
+    assert out == ref_ctx_union(*ctxs)
+    assert all(m.elements and list(m.elements) == sorted(m.elements, key=sort_key)
+               for m in out.values())
+
+
+@given(contexts(), st.integers(0, 3))
+def test_ctx_union_returns_a_lone_context_as_it_is(ctx, empties):
+    out = ctx_union(*[{}] * empties, ctx, *[{}] * empties)
+    assert out == ref_ctx_union(ctx)
+    if all(m.elements for m in ctx.values()):
+        assert out is ctx or not ctx
+
+
+def test_ctx_union_drops_empty_entries():
+    a = parse_type("[o0]")
+    assert ctx_union() == {} and ctx_union({}, {}) == {}
+    assert ctx_union({"x": mult([]), "y": a}) == {"y": a}
+    assert ctx_union({"x": mult([])}, {}) == {}
+    assert ctx_union({"x": mult([])}, {"x": a}) == {"x": a}
+
+
+@given(st.lists(multisets().filter(len), min_size=2, max_size=4))
+def test_merge_matches_sorting(ms):
+    out = qtypes._merge(ms)
+    assert out == mult(sorted((e for m in ms for e in m.elements), key=sort_key))
+
+
+def test_merge_keeps_a_run_of_equal_elements_as_one_object():
+    arrow = parse_type("[o0] -> o0")
+    out = qtypes._merge([Mult((arrow, arrow)), Mult((_copy(arrow),)), Mult((_copy(arrow),))])
+    assert out == Mult((arrow,) * 4) and all(e is arrow for e in out.elements)
+
+
+def ref_print_type(t):
+    match t:
+        case BaseVar(i):
+            return f"o{i}"
+        case Tight(c):
+            return c
+        case Mult(elems):
+            return "[" + ",".join(ref_print_type(e) for e in elems) + "]"
+        case Arrow(dom, cod):
+            return f"{ref_print_type(dom)} -> {ref_print_type(cod)}"
+    raise TypeError(t)
+
+
+@given(st.lists(multisets(), max_size=3), st.booleans())
+def test_run_print_matches_the_elementwise_join(ms, shared):
+    memo = {} if shared else None
+    for m in ms:
+        # unsorted and interleaved element objects too, built directly
+        for t in (m, Mult(m.elements[::-1]), Mult(m.elements + m.elements),
+                  Arrow(m, m)):
+            assert print_type(t, memo) == ref_print_type(t)
+
+
+def test_bg_keys_no_premise_equal_to_its_neighbour(monkeypatch):
+    a, b = mk_ax("x", parse_type("[o0] -> o0")), mk_ax("x", parse_type("o1"))
+    a2 = mk_ax("x", _copy(a.type))
+    calls = _count(monkeypatch, qtypes, "sort_key", keep=True)
+    in_order = mk_bg(Var("x"), (b, a, a2))
+    assert calls and not any(c is a2.type for c in calls)
+    assert in_order.premises == (b, a, a2)
+    assert in_order.type == parse_type("[o1,[o0] -> o0,[o0] -> o0]")
+    assert mk_bg(Var("x"), (a, b, a2)).premises == (b, a, a2)
+
+
+# ---------------------------------------------------------------------------
+# Terms: shapes, classes and equality
+
+SHAPE_CORPUS = [rand_bang_term(random.Random(seed), size)
+                for seed in range(40) for size in range(1, 16)]
+
+
+def test_shape_helpers_match_the_list_decomposition():
+    for t in SHAPE_CORPUS:
+        shape = decompose_list(t).shape
+        assert shape_of(t) is shape
+        assert is_abs_shaped(t) is (shape is ShapeClass.ABS)
+        assert is_bang_shaped(t) is (shape is ShapeClass.BANG)
+
+
+def test_classes_are_the_eight_prebuilt_values():
+    prebuilt = list(reduction._CLASSES.values())
+    assert len({id(c) for c in prebuilt}) == len(set(prebuilt)) == 8
+    for t in SHAPE_CORPUS:
+        for classify, bits in ((classify_nf, reduction._nf_bits),
+                               (classify_wcf_nf, reduction._wcf_bits)):
+            cls = classify(t)
+            assert cls == reduction._bits_to_class(*bits(t))
+            assert any(cls is c for c in prebuilt)
+
+
+@given(bang_terms(), bang_terms())
+def test_term_eq_matches_dataclass_equality(t, u):
+    assert term_eq(t, u) is (t == u)
+    assert term_eq(t, syntax.parse_term(syntax.print_term(t)))
+
+
+def test_term_eq_walks_terms_too_deep_for_recursion():
+    t, u = church_term(5000), church_term(5000)
+    assert term_eq(t, u) and not term_eq(t, church_term(4999))
+
+
+def test_value_shape_is_the_bang_shape_of_the_value_image():
+    rng = random.Random(5)
+    for _ in range(600):
+        f = rand_lambda_term(rng, rng.randint(1, 12))
+        assert _is_value_shaped(f) is is_bang_shaped(embed_cbv(f))
+
+
+# ---------------------------------------------------------------------------
+# Translations, against the reference that embeds at every node
+
+def _unbang(d):
+    assert d.rule == "bg" and len(d.premises) == 1
+    return d.premises[0]
+
+
+def ref_translate_n_to_u(d):
+    match d.rule:
+        case "ax_n":
+            return mk_ax(d.subject.name, d.type)
+        case "abs_n":
+            return mk_abs(d.subject.binder, ref_translate_n_to_u(d.premises[0]))
+        case "app_n" | "es_n":
+            head = ref_translate_n_to_u(d.premises[0])
+            arg = mk_bg(embed_cbn(d.subject.arg),
+                        tuple(ref_translate_n_to_u(p) for p in d.premises[1:]))
+            if d.rule == "app_n":
+                return mk_app(head, arg)
+            return mk_es(d.subject.binder, head, arg)
+    raise AssertionError(d.rule)
+
+
+def ref_translate_v_to_u(d):
+    match d.rule:
+        case "ax_v":
+            x = d.subject.name
+            return mk_bg(Var(x), tuple(mk_ax(x, ty) for ty in d.type.elements))
+        case "abs_v":
+            x = d.subject.binder
+            premises = tuple(mk_abs(x, ref_translate_v_to_u(p)) for p in d.premises)
+            return mk_bg(embed_cbv(d.subject).body, premises)
+        case "app_v":
+            d_f = ref_translate_v_to_u(d.premises[0])
+            d_a = ref_translate_v_to_u(d.premises[1])
+            if is_bang_shaped(embed_cbv(d.subject.fun)):
+                return mk_app(fire_spine_d(d_f, frozenset(), _unbang), d_a)
+            return mk_app(mk_dr(d_f), d_a)
+        case "es_v":
+            return mk_es(d.subject.binder, ref_translate_v_to_u(d.premises[0]),
+                         ref_translate_v_to_u(d.premises[1]))
+    raise AssertionError(d.rule)
+
+
+TRANSLATION_CORPUS = generate_corpus(3, 12, 200, lam=True) + [church_term(5)]
+
+
+def test_translations_match_the_reference():
+    done = {"n": 0, "v": 0}
+    for t in TRANSLATION_CORPUS:
+        for system, infer, to_u, ref, back in (
+                ("n", infer_n, translate_n_to_u, ref_translate_n_to_u, translate_u_to_n),
+                ("v", infer_v, translate_v_to_u, ref_translate_v_to_u, translate_u_to_v)):
+            d = infer(t, FUEL)
+            if not isinstance(d, Derivation):
+                continue
+            image = to_u(d)
+            assert image == ref(d)
+            assert check_derivation_u(image) is None
+            assert back(image, t) == d
+            done[system] += 1
+    assert done["n"] > 100 and done["v"] > 100
+
+
+def test_translations_still_check_premise_subjects():
+    good = mk_abs_v("x", Var("x"), (mk_ax_v("x", mult([BaseVar(0)])),))
+    assert check_derivation_v(good) is None and translate_v_to_u(good)
+    # the body image is embedded from the subject, not taken from a premise
+    bad = Derivation("abs_v", good.context, Abs("x", Var("y")), good.type, good.premises)
+    with pytest.raises(IllFormed, match="bg premises"):
+        translate_v_to_u(bad)
+    app = infer_n(syntax.parse_term(r"(\x. x) y"), FUEL)
+    bad = Derivation("app_n", app.context, App(Var("f"), Var("z")), app.type, app.premises)
+    with pytest.raises(IllFormed, match="bg premises"):
+        translate_n_to_u(bad)
+
+
+def test_a_deep_translation_to_n():
+    # The subject check compared the image with the recursive dataclass
+    # equality, which overflowed at church(320) although infer_u succeeds.
+    d = infer_n(church_term(320), 100_000)
+    assert isinstance(d, Derivation) and check_derivation_n(d) is None
+
+
+@pytest.mark.parametrize("embed, back, n", [
+    (embed_cbn, translate_u_to_n, 5), (embed_cbn, translate_u_to_n, 320),
+    (embed_cbv, translate_u_to_v, 5), (embed_cbv, translate_u_to_v, 80)])
+def test_a_mismatched_subject_raises_image_mismatch(embed, back, n):
+    t = church_term(n)
+    d = infer_u(embed(t), 100_000)
+    assert isinstance(back(d, t), Derivation)
+    for other in (church_term(n - 1), church_term(n + 1)):
+        with pytest.raises(ImageMismatch):
+            back(d, other)
+
+
+# ---------------------------------------------------------------------------
+# Work counts; each fails at the parent of this change
+
+def _count(monkeypatch, module, name, keep=False):
+    """The calls of module.name, recursive ones included, wherever bangcalc
+    has imported it; with `keep`, each call's first argument."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0] if keep else None)
+        return orig(*args)
+    for mod in (module, cbn_cbv, system_e, system_u):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_inference_keys_few_types(monkeypatch):
+    # 2,316 sort_key calls (recursive ones included) before runs were merged
+    # and premises sorted without keys; the equal [o0] -> o0 arrows of the
+    # s! anti-substitution made almost all of them.
+    t = embed_cbn(church_term(80))
+    calls = _count(monkeypatch, qtypes, "sort_key")
+    infer_u(t, 10_000)
+    assert len(calls) <= 231
+
+
+def _nodes(t):
+    stack, n = [t], 0
+    while stack:
+        t = stack.pop()
+        n += 1
+        stack.extend(x for x in vars(t).values() if not isinstance(x, (str, frozenset)))
+    return n
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_each_translation_embeds_each_subterm_once(monkeypatch, n):
+    # Three embeddings of church(n): the inference's, the subject check's
+    # and the translation's.  Embedding each bg node's term afresh made
+    # 398/758/1,478 _cbv calls (CBV) and 499/1,779/6,739 _cbn calls (CBN).
+    t = church_term(n)
+    for system, walk, infer, to_u in (("v", "_cbv", infer_v, translate_v_to_u),
+                                      ("n", "_cbn", infer_n, translate_n_to_u)):
+        calls = _count(monkeypatch, cbn_cbv, walk)
+        to_u(infer(t, 10_000))
+        assert len(calls) <= 4 * _nodes(t), system
