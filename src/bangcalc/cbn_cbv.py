@@ -21,12 +21,10 @@ from .syntax import (
 from .reduction import (
     Position, RuleKind, Sel, FuelExhausted, Trace, fire_db, fire_spine, normalize,
 )
-from .qtypes import (
-    Arrow, Mult, Type, ctx_get, ctx_remove, ctx_union, mult,
-)
+from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
-    Derivation, IllFormed, Untypable, Violation, check_with, fire_spine_d,
-    infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+    RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax, check_derivation, define,
+    es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, sizer,
 )
 
 
@@ -288,213 +286,95 @@ def v_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 # Systems N and V (reusing the plain Derivation nodes with their own tags)
 
-def mk_ax_n(x: str, ty: Type) -> Derivation:
-    return Derivation("ax_n", {x: mult([ty])}, Var(x), ty)
-
-
-def mk_abs_n(x: str, d_b: Derivation) -> Derivation:
-    return Derivation("abs_n", ctx_remove(d_b.context, x), Abs(x, d_b.subject),
-                      Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
-
-
-def mk_app_n(d_f: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> Derivation:
+def app_n(tag: str, d_f: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> tuple:
     """The argument term is explicit because it may be typed zero times."""
     if not isinstance(d_f.type, Arrow):
-        raise IllFormed("app_n function must have an arrow type")
+        raise IllFormed("app_n function premise must have an arrow type")
+    _all_type(tag, arg, d_args)
     if d_f.type.domain != mult(d.type for d in d_args):
         raise IllFormed("app_n argument premises must realize the arrow domain")
-    for d in d_args:
-        if d.subject != arg:
-            raise IllFormed("app_n argument premises must type the argument")
-    return Derivation("app_n", ctx_union(d_f.context, *(d.context for d in d_args)),
-                      App(d_f.subject, arg), d_f.type.codomain, (d_f,) + tuple(d_args))
+    return (ctx_union(d_f.context, *(d.context for d in d_args)), App(d_f.subject, arg),
+            d_f.type.codomain, (d_f, *d_args))
 
 
-def mk_es_n(x: str, d_b: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> Derivation:
+def es_n(tag: str, x: str, d_b: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> tuple:
+    _all_type(tag, arg, d_args)
     if ctx_get(d_b.context, x) != mult(d.type for d in d_args):
-        raise IllFormed("es_n argument premises must realize the multiset of x")
+        raise IllFormed("es_n argument premises must realize the multiset of the bound name")
+    return (ctx_union(ctx_remove(d_b.context, x), *(d.context for d in d_args)),
+            Sub(d_b.subject, x, arg), d_b.type, (d_b, *d_args))
+
+
+def _all_type(tag: str, arg: Term, d_args: tuple[Derivation, ...]) -> None:
     for d in d_args:
-        if d.subject != arg:
-            raise IllFormed("es_n argument premises must type the argument")
-    return Derivation("es_n", ctx_union(ctx_remove(d_b.context, x), *(d.context for d in d_args)),
-                      Sub(d_b.subject, x, arg), d_b.type, (d_b,) + tuple(d_args))
+        if d.subject is not arg and not term_eq(d.subject, arg):
+            raise IllFormed(f"{tag} argument premises must type the argument")
 
 
-def mk_ax_v(x: str, m: Mult) -> Derivation:
-    ctx = {x: m} if m.elements else {}
-    return Derivation("ax_v", ctx, Var(x), m)
+def ax_v(tag: str, x: str, m: Mult) -> tuple:
+    if not isinstance(m, Mult):
+        raise IllFormed("ax_v must conclude a multiset type")
+    return {x: m} if m.elements else {}, Var(x), m, ()
 
 
-def mk_abs_v(x: str, body: Term, premises: tuple[Derivation, ...]) -> Derivation:
+def abs_v(tag: str, x: str, body: Term, premises: tuple[Derivation, ...]) -> tuple:
     arrows = []
     for p in premises:
-        if p.subject != body:
+        if p.subject is not body and not term_eq(p.subject, body):
             raise IllFormed("abs_v premises must type the body")
         arrows.append(Arrow(ctx_get(p.context, x), p.type))
-    return Derivation("abs_v", ctx_union(*(ctx_remove(p.context, x) for p in premises)),
-                      Abs(x, body), mult(arrows), tuple(premises))
+    return (ctx_union(*(ctx_remove(p.context, x) for p in premises)), Abs(x, body),
+            mult(arrows), tuple(premises))
 
 
-def mk_app_v(d_f: Derivation, d_a: Derivation) -> Derivation:
+def app_v(tag: str, d_f: Derivation, d_a: Derivation) -> tuple:
     ft = d_f.type
     if not isinstance(ft, Mult) or len(ft) != 1 or not isinstance(ft.elements[0], Arrow):
-        raise IllFormed("app_v function must be typed by a singleton arrow multiset")
+        raise IllFormed("app_v function premise must be a singleton arrow multiset")
     arrow = ft.elements[0]
     if d_a.type != arrow.domain:
-        raise IllFormed("app_v argument must match the arrow domain")
-    return Derivation("app_v", ctx_union(d_f.context, d_a.context),
-                      App(d_f.subject, d_a.subject), arrow.codomain, (d_f, d_a))
+        raise IllFormed("app_v argument premise must match the arrow domain")
+    return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
+            arrow.codomain, (d_f, d_a))
 
 
-def mk_es_v(x: str, d_b: Derivation, d_a: Derivation) -> Derivation:
-    if d_a.type != ctx_get(d_b.context, x):
-        raise IllFormed("es_v argument type must equal the multiset of the bound name")
-    return Derivation("es_v", ctx_union(ctx_remove(d_b.context, x), d_a.context),
-                      Sub(d_b.subject, x, d_a.subject), d_b.type, (d_b, d_a))
-
-
-def _check_node_n(d: Derivation) -> str | None:
-    if type(d) is not Derivation:
-        return "system N nodes must not carry counters"
-    ps = d.premises
-    for m in d.context.values():
-        if not m.elements:
-            return "context stores an empty multiset entry"
-    match d.rule:
-        case "ax_n":
-            if not isinstance(d.subject, Var) or ps:
-                return "ax_n must type a variable with no premises"
-            if d.context != {d.subject.name: mult([d.type])}:
-                return "ax_n context must be exactly the singleton for its variable"
-        case "abs_n":
-            if not isinstance(d.subject, Abs) or len(ps) != 1:
-                return "abs_n must type an abstraction from one premise"
-            (b,) = ps
-            if b.subject != d.subject.body:
-                return "abs_n premise subject must be the body"
-            x = d.subject.binder
-            if d.type != Arrow(ctx_get(b.context, x), b.type):
-                return "abs_n conclusion must move the binder multiset into the arrow"
-            if d.context != ctx_remove(b.context, x):
-                return "abs_n context must drop the binder"
-        case "app_n":
-            if not isinstance(d.subject, App) or not ps:
-                return "app_n must type an application"
-            f, args = ps[0], ps[1:]
-            if f.subject != d.subject.fun:
-                return "app_n head premise must type the function"
-            if not isinstance(f.type, Arrow):
-                return "app_n function premise must have an arrow type"
-            for a in args:
-                if a.subject != d.subject.arg:
-                    return "app_n argument premises must type the argument"
-            if f.type.domain != mult(a.type for a in args):
-                return "app_n argument premises must realize the arrow domain"
-            if d.type != f.type.codomain:
-                return "app_n conclusion must be the arrow codomain"
-            if d.context != ctx_union(f.context, *(a.context for a in args)):
-                return "app_n context must be the union of the premise contexts"
-        case "es_n":
-            if not isinstance(d.subject, Sub) or not ps:
-                return "es_n must type a closure"
-            b, args = ps[0], ps[1:]
-            if b.subject != d.subject.body:
-                return "es_n head premise must type the body"
-            for a in args:
-                if a.subject != d.subject.arg:
-                    return "es_n argument premises must type the argument"
-            x = d.subject.binder
-            if ctx_get(b.context, x) != mult(a.type for a in args):
-                return "es_n argument premises must realize the multiset of the bound name"
-            if d.type != b.type:
-                return "es_n conclusion must keep the body type"
-            if d.context != ctx_union(ctx_remove(b.context, x), *(a.context for a in args)):
-                return "es_n context must recombine the premise contexts"
-        case _:
-            return f"unknown rule {d.rule!r}"
-    return None
-
-
-def _check_node_v(d: Derivation) -> str | None:
-    if type(d) is not Derivation:
-        return "system V nodes must not carry counters"
-    ps = d.premises
-    for m in d.context.values():
-        if not m.elements:
-            return "context stores an empty multiset entry"
-    match d.rule:
-        case "ax_v":
-            if not isinstance(d.subject, Var) or ps:
-                return "ax_v must type a variable with no premises"
-            if not isinstance(d.type, Mult):
-                return "ax_v must conclude a multiset type"
-            expected = {d.subject.name: d.type} if d.type.elements else {}
-            if d.context != expected:
-                return "ax_v context must assign the concluded multiset to its variable"
-        case "abs_v":
-            if not isinstance(d.subject, Abs):
-                return "abs_v must type an abstraction"
-            x = d.subject.binder
-            for p in ps:
-                if p.subject != d.subject.body:
-                    return "abs_v premises must type the body"
-            if d.type != mult(Arrow(ctx_get(p.context, x), p.type) for p in ps):
-                return "abs_v conclusion must collect the premise arrows"
-            if d.context != ctx_union(*(ctx_remove(p.context, x) for p in ps)):
-                return "abs_v context must drop the binder from every premise"
-        case "app_v":
-            if not isinstance(d.subject, App) or len(ps) != 2:
-                return "app_v must type an application from two premises"
-            f, a = ps
-            if f.subject != d.subject.fun or a.subject != d.subject.arg:
-                return "app_v premise subjects must be the application parts"
-            ft = f.type
-            if not isinstance(ft, Mult) or len(ft) != 1 or not isinstance(ft.elements[0], Arrow):
-                return "app_v function premise must be a singleton arrow multiset"
-            if a.type != ft.elements[0].domain:
-                return "app_v argument premise must match the arrow domain"
-            if d.type != ft.elements[0].codomain:
-                return "app_v conclusion must be the arrow codomain"
-            if d.context != ctx_union(f.context, a.context):
-                return "app_v context must be the union of the premise contexts"
-        case "es_v":
-            if not isinstance(d.subject, Sub) or len(ps) != 2:
-                return "es_v must type a closure from two premises"
-            b, a = ps
-            if b.subject != d.subject.body or a.subject != d.subject.arg:
-                return "es_v premise subjects must be the closure parts"
-            if a.type != ctx_get(b.context, d.subject.binder):
-                return "es_v argument premise must be typed with the binder multiset"
-            if d.type != b.type:
-                return "es_v conclusion must keep the body type"
-            if d.context != ctx_union(ctx_remove(b.context, d.subject.binder), a.context):
-                return "es_v context must recombine the premise contexts"
-        case _:
-            return f"unknown rule {d.rule!r}"
-    return None
+# ax_n, abs_n and es_v are U's ax, abs and es under their own tags
+RULES["n"] = {r.tag: r for r in (
+    define("ax_n", ax, Var),
+    define("abs_n", abs_, Abs),
+    define("app_n", app_n, App, fixed=1, shape="app_n must type an application",
+           subjects="app_n head premise must type the function",
+           rest=("arg", "app_n argument premises must type the argument")),
+    define("es_n", es_n, Sub, fixed=1, shape="es_n must type a closure",
+           subjects="es_n head premise must type the body",
+           rest=("arg", "es_n argument premises must type the argument")),
+)}
+RULES["v"] = {r.tag: r for r in (
+    define("ax_v", ax_v, Var, weight=None,
+           context="ax_v context must assign the concluded multiset to its variable"),
+    define("abs_v", abs_v, Abs, fixed=0, shape="abs_v must type an abstraction",
+           type="abs_v conclusion must collect the premise arrows",
+           context="abs_v context must drop the binder from every premise",
+           rest=("body", "abs_v premises must type the body"), weight=None),
+    define("app_v", app_v, App),
+    define("es_v", es, Sub),
+)}
+mk_ax_n, mk_abs_n, mk_app_n, mk_es_n = (r.make for r in RULES["n"].values())
+mk_ax_v, mk_abs_v, mk_app_v, mk_es_v = (r.make for r in RULES["v"].values())
 
 
 def check_derivation_n(d: Derivation) -> Violation | None:
-    return check_with(_check_node_n, d)
+    return check_derivation(d, "n")
 
 
 def check_derivation_v(d: Derivation) -> Violation | None:
-    return check_with(_check_node_v, d)
+    return check_derivation(d, "v")
 
 
-def size_n(d: Derivation) -> int:
-    return 1 + sum(size_n(p) for p in d.premises)
-
-
-def size_v(d: Derivation) -> int:
-    match d.rule:
-        case "ax_v":
-            assert isinstance(d.type, Mult)
-            return len(d.type)
-        case "abs_v":
-            return len(d.premises) + sum(size_v(p) for p in d.premises)
-        case _:
-            return 1 + sum(size_v(p) for p in d.premises)
+size_n = sizer("n")  # nodes of an N derivation
+# nodes of a V derivation, an ax_v or abs_v node counting the elements of
+# its multiset type (an abs_v node has one per premise)
+size_v = sizer("v")
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +396,12 @@ def _n_to_u(d: Derivation, images: Images) -> Derivation:
         case "abs_n":
             assert isinstance(d.subject, Abs)
             return mk_abs(d.subject.binder, _n_to_u(d.premises[0], images))
-        case "app_n":
-            assert isinstance(d.subject, App)
-            d_f = _n_to_u(d.premises[0], images)
+        case "app_n" | "es_n":
+            assert isinstance(d.subject, (App, Sub))
+            head = _n_to_u(d.premises[0], images)
             args = tuple(_n_to_u(p, images) for p in d.premises[1:])
-            return mk_app(d_f, mk_bg(_cbn(d.subject.arg, images), args))
-        case "es_n":
-            assert isinstance(d.subject, Sub)
-            d_b = _n_to_u(d.premises[0], images)
-            args = tuple(_n_to_u(p, images) for p in d.premises[1:])
-            return mk_es(d.subject.binder, d_b, mk_bg(_cbn(d.subject.arg, images), args))
+            arg = mk_bg(_cbn(d.subject.arg, images), args)
+            return mk_app(head, arg) if d.rule == "app_n" else mk_es(d.subject.binder, head, arg)
     raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
 
 
@@ -549,18 +425,14 @@ def _u_to_n(d: Derivation, t: Term) -> Derivation:
             if d.rule != "abs":
                 raise ImageMismatch("expected an abstraction node")
             return mk_abs_n(x, _u_to_n(d.premises[0], b))
-        case App(f, a):
-            if d.rule != "app" or d.premises[1].rule != "bg":
-                raise ImageMismatch("expected an application over a banged argument")
-            d_f = _u_to_n(d.premises[0], f)
+        case App(h, a) | Sub(h, _, a):
+            app = isinstance(t, App)
+            if d.rule != ("app" if app else "es") or d.premises[1].rule != "bg":
+                raise ImageMismatch(f"expected {'an application' if app else 'a closure'}"
+                                    " over a banged argument")
+            head = _u_to_n(d.premises[0], h)
             args = tuple(_u_to_n(p, a) for p in d.premises[1].premises)
-            return mk_app_n(d_f, a, args)
-        case Sub(b, x, a):
-            if d.rule != "es" or d.premises[1].rule != "bg":
-                raise ImageMismatch("expected a closure over a banged argument")
-            d_b = _u_to_n(d.premises[0], b)
-            args = tuple(_u_to_n(p, a) for p in d.premises[1].premises)
-            return mk_es_n(x, d_b, a, args)
+            return mk_app_n(head, a, args) if app else mk_es_n(t.binder, head, a, args)
     raise NotLambdaTerm(print_term(t))
 
 

@@ -178,15 +178,19 @@ def term_eq(t: Term, u: Term) -> bool:
         a, b = stack.pop()
         if a is b:
             continue
-        if type(a) is not type(b):
+        cls = type(a)
+        if cls is not type(b) or cls is Var and a.name != b.name:
             return False
-        for name in a.__match_args__:
-            x, y = getattr(a, name), getattr(b, name)
-            if isinstance(x, str):
-                if x != y:
-                    return False
-            else:
-                stack.append((x, y))
+        if cls is App:
+            stack += ((a.fun, b.fun), (a.arg, b.arg))
+        elif cls is Abs or cls is Sub:
+            if a.binder != b.binder:
+                return False
+            stack.append((a.body, b.body))
+            if cls is Sub:
+                stack.append((a.arg, b.arg))
+        elif cls is not Var:  # Bang, Der
+            stack.append((a.body, b.body))
     return True
 
 

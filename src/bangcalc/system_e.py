@@ -31,17 +31,14 @@ from .reduction import (
     Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
 )
 from .qtypes import (
-    Arrow, Context, Mult, Tight, Type,
-    TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
-    ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, mult, print_type,
+    Arrow, Context, Tight, Type, TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
+    ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, print_type,
 )
 from .system_u import (
-    Untypable, Violation, IllFormed, NotTypableNormalForm,
-    antisubst_derivation, check_with, expand_derivation, infer_with,
-    reduce_derivation, register, replay, sort_by_type, subst_derivation,
+    RULES, Counters, Untypable, Violation, IllFormed, NotTypableNormalForm,
+    abs_, antisubst_derivation, app, ax, bg, check_derivation, close, define, dr, es,
+    expand_derivation, infer_with, reduce_derivation, register, replay, subst_derivation,
 )
-
-Counters = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -71,61 +68,14 @@ class DerivationE:
         return f"{ctx} |-({b},{e},{s}) {print_term(self.subject)} : {print_type(self.type)}"
 
 
-def _add(*cs: Counters) -> Counters:
-    return (sum(c[0] for c in cs), sum(c[1] for c in cs), sum(c[2] for c in cs))
-
-
 # ---------------------------------------------------------------------------
-# Node constructors
+# Rules.  The consuming rules are U's conclusions with a counter delta;
+# the persistent ones have conclusions of their own.
 
-def mk_ax_e(x: str, ty: Type) -> DerivationE:
-    return DerivationE("ax", {x: mult([ty])}, Var(x), ty, (0, 0, 0))
-
-
-def mk_ae_d(d_f: DerivationE, d_a: DerivationE) -> DerivationE:
-    if not isinstance(d_f.type, Arrow) or d_a.type != d_f.type.domain:
-        raise IllFormed("ae_d needs an arrow function and a matching argument")
-    return DerivationE("ae_d", ctx_union(d_f.context, d_a.context),
-                       App(d_f.subject, d_a.subject), d_f.type.codomain,
-                       _add(d_f.counters, d_a.counters), (d_f, d_a))
-
-
-def mk_ai_d(x: str, d_b: DerivationE) -> DerivationE:
-    b, e, s = d_b.counters
-    return DerivationE("ai_d", ctx_remove(d_b.context, x), Abs(x, d_b.subject),
-                       Arrow(ctx_get(d_b.context, x), d_b.type), (b + 1, e, s), (d_b,))
-
-
-def mk_bg_d(body: Term, premises: tuple[DerivationE, ...]) -> DerivationE:
-    for p in premises:
-        if p.subject != body:
-            raise IllFormed("bg_d premises must all type the bang body")
-    # sorted by type, so their types make a multiset as they stand
-    premises = sort_by_type(premises)
-    b, e, s = _add(*(p.counters for p in premises)) if premises else (0, 0, 0)
-    return DerivationE("bg_d", ctx_union(*(p.context for p in premises)), Bang(body),
-                       Mult(tuple(p.type for p in premises)), (b, e + 1, s), premises)
-
-
-def mk_dr_d(d_b: DerivationE) -> DerivationE:
-    if not isinstance(d_b.type, Mult) or len(d_b.type) != 1:
-        raise IllFormed("dr_d premise must have a singleton multiset type")
-    return DerivationE("dr_d", d_b.context, Der(d_b.subject), d_b.type.elements[0],
-                       d_b.counters, (d_b,))
-
-
-def mk_es_d(x: str, d_b: DerivationE, d_a: DerivationE) -> DerivationE:
-    if d_a.type != ctx_get(d_b.context, x):
-        raise IllFormed("es_d argument type must equal the multiset of the bound name")
-    return DerivationE("es_d", ctx_union(ctx_remove(d_b.context, x), d_a.context),
-                       Sub(d_b.subject, x, d_a.subject), d_b.type,
-                       _add(d_b.counters, d_a.counters), (d_b, d_a))
-
-
-def mk_ae_t(d_f: DerivationE, d_a: DerivationE) -> DerivationE:
+def ae_t(tag: str, d_f: DerivationE, d_a: DerivationE) -> tuple:
     if d_f.type == TIGHT_NEUTRAL:
         if d_a.type not in (TIGHT_BANG, TIGHT_NEUTRAL):
-            raise IllFormed("ae_t argument must be tight and different from a")
+            raise IllFormed("ae_t argument must be a tight constant different from a")
         result: Type = TIGHT_NEUTRAL
     elif isinstance(d_f.type, Arrow) and is_tight_mult(d_f.type.domain):
         if d_a.type != TIGHT_NEUTRAL:
@@ -133,194 +83,88 @@ def mk_ae_t(d_f: DerivationE, d_a: DerivationE) -> DerivationE:
         result = d_f.type.codomain
     else:
         raise IllFormed("ae_t function must be typed n or with a tight-domain arrow")
-    b, e, s = _add(d_f.counters, d_a.counters)
-    return DerivationE("ae_t", ctx_union(d_f.context, d_a.context),
-                       App(d_f.subject, d_a.subject), result, (b, e, s + 1), (d_f, d_a))
+    return ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject), result, (d_f, d_a)
 
 
-def mk_ai_t(x: str, d_b: DerivationE) -> DerivationE:
+def ai_t(tag: str, x: str, d_b: DerivationE) -> tuple:
     if not isinstance(d_b.type, Tight):
         raise IllFormed("ai_t body must have a tight constant type")
     if not is_tight_mult(ctx_get(d_b.context, x)):
         raise IllFormed("ai_t requires a tight multiset for the binder")
-    b, e, s = d_b.counters
-    return DerivationE("ai_t", ctx_remove(d_b.context, x), Abs(x, d_b.subject),
-                       TIGHT_ABS, (b, e, s + 1), (d_b,))
+    return ctx_remove(d_b.context, x), Abs(x, d_b.subject), TIGHT_ABS, (d_b,)
 
 
-def mk_bg_t(body: Term, premises: tuple[DerivationE, ...] = ()) -> DerivationE:
+def bg_t(tag: str, body: Term, premises: tuple = ()) -> tuple:
     if premises:
-        raise IllFormed("bg_t has no premises")
-    return DerivationE("bg_t", {}, Bang(body), TIGHT_BANG, (0, 0, 0))
+        raise IllFormed(_NO_PREMISES)
+    return {}, Bang(body), TIGHT_BANG, ()
 
 
-def mk_dr_t(d_b: DerivationE) -> DerivationE:
+def dr_t(tag: str, d_b: DerivationE) -> tuple:
     if d_b.type != TIGHT_NEUTRAL:
-        raise IllFormed("dr_t premise must be typed n")
-    b, e, s = d_b.counters
-    return DerivationE("dr_t", d_b.context, Der(d_b.subject), TIGHT_NEUTRAL,
-                       (b, e, s + 1), (d_b,))
+        raise IllFormed("dr_t premise and conclusion must be typed n")
+    return d_b.context, Der(d_b.subject), TIGHT_NEUTRAL, (d_b,)
 
 
-def mk_es_t(x: str, d_b: DerivationE, d_a: DerivationE) -> DerivationE:
+def es_t(tag: str, x: str, d_b: DerivationE, d_a: DerivationE) -> tuple:
     if d_a.type != TIGHT_NEUTRAL:
         raise IllFormed("es_t argument must be typed n")
     if not is_tight_mult(ctx_get(d_b.context, x)):
         raise IllFormed("es_t requires a tight multiset for the binder")
-    b, e, s = _add(d_b.counters, d_a.counters)
-    return DerivationE("es_t", ctx_union(ctx_remove(d_b.context, x), d_a.context),
-                       Sub(d_b.subject, x, d_a.subject), d_b.type, (b, e, s + 1), (d_b, d_a))
+    return close(x, d_b, d_a)
 
 
-register(DerivationE,
-         {Var: ("ax", mk_ax_e), App: ("ae_d", mk_ae_d), Abs: ("ai_d", mk_ai_d),
-          Bang: ("bg_d", mk_bg_d), Der: ("dr_d", mk_dr_d), Sub: ("es_d", mk_es_d)},
-         {"ae_t": mk_ae_t, "ai_t": mk_ai_t, "bg_t": mk_bg_t, "dr_t": mk_dr_t, "es_t": mk_es_t},
-         {"ae_d": "es_d", "ae_t": "es_t"})
+# The node class and the shape, premise-subject and context reasons that
+# the consuming and the persistent rule for one former share.
+_APP = dict(node=DerivationE, shape="application rules need two premises on an application",
+            subjects="application premise subjects must be the parts",
+            context="application context must be the union of the premise contexts")
+_ABS = dict(node=DerivationE, shape="abstraction rules need one premise on an abstraction",
+            subjects="abstraction premise subject must be the body",
+            context="abstraction context must drop the binder")
+_DER = dict(node=DerivationE, shape="dereliction rules need one premise on a dereliction",
+            subjects="dereliction premise subject must be the body",
+            context="dereliction must not change the context")
+_SUB = dict(node=DerivationE, shape="closure rules need two premises on a closure",
+            subjects="closure premise subjects must be the parts",
+            context="closure context must recombine the premise contexts",
+            type="closure conclusion must keep the body type")
+_NO_PREMISES = "bg_t must type a bang with no premises"
+_BG_T = "bg_t must conclude b with empty context and zero counters"
+_SIZE = "{} must add exactly one to the size counter"
 
-
-# ---------------------------------------------------------------------------
-# Checking
-
-def _check_node_e(d: DerivationE) -> str | None:
-    if not isinstance(d, DerivationE):
-        return "system E nodes must carry counters"
-    for m in d.context.values():
-        if not m.elements:
-            return "context stores an empty multiset entry"
-    ps = d.premises
-    own = d.counters
-    match d.rule:
-        case "ax":
-            if not isinstance(d.subject, Var) or ps:
-                return "ax must type a variable with no premises"
-            if d.context != {d.subject.name: mult([d.type])}:
-                return "ax context must be exactly the singleton for its variable"
-            if own != (0, 0, 0):
-                return "ax counters must be zero"
-        case "ae_d" | "ae_t":
-            if not isinstance(d.subject, App) or len(ps) != 2:
-                return "application rules need two premises on an application"
-            f, a = ps
-            if f.subject != d.subject.fun or a.subject != d.subject.arg:
-                return "application premise subjects must be the parts"
-            if d.context != ctx_union(f.context, a.context):
-                return "application context must be the union of the premise contexts"
-            if d.rule == "ae_d":
-                if not isinstance(f.type, Arrow):
-                    return "ae_d function premise must have an arrow type"
-                if a.type != f.type.domain:
-                    return "ae_d argument premise must match the arrow domain"
-                if d.type != f.type.codomain:
-                    return "ae_d conclusion must be the arrow codomain"
-                if own != _add(f.counters, a.counters):
-                    return "ae_d counters must add the premise counters"
-            else:
-                if f.type == TIGHT_NEUTRAL:
-                    if a.type not in (TIGHT_BANG, TIGHT_NEUTRAL):
-                        return "ae_t argument must be a tight constant different from a"
-                    if d.type != TIGHT_NEUTRAL:
-                        return "ae_t conclusion must be n"
-                elif isinstance(f.type, Arrow) and is_tight_mult(f.type.domain):
-                    if a.type != TIGHT_NEUTRAL:
-                        return "ae_t over an arrow needs an n-typed argument"
-                    if d.type != f.type.codomain:
-                        return "ae_t conclusion must be the arrow codomain"
-                else:
-                    return "ae_t function must be typed n or with a tight-domain arrow"
-                bb, ee, ss = _add(f.counters, a.counters)
-                if own != (bb, ee, ss + 1):
-                    return "ae_t must add exactly one to the size counter"
-        case "ai_d" | "ai_t":
-            if not isinstance(d.subject, Abs) or len(ps) != 1:
-                return "abstraction rules need one premise on an abstraction"
-            (p,) = ps
-            if p.subject != d.subject.body:
-                return "abstraction premise subject must be the body"
-            x = d.subject.binder
-            if d.context != ctx_remove(p.context, x):
-                return "abstraction context must drop the binder"
-            if d.rule == "ai_d":
-                if d.type != Arrow(ctx_get(p.context, x), p.type):
-                    return "ai_d conclusion must move the binder multiset into the arrow"
-                if own != (p.b + 1, p.e, p.s):
-                    return "ai_d must add exactly one to the multiplicative counter"
-            else:
-                if not isinstance(p.type, Tight):
-                    return "ai_t body must have a tight constant type"
-                if not is_tight_mult(ctx_get(p.context, x)):
-                    return "ai_t requires a tight multiset for the binder"
-                if d.type != TIGHT_ABS:
-                    return "ai_t conclusion must be a"
-                if own != (p.b, p.e, p.s + 1):
-                    return "ai_t must add exactly one to the size counter"
-        case "bg_d":
-            if not isinstance(d.subject, Bang):
-                return "bg_d must type a bang"
-            for p in ps:
-                if p.subject != d.subject.body:
-                    return "bg_d premise subjects must be the bang body"
-            if d.type != mult(p.type for p in ps):
-                return "bg_d conclusion must collect the premise types"
-            if d.context != ctx_union(*(p.context for p in ps)):
-                return "bg_d context must be the union of the premise contexts"
-            bb, ee, ss = _add(*(p.counters for p in ps)) if ps else (0, 0, 0)
-            if own != (bb, ee + 1, ss):
-                return "bg_d must add exactly one to the exponential counter"
-        case "bg_t":
-            if not isinstance(d.subject, Bang) or ps:
-                return "bg_t must type a bang with no premises"
-            if d.context or d.type != TIGHT_BANG or own != (0, 0, 0):
-                return "bg_t must conclude b with empty context and zero counters"
-        case "dr_d" | "dr_t":
-            if not isinstance(d.subject, Der) or len(ps) != 1:
-                return "dereliction rules need one premise on a dereliction"
-            (p,) = ps
-            if p.subject != d.subject.body:
-                return "dereliction premise subject must be the body"
-            if d.context != p.context:
-                return "dereliction must not change the context"
-            if d.rule == "dr_d":
-                if not isinstance(p.type, Mult) or len(p.type) != 1 or p.type.elements[0] != d.type:
-                    return "dr_d premise must be the singleton of the conclusion type"
-                if own != p.counters:
-                    return "dr_d counters must copy the premise counters"
-            else:
-                if p.type != TIGHT_NEUTRAL or d.type != TIGHT_NEUTRAL:
-                    return "dr_t premise and conclusion must be typed n"
-                if own != (p.b, p.e, p.s + 1):
-                    return "dr_t must add exactly one to the size counter"
-        case "es_d" | "es_t":
-            if not isinstance(d.subject, Sub) or len(ps) != 2:
-                return "closure rules need two premises on a closure"
-            bprem, aprem = ps
-            if bprem.subject != d.subject.body or aprem.subject != d.subject.arg:
-                return "closure premise subjects must be the parts"
-            x = d.subject.binder
-            if d.context != ctx_union(ctx_remove(bprem.context, x), aprem.context):
-                return "closure context must recombine the premise contexts"
-            if d.type != bprem.type:
-                return "closure conclusion must keep the body type"
-            if d.rule == "es_d":
-                if aprem.type != ctx_get(bprem.context, x):
-                    return "es_d argument premise must be typed with the binder multiset"
-                if own != _add(bprem.counters, aprem.counters):
-                    return "es_d counters must add the premise counters"
-            else:
-                if aprem.type != TIGHT_NEUTRAL:
-                    return "es_t argument must be typed n"
-                if not is_tight_mult(ctx_get(bprem.context, x)):
-                    return "es_t requires a tight multiset for the binder"
-                bb, ee, ss = _add(bprem.counters, aprem.counters)
-                if own != (bb, ee, ss + 1):
-                    return "es_t must add exactly one to the size counter"
-        case _:
-            return f"unknown rule {d.rule!r}"
-    return None
+RULES["e"] = {r.tag: r for r in (
+    define("ax", ax, Var, counters="ax counters must be zero", node=DerivationE,
+           delta=(0, 0, 0), consuming=True),
+    define("ae_d", app, App, **_APP, counters="ae_d counters must add the premise counters",
+           delta=(0, 0, 0), consuming=True, closure="es_d"),
+    define("ai_d", abs_, Abs, **_ABS, delta=(1, 0, 0), consuming=True,
+           counters="ai_d must add exactly one to the multiplicative counter"),
+    define("bg_d", bg, Bang, counters="bg_d must add exactly one to the exponential counter",
+           node=DerivationE, delta=(0, 1, 0), consuming=True),
+    define("dr_d", dr, Der, **_DER, counters="dr_d counters must copy the premise counters",
+           delta=(0, 0, 0), consuming=True),
+    define("es_d", es, Sub, **_SUB, counters="es_d counters must add the premise counters",
+           delta=(0, 0, 0), consuming=True),
+    # the reason for a wrong type depends on which of ae_t's two shapes the node has
+    define("ae_t", ae_t, App, **_APP, type=lambda d: "ae_t conclusion must be " + (
+               "n" if d.premises[0].type == TIGHT_NEUTRAL else "the arrow codomain"),
+           counters=_SIZE.format("ae_t"), delta=(0, 0, 1), closure="es_t"),
+    define("ai_t", ai_t, Abs, **_ABS, type="ai_t conclusion must be a",
+           counters=_SIZE.format("ai_t"), delta=(0, 0, 1)),
+    define("bg_t", bg_t, Bang, shape=_NO_PREMISES, type=_BG_T, context=_BG_T, counters=_BG_T,
+           rest=("body", _NO_PREMISES), node=DerivationE, delta=(0, 0, 0)),
+    define("dr_t", dr_t, Der, **_DER, type="dr_t premise and conclusion must be typed n",
+           counters=_SIZE.format("dr_t"), delta=(0, 0, 1)),
+    define("es_t", es_t, Sub, **_SUB, counters=_SIZE.format("es_t"), delta=(0, 0, 1)),
+)}
+(mk_ax_e, mk_ae_d, mk_ai_d, mk_bg_d, mk_dr_d, mk_es_d,
+ mk_ae_t, mk_ai_t, mk_bg_t, mk_dr_t, mk_es_t) = (r.make for r in RULES["e"].values())
+register(DerivationE, RULES["e"])
 
 
 def check_derivation_e(d: DerivationE) -> Violation | None:
-    return check_with(_check_node_e, d)
+    return check_derivation(d, "e", DerivationE)
 
 
 def is_tight(d: DerivationE) -> bool:

@@ -5,18 +5,18 @@ Rules: ax, app, abs, bg, dr, es.  Multisets make the system
 non-idempotent, so derivation size (number of nodes except bg) bounds
 reduction length plus normal-form size.
 
-Derivations store the full judgement at every node.  The `mk_*` helpers
-build nodes bottom-up and raise IllFormed on local rule violations;
-`check_derivation_u` validates arbitrary trees (e.g. deserialized ones).
+Derivations store the full judgement at every node.  Each rule of the
+four systems is one entry of `RULES`: the `mk_*` helpers, its makers,
+build nodes bottom-up and raise IllFormed on local rule violations, and
+`check_node` replays them on arbitrary trees (e.g. deserialized ones).
 
 The engine (renaming, substitution, anti-substitution, subject reduction
 and expansion) is written once for every derivation class.  It rebuilds
-each node through the node's own rule, looked up in `MAKERS`, so a
-system's side conditions and counters come from its own constructors;
-system E registers its rules there next to U's.  The transformer
-operations mirror the term-level rewriting exactly, so a transformed
-derivation's subject is always the same syntax tree the reduction engine
-produces.
+each node through the node's own rule, looked up in `ENGINE`, so a
+system's side conditions and counters come from its own makers; system
+E registers its rules there next to U's.  The transformer operations
+mirror the term-level rewriting exactly, so a transformed derivation's
+subject is always the same syntax tree the reduction engine produces.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
-    decompose_list, free_vars, fresh_name, print_term, subst_meta,
+    decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
 )
 from .reduction import (
     Position, RuleKind, Sel, FuelExhausted, Trace,
@@ -67,97 +67,193 @@ class Untypable:
 
 
 # ---------------------------------------------------------------------------
-# Node constructors
-
-def mk_ax(x: str, ty: Type) -> Derivation:
-    return Derivation("ax", {x: mult([ty])}, Var(x), ty)
-
-
-def mk_app(d_f: Derivation, d_a: Derivation) -> Derivation:
-    if not isinstance(d_f.type, Arrow):
-        raise IllFormed(f"app function typed {print_type(d_f.type)}, not an arrow")
-    if d_a.type != d_f.type.domain:
-        raise IllFormed("app argument type does not match the arrow domain")
-    return Derivation("app", ctx_union(d_f.context, d_a.context),
-                      App(d_f.subject, d_a.subject), d_f.type.codomain, (d_f, d_a))
-
-
-def mk_abs(x: str, d_b: Derivation) -> Derivation:
-    return Derivation("abs", ctx_remove(d_b.context, x), Abs(x, d_b.subject),
-                      Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
-
-
-def mk_bg(body: Term, premises: tuple[Derivation, ...]) -> Derivation:
-    for p in premises:
-        if p.subject != body:
-            raise IllFormed("bg premises must all type the bang body")
-    # sorted by type, so their types make a multiset as they stand
-    premises = sort_by_type(premises)
-    return Derivation("bg", ctx_union(*(p.context for p in premises)),
-                      Bang(body), Mult(tuple(p.type for p in premises)), premises)
-
-
-def sort_by_type(premises: tuple) -> tuple:
-    """The premises, stably sorted by type; keyed only when out of order."""
-    if is_sorted([p.type for p in premises]):
-        return premises
-    return tuple(sorted(premises, key=lambda p: sort_key(p.type)))
-
-
-def mk_dr(d_b: Derivation) -> Derivation:
-    if not isinstance(d_b.type, Mult) or len(d_b.type) != 1:
-        raise IllFormed("dr premise must have a singleton multiset type")
-    return Derivation("dr", d_b.context, Der(d_b.subject), d_b.type.elements[0], (d_b,))
-
-
-def mk_es(x: str, d_b: Derivation, d_a: Derivation) -> Derivation:
-    if d_a.type != ctx_get(d_b.context, x):
-        raise IllFormed("es argument type must equal the multiset of the bound name")
-    return Derivation("es", ctx_union(ctx_remove(d_b.context, x), d_a.context),
-                      Sub(d_b.subject, x, d_a.subject), d_b.type, (d_b, d_a))
-
-
-# ---------------------------------------------------------------------------
-# Rule tables
+# Rules
 #
-# Constructors of rules for the same term former take the same arguments
-# in every system: ax (name, type), app (function, argument), abs (binder,
-# body), bg (body term, premises), dr (body), es (binder, body, argument).
+# Each typing rule of the four systems is one `Rule` in `RULES`.  Its
+# conclusion function, given the rule's tag and its maker's arguments,
+# checks the rule's side conditions on the premises, raising IllFormed
+# with the rule's reason, and returns the conclusion's context, subject
+# and type with the premises.  The maker that inference calls wraps it,
+# and `check_node` calls it again on a node's own premises, so a
+# conclusion is computed in one place only.
+#
+# A maker's arguments are the variable's name and the type (rules for a
+# variable); otherwise the binder, if the former binds, then the premises
+# that type the subject's parts in order, then, for a rule with a variadic
+# tail (every bang rule has one), the part the tail types and the tail:
+# app (function, argument), abs (binder, body), bg (body term, premises),
+# dr (body), es (binder, body, argument), app_n (function, argument term,
+# argument premises), and so on.
 
-# (derivation class, rule name) -> constructor
-MAKERS: dict[tuple[type, str], Callable[..., Any]] = {}
+Counters = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One typing rule: its tag, its conclusion function, the subject
+    former and premise count it types, and the checker's reason for each
+    kind of fault.  `make` is the rule's node constructor, and `parts`
+    names the subject parts that its fixed premises type."""
+    tag: str
+    conclude: Callable[..., tuple]
+    former: type
+    fixed: int                      # premises typing the subject's parts, in order
+    shape: str                      # another former, or another premise count
+    subjects: str = ""              # a fixed premise types another term
+    type: str | Callable[[Any], str] = ""  # a callable picks it by the node
+    context: str = ""
+    counters: str = ""
+    rest: tuple[str, str] | None = None  # (part, reason): further premises all type that part
+    node: type = Derivation
+    delta: Counters | None = None   # with counters: added to the premises' sum
+    weight: int | None = 1          # the node's share of its derivation's size; None:
+                                    # one per element of its (multiset) type
+    consuming: bool = False         # the rule the engine rebuilds its former with
+    closure: str | None = None      # an application rule: the closure rule dB turns it into
+
+    def __post_init__(self):
+        tag, conclude, node, delta = self.tag, self.conclude, self.node, self.delta
+        if delta is None:
+            def make(*args):
+                return node(tag, *conclude(tag, *args))
+        else:
+            def make(*args):
+                context, subject, ty, ps = conclude(tag, *args)
+                return node(tag, context, subject, ty, add_counters(delta, ps), ps)
+        object.__setattr__(self, "make", make)
+        object.__setattr__(self, "parts", PARTS[self.former][:self.fixed])
+
+
+def add_counters(delta: Counters, premises) -> Counters:
+    b, e, s = delta
+    for p in premises:
+        pb, pe, ps = p.counters
+        b, e, s = b + pb, e + pe, s + ps
+    return b, e, s
+
+
+# system ("u", "e", "n", "v", as `bangcalc typecheck --system`) -> rule tag -> rule
+RULES: dict[str, dict[str, Rule]] = {}
+
+
+def ax(tag: str, x: str, ty: Type) -> tuple:
+    return {x: mult([ty])}, Var(x), ty, ()
+
+
+def app(tag: str, d_f, d_a) -> tuple:
+    if not isinstance(d_f.type, Arrow):
+        raise IllFormed(f"{tag} function premise must have an arrow type")
+    if d_a.type != d_f.type.domain:
+        raise IllFormed(f"{tag} argument premise must match the arrow domain")
+    return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
+            d_f.type.codomain, (d_f, d_a))
+
+
+def abs_(tag: str, x: str, d_b) -> tuple:
+    return (ctx_remove(d_b.context, x), Abs(x, d_b.subject),
+            Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
+
+
+def bg(tag: str, body: Term, premises: tuple) -> tuple:
+    for p in premises:
+        if p.subject is not body and not term_eq(p.subject, body):
+            raise IllFormed(f"{tag} premise subjects must be the bang body")
+    # stably sorted by type, so their types make a multiset as they stand;
+    # keyed only when out of order
+    if not is_sorted([p.type for p in premises]):
+        premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
+    return (ctx_union(*(p.context for p in premises)), Bang(body),
+            Mult(tuple(p.type for p in premises)), premises)
+
+
+def dr(tag: str, d_b) -> tuple:
+    if not isinstance(d_b.type, Mult) or len(d_b.type) != 1:
+        raise IllFormed(f"{tag} premise must be the singleton of the conclusion type")
+    return d_b.context, Der(d_b.subject), d_b.type.elements[0], (d_b,)
+
+
+def es(tag: str, x: str, d_b, d_a) -> tuple:
+    if d_a.type != ctx_get(d_b.context, x):
+        raise IllFormed(f"{tag} argument premise must be typed with the binder multiset")
+    return close(x, d_b, d_a)
+
+
+def close(x: str, d_b, d_a) -> tuple:
+    """The conclusion of a closure rule: d_b's type, x's entry dropped."""
+    return (ctx_union(ctx_remove(d_b.context, x), d_a.context), Sub(d_b.subject, x, d_a.subject),
+            d_b.type, (d_b, d_a))
+
+
+# the parts of a subject that a rule's fixed premises type, in order
+PARTS = {Var: (), App: ("fun", "arg"), Abs: ("body",), Bang: (), Der: ("body",),
+         Sub: ("body", "arg")}
+
+# The plain rules' reasons by former: shape, premise subjects, type and
+# context, each naming the rule at {}.  System U's rules have these; E, N
+# and V keep those that their rules share with U's.
+_PLAIN = {
+    Var: ("{} must type a variable with no premises", "", "",
+          "{} context must be exactly the singleton for its variable"),
+    App: ("{} must type an application from two premises",
+          "{} premise subjects must be the application parts",
+          "{} conclusion must be the arrow codomain",
+          "{} context must be the union of the premise contexts"),
+    Abs: ("{} must type an abstraction from one premise", "{} premise subject must be the body",
+          "{} conclusion must move the binder multiset into the arrow",
+          "{} context must drop the binder"),
+    Bang: ("{} must type a bang", "{} premise subjects must be the bang body",
+           "{} conclusion must collect the premise types",
+           "{} context must be the union of the premise contexts"),
+    Der: ("{} must type a dereliction from one premise", "{} premise subject must be the body",
+          "{} premise must be the singleton of the conclusion type",
+          "{} must not change the context"),
+    Sub: ("{} must type a closure from two premises",
+          "{} premise subjects must be the closure parts",
+          "{} conclusion must keep the body type",
+          "{} context must recombine the premise contexts"),
+}
+
+
+def define(tag: str, conclude: Callable[..., tuple], former: type, **fields: Any) -> Rule:
+    """The rule `tag` for `former`: a premise for each part of the subject
+    (every premise for the body of a bang) and the plain rules' reasons,
+    unless `fields` gives others."""
+    shape, subjects, ty, context = (reason.format(tag) for reason in _PLAIN[former])
+    plain = dict(fixed=len(PARTS[former]), shape=shape, subjects=subjects, type=ty,
+                 context=context, rest=("body", subjects) if former is Bang else None)
+    return Rule(tag, conclude, former, **{**plain, **fields})
+
+
+RULES["u"] = {r.tag: r for r in (
+    define("ax", ax, Var, consuming=True),
+    define("app", app, App, consuming=True, closure="es"),
+    define("abs", abs_, Abs, consuming=True),
+    define("bg", bg, Bang, consuming=True, weight=0),
+    define("dr", dr, Der, consuming=True),
+    define("es", es, Sub, consuming=True),
+)}
+mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values())
+
+# derivation class -> the rules the engine rebuilds its nodes with
+ENGINE: dict[type, dict[str, Rule]] = {}
 # (derivation class, term former) -> the consuming rule for that former
-CONSUMING_RULE: dict[tuple[type, type], str] = {}
-# application rule -> the closure rule a dB step turns it into
-DB_CLOSURE: dict[str, str] = {}
+CONSUMING_RULE: dict[tuple[type, type], Rule] = {}
 
 
-def register(cls: type, consuming: dict[type, tuple[str, Callable[..., Any]]],
-             persistent: dict[str, Callable[..., Any]], db_closure: dict[str, str]) -> None:
-    """Enter the rules of a derivation class into the engine's tables."""
-    for former, (rule, make) in consuming.items():
-        MAKERS[cls, rule] = make
-        CONSUMING_RULE[cls, former] = rule
-    for rule, make in persistent.items():
-        MAKERS[cls, rule] = make
-    DB_CLOSURE.update(db_closure)
+def register(cls: type, rules: dict[str, Rule]) -> None:
+    """Let the engine rebuild nodes of class `cls` with `rules`."""
+    ENGINE[cls] = rules
+    CONSUMING_RULE.update(((cls, r.former), r) for r in rules.values() if r.consuming)
 
 
-register(Derivation,
-         {Var: ("ax", mk_ax), App: ("app", mk_app), Abs: ("abs", mk_abs),
-          Bang: ("bg", mk_bg), Der: ("dr", mk_dr), Sub: ("es", mk_es)},
-         {}, {"app": "es"})
+register(Derivation, RULES["u"])
 
 
 def _maker(d) -> Callable[..., Any]:
-    make = MAKERS.get((type(d), d.rule))
-    if make is None:
+    rule = ENGINE[type(d)].get(d.rule)
+    if rule is None:
         raise IllFormed(f"unknown rule {d.rule!r}")
-    return make
-
-
-def _consuming(cls: type, former: type) -> Callable[..., Any]:
-    return MAKERS[cls, CONSUMING_RULE[cls, former]]
+    return rule.make
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +265,18 @@ class Violation:
     reason: str
 
 
-def check_with(node_check: Callable[[Any], str | None], d) -> Violation | None:
-    """The first node, in pre-order, that `node_check` rejects, with the
-    path of premise indices that leads to it."""
+def check_derivation(d, system: str, cls: type = Derivation,
+                     tight: bool = False) -> Violation | None:
+    """The first node of d, in pre-order, that breaks the rules of `system`
+    (see `check_node`), with the path of premise indices that leads to it.
+    With `tight`, tight constants are faults: a derivation read from JSON
+    shares its types and context multisets between nodes, so each object
+    is looked into once."""
+    memo: dict[int, tuple[Type, bool]] | None = {} if tight else None
     stack = [(d, ())]
     while stack:
         node, path = stack.pop()
-        reason = node_check(node)
+        reason = check_node(system, cls, node, memo)
         if reason is not None:
             return Violation(path, reason)
         ps = node.premises
@@ -183,110 +284,95 @@ def check_with(node_check: Callable[[Any], str | None], d) -> Violation | None:
     return None
 
 
-def _check_node_u(d: Derivation, tight: dict[int, tuple[Type, bool]]) -> str | None:
-    if type(d) is not Derivation:
-        return "system U nodes must not carry counters"
+def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | None) -> str | None:
+    """Why node d breaks the rules of `system`, whose nodes are of class
+    `cls`, or None.  The checks run in a fixed order:
+
+    1. the node prelude: the node class, empty context entries and, when
+       `tight` is given, tight constants (looked for once per type object);
+    2. the rule's subject former and premise count;
+    3. the premise subjects;
+    4. the rule's side conditions, by calling its conclusion function on
+       the node's own premises;
+    5. the node's type, context and counters against that conclusion."""
+    if type(d) is not cls:
+        return f"system {system.upper()} nodes must {'not ' if cls is Derivation else ''}carry counters"
     for m in d.context.values():
         if not m.elements:
             return "context stores an empty multiset entry"
-    if any(has_tight_constants(t, tight) for t in (d.type, *d.context.values())):
+    if tight is not None and any(has_tight_constants(t, tight)
+                                 for t in (d.type, *d.context.values())):
         return "tight constants do not belong to this system"
-    ps = d.premises
-    match d.rule:
-        case "ax":
-            if not isinstance(d.subject, Var) or ps:
-                return "ax must type a variable with no premises"
-            if d.context != {d.subject.name: mult([d.type])}:
-                return "ax context must be exactly the singleton for its variable"
-        case "app":
-            if not isinstance(d.subject, App) or len(ps) != 2:
-                return "app must type an application from two premises"
-            f, a = ps
-            if f.subject != d.subject.fun or a.subject != d.subject.arg:
-                return "app premise subjects must be the application parts"
-            if not isinstance(f.type, Arrow):
-                return "app function premise must have an arrow type"
-            if a.type != f.type.domain:
-                return "app argument premise must match the arrow domain"
-            if d.type != f.type.codomain:
-                return "app conclusion must be the arrow codomain"
-            if d.context != ctx_union(f.context, a.context):
-                return "app context must be the union of the premise contexts"
-        case "abs":
-            if not isinstance(d.subject, Abs) or len(ps) != 1:
-                return "abs must type an abstraction from one premise"
-            (b,) = ps
-            if b.subject != d.subject.body:
-                return "abs premise subject must be the body"
-            x = d.subject.binder
-            if d.type != Arrow(ctx_get(b.context, x), b.type):
-                return "abs conclusion must move the binder multiset into the arrow"
-            if d.context != ctx_remove(b.context, x):
-                return "abs context must drop the binder"
-        case "bg":
-            if not isinstance(d.subject, Bang):
-                return "bg must type a bang"
-            for p in ps:
-                if p.subject != d.subject.body:
-                    return "bg premise subjects must be the bang body"
-            if d.type != mult(p.type for p in ps):
-                return "bg conclusion must collect the premise types"
-            if d.context != ctx_union(*(p.context for p in ps)):
-                return "bg context must be the union of the premise contexts"
-        case "dr":
-            if not isinstance(d.subject, Der) or len(ps) != 1:
-                return "dr must type a dereliction from one premise"
-            (b,) = ps
-            if b.subject != d.subject.body:
-                return "dr premise subject must be the body"
-            if not isinstance(b.type, Mult) or len(b.type) != 1 or b.type.elements[0] != d.type:
-                return "dr premise must be the singleton of the conclusion type"
-            if d.context != b.context:
-                return "dr must not change the context"
-        case "es":
-            if not isinstance(d.subject, Sub) or len(ps) != 2:
-                return "es must type a closure from two premises"
-            b, a = ps
-            if b.subject != d.subject.body or a.subject != d.subject.arg:
-                return "es premise subjects must be the closure parts"
-            if a.type != ctx_get(b.context, d.subject.binder):
-                return "es argument premise must be typed with the binder multiset"
-            if d.type != b.type:
-                return "es conclusion must keep the body type"
-            if d.context != ctx_union(ctx_remove(b.context, d.subject.binder), a.context):
-                return "es context must recombine the premise contexts"
-        case _:
-            return f"unknown rule {d.rule!r}"
+    rule = RULES[system].get(d.rule) if isinstance(d.rule, str) else None
+    if rule is None:
+        return f"unknown rule {d.rule!r}"
+    s, ps, k, former, rest = d.subject, d.premises, rule.fixed, rule.former, rule.rest
+    if type(s) is not former or (len(ps) < k if rest else len(ps) != k):
+        return rule.shape
+    for p, part in zip(ps, rule.parts):
+        part = getattr(s, part)
+        if p.subject is not part and not term_eq(p.subject, part):
+            return rule.subjects
+    if rest:
+        part = getattr(s, rest[0])
+        for p in ps[k:]:
+            if p.subject is not part and not term_eq(p.subject, part):
+                return rest[1]
+        ps = (*ps[:k], part, ps[k:])
+    # the maker's arguments (see the top of the rule table)
+    if former is Var:
+        args: tuple = (s.name, d.type)
+    else:
+        args = (s.binder, *ps) if former is Abs or former is Sub else ps
+    try:
+        context, _, ty, premises = rule.conclude(rule.tag, *args)
+    except IllFormed as ex:
+        return str(ex)
+    if ty is not d.type and ty != d.type:
+        return rule.type if isinstance(rule.type, str) else rule.type(d)
+    if context != d.context:
+        return rule.context
+    if rule.delta is not None and add_counters(rule.delta, premises) != d.counters:
+        return rule.counters
     return None
 
 
 def check_derivation_u(d: Derivation) -> Violation | None:
-    # a derivation read from JSON shares its types and context multisets
-    # between nodes: look into each object for tight constants once
-    tight: dict[int, tuple[Type, bool]] = {}
-    return check_with(lambda node: _check_node_u(node, tight), d)
+    return check_derivation(d, "u", tight=True)
 
 
-def size_u(d: Derivation) -> int:
-    """Nodes of d other than bg, counted once per node and kept on it
-    outside the dataclass fields, like `syntax.free_vars`."""
-    try:
-        return d._size_u  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    # Post-order over the nodes not yet sized, with an explicit stack, so
-    # that a deep derivation does not exhaust the interpreter's stack.
-    stack = [d]
-    while stack:
-        node = stack[-1]
-        todo = [p for p in node.premises if not hasattr(p, "_size_u")]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        n = (0 if node.rule == "bg" else 1) + sum(p._size_u for p in node.premises)
-        object.__setattr__(node, "_size_u", n)
-    return d._size_u  # type: ignore[attr-defined]
+def sizer(system: str) -> Callable[[Any], int]:
+    """The size function of `system`: the sum of a derivation's node
+    weights, each given by the node's rule in `system` (1 for a rule it
+    does not have).  Each node's size is computed once and kept on it
+    outside the dataclass fields, like `syntax.free_vars`, under a name of
+    its own per system."""
+    attr = "_size_" + system
+    weights = {tag: rule.weight for tag, rule in RULES[system].items()}
+
+    def size(d) -> int:
+        n = getattr(d, attr, None)
+        if n is not None:
+            return n
+        # Post-order over the nodes not yet sized, with an explicit stack, so
+        # that a deep derivation does not exhaust the interpreter's stack.
+        stack = [d]
+        while stack:
+            node = stack[-1]
+            todo = [p for p in node.premises if not hasattr(p, attr)]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            w = weights.get(node.rule, 1)
+            n = len(node.type) if w is None else w
+            object.__setattr__(node, attr, n + sum(getattr(p, attr) for p in node.premises))
+        return getattr(d, attr)
+    size.__name__ = size.__qualname__ = "size_" + system
+    return size
+
+
+size_u = sizer("u")  # nodes of a U derivation other than bg
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +402,7 @@ def _type_ne(t: Term, tau: Type) -> Derivation:
         case Var(x):
             return mk_ax(x, tau)
         case App(f, a):
-            d_a = _type_arg(a)
+            d_a = _type_na(a)
             assert isinstance(d_a.type, Mult)
             d_f = _type_ne(f, Arrow(d_a.type, tau))
             return mk_app(d_f, d_a)
@@ -329,15 +415,9 @@ def _type_ne(t: Term, tau: Type) -> Derivation:
     raise NotTypableNormalForm(print_term(t))
 
 
-def _type_arg(a: Term) -> Derivation:
-    """Type a neutral-abs argument with a multiset: bangs get the empty
-    multiset by a nullary bg, neutral cores get it directly."""
-    if classify_wcf_nf(a).ne:
-        return _type_ne(a, EMPTY_MULT)
-    return _type_na(a)
-
-
 def _type_na(t: Term) -> Derivation:
+    """Type a neutral-abs term with a multiset: bangs get the empty
+    multiset by a nullary bg, neutral terms get it directly."""
     match t:
         case Bang(b):
             return mk_bg(b, ())
@@ -378,12 +458,10 @@ def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any],
     match d.subject:
         case Var(_):
             return leaf(d)
-        case App(_, _):
-            return make(_subst(ps[0], x, u, fvu, leaf), _subst(ps[1], x, u, fvu, leaf))
+        case App(_, _) | Der(_):
+            return make(*(_subst(p, x, u, fvu, leaf) for p in ps))
         case Bang(body):
             return make(subst_meta(body, x, u), tuple(_subst(p, x, u, fvu, leaf) for p in ps))
-        case Der(_):
-            return make(_subst(ps[0], x, u, fvu, leaf))
         case Abs(y, body):
             p_b = ps[0]
             fvu = free_vars(u) if fvu is None else fvu
@@ -419,7 +497,7 @@ def subst_derivation(d_t, x: str, d_us: list):
     if mult(d.type for d in d_us) != ctx_get(d_t.context, x):
         raise IllFormed("argument derivations do not realize the multiset of x")
     for d in d_us[1:]:
-        if d.subject != d_us[0].subject:
+        if not term_eq(d.subject, d_us[0].subject):
             raise IllFormed("argument derivations type different terms")
     u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
     pool = list(d_us)
@@ -441,7 +519,7 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     """Invert substitution: from a derivation of t{x:=u}, recover a
     derivation of t (with x recorded in its context) plus one derivation
     of u per typed occurrence of x."""
-    if d.subject != subst_meta(t, x, u):
+    if not term_eq(d.subject, subst_meta(t, x, u)):
         raise IllFormed("subject is not the stated substitution instance")
     return _antisubst(d, t, x, u)
 
@@ -450,7 +528,7 @@ def _antisubst(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     if x not in free_vars(t):
         return d, []
     if isinstance(t, Var):
-        return _consuming(type(d), Var)(x, d.type), [d]
+        return CONSUMING_RULE[type(d), Var].make(x, d.type), [d]
     make, ps = _maker(d), d.premises
     match t:
         case App(f, a):
@@ -499,14 +577,12 @@ def _rebind(d, t: Term):
     Renaming a refreshed binder back does not always restore the original
     term: the refresh may have renamed an inner binder too.  Where a binder
     of d's subject differs from t's, it is renamed to t's."""
-    if d.subject == t:
+    if term_eq(d.subject, t):
         return d
     make, ps, s = _maker(d), d.premises, d.subject
     match t, s:
-        case App(f, a), App(_, _):
-            return make(_rebind(ps[0], f), _rebind(ps[1], a))
-        case Der(b), Der(_):
-            return make(_rebind(ps[0], b))
+        case (App(), App()) | (Der(), Der()):
+            return make(*(_rebind(p, getattr(t, part)) for p, part in zip(ps, PARTS[type(t)])))
         case Bang(b), Bang(_):
             return make(b, tuple(_rebind(p, b) for p in ps))
         case Abs(y, b), Abs(z, _):
@@ -576,24 +652,25 @@ def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
 def _fire(d, kind: RuleKind):
     cls = type(d)
     if kind is RuleKind.DB:
-        if d.rule not in DB_CLOSURE:
+        closure = getattr(ENGINE[cls].get(d.rule), "closure", None)
+        if closure is None:
             raise IllFormed("dB redex must be typed by an application rule")
-        close, d_u = MAKERS[cls, DB_CLOSURE[d.rule]], d.premises[1]
+        close, d_u = ENGINE[cls][closure].make, d.premises[1]
 
         def at_abs(f_d):
-            if f_d.rule != CONSUMING_RULE[cls, Abs]:
+            if f_d.rule != CONSUMING_RULE[cls, Abs].tag:
                 raise IllFormed("dB function must be a consuming abstraction under closures")
             return close(f_d.subject.binder, f_d.premises[0], d_u)
 
         return fire_spine_d(d.premises[0], free_vars(d_u.subject), at_abs)
 
     if kind is RuleKind.SBANG:
-        if d.rule != CONSUMING_RULE[cls, Sub]:
+        if d.rule != CONSUMING_RULE[cls, Sub].tag:
             raise IllFormed("s! redex must be typed by the consuming closure rule")
         x, (d_body, d_arg) = d.subject.binder, d.premises
 
         def at_bang(a_d):
-            if a_d.rule != CONSUMING_RULE[cls, Bang]:
+            if a_d.rule != CONSUMING_RULE[cls, Bang].tag:
                 raise IllFormed("s! argument must be a consuming bang under closures")
             pool = list(a_d.premises)
             out = _subst(d_body, x, a_d.subject.body, None, _take_from(pool))
@@ -603,11 +680,11 @@ def _fire(d, kind: RuleKind):
         return fire_spine_d(d_arg, free_vars(d_body.subject) - {x}, at_bang)
 
     if kind is RuleKind.DBANG:
-        if d.rule != CONSUMING_RULE[cls, Der]:
+        if d.rule != CONSUMING_RULE[cls, Der].tag:
             raise IllFormed("d! redex must be typed by the consuming dereliction rule")
 
         def unbang(b_d):
-            if b_d.rule != CONSUMING_RULE[cls, Bang] or len(b_d.premises) != 1:
+            if b_d.rule != CONSUMING_RULE[cls, Bang].tag or len(b_d.premises) != 1:
                 raise IllFormed("d! body must be a unary consuming bang under closures")
             return b_d.premises[0]
 
@@ -623,7 +700,7 @@ def expand_derivation(d, t: Term, step: tuple[Position, RuleKind]):
     pos, kind = step
     redex = subterm_at(t, pos)
     out = _at(d, pos, lambda node: _expand(node, redex, kind))
-    if out.subject != t:
+    if not term_eq(out.subject, t):
         raise IllFormed("expansion did not rebuild the stated term")
     return out
 
@@ -642,11 +719,11 @@ def _expand(d, t: Term, kind: RuleKind):
     if kind is RuleKind.DB:
         assert isinstance(t, App)
         chain, core = _peel_spine(d, t.fun)
-        app = next((a for a, c in DB_CLOSURE.items() if c == core.rule), None)
+        app = next((r for r in ENGINE[cls].values() if r.closure == core.rule), None)
         if app is None:
             raise IllFormed("dB reduct core must be a closure node")
-        cur = _consuming(cls, Abs)(core.subject.binder, core.premises[0])
-        return MAKERS[cls, app](_rewrap(cur, chain), core.premises[1])
+        cur = CONSUMING_RULE[cls, Abs].make(core.subject.binder, core.premises[0])
+        return app.make(_rewrap(cur, chain), core.premises[1])
 
     if kind is RuleKind.SBANG:
         assert isinstance(t, Sub)
@@ -656,14 +733,14 @@ def _expand(d, t: Term, kind: RuleKind):
         if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
             raise IllFormed("reduct spine does not match the fired closure spine")
         d_s, d_us = _antisubst(core, t.body, t.binder, u_fired)
-        cur = _consuming(cls, Bang)(u_fired, tuple(d_us))
-        return _consuming(cls, Sub)(t.binder, d_s, _rewrap(cur, chain))
+        cur = CONSUMING_RULE[cls, Bang].make(u_fired, tuple(d_us))
+        return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, _rewrap(cur, chain))
 
     if kind is RuleKind.DBANG:
         assert isinstance(t, Der)
         chain, core = _peel_spine(d, t.body)
-        cur = _consuming(cls, Bang)(core.subject, (core,))
-        return _consuming(cls, Der)(_rewrap(cur, chain))
+        cur = CONSUMING_RULE[cls, Bang].make(core.subject, (core,))
+        return CONSUMING_RULE[cls, Der].make(_rewrap(cur, chain))
 
     raise IllFormed(f"{kind} is not a bang-calculus rule")
 

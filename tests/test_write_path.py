@@ -254,11 +254,11 @@ def test_translations_still_check_premise_subjects():
     assert check_derivation_v(good) is None and translate_v_to_u(good)
     # the body image is embedded from the subject, not taken from a premise
     bad = Derivation("abs_v", good.context, Abs("x", Var("y")), good.type, good.premises)
-    with pytest.raises(IllFormed, match="bg premises"):
+    with pytest.raises(IllFormed, match="bg premise subjects"):
         translate_v_to_u(bad)
     app = infer_n(syntax.parse_term(r"(\x. x) y"), FUEL)
     bad = Derivation("app_n", app.context, App(Var("f"), Var("z")), app.type, app.premises)
-    with pytest.raises(IllFormed, match="bg premises"):
+    with pytest.raises(IllFormed, match="bg premise subjects"):
         translate_n_to_u(bad)
 
 
@@ -267,6 +267,23 @@ def test_a_deep_translation_to_n():
     # equality, which overflowed at church(320) although infer_u succeeds.
     d = infer_n(church_term(320), 100_000)
     assert isinstance(d, Derivation) and check_derivation_n(d) is None
+
+
+def _from_depth(frames: int, call):
+    """call(), made with `frames` more frames on the stack."""
+    return call() if frames == 0 else _from_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("infer, check", [
+    (lambda: infer_v(church_term(320), 100_000), check_derivation_v),
+    (lambda: infer_u(embed_cbv(church_term(320)), 100_000), check_derivation_u),
+], ids=["infer_v", "infer_u-cbv"])
+def test_a_deep_cbv_inference_from_a_deep_stack(infer, check):
+    # Expansion compared each rebuilt subject with the stated term by the
+    # recursive dataclass equality, which overflowed on church(320) when
+    # entered about 50 frames deep.
+    d = _from_depth(60, infer)
+    assert isinstance(d, Derivation) and check(d) is None
 
 
 @pytest.mark.parametrize("embed, back, n", [
