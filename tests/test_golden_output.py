@@ -1,6 +1,7 @@
 """Byte-stability of `--output machine`: sha256 digests of the CLI's stdout
 on a fixed set of inputs.  A change to the engine that alters one byte of
-a trace, a derivation or a violation report fails here.
+a trace, a derivation or a violation report fails here.  The stdout of
+`bangcalc selftest`, the acceptance gate, is pinned the same way.
 
 To re-record after an intended format change, run this file as a script:
 `PYTHONPATH=src python tests/test_golden_output.py` prints the table.
@@ -171,6 +172,8 @@ DIGESTS = {
     "typecheck --system v tampered church5": "735991c13bebf20a344e5f50b39daebe4a60c1458c9d9441625082d6c4c787a7",
 }
 
+SELFTEST_DIGEST = "fcb0c3a5d8336f376ffd0b0c442e1ce9c282d51a83cd3d8c957fcfe9c19a07da"
+
 
 def machine_output(name: str) -> str:
     want_code, argv = CASES[name]
@@ -188,7 +191,14 @@ def test_machine_output_digest(name):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
 
 
+def test_selftest_output_digest():
+    code, out = run("selftest")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_DIGEST
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         out = machine_output(name)
         print(f'    "{name}": "{hashlib.sha256(out.encode()).hexdigest()}",')
+    print(f'SELFTEST_DIGEST = "{hashlib.sha256(run("selftest")[1].encode()).hexdigest()}"')
