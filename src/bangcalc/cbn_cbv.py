@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
-    decompose_list, free_vars, is_abs_shaped, is_bang_shaped,
+    decompose_list, free_vars, is_bang_shaped,
     is_lambda_term, print_term, spine_core, subst_meta, term_eq,
 )
 from .reduction import (
-    Position, RuleKind, Sel, FuelExhausted, Trace, fire_db, fire_spine, normalize,
+    FIRE, W_ORDER, W_RULES, Position, RuleKind, Sel, FuelExhausted, Trace, fire_spine,
+    normalize, search, step, strategy,
 )
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
@@ -53,62 +54,34 @@ def fire_sv(t: Term) -> Term:
     return fire_spine(t.arg, free_vars(s) - {x}, lambda v: subst_meta(s, x, v))
 
 
-def step_n(t: Term) -> tuple[Position, RuleKind, Term] | None:
-    """One head-CBN step: distance beta, or unconditional substitution;
-    contexts never enter application arguments."""
-    match t:
-        case App(f, a):
-            if is_abs_shaped(f):
-                return ((), RuleKind.DB, fire_db(t))
-            r = step_n(f)
-            if r is not None:
-                pos, kind, f2 = r
-                return ((Sel.FUN,) + pos, kind, App(f2, a))
-            return None
-        case Sub(b, x, a):
-            return ((), RuleKind.S, subst_meta(b, x, a))
-        case Abs(x, b):
-            r = step_n(b)
-            if r is not None:
-                pos, kind, b2 = r
-                return ((Sel.ABS_BODY,) + pos, kind, Abs(x, b2))
-            return None
-        case Var(_):
-            return None
+def _not_lambda(t: Term):
     raise NotLambdaTerm(print_term(t))
+
+
+FIRE[RuleKind.S] = lambda t: subst_meta(t.body, t.binder, t.arg)
+FIRE[RuleKind.SV] = fire_sv
+# Both strategies fire dB as dw does; a bang or a dereliction that the
+# search enters is not a lambda term.
+_LAMBDA_RULES = {**W_RULES, Bang: _not_lambda, Der: _not_lambda}
+# head CBN: distance beta, or unconditional substitution; contexts never
+# enter application arguments
+_N_ORDER = {Var: (), Abs: (Sel.ABS_BODY,), App: (Sel.FUN,), Sub: ()}
+_N = strategy(_N_ORDER, {**_LAMBDA_RULES, Sub: lambda t: RuleKind.S})
+# open CBV: distance beta, or substitution of a value up to a closure
+# spine; contexts never enter abstraction bodies
+_V_ORDER = {**W_ORDER, Abs: ()}
+_V = strategy(_V_ORDER, {
+    **_LAMBDA_RULES, Sub: lambda t: RuleKind.SV if _is_value_shaped(t.arg) else None})
+
+
+def step_n(t: Term) -> tuple[Position, RuleKind, Term] | None:
+    """One head-CBN step, or None."""
+    return step(t, _N)
 
 
 def step_v(t: Term) -> tuple[Position, RuleKind, Term] | None:
-    """One open-CBV step: distance beta, or substitution of a value up to
-    a closure spine; contexts never enter abstraction bodies."""
-    match t:
-        case App(f, a):
-            if is_abs_shaped(f):
-                return ((), RuleKind.DB, fire_db(t))
-            r = step_v(f)
-            if r is not None:
-                pos, kind, f2 = r
-                return ((Sel.FUN,) + pos, kind, App(f2, a))
-            r = step_v(a)
-            if r is not None:
-                pos, kind, a2 = r
-                return ((Sel.ARG,) + pos, kind, App(f, a2))
-            return None
-        case Sub(b, x, a):
-            if _is_value_shaped(a):
-                return ((), RuleKind.SV, fire_sv(t))
-            r = step_v(b)
-            if r is not None:
-                pos, kind, b2 = r
-                return ((Sel.SUB_BODY,) + pos, kind, Sub(b2, x, a))
-            r = step_v(a)
-            if r is not None:
-                pos, kind, a2 = r
-                return ((Sel.SUB_ARG,) + pos, kind, Sub(b, x, a2))
-            return None
-        case Abs(_, _) | Var(_):
-            return None
-    raise NotLambdaTerm(print_term(t))
+    """One open-CBV step, or None."""
+    return step(t, _V)
 
 
 def normalize_n(t: Term, fuel: int) -> Trace:
@@ -257,30 +230,21 @@ def unbang_value(v: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Term size measures
 
+# Each counts the nodes that a search enters and hits (naming each hit by
+# its former): n_size the abstractions, applications and closures in head
+# CBN contexts and closure bodies; v_size the applications and closures in
+# CBV contexts.
+_COUNT = {Bang: _not_lambda, Der: _not_lambda, App: type, Sub: type}
+_N_SIZE = strategy({**_N_ORDER, Sub: (Sel.SUB_BODY,)}, {**_COUNT, Abs: type})
+_V_SIZE = strategy(_V_ORDER, _COUNT)
+
+
 def n_size(t: Term) -> int:
-    match t:
-        case Var(_):
-            return 0
-        case Abs(_, b):
-            return 1 + n_size(b)
-        case App(f, _):
-            return 1 + n_size(f)
-        case Sub(b, _, _):
-            return 1 + n_size(b)
-    raise NotLambdaTerm(print_term(t))
+    return len(search(t, _N_SIZE))
 
 
 def v_size(t: Term) -> int:
-    match t:
-        case Var(_):
-            return 0
-        case Abs(_, _):
-            return 0
-        case App(f, a):
-            return 1 + v_size(f) + v_size(a)
-        case Sub(b, _, a):
-            return 1 + v_size(b) + v_size(a)
-    raise NotLambdaTerm(print_term(t))
+    return len(search(t, _V_SIZE))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Callable
+from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
@@ -54,49 +54,61 @@ class Sel(Enum):
 
 Position = tuple[Sel, ...]
 
+# selector -> (the former it enters, the child's attribute, the former
+# rebuilt around a new child)
+SELECTORS: dict[Sel, tuple[type, str, Callable[[Term, Term], Term]]] = {
+    Sel.FUN: (App, "fun", lambda t, c: App(c, t.arg)),
+    Sel.ARG: (App, "arg", lambda t, c: App(t.fun, c)),
+    Sel.ABS_BODY: (Abs, "body", lambda t, c: Abs(t.binder, c)),
+    Sel.DER_BODY: (Der, "body", lambda t, c: Der(c)),
+    Sel.SUB_BODY: (Sub, "body", lambda t, c: Sub(c, t.binder, t.arg)),
+    Sel.SUB_ARG: (Sub, "arg", lambda t, c: Sub(t.body, t.binder, c)),
+}
+
 
 class InvalidPosition(ValueError):
     pass
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+# The path from the root to a node, as in Huet's zipper: None at the root,
+# else (the parent's path, the parent, the selector that enters the node).
+Path = tuple | None
+
+
+def position(path: Path) -> Position:
+    sels = []
+    while path is not None:
+        path, _, sel = path
+        sels.append(sel)
+    return tuple(reversed(sels))
+
+
+def _rebuild(path: Path, new: Term) -> Term:
+    """`new` put back in place of the node at the end of path."""
+    while path is not None:
+        path, node, sel = path
+        new = SELECTORS[sel][2](node, new)
+    return new
+
+
+def _descend(t: Term, pos: Position) -> tuple[Path, Term]:
+    """The path to pos in t and the subterm there."""
+    path = None
     for sel in pos:
-        match (t, sel):
-            case (App(f, _), Sel.FUN):
-                t = f
-            case (App(_, a), Sel.ARG):
-                t = a
-            case (Abs(_, b), Sel.ABS_BODY):
-                t = b
-            case (Der(b), Sel.DER_BODY):
-                t = b
-            case (Sub(b, _, _), Sel.SUB_BODY):
-                t = b
-            case (Sub(_, _, a), Sel.SUB_ARG):
-                t = a
-            case _:
-                raise InvalidPosition(f"no {sel} child here")
-    return t
+        former, attr, _ = SELECTORS[sel]
+        if not isinstance(t, former):
+            raise InvalidPosition(f"no {sel} child here")
+        path = (path, t, sel)
+        t = getattr(t, attr)
+    return path, t
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _descend(t, pos)[1]
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    sel, rest = pos[0], pos[1:]
-    match (t, sel):
-        case (App(f, a), Sel.FUN):
-            return App(replace_at(f, rest, new), a)
-        case (App(f, a), Sel.ARG):
-            return App(f, replace_at(a, rest, new))
-        case (Abs(x, b), Sel.ABS_BODY):
-            return Abs(x, replace_at(b, rest, new))
-        case (Der(b), Sel.DER_BODY):
-            return Der(replace_at(b, rest, new))
-        case (Sub(b, x, a), Sel.SUB_BODY):
-            return Sub(replace_at(b, rest, new), x, a)
-        case (Sub(b, x, a), Sel.SUB_ARG):
-            return Sub(b, x, replace_at(a, rest, new))
-    raise InvalidPosition(f"no {sel} child here")
+    return _rebuild(_descend(t, pos)[0], new)
 
 
 # ---------------------------------------------------------------------------
@@ -139,45 +151,92 @@ def fire_dbang(t: Term) -> Term:
     return fire_spine(t.body, frozenset(), lambda bang: bang.body)
 
 
-_ROOT_FIRE = {RuleKind.DB: fire_db, RuleKind.SBANG: fire_sbang, RuleKind.DBANG: fire_dbang}
+# rule -> its root firing; cbn_cbv adds the lambda-side rules s and sv
+FIRE: dict[RuleKind, Callable[[Term], Term]] = {
+    RuleKind.DB: fire_db, RuleKind.SBANG: fire_sbang, RuleKind.DBANG: fire_dbang}
+
+
+# ---------------------------------------------------------------------------
+# Weak-context search
+#
+# A strategy is two tables: its order table maps each former to the
+# children the search enters, in order; its rule table maps a former to
+# the rule that fires at a node of that former, a function of the node
+# that gives the rule or None.  One walk with an explicit stack runs
+# every strategy.
+
+def strategy(order: dict, rules: dict) -> tuple[dict, dict]:
+    """The tables in the form the walk reads: each former's children in
+    reverse order, with their attributes."""
+    return {former: tuple((sel, SELECTORS[sel][1]) for sel in reversed(sels))
+            for former, sels in order.items()}, rules
+
+
+def search(t: Term, strat: tuple[dict, dict], first: bool = False) -> list[tuple[Path, Term, Any]]:
+    """(path, node, rule) for each node the search enters at which its
+    rule fires, in pre-order; with `first`, only the first of them."""
+    order, rules = strat
+    hits: list[tuple[Path, Term, Any]] = []
+    stack: list[tuple[Term, Path]] = [(t, None)]
+    while stack:
+        node, path = stack.pop()
+        cls = type(node)
+        rule = rules.get(cls)
+        if rule is not None:
+            kind = rule(node)
+            if kind is not None:
+                hits.append((path, node, kind))
+                if first:
+                    return hits
+        for sel, attr in order[cls]:
+            stack.append((getattr(node, attr), (path, node, sel)))
+    return hits
+
+
+def step(t: Term, strat: tuple[dict, dict]) -> tuple[Position, RuleKind, Term] | None:
+    """(position, rule, reduct) for the first redex the search finds."""
+    for path, node, kind in search(t, strat, first=True):
+        return position(path), kind, _rebuild(path, FIRE[kind](node))
+    return None
+
+
+# every weak context: never inside a bang
+W_ORDER = {Var: (), Bang: (), Abs: (Sel.ABS_BODY,), Der: (Sel.DER_BODY,),
+           App: (Sel.FUN, Sel.ARG), Sub: (Sel.SUB_BODY, Sel.SUB_ARG)}
+W_RULES = {
+    App: lambda t: RuleKind.DB if is_abs_shaped(t.fun) else None,
+    Sub: lambda t: RuleKind.SBANG if is_bang_shaped(t.arg) else None,
+    Der: lambda t: RuleKind.DBANG if is_bang_shaped(t.body) else None,
+}
+_W = strategy(W_ORDER, W_RULES)
 
 
 def redexes(t: Term) -> list[tuple[Position, RuleKind]]:
     """All weak-context redex occurrences, preorder (outermost, then left)."""
-    out: list[tuple[Position, RuleKind]] = []
-
-    def walk(t: Term, pos: Position) -> None:
-        match t:
-            case App(f, a):
-                if is_abs_shaped(f):
-                    out.append((pos, RuleKind.DB))
-                walk(f, pos + (Sel.FUN,))
-                walk(a, pos + (Sel.ARG,))
-            case Sub(b, _, a):
-                if is_bang_shaped(a):
-                    out.append((pos, RuleKind.SBANG))
-                walk(b, pos + (Sel.SUB_BODY,))
-                walk(a, pos + (Sel.SUB_ARG,))
-            case Der(b):
-                if is_bang_shaped(b):
-                    out.append((pos, RuleKind.DBANG))
-                walk(b, pos + (Sel.DER_BODY,))
-            case Abs(_, b):
-                walk(b, pos + (Sel.ABS_BODY,))
-            case Var(_) | Bang(_):
-                pass
-
-    walk(t, ())
-    return out
+    return [(position(path), kind) for path, _, kind in search(t, _W)]
 
 
 def step_at(t: Term, pos: Position, kind: RuleKind) -> Term:
     """Fire exactly the redex (pos, kind); InvalidPosition if absent."""
-    sub = subterm_at(t, pos)
-    fire = _ROOT_FIRE.get(kind)
-    if fire is None:
+    path, sub = _descend(t, pos)
+    if kind not in (RuleKind.DB, RuleKind.SBANG, RuleKind.DBANG):
         raise InvalidPosition(f"{kind} is not a bang-calculus rule")
-    return replace_at(t, pos, fire(sub))
+    return _rebuild(path, FIRE[kind](sub))
+
+
+# dw fires dB, s! and d! where their side conditions hold, which
+# partition, so no rule ordering is involved; it enters a closure's
+# argument before its body.  Its contexts enter an application's argument
+# only under a neutral-abs function, and a closure's body only under a
+# neutral-bang argument.  Both hold whenever the search gets there: a term
+# with no dw redex is neutral-abs unless it is abstraction-shaped, and
+# neutral-bang unless it is bang-shaped (by induction on the term).
+_DW = strategy({**W_ORDER, Sub: (Sel.SUB_ARG, Sel.SUB_BODY)}, W_RULES)
+
+
+def step_dw(t: Term) -> tuple[Position, RuleKind, Term] | None:
+    """The unique dw step, or None when t is w-normal."""
+    return step(t, _DW)
 
 
 # ---------------------------------------------------------------------------
@@ -291,98 +350,23 @@ class ClashReport:
     witness: tuple[Position, ClashKind] | None
 
 
+_CLASH = strategy(W_ORDER, {
+    App: lambda t: (ClashKind.APP_OF_BANG if is_bang_shaped(t.fun)
+                    else ClashKind.ARG_IS_ABS if is_abs_shaped(t.arg) else None),
+    Sub: lambda t: ClashKind.SUB_OF_ABS if is_abs_shaped(t.arg) else None,
+    Der: lambda t: ClashKind.DER_OF_ABS if is_abs_shaped(t.body) else None,
+})
+
+
 def detect_clash(t: Term) -> ClashReport:
     """Leftmost-outermost clash occurrence at a weak position, if any."""
-
-    def walk(t: Term, pos: Position) -> tuple[Position, ClashKind] | None:
-        match t:
-            case App(f, a):
-                if is_bang_shaped(f):
-                    return (pos, ClashKind.APP_OF_BANG)
-                if is_abs_shaped(a):
-                    return (pos, ClashKind.ARG_IS_ABS)
-                return walk(f, pos + (Sel.FUN,)) or walk(a, pos + (Sel.ARG,))
-            case Sub(b, _, a):
-                if is_abs_shaped(a):
-                    return (pos, ClashKind.SUB_OF_ABS)
-                return walk(b, pos + (Sel.SUB_BODY,)) or walk(a, pos + (Sel.SUB_ARG,))
-            case Der(b):
-                if is_abs_shaped(b):
-                    return (pos, ClashKind.DER_OF_ABS)
-                return walk(b, pos + (Sel.DER_BODY,))
-            case Abs(_, b):
-                return walk(b, pos + (Sel.ABS_BODY,))
-            case Var(_) | Bang(_):
-                return None
-        raise TypeError(t)
-
-    witness = walk(t, ())
-    return ClashReport(witness is None, witness)
+    for path, _, kind in search(t, _CLASH, first=True):
+        return ClashReport(False, (position(path), kind))
+    return ClashReport(True, None)
 
 
 def is_wcf(t: Term) -> bool:
     return detect_clash(t).clash_free
-
-
-# ---------------------------------------------------------------------------
-# Deterministic strategy
-
-def step_dw(t: Term) -> tuple[Position, RuleKind, Term] | None:
-    """The unique dw step, or None when t is w-normal.
-
-    Case analysis: at an application, fire dB when the function is
-    abstraction-shaped, otherwise reduce the function, otherwise reduce
-    the argument once the function is neutral-abs; at a closure, fire s!
-    when the argument is bang-shaped, otherwise reduce the argument,
-    otherwise reduce the body once the argument is neutral-bang; at a
-    dereliction, fire d! on a bang-shaped body, else reduce inside; always
-    reduce under an abstraction.  The side conditions partition, so no
-    rule ordering is involved.
-    """
-    match t:
-        case App(f, a):
-            if is_abs_shaped(f):
-                return ((), RuleKind.DB, fire_db(t))
-            r = step_dw(f)
-            if r is not None:
-                pos, kind, f2 = r
-                return ((Sel.FUN,) + pos, kind, App(f2, a))
-            if classify_nf(f).na:
-                r = step_dw(a)
-                if r is not None:
-                    pos, kind, a2 = r
-                    return ((Sel.ARG,) + pos, kind, App(f, a2))
-            return None
-        case Sub(b, x, a):
-            if is_bang_shaped(a):
-                return ((), RuleKind.SBANG, fire_sbang(t))
-            r = step_dw(a)
-            if r is not None:
-                pos, kind, a2 = r
-                return ((Sel.SUB_ARG,) + pos, kind, Sub(b, x, a2))
-            if classify_nf(a).nb:
-                r = step_dw(b)
-                if r is not None:
-                    pos, kind, b2 = r
-                    return ((Sel.SUB_BODY,) + pos, kind, Sub(b2, x, a))
-            return None
-        case Der(b):
-            if is_bang_shaped(b):
-                return ((), RuleKind.DBANG, fire_dbang(t))
-            r = step_dw(b)
-            if r is not None:
-                pos, kind, b2 = r
-                return ((Sel.DER_BODY,) + pos, kind, Der(b2))
-            return None
-        case Abs(x, b):
-            r = step_dw(b)
-            if r is not None:
-                pos, kind, b2 = r
-                return ((Sel.ABS_BODY,) + pos, kind, Abs(x, b2))
-            return None
-        case Var(_) | Bang(_):
-            return None
-    raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------

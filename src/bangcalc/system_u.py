@@ -29,7 +29,7 @@ from .syntax import (
     decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
 )
 from .reduction import (
-    Position, RuleKind, Sel, FuelExhausted, Trace,
+    SELECTORS, Position, RuleKind, FuelExhausted, Trace,
     classify_wcf_nf, fire_spine, normalize_dw, subterm_at,
 )
 from .qtypes import (
@@ -332,7 +332,9 @@ def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | 
         return rule.type if isinstance(rule.type, str) else rule.type(d)
     if context != d.context:
         return rule.context
-    if rule.delta is not None and add_counters(rule.delta, premises) != d.counters:
+    # a premise of another class is reported when the walk reaches it
+    if (rule.delta is not None and all(type(p) is cls for p in premises)
+            and add_counters(rule.delta, premises) != d.counters):
         return rule.counters
     return None
 
@@ -597,26 +599,23 @@ def _rebind(d, t: Term):
 # ---------------------------------------------------------------------------
 # Subject reduction / expansion
 
-_SEL_TO_PREMISE = {
-    Sel.FUN: (App, 0), Sel.ARG: (App, 1),
-    Sel.ABS_BODY: (Abs, 0), Sel.DER_BODY: (Der, 0),
-    Sel.SUB_BODY: (Sub, 0), Sel.SUB_ARG: (Sub, 1),
-}
-
-
 def _at(d, pos: Position, fire: Callable[[Any], Any]):
     """d with `fire` applied to its node at pos, the nodes above rebuilt."""
-    if not pos:
-        return fire(d)
-    former, idx = _SEL_TO_PREMISE[pos[0]]
-    if not isinstance(d.subject, former):
-        raise IllFormed(f"position step {pos[0]} does not match rule {d.rule}")
-    ps = list(d.premises)
-    ps[idx] = _at(ps[idx], pos[1:], fire)
-    make = _maker(d)
-    if isinstance(d.subject, (Abs, Sub)):
-        return make(d.subject.binder, *ps)
-    return make(*ps)
+    above = []
+    for sel in pos:
+        former, attr, _ = SELECTORS[sel]
+        if not isinstance(d.subject, former):
+            raise IllFormed(f"position step {sel} does not match rule {d.rule}")
+        idx = PARTS[former].index(attr)
+        above.append((d, idx))
+        d = d.premises[idx]
+    d = fire(d)
+    for node, idx in reversed(above):
+        ps = list(node.premises)
+        ps[idx] = d
+        binder = (node.subject.binder,) if isinstance(node.subject, (Abs, Sub)) else ()
+        d = _maker(node)(*binder, *ps)
+    return d
 
 
 def reduce_derivation(d, step: tuple[Position, RuleKind]):

@@ -1,9 +1,17 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
 from bangcalc.qtypes import Mult, parse_type
+from bangcalc.reduction import (
+    ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, fire_db, fire_dbang,
+    fire_sbang,
+)
 from bangcalc.serialize import MalformedDerivation
-from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, parse_term
+from bangcalc.syntax import (
+    Abs, App, Bang, Der, Sub, Var, is_abs_shaped, is_bang_shaped, parse_term, print_term,
+    spine_core, subst_meta,
+)
 from bangcalc.system_e import DerivationE
 from bangcalc.system_u import Derivation
 
@@ -153,3 +161,231 @@ def _ref_derivation_from_json(obj):
             raise ValueError("counters must be a list of three integers")
         return DerivationE(obj["rule"], context, subject, ty, tuple(counters), premises)
     return Derivation(obj["rule"], context, subject, ty, premises)
+
+
+# ---------------------------------------------------------------------------
+# Reference searches over weak contexts: one recursive function per
+# strategy or size measure, the oracles for the tables that
+# `reduction.search` runs.
+
+def ref_subterm_at(t, pos):
+    for sel in pos:
+        match (t, sel):
+            case (App(f, _), Sel.FUN):
+                t = f
+            case (App(_, a), Sel.ARG):
+                t = a
+            case (Abs(_, b), Sel.ABS_BODY):
+                t = b
+            case (Der(b), Sel.DER_BODY):
+                t = b
+            case (Sub(b, _, _), Sel.SUB_BODY):
+                t = b
+            case (Sub(_, _, a), Sel.SUB_ARG):
+                t = a
+            case _:
+                raise InvalidPosition(f"no {sel} child here")
+    return t
+
+
+def ref_replace_at(t, pos, new):
+    if not pos:
+        return new
+    sel, rest = pos[0], pos[1:]
+    match (t, sel):
+        case (App(f, a), Sel.FUN):
+            return App(ref_replace_at(f, rest, new), a)
+        case (App(f, a), Sel.ARG):
+            return App(f, ref_replace_at(a, rest, new))
+        case (Abs(x, b), Sel.ABS_BODY):
+            return Abs(x, ref_replace_at(b, rest, new))
+        case (Der(b), Sel.DER_BODY):
+            return Der(ref_replace_at(b, rest, new))
+        case (Sub(b, x, a), Sel.SUB_BODY):
+            return Sub(ref_replace_at(b, rest, new), x, a)
+        case (Sub(b, x, a), Sel.SUB_ARG):
+            return Sub(b, x, ref_replace_at(a, rest, new))
+    raise InvalidPosition(f"no {sel} child here")
+
+
+def ref_redexes(t):
+    out = []
+
+    def walk(t, pos):
+        match t:
+            case App(f, a):
+                if is_abs_shaped(f):
+                    out.append((pos, RuleKind.DB))
+                walk(f, pos + (Sel.FUN,))
+                walk(a, pos + (Sel.ARG,))
+            case Sub(b, _, a):
+                if is_bang_shaped(a):
+                    out.append((pos, RuleKind.SBANG))
+                walk(b, pos + (Sel.SUB_BODY,))
+                walk(a, pos + (Sel.SUB_ARG,))
+            case Der(b):
+                if is_bang_shaped(b):
+                    out.append((pos, RuleKind.DBANG))
+                walk(b, pos + (Sel.DER_BODY,))
+            case Abs(_, b):
+                walk(b, pos + (Sel.ABS_BODY,))
+            case Var(_) | Bang(_):
+                pass
+
+    walk(t, ())
+    return out
+
+
+def ref_detect_clash(t):
+
+    def walk(t, pos):
+        match t:
+            case App(f, a):
+                if is_bang_shaped(f):
+                    return (pos, ClashKind.APP_OF_BANG)
+                if is_abs_shaped(a):
+                    return (pos, ClashKind.ARG_IS_ABS)
+                return walk(f, pos + (Sel.FUN,)) or walk(a, pos + (Sel.ARG,))
+            case Sub(b, _, a):
+                if is_abs_shaped(a):
+                    return (pos, ClashKind.SUB_OF_ABS)
+                return walk(b, pos + (Sel.SUB_BODY,)) or walk(a, pos + (Sel.SUB_ARG,))
+            case Der(b):
+                if is_abs_shaped(b):
+                    return (pos, ClashKind.DER_OF_ABS)
+                return walk(b, pos + (Sel.DER_BODY,))
+            case Abs(_, b):
+                return walk(b, pos + (Sel.ABS_BODY,))
+            case Var(_) | Bang(_):
+                return None
+        raise TypeError(t)
+
+    witness = walk(t, ())
+    return ClashReport(witness is None, witness)
+
+
+def ref_step_dw(t):
+    match t:
+        case App(f, a):
+            if is_abs_shaped(f):
+                return ((), RuleKind.DB, fire_db(t))
+            r = ref_step_dw(f)
+            if r is not None:
+                pos, kind, f2 = r
+                return ((Sel.FUN,) + pos, kind, App(f2, a))
+            if classify_nf(f).na:
+                r = ref_step_dw(a)
+                if r is not None:
+                    pos, kind, a2 = r
+                    return ((Sel.ARG,) + pos, kind, App(f, a2))
+            return None
+        case Sub(b, x, a):
+            if is_bang_shaped(a):
+                return ((), RuleKind.SBANG, fire_sbang(t))
+            r = ref_step_dw(a)
+            if r is not None:
+                pos, kind, a2 = r
+                return ((Sel.SUB_ARG,) + pos, kind, Sub(b, x, a2))
+            if classify_nf(a).nb:
+                r = ref_step_dw(b)
+                if r is not None:
+                    pos, kind, b2 = r
+                    return ((Sel.SUB_BODY,) + pos, kind, Sub(b2, x, a))
+            return None
+        case Der(b):
+            if is_bang_shaped(b):
+                return ((), RuleKind.DBANG, fire_dbang(t))
+            r = ref_step_dw(b)
+            if r is not None:
+                pos, kind, b2 = r
+                return ((Sel.DER_BODY,) + pos, kind, Der(b2))
+            return None
+        case Abs(x, b):
+            r = ref_step_dw(b)
+            if r is not None:
+                pos, kind, b2 = r
+                return ((Sel.ABS_BODY,) + pos, kind, Abs(x, b2))
+            return None
+        case Var(_) | Bang(_):
+            return None
+    raise TypeError(t)
+
+
+def ref_step_n(t):
+    match t:
+        case App(f, a):
+            if is_abs_shaped(f):
+                return ((), RuleKind.DB, fire_db(t))
+            r = ref_step_n(f)
+            if r is not None:
+                pos, kind, f2 = r
+                return ((Sel.FUN,) + pos, kind, App(f2, a))
+            return None
+        case Sub(b, x, a):
+            return ((), RuleKind.S, subst_meta(b, x, a))
+        case Abs(x, b):
+            r = ref_step_n(b)
+            if r is not None:
+                pos, kind, b2 = r
+                return ((Sel.ABS_BODY,) + pos, kind, Abs(x, b2))
+            return None
+        case Var(_):
+            return None
+    raise NotLambdaTerm(print_term(t))
+
+
+def ref_step_v(t):
+    match t:
+        case App(f, a):
+            if is_abs_shaped(f):
+                return ((), RuleKind.DB, fire_db(t))
+            r = ref_step_v(f)
+            if r is not None:
+                pos, kind, f2 = r
+                return ((Sel.FUN,) + pos, kind, App(f2, a))
+            r = ref_step_v(a)
+            if r is not None:
+                pos, kind, a2 = r
+                return ((Sel.ARG,) + pos, kind, App(f, a2))
+            return None
+        case Sub(b, x, a):
+            if isinstance(spine_core(a), (Var, Abs)):
+                return ((), RuleKind.SV, fire_sv(t))
+            r = ref_step_v(b)
+            if r is not None:
+                pos, kind, b2 = r
+                return ((Sel.SUB_BODY,) + pos, kind, Sub(b2, x, a))
+            r = ref_step_v(a)
+            if r is not None:
+                pos, kind, a2 = r
+                return ((Sel.SUB_ARG,) + pos, kind, Sub(b, x, a2))
+            return None
+        case Abs(_, _) | Var(_):
+            return None
+    raise NotLambdaTerm(print_term(t))
+
+
+def ref_n_size(t):
+    match t:
+        case Var(_):
+            return 0
+        case Abs(_, b):
+            return 1 + ref_n_size(b)
+        case App(f, _):
+            return 1 + ref_n_size(f)
+        case Sub(b, _, _):
+            return 1 + ref_n_size(b)
+    raise NotLambdaTerm(print_term(t))
+
+
+def ref_v_size(t):
+    match t:
+        case Var(_):
+            return 0
+        case Abs(_, _):
+            return 0
+        case App(f, a):
+            return 1 + ref_v_size(f) + ref_v_size(a)
+        case Sub(b, _, a):
+            return 1 + ref_v_size(b) + ref_v_size(a)
+    raise NotLambdaTerm(print_term(t))

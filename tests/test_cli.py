@@ -156,6 +156,12 @@ def _bad_text(field, kind, repeated):
     return json.dumps(obj)
 
 
+# an E node whose premise carries no counters: the check reaches the
+# premise before it sums the premises' counters
+E_NODE_OVER_U_NODE = (
+    '{"rule":"dr_d","context":{"x":"[[n]]"},"term":"der(x)","type":"[n]","counters":[0,0,0],'
+    '"premises":[{"rule":"ax","context":{"x":"[[n]]"},"term":"x","type":"[[n]]","premises":[]}]}')
+
 BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context")
                   for kind in ("number", "list", "null", "truncated")
                   for repeated in (False, True)]
@@ -167,20 +173,23 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "u", "[1, 2]"), 2, "malformed derivation"),
     (("typecheck", "--system", "e", _e_derivation_with_counters([1, 2])), 2, "counters"),
     (("typecheck", "--system", "e", _e_derivation_with_counters("abc")), 2, "counters"),
-    (("typecheck", "--system", "e", _u_derivation_json()), 1, ""),
+    (("typecheck", "--system", "e", _u_derivation_json()), 1, "violation at []"),
     (("reduce", "--fuel", "-5", "x"), 2, "fuel must not be negative"),
     (("parse", "(" * 2000 + "x" + ")" * 2000), 2, "nested too deeply"),
     (("tight", _nested_lambdas(1500)), 2, "nested too deeply"),
     (("embed", "--calculus", "bang", "x"), 2, "embed needs --calculus cbn or cbv"),
     (("translate", "--calculus", "bang", "x"), 2, "translate needs --calculus cbn or cbv"),
-    (("typecheck", "--system", "u", _axiom_with_counters("ax", "o0")), 1, ""),
-    (("typecheck", "--system", "n", _axiom_with_counters("ax_n", "o0")), 1, ""),
-    (("typecheck", "--system", "v", _axiom_with_counters("ax_v", "[o0]")), 1, ""),
+    (("typecheck", "--system", "u", _axiom_with_counters("ax", "o0")), 1, "violation at []"),
+    (("typecheck", "--system", "n", _axiom_with_counters("ax_n", "o0")), 1, "violation at []"),
+    (("typecheck", "--system", "v", _axiom_with_counters("ax_v", "[o0]")), 1, "violation at []"),
+    (("typecheck", "--system", "e", E_NODE_OVER_U_NODE), 1,
+     "violation at [0]: system E nodes must carry counters"),
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
         "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
-        "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v"] + [
+        "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
+        "e-node-over-u-node"] + [
         f"{field}-{kind}-{'repeated' if repeated else 'once'}"
         for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
@@ -188,7 +197,7 @@ def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
     assert got == code
     assert "Traceback" not in err
     if code == 1:
-        assert out.startswith("violation at []") and not err
+        assert out.startswith(message) and not err
     else:
         assert message in err.strip().splitlines()[-1]
 
