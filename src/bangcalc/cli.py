@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default="bang")
         p.add_argument("--output", choices=("text", "machine"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-size", type=int, default=8)
 
     for name, fn in [("parse", cmd_parse), ("reduce", cmd_reduce), ("trace", cmd_trace),
                      ("classify", cmd_classify), ("clash", cmd_clash),

@@ -9,11 +9,10 @@ empty entry (absent means empty).
 
 from __future__ import annotations
 
-import re
 from bisect import insort
 from dataclasses import dataclass
 
-from .syntax import _DEPTH, memo_spans
+from .syntax import Lexer, TokenTable
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,14 @@ class TypeParseError(ValueError):
 
 # text -> the type it parses to; see `parse_type`
 TypeParseMemo = dict[str, Type]
-_TYPE_MARKS = re.compile(r"([\[\],])")
+
+TYPE_TOKENS = TokenTable(
+    marks={"->": "->", **{c: c for c in "[],"}, **{c: "tight" for c in "abn"}},
+    start=frozenset("o"),
+    cont=frozenset("0123456789"),
+    word=lambda w: "base" if len(w) > 1 else None,  # o and one or more decimal digits
+    bad=lambda c, i: TypeParseError(f"bad character {c!r} in type"),
+    pair="[]", inner=False)
 
 
 def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
@@ -221,32 +227,24 @@ def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
             hit = _run(text, memo)
         if hit is not None:
             return hit
-    toks = _TypeTokens(text, memo)
-    t, i = _parse_type(toks, 0)
-    if i != len(toks.toks):
+    toks = Lexer(text, TYPE_TOKENS, memo)
+    t = _parse_type(toks)
+    if toks.peek()[0] != "eof":
         raise TypeParseError(f"trailing tokens in type {text!r}")
-    if memo is not None:
-        memo[text] = t
-    return t
+    return toks.keep(0, len(text), t)
 
 
 def _run(text: str, memo: TypeParseMemo) -> Mult | None:
-    """The multiset a run `[E,...,E]`, one element text E that the memo
-    holds written k times, parses to, stored in the memo; None for any
-    other text.  Only E is scanned: the rest is one string comparison.  The
-    memo holds only texts that parsed, which have no "," outside brackets,
-    so a held E written k times is a run, however E was found."""
+    """The multiset a run `[E,...,E]` of one element text E that the memo
+    holds parses to, stored in the memo; None for any other text.  E ends
+    at the first "," before which the text is held: no text parses, and so
+    none is held, that ends inside brackets or has a "," outside them."""
     if text[:1] != "[" or text[-1:] != "]":
         return None
     i = text.find(",")
-    e = text[1:i] if i > 0 else text[1:-1]  # the first element, unless that "," lies inside it
-    if e.count("[") != e.count("]"):
-        depth = 0
-        for m in _TYPE_MARKS.finditer(text, 1):
-            if depth == 0 and m.group() != "[":
-                e = text[1:m.start()]
-                break
-            depth += _DEPTH[m.group()]
+    while i > 0 and text[1:i] not in memo:
+        i = text.find(",", i + 1)
+    e = text[1:i] if i > 0 else text[1:-1]
     held = memo.get(e)
     k = (len(text) - 1) // (len(e) + 1)
     if held is None or "[" + ",".join([e] * k) + "]" != text:
@@ -254,97 +252,39 @@ def _run(text: str, memo: TypeParseMemo) -> Mult | None:
     return memo.setdefault(text, Mult((held,) * k))
 
 
-class _TypeTokens:
-    """The tokens of a type text.  With a memo, each part of the text that
-    the memo holds is one "[" token, whose type `hits` holds by token
-    index, and `at` holds the offset of each other "[", "," and "]"."""
-
-    def __init__(self, text: str, memo: TypeParseMemo | None):
-        self.text, self.memo = text, memo
-        self.toks: list[str] = []
-        self.hits: dict[int, Type] = {}
-        self.at: dict[int, int] | None = None
-        i = 0
-        if memo is not None:
-            self.at = {}
-            for a, b, t in memo_spans(text, "[]", memo, inner=False):
-                self._lex(i, a)
-                self.hits[len(self.toks)] = t
-                self.toks.append("[")
-                i = b
-        self._lex(i, len(text))
-
-    def _lex(self, i: int, n: int) -> None:
-        text, toks, at = self.text, self.toks, self.at
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "[],":
-                if at is not None:
-                    at[len(toks)] = i
-                toks.append(c)
-                i += 1
-            elif text.startswith("->", i):
-                toks.append("->")
-                i += 2
-            elif c == "o" and i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-            elif c in "abn":
-                toks.append(c)
-                i += 1
-            else:
-                raise TypeParseError(f"bad character {c!r} in type")
-
-    def keep(self, a: int, b: int, t: Type, inner: bool) -> Type:
-        """t, parsed from the text from token a to token b, without them if
-        `inner`; with a memo, the first type parsed from that text."""
-        if self.at is None:
-            return t
-        lo, hi = self.at[a], self.at[b]
-        text = self.text[lo + 1:hi] if inner else self.text[lo:hi + 1]
-        return self.memo.setdefault(text, t)  # type: ignore[union-attr]
-
-
-def _parse_type(tt: _TypeTokens, i: int) -> tuple[Type, int]:
-    toks = tt.toks
-    head, i = _parse_type_atom(tt, i)
-    if i < len(toks) and toks[i] == "->":
+def _parse_type(toks: Lexer) -> Type:
+    head = _parse_type_atom(toks)
+    if toks.peek()[0] == "->":
+        toks.next()
         if not isinstance(head, Mult):
             raise TypeParseError("arrow domain must be a multiset")
-        cod, i = _parse_type(tt, i + 1)
-        return Arrow(head, cod), i
-    return head, i
+        return Arrow(head, _parse_type(toks))
+    return head
 
 
-def _parse_type_atom(tt: _TypeTokens, i: int) -> tuple[Type, int]:
-    toks = tt.toks
-    if i >= len(toks):
-        raise TypeParseError("unexpected end of type")
-    tok = toks[i]
-    if tok == "[":
-        hit = tt.hits.get(i)
+def _parse_type_atom(toks: Lexer) -> Type:
+    k, v, p = toks.next()
+    if k == "[":
+        hit = toks.hits.get(p)
         if hit is not None:
-            return hit, i + 1
-        start, elems = i, []
-        if i + 1 < len(toks) and toks[i + 1] == "]":
-            return tt.keep(start, i + 1, mult(elems), False), i + 2
-        while True:  # i is at the "[" or "," before an element
-            t, j = _parse_type(tt, i + 1)
-            if j >= len(toks):
-                raise TypeParseError("unterminated multiset")
-            if toks[j] not in (",", "]"):
-                raise TypeParseError(f"unexpected token {toks[j]!r} in multiset")
-            elems.append(tt.keep(i, j, t, True))
-            if toks[j] == "]":
-                return tt.keep(start, j, mult(elems), False), j + 1
-            i = j
-    if tok in ("a", "b", "n"):
-        return Tight(tok), i + 1
-    if tok.startswith("o"):
-        return BaseVar(int(tok[1:])), i + 1
-    raise TypeParseError(f"unexpected token {tok!r} in type")
+            return hit
+        if toks.peek()[0] == "]":
+            return toks.keep(p, toks.next()[2] + 1, EMPTY_MULT)
+        elems, q = [], p  # q is at the "[" or "," before an element
+        while True:
+            t = _parse_type(toks)
+            k, v, r = toks.next()
+            if k not in (",", "]"):
+                raise TypeParseError("unterminated multiset" if k == "eof"
+                                     else f"unexpected token {v!r} in multiset")
+            elems.append(toks.keep(q + 1, r, t))
+            if k == "]":
+                return toks.keep(p, r + 1, mult(elems))
+            q = r
+    if k == "tight":
+        return Tight(v)
+    if k == "base":
+        return BaseVar(int(v[1:]))
+    if k == "eof":
+        raise TypeParseError("unexpected end of type")
+    raise TypeParseError(f"unexpected token {v!r} in type")

@@ -117,15 +117,20 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 def fire_spine(t: Term, avoid: frozenset[str], at_core: Callable[[Term], Term]) -> Term:
     """L<c> -> L<at_core(c)> for the maximal closure spine L of t,
     refreshing the binders of L that are in `avoid` (the free variables
-    the new core brings in, which they would capture)."""
-    if not isinstance(t, Sub):
-        return at_core(t)
-    b, y = t.body, t.binder
-    if y in avoid:
-        y2 = fresh_name(y, avoid | free_vars(b))
-        b = subst_meta(b, y, Var(y2))
-        y = y2
-    return Sub(fire_spine(b, avoid, at_core), y, t.arg)
+    the new core brings in, which they would capture), outermost first."""
+    spine = []
+    while isinstance(t, Sub):
+        b, y = t.body, t.binder
+        if y in avoid:
+            y2 = fresh_name(y, avoid | free_vars(b))
+            b = subst_meta(b, y, Var(y2))
+            y = y2
+        spine.append((y, t.arg))
+        t = b
+    t = at_core(t)
+    for y, a in reversed(spine):
+        t = Sub(t, y, a)
+    return t
 
 
 def fire_db(t: Term) -> Term:

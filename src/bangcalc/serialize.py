@@ -13,7 +13,7 @@ from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
 )
-from .qtypes import Mult, Type, TypeMemo, TypeParseMemo, parse_type, print_type
+from .qtypes import Mult, TypeMemo, TypeParseMemo, parse_type, print_type
 from .system_u import Derivation
 from .system_e import DerivationE
 
@@ -42,19 +42,11 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
         })
         cur = step.result
     final = trace.final
-    records.append({
-        "record": "footer",
-        "steps": len(trace.steps),
-        "b": trace.b,
-        "e": trace.e,
-        "completed": trace.completed,
-        "normal": classify_nf(final).normal,
-        "classes": sorted(classify_nf(final).memberships),
-        "wcf_classes": sorted(classify_wcf_nf(final).memberships),
-        "clash_free": detect_clash(final).clash_free,
-        "term": print_term(final, memo),
-    })
-    return records
+    footer = classification_json(classify_nf(final), classify_wcf_nf(final), detect_clash(final))
+    del footer["clash"]  # the footer gives the verdict of the clash check, not its witness
+    footer.update(record="footer", steps=len(trace.steps), b=trace.b, e=trace.e,
+                  completed=trace.completed, term=print_term(final, memo))
+    return records + [footer]
 
 
 def dump_records(records: list[dict[str, Any]]) -> str:
@@ -110,12 +102,12 @@ def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
     premises = tuple(_derivation_from_json(p, terms, types) for p in obj.get("premises", []))
     context = {}
     for x, m in obj.get("context", {}).items():
-        ty = _read_type(m, types)
+        ty = parse_type(m, types)
         if not isinstance(ty, Mult):
             raise ValueError(f"context entry for {x} must be a multiset")
         context[x] = ty
     subject = parse_term(obj["term"], memo=terms)
-    ty = _read_type(obj["type"], types)
+    ty = parse_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]
         if not (isinstance(counters, list) and len(counters) == 3
@@ -124,12 +116,6 @@ def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
         return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
                            tuple(counters), premises)
     return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
-
-
-def _read_type(text: str, types: TypeParseMemo) -> Type:
-    # looked up here as well, so that parse_type is called once per distinct text
-    ty = types.get(text)
-    return parse_type(text, types) if ty is None else ty
 
 
 def classification_json(cls: NfClass, wcf: NfClass, clash: ClashReport) -> dict[str, Any]:

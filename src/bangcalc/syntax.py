@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -127,25 +127,23 @@ def subst_meta(t: Term, x: str, u: Term) -> Term:
             return Bang(subst_meta(b, x, u))
         case Der(b):
             return Der(subst_meta(b, x, u))
-        case Abs(y, b):
-            # x in fv(t) implies y != x
-            fvu = free_vars(u)
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                b = subst_meta(b, y, Var(y2))
-                y = y2
-            return Abs(y, subst_meta(b, x, u))
+        case Abs(y, b):  # x in fv(t) implies y != x
+            return Abs(*_subst_under(y, b, x, u))
         case Sub(b, y, a):
-            a2 = subst_meta(a, x, u) if x in free_vars(a) else a
             if x != y and x in free_vars(b):
-                fvu = free_vars(u)
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(b) | {x})
-                    b = subst_meta(b, y, Var(y2))
-                    y = y2
-                b = subst_meta(b, x, u)
-            return Sub(b, y, a2)
+                y, b = _subst_under(y, b, x, u)
+            return Sub(b, y, subst_meta(a, x, u))
     raise TypeError(t)
+
+
+def _subst_under(y: str, b: Term, x: str, u: Term) -> tuple[str, Term]:
+    """The binder y (not x) and its body b with u for x, y refreshed first
+    when it would capture a free variable of u."""
+    fvu = free_vars(u)
+    if y in fvu:
+        y2 = fresh_name(y, fvu | free_vars(b) | {x})
+        y, b = y2, subst_meta(b, y, Var(y2))
+    return y, subst_meta(b, x, u)
 
 
 def _canon(t: Term, env: dict[str, int], depth: int):
@@ -170,10 +168,16 @@ def canon_key(t: Term):
     return _canon(t, {}, 0)
 
 
-def term_eq(t: Term, u: Term) -> bool:
+# id(a) -> (a, b), a term a found equal to b; a is held so that its id stays its own
+ProvedEqual = dict[int, tuple[Term, Term]]
+
+
+def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
     """t == u, walked with an explicit stack so that a deep term does not
-    exhaust the interpreter's; subterms that are one object are not walked."""
-    stack = [(t, u)]
+    exhaust the interpreter's; subterms that are one object are not walked.
+    Every call given the same `proved` does not walk a pair an earlier call
+    found equal, and records the pairs it finds equal."""
+    stack, walked = [(t, u)], []
     while stack:
         a, b = stack.pop()
         if a is b:
@@ -181,6 +185,13 @@ def term_eq(t: Term, u: Term) -> bool:
         cls = type(a)
         if cls is not type(b) or cls is Var and a.name != b.name:
             return False
+        if cls is Var:
+            continue
+        if proved is not None:  # a variable is compared sooner than looked up
+            hit = proved.get(id(a))
+            if hit is not None and hit[1] is b:
+                continue
+            walked.append((a, b))
         if cls is App:
             stack += ((a.fun, b.fun), (a.arg, b.arg))
         elif cls is Abs or cls is Sub:
@@ -189,8 +200,11 @@ def term_eq(t: Term, u: Term) -> bool:
             stack.append((a.body, b.body))
             if cls is Sub:
                 stack.append((a.arg, b.arg))
-        elif cls is not Var:  # Bang, Der
+        else:  # Bang, Der
             stack.append((a.body, b.body))
+    if proved is not None:  # every pair walked is equal, as t and u are
+        for a, b in walked:
+            proved[id(a)] = (a, b)
     return True
 
 
@@ -238,15 +252,7 @@ class ListDecomposition:
 
     @property
     def shape(self) -> ShapeClass:
-        return shape_of_core(self.core)
-
-
-def shape_of_core(core: Term) -> ShapeClass:
-    if isinstance(core, Abs):
-        return ShapeClass.ABS
-    if isinstance(core, Bang):
-        return ShapeClass.BANG
-    return ShapeClass.OTHER
+        return shape_of(self.core)
 
 
 def decompose_list(t: Term) -> ListDecomposition:
@@ -265,7 +271,12 @@ def spine_core(t: Term) -> Term:
 
 
 def shape_of(t: Term) -> ShapeClass:
-    return shape_of_core(spine_core(t))
+    core = spine_core(t)
+    if isinstance(core, Abs):
+        return ShapeClass.ABS
+    if isinstance(core, Bang):
+        return ShapeClass.BANG
+    return ShapeClass.OTHER
 
 
 def is_abs_shaped(t: Term) -> bool:
@@ -303,12 +314,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_'")
-
-
 _MARKS = {"()": re.compile(r"([()])"), "[]": re.compile(r"([\[\]])")}
-_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1, ",": 0}
+_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1}
 
 
 def memo_spans(text: str, pair: str, memo: dict,
@@ -359,62 +366,104 @@ def memo_spans(text: str, pair: str, memo: dict,
     return spans
 
 
-class _Tokens:
-    def __init__(self, text: str, memo: "ParseMemo | None" = None):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []  # (kind, value, pos)
-        self.memo = memo
-        # offset of a "(" -> the term between it and its ")", which the
-        # memo holds: the "(" is the one token lexed for that text
-        self.hits: dict[int, Term] = {}
+Token = tuple[str, str, int]
+
+
+@dataclass(frozen=True)
+class TokenTable:
+    """How one grammar's text splits into tokens.  `marks` maps each mark
+    to its kind; a two-character mark is tried first.  A word is a `start`
+    character and then `cont` characters; `word` gives its kind, or None if
+    it is no token.  `bad(char, offset)` is the error for a character that
+    starts no token.  A memo holds parts in the brackets `pair`, by the text
+    between them if `inner`, else by their whole text (see `memo_spans`)."""
+    marks: dict[str, str]
+    start: frozenset[str]
+    cont: frozenset[str]
+    word: Callable[[str], str | None]
+    bad: Callable[[str, int], Exception]
+    pair: str
+    inner: bool
+
+
+class Lexer:
+    """The tokens of a text, (kind, text, offset) ending in ("eof", "",
+    len(text)), and a cursor over them.  With a memo, each outermost
+    bracketed part that the memo holds is lexed as its opening bracket
+    alone, and `hits` maps that bracket's offset to the value."""
+
+    def __init__(self, text: str, table: TokenTable, memo: dict | None = None):
+        self.text, self.table, self.memo = text, table, memo
+        self.toks: list[Token] = []
+        self.hits: dict[int, Any] = {}
         i = 0
         if memo is not None:
-            for a, b, t in memo_spans(text, "()", memo, inner=True):
+            opener = table.pair[0]
+            for a, b, value in memo_spans(text, table.pair, memo, table.inner):
                 self._lex(i, a)
-                self.toks.append(("(", "(", a))
-                self.hits[a] = t
+                self.toks.append((table.marks[opener], opener, a))
+                self.hits[a] = value
                 i = b
         self._lex(i, len(text))
         self.toks.append(("eof", "", len(text)))
         self.i = 0
 
     def _lex(self, i: int, n: int) -> None:
-        s = self.text
+        text, toks, table = self.text, self.toks, self.table
+        marks, start, cont = table.marks, table.start, table.cont
         while i < n:
-            c = s[i]
+            c = text[i]
             if c.isspace():
                 i += 1
-                continue
-            if c in _IDENT_START:
+            elif c in start:
                 j = i + 1
-                while j < n and s[j] in _IDENT_CONT:
+                while j < n and text[j] in cont:
                     j += 1
-                word = s[i:j]
-                self.toks.append(("der" if word == "der" else "ident", word, i))
+                word = text[i:j]
+                kind = table.word(word)
+                if kind is None:
+                    raise table.bad(c, i)
+                toks.append((kind, word, i))
                 i = j
-            elif s.startswith(":=", i):
-                self.toks.append(("sep", ":=", i))
-                i += 2
-            elif c in "\\!()[].λ":
-                kind = {"λ": "lambda", "\\": "backslash"}.get(c, c)
-                self.toks.append((kind, c, i))
-                i += 1
             else:
-                raise ParseError(f"unexpected character {c!r}", i)
+                mark = text[i:i + 2]
+                if mark not in marks:
+                    mark = c
+                    if c not in marks:
+                        raise table.bad(c, i)
+                toks.append((marks[mark], mark, i))
+                i += len(mark)
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> Token:
         return self.toks[self.i]
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> Token:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, kind: str) -> Token:
         k, v, p = self.next()
         if k != kind:
             raise ParseError(f"expected {kind}, found {v!r}", p)
         return k, v, p
+
+    def keep(self, a: int, b: int, value: Any) -> Any:
+        """value, parsed from text[a:b]; with a memo, the first value
+        parsed from that text, which the memo then holds."""
+        return value if self.memo is None else self.memo.setdefault(self.text[a:b], value)
+
+
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+TERM_TOKENS = TokenTable(
+    marks={":=": "sep", "\\": "backslash", "λ": "lambda",
+           **{c: c for c in "!()[]."}},
+    start=_LETTERS,
+    cont=_LETTERS | frozenset("0123456789_'"),
+    word=lambda w: "der" if w == "der" else "ident",
+    bad=lambda c, i: ParseError(f"unexpected character {c!r}", i),
+    pair="()", inner=True)
 
 
 # text -> the term it parses to; see `parse_term`
@@ -449,7 +498,7 @@ def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -
         hit = memo.get(text)
         if hit is not None:
             return hit
-    toks = _Tokens(text, memo)
+    toks = Lexer(text, TERM_TOKENS, memo)
     t = _parse_term(toks)
     k, v, p = toks.peek()
     if k != "eof":
@@ -457,12 +506,10 @@ def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -
     if strict and free_vars(t):
         names = ", ".join(sorted(free_vars(t)))
         raise ParseError(f"unbound names: {names}", 0)
-    if memo is not None:
-        memo[text] = t
-    return t
+    return toks.keep(0, len(text), t)
 
 
-def _parse_term(toks: _Tokens) -> Term:
+def _parse_term(toks: Lexer) -> Term:
     k, _, _ = toks.peek()
     if k in ("backslash", "lambda"):
         nxt = toks.toks[toks.i + 1]
@@ -475,7 +522,7 @@ def _parse_term(toks: _Tokens) -> Term:
     return _parse_app(toks)
 
 
-def _parse_app(toks: _Tokens) -> Term:
+def _parse_app(toks: Lexer) -> Term:
     t = _parse_post(toks)
     while True:
         k, _, _ = toks.peek()
@@ -485,7 +532,7 @@ def _parse_app(toks: _Tokens) -> Term:
             return t
 
 
-def _parse_post(toks: _Tokens) -> Term:
+def _parse_post(toks: Lexer) -> Term:
     t = _parse_atom(toks)
     while toks.peek()[0] == "[":
         toks.next()
@@ -499,34 +546,32 @@ def _parse_post(toks: _Tokens) -> Term:
     return t
 
 
-def _parse_atom(toks: _Tokens) -> Term:
+def _parse_atom(toks: Lexer) -> Term:
     k, v, p = toks.next()
     if k == "ident":
         return Var(v)
     if k == "!":
         return Bang(_parse_atom(toks))
     if k == "der":
-        if toks.peek()[0] == "(":
+        k, _, q = toks.peek()
+        if k == "(":
             toks.next()
-            return Der(_parse_parens(toks))
+            return Der(_parse_parens(toks, q))
         return Der(_parse_atom(toks))
     if k == "(":
-        return _parse_parens(toks)
+        return _parse_parens(toks, p)
     raise ParseError(f"unexpected token {v!r}", p)
 
 
-def _parse_parens(toks: _Tokens) -> Term:
-    """The term inside a "(" just read, and its ")".  With a memo, a text
-    the memo holds was lexed as the "(" alone; one parsed here is stored."""
-    p = toks.toks[toks.i - 1][2]
+def _parse_parens(toks: Lexer, p: int) -> Term:
+    """The term inside the "(" just read at offset p, and its ")".  With a
+    memo, a text the memo holds was lexed as the "(" alone; one parsed here
+    is stored."""
     t = toks.hits.get(p)
     if t is not None:
         return t
     t = _parse_term(toks)
-    q = toks.expect(")")[2]
-    if toks.memo is not None:
-        t = toks.memo.setdefault(toks.text[p + 1:q], t)
-    return t
+    return toks.keep(p + 1, toks.expect(")")[2], t)
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +581,10 @@ def _parse_parens(toks: _Tokens) -> Term:
 PrintMemo = dict[int, tuple[Term, str]]
 
 
-def _atom_str(t: Term, memo: PrintMemo | None) -> str:
-    """Render t as an atom, parenthesizing when the grammar requires it."""
-    match t:
-        case Var(x):
-            return x
-        case Bang(b):
-            return "!" + _atom_str(b, memo)
-        case Der(_):
-            return print_term(t, memo)
-        case _:
-            return "(" + print_term(t, memo) + ")"
+def _paren(t: Term, formers, memo: PrintMemo | None) -> str:
+    """t printed, in parentheses when it is built by one of `formers`."""
+    text = print_term(t, memo)
+    return f"({text})" if isinstance(t, formers) else text
 
 
 def print_term(t: Term, memo: PrintMemo | None = None) -> str:
@@ -561,7 +599,7 @@ def print_term(t: Term, memo: PrintMemo | None = None) -> str:
             return x
         case Abs(x, b):
             text = f"\\{x}. {print_term(b, memo)}"
-        case App(f, a):
+        case App(f, a):  # written out, not through _paren: the most frequent node
             fs = f"({print_term(f, memo)})" if isinstance(f, Abs) else print_term(f, memo)
             match a:
                 case App(_, _) | Abs(_, _):
@@ -569,16 +607,11 @@ def print_term(t: Term, memo: PrintMemo | None = None) -> str:
                 case _:
                     text = f"{fs} {print_term(a, memo)}"
         case Bang(b):
-            text = "!" + _atom_str(b, memo)
+            text = "!" + _paren(b, (App, Abs, Sub), memo)
         case Der(b):
             text = f"der({print_term(b, memo)})"
         case Sub(b, x, a):
-            match b:
-                case Var(_) | Bang(_) | Der(_) | Sub(_, _, _):
-                    bs = print_term(b, memo)
-                case _:
-                    bs = f"({print_term(b, memo)})"
-            text = f"{bs}[{x} \\ {print_term(a, memo)}]"
+            text = f"{_paren(b, (App, Abs), memo)}[{x} \\ {print_term(a, memo)}]"
         case _:
             raise TypeError(t)
     if memo is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Abs, App, Bang, Der, Sub, Term, Var, print_term, w_size
+from .syntax import Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var, print_term, w_size
 from .reduction import (
     Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
 )
@@ -247,10 +247,11 @@ def reduce_derivation_e(d: DerivationE, step: tuple[Position, RuleKind]) -> Deri
     return out
 
 
-def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind]) -> DerivationE:
+def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind],
+                        proved: ProvedEqual | None = None) -> DerivationE:
     """Exact subject expansion: rebuild a derivation for t from one for
     its dw-reduct, raising the matching counter by exactly one."""
-    out = expand_derivation(d, t, step)
+    out = expand_derivation(d, t, step, proved)
     expect = (d.b + 1, d.e, d.s) if step[1].multiplicative else (d.b, d.e + 1, d.s)
     if out.counters != expect or out.type != d.type or out.context != d.context:
         raise IllFormed("subject expansion did not preserve the judgement exactly")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, Sub, Term, Var,
+    Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var,
     decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
 )
 from .reduction import (
@@ -637,15 +637,20 @@ def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Deriv
 def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
     """reduction.fire_spine on derivations: d types L<c>; the result types
     L<c'> with at_core giving the derivation of c', and the binders of L
-    that are in `avoid` refreshed."""
-    if not isinstance(d.subject, Sub):
-        return at_core(d)
-    y, (p_b, p_a) = d.subject.binder, d.premises
-    if y in avoid:
-        y2 = fresh_name(y, avoid | free_vars(p_b.subject))
-        p_b = rename_free_d(p_b, y, y2)
-        y = y2
-    return _maker(d)(y, fire_spine_d(p_b, avoid, at_core), p_a)
+    that are in `avoid` refreshed, outermost first."""
+    spine = []
+    while isinstance(d.subject, Sub):
+        y, (p_b, p_a) = d.subject.binder, d.premises
+        if y in avoid:
+            y2 = fresh_name(y, avoid | free_vars(p_b.subject))
+            p_b = rename_free_d(p_b, y, y2)
+            y = y2
+        spine.append((_maker(d), y, p_a))
+        d = p_b
+    d = at_core(d)
+    for make, y, p_a in reversed(spine):
+        d = make(y, d, p_a)
+    return d
 
 
 def _fire(d, kind: RuleKind):
@@ -692,22 +697,25 @@ def _fire(d, kind: RuleKind):
     raise IllFormed(f"{kind} is not a bang-calculus rule")
 
 
-def expand_derivation(d, t: Term, step: tuple[Position, RuleKind]):
+def expand_derivation(d, t: Term, step: tuple[Position, RuleKind],
+                      proved: ProvedEqual | None = None):
     """A derivation of t from one of its reduct across the given redex,
     built rule by rule; the callers check how the judgement and the
-    measure move."""
+    measure move.  The rebuilt subject is checked against t with
+    `term_eq`, which is given `proved`."""
     pos, kind = step
     redex = subterm_at(t, pos)
     out = _at(d, pos, lambda node: _expand(node, redex, kind))
-    if not term_eq(out.subject, t):
+    if not term_eq(out.subject, t, proved):
         raise IllFormed("expansion did not rebuild the stated term")
     return out
 
 
-def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind]) -> Derivation:
+def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind],
+                        proved: ProvedEqual | None = None) -> Derivation:
     """Weighted subject expansion: from a derivation of the reduct of t at
     the given redex, build a derivation of t itself."""
-    out = expand_derivation(d, t, step)
+    out = expand_derivation(d, t, step, proved)
     if out.context != d.context or out.type != d.type or size_u(out) <= size_u(d):
         raise IllFormed("subject expansion did not preserve the judgement")
     return out
@@ -795,10 +803,14 @@ def infer_with(t: Term, fuel: int, type_nf: Callable[[Term], Any],
     return replay_trace(type_nf(p), trace)
 
 
-def replay(d, trace: Trace, expand: Callable[[Any, Term, tuple[Position, RuleKind]], Any]):
+def replay(d, trace: Trace, expand: Callable[..., Any]):
+    """Expand d back along the trace.  Consecutive rebuilt subjects, and
+    consecutive trace terms, share most of their subterms, so the subject
+    checks share one `proved` and each compares only what a step changed."""
     terms = [trace.start] + [s.result for s in trace.steps]
+    proved: ProvedEqual = {}
     for i in range(len(trace.steps) - 1, -1, -1):
-        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
+        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule), proved)
     return d
 
 

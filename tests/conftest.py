@@ -2,15 +2,15 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
-from bangcalc.qtypes import Mult, parse_type
+from bangcalc.qtypes import Mult, TypeParseError, parse_type
 from bangcalc.reduction import (
     ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, fire_db, fire_dbang,
     fire_sbang,
 )
 from bangcalc.serialize import MalformedDerivation
 from bangcalc.syntax import (
-    Abs, App, Bang, Der, Sub, Var, is_abs_shaped, is_bang_shaped, parse_term, print_term,
-    spine_core, subst_meta,
+    Abs, App, Bang, Der, ParseError, Sub, Var, is_abs_shaped, is_bang_shaped, parse_term,
+    print_term, spine_core, subst_meta,
 )
 from bangcalc.system_e import DerivationE
 from bangcalc.system_u import Derivation
@@ -132,6 +132,70 @@ def ref_print_term(t) -> str:
                     bs = f"({ref_print_term(b)})"
             return f"{bs}[{x} \\ {ref_print_term(a)}]"
     raise TypeError(t)
+
+
+# ---------------------------------------------------------------------------
+# Reference lexers: one hand-written loop per grammar, the oracles for
+# `syntax.Lexer` under `syntax.TERM_TOKENS` and `qtypes.TYPE_TOKENS`.  Each
+# gives (kind, text, offset) tokens ending in ("eof", "", len(text)).
+
+_REF_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_REF_IDENT_CONT = _REF_LETTERS | set("0123456789_'")
+_REF_DIGITS = set("0123456789")
+
+
+def ref_term_tokens(text):
+    toks, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _REF_LETTERS:
+            j = i + 1
+            while j < n and text[j] in _REF_IDENT_CONT:
+                j += 1
+            word = text[i:j]
+            toks.append(("der" if word == "der" else "ident", word, i))
+            i = j
+        elif text.startswith(":=", i):
+            toks.append(("sep", ":=", i))
+            i += 2
+        elif c in "\\!()[].λ":
+            kind = {"λ": "lambda", "\\": "backslash"}.get(c, c)
+            toks.append((kind, c, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    return toks + [("eof", "", n)]
+
+
+def ref_type_tokens(text):
+    """A base variable is o followed by decimal digits 0-9; no other
+    character that `str.isdigit` accepts continues it."""
+    toks, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "[],":
+            toks.append((c, c, i))
+            i += 1
+        elif text.startswith("->", i):
+            toks.append(("->", "->", i))
+            i += 2
+        elif c == "o" and i + 1 < n and text[i + 1] in _REF_DIGITS:
+            j = i + 1
+            while j < n and text[j] in _REF_DIGITS:
+                j += 1
+            toks.append(("base", text[i:j], i))
+            i = j
+        elif c in "abn":
+            toks.append(("tight", c, i))
+            i += 1
+        else:
+            raise TypeParseError(f"bad character {c!r} in type")
+    return toks + [("eof", "", n)]
 
 
 def ref_derivation_from_json(obj):

@@ -164,3 +164,30 @@ def test_replay_work_is_linear_in_steps_and_nodes(call_counts):
     work = len(normalize_dw(t, 10_000).steps) + sum(1 for _ in nodes(d))
     assert calls["free_vars"] <= 10 * work
     assert calls["size_u"] <= 10 * work
+
+
+@pytest.mark.parametrize("n", [80, 160])
+def test_cbv_replay_compares_each_pair_of_subterms_once(monkeypatch, n):
+    # The rebuilt subjects of a CBV image share no objects with the trace's
+    # terms, so comparing each whole subject with its trace term walks a
+    # number of node pairs quadratic in n (about 80,000 at n = 160);
+    # skipping the pairs an earlier step's check proved equal leaves about 12n.
+    walked = []
+    term_eq = system_u.term_eq
+
+    def counted(t, u, proved=None):
+        stack = [(t, u)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (proved is None or proved.get(id(a), (a, None))[1] is not b):
+                walked.append(a)
+                stack += zip(_children(a), _children(b))
+        return term_eq(t, u, proved)
+    monkeypatch.setattr(system_u, "term_eq", counted)
+    d = infer_v(church_term(n), 10_000)
+    assert d.subject == church_term(n) and cbn_cbv.check_derivation_v(d) is None
+    assert len(walked) < 20 * n, len(walked)
+
+
+def _children(t):
+    return [getattr(t, f.name) for f in dataclasses.fields(t) if f.name not in ("name", "binder")]

@@ -214,7 +214,6 @@ FLAGS = {
     "--calculus": ["bang", "cbn", "cbv", "lambda"],
     "--output": ["text", "machine", "json"],
     "--seed": ["0", "7", "1.5"],
-    "--max-size": ["4", "big"],
     "--system": ["u", "e", "n", "v", "w"],
     "--strict": [None],
 }

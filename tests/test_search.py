@@ -14,7 +14,9 @@ from bangcalc.reduction import (
     ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel, detect_clash, normalize_dw,
     redexes, replace_at, step_at, step_dw, subterm_at,
 )
-from bangcalc.syntax import Abs, App, Bang, Der, Var
+from bangcalc.qtypes import EMPTY_MULT, BaseVar, mult
+from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, decompose_list, term_eq
+from bangcalc.system_u import mk_abs, mk_app, mk_ax, mk_es, reduce_derivation_u
 
 from conftest import (
     bang_terms, lambda_terms, ref_detect_clash, ref_n_size, ref_redexes, ref_replace_at,
@@ -134,3 +136,19 @@ def test_replace_at_deep():
     pos = (Sel.DER_BODY,) * DEPTH
     out = replace_at(ders(Var("x")), pos, Var("y"))
     assert subterm_at(out, pos) == Var("y")
+
+
+@pytest.mark.parametrize("k", [50, 3000])
+def test_a_redex_under_a_long_closure_spine_fires(k):
+    # (\x. x)[y_0 \ z]...[y_k-1 \ z] w, and its derivation: firing loops
+    # over the spine, in the term and in the derivation
+    f, d = Abs("x", Var("x")), mk_abs("x", mk_ax("x", BaseVar(0)))
+    for i in range(k):
+        f = Sub(f, f"y{i}", Var("z"))
+        d = mk_es(f"y{i}", d, mk_ax("z", EMPTY_MULT))
+    d = mk_app(d, mk_ax("w", mult([BaseVar(0)])))
+    pos, kind, reduct = step_dw(App(f, Var("w")))
+    assert (pos, kind) == ((), RuleKind.DB)
+    spine = decompose_list(reduct)
+    assert spine.core == Var("x") and spine.spine[::k] == ((f"y{k - 1}", Var("z")), ("x", Var("w")))
+    assert term_eq(reduce_derivation_u(d, (pos, kind)).subject, reduct)
