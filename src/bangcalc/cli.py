@@ -261,37 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
                                               "quantitative type checker")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, term=True):
-        if term:
-            p.add_argument("term", nargs="?", default=None,
-                           help="input term (defaults to stdin)")
-        p.add_argument("--fuel", type=fuel, default=10000)
-        p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default="bang")
-        p.add_argument("--output", choices=("text", "machine"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-
-    for name, fn in [("parse", cmd_parse), ("reduce", cmd_reduce), ("trace", cmd_trace),
-                     ("classify", cmd_classify), ("clash", cmd_clash),
-                     ("infer", cmd_infer), ("tight", cmd_tight)]:
+    def term_command(name, fn, reduces, calculus="bang"):
+        """A command on a term, with the flags it reads: --fuel if it reduces."""
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("term", nargs="?", default=None, help="input term (defaults to stdin)")
+        if reduces:
+            p.add_argument("--fuel", type=fuel, default=10000)
+        p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default=calculus)
+        p.add_argument("--output", choices=("text", "machine"), default="text")
         p.set_defaults(fn=fn)
+
+    for name, fn, reduces in [("parse", cmd_parse, False), ("reduce", cmd_reduce, True),
+                              ("trace", cmd_trace, True), ("classify", cmd_classify, False),
+                              ("clash", cmd_clash, False), ("infer", cmd_infer, True),
+                              ("tight", cmd_tight, True)]:
+        term_command(name, fn, reduces)
     sub.choices["parse"].add_argument("--strict", action="store_true",
                                       help="reject unbound names")
 
     p = sub.add_parser("typecheck", help="check a derivation given as JSON")
     p.add_argument("term", nargs="?", default=None, help="JSON input (defaults to stdin)")
     p.add_argument("--system", choices=("u", "e", "n", "v"), required=True)
-    p.add_argument("--fuel", type=fuel, default=10000)
-    p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default="bang")
     p.add_argument("--output", choices=("text", "machine"), default="text")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_typecheck)
 
-    for name, fn in [("embed", cmd_embed), ("translate", cmd_translate)]:
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn, calculus="cbn")
+    term_command("embed", cmd_embed, False, calculus="cbn")
+    term_command("translate", cmd_translate, True, calculus="cbn")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)

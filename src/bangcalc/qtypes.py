@@ -126,9 +126,16 @@ def ctx_get(ctx: Context, x: str) -> Mult:
 
 
 def ctx_union(*ctxs: Context) -> Context:
+    """The union of the contexts: each name's multisets merged, names in
+    sorted order, empty entries dropped.  A lone context with no empty
+    entry is returned as it is."""
+    if len(ctxs) == 2:
+        return _union2(*ctxs)
+    if len(ctxs) == 1:
+        return _lone(ctxs[0])
     live = [ctx for ctx in ctxs if ctx]
-    if len(live) <= 1 and all(m.elements for ctx in live for m in ctx.values()):
-        return live[0] if live else {}  # nothing to merge, nothing to drop
+    if len(live) <= 1:
+        return _lone(live[0]) if live else {}
     names: dict[str, list[Mult]] = {}
     for ctx in ctxs:
         for x, m in ctx.items():
@@ -138,12 +145,42 @@ def ctx_union(*ctxs: Context) -> Context:
     return {x: ms[0] if len(ms) == 1 else _merge(ms) for x, ms in sorted(names.items())}
 
 
-def _merge(ms: list[Mult]) -> Mult:
+def _union2(a: Context, b: Context) -> Context:
+    """`ctx_union(a, b)`, the union that application and closure rules
+    take, without collecting each name's multisets in lists."""
+    if not a or not b:
+        return _lone(a or b)
+    out = {}
+    for x in sorted(a.keys() | b.keys()):
+        m, n = a.get(x), b.get(x)
+        if m is None or not m.elements:
+            if n is not None and n.elements:
+                out[x] = n
+        elif n is None or not n.elements:
+            out[x] = m
+        else:
+            out[x] = _merge((m, n))
+    return out
+
+
+def _lone(ctx: Context) -> Context:
+    """ctx, or its non-empty entries in sorted order when it has an empty one."""
+    for m in ctx.values():
+        if not m.elements:
+            return {x: m for x, m in sorted(ctx.items()) if m.elements}
+    return ctx  # nothing to merge, nothing to drop
+
+
+def _merge(ms) -> Mult:
     """The bag union of sorted multisets.  The other bags' elements go into
-    the largest by binary search, so its own elements are not keyed again.
-    An element equal to the last one goes at the end, where `insort` puts
-    it, as that last object: a run stays one object and is not keyed."""
-    i = max(range(len(ms)), key=lambda j: len(ms[j]))
+    the first of the largest by binary search, so its own elements are not
+    keyed again.  An element equal to the last one goes at the end, where
+    `insort` puts it, as that last object: a run stays one object and is not
+    keyed."""
+    i = 0
+    for j in range(1, len(ms)):
+        if len(ms[j].elements) > len(ms[i].elements):
+            i = j
     out = list(ms[i].elements)
     for j, m in enumerate(ms):
         if j != i:
@@ -157,6 +194,8 @@ def _merge(ms: list[Mult]) -> Mult:
 
 
 def ctx_remove(ctx: Context, x: str) -> Context:
+    if x not in ctx:
+        return ctx
     return {y: m for y, m in ctx.items() if y != x}
 
 

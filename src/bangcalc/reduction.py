@@ -307,33 +307,47 @@ def classify_nf(t: Term) -> NfClass:
     return _CLASSES[_nf_bits(t)]
 
 
-def _wcf_bits(t: Term) -> tuple[bool, bool, bool]:
+# id(term) -> (term, its (ne, na, nb) bits); see `classify_wcf_nf`
+WcfMemo = dict[int, tuple[Term, tuple[bool, bool, bool]]]
+
+
+def _wcf_bits(t: Term, memo: WcfMemo | None = None) -> tuple[bool, bool, bool]:
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
         case Var(_):
-            return True, True, True
+            bits = True, True, True
         case Bang(_):
-            return False, True, False
+            bits = False, True, False
         case Abs(_, b):
-            _, na, nb = _wcf_bits(b)
-            return False, False, na or nb
+            _, na, nb = _wcf_bits(b, memo)
+            bits = False, False, na or nb
         case App(f, a):
-            fne, _, _ = _wcf_bits(f)
-            _, ana, _ = _wcf_bits(a)
+            fne, _, _ = _wcf_bits(f, memo)
+            _, ana, _ = _wcf_bits(a, memo)
             ok = fne and ana
-            return ok, ok, ok
+            bits = ok, ok, ok
         case Der(b):
-            bne, _, _ = _wcf_bits(b)
-            return bne, bne, bne
+            bne, _, _ = _wcf_bits(b, memo)
+            bits = bne, bne, bne
         case Sub(b, _, a):
-            bne, bna, bnb = _wcf_bits(b)
-            ane, _, _ = _wcf_bits(a)
-            return bne and ane, bna and ane, bnb and ane
-    raise TypeError(t)
+            bne, bna, bnb = _wcf_bits(b, memo)
+            ane, _, _ = _wcf_bits(a, memo)
+            bits = bne and ane, bna and ane, bnb and ane
+        case _:
+            raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, bits)
+    return bits
 
 
-def classify_wcf_nf(t: Term) -> NfClass:
-    """Membership in the weak clash-free normal grammars."""
-    return _CLASSES[_wcf_bits(t)]
+def classify_wcf_nf(t: Term, memo: WcfMemo | None = None) -> NfClass:
+    """Membership in the weak clash-free normal grammars.  Every call given
+    the same `memo` classifies each subterm once, as the typing of a normal
+    form asks for the class of its subterms, level by level."""
+    return _CLASSES[_wcf_bits(t, memo)]
 
 
 # ---------------------------------------------------------------------------

@@ -177,34 +177,41 @@ def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
     exhaust the interpreter's; subterms that are one object are not walked.
     Every call given the same `proved` does not walk a pair an earlier call
     found equal, and records the pairs it finds equal."""
-    stack, walked = [(t, u)], []
+    if t is u:
+        return True
+    stack, walked = [(t, u)], []  # pairs of distinct objects only
     while stack:
         a, b = stack.pop()
-        if a is b:
-            continue
         cls = type(a)
-        if cls is not type(b) or cls is Var and a.name != b.name:
+        if cls is not type(b):
             return False
         if cls is Var:
+            if a.name != b.name:
+                return False
             continue
         if proved is not None:  # a variable is compared sooner than looked up
-            hit = proved.get(id(a))
+            key = id(a)
+            hit = proved.get(key)
             if hit is not None and hit[1] is b:
                 continue
-            walked.append((a, b))
+            walked.append((key, (a, b)))
         if cls is App:
-            stack += ((a.fun, b.fun), (a.arg, b.arg))
-        elif cls is Abs or cls is Sub:
-            if a.binder != b.binder:
+            x, y = a.fun, b.fun
+            if x is not y:
+                stack.append((x, y))
+            x, y = a.arg, b.arg
+        else:
+            if (cls is Abs or cls is Sub) and a.binder != b.binder:
                 return False
-            stack.append((a.body, b.body))
             if cls is Sub:
-                stack.append((a.arg, b.arg))
-        else:  # Bang, Der
-            stack.append((a.body, b.body))
+                x, y = a.arg, b.arg
+                if x is not y:
+                    stack.append((x, y))
+            x, y = a.body, b.body
+        if x is not y:
+            stack.append((x, y))
     if proved is not None:  # every pair walked is equal, as t and u are
-        for a, b in walked:
-            proved[id(a)] = (a, b)
+        proved.update(walked)
     return True
 
 
@@ -212,21 +219,29 @@ def alpha_eq(t: Term, u: Term) -> bool:
     return t == u or canon_key(t) == canon_key(u)
 
 
-def w_size(t: Term) -> int:
+# id(term) -> (term, its w_size); see `w_size`
+SizeMemo = dict[int, tuple[Term, int]]
+
+
+def w_size(t: Term, memo: SizeMemo | None = None) -> int:
+    """The nodes of t outside bangs, variables apart.  Every call given the
+    same `memo` sizes each subterm once."""
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
     match t:
-        case Var(_):
+        case Var(_) | Bang(_):
             return 0
-        case App(f, a):
-            return 1 + w_size(f) + w_size(a)
-        case Abs(_, b):
-            return 1 + w_size(b)
-        case Bang(_):
-            return 0
-        case Der(b):
-            return 1 + w_size(b)
-        case Sub(b, _, a):
-            return 1 + w_size(b) + w_size(a)
-    raise TypeError(t)
+        case App(f, a) | Sub(f, _, a):
+            n = 1 + w_size(f, memo) + w_size(a, memo)
+        case Abs(_, b) | Der(b):
+            n = 1 + w_size(b, memo)
+        case _:
+            raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, n)
+    return n
 
 
 # ---------------------------------------------------------------------------

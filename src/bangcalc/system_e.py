@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var, print_term, w_size
+from .syntax import (
+    Abs, App, Bang, Der, ProvedEqual, SizeMemo, Sub, Term, Var, print_term, w_size,
+)
 from .reduction import (
-    Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
+    Position, RuleKind, FuelExhausted, Trace, WcfMemo, classify_nf, classify_wcf_nf,
 )
 from .qtypes import (
     Arrow, Context, Tight, Type, TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
@@ -37,11 +39,12 @@ from .qtypes import (
 from .system_u import (
     RULES, Counters, Untypable, Violation, IllFormed, NotTypableNormalForm,
     abs_, antisubst_derivation, app, ax, bg, check_derivation, close, define, dr, es,
-    expand_derivation, infer_with, reduce_derivation, register, replay, subst_derivation,
+    expand_derivation, infer_with, reduce_derivation, register, replay, same_judgement,
+    subst_derivation,
 )
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen, for the reason given at system_u.Derivation
 class DerivationE:
     rule: str
     context: Context
@@ -184,53 +187,58 @@ def tight_spreading_check(d: DerivationE) -> bool:
 
 def type_normal_form_tight(t: Term) -> DerivationE:
     """The all-persistent tight derivation of a wcf normal form; its
-    counters are exactly (0, 0, w_size)."""
-    cls = classify_wcf_nf(t)
+    counters are exactly (0, 0, w_size), as they are at each level below.
+    Each subterm is classified and sized once."""
+    return _tight_nf(t, {}, {})
+
+
+def _tight_nf(t: Term, memo: WcfMemo, sizes: SizeMemo) -> DerivationE:
+    cls = classify_wcf_nf(t, memo)
     if not cls.memberships:
         raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
     if cls.ne:
-        d = _tight_ne(t)
+        d = _tight_ne(t, memo)
     elif cls.na:
-        d = _tight_arg(t)
+        d = _tight_arg(t, memo)
     else:
-        d = _tight_nb(t)
-    assert d.counters == (0, 0, w_size(t))
+        d = _tight_nb(t, memo, sizes)
+    assert d.counters == (0, 0, w_size(t, sizes))
     return d
 
 
-def _tight_ne(t: Term) -> DerivationE:
+def _tight_ne(t: Term, memo: WcfMemo) -> DerivationE:
     match t:
         case Var(x):
             return mk_ax_e(x, TIGHT_NEUTRAL)
         case App(f, a):
-            return mk_ae_t(_tight_ne(f), _tight_arg(a))
+            return mk_ae_t(_tight_ne(f, memo), _tight_arg(a, memo))
         case Der(b):
-            return mk_dr_t(_tight_ne(b))
+            return mk_dr_t(_tight_ne(b, memo))
         case Sub(b, x, a):
-            return mk_es_t(x, _tight_ne(b), _tight_ne(a))
+            return mk_es_t(x, _tight_ne(b, memo), _tight_ne(a, memo))
     raise NotTypableNormalForm(print_term(t))
 
 
-def _tight_arg(t: Term) -> DerivationE:
+def _tight_arg(t: Term, memo: WcfMemo) -> DerivationE:
     """Neutral-abs terms: bang-shaped ones get b, neutral ones get n."""
-    if classify_wcf_nf(t).ne:
-        return _tight_ne(t)
+    if classify_wcf_nf(t, memo).ne:
+        return _tight_ne(t, memo)
     match t:
         case Bang(b):
             return mk_bg_t(b)
         case Sub(b, x, a):
-            return mk_es_t(x, _tight_arg(b), _tight_ne(a))
+            return mk_es_t(x, _tight_arg(b, memo), _tight_ne(a, memo))
     raise NotTypableNormalForm(print_term(t))
 
 
-def _tight_nb(t: Term) -> DerivationE:
-    if classify_wcf_nf(t).ne:
-        return _tight_ne(t)
+def _tight_nb(t: Term, memo: WcfMemo, sizes: SizeMemo) -> DerivationE:
+    if classify_wcf_nf(t, memo).ne:
+        return _tight_ne(t, memo)
     match t:
         case Abs(x, b):
-            return mk_ai_t(x, type_normal_form_tight(b))
+            return mk_ai_t(x, _tight_nf(b, memo, sizes))
         case Sub(b, x, a):
-            return mk_es_t(x, _tight_nb(b), _tight_ne(a))
+            return mk_es_t(x, _tight_nb(b, memo, sizes), _tight_ne(a, memo))
     raise NotTypableNormalForm(print_term(t))
 
 
@@ -241,8 +249,9 @@ def reduce_derivation_e(d: DerivationE, step: tuple[Position, RuleKind]) -> Deri
     """Exact subject reduction: a dB step lowers b by one, an s!/d! step
     lowers e by one; the size counter never moves."""
     out = reduce_derivation(d, step)
-    expect = (d.b - 1, d.e, d.s) if step[1].multiplicative else (d.b, d.e - 1, d.s)
-    if out.counters != expect or out.type != d.type or out.context != d.context:
+    b, e, s = d.counters
+    expect = (b - 1, e, s) if step[1].multiplicative else (b, e - 1, s)
+    if out.counters != expect or not same_judgement(out, d):
         raise IllFormed("subject reduction did not preserve the judgement exactly")
     return out
 
@@ -252,8 +261,9 @@ def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind]
     """Exact subject expansion: rebuild a derivation for t from one for
     its dw-reduct, raising the matching counter by exactly one."""
     out = expand_derivation(d, t, step, proved)
-    expect = (d.b + 1, d.e, d.s) if step[1].multiplicative else (d.b, d.e + 1, d.s)
-    if out.counters != expect or out.type != d.type or out.context != d.context:
+    b, e, s = d.counters
+    expect = (b + 1, e, s) if step[1].multiplicative else (b, e + 1, s)
+    if out.counters != expect or not same_judgement(out, d):
         raise IllFormed("subject expansion did not preserve the judgement exactly")
     return out
 

@@ -22,6 +22,7 @@ subject is always the same syntax tree the reduction engine produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from .syntax import (
@@ -29,7 +30,7 @@ from .syntax import (
     decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
 )
 from .reduction import (
-    SELECTORS, Position, RuleKind, FuelExhausted, Trace,
+    SELECTORS, Position, RuleKind, FuelExhausted, Trace, WcfMemo,
     classify_wcf_nf, fire_spine, normalize_dw, subterm_at,
 )
 from .qtypes import (
@@ -39,8 +40,13 @@ from .qtypes import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Derivation:
+    """A node: its rule, its judgement and its premises.  Nodes are never
+    changed once built, but the class is not frozen: a frozen dataclass
+    sets each field through `object.__setattr__`, which made building a
+    node cost about twice as much, and inference builds every node of
+    every replayed step.  Like a frozen one, a node is not hashable."""
     rule: str
     context: Context
     subject: Term
@@ -110,10 +116,26 @@ class Rule:
                                     # one per element of its (multiset) type
     consuming: bool = False         # the rule the engine rebuilds its former with
     closure: str | None = None      # an application rule: the closure rule dB turns it into
+    sized: str | None = None        # the system whose size the maker keeps on each node
 
     def __post_init__(self):
         tag, conclude, node, delta = self.tag, self.conclude, self.node, self.delta
-        if delta is None:
+        if self.sized is not None:
+            system, weight = self.sized, self.weight
+            attr = "_size_" + system
+
+            def make(*args):
+                # the node's size from its weight and its premises' sizes,
+                # which their makers kept, or a walk for one that was read
+                context, subject, ty, ps = conclude(tag, *args)
+                d = node(tag, context, subject, ty, ps)
+                n = len(ty) if weight is None else weight
+                for p in ps:
+                    m = getattr(p, attr, None)
+                    n += _walk_size(p, system) if m is None else m
+                setattr(d, attr, n)
+                return d
+        elif delta is None:
             def make(*args):
                 return node(tag, *conclude(tag, *args))
         else:
@@ -137,13 +159,13 @@ RULES: dict[str, dict[str, Rule]] = {}
 
 
 def ax(tag: str, x: str, ty: Type) -> tuple:
-    return {x: mult([ty])}, Var(x), ty, ()
+    return {x: Mult((ty,))}, Var(x), ty, ()
 
 
 def app(tag: str, d_f, d_a) -> tuple:
     if not isinstance(d_f.type, Arrow):
         raise IllFormed(f"{tag} function premise must have an arrow type")
-    if d_a.type != d_f.type.domain:
+    if d_a.type is not d_f.type.domain and d_a.type != d_f.type.domain:
         raise IllFormed(f"{tag} argument premise must match the arrow domain")
     return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
             d_f.type.codomain, (d_f, d_a))
@@ -160,10 +182,13 @@ def bg(tag: str, body: Term, premises: tuple) -> tuple:
             raise IllFormed(f"{tag} premise subjects must be the bang body")
     # stably sorted by type, so their types make a multiset as they stand;
     # keyed only when out of order
-    if not is_sorted([p.type for p in premises]):
+    if len(premises) > 1 and not is_sorted([p.type for p in premises]):
         premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
-    return (ctx_union(*(p.context for p in premises)), Bang(body),
-            Mult(tuple(p.type for p in premises)), premises)
+    return (ctx_union(*map(_CONTEXT, premises)), Bang(body),
+            Mult(tuple(map(_TYPE, premises))), premises)
+
+
+_CONTEXT, _TYPE = attrgetter("context"), attrgetter("type")
 
 
 def dr(tag: str, d_b) -> tuple:
@@ -173,7 +198,8 @@ def dr(tag: str, d_b) -> tuple:
 
 
 def es(tag: str, x: str, d_b, d_a) -> tuple:
-    if d_a.type != ctx_get(d_b.context, x):
+    m = ctx_get(d_b.context, x)
+    if d_a.type is not m and d_a.type != m:
         raise IllFormed(f"{tag} argument premise must be typed with the binder multiset")
     return close(x, d_b, d_a)
 
@@ -225,12 +251,12 @@ def define(tag: str, conclude: Callable[..., tuple], former: type, **fields: Any
 
 
 RULES["u"] = {r.tag: r for r in (
-    define("ax", ax, Var, consuming=True),
-    define("app", app, App, consuming=True, closure="es"),
-    define("abs", abs_, Abs, consuming=True),
-    define("bg", bg, Bang, consuming=True, weight=0),
-    define("dr", dr, Der, consuming=True),
-    define("es", es, Sub, consuming=True),
+    define("ax", ax, Var, consuming=True, sized="u"),
+    define("app", app, App, consuming=True, closure="es", sized="u"),
+    define("abs", abs_, Abs, consuming=True, sized="u"),
+    define("bg", bg, Bang, consuming=True, weight=0, sized="u"),
+    define("dr", dr, Der, consuming=True, sized="u"),
+    define("es", es, Sub, consuming=True, sized="u"),
 )}
 mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values())
 
@@ -238,12 +264,16 @@ mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values(
 ENGINE: dict[type, dict[str, Rule]] = {}
 # (derivation class, term former) -> the consuming rule for that former
 CONSUMING_RULE: dict[tuple[type, type], Rule] = {}
+# (derivation class, closure rule tag) -> the application rule a dB step
+# turns into that closure rule, which expansion turns back
+APPLICATION_RULE: dict[tuple[type, str], Rule] = {}
 
 
 def register(cls: type, rules: dict[str, Rule]) -> None:
     """Let the engine rebuild nodes of class `cls` with `rules`."""
     ENGINE[cls] = rules
     CONSUMING_RULE.update(((cls, r.former), r) for r in rules.values() if r.consuming)
+    APPLICATION_RULE.update(((cls, r.closure), r) for r in rules.values() if r.closure)
 
 
 register(Derivation, RULES["u"])
@@ -346,32 +376,37 @@ def check_derivation_u(d: Derivation) -> Violation | None:
 def sizer(system: str) -> Callable[[Any], int]:
     """The size function of `system`: the sum of a derivation's node
     weights, each given by the node's rule in `system` (1 for a rule it
-    does not have).  Each node's size is computed once and kept on it
-    outside the dataclass fields, like `syntax.free_vars`, under a name of
-    its own per system."""
+    does not have).  Each node's size is kept on it outside the dataclass
+    fields, like `syntax.free_vars`, under a name of its own per system:
+    the system's makers set it, and a node built otherwise, as one read
+    from JSON, is sized by a walk the first time it is asked for."""
     attr = "_size_" + system
-    weights = {tag: rule.weight for tag, rule in RULES[system].items()}
 
     def size(d) -> int:
         n = getattr(d, attr, None)
-        if n is not None:
-            return n
-        # Post-order over the nodes not yet sized, with an explicit stack, so
-        # that a deep derivation does not exhaust the interpreter's stack.
-        stack = [d]
-        while stack:
-            node = stack[-1]
-            todo = [p for p in node.premises if not hasattr(p, attr)]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            w = weights.get(node.rule, 1)
-            n = len(node.type) if w is None else w
-            object.__setattr__(node, attr, n + sum(getattr(p, attr) for p in node.premises))
-        return getattr(d, attr)
+        return _walk_size(d, system) if n is None else n
     size.__name__ = size.__qualname__ = "size_" + system
     return size
+
+
+def _walk_size(d, system: str) -> int:
+    """The size of d in `system`, computed for each node not yet sized, in
+    post-order with an explicit stack, so that a deep derivation does not
+    exhaust the interpreter's stack."""
+    attr, rules = "_size_" + system, RULES[system]
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        todo = [p for p in node.premises if not hasattr(p, attr)]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        rule = rules.get(node.rule)
+        w = 1 if rule is None else rule.weight
+        n = len(node.type) if w is None else w
+        setattr(node, attr, n + sum(getattr(p, attr) for p in node.premises))
+    return getattr(d, attr)
 
 
 size_u = sizer("u")  # nodes of a U derivation other than bg
@@ -385,63 +420,68 @@ def type_normal_form_u(t: Term, target: Type | None = None) -> Derivation:
 
     Neutral terms hit any requested target type (default: the
     distinguished base variable).  Other normal forms choose their own
-    type, so `target` must be None for them.
+    type, so `target` must be None for them.  Each subterm is classified
+    once: the typing below asks for the classes of subterms level by level.
     """
-    cls = classify_wcf_nf(t)
+    return _type_nf(t, target, {})
+
+
+def _type_nf(t: Term, target: Type | None, memo: WcfMemo) -> Derivation:
+    cls = classify_wcf_nf(t, memo)
     if not cls.memberships:
         raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
     if cls.ne:
-        return _type_ne(t, target if target is not None else OMEGA)
+        return _type_ne(t, target if target is not None else OMEGA, memo)
     if target is not None:
         raise NotTypableNormalForm("only neutral terms accept a target type")
     if cls.na:
-        return _type_na(t)
-    return _type_nb(t)
+        return _type_na(t, memo)
+    return _type_nb(t, memo)
 
 
-def _type_ne(t: Term, tau: Type) -> Derivation:
+def _type_ne(t: Term, tau: Type, memo: WcfMemo) -> Derivation:
     match t:
         case Var(x):
             return mk_ax(x, tau)
         case App(f, a):
-            d_a = _type_na(a)
+            d_a = _type_na(a, memo)
             assert isinstance(d_a.type, Mult)
-            d_f = _type_ne(f, Arrow(d_a.type, tau))
+            d_f = _type_ne(f, Arrow(d_a.type, tau), memo)
             return mk_app(d_f, d_a)
         case Der(b):
-            return mk_dr(_type_ne(b, mult([tau])))
+            return mk_dr(_type_ne(b, mult([tau]), memo))
         case Sub(b, x, a):
-            d_b = _type_ne(b, tau)
-            d_a = _type_ne(a, ctx_get(d_b.context, x))
+            d_b = _type_ne(b, tau, memo)
+            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
             return mk_es(x, d_b, d_a)
     raise NotTypableNormalForm(print_term(t))
 
 
-def _type_na(t: Term) -> Derivation:
+def _type_na(t: Term, memo: WcfMemo) -> Derivation:
     """Type a neutral-abs term with a multiset: bangs get the empty
     multiset by a nullary bg, neutral terms get it directly."""
     match t:
         case Bang(b):
             return mk_bg(b, ())
         case Sub(b, x, a):
-            d_b = _type_na(b)
-            d_a = _type_ne(a, ctx_get(d_b.context, x))
+            d_b = _type_na(b, memo)
+            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
             return mk_es(x, d_b, d_a)
-        case _ if classify_wcf_nf(t).ne:
-            return _type_ne(t, EMPTY_MULT)
+        case _ if classify_wcf_nf(t, memo).ne:
+            return _type_ne(t, EMPTY_MULT, memo)
     raise NotTypableNormalForm(print_term(t))
 
 
-def _type_nb(t: Term) -> Derivation:
+def _type_nb(t: Term, memo: WcfMemo) -> Derivation:
     match t:
         case Abs(x, b):
-            return mk_abs(x, type_normal_form_u(b))
+            return mk_abs(x, _type_nf(b, None, memo))
         case Sub(b, x, a):
-            d_b = _type_nb(b)
-            d_a = _type_ne(a, ctx_get(d_b.context, x))
+            d_b = _type_nb(b, memo)
+            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
             return mk_es(x, d_b, d_a)
-        case _ if classify_wcf_nf(t).ne:
-            return _type_ne(t, OMEGA)
+        case _ if classify_wcf_nf(t, memo).ne:
+            return _type_ne(t, OMEGA, memo)
     raise NotTypableNormalForm(print_term(t))
 
 
@@ -599,8 +639,11 @@ def _rebind(d, t: Term):
 # ---------------------------------------------------------------------------
 # Subject reduction / expansion
 
-def _at(d, pos: Position, fire: Callable[[Any], Any]):
-    """d with `fire` applied to its node at pos, the nodes above rebuilt."""
+def _at(d, pos: Position, fire: Callable[..., Any], *args):
+    """d with `fire(node, *args)` in place of its node at pos, the nodes
+    above rebuilt."""
+    if not pos:
+        return fire(d, *args)
     above = []
     for sel in pos:
         former, attr, _ = SELECTORS[sel]
@@ -609,7 +652,7 @@ def _at(d, pos: Position, fire: Callable[[Any], Any]):
         idx = PARTS[former].index(attr)
         above.append((d, idx))
         d = d.premises[idx]
-    d = fire(d)
+    d = fire(d, *args)
     for node, idx in reversed(above):
         ps = list(node.premises)
         ps[idx] = d
@@ -622,16 +665,22 @@ def reduce_derivation(d, step: tuple[Position, RuleKind]):
     """A derivation of the reduct across the given redex, built rule by
     rule; the callers check how the judgement and the measure move."""
     pos, kind = step
-    return _at(d, pos, lambda node: _fire(node, kind))
+    return _at(d, pos, _fire, kind)
 
 
 def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Derivation:
     """Weighted subject reduction: transform a derivation of t into one of
     the reduct across the given redex; size strictly decreases."""
     out = reduce_derivation(d, step)
-    if out.context != d.context or out.type != d.type or size_u(out) >= size_u(d):
+    if not same_judgement(out, d) or size_u(out) >= size_u(d):
         raise IllFormed("subject reduction did not preserve the judgement")
     return out
+
+
+def same_judgement(d, e) -> bool:
+    """Whether d and e have one context and one type."""
+    return ((d.type is e.type or d.type == e.type)
+            and (d.context is e.context or d.context == e.context))
 
 
 def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
@@ -704,8 +753,7 @@ def expand_derivation(d, t: Term, step: tuple[Position, RuleKind],
     measure move.  The rebuilt subject is checked against t with
     `term_eq`, which is given `proved`."""
     pos, kind = step
-    redex = subterm_at(t, pos)
-    out = _at(d, pos, lambda node: _expand(node, redex, kind))
+    out = _at(d, pos, _expand, subterm_at(t, pos) if pos else t, kind)
     if not term_eq(out.subject, t, proved):
         raise IllFormed("expansion did not rebuild the stated term")
     return out
@@ -716,7 +764,7 @@ def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind],
     """Weighted subject expansion: from a derivation of the reduct of t at
     the given redex, build a derivation of t itself."""
     out = expand_derivation(d, t, step, proved)
-    if out.context != d.context or out.type != d.type or size_u(out) <= size_u(d):
+    if not same_judgement(out, d) or size_u(out) <= size_u(d):
         raise IllFormed("subject expansion did not preserve the judgement")
     return out
 
@@ -726,7 +774,7 @@ def _expand(d, t: Term, kind: RuleKind):
     if kind is RuleKind.DB:
         assert isinstance(t, App)
         chain, core = _peel_spine(d, t.fun)
-        app = next((r for r in ENGINE[cls].values() if r.closure == core.rule), None)
+        app = APPLICATION_RULE.get((cls, core.rule))
         if app is None:
             raise IllFormed("dB reduct core must be a closure node")
         cur = CONSUMING_RULE[cls, Abs].make(core.subject.binder, core.premises[0])
@@ -740,7 +788,10 @@ def _expand(d, t: Term, kind: RuleKind):
         if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
             raise IllFormed("reduct spine does not match the fired closure spine")
         d_s, d_us = _antisubst(core, t.body, t.binder, u_fired)
-        cur = CONSUMING_RULE[cls, Bang].make(u_fired, tuple(d_us))
+        # the bang body is the first premise's subject, which the subject
+        # check below compares with the bang body of t
+        body = d_us[0].subject if d_us else u_fired
+        cur = CONSUMING_RULE[cls, Bang].make(body, tuple(d_us))
         return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, _rewrap(cur, chain))
 
     if kind is RuleKind.DBANG:
@@ -779,6 +830,8 @@ def _rewrap(cur, chain: list[tuple[Any, Sub]]):
 
 def _sbang_parts(t: Sub) -> tuple[Term, tuple[tuple[str, Term], ...]]:
     """The bang body and closure spine as the s! firing renames them."""
+    if isinstance(t.arg, Bang):  # no spine, so nothing to rename
+        return t.arg.body, ()
     fired = decompose_list(fire_spine(t.arg, free_vars(t.body) - {t.binder}, lambda bang: bang))
     assert isinstance(fired.core, Bang)
     return fired.core.body, fired.spine

@@ -1,8 +1,10 @@
+from bisect import insort
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
-from bangcalc.qtypes import Mult, TypeParseError, parse_type
+from bangcalc.qtypes import Mult, TypeParseError, parse_type, sort_key
 from bangcalc.reduction import (
     ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, fire_db, fire_dbang,
     fire_sbang,
@@ -93,6 +95,46 @@ def ref_free_vars(t) -> frozenset:
 
 def ref_size_u(d) -> int:
     return (0 if d.rule == "bg" else 1) + sum(ref_size_u(p) for p in d.premises)
+
+
+def ref_size_n(d) -> int:
+    return 1 + sum(ref_size_n(p) for p in d.premises)
+
+
+def ref_size_v(d) -> int:
+    own = len(d.type) if d.rule in ("ax_v", "abs_v") else 1
+    return own + sum(ref_size_v(p) for p in d.premises)
+
+
+# ---------------------------------------------------------------------------
+# Reference context union: `qtypes.ctx_union` written once for any number
+# of contexts, collecting each name's multisets in lists; the oracle for
+# its two-context path, down to the objects it returns.
+
+def ref_ctx_union(*ctxs):
+    live = [ctx for ctx in ctxs if ctx]
+    if len(live) <= 1 and all(m.elements for ctx in live for m in ctx.values()):
+        return live[0] if live else {}  # nothing to merge, nothing to drop
+    names = {}
+    for ctx in ctxs:
+        for x, m in ctx.items():
+            if m.elements:
+                names.setdefault(x, []).append(m)
+    return {x: ms[0] if len(ms) == 1 else _ref_merge(ms) for x, ms in sorted(names.items())}
+
+
+def _ref_merge(ms):
+    i = max(range(len(ms)), key=lambda j: len(ms[j]))
+    out = list(ms[i].elements)
+    for j, m in enumerate(ms):
+        if j != i:
+            for e in m.elements:
+                last = out[-1]
+                if e is last or e == last:
+                    out.append(last)
+                else:
+                    insort(out, e, key=sort_key)
+    return Mult(tuple(out))
 
 
 def _ref_atom_str(t) -> str:

@@ -13,11 +13,15 @@ from bangcalc.gen import generate_corpus
 from bangcalc.qtypes import print_type
 from bangcalc.reduction import FuelExhausted, normalize_dw
 from bangcalc.serialize import derivation_from_json, derivation_to_json, trace_records
-from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, free_vars, parse_term, print_term
+from bangcalc.syntax import (
+    Abs, App, Bang, Der, Sub, Var, free_vars, parse_term, print_term, term_eq,
+)
 from bangcalc.system_e import infer_tight
 from bangcalc.system_u import Derivation, check_derivation_u, infer_u, size_u
 
-from conftest import church_term, ref_free_vars, ref_print_term, ref_size_u
+from conftest import (
+    church_term, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
+)
 
 FUEL = 60
 
@@ -89,6 +93,66 @@ def test_size_u_matches_the_reference_walker():
         for node in nodes(d):
             if type(node) is Derivation:
                 assert size_u(node) == ref_size_u(node)
+
+
+def test_makers_size_each_node_as_they_build_it():
+    # Each node an inference builds holds its size in its own system from
+    # its maker, before any size function is asked, and it is the
+    # reference walk's.  E nodes have counters and are not sized.
+    refs = {"u": ref_size_u, "n": ref_size_n, "v": ref_size_v}
+    system = {tag: s for s in refs for tag in system_u.RULES[s]}
+    seen = set()
+    for t in CORPUS + [CHURCH40]:
+        for d in derivations(t):
+            for node in nodes(d):
+                if type(node) is Derivation:
+                    s = system[node.rule]
+                    assert vars(node)["_size_" + s] == refs[s](node)
+                    seen.add(s)
+                else:
+                    assert not any(k.startswith("_size_") for k in vars(node))
+    assert seen == set(refs)
+
+
+def test_u_replay_sizes_no_node_by_a_walk(monkeypatch):
+    # The makers size every node they build, so the size checks of each
+    # replayed step read two stored sizes, where they used to walk the
+    # nodes that the step had built.
+    walked = []
+    walk = system_u._walk_size
+
+    def counted(d, system):
+        walked.append(d)
+        return walk(d, system)
+    monkeypatch.setattr(system_u, "_walk_size", counted)
+    t = embed_cbn(church_term(80))
+    trace = normalize_dw(t, 10_000)
+    d = system_u.replay_expansion_u(system_u.type_normal_form_u(trace.final), trace)
+    assert d.subject == t and size_u(d) == ref_size_u(d) and not walked
+
+
+@pytest.mark.parametrize("nf_typing", [system_u.type_normal_form_u,
+                                       system_e.type_normal_form_tight])
+def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, nf_typing):
+    # Typing \x1. ... \xn. z asks for the class of each of the n nested
+    # bodies, and E checks each body's counters against its w_size: walking
+    # each body anew made about n*n/2 calls of either (80,601 of _wcf_bits
+    # for U at n = 400); once per subterm makes a few per level.
+    n = 400
+    calls = {"_wcf_bits": 0, "w_size": 0}
+    for owner, name in ((reduction, "_wcf_bits"), (syntax, "w_size")):
+        orig = getattr(owner, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        for mod in (reduction, syntax, system_u, system_e):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    t = parse_term("".join(f"\\x{i}. " for i in range(n)) + "z")
+    d = nf_typing(t)
+    assert term_eq(d.subject, t)
+    assert calls["_wcf_bits"] <= 4 * n and calls["w_size"] <= 3 * n, calls
 
 
 def test_memo_printing_matches_plain_printing():

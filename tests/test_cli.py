@@ -184,12 +184,17 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "v", _axiom_with_counters("ax_v", "[o0]")), 1, "violation at []"),
     (("typecheck", "--system", "e", E_NODE_OVER_U_NODE), 1,
      "violation at [0]: system E nodes must carry counters"),
+    (("trace", "x", "--seed", "5"), 2, "unrecognized arguments: --seed 5"),
+    (("classify", "x", "--fuel", "3"), 2, "unrecognized arguments: --fuel 3"),
+    (("typecheck", "--system", "u", _u_derivation_json(), "--calculus", "cbv"), 2,
+     "unrecognized arguments: --calculus cbv"),
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
         "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
         "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
-        "e-node-over-u-node"] + [
+        "e-node-over-u-node", "seed-on-trace", "fuel-on-classify",
+        "calculus-on-typecheck"] + [
         f"{field}-{kind}-{'repeated' if repeated else 'once'}"
         for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
@@ -207,13 +212,15 @@ def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
 
 COMMANDS = ["parse", "reduce", "trace", "classify", "clash", "infer", "tight",
             "typecheck", "embed", "translate"]
+# the commands that take --fuel: those that reduce
+REDUCING = {"reduce", "trace", "infer", "tight", "translate"}
 # each flag's values end with a bad one; --strict and --system belong to
-# one command each
+# one command each, --fuel to the reducing ones, --calculus to all but
+# typecheck
 FLAGS = {
     "--fuel": ["0", "3", "40", "-1"],
     "--calculus": ["bang", "cbn", "cbv", "lambda"],
     "--output": ["text", "machine", "json"],
-    "--seed": ["0", "7", "1.5"],
     "--system": ["u", "e", "n", "v", "w"],
     "--strict": [None],
 }
@@ -247,7 +254,7 @@ def test_random_command_lines_get_a_documented_exit_code(data):
     for flag in data.draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=4, unique=True)):
         value = data.draw(st.sampled_from(FLAGS[flag]))
         argv += [flag] if value is None else [flag, value]
-    if "--fuel" not in argv:
+    if argv[0] in REDUCING and "--fuel" not in argv:
         argv += ["--fuel", "40"]
     if argv[0] == "typecheck" and "--system" not in argv:
         argv += ["--system", data.draw(st.sampled_from("uenv"))]

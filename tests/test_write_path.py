@@ -26,7 +26,7 @@ from bangcalc.system_u import (
     Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
 )
 
-from conftest import bang_terms, church_term
+from conftest import bang_terms, church_term, ref_ctx_union
 
 FUEL = 200
 
@@ -62,7 +62,7 @@ def contexts():
     return st.dictionaries(st.sampled_from("xyz"), multisets(), max_size=3)
 
 
-def ref_ctx_union(*ctxs):
+def sorting_ctx_union(*ctxs):
     names = {}
     for ctx in ctxs:
         for x, m in ctx.items():
@@ -73,15 +73,29 @@ def ref_ctx_union(*ctxs):
 @given(st.lists(contexts(), max_size=4))
 def test_ctx_union_matches_the_reference(ctxs):
     out = ctx_union(*ctxs)
-    assert out == ref_ctx_union(*ctxs)
+    assert out == sorting_ctx_union(*ctxs)
     assert all(m.elements and list(m.elements) == sorted(m.elements, key=sort_key)
                for m in out.values())
+
+
+@given(st.lists(contexts(), min_size=2, max_size=2) | st.lists(contexts(), max_size=4))
+def test_ctx_union_returns_the_objects_of_its_general_form(ctxs):
+    # the same names in the same order, bound to the same multiset objects
+    # where a name has one, and to the same element objects where it has
+    # several: a run stays one object
+    out, ref = ctx_union(*ctxs), ref_ctx_union(*ctxs)
+    assert out == ref and list(out) == list(ref)
+    if any(ref is ctx for ctx in ctxs) and ref:
+        assert out is ref
+    for x, m in ref.items():
+        assert out[x] is m or all(a is b for a, b in zip(out[x].elements, m.elements))
+        assert (out[x] is m) == any(ctx.get(x) is m for ctx in ctxs)
 
 
 @given(contexts(), st.integers(0, 3))
 def test_ctx_union_returns_a_lone_context_as_it_is(ctx, empties):
     out = ctx_union(*[{}] * empties, ctx, *[{}] * empties)
-    assert out == ref_ctx_union(ctx)
+    assert out == sorting_ctx_union(ctx)
     if all(m.elements for m in ctx.values()):
         assert out is ctx or not ctx
 
