@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=fuel, default=10000)
-    p.add_argument("--output", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_selftest)
     return top
 

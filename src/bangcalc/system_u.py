@@ -45,8 +45,8 @@ class Derivation:
     """A node: its rule, its judgement and its premises.  Nodes are never
     changed once built, but the class is not frozen: a frozen dataclass
     sets each field through `object.__setattr__`, which made building a
-    node cost about twice as much, and inference builds every node of
-    every replayed step.  Like a frozen one, a node is not hashable."""
+    node cost about three times as much, and inference builds every node
+    of every replayed step.  Like a frozen one, a node is not hashable."""
     rule: str
     context: Context
     subject: Term

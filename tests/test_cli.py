@@ -188,13 +188,14 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("classify", "x", "--fuel", "3"), 2, "unrecognized arguments: --fuel 3"),
     (("typecheck", "--system", "u", _u_derivation_json(), "--calculus", "cbv"), 2,
      "unrecognized arguments: --calculus cbv"),
+    (("selftest", "--output", "machine"), 2, "unrecognized arguments: --output machine"),
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
         "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
         "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
         "e-node-over-u-node", "seed-on-trace", "fuel-on-classify",
-        "calculus-on-typecheck"] + [
+        "calculus-on-typecheck", "output-on-selftest"] + [
         f"{field}-{kind}-{'repeated' if repeated else 'once'}"
         for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
