@@ -788,8 +788,9 @@ def _expand(d, t: Term, kind: RuleKind):
         if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
             raise IllFormed("reduct spine does not match the fired closure spine")
         d_s, d_us = _antisubst(core, t.body, t.binder, u_fired)
-        # the bang body is the first premise's subject, which the subject
-        # check below compares with the bang body of t
+        # the bang body is the first premise's subject, equal to u_fired:
+        # the subject check of `expand_derivation` then finds it among the
+        # pairs an earlier step proved equal, where bg would walk it
         body = d_us[0].subject if d_us else u_fired
         cur = CONSUMING_RULE[cls, Bang].make(body, tuple(d_us))
         return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, _rewrap(cur, chain))

@@ -116,8 +116,7 @@ def test_makers_size_each_node_as_they_build_it():
 
 def test_u_replay_sizes_no_node_by_a_walk(monkeypatch):
     # The makers size every node they build, so the size checks of each
-    # replayed step read two stored sizes, where they used to walk the
-    # nodes that the step had built.
+    # replayed step read two stored sizes and walk no node.
     walked = []
     walk = system_u._walk_size
 
@@ -134,10 +133,10 @@ def test_u_replay_sizes_no_node_by_a_walk(monkeypatch):
 @pytest.mark.parametrize("nf_typing", [system_u.type_normal_form_u,
                                        system_e.type_normal_form_tight])
 def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, nf_typing):
-    # Typing \x1. ... \xn. z asks for the class of each of the n nested
-    # bodies, and E checks each body's counters against its w_size: walking
-    # each body anew made about n*n/2 calls of either (80,601 of _wcf_bits
-    # for U at n = 400); once per subterm makes a few per level.
+    # Typing \x0. ... \xn-1. z asks for the class of each of the n nested
+    # bodies, and E checks each body's counters against its w_size:
+    # walking each body anew would make about n*n/2 calls of either;
+    # once per subterm makes a few per level.
     n = 400
     calls = {"_wcf_bits": 0, "w_size": 0}
     for owner, name in ((reduction, "_wcf_bits"), (syntax, "w_size")):
