@@ -176,6 +176,9 @@ def abs_(tag: str, x: str, d_b) -> tuple:
             Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
 
 
+_CONTEXT, _TYPE = attrgetter("context"), attrgetter("type")
+
+
 def bg(tag: str, body: Term, premises: tuple) -> tuple:
     for p in premises:
         if p.subject is not body and not term_eq(p.subject, body):
@@ -186,9 +189,6 @@ def bg(tag: str, body: Term, premises: tuple) -> tuple:
         premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
     return (ctx_union(*map(_CONTEXT, premises)), Bang(body),
             Mult(tuple(map(_TYPE, premises))), premises)
-
-
-_CONTEXT, _TYPE = attrgetter("context"), attrgetter("type")
 
 
 def dr(tag: str, d_b) -> tuple:
