@@ -25,7 +25,7 @@ from .reduction import (
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
     RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax, check_derivation, define,
-    es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, sizer,
+    es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, rule_table, sizer,
 )
 
 
@@ -303,26 +303,28 @@ def app_v(tag: str, d_f: Derivation, d_a: Derivation) -> tuple:
 
 
 # ax_n, abs_n and es_v are U's ax, abs and es under their own tags
-RULES["n"] = {r.tag: r for r in (
-    define("ax_n", ax, Var, sized="n"),
-    define("abs_n", abs_, Abs, sized="n"),
+rule_table(
+    "n",
+    define("ax_n", ax, Var),
+    define("abs_n", abs_, Abs),
     define("app_n", app_n, App, fixed=1, shape="app_n must type an application",
            subjects="app_n head premise must type the function",
-           rest=("arg", "app_n argument premises must type the argument"), sized="n"),
+           rest=("arg", "app_n argument premises must type the argument")),
     define("es_n", es_n, Sub, fixed=1, shape="es_n must type a closure",
            subjects="es_n head premise must type the body",
-           rest=("arg", "es_n argument premises must type the argument"), sized="n"),
-)}
-RULES["v"] = {r.tag: r for r in (
-    define("ax_v", ax_v, Var, weight=None, sized="v",
+           rest=("arg", "es_n argument premises must type the argument")),
+)
+rule_table(
+    "v",
+    define("ax_v", ax_v, Var, weight=None,
            context="ax_v context must assign the concluded multiset to its variable"),
     define("abs_v", abs_v, Abs, fixed=0, shape="abs_v must type an abstraction",
            type="abs_v conclusion must collect the premise arrows",
            context="abs_v context must drop the binder from every premise",
-           rest=("body", "abs_v premises must type the body"), weight=None, sized="v"),
-    define("app_v", app_v, App, sized="v"),
-    define("es_v", es, Sub, sized="v"),
-)}
+           rest=("body", "abs_v premises must type the body"), weight=None),
+    define("app_v", app_v, App),
+    define("es_v", es, Sub),
+)
 mk_ax_n, mk_abs_n, mk_app_n, mk_es_n = (r.make for r in RULES["n"].values())
 mk_ax_v, mk_abs_v, mk_app_v, mk_es_v = (r.make for r in RULES["v"].values())
 

@@ -159,7 +159,7 @@ def _union2(a: Context, b: Context) -> Context:
         elif n is None or not n.elements:
             out[x] = m
         else:
-            out[x] = _merge((m, n))
+            out[x] = _merge([m, n])
     return out
 
 
@@ -171,16 +171,12 @@ def _lone(ctx: Context) -> Context:
     return ctx  # nothing to merge, nothing to drop
 
 
-def _merge(ms) -> Mult:
+def _merge(ms: list[Mult]) -> Mult:
     """The bag union of sorted multisets.  The other bags' elements go into
-    the first of the largest by binary search, so its own elements are not
-    keyed again.  An element equal to the last one goes at the end, where
-    `insort` puts it, as that last object: a run stays one object and is not
-    keyed."""
-    i = 0
-    for j in range(1, len(ms)):
-        if len(ms[j].elements) > len(ms[i].elements):
-            i = j
+    the largest by binary search, so its own elements are not keyed again.
+    An element equal to the last one goes at the end, where `insort` puts
+    it, as that last object: a run stays one object and is not keyed."""
+    i = max(range(len(ms)), key=lambda j: len(ms[j]))
     out = list(ms[i].elements)
     for j, m in enumerate(ms):
         if j != i:

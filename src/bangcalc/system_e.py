@@ -39,8 +39,8 @@ from .qtypes import (
 from .system_u import (
     RULES, Counters, Untypable, Violation, IllFormed, NotTypableNormalForm,
     abs_, antisubst_derivation, app, ax, bg, check_derivation, close, define, dr, es,
-    expand_derivation, infer_with, reduce_derivation, register, replay, same_judgement,
-    subst_derivation,
+    expand_derivation, infer_with, reduce_derivation, register, replay, rule_table,
+    same_judgement, subst_derivation,
 )
 
 
@@ -136,7 +136,8 @@ _NO_PREMISES = "bg_t must type a bang with no premises"
 _BG_T = "bg_t must conclude b with empty context and zero counters"
 _SIZE = "{} must add exactly one to the size counter"
 
-RULES["e"] = {r.tag: r for r in (
+rule_table(
+    "e",
     define("ax", ax, Var, counters="ax counters must be zero", node=DerivationE,
            delta=(0, 0, 0), consuming=True),
     define("ae_d", app, App, **_APP, counters="ae_d counters must add the premise counters",
@@ -160,7 +161,7 @@ RULES["e"] = {r.tag: r for r in (
     define("dr_t", dr_t, Der, **_DER, type="dr_t premise and conclusion must be typed n",
            counters=_SIZE.format("dr_t"), delta=(0, 0, 1)),
     define("es_t", es_t, Sub, **_SUB, counters=_SIZE.format("es_t"), delta=(0, 0, 1)),
-)}
+)
 (mk_ax_e, mk_ae_d, mk_ai_d, mk_bg_d, mk_dr_d, mk_es_d,
  mk_ae_t, mk_ai_t, mk_bg_t, mk_dr_t, mk_es_t) = (r.make for r in RULES["e"].values())
 register(DerivationE, RULES["e"])

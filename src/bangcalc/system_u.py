@@ -22,7 +22,6 @@ subject is always the same syntax tree the reduction engine produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable
 
 from .syntax import (
@@ -98,8 +97,9 @@ Counters = tuple[int, int, int]
 class Rule:
     """One typing rule: its tag, its conclusion function, the subject
     former and premise count it types, and the checker's reason for each
-    kind of fault.  `make` is the rule's node constructor, and `parts`
-    names the subject parts that its fixed premises type."""
+    kind of fault.  `make` is the rule's node constructor, which
+    `rule_table` gives it, and `parts` names the subject parts that its
+    fixed premises type."""
     tag: str
     conclude: Callable[..., tuple]
     former: type
@@ -116,34 +116,41 @@ class Rule:
                                     # one per element of its (multiset) type
     consuming: bool = False         # the rule the engine rebuilds its former with
     closure: str | None = None      # an application rule: the closure rule dB turns it into
-    sized: str | None = None        # the system whose size the maker keeps on each node
 
     def __post_init__(self):
-        tag, conclude, node, delta = self.tag, self.conclude, self.node, self.delta
-        if self.sized is not None:
-            system, weight = self.sized, self.weight
-            attr = "_size_" + system
-
-            def make(*args):
-                # the node's size from its weight and its premises' sizes,
-                # which their makers kept, or a walk for one that was read
-                context, subject, ty, ps = conclude(tag, *args)
-                d = node(tag, context, subject, ty, ps)
-                n = len(ty) if weight is None else weight
-                for p in ps:
-                    m = getattr(p, attr, None)
-                    n += _walk_size(p, system) if m is None else m
-                setattr(d, attr, n)
-                return d
-        elif delta is None:
-            def make(*args):
-                return node(tag, *conclude(tag, *args))
-        else:
-            def make(*args):
-                context, subject, ty, ps = conclude(tag, *args)
-                return node(tag, context, subject, ty, add_counters(delta, ps), ps)
-        object.__setattr__(self, "make", make)
         object.__setattr__(self, "parts", PARTS[self.former][:self.fixed])
+
+
+def rule_table(system: str, *rules: Rule) -> None:
+    """Make `rules` the rules of `system`, in `RULES`, and give each its
+    maker: a rule with counters adds its own to its premises', and one
+    without keeps the node's size in `system` on the node (see `sizer`)."""
+    for rule in rules:
+        object.__setattr__(rule, "make", _maker_of(rule, system))
+    RULES[system] = {rule.tag: rule for rule in rules}
+
+
+def _maker_of(rule: Rule, system: str) -> Callable[..., Any]:
+    tag, conclude, node, delta, weight = rule.tag, rule.conclude, rule.node, rule.delta, rule.weight
+    if delta is not None:
+        def make(*args):
+            context, subject, ty, ps = conclude(tag, *args)
+            return node(tag, context, subject, ty, add_counters(delta, ps), ps)
+        return make
+    attr = "_size_" + system
+
+    def make(*args):
+        # the node's size from its weight and its premises' sizes, which
+        # their makers kept, or a walk for one that was read
+        context, subject, ty, ps = conclude(tag, *args)
+        d = node(tag, context, subject, ty, ps)
+        n = len(ty) if weight is None else weight
+        for p in ps:
+            m = getattr(p, attr, None)
+            n += _walk_size(p, system) if m is None else m
+        setattr(d, attr, n)
+        return d
+    return make
 
 
 def add_counters(delta: Counters, premises) -> Counters:
@@ -165,7 +172,7 @@ def ax(tag: str, x: str, ty: Type) -> tuple:
 def app(tag: str, d_f, d_a) -> tuple:
     if not isinstance(d_f.type, Arrow):
         raise IllFormed(f"{tag} function premise must have an arrow type")
-    if d_a.type is not d_f.type.domain and d_a.type != d_f.type.domain:
+    if d_a.type != d_f.type.domain:
         raise IllFormed(f"{tag} argument premise must match the arrow domain")
     return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
             d_f.type.codomain, (d_f, d_a))
@@ -176,9 +183,6 @@ def abs_(tag: str, x: str, d_b) -> tuple:
             Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
 
 
-_CONTEXT, _TYPE = attrgetter("context"), attrgetter("type")
-
-
 def bg(tag: str, body: Term, premises: tuple) -> tuple:
     for p in premises:
         if p.subject is not body and not term_eq(p.subject, body):
@@ -187,8 +191,8 @@ def bg(tag: str, body: Term, premises: tuple) -> tuple:
     # keyed only when out of order
     if len(premises) > 1 and not is_sorted([p.type for p in premises]):
         premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
-    return (ctx_union(*map(_CONTEXT, premises)), Bang(body),
-            Mult(tuple(map(_TYPE, premises))), premises)
+    return (ctx_union(*(p.context for p in premises)), Bang(body),
+            Mult(tuple(p.type for p in premises)), premises)
 
 
 def dr(tag: str, d_b) -> tuple:
@@ -198,8 +202,7 @@ def dr(tag: str, d_b) -> tuple:
 
 
 def es(tag: str, x: str, d_b, d_a) -> tuple:
-    m = ctx_get(d_b.context, x)
-    if d_a.type is not m and d_a.type != m:
+    if d_a.type != ctx_get(d_b.context, x):
         raise IllFormed(f"{tag} argument premise must be typed with the binder multiset")
     return close(x, d_b, d_a)
 
@@ -250,14 +253,15 @@ def define(tag: str, conclude: Callable[..., tuple], former: type, **fields: Any
     return Rule(tag, conclude, former, **{**plain, **fields})
 
 
-RULES["u"] = {r.tag: r for r in (
-    define("ax", ax, Var, consuming=True, sized="u"),
-    define("app", app, App, consuming=True, closure="es", sized="u"),
-    define("abs", abs_, Abs, consuming=True, sized="u"),
-    define("bg", bg, Bang, consuming=True, weight=0, sized="u"),
-    define("dr", dr, Der, consuming=True, sized="u"),
-    define("es", es, Sub, consuming=True, sized="u"),
-)}
+rule_table(
+    "u",
+    define("ax", ax, Var, consuming=True),
+    define("app", app, App, consuming=True, closure="es"),
+    define("abs", abs_, Abs, consuming=True),
+    define("bg", bg, Bang, consuming=True, weight=0),
+    define("dr", dr, Der, consuming=True),
+    define("es", es, Sub, consuming=True),
+)
 mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values())
 
 # derivation class -> the rules the engine rebuilds its nodes with
@@ -679,8 +683,7 @@ def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Deriv
 
 def same_judgement(d, e) -> bool:
     """Whether d and e have one context and one type."""
-    return ((d.type is e.type or d.type == e.type)
-            and (d.context is e.context or d.context == e.context))
+    return d.type == e.type and d.context == e.context
 
 
 def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
@@ -753,7 +756,7 @@ def expand_derivation(d, t: Term, step: tuple[Position, RuleKind],
     measure move.  The rebuilt subject is checked against t with
     `term_eq`, which is given `proved`."""
     pos, kind = step
-    out = _at(d, pos, _expand, subterm_at(t, pos) if pos else t, kind)
+    out = _at(d, pos, _expand, subterm_at(t, pos), kind)
     if not term_eq(out.subject, t, proved):
         raise IllFormed("expansion did not rebuild the stated term")
     return out
@@ -846,15 +849,17 @@ def infer_with(t: Term, fuel: int, type_nf: Callable[[Term], Any],
     """Type t by normalizing, typing the normal form with `type_nf`, and
     replaying the trace backwards through subject expansion.  Untypable
     when the normal form has a clash at a weak position; FuelExhausted
-    (returned, not raised) when normalization does not finish."""
+    (returned, not raised) when normalization does not finish.  `type_nf`
+    raises NotTypableNormalForm on a normal form with such a clash."""
     try:
         trace = normalize_dw(t, fuel)
     except FuelExhausted as ex:
         return ex
-    p = trace.final
-    if not classify_wcf_nf(p).memberships:
-        return Untypable(p)
-    return replay_trace(type_nf(p), trace)
+    try:  # `type_nf` classifies the normal form, and each subterm, once
+        d = type_nf(trace.final)
+    except NotTypableNormalForm:
+        return Untypable(trace.final)
+    return replay_trace(d, trace)
 
 
 def replay(d, trace: Trace, expand: Callable[..., Any]):

@@ -130,16 +130,12 @@ def test_u_replay_sizes_no_node_by_a_walk(monkeypatch):
     assert d.subject == t and size_u(d) == ref_size_u(d) and not walked
 
 
-@pytest.mark.parametrize("nf_typing", [system_u.type_normal_form_u,
-                                       system_e.type_normal_form_tight])
-def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, nf_typing):
-    # Typing \x0. ... \xn-1. z asks for the class of each of the n nested
-    # bodies, and E checks each body's counters against its w_size:
-    # walking each body anew would make about n*n/2 calls of either;
-    # once per subterm makes a few per level.
-    n = 400
-    calls = {"_wcf_bits": 0, "w_size": 0}
-    for owner, name in ((reduction, "_wcf_bits"), (syntax, "w_size")):
+def count_calls(monkeypatch, *names):
+    """A call count for each of `names`, functions of reduction or syntax,
+    wherever the package refers to them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner = reduction if hasattr(reduction, name) else syntax
         orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, _name=name):
@@ -148,10 +144,37 @@ def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, 
         for mod in (reduction, syntax, system_u, system_e):
             if getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, counted)
-    t = parse_term("".join(f"\\x{i}. " for i in range(n)) + "z")
-    d = nf_typing(t)
-    assert term_eq(d.subject, t)
+    return calls
+
+
+NESTED = 400
+NESTED_ABS = parse_term("".join(f"\\x{i}. " for i in range(NESTED)) + "z")
+
+
+@pytest.mark.parametrize("nf_typing", [system_u.type_normal_form_u,
+                                       system_e.type_normal_form_tight])
+def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, nf_typing):
+    # Typing \x0. ... \xn-1. z asks for the class of each of the n nested
+    # bodies, and E checks each body's counters against its w_size:
+    # walking each body anew would make about n*n/2 calls of either;
+    # once per subterm makes a few per level.
+    n = NESTED
+    calls = count_calls(monkeypatch, "_wcf_bits", "w_size")
+    d = nf_typing(NESTED_ABS)
+    assert term_eq(d.subject, NESTED_ABS)
     assert calls["_wcf_bits"] <= 4 * n and calls["w_size"] <= 3 * n, calls
+
+
+@pytest.mark.parametrize("infer, nf_typing", [
+    (infer_u, system_u.type_normal_form_u), (infer_tight, system_e.type_normal_form_tight)])
+def test_inference_classifies_its_normal_form_only_in_the_typing(monkeypatch, infer, nf_typing):
+    # Inference leaves the classification of the normal form to its typing,
+    # which classifies each subterm once, and makes no walk of its own.
+    calls = count_calls(monkeypatch, "_wcf_bits")
+    nf_typing(NESTED_ABS)
+    typing = calls["_wcf_bits"]
+    assert term_eq(infer(NESTED_ABS, FUEL).subject, NESTED_ABS)
+    assert calls["_wcf_bits"] == 2 * typing, (typing, calls)
 
 
 def test_memo_printing_matches_plain_printing():
