@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, Sub, Term, Var,
-    decompose_list, free_vars, is_bang_shaped,
-    is_lambda_term, print_term, spine_core, subst_meta, term_eq,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var,
+    fold, free_vars, is_bang_shaped, is_lambda_term, print_term, spine_core, subst_meta, term_eq,
 )
 from .reduction import (
     FIRE, W_ORDER, W_RULES, Position, RuleKind, Sel, FuelExhausted, Trace, fire_spine,
@@ -111,113 +110,77 @@ class LambdaNfClass:
         return "no_v" in self.cbv
 
 
-def _cbn_bits(t: Term) -> tuple[bool, bool]:
-    match t:
-        case Var(_):
-            return True, True
-        case App(f, _):
-            ne, _ = _cbn_bits(f)
-            return ne, ne
-        case Abs(_, b):
-            _, no = _cbn_bits(b)
-            return False, no
-        case Sub(_, _, _):
-            return False, False
-    raise NotLambdaTerm(print_term(t))
+def _cbv_app_bits(t: App, f: tuple, a: tuple) -> tuple[bool, bool, bool]:
+    ne = (f[0] or f[1]) and a[2]
+    return False, ne, ne
 
 
-def _cbv_bits(t: Term) -> tuple[bool, bool, bool]:
-    match t:
-        case Var(_):
-            return True, False, True
-        case Abs(_, _):
-            return False, False, True
-        case App(f, a):
-            fvr, fne, _ = _cbv_bits(f)
-            _, _, ano = _cbv_bits(a)
-            ne = (fvr or fne) and ano
-            return False, ne, ne
-        case Sub(b, _, a):
-            bvr, bne, bno = _cbv_bits(b)
-            _, ane, _ = _cbv_bits(a)
-            return bvr and ane, bne and ane, bno and ane
-    raise NotLambdaTerm(print_term(t))
+# The bits of the two grammars, as fold tables: (ne_n, no_n) and
+# (vr_v, ne_v, no_v).  A bang or a dereliction is not a lambda term.
+_NOT_LAMBDA = {Bang: ((), _not_lambda), Der: ((), _not_lambda)}
+_CBN_BITS = {
+    **_NOT_LAMBDA,
+    Var: ((), lambda t: (True, True)),
+    App: (("fun",), lambda t, f: (f[0], f[0])),
+    Abs: (("body",), lambda t, b: (False, b[1])),
+    Sub: ((), lambda t: (False, False)),
+}
+_CBV_BITS = {
+    **_NOT_LAMBDA,
+    Var: ((), lambda t: (True, False, True)),
+    Abs: ((), lambda t: (False, False, True)),
+    App: (("fun", "arg"), _cbv_app_bits),
+    Sub: (("body", "arg"), lambda t, b, a: (b[0] and a[1], b[1] and a[1], b[2] and a[1])),
+}
 
 
 def classify_lambda_nf(t: Term) -> LambdaNfClass:
     _require_lambda(t)
-    ne_n, no_n = _cbn_bits(t)
-    vr, ne_v, no_v = _cbv_bits(t)
+    ne_n, no_n = fold(t, _CBN_BITS)
+    vr, ne_v, no_v = fold(t, _CBV_BITS)
     cbn = {name for name, bit in (("ne_n", ne_n), ("no_n", no_n)) if bit}
     cbv = {name for name, bit in (("vr_v", vr), ("ne_v", ne_v), ("no_v", no_v)) if bit}
     return LambdaNfClass(frozenset(cbn), frozenset(cbv))
 
 
 # ---------------------------------------------------------------------------
-# Embeddings
-#
-# `_cbn` and `_cbv` embed each subterm once for every call given the same
-# `images` (id(term) -> (term, image), as syntax.PrintMemo): a derivation
-# translation embeds many subterms of one term.
+# Embeddings, as fold tables.  A derivation translation embeds many
+# subterms of one term, each once for every fold given the same memo.
 
-Images = dict[int, tuple[Term, Term]]
+_CBN = {
+    **_NOT_LAMBDA,
+    Var: ((), lambda t: t),
+    Abs: (("body",), lambda t, b: Abs(t.binder, b)),
+    App: (("fun", "arg"), lambda t, f, a: App(f, Bang(a))),
+    Sub: (("body", "arg"), lambda t, b, a: Sub(b, t.binder, Bang(a))),
+}
 
 
 def embed_cbn(t: Term) -> Term:
     _require_lambda(t)
-    return _cbn(t, {})
+    return fold(t, _CBN)
 
 
-def _cbn(t: Term, images: Images) -> Term:
-    hit = images.get(id(t))
-    if hit is not None:
-        return hit[1]
-    match t:
-        case Var(_):
-            return t
-        case Abs(x, b):
-            image = Abs(x, _cbn(b, images))
-        case App(f, a):
-            image = App(_cbn(f, images), Bang(_cbn(a, images)))
-        case Sub(b, x, a):
-            image = Sub(_cbn(b, images), x, Bang(_cbn(a, images)))
-        case _:
-            raise NotLambdaTerm(print_term(t))
-    images[id(t)] = (t, image)
-    return image
+def _cbv_app(t: App, f: Term, a: Term) -> Term:
+    """The image of an application: a bang-shaped head is un-banged, as d!
+    would fire it; any other head is derelicted."""
+    if is_bang_shaped(f):
+        return App(fire_spine(f, frozenset(), lambda bang: bang.body), a)
+    return App(Der(f), a)
+
+
+_CBV = {
+    **_NOT_LAMBDA,
+    Var: ((), Bang),
+    Abs: (("body",), lambda t, b: Bang(Abs(t.binder, b))),
+    App: (("fun", "arg"), _cbv_app),
+    Sub: (("body", "arg"), lambda t, b, a: Sub(b, t.binder, a)),
+}
 
 
 def embed_cbv(t: Term) -> Term:
     _require_lambda(t)
-    return _cbv(t, {})
-
-
-def _cbv(t: Term, images: Images) -> Term:
-    hit = images.get(id(t))
-    if hit is not None:
-        return hit[1]
-    match t:
-        case Var(x):
-            image = Bang(Var(x))
-        case Abs(x, b):
-            image = Bang(Abs(x, _cbv(b, images)))
-        case App(f, a):
-            cf = _cbv(f, images)
-            if is_bang_shaped(cf):
-                dec = decompose_list(cf)
-                assert isinstance(dec.core, Bang)
-                head = dec.core.body
-                for binder, arg in reversed(dec.spine):
-                    head = Sub(head, binder, arg)
-                image = App(head, _cbv(a, images))
-            else:
-                image = App(Der(cf), _cbv(a, images))
-        case Sub(b, x, a):
-            image = Sub(_cbv(b, images), x, _cbv(a, images))
-        case _:
-            raise NotLambdaTerm(print_term(t))
-    images[id(t)] = (t, image)
-    return image
+    return fold(t, _CBV)
 
 
 def unbang_value(v: Term) -> Term:
@@ -354,7 +317,7 @@ def translate_n_to_u(d: Derivation) -> Derivation:
     return _n_to_u(d, {})
 
 
-def _n_to_u(d: Derivation, images: Images) -> Derivation:
+def _n_to_u(d: Derivation, images: FoldMemo) -> Derivation:
     match d.rule:
         case "ax_n":
             assert isinstance(d.subject, Var)
@@ -366,7 +329,7 @@ def _n_to_u(d: Derivation, images: Images) -> Derivation:
             assert isinstance(d.subject, (App, Sub))
             head = _n_to_u(d.premises[0], images)
             args = tuple(_n_to_u(p, images) for p in d.premises[1:])
-            arg = mk_bg(_cbn(d.subject.arg, images), args)
+            arg = mk_bg(fold(d.subject.arg, _CBN, images), args)
             return mk_app(head, arg) if d.rule == "app_n" else mk_es(d.subject.binder, head, arg)
     raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
 
@@ -417,7 +380,7 @@ def translate_v_to_u(d: Derivation) -> Derivation:
     return _v_to_u(d, {})
 
 
-def _v_to_u(d: Derivation, images: Images) -> Derivation:
+def _v_to_u(d: Derivation, images: FoldMemo) -> Derivation:
     match d.rule:
         case "ax_v":
             assert isinstance(d.subject, Var) and isinstance(d.type, Mult)
@@ -426,7 +389,7 @@ def _v_to_u(d: Derivation, images: Images) -> Derivation:
         case "abs_v":
             assert isinstance(d.subject, Abs)
             x = d.subject.binder
-            body_image = _cbv(d.subject.body, images)
+            body_image = fold(d.subject.body, _CBV, images)
             premises = tuple(mk_abs(x, _v_to_u(p, images)) for p in d.premises)
             return mk_bg(Abs(x, body_image), premises)
         case "app_v":

@@ -94,10 +94,11 @@ def is_tight_mult(m: Mult) -> bool:
 def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]] | None = None) -> bool:
     """Whether t holds a tight constant.  Every call given the same `memo`
     (id(node) -> (node, answer), as `TypeMemo`) looks into each node once."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     match t:
         case Tight(_):
             found = True
@@ -110,8 +111,7 @@ def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]] | None = Non
             found = has_tight_constants(dom, memo) or has_tight_constants(cod, memo)
         case _:
             raise TypeError(t)
-    if memo is not None:
-        memo[id(t)] = (t, found)
+    memo[id(t)] = (t, found)
     return found
 
 
@@ -202,17 +202,18 @@ def ctx_is_tight(ctx: Context) -> bool:
 # ---------------------------------------------------------------------------
 # Surface syntax:  base vars oN, tight constants a/b/n, [s1,s2], M -> s
 
-# id(node) -> (node, text), as syntax.PrintMemo
+# id(node) -> (node, text), as syntax.FoldMemo
 TypeMemo = dict[int, tuple[Type, str]]
 
 
 def print_type(t: Type, memo: TypeMemo | None = None) -> str:
     """Surface syntax of t.  As with `syntax.print_term`, every call given
     the same `memo` prints each node once."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
     match t:
         case BaseVar(i):
             return f"o{i}"
@@ -229,8 +230,7 @@ def print_type(t: Type, memo: TypeMemo | None = None) -> str:
             text = f"{print_type(dom, memo)} -> {print_type(cod, memo)}"
         case _:
             raise TypeError(t)
-    if memo is not None:
-        memo[id(t)] = (t, text)
+    memo[id(t)] = (t, text)
     return text
 
 

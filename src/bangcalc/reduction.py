@@ -19,9 +19,8 @@ from itertools import product
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, Sub, Term, Var,
-    free_vars, fresh_name, is_abs_shaped, is_bang_shaped,
-    canon_key, subst_meta,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var,
+    canon_key, fold, free_vars, fresh_name, is_abs_shaped, is_bang_shaped, subst_meta,
 )
 
 
@@ -269,29 +268,15 @@ class NfClass:
         return "no" in self.memberships
 
 
-def _nf_bits(t: Term) -> tuple[bool, bool, bool]:
-    """(ne, na, nb) memberships of the weak normal-form grammars."""
-    match t:
-        case Var(_):
-            return True, True, True
-        case Bang(_):
-            return False, True, False
-        case Abs(_, b):
-            ne, na, nb = _nf_bits(b)
-            return False, False, na or nb
-        case App(f, a):
-            fne, fna, _ = _nf_bits(f)
-            ane, ana, anb = _nf_bits(a)
-            ok = fna and (ana or anb)
-            return ok, ok, ok
-        case Der(b):
-            _, _, bnb = _nf_bits(b)
-            return bnb, bnb, bnb
-        case Sub(b, _, a):
-            bne, bna, bnb = _nf_bits(b)
-            _, _, anb = _nf_bits(a)
-            return bne and anb, bna and anb, bnb and anb
-    raise TypeError(t)
+# (ne, na, nb) memberships of the weak normal-form grammars, as fold tables
+_NF_BITS = {
+    Var: ((), lambda t: (True, True, True)),
+    Bang: ((), lambda t: (False, True, False)),
+    Abs: (("body",), lambda t, b: (False, False, b[1] or b[2])),
+    App: (("fun", "arg"), lambda t, f, a: (f[1] and (a[1] or a[2]),) * 3),
+    Der: (("body",), lambda t, b: (b[2],) * 3),
+    Sub: (("body", "arg"), lambda t, b, a: (b[0] and a[2], b[1] and a[2], b[2] and a[2])),
+}
 
 
 def _bits_to_class(ne: bool, na: bool, nb: bool) -> NfClass:
@@ -304,50 +289,23 @@ _CLASSES = {bits: _bits_to_class(*bits) for bits in product((False, True), repea
 
 
 def classify_nf(t: Term) -> NfClass:
-    return _CLASSES[_nf_bits(t)]
+    return _CLASSES[fold(t, _NF_BITS)]
 
 
-# id(term) -> (term, its (ne, na, nb) bits); see `classify_wcf_nf`
-WcfMemo = dict[int, tuple[Term, tuple[bool, bool, bool]]]
+# the same memberships of the weak clash-free grammars
+_WCF_BITS = {
+    **_NF_BITS,
+    App: (("fun", "arg"), lambda t, f, a: (f[0] and a[1],) * 3),
+    Der: (("body",), lambda t, b: (b[0],) * 3),
+    Sub: (("body", "arg"), lambda t, b, a: (b[0] and a[0], b[1] and a[0], b[2] and a[0])),
+}
 
 
-def _wcf_bits(t: Term, memo: WcfMemo | None = None) -> tuple[bool, bool, bool]:
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-    match t:
-        case Var(_):
-            bits = True, True, True
-        case Bang(_):
-            bits = False, True, False
-        case Abs(_, b):
-            _, na, nb = _wcf_bits(b, memo)
-            bits = False, False, na or nb
-        case App(f, a):
-            fne, _, _ = _wcf_bits(f, memo)
-            _, ana, _ = _wcf_bits(a, memo)
-            ok = fne and ana
-            bits = ok, ok, ok
-        case Der(b):
-            bne, _, _ = _wcf_bits(b, memo)
-            bits = bne, bne, bne
-        case Sub(b, _, a):
-            bne, bna, bnb = _wcf_bits(b, memo)
-            ane, _, _ = _wcf_bits(a, memo)
-            bits = bne and ane, bna and ane, bnb and ane
-        case _:
-            raise TypeError(t)
-    if memo is not None:
-        memo[id(t)] = (t, bits)
-    return bits
-
-
-def classify_wcf_nf(t: Term, memo: WcfMemo | None = None) -> NfClass:
+def classify_wcf_nf(t: Term, memo: FoldMemo | None = None) -> NfClass:
     """Membership in the weak clash-free normal grammars.  Every call given
     the same `memo` classifies each subterm once, as the typing of a normal
     form asks for the class of its subterms, level by level."""
-    return _CLASSES[_wcf_bits(t, memo)]
+    return _CLASSES[fold(t, _WCF_BITS, memo)]
 
 
 # ---------------------------------------------------------------------------

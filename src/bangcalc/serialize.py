@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .syntax import ParseMemo, PrintMemo, parse_term, print_term
+from .syntax import FoldMemo, ParseMemo, parse_term, print_term
 from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
@@ -26,7 +26,7 @@ def position_to_json(pos) -> list[str]:
 
 def trace_records(trace: Trace) -> list[dict[str, Any]]:
     # consecutive terms share most of their subterms: print each node once
-    memo: PrintMemo = {}
+    memo: FoldMemo = {}
     records: list[dict[str, Any]] = [
         {"record": "header", "version": FORMAT_VERSION, "term": print_term(trace.start, memo)}
     ]
@@ -63,7 +63,7 @@ def derivation_to_json(d: Derivation | DerivationE) -> dict[str, Any]:
     return _derivation_json(d, {}, {}, {})
 
 
-def _derivation_json(d: Derivation | DerivationE, terms: PrintMemo, types: TypeMemo,
+def _derivation_json(d: Derivation | DerivationE, terms: FoldMemo, types: TypeMemo,
                      contexts: dict[int, tuple[dict, dict[str, str]]]) -> dict[str, Any]:
     hit = contexts.get(id(d.context))
     if hit is None:

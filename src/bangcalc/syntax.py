@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Callable
@@ -216,58 +215,90 @@ def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return t == u or canon_key(t) == canon_key(u)
+    return term_eq(t, u) or canon_key(t) == canon_key(u)
 
 
-# id(term) -> (term, its w_size); see `w_size`
-SizeMemo = dict[int, tuple[Term, int]]
+# ---------------------------------------------------------------------------
+# Folds: the measures, grammars, embeddings and printing, bottom-up
+
+# id(node) -> (node, its value under one fold table); the node is held so
+# that its id stays its own
+FoldMemo = dict[int, tuple[Any, Any]]
 
 
-def w_size(t: Term, memo: SizeMemo | None = None) -> int:
+def fold(t: Term, table: dict, memo: FoldMemo | None = None) -> Any:
+    """The value of t under `table`, computed post-order with an explicit
+    stack, so that a deep term does not exhaust the interpreter's.
+
+    `table` maps each former it takes to (the attributes of the children
+    it enters, a function of the node and those children's values, in that
+    order).  A node of a former that enters no child is valued where it is
+    met; every other node's value is kept in `memo`, so every call given
+    the same memo computes each such subterm once.  A memo belongs to one
+    table.  TypeError on a former the table does not take."""
+    if memo is None:
+        memo = {}
+    get = memo.get
+    hit = get(id(t))  # most calls given a shared memo end here
+    if hit is not None:
+        return hit[1]
+    todo: list = [t]  # nodes to enter; below an entered node's children, it and its entry
+    vals: list = []   # the values of the children of the entered nodes, in order
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is tuple:  # an entry: the node below it has its children valued
+            attrs, f = node
+            node = todo.pop()
+            if len(attrs) == 1:
+                value = f(node, vals.pop())
+            else:
+                last = vals.pop()
+                value = f(node, vals.pop(), last)
+            memo[id(node)] = (node, value)
+            vals.append(value)
+            continue
+        hit = get(id(node))
+        if hit is not None:
+            vals.append(hit[1])
+            continue
+        try:
+            entry = table[cls]
+        except KeyError:
+            raise TypeError(node) from None
+        attrs = entry[0]
+        if not attrs:
+            vals.append(entry[1](node))
+            continue
+        todo.append(node)
+        todo.append(entry)
+        for attr in reversed(attrs):
+            todo.append(getattr(node, attr))
+    return vals[0]
+
+
+_W_SIZE = {
+    Var: ((), lambda t: 0), Bang: ((), lambda t: 0),
+    App: (("fun", "arg"), lambda t, f, a: 1 + f + a),
+    Sub: (("body", "arg"), lambda t, b, a: 1 + b + a),
+    Abs: (("body",), lambda t, b: 1 + b), Der: (("body",), lambda t, b: 1 + b),
+}
+
+
+def w_size(t: Term, memo: FoldMemo | None = None) -> int:
     """The nodes of t outside bangs, variables apart.  Every call given the
     same `memo` sizes each subterm once."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-    match t:
-        case Var(_) | Bang(_):
-            return 0
-        case App(f, a) | Sub(f, _, a):
-            n = 1 + w_size(f, memo) + w_size(a, memo)
-        case Abs(_, b) | Der(b):
-            n = 1 + w_size(b, memo)
-        case _:
-            raise TypeError(t)
-    if memo is not None:
-        memo[id(t)] = (t, n)
-    return n
+    return fold(t, _W_SIZE, memo)
 
 
 # ---------------------------------------------------------------------------
 # Closure spines
-
-class ShapeClass(Enum):
-    ABS = "abs"
-    BANG = "bang"
-    OTHER = "other"
-
 
 @dataclass(frozen=True)
 class ListDecomposition:
     """Maximal outer closure spine, outermost first, plus a non-Sub core."""
     spine: tuple[tuple[str, Term], ...]
     core: Term
-
-    def rewrap(self) -> Term:
-        t = self.core
-        for binder, arg in reversed(self.spine):
-            t = Sub(t, binder, arg)
-        return t
-
-    @property
-    def shape(self) -> ShapeClass:
-        return shape_of(self.core)
 
 
 def decompose_list(t: Term) -> ListDecomposition:
@@ -285,15 +316,6 @@ def spine_core(t: Term) -> Term:
     return t
 
 
-def shape_of(t: Term) -> ShapeClass:
-    core = spine_core(t)
-    if isinstance(core, Abs):
-        return ShapeClass.ABS
-    if isinstance(core, Bang):
-        return ShapeClass.BANG
-    return ShapeClass.OTHER
-
-
 def is_abs_shaped(t: Term) -> bool:
     return isinstance(spine_core(t), Abs)
 
@@ -305,19 +327,17 @@ def is_bang_shaped(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Lambda-fragment helpers
 
+_LAMBDA = {
+    Var: ((), lambda t: True), Bang: ((), lambda t: False), Der: ((), lambda t: False),
+    App: (("fun", "arg"), lambda t, f, a: f and a),
+    Sub: (("body", "arg"), lambda t, b, a: b and a),
+    Abs: (("body",), lambda t, b: b),
+}
+
+
 def is_lambda_term(t: Term) -> bool:
     """True iff t contains no Bang/Der (the CBN/CBV source fragment)."""
-    match t:
-        case Var(_):
-            return True
-        case App(f, a):
-            return is_lambda_term(f) and is_lambda_term(a)
-        case Abs(_, b):
-            return is_lambda_term(b)
-        case Sub(b, _, a):
-            return is_lambda_term(b) and is_lambda_term(a)
-        case _:
-            return False
+    return fold(t, _LAMBDA)
 
 
 # ---------------------------------------------------------------------------
@@ -592,43 +612,24 @@ def _parse_parens(toks: Lexer, p: int) -> Term:
 # ---------------------------------------------------------------------------
 # Printer
 
-# id(node) -> (node, text); the node is held so that its id stays its own
-PrintMemo = dict[int, tuple[Term, str]]
+def _print_app(t: App, f: str, a: str) -> str:
+    fs = f"({f})" if type(t.fun) is Abs else f
+    return f"{fs} ({a})" if type(t.arg) in (App, Abs) else f"{fs} {a}"
 
 
-def _paren(t: Term, formers, memo: PrintMemo | None) -> str:
-    """t printed, in parentheses when it is built by one of `formers`."""
-    text = print_term(t, memo)
-    return f"({text})" if isinstance(t, formers) else text
+_PRINT = {
+    Var: ((), lambda t: t.name),
+    Abs: (("body",), lambda t, b: f"\\{t.binder}. {b}"),
+    App: (("fun", "arg"), _print_app),
+    Bang: (("body",), lambda t, b: f"!({b})" if type(t.body) in (App, Abs, Sub) else "!" + b),
+    Der: (("body",), lambda t, b: f"der({b})"),
+    Sub: (("body", "arg"),
+          lambda t, b, a: f"({b})[{t.binder} \\ {a}]" if type(t.body) in (App, Abs)
+          else f"{b}[{t.binder} \\ {a}]"),
+}
 
 
-def print_term(t: Term, memo: PrintMemo | None = None) -> str:
+def print_term(t: Term, memo: FoldMemo | None = None) -> str:
     """Surface syntax of t.  Every call given the same `memo` prints each
     node once: subterms shared between the terms it prints are looked up."""
-    if memo is not None:
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-    match t:
-        case Var(x):
-            return x
-        case Abs(x, b):
-            text = f"\\{x}. {print_term(b, memo)}"
-        case App(f, a):  # written out, not through _paren: the most frequent node
-            fs = f"({print_term(f, memo)})" if isinstance(f, Abs) else print_term(f, memo)
-            match a:
-                case App(_, _) | Abs(_, _):
-                    text = f"{fs} ({print_term(a, memo)})"
-                case _:
-                    text = f"{fs} {print_term(a, memo)}"
-        case Bang(b):
-            text = "!" + _paren(b, (App, Abs, Sub), memo)
-        case Der(b):
-            text = f"der({print_term(b, memo)})"
-        case Sub(b, x, a):
-            text = f"{_paren(b, (App, Abs), memo)}[{x} \\ {print_term(a, memo)}]"
-        case _:
-            raise TypeError(t)
-    if memo is not None:
-        memo[id(t)] = (t, text)
-    return text
+    return fold(t, _PRINT, memo)

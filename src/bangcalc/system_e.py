@@ -27,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, ProvedEqual, SizeMemo, Sub, Term, Var, print_term, w_size,
+    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, print_term, w_size,
 )
 from .reduction import (
-    Position, RuleKind, FuelExhausted, Trace, WcfMemo, classify_nf, classify_wcf_nf,
+    Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
 )
 from .qtypes import (
     Arrow, Context, Tight, Type, TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
@@ -193,7 +193,7 @@ def type_normal_form_tight(t: Term) -> DerivationE:
     return _tight_nf(t, {}, {})
 
 
-def _tight_nf(t: Term, memo: WcfMemo, sizes: SizeMemo) -> DerivationE:
+def _tight_nf(t: Term, memo: FoldMemo, sizes: FoldMemo) -> DerivationE:
     cls = classify_wcf_nf(t, memo)
     if not cls.memberships:
         raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
@@ -207,7 +207,7 @@ def _tight_nf(t: Term, memo: WcfMemo, sizes: SizeMemo) -> DerivationE:
     return d
 
 
-def _tight_ne(t: Term, memo: WcfMemo) -> DerivationE:
+def _tight_ne(t: Term, memo: FoldMemo) -> DerivationE:
     match t:
         case Var(x):
             return mk_ax_e(x, TIGHT_NEUTRAL)
@@ -220,7 +220,7 @@ def _tight_ne(t: Term, memo: WcfMemo) -> DerivationE:
     raise NotTypableNormalForm(print_term(t))
 
 
-def _tight_arg(t: Term, memo: WcfMemo) -> DerivationE:
+def _tight_arg(t: Term, memo: FoldMemo) -> DerivationE:
     """Neutral-abs terms: bang-shaped ones get b, neutral ones get n."""
     if classify_wcf_nf(t, memo).ne:
         return _tight_ne(t, memo)
@@ -232,7 +232,7 @@ def _tight_arg(t: Term, memo: WcfMemo) -> DerivationE:
     raise NotTypableNormalForm(print_term(t))
 
 
-def _tight_nb(t: Term, memo: WcfMemo, sizes: SizeMemo) -> DerivationE:
+def _tight_nb(t: Term, memo: FoldMemo, sizes: FoldMemo) -> DerivationE:
     if classify_wcf_nf(t, memo).ne:
         return _tight_ne(t, memo)
     match t:

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var,
+    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var,
     decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
 )
 from .reduction import (
-    SELECTORS, Position, RuleKind, FuelExhausted, Trace, WcfMemo,
+    SELECTORS, Position, RuleKind, FuelExhausted, Trace,
     classify_wcf_nf, fire_spine, normalize_dw, subterm_at,
 )
 from .qtypes import (
@@ -430,7 +430,7 @@ def type_normal_form_u(t: Term, target: Type | None = None) -> Derivation:
     return _type_nf(t, target, {})
 
 
-def _type_nf(t: Term, target: Type | None, memo: WcfMemo) -> Derivation:
+def _type_nf(t: Term, target: Type | None, memo: FoldMemo) -> Derivation:
     cls = classify_wcf_nf(t, memo)
     if not cls.memberships:
         raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
@@ -443,7 +443,7 @@ def _type_nf(t: Term, target: Type | None, memo: WcfMemo) -> Derivation:
     return _type_nb(t, memo)
 
 
-def _type_ne(t: Term, tau: Type, memo: WcfMemo) -> Derivation:
+def _type_ne(t: Term, tau: Type, memo: FoldMemo) -> Derivation:
     match t:
         case Var(x):
             return mk_ax(x, tau)
@@ -461,7 +461,7 @@ def _type_ne(t: Term, tau: Type, memo: WcfMemo) -> Derivation:
     raise NotTypableNormalForm(print_term(t))
 
 
-def _type_na(t: Term, memo: WcfMemo) -> Derivation:
+def _type_na(t: Term, memo: FoldMemo) -> Derivation:
     """Type a neutral-abs term with a multiset: bangs get the empty
     multiset by a nullary bg, neutral terms get it directly."""
     match t:
@@ -476,7 +476,7 @@ def _type_na(t: Term, memo: WcfMemo) -> Derivation:
     raise NotTypableNormalForm(print_term(t))
 
 
-def _type_nb(t: Term, memo: WcfMemo) -> Derivation:
+def _type_nb(t: Term, memo: FoldMemo) -> Derivation:
     match t:
         case Abs(x, b):
             return mk_abs(x, _type_nf(b, None, memo))

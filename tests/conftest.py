@@ -76,7 +76,7 @@ def church_term(n: int):
 
 # ---------------------------------------------------------------------------
 # Reference walkers: plain recursion that caches nothing, the oracles for
-# the per-node facts bangcalc computes once and keeps.
+# the per-node facts bangcalc computes once and keeps and for its folds.
 
 def ref_free_vars(t) -> frozenset:
     match t:
@@ -174,6 +174,159 @@ def ref_print_term(t) -> str:
                     bs = f"({ref_print_term(b)})"
             return f"{bs}[{x} \\ {ref_print_term(a)}]"
     raise TypeError(t)
+
+
+def count_folded(monkeypatch, table) -> list:
+    """The nodes that folds over `table` compute while the test runs, one
+    entry per computation."""
+    computed = []
+    for former, (attrs, f) in list(table.items()):
+        def counted(node, *values, _f=f):
+            computed.append(node)
+            return _f(node, *values)
+        monkeypatch.setitem(table, former, (attrs, counted))
+    return computed
+
+
+def ref_w_size(t) -> int:
+    match t:
+        case Var(_) | Bang(_):
+            return 0
+        case App(f, a) | Sub(f, _, a):
+            return 1 + ref_w_size(f) + ref_w_size(a)
+        case Abs(_, b) | Der(b):
+            return 1 + ref_w_size(b)
+    raise TypeError(t)
+
+
+def ref_is_lambda_term(t) -> bool:
+    match t:
+        case Var(_):
+            return True
+        case App(f, a) | Sub(f, _, a):
+            return ref_is_lambda_term(f) and ref_is_lambda_term(a)
+        case Abs(_, b):
+            return ref_is_lambda_term(b)
+    return False
+
+
+def ref_nf_bits(t) -> tuple:
+    """(ne, na, nb) of the weak normal-form grammars."""
+    match t:
+        case Var(_):
+            return True, True, True
+        case Bang(_):
+            return False, True, False
+        case Abs(_, b):
+            _, na, nb = ref_nf_bits(b)
+            return False, False, na or nb
+        case App(f, a):
+            _, fna, _ = ref_nf_bits(f)
+            _, ana, anb = ref_nf_bits(a)
+            ok = fna and (ana or anb)
+            return ok, ok, ok
+        case Der(b):
+            nb = ref_nf_bits(b)[2]
+            return nb, nb, nb
+        case Sub(b, _, a):
+            bne, bna, bnb = ref_nf_bits(b)
+            anb = ref_nf_bits(a)[2]
+            return bne and anb, bna and anb, bnb and anb
+    raise TypeError(t)
+
+
+def ref_wcf_bits(t) -> tuple:
+    """(ne, na, nb) of the weak clash-free normal-form grammars."""
+    match t:
+        case Var(_):
+            return True, True, True
+        case Bang(_):
+            return False, True, False
+        case Abs(_, b):
+            _, na, nb = ref_wcf_bits(b)
+            return False, False, na or nb
+        case App(f, a):
+            ok = ref_wcf_bits(f)[0] and ref_wcf_bits(a)[1]
+            return ok, ok, ok
+        case Der(b):
+            ne = ref_wcf_bits(b)[0]
+            return ne, ne, ne
+        case Sub(b, _, a):
+            bne, bna, bnb = ref_wcf_bits(b)
+            ane = ref_wcf_bits(a)[0]
+            return bne and ane, bna and ane, bnb and ane
+    raise TypeError(t)
+
+
+def ref_cbn_bits(t) -> tuple:
+    """(ne_n, no_n) of the head CBN normal-form grammars."""
+    match t:
+        case Var(_):
+            return True, True
+        case App(f, _):
+            ne = ref_cbn_bits(f)[0]
+            return ne, ne
+        case Abs(_, b):
+            return False, ref_cbn_bits(b)[1]
+        case Sub(_, _, _):
+            return False, False
+    raise NotLambdaTerm(ref_print_term(t))
+
+
+def ref_cbv_bits(t) -> tuple:
+    """(vr_v, ne_v, no_v) of the open CBV normal-form grammars."""
+    match t:
+        case Var(_):
+            return True, False, True
+        case Abs(_, _):
+            return False, False, True
+        case App(f, a):
+            fvr, fne, _ = ref_cbv_bits(f)
+            ne = (fvr or fne) and ref_cbv_bits(a)[2]
+            return False, ne, ne
+        case Sub(b, _, a):
+            bvr, bne, bno = ref_cbv_bits(b)
+            ane = ref_cbv_bits(a)[1]
+            return bvr and ane, bne and ane, bno and ane
+    raise NotLambdaTerm(ref_print_term(t))
+
+
+def ref_embed_cbn(t):
+    match t:
+        case Var(_):
+            return t
+        case Abs(x, b):
+            return Abs(x, ref_embed_cbn(b))
+        case App(f, a):
+            return App(ref_embed_cbn(f), Bang(ref_embed_cbn(a)))
+        case Sub(b, x, a):
+            return Sub(ref_embed_cbn(b), x, Bang(ref_embed_cbn(a)))
+    raise NotLambdaTerm(ref_print_term(t))
+
+
+def ref_embed_cbv(t):
+    """The value embedding, un-banging a bang-shaped application head
+    under its closure spine."""
+    match t:
+        case Var(x):
+            return Bang(Var(x))
+        case Abs(x, b):
+            return Bang(Abs(x, ref_embed_cbv(b)))
+        case App(f, a):
+            head = ref_embed_cbv(f)
+            if not is_bang_shaped(head):
+                return App(Der(head), ref_embed_cbv(a))
+            spine = []
+            while isinstance(head, Sub):
+                spine.append((head.binder, head.arg))
+                head = head.body
+            head = head.body
+            for binder, arg in reversed(spine):
+                head = Sub(head, binder, arg)
+            return App(head, ref_embed_cbv(a))
+        case Sub(b, x, a):
+            return Sub(ref_embed_cbv(b), x, ref_embed_cbv(a))
+    raise NotLambdaTerm(ref_print_term(t))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from bangcalc.system_e import infer_tight
 from bangcalc.system_u import Derivation, check_derivation_u, infer_u, size_u
 
 from conftest import (
-    church_term, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
+    church_term, count_folded, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
 )
 
 FUEL = 60
@@ -130,23 +130,6 @@ def test_u_replay_sizes_no_node_by_a_walk(monkeypatch):
     assert d.subject == t and size_u(d) == ref_size_u(d) and not walked
 
 
-def count_calls(monkeypatch, *names):
-    """A call count for each of `names`, functions of reduction or syntax,
-    wherever the package refers to them."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        owner = reduction if hasattr(reduction, name) else syntax
-        orig = getattr(owner, name)
-
-        def counted(*args, _orig=orig, _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        for mod in (reduction, syntax, system_u, system_e):
-            if getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 NESTED = 400
 NESTED_ABS = parse_term("".join(f"\\x{i}. " for i in range(NESTED)) + "z")
 
@@ -156,25 +139,26 @@ NESTED_ABS = parse_term("".join(f"\\x{i}. " for i in range(NESTED)) + "z")
 def test_normal_form_typing_classifies_and_sizes_each_subterm_once(monkeypatch, nf_typing):
     # Typing \x0. ... \xn-1. z asks for the class of each of the n nested
     # bodies, and E checks each body's counters against its w_size:
-    # walking each body anew would make about n*n/2 calls of either;
-    # once per subterm makes a few per level.
+    # folding each body anew would compute about n*n/2 nodes of either
+    # table; once per subterm computes a few per level.
     n = NESTED
-    calls = count_calls(monkeypatch, "_wcf_bits", "w_size")
+    classified = count_folded(monkeypatch, reduction._WCF_BITS)
+    sized = count_folded(monkeypatch, syntax._W_SIZE)
     d = nf_typing(NESTED_ABS)
     assert term_eq(d.subject, NESTED_ABS)
-    assert calls["_wcf_bits"] <= 4 * n and calls["w_size"] <= 3 * n, calls
+    assert len(classified) <= 4 * n and len(sized) <= 3 * n, (len(classified), len(sized))
 
 
 @pytest.mark.parametrize("infer, nf_typing", [
     (infer_u, system_u.type_normal_form_u), (infer_tight, system_e.type_normal_form_tight)])
 def test_inference_classifies_its_normal_form_only_in_the_typing(monkeypatch, infer, nf_typing):
     # Inference leaves the classification of the normal form to its typing,
-    # which classifies each subterm once, and makes no walk of its own.
-    calls = count_calls(monkeypatch, "_wcf_bits")
+    # which classifies each subterm once, and makes no fold of its own.
+    classified = count_folded(monkeypatch, reduction._WCF_BITS)
     nf_typing(NESTED_ABS)
-    typing = calls["_wcf_bits"]
+    typing = len(classified)
     assert term_eq(infer(NESTED_ABS, FUEL).subject, NESTED_ABS)
-    assert calls["_wcf_bits"] == 2 * typing, (typing, calls)
+    assert len(classified) == 2 * typing, (typing, len(classified))
 
 
 def test_memo_printing_matches_plain_printing():

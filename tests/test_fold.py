@@ -1,0 +1,157 @@
+"""The folds over terms (`syntax.fold` with one table per walker): each
+matches its plain recursive oracle in conftest, with and without a memo
+shared across terms, rejects the formers it does not take, and walks
+towers far deeper than the interpreter's recursion limit."""
+
+import sys
+
+import pytest
+
+from bangcalc import cbn_cbv, reduction
+from bangcalc.cbn_cbv import NotLambdaTerm, classify_lambda_nf, embed_cbn, embed_cbv, normalize_n
+from bangcalc.gen import generate_corpus
+from bangcalc.reduction import FuelExhausted, classify_nf, classify_wcf_nf, normalize_dw
+from bangcalc.syntax import (
+    Abs, App, Bang, Der, Sub, Var, alpha_eq, fold, is_lambda_term, print_term, term_eq, w_size,
+)
+
+from conftest import (
+    church_term, ref_cbn_bits, ref_cbv_bits, ref_embed_cbn, ref_embed_cbv, ref_is_lambda_term,
+    ref_nf_bits, ref_print_term, ref_w_size, ref_wcf_bits,
+)
+
+FUEL = 60
+X, Z = Var("x"), Var("z")
+
+
+def trace_terms(t, normalize):
+    try:
+        trace = normalize(t, FUEL)
+    except FuelExhausted as ex:
+        trace = ex.trace
+    return [trace.start] + [s.result for s in trace.steps]
+
+
+BANG_TERMS = ([u for t in generate_corpus(0, 12, 150) for u in trace_terms(t, normalize_dw)]
+              + trace_terms(embed_cbn(church_term(40)), normalize_dw))
+LAMBDA_TERMS = ([u for t in generate_corpus(1, 12, 150, lam=True) for u in trace_terms(t, normalize_n)]
+                + trace_terms(church_term(40), normalize_n))
+
+
+def classes(bits):
+    return reduction._CLASSES[bits]
+
+
+# (the walker, its oracle, whether it takes a memo)
+BANG_WALKERS = [
+    (w_size, ref_w_size, True),
+    (print_term, ref_print_term, True),
+    (is_lambda_term, ref_is_lambda_term, False),
+    (classify_nf, lambda t: classes(ref_nf_bits(t)), False),
+    (classify_wcf_nf, lambda t: classes(ref_wcf_bits(t)), True),
+]
+# (table, oracle, equality of values) of the lambda-term folds
+LAMBDA_FOLDS = [
+    (cbn_cbv._CBN_BITS, ref_cbn_bits, tuple.__eq__),
+    (cbn_cbv._CBV_BITS, ref_cbv_bits, tuple.__eq__),
+    (cbn_cbv._CBN, ref_embed_cbn, term_eq),
+    (cbn_cbv._CBV, ref_embed_cbv, term_eq),
+]
+
+
+def test_bang_term_folds_match_the_reference_walkers():
+    for walker, ref, takes_memo in BANG_WALKERS:
+        memo = {}
+        for t in BANG_TERMS + LAMBDA_TERMS:
+            assert walker(t) == ref(t), (walker.__name__, t)
+            if takes_memo:
+                assert walker(t, memo) == ref(t), (walker.__name__, t)
+
+
+def test_lambda_term_folds_match_the_reference_walkers():
+    assert len(LAMBDA_TERMS) > 300
+    for table, ref, same in LAMBDA_FOLDS:
+        memo = {}
+        for t in LAMBDA_TERMS:
+            assert same(fold(t, table), ref(t)) and same(fold(t, table, memo), ref(t)), t
+    for t in LAMBDA_TERMS:
+        cls = classify_lambda_nf(t)
+        assert (("ne_n" in cls.cbn, "no_n" in cls.cbn) == ref_cbn_bits(t)
+                and tuple(name in cls.cbv for name in ("vr_v", "ne_v", "no_v")) == ref_cbv_bits(t))
+        assert term_eq(embed_cbn(t), ref_embed_cbn(t)) and term_eq(embed_cbv(t), ref_embed_cbv(t))
+
+
+def test_folds_reject_the_formers_they_do_not_take():
+    not_a_term = App(Var("x"), 3)
+    for walker, _, _ in BANG_WALKERS:
+        with pytest.raises(TypeError):
+            walker(not_a_term)
+    for table, _, _ in LAMBDA_FOLDS:
+        for t, text in ((Bang(X), "!x"), (Der(X), "der(x)")):
+            with pytest.raises(NotLambdaTerm) as raised:
+                fold(t, table)
+            assert str(raised.value) == text
+
+
+# ---------------------------------------------------------------------------
+# Depth: towers of each former, built without the parser
+
+DEEP = 10_000
+
+
+def tower(level, leaf, n):
+    t = leaf
+    for _ in range(n):
+        t = level(t)
+    return t
+
+
+# name: (one level, the leaf, the text each level adds before and after
+# the text of the one-level tower; for a lambda tower, the level and leaf
+# of its CBN and CBV images)
+TOWERS = {
+    "abs": (lambda t: Abs("x", t), X, ("\\x. ", ""),
+            (lambda t: Abs("x", t), X), (lambda t: Bang(Abs("x", t)), Bang(X))),
+    "app_fun": (lambda t: App(t, X), X, ("", " x"),
+                (lambda t: App(t, Bang(X)), X), None),
+    "app_arg": (lambda t: App(X, t), X, ("x (", ")"),
+                (lambda t: App(X, Bang(t)), X), (lambda t: App(X, t), Bang(X))),
+    "bang": (Bang, X, ("!", ""), None, None),
+    "der": (Der, X, ("der(", ")"), None, None),
+    "sub_body": (lambda t: Sub(t, "y", Z), X, ("", "[y \\ z]"),
+                 (lambda t: Sub(t, "y", Bang(Z)), X), (lambda t: Sub(t, "y", Bang(Z)), Bang(X))),
+    "sub_arg": (lambda t: Sub(X, "y", t), Z, ("x[y \\ ", "]"),
+                (lambda t: Sub(X, "y", Bang(t)), Z), (lambda t: Sub(Bang(X), "y", t), Bang(Z))),
+}
+
+
+def _cbv_app_fun(n):
+    """The CBV image of the application tower: the innermost head is
+    un-banged, every other one derelicted."""
+    return tower(lambda t: App(Der(t), Bang(X)), App(X, Bang(X)), n - 1)
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_folds_walk_towers_deeper_than_the_recursion_limit(name):
+    assert sys.getrecursionlimit() < DEEP
+    level, leaf, (before, after), cbn, cbv = TOWERS[name]
+    t, one, three = (tower(level, leaf, n) for n in (DEEP, 1, 3))
+    assert print_term(t) == before * (DEEP - 1) + ref_print_term(one) + after * (DEEP - 1)
+    per_level = ref_w_size(tower(level, leaf, 2)) - ref_w_size(one)
+    assert w_size(t) == ref_w_size(one) + (DEEP - 1) * per_level
+    # each tower's classes are those of its three-level tower
+    assert classify_nf(t) is classify_nf(three) and classify_wcf_nf(t) is classify_wcf_nf(three)
+    assert is_lambda_term(t) is (cbn is not None)
+    if cbn is None:
+        for walker in (classify_lambda_nf, embed_cbn, embed_cbv):
+            with pytest.raises(NotLambdaTerm):
+                walker(t)
+        return
+    assert classify_lambda_nf(t) == classify_lambda_nf(three)
+    assert term_eq(embed_cbn(t), tower(*cbn, DEEP))
+    assert term_eq(embed_cbv(t), tower(*cbv, DEEP) if cbv else _cbv_app_fun(DEEP))
+
+
+def test_alpha_eq_takes_equal_towers_deeper_than_the_recursion_limit():
+    t, u = (tower(lambda b: Abs("x", App(b, X)), X, 5_000) for _ in range(2))
+    assert t is not u and alpha_eq(t, u)

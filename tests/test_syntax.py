@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 
 from bangcalc.syntax import (
-    Abs, App, Bang, Der, Sub, Var, ParseError, ShapeClass,
-    alpha_eq, decompose_list, free_vars, parse_term, print_term, shape_of,
+    Abs, App, Bang, Der, Sub, Var, ParseError,
+    alpha_eq, decompose_list, free_vars, parse_term, print_term,
     subst_meta, w_size,
 )
 
@@ -111,17 +111,14 @@ class TestDecompose:
         dec = decompose_list(term)
         assert [b for b, _ in dec.spine] == ["z", "y"]
         assert dec.core == t(r"\x. x")
-        assert dec.shape is ShapeClass.ABS
-        assert dec.rewrap() == term
 
     def test_bang_core(self):
         dec = decompose_list(t("!x"))
-        assert dec.spine == () and dec.shape is ShapeClass.BANG
+        assert dec.spine == () and dec.core == t("!x")
 
     def test_other_core(self):
         dec = decompose_list(t(r"x[y \ u]"))
-        assert dec.spine == (("y", Var("u")),) and dec.shape is ShapeClass.OTHER
-        assert shape_of(t(r"x[y \ u]")) is ShapeClass.OTHER
+        assert dec.spine == (("y", Var("u")),) and dec.core == Var("x")
 
 
 def _freshen_all_binders(term, salt=0):
@@ -163,4 +160,8 @@ def test_w_size_alpha_invariant(term):
 
 @given(bang_terms())
 def test_decompose_rewrap_identity(term):
-    assert decompose_list(term).rewrap() == term
+    dec = decompose_list(term)
+    rewrapped = dec.core
+    for binder, arg in reversed(dec.spine):
+        rewrapped = Sub(rewrapped, binder, arg)
+    assert rewrapped == term and not isinstance(dec.core, Sub)

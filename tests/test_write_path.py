@@ -20,13 +20,15 @@ from bangcalc.qtypes import (
 )
 from bangcalc.reduction import classify_nf, classify_wcf_nf
 from bangcalc.syntax import (
-    Abs, App, ShapeClass, Var, decompose_list, is_abs_shaped, is_bang_shaped, shape_of, term_eq,
+    Abs, App, Bang, Var, decompose_list, is_abs_shaped, is_bang_shaped, term_eq,
 )
 from bangcalc.system_u import (
     Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
 )
 
-from conftest import bang_terms, church_term, ref_ctx_union
+from conftest import (
+    bang_terms, church_term, count_folded, ref_ctx_union, ref_nf_bits, ref_wcf_bits,
+)
 
 FUEL = 200
 
@@ -163,18 +165,16 @@ SHAPE_CORPUS = [rand_bang_term(random.Random(seed), size)
 
 def test_shape_helpers_match_the_list_decomposition():
     for t in SHAPE_CORPUS:
-        shape = decompose_list(t).shape
-        assert shape_of(t) is shape
-        assert is_abs_shaped(t) is (shape is ShapeClass.ABS)
-        assert is_bang_shaped(t) is (shape is ShapeClass.BANG)
+        core = decompose_list(t).core
+        assert is_abs_shaped(t) is isinstance(core, Abs)
+        assert is_bang_shaped(t) is isinstance(core, Bang)
 
 
 def test_classes_are_the_eight_prebuilt_values():
     prebuilt = list(reduction._CLASSES.values())
     assert len({id(c) for c in prebuilt}) == len(set(prebuilt)) == 8
     for t in SHAPE_CORPUS:
-        for classify, bits in ((classify_nf, reduction._nf_bits),
-                               (classify_wcf_nf, reduction._wcf_bits)):
+        for classify, bits in ((classify_nf, ref_nf_bits), (classify_wcf_nf, ref_wcf_bits)):
             cls = classify(t)
             assert cls == reduction._bits_to_class(*bits(t))
             assert any(cls is c for c in prebuilt)
@@ -355,8 +355,8 @@ def test_each_translation_embeds_each_subterm_once(monkeypatch, n):
     # and the translation's.  Embedding each bg node's term afresh made
     # 398/758/1,478 _cbv calls (CBV) and 499/1,779/6,739 _cbn calls (CBN).
     t = church_term(n)
-    for system, walk, infer, to_u in (("v", "_cbv", infer_v, translate_v_to_u),
-                                      ("n", "_cbn", infer_n, translate_n_to_u)):
-        calls = _count(monkeypatch, cbn_cbv, walk)
+    for system, table, infer, to_u in (("v", cbn_cbv._CBV, infer_v, translate_v_to_u),
+                                       ("n", cbn_cbv._CBN, infer_n, translate_n_to_u)):
+        computed = count_folded(monkeypatch, table)
         to_u(infer(t, 10_000))
-        assert len(calls) <= 4 * _nodes(t), system
+        assert len(computed) <= 4 * _nodes(t), system
