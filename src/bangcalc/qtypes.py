@@ -15,17 +15,17 @@ from dataclasses import dataclass
 from .syntax import Lexer, TokenTable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)  # not frozen, for the reason given at syntax._Node
 class BaseVar:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Tight:
     constant: str  # "a" | "b" | "n"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mult:
     elements: tuple["Type", ...]
 
@@ -33,7 +33,7 @@ class Mult:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Arrow:
     domain: Mult
     codomain: "Type"

@@ -321,7 +321,7 @@ class ClashKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClashReport:
     clash_free: bool
     witness: tuple[Position, ClashKind] | None
@@ -349,7 +349,7 @@ def is_wcf(t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Traces
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceStep:
     position: Position
     rule: RuleKind

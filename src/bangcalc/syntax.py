@@ -22,68 +22,84 @@ from operator import itemgetter
 from typing import Any, Callable
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """The slot a term keeps its free names in (see `free_vars`).  Terms are
+    never changed once built, but not frozen: a frozen dataclass sets each
+    field through `object.__setattr__`, which made building a node cost
+    about three times as much."""
+    __slots__ = ("_fv",)
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(slots=True, unsafe_hash=True)
+class App(_Node):
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(slots=True, unsafe_hash=True)
+class Abs(_Node):
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Bang:
+@dataclass(slots=True, unsafe_hash=True)
+class Bang(_Node):
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Der:
+@dataclass(slots=True, unsafe_hash=True)
+class Der(_Node):
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(slots=True, unsafe_hash=True)
+class Sub(_Node):
     body: "Term"
     binder: str
     arg: "Term"
 
 
 Term = Var | App | Abs | Bang | Der | Sub
+_ENTERED = object()  # see free_vars
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The free names of t, computed once per node and kept on it.
-
-    The set lives in the node's instance dict, outside the dataclass
-    fields, so equality, hashing, repr and pattern matching ignore it.  A
-    node whose set equals a child's shares the child's frozenset."""
+    """The free names of t.  Each node keeps its set in its `_fv` slot, which
+    the dataclass methods ignore, given post-order with an explicit stack;
+    a node whose set equals a child's shares that set."""
     try:
-        return t._fv  # type: ignore[union-attr]
+        return t._fv
     except AttributeError:
         pass
-    match t:
-        case Var(x):
-            fv = frozenset((x,))
-        case App(f, a):
-            fv = _union(free_vars(f), free_vars(a))
-        case Abs(x, b):
-            fv = _without(free_vars(b), x)
-        case Bang(b) | Der(b):
-            fv = free_vars(b)
-        case Sub(b, x, a):
-            fv = _union(_without(free_vars(b), x), free_vars(a))
-        case _:
-            raise TypeError(t)
-    object.__setattr__(t, "_fv", fv)
-    return fv
+    todo: list = [t]  # nodes to enter; below an entered node's children, it and _ENTERED
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if node is _ENTERED:  # the node below has its children's sets
+            node = pop()
+            cls = type(node)
+            fv = (node.fun if cls is App else node.body)._fv
+            if cls is Abs or cls is Sub:
+                fv = _without(fv, node.binder)
+            node._fv = _union(fv, node.arg._fv) if cls is App or cls is Sub else fv
+        elif not hasattr(node, "_fv"):
+            cls = type(node)
+            if cls is Var:
+                node._fv = frozenset((node.name,))
+            elif cls is App:
+                todo += (node, _ENTERED, node.arg, node.fun)
+            elif cls is Sub:
+                todo += (node, _ENTERED, node.arg, node.body)
+            elif cls is Abs or cls is Bang or cls is Der:
+                todo += (node, _ENTERED, node.body)
+            else:
+                raise TypeError(node)
+    return t._fv
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -145,26 +161,38 @@ def _subst_under(y: str, b: Term, x: str, u: Term) -> tuple[str, Term]:
     return y, subst_meta(b, x, u)
 
 
-def _canon(t: Term, env: dict[str, int], depth: int):
-    match t:
-        case Var(x):
-            return ("b", env[x]) if x in env else ("f", x)
-        case App(f, a):
-            return ("@", _canon(f, env, depth), _canon(a, env, depth))
-        case Abs(x, b):
-            return ("\\", _canon(b, {**env, x: depth}, depth + 1))
-        case Bang(b):
-            return ("!", _canon(b, env, depth))
-        case Der(b):
-            return ("d", _canon(b, env, depth))
-        case Sub(b, x, a):
-            return ("s", _canon(b, {**env, x: depth}, depth + 1), _canon(a, env, depth))
-    raise TypeError(t)
+_CANON_TAG = {App: "@", Abs: "\\", Bang: "!", Der: "d", Sub: "s"}
 
 
-def canon_key(t: Term):
-    """Nameless canonical form; equal keys iff alpha-equivalent terms."""
-    return _canon(t, {}, 0)
+def canon_key(t: Term) -> tuple:
+    """Nameless canonical form; equal keys iff alpha-equivalent terms.  It is
+    t in pre-order, flat, so that it is built, compared and hashed without
+    recursion: a bound variable is "b" and the depth of its binder, a free
+    one "f" and its name, any other node its tag."""
+    key: list = []
+    env: dict[str, int | None] = {}  # a name -> the depth of its binder, None if free
+    depth = 0                        # the binders entered and not yet left
+    todo: list = [t]  # terms, and (name, its entry before) on leaving a binder
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Var:
+            d = env.get(node.name)
+            key += ("f", node.name) if d is None else ("b", d)
+        elif cls is tuple:
+            env[node[0]] = node[1]
+            depth -= 1
+        else:
+            if cls not in _CANON_TAG:
+                raise TypeError(node)
+            key.append(_CANON_TAG[cls])
+            if cls is App or cls is Sub:
+                todo.append(node.arg)
+            if cls is Abs or cls is Sub:
+                todo.append((node.binder, env.get(node.binder)))
+                env[node.binder], depth = depth, depth + 1
+            todo.append(node.fun if cls is App else node.body)
+    return tuple(key)
 
 
 # id(a) -> (a, b), a term a found equal to b; a is held so that its id stays its own
@@ -294,7 +322,7 @@ def w_size(t: Term, memo: FoldMemo | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Closure spines
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListDecomposition:
     """Maximal outer closure spine, outermost first, plus a non-Sub core."""
     spine: tuple[tuple[str, Term], ...]

@@ -37,15 +37,15 @@ from .qtypes import (
     ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, print_type,
 )
 from .system_u import (
-    RULES, Counters, Untypable, Violation, IllFormed, NotTypableNormalForm,
+    RULES, Counters, Sized, Untypable, Violation, IllFormed, NotTypableNormalForm,
     abs_, antisubst_derivation, app, ax, bg, check_derivation, close, define, dr, es,
     expand_derivation, infer_with, reduce_derivation, register, replay, rule_table,
     same_judgement, subst_derivation,
 )
 
 
-@dataclass  # not frozen, for the reason given at system_u.Derivation
-class DerivationE:
+@dataclass(slots=True)  # not frozen, for the reason given at system_u.Derivation
+class DerivationE(Sized):
     rule: str
     context: Context
     subject: Term

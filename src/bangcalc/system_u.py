@@ -39,13 +39,16 @@ from .qtypes import (
 )
 
 
-@dataclass
-class Derivation:
+class Sized:
+    __slots__ = ("_size_u", "_size_n", "_size_v")  # a derivation node's sizes; see `sizer`
+
+
+@dataclass(slots=True)
+class Derivation(Sized):
     """A node: its rule, its judgement and its premises.  Nodes are never
-    changed once built, but the class is not frozen: a frozen dataclass
-    sets each field through `object.__setattr__`, which made building a
-    node cost about three times as much, and inference builds every node
-    of every replayed step.  Like a frozen one, a node is not hashable."""
+    changed once built, but not frozen, for the reason given at
+    `syntax._Node`; inference builds every node of every replayed step.
+    Like a frozen one, a node is not hashable."""
     rule: str
     context: Context
     subject: Term
@@ -380,10 +383,9 @@ def check_derivation_u(d: Derivation) -> Violation | None:
 def sizer(system: str) -> Callable[[Any], int]:
     """The size function of `system`: the sum of a derivation's node
     weights, each given by the node's rule in `system` (1 for a rule it
-    does not have).  Each node's size is kept on it outside the dataclass
-    fields, like `syntax.free_vars`, under a name of its own per system:
-    the system's makers set it, and a node built otherwise, as one read
-    from JSON, is sized by a walk the first time it is asked for."""
+    does not have).  A node keeps it in its slot for the system: the
+    system's makers set it, and a node built otherwise, as one read from
+    JSON, is sized by a walk the first time it is asked for."""
     attr = "_size_" + system
 
     def size(d) -> int:

@@ -1,7 +1,8 @@
 """The folds over terms (`syntax.fold` with one table per walker): each
 matches its plain recursive oracle in conftest, with and without a memo
 shared across terms, rejects the formers it does not take, and walks
-towers far deeper than the interpreter's recursion limit."""
+towers far deeper than the interpreter's recursion limit, as do the other
+iterative walkers, `free_vars` and `canon_key`."""
 
 import sys
 
@@ -12,12 +13,13 @@ from bangcalc.cbn_cbv import NotLambdaTerm, classify_lambda_nf, embed_cbn, embed
 from bangcalc.gen import generate_corpus
 from bangcalc.reduction import FuelExhausted, classify_nf, classify_wcf_nf, normalize_dw
 from bangcalc.syntax import (
-    Abs, App, Bang, Der, Sub, Var, alpha_eq, fold, is_lambda_term, print_term, term_eq, w_size,
+    Abs, App, Bang, Der, Sub, Var, alpha_eq, canon_key, fold, free_vars, is_lambda_term,
+    parse_term, print_term, term_eq, w_size,
 )
 
 from conftest import (
-    church_term, ref_cbn_bits, ref_cbv_bits, ref_embed_cbn, ref_embed_cbv, ref_is_lambda_term,
-    ref_nf_bits, ref_print_term, ref_w_size, ref_wcf_bits,
+    church_term, ref_cbn_bits, ref_cbv_bits, ref_embed_cbn, ref_embed_cbv, ref_free_vars,
+    ref_is_lambda_term, ref_nf_bits, ref_print_term, ref_w_size, ref_wcf_bits,
 )
 
 FUEL = 60
@@ -155,3 +157,28 @@ def test_folds_walk_towers_deeper_than_the_recursion_limit(name):
 def test_alpha_eq_takes_equal_towers_deeper_than_the_recursion_limit():
     t, u = (tower(lambda b: Abs("x", App(b, X)), X, 5_000) for _ in range(2))
     assert t is not u and alpha_eq(t, u)
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_free_vars_walk_towers_deeper_than_the_recursion_limit(name):
+    level, leaf = TOWERS[name][:2]
+    want = ref_free_vars(tower(level, leaf, 3))
+    assert free_vars(tower(level, leaf, DEEP)) == want
+    # a tower whose lower half already holds its sets
+    half = tower(level, leaf, DEEP // 2)
+    assert free_vars(half) == want and free_vars(tower(level, half, DEEP // 2)) == want
+
+
+def test_canon_key_is_flat_and_nameless():
+    assert canon_key(parse_term(r"\x. \y. x z")) == ("\\", "\\", "@", "b", 0, "f", "z")
+    assert canon_key(parse_term(r"x[x \ y] !der(x)")) == (
+        "@", "s", "b", 0, "f", "y", "!", "d", "f", "x")
+    assert canon_key(parse_term(r"\x. (\x. x) x")) == ("\\", "@", "\\", "b", 1, "b", 0)
+
+
+def test_alpha_eq_takes_alpha_equivalent_towers_deeper_than_the_recursion_limit():
+    t, u, free = (tower(lambda b, x=x: Abs(x, App(b, Var(x))), Var(leaf), 5_000)
+                  for x, leaf in (("x", "x"), ("y", "y"), ("x", "z")))
+    assert not term_eq(t, u) and alpha_eq(t, u)
+    assert canon_key(t) == canon_key(u) and hash(canon_key(t)) == hash(canon_key(u))
+    assert not alpha_eq(t, free)

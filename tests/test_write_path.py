@@ -3,6 +3,7 @@ run of one element once, translations that embed each subterm once, and
 classification helpers that allocate nothing.  Each fast path is checked
 against a plain reference kept here, and its work is counted."""
 
+import dataclasses
 import random
 
 import pytest
@@ -345,7 +346,8 @@ def _nodes(t):
     while stack:
         t = stack.pop()
         n += 1
-        stack.extend(x for x in vars(t).values() if not isinstance(x, (str, frozenset)))
+        stack.extend(x for x in (getattr(t, f.name) for f in dataclasses.fields(t))
+                     if not isinstance(x, str))
     return n
 
 
