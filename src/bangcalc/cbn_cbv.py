@@ -157,7 +157,6 @@ _CBN = {
 
 
 def embed_cbn(t: Term) -> Term:
-    _require_lambda(t)
     return fold(t, _CBN)
 
 
@@ -179,7 +178,6 @@ _CBV = {
 
 
 def embed_cbv(t: Term) -> Term:
-    _require_lambda(t)
     return fold(t, _CBV)
 
 
@@ -451,17 +449,14 @@ def _u_to_v(d: Derivation, t: Term) -> Derivation:
 # ---------------------------------------------------------------------------
 # Inference through the embeddings
 
+# The embedding rejects a non-lambda term, and infer_u derives exactly its
+# image, so the derivation is translated back without a check.
+
 def infer_n(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
-    _require_lambda(t)
     res = infer_u(embed_cbn(t), fuel)
-    if isinstance(res, Derivation):
-        return translate_u_to_n(res, t)
-    return res
+    return _u_to_n(res, t) if isinstance(res, Derivation) else res
 
 
 def infer_v(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
-    _require_lambda(t)
     res = infer_u(embed_cbv(t), fuel)
-    if isinstance(res, Derivation):
-        return translate_u_to_v(res, t)
-    return res
+    return _u_to_v(res, t) if isinstance(res, Derivation) else res

@@ -6,9 +6,12 @@ schema/derivation.schema.json; output is bit-stable for a fixed input.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
-from .syntax import FoldMemo, ParseMemo, parse_term, print_term
+from .syntax import (
+    Abs, App, Bang, Der, FoldMemo, ParseMemo, Sub, Term, Var, parse_term, print_node, print_term,
+)
 from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
     subterm_at,
@@ -89,8 +92,9 @@ class MalformedDerivation(ValueError):
 def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
     """The derivation `derivation_to_json` wrote.  Each node restates its
     subject, type and context in full, so one read parses each distinct
-    text once: equal texts give the same object, and a node's subject is
-    assembled from its premises' subjects, read before it."""
+    text once, and equal texts give the same object.  A node's subject is
+    its premises' subjects under one former, so it is assembled from them
+    where the printer writes it as the node's text (see `_assemble`)."""
     try:
         return _derivation_from_json(obj, {}, {})
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
@@ -99,23 +103,52 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
 
 def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
                           types: TypeParseMemo) -> Derivation | DerivationE:
-    premises = tuple(_derivation_from_json(p, terms, types) for p in obj.get("premises", []))
+    below = obj.get("premises", [])
+    premises = tuple([_derivation_from_json(p, terms, types) for p in below])
     context = {}
     for x, m in obj.get("context", {}).items():
         ty = parse_type(m, types)
         if not isinstance(ty, Mult):
             raise ValueError(f"context entry for {x} must be a multiset")
         context[x] = ty
-    subject = parse_term(obj["term"], memo=terms)
+    text = obj["term"]
+    subject = terms.get(text)
+    if subject is None:
+        subject = terms[text] = _assemble(text, premises, below) or parse_term(text, memo=terms)
     ty = parse_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]
-        if not (isinstance(counters, list) and len(counters) == 3
-                and all(type(c) is int for c in counters)):
+        if not (isinstance(counters, list) and list(map(type, counters)) == [int, int, int]):
             raise ValueError("counters must be a list of three integers")
         return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
                            tuple(counters), premises)
     return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
+
+
+# a word that the term lexer reads as an identifier: any but `der`
+_NAME = re.compile(r"(?!der\Z)[A-Za-z][A-Za-z0-9_']*")
+
+
+def _assemble(text: str, premises: tuple, below: list) -> Term | None:
+    """The subject that the printer writes as `text`, without parsing it:
+    a variable, for a node without premises, or App(s0, s1), Sub(s0, x, s1),
+    Abs(x, s0), Bang(s0) or Der(s0) for the premises' subjects s0 and s1
+    and a binder x taken from the text, printed from the premises' texts.
+    Such a text parses to that subject, so at most one matches; else None."""
+    if not premises:
+        return Var(text) if _NAME.fullmatch(text) else None
+    s0, t0, head = premises[0].subject, below[0]["term"], text[:1]
+    cands: list = ([(Abs(text[1:len(text) - len(t0) - 2], s0), t0)] if head == "\\"
+                   else [(Bang(s0), t0)] if head == "!" else [(Der(s0), t0)])
+    if len(premises) > 1:
+        s1, t1 = premises[1].subject, below[1]["term"]
+        left = len(t0) + (3 if type(s0) in (App, Abs) else 1)  # the body text and "["
+        cands += [(App(s0, s1), t0, t1), (Sub(s0, text[left:len(text) - len(t1) - 4], s1), t0, t1)]
+    for t, *parts in cands:
+        x = getattr(t, "binder", None)
+        if (x is None or _NAME.fullmatch(x)) and print_node(t, *parts) == text:
+            return t
+    return None
 
 
 def classification_json(cls: NfClass, wcf: NfClass, clash: ClashReport) -> dict[str, Any]:

@@ -657,6 +657,12 @@ _PRINT = {
 }
 
 
+def print_node(t: Term, *parts: str) -> str:
+    """The text `print_term` writes for t, given the texts of the children
+    it prints: t's fun and arg, its body and arg, or its body."""
+    return _PRINT[type(t)][1](t, *parts)
+
+
 def print_term(t: Term, memo: FoldMemo | None = None) -> str:
     """Surface syntax of t.  Every call given the same `memo` prints each
     node once: subterms shared between the terms it prints are looked up."""

@@ -22,6 +22,7 @@ subject is always the same syntax tree the reduction engine produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable
 
 from .syntax import (
@@ -310,14 +311,20 @@ def check_derivation(d, system: str, cls: type = Derivation,
     shares its types and context multisets between nodes, so each object
     is looked into once."""
     memo: dict[int, tuple[Type, bool]] | None = {} if tight else None
-    stack = [(d, ())]
+    stack: list = [(d, None)]  # a node and its link: its index and its parent's link
+    push = stack.append
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
         reason = check_node(system, cls, node, memo)
         if reason is not None:
-            return Violation(path, reason)
+            path = []
+            while link is not None:
+                i, link = link
+                path.append(i)
+            return Violation(tuple(reversed(path)), reason)
         ps = node.premises
-        stack.extend((ps[i], path + (i,)) for i in range(len(ps) - 1, -1, -1))
+        for i in range(len(ps) - 1, -1, -1):
+            push((ps[i], (i, link)))
     return None
 
 
@@ -337,8 +344,8 @@ def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | 
     for m in d.context.values():
         if not m.elements:
             return "context stores an empty multiset entry"
-    if tight is not None and any(has_tight_constants(t, tight)
-                                 for t in (d.type, *d.context.values())):
+    if tight is not None and any(map(has_tight_constants, (d.type, *d.context.values()),
+                                     repeat(tight))):
         return "tight constants do not belong to this system"
     rule = RULES[system].get(d.rule) if isinstance(d.rule, str) else None
     if rule is None:

@@ -1,9 +1,12 @@
 """The derivation reader parses each distinct text once per read.
 
 `serialize.derivation_from_json` keeps a text -> term and a text -> type
-memo for one call.  These tests hold it to the plain reader in conftest
-(`ref_derivation_from_json`), on canonical and on non-canonical but
-equivalent text, and check that equal texts share one object."""
+memo for one call, and assembles a node's subject from its premises'
+subjects where the node's text is what the printer writes for it.  These
+tests hold it to the plain reader in conftest (`ref_derivation_from_json`),
+on canonical text, on non-canonical but equivalent text and on near misses
+of the printer's text, and check that equal texts share one object and
+that premise subjects are their nodes' parts."""
 
 import contextlib
 import dataclasses
@@ -12,7 +15,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bangcalc import qtypes, serialize, syntax, system_u
 from bangcalc.cbn_cbv import check_derivation_n, check_derivation_v, embed_cbn, infer_n, infer_v
@@ -141,6 +144,71 @@ def noisy_json(obj, seed):
     return copy
 
 
+def bare_term(t) -> str:
+    """Surface syntax of t with as few parentheses as the grammar allows,
+    which neither the printer nor `noisy_term` writes: a closure, a bang or
+    a dereliction is an application argument without parentheses, and a
+    dereliction of an atom is `der x`."""
+    match t:
+        case Var(x):
+            return x
+        case Abs(x, b):
+            return f"\\{x}. {bare_term(b)}"
+        case App(f, a):
+            head = f"({bare_term(f)})" if isinstance(f, Abs) else bare_term(f)
+            return f"{head} {_bare_post(a)}"
+        case Bang(b):
+            return "!" + _bare_atom(b)
+        case Der(b):
+            return "der " + _bare_atom(b) if isinstance(b, (Var, Bang, Der)) else f"der({bare_term(b)})"
+        case Sub(b, x, a):
+            return f"{_bare_post(b)}[{x} \\ {bare_term(a)}]"
+    raise TypeError(t)
+
+
+def _bare_atom(t) -> str:
+    return bare_term(t) if isinstance(t, (Var, Bang, Der)) else f"({bare_term(t)})"
+
+
+def _bare_post(t) -> str:
+    return bare_term(t) if isinstance(t, Sub) else _bare_atom(t)
+
+
+def near_miss(t, rng) -> str:
+    """The printer's text of t with one extra space, often next to a binder,
+    or with another binder, often `der`: it may mean another term or none."""
+    text = syntax.print_term(t)
+    if not isinstance(t, (Abs, Sub)) or rng.random() < 0.3:
+        at = rng.randint(0, len(text))
+    elif rng.random() < 0.5:
+        binder = rng.choice(["der", "der", "derx", "x'", "x_1", "x", "y"])
+        return syntax.print_term(dataclasses.replace(t, binder=binder))
+    else:
+        # text is "\\x. b" or "b[x \\ a]"
+        start = (1 if isinstance(t, Abs)
+                 else len(text) - len(syntax.print_term(t.arg)) - 4 - len(t.binder))
+        at = rng.choice([start, start + len(t.binder)])
+    return text[:at] + " " + text[at:]
+
+
+def rename_names(t, names):
+    """t with every variable and binder renamed through `names`."""
+    match t:
+        case Var(x):
+            return Var(names.get(x, x))
+        case Abs(x, b):
+            return Abs(names.get(x, x), rename_names(b, names))
+        case App(f, a):
+            return App(rename_names(f, names), rename_names(a, names))
+        case Bang(b):
+            return Bang(rename_names(b, names))
+        case Der(b):
+            return Der(rename_names(b, names))
+        case Sub(b, x, a):
+            return Sub(rename_names(b, names), names.get(x, x), rename_names(a, names))
+    raise TypeError(t)
+
+
 # ---------------------------------------------------------------------------
 # Differential: the memoised reader against the plain one
 
@@ -193,19 +261,37 @@ def test_equal_texts_read_as_one_object():
         assert_equal_texts_share(noisy_json(obj, k))
 
 
-def test_premise_subjects_are_the_node_subterms():
-    """A premise whose subject the node's text shows in parentheses is read
-    as that very subterm of the node's subject."""
+def test_premise_subjects_are_the_node_subterms(monkeypatch):
+    """A read assembles each node's subject from its premises' subjects, so
+    every premise that types a part of its node's subject is that very
+    part: each fixed premise its own part, and every further premise (of
+    bg and abs_v the body, of app_n and es_n the argument) the rule's rest
+    part.  parse_term sees no text but a leaf's, each at most once."""
+    calls = []
+    parse_term = serialize.parse_term
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return parse_term(text, *args, **kwargs)
+    monkeypatch.setattr(serialize, "parse_term", counted)
     for system in "uenv":
-        obj = church_json(system, 20)
-        checked = 0
-        for node, o in pairs(derivation_from_json(obj), obj):
-            parts = [getattr(node.subject, f.name) for f in dataclasses.fields(node.subject)]
-            for p, po in zip(node.premises, o["premises"]):
-                if f"({po['term']})" in o["term"]:
-                    assert any(p.subject is part for part in parts), (o["term"], po["term"])
-                    checked += 1
-        assert checked >= 20, system
+        obj = church_json(system, 80)
+        calls.clear()
+        d = derivation_from_json(obj)
+        links = 0
+        for node in _derivations(d):
+            rule = system_u.RULES[system][node.rule]
+            parts = [getattr(node.subject, part) for part in rule.parts]
+            if rule.rest:
+                parts += [getattr(node.subject, rule.rest[0])] * (len(node.premises) - rule.fixed)
+            assert len(parts) == len(node.premises)
+            for p, part in zip(node.premises, parts):
+                assert p.subject is part, (system, node.rule)
+                links += 1
+        assert links == sum(1 for _ in _derivations(d)) - 1 > 240
+        leaves = {o["term"] for o in _nodes(obj) if not o["premises"]}
+        assert all(isinstance(syntax.parse_term(text), Var) for text in leaves)
+        assert set(calls) <= leaves and len(calls) == len(set(calls))
 
 
 def test_each_distinct_type_text_is_parsed_once(monkeypatch):
@@ -406,3 +492,131 @@ def test_mutated_derivations_get_the_reference_verdict(data):
     assert "Traceback" not in err.getvalue()
     assert code in (0, 1, 2)
     assert code == reference_exit_code(system, bad)
+
+
+# Names that the lexer reads as identifiers, next to `der`, primes and digits
+ODD_NAMES = {"x": "derx", "y": "x'", "z": "x_1", "w": "der'", "f": "derder", "u": "d"}
+
+
+def odd_corpus_json():
+    out = []
+    for lam, systems in ((False, "ue"), (True, "nv")):
+        found = []
+        for t in generate_corpus(5, 10, 30, lam=lam):
+            for system in systems:
+                obj = derivation_json(system, rename_names(t, ODD_NAMES))
+                if obj is not None and len(json.dumps(obj)) < 3000:
+                    found.append((system, obj))
+        out += found[:12]
+    return out
+
+
+ODD = odd_corpus_json()
+
+
+def read_or_none(read, obj):
+    try:
+        return read(obj)
+    except MalformedDerivation:
+        return None
+
+
+def assert_same_nodes(got, want):
+    for a, b in zip(_derivations(got), _derivations(want), strict=True):
+        assert (type(a), a.rule, a.context, a.type) == (type(b), b.rule, b.context, b.type)
+        assert syntax.term_eq(a.subject, b.subject), (a.subject, b.subject)
+        assert getattr(a, "counters", None) == getattr(b, "counters", None)
+        assert len(a.premises) == len(b.premises)
+
+
+REWRITES = {
+    "canonical": lambda t, rng: syntax.print_term(t),
+    "noisy": noisy_term,
+    "bare": lambda t, rng: bare_term(t),
+    "near miss": near_miss,
+}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_reader_matches_the_plain_reader_on_each_node_rewritten(data):
+    """Each node's text rewritten on its own: in the printer's form, which
+    the read assembles; in noisy or minimal-parenthesis forms, which it
+    parses; or as a near miss of the printer's form, which it must not
+    take for it.  The read gives the plain reader's derivation, node by
+    node, and the same check verdict, or fails as malformed as it does."""
+    system, obj = data.draw(st.sampled_from(SMALL + ODD))
+    forms = data.draw(st.lists(st.sampled_from(sorted(REWRITES)), min_size=1, max_size=4))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    copy = json.loads(json.dumps(obj))
+    for node, o in pairs(ref_derivation_from_json(obj), copy):
+        o["term"] = REWRITES[rng.choice(forms + ["canonical"])](node.subject, rng)
+    got = read_or_none(derivation_from_json, copy)
+    want = read_or_none(ref_derivation_from_json, copy)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_nodes(got, want)
+        assert CHECK[system](got) == CHECK[system](want)
+
+
+@pytest.mark.parametrize("name", ["der", " x", "x ", "x'", "derx", "x_1"])
+def test_a_name_is_taken_from_the_text_only_as_the_lexer_reads_it(name):
+    """The printer's text of a node with another variable or binder, every
+    other text canonical: the read takes the name from the text only where
+    it is an identifier, and reads it as the plain reader parses it."""
+    checked = 0
+    for _, obj in SMALL + ODD:
+        d = ref_derivation_from_json(obj)
+        for node, o in pairs(d, obj):
+            s = node.subject
+            if isinstance(s, (Var, Abs, Sub)):
+                renamed = dataclasses.replace(s, **{"name" if isinstance(s, Var) else "binder": name})
+                copy = json.loads(json.dumps(obj))
+                for other, co in pairs(d, copy):
+                    if other is node:
+                        co["term"] = syntax.print_term(renamed)
+                got = read_or_none(derivation_from_json, copy)
+                want = read_or_none(ref_derivation_from_json, copy)
+                assert (got is None) == (want is None) == (name == "der")
+                if got is not None:
+                    assert_same_nodes(got, want)
+                checked += 1
+    assert checked > 50
+
+
+def test_rewrites_reach_every_form():
+    """The minimal-parenthesis and near-miss texts are new to the read: the
+    printer does not write them, and some parse and some do not."""
+    rng = random.Random(0)
+    terms = [node.subject for _, obj in SMALL + ODD
+             for node in _derivations(ref_derivation_from_json(obj))]
+    bare = [bare_term(t) for t in terms]
+    assert sum(text != syntax.print_term(t) for t, text in zip(terms, bare)) > 10
+    assert all(syntax.term_eq(syntax.parse_term(text), t) for t, text in zip(terms, bare))
+    assert any(" der " in text or text.startswith("der ") for text in bare)
+    near = [near_miss(t, rng) for t in terms]
+    parsed = 0
+    for text in near:
+        with contextlib.suppress(syntax.ParseError):
+            syntax.parse_term(text)
+            parsed += 1
+    assert 10 < parsed < len(near)
+
+
+@pytest.mark.parametrize("where", ["root", "premise", "leaf"])
+@pytest.mark.parametrize("junk", [3, None, ["x"], {"t": "x"}])
+def test_malformed_premises_and_terms_exit_2(where, junk):
+    """A premise that is not a node, or a term text that is not a string,
+    at the root, at a premise or at a leaf, is malformed: typecheck exits 2."""
+    system, good = next((s, o) for s, o in SMALL if s == "u" and o["premises"])
+    for field, value in (("term", junk), ("premises", [junk])):
+        node = obj = json.loads(json.dumps(good))
+        if where != "root":
+            node = obj["premises"][0]
+        while where == "leaf" and node["premises"]:
+            node = node["premises"][-1]
+        node[field] = value
+        with pytest.raises(MalformedDerivation):
+            derivation_from_json(obj)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["typecheck", "--system", system, json.dumps(obj)]) == 2
