@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var,
-    fold, free_vars, is_bang_shaped, is_lambda_term, print_term, spine_core, subst_meta, term_eq,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, each, fold, free_vars, is_bang_shaped,
+    is_lambda_term, print_term, spine_core, subst_meta, term_eq, unwind,
 )
 from .reduction import (
     FIRE, W_ORDER, W_RULES, Position, RuleKind, Sel, FuelExhausted, Trace, fire_spine,
@@ -312,21 +312,21 @@ size_v = sizer("v")
 # not built from them.
 
 def translate_n_to_u(d: Derivation) -> Derivation:
-    return _n_to_u(d, {})
+    return unwind(_n_to_u(d, {}))
 
 
-def _n_to_u(d: Derivation, images: FoldMemo) -> Derivation:
+def _n_to_u(d: Derivation, images: FoldMemo) -> Walk:
     match d.rule:
         case "ax_n":
             assert isinstance(d.subject, Var)
             return mk_ax(d.subject.name, d.type)
         case "abs_n":
             assert isinstance(d.subject, Abs)
-            return mk_abs(d.subject.binder, _n_to_u(d.premises[0], images))
+            return mk_abs(d.subject.binder, (yield _n_to_u(d.premises[0], images)))
         case "app_n" | "es_n":
             assert isinstance(d.subject, (App, Sub))
-            head = _n_to_u(d.premises[0], images)
-            args = tuple(_n_to_u(p, images) for p in d.premises[1:])
+            head = yield _n_to_u(d.premises[0], images)
+            args = tuple((yield each(_n_to_u(p, images) for p in d.premises[1:])))
             arg = mk_bg(fold(d.subject.arg, _CBN, images), args)
             return mk_app(head, arg) if d.rule == "app_n" else mk_es(d.subject.binder, head, arg)
     raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
@@ -339,10 +339,10 @@ class ImageMismatch(ValueError):
 def translate_u_to_n(d: Derivation, t: Term) -> Derivation:
     if not term_eq(d.subject, embed_cbn(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
-    return _u_to_n(d, t)
+    return unwind(_u_to_n(d, t))
 
 
-def _u_to_n(d: Derivation, t: Term) -> Derivation:
+def _u_to_n(d: Derivation, t: Term) -> Walk:
     match t:
         case Var(x):
             if d.rule != "ax":
@@ -351,14 +351,14 @@ def _u_to_n(d: Derivation, t: Term) -> Derivation:
         case Abs(x, b):
             if d.rule != "abs":
                 raise ImageMismatch("expected an abstraction node")
-            return mk_abs_n(x, _u_to_n(d.premises[0], b))
+            return mk_abs_n(x, (yield _u_to_n(d.premises[0], b)))
         case App(h, a) | Sub(h, _, a):
             app = isinstance(t, App)
             if d.rule != ("app" if app else "es") or d.premises[1].rule != "bg":
                 raise ImageMismatch(f"expected {'an application' if app else 'a closure'}"
                                     " over a banged argument")
-            head = _u_to_n(d.premises[0], h)
-            args = tuple(_u_to_n(p, a) for p in d.premises[1].premises)
+            head = yield _u_to_n(d.premises[0], h)
+            args = tuple((yield each(_u_to_n(p, a) for p in d.premises[1].premises)))
             return mk_app_n(head, a, args) if app else mk_es_n(t.binder, head, a, args)
     raise NotLambdaTerm(print_term(t))
 
@@ -375,10 +375,10 @@ def _rebang(d: Derivation) -> Derivation:
 
 
 def translate_v_to_u(d: Derivation) -> Derivation:
-    return _v_to_u(d, {})
+    return unwind(_v_to_u(d, {}))
 
 
-def _v_to_u(d: Derivation, images: FoldMemo) -> Derivation:
+def _v_to_u(d: Derivation, images: FoldMemo) -> Walk:
     match d.rule:
         case "ax_v":
             assert isinstance(d.subject, Var) and isinstance(d.type, Mult)
@@ -388,29 +388,29 @@ def _v_to_u(d: Derivation, images: FoldMemo) -> Derivation:
             assert isinstance(d.subject, Abs)
             x = d.subject.binder
             body_image = fold(d.subject.body, _CBV, images)
-            premises = tuple(mk_abs(x, _v_to_u(p, images)) for p in d.premises)
-            return mk_bg(Abs(x, body_image), premises)
+            bodies = yield each(_v_to_u(p, images) for p in d.premises)
+            return mk_bg(Abs(x, body_image), tuple(mk_abs(x, b) for b in bodies))
         case "app_v":
             assert isinstance(d.subject, App)
-            d_f = _v_to_u(d.premises[0], images)
-            d_a = _v_to_u(d.premises[1], images)
+            d_f = yield _v_to_u(d.premises[0], images)
+            d_a = yield _v_to_u(d.premises[1], images)
             if _is_value_shaped(d.subject.fun):
                 return mk_app(fire_spine_d(d_f, frozenset(), _unbang), d_a)
             return mk_app(mk_dr(d_f), d_a)
         case "es_v":
             assert isinstance(d.subject, Sub)
-            return mk_es(d.subject.binder, _v_to_u(d.premises[0], images),
-                         _v_to_u(d.premises[1], images))
+            return mk_es(d.subject.binder, (yield _v_to_u(d.premises[0], images)),
+                         (yield _v_to_u(d.premises[1], images)))
     raise IllFormed(f"not a call-by-value rule: {d.rule!r}")
 
 
 def translate_u_to_v(d: Derivation, t: Term) -> Derivation:
     if not term_eq(d.subject, embed_cbv(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
-    return _u_to_v(d, t)
+    return unwind(_u_to_v(d, t))
 
 
-def _u_to_v(d: Derivation, t: Term) -> Derivation:
+def _u_to_v(d: Derivation, t: Term) -> Walk:
     match t:
         case Var(x):
             if d.rule != "bg":
@@ -423,26 +423,24 @@ def _u_to_v(d: Derivation, t: Term) -> Derivation:
         case Abs(x, b):
             if d.rule != "bg":
                 raise ImageMismatch("expected a bang node over an abstraction")
-            inner = []
-            for p in d.premises:
-                if p.rule != "abs":
-                    raise ImageMismatch("expected abstraction premises under the bang")
-                inner.append(_u_to_v(p.premises[0], b))
+            if any(p.rule != "abs" for p in d.premises):
+                raise ImageMismatch("expected abstraction premises under the bang")
+            inner = yield each(_u_to_v(p.premises[0], b) for p in d.premises)
             return mk_abs_v(x, b, tuple(inner))
         case App(f, a):
             if d.rule != "app":
                 raise ImageMismatch("expected an application node")
             if _is_value_shaped(f):
-                d_f = _u_to_v(fire_spine_d(d.premises[0], frozenset(), _rebang), f)
+                d_f = yield _u_to_v(fire_spine_d(d.premises[0], frozenset(), _rebang), f)
             else:
                 if d.premises[0].rule != "dr":
                     raise ImageMismatch("expected a dereliction at the head")
-                d_f = _u_to_v(d.premises[0].premises[0], f)
-            return mk_app_v(d_f, _u_to_v(d.premises[1], a))
+                d_f = yield _u_to_v(d.premises[0].premises[0], f)
+            return mk_app_v(d_f, (yield _u_to_v(d.premises[1], a)))
         case Sub(b, x, a):
             if d.rule != "es":
                 raise ImageMismatch("expected a closure node")
-            return mk_es_v(x, _u_to_v(d.premises[0], b), _u_to_v(d.premises[1], a))
+            return mk_es_v(x, (yield _u_to_v(d.premises[0], b)), (yield _u_to_v(d.premises[1], a)))
     raise NotLambdaTerm(print_term(t))
 
 
@@ -454,9 +452,9 @@ def _u_to_v(d: Derivation, t: Term) -> Derivation:
 
 def infer_n(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     res = infer_u(embed_cbn(t), fuel)
-    return _u_to_n(res, t) if isinstance(res, Derivation) else res
+    return unwind(_u_to_n(res, t)) if isinstance(res, Derivation) else res
 
 
 def infer_v(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     res = infer_u(embed_cbv(t), fuel)
-    return _u_to_v(res, t) if isinstance(res, Derivation) else res
+    return unwind(_u_to_v(res, t)) if isinstance(res, Derivation) else res

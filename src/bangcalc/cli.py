@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed check, 2 bad input (a parse error,
-malformed derivation JSON, a calculus the command does not take, or input
-nested too deeply to process), 3 fuel exhausted, 4 untypable, 5 internal
-invariant violation.  `main` returns one of them for every input and lets
-no exception escape.
+malformed derivation JSON, a calculus the command does not take, input
+nested too deeply to read) or machine output nested deeper than `json`
+can write, 3 fuel exhausted, 4 untypable, 5 internal invariant violation.
+`main` returns one of them for every input and lets no exception escape.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         print(f"parse error: {ex}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:
-        print("input nested too deeply: recursion limit exceeded", file=sys.stderr)
+        print("nested too deeply: recursion limit exceeded", file=sys.stderr)
         return EXIT_PARSE
     except FuelExhausted:
         print("fuel exhausted", file=sys.stderr)

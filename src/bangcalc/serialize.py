@@ -10,7 +10,8 @@ import re
 from typing import Any
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, ParseMemo, Sub, Term, Var, parse_term, print_node, print_term,
+    Abs, App, Bang, Der, FoldMemo, ParseMemo, Sub, Term, Var, Walk, parse_term, print_node,
+    print_term, unwind,
 )
 from .reduction import (
     ClashReport, NfClass, Trace, classify_nf, classify_wcf_nf, detect_clash,
@@ -63,21 +64,24 @@ def derivation_to_json(d: Derivation | DerivationE) -> dict[str, Any]:
     # A node's subject is built from its premises' subjects, and its types
     # and context entries are mostly its premises' too: print each node once.
     # Nodes share context dicts too: print each dict once.
-    return _derivation_json(d, {}, {}, {})
+    return unwind(_derivation_json(d, {}, {}, {}))
 
 
 def _derivation_json(d: Derivation | DerivationE, terms: FoldMemo, types: TypeMemo,
-                     contexts: dict[int, tuple[dict, dict[str, str]]]) -> dict[str, Any]:
+                     contexts: dict[int, tuple[dict, dict[str, str]]]) -> Walk:
     hit = contexts.get(id(d.context))
     if hit is None:
         hit = contexts[id(d.context)] = (d.context, {
             x: print_type(m, types) for x, m in sorted(d.context.items())})
+    premises = []
+    for p in d.premises:
+        premises.append((yield _derivation_json(p, terms, types, contexts)))
     obj: dict[str, Any] = {
         "rule": d.rule,
         "context": dict(hit[1]),  # a dict of its own, which a caller may change
         "term": print_term(d.subject, terms),
         "type": print_type(d.type, types),
-        "premises": [_derivation_json(p, terms, types, contexts) for p in d.premises],
+        "premises": premises,
     }
     if isinstance(d, DerivationE):
         obj["counters"] = list(d.counters)
@@ -96,15 +100,16 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
     its premises' subjects under one former, so it is assembled from them
     where the printer writes it as the node's text (see `_assemble`)."""
     try:
-        return _derivation_from_json(obj, {}, {})
+        return unwind(_derivation_from_json(obj, {}, {}))
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
 
 
-def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
-                          types: TypeParseMemo) -> Derivation | DerivationE:
+def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo, types: TypeParseMemo) -> Walk:
     below = obj.get("premises", [])
-    premises = tuple([_derivation_from_json(p, terms, types) for p in below])
+    premises = []
+    for p in below:
+        premises.append((yield _derivation_from_json(p, terms, types)))
     context = {}
     for x, m in obj.get("context", {}).items():
         ty = parse_type(m, types)
@@ -121,15 +126,15 @@ def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo,
         if not (isinstance(counters, list) and list(map(type, counters)) == [int, int, int]):
             raise ValueError("counters must be a list of three integers")
         return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
-                           tuple(counters), premises)
-    return Derivation(obj["rule"], context, subject, ty, premises)  # type: ignore[arg-type]
+                           tuple(counters), tuple(premises))
+    return Derivation(obj["rule"], context, subject, ty, tuple(premises))  # type: ignore[arg-type]
 
 
 # a word that the term lexer reads as an identifier: any but `der`
 _NAME = re.compile(r"(?!der\Z)[A-Za-z][A-Za-z0-9_']*")
 
 
-def _assemble(text: str, premises: tuple, below: list) -> Term | None:
+def _assemble(text: str, premises: list, below: list) -> Term | None:
     """The subject that the printer writes as `text`, without parsing it:
     a variable, for a node without premises, or App(s0, s1), Sub(s0, x, s1),
     Abs(x, s0), Bang(s0) or Der(s0) for the premises' subjects s0 and s1

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Generator, Iterable
 
 
 class _Node:
@@ -125,40 +125,79 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{stem}{k}"
 
 
+# ---------------------------------------------------------------------------
+# The driver of the recursive walkers
+
+Walk = Generator[Any, Any, Any]  # see unwind
+
+
+def unwind(walk: Walk) -> Any:
+    """The value of `walk`, a generator that yields each sub-walk whose
+    value it needs, is sent that value and returns its own.  The waiting
+    walks are kept on an explicit stack, so that a deep walk does not
+    exhaust the interpreter's: the trampoline of Ganz, Friedman & Wand,
+    "Trampolined style" (ICFP 1999).  An exception ends the whole run."""
+    waiting: list[Walk] = []
+    value = None
+    while True:
+        try:
+            sub = walk.send(value)
+        except StopIteration as done:
+            if not waiting:
+                return done.value
+            walk, value = waiting.pop(), done.value
+            continue
+        waiting.append(walk)
+        walk, value = sub, None
+
+
+def each(walks: Iterable[Walk]) -> Walk:
+    """The values of `walks`, in order, as one walk: `yield` cannot appear
+    in a comprehension."""
+    values = []
+    for walk in walks:
+        values.append((yield walk))
+    return values
+
+
 def subst_meta(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding meta-level substitution t{x:=u}.
 
     Deterministic: bound names are refreshed with `fresh_name` only when
     they would capture a free variable of u.
     """
+    return t if x not in free_vars(t) else unwind(_subst_meta(t, x, u))
+
+
+def _subst_meta(t: Term, x: str, u: Term) -> Walk:
     if x not in free_vars(t):
         return t
     match t:
         case Var(_):
             return u  # x free in t and t is a variable, so t == Var(x)
         case App(f, a):
-            return App(subst_meta(f, x, u), subst_meta(a, x, u))
+            return App((yield _subst_meta(f, x, u)), (yield _subst_meta(a, x, u)))
         case Bang(b):
-            return Bang(subst_meta(b, x, u))
+            return Bang((yield _subst_meta(b, x, u)))
         case Der(b):
-            return Der(subst_meta(b, x, u))
+            return Der((yield _subst_meta(b, x, u)))
         case Abs(y, b):  # x in fv(t) implies y != x
-            return Abs(*_subst_under(y, b, x, u))
+            return Abs(*(yield _subst_under(y, b, x, u)))
         case Sub(b, y, a):
             if x != y and x in free_vars(b):
-                y, b = _subst_under(y, b, x, u)
-            return Sub(b, y, subst_meta(a, x, u))
+                y, b = yield _subst_under(y, b, x, u)
+            return Sub(b, y, (yield _subst_meta(a, x, u)))
     raise TypeError(t)
 
 
-def _subst_under(y: str, b: Term, x: str, u: Term) -> tuple[str, Term]:
+def _subst_under(y: str, b: Term, x: str, u: Term) -> Walk:
     """The binder y (not x) and its body b with u for x, y refreshed first
     when it would capture a free variable of u."""
     fvu = free_vars(u)
     if y in fvu:
         y2 = fresh_name(y, fvu | free_vars(b) | {x})
-        y, b = y2, subst_meta(b, y, Var(y2))
-    return y, subst_meta(b, x, u)
+        y, b = y2, (yield _subst_meta(b, y, Var(y2)))
+    return y, (yield _subst_meta(b, x, u))
 
 
 _CANON_TAG = {App: "@", Abs: "\\", Bang: "!", Der: "d", Sub: "s"}

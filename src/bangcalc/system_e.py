@@ -27,20 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, print_term, w_size,
+    Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var, print_term, unwind, w_size,
 )
 from .reduction import (
-    Position, RuleKind, FuelExhausted, Trace, classify_nf, classify_wcf_nf,
+    Position, RuleKind, FuelExhausted, Trace, classify_nf,
 )
 from .qtypes import (
     Arrow, Context, Tight, Type, TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL,
     ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, print_type,
 )
 from .system_u import (
-    RULES, Counters, Sized, Untypable, Violation, IllFormed, NotTypableNormalForm,
-    abs_, antisubst_derivation, app, ax, bg, check_derivation, close, define, dr, es,
+    RULES, Counters, NfTyping, Sized, Untypable, Violation, IllFormed,
+    abs_, app, ax, bg, check_derivation, close, define, dr, es,
     expand_derivation, infer_with, reduce_derivation, register, replay, rule_table,
-    same_judgement, subst_derivation,
+    same_judgement, type_nf,
 )
 
 
@@ -186,61 +186,18 @@ def tight_spreading_check(d: DerivationE) -> bool:
 # ---------------------------------------------------------------------------
 # Constructive tight typing of wcf normal forms
 
+_N = TIGHT_NEUTRAL
+E_TYPING = NfTyping({Var: mk_ax_e, App: mk_ae_t, Abs: mk_ai_t, Bang: mk_bg_t, Der: mk_dr_t,
+                     Sub: mk_es_t}, _N, _N, lambda d_a, tau: _N, lambda tau: _N, lambda d_b, x: _N)
+
+
 def type_normal_form_tight(t: Term) -> DerivationE:
     """The all-persistent tight derivation of a wcf normal form; its
     counters are exactly (0, 0, w_size), as they are at each level below.
-    Each subterm is classified and sized once."""
-    return _tight_nf(t, {}, {})
-
-
-def _tight_nf(t: Term, memo: FoldMemo, sizes: FoldMemo) -> DerivationE:
-    cls = classify_wcf_nf(t, memo)
-    if not cls.memberships:
-        raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
-    if cls.ne:
-        d = _tight_ne(t, memo)
-    elif cls.na:
-        d = _tight_arg(t, memo)
-    else:
-        d = _tight_nb(t, memo, sizes)
-    assert d.counters == (0, 0, w_size(t, sizes))
+    Each subterm is classified once."""
+    d = unwind(type_nf(t, "nf", None, E_TYPING, {}))
+    assert d.counters == (0, 0, w_size(t))
     return d
-
-
-def _tight_ne(t: Term, memo: FoldMemo) -> DerivationE:
-    match t:
-        case Var(x):
-            return mk_ax_e(x, TIGHT_NEUTRAL)
-        case App(f, a):
-            return mk_ae_t(_tight_ne(f, memo), _tight_arg(a, memo))
-        case Der(b):
-            return mk_dr_t(_tight_ne(b, memo))
-        case Sub(b, x, a):
-            return mk_es_t(x, _tight_ne(b, memo), _tight_ne(a, memo))
-    raise NotTypableNormalForm(print_term(t))
-
-
-def _tight_arg(t: Term, memo: FoldMemo) -> DerivationE:
-    """Neutral-abs terms: bang-shaped ones get b, neutral ones get n."""
-    if classify_wcf_nf(t, memo).ne:
-        return _tight_ne(t, memo)
-    match t:
-        case Bang(b):
-            return mk_bg_t(b)
-        case Sub(b, x, a):
-            return mk_es_t(x, _tight_arg(b, memo), _tight_ne(a, memo))
-    raise NotTypableNormalForm(print_term(t))
-
-
-def _tight_nb(t: Term, memo: FoldMemo, sizes: FoldMemo) -> DerivationE:
-    if classify_wcf_nf(t, memo).ne:
-        return _tight_ne(t, memo)
-    match t:
-        case Abs(x, b):
-            return mk_ai_t(x, _tight_nf(b, memo, sizes))
-        case Sub(b, x, a):
-            return mk_es_t(x, _tight_nb(b, memo, sizes), _tight_ne(a, memo))
-    raise NotTypableNormalForm(print_term(t))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +238,3 @@ def infer_tight(t: Term, fuel: int) -> DerivationE | Untypable | FuelExhausted:
 def replay_expansion_e(d: DerivationE, trace: Trace) -> DerivationE:
     return replay(d, trace, expand_derivation_e)
 
-
-subst_derivation_e = subst_derivation
-antisubst_derivation_e = antisubst_derivation

@@ -26,8 +26,8 @@ from itertools import repeat
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var,
-    decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq,
+    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, Walk,
+    decompose_list, each, free_vars, fresh_name, print_term, subst_meta, term_eq, unwind,
 )
 from .reduction import (
     SELECTORS, Position, RuleKind, FuelExhausted, Trace,
@@ -403,23 +403,20 @@ def sizer(system: str) -> Callable[[Any], int]:
 
 
 def _walk_size(d, system: str) -> int:
-    """The size of d in `system`, computed for each node not yet sized, in
-    post-order with an explicit stack, so that a deep derivation does not
-    exhaust the interpreter's stack."""
+    """The size of d in `system`, computed for each node not yet sized, on
+    `syntax.unwind`, so that a deep derivation does not exhaust the
+    interpreter's stack."""
     attr, rules = "_size_" + system, RULES[system]
-    stack = [d]
-    while stack:
-        node = stack[-1]
-        todo = [p for p in node.premises if not hasattr(p, attr)]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        rule = rules.get(node.rule)
-        w = 1 if rule is None else rule.weight
-        n = len(node.type) if w is None else w
-        setattr(node, attr, n + sum(getattr(p, attr) for p in node.premises))
-    return getattr(d, attr)
+
+    def walk(node) -> Walk:
+        n = getattr(node, attr, None)
+        if n is None:
+            rule = rules.get(node.rule)
+            w = 1 if rule is None else rule.weight
+            n = (len(node.type) if w is None else w) + sum((yield each(map(walk, node.premises))))
+            setattr(node, attr, n)
+        return n
+    return unwind(walk(d))
 
 
 size_u = sizer("u")  # nodes of a U derivation other than bg
@@ -428,73 +425,69 @@ size_u = sizer("u")  # nodes of a U derivation other than bg
 # ---------------------------------------------------------------------------
 # Constructive typing of weak clash-free normal forms
 
+@dataclass(frozen=True)
+class NfTyping:
+    """How a system types weak clash-free normal forms: its rule for each
+    former, and the type it hands down to a neutral subterm (given here as
+    U's; E hands down n to every one), tau being the node's own target."""
+    rules: dict[type, Callable[..., Any]]
+    top: Type                            # at the top, and in an nb position
+    arg: Type                            # in an na position
+    head: Callable[[Any, Type], Type]    # to a head, by its argument's derivation and tau
+    der: Callable[[Type], Type]          # to a dereliction's body, by tau
+    closure: Callable[[Any, str], Type]  # to a closure's argument, by its body's derivation
+                                         # and the binder
+
+
+U_TYPING = NfTyping({Var: mk_ax, App: mk_app, Abs: mk_abs, Bang: mk_bg, Der: mk_dr, Sub: mk_es},
+                    OMEGA, EMPTY_MULT, lambda d_a, tau: Arrow(d_a.type, tau),
+                    lambda tau: mult([tau]), lambda d_b, x: ctx_get(d_b.context, x))
+
+
 def type_normal_form_u(t: Term, target: Type | None = None) -> Derivation:
     """A derivation for a wcf normal form.
 
     Neutral terms hit any requested target type (default: the
     distinguished base variable).  Other normal forms choose their own
-    type, so `target` must be None for them.  Each subterm is classified
-    once: the typing below asks for the classes of subterms level by level.
+    type, so `target` must be None for them.
     """
-    return _type_nf(t, target, {})
+    return unwind(type_nf(t, "nf", target, U_TYPING, {}))
 
 
-def _type_nf(t: Term, target: Type | None, memo: FoldMemo) -> Derivation:
-    cls = classify_wcf_nf(t, memo)
-    if not cls.memberships:
-        raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
-    if cls.ne:
-        return _type_ne(t, target if target is not None else OMEGA, memo)
-    if target is not None:
-        raise NotTypableNormalForm("only neutral terms accept a target type")
-    if cls.na:
-        return _type_na(t, memo)
-    return _type_nb(t, memo)
-
-
-def _type_ne(t: Term, tau: Type, memo: FoldMemo) -> Derivation:
-    match t:
-        case Var(x):
-            return mk_ax(x, tau)
-        case App(f, a):
-            d_a = _type_na(a, memo)
-            assert isinstance(d_a.type, Mult)
-            d_f = _type_ne(f, Arrow(d_a.type, tau), memo)
-            return mk_app(d_f, d_a)
-        case Der(b):
-            return mk_dr(_type_ne(b, mult([tau]), memo))
-        case Sub(b, x, a):
-            d_b = _type_ne(b, tau, memo)
-            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
-            return mk_es(x, d_b, d_a)
-    raise NotTypableNormalForm(print_term(t))
-
-
-def _type_na(t: Term, memo: FoldMemo) -> Derivation:
-    """Type a neutral-abs term with a multiset: bangs get the empty
-    multiset by a nullary bg, neutral terms get it directly."""
-    match t:
-        case Bang(b):
-            return mk_bg(b, ())
-        case Sub(b, x, a):
-            d_b = _type_na(b, memo)
-            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
-            return mk_es(x, d_b, d_a)
-        case _ if classify_wcf_nf(t, memo).ne:
-            return _type_ne(t, EMPTY_MULT, memo)
-    raise NotTypableNormalForm(print_term(t))
-
-
-def _type_nb(t: Term, memo: FoldMemo) -> Derivation:
-    match t:
-        case Abs(x, b):
-            return mk_abs(x, _type_nf(b, None, memo))
-        case Sub(b, x, a):
-            d_b = _type_nb(b, memo)
-            d_a = _type_ne(a, ctx_get(d_b.context, x), memo)
-            return mk_es(x, d_b, d_a)
-        case _ if classify_wcf_nf(t, memo).ne:
-            return _type_ne(t, OMEGA, memo)
+def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldMemo) -> Walk:
+    """The walk that types t, in the grammar `level` ("ne", "na", "nb", or
+    "nf" for any), by `typing`; a neutral t is typed tau, which at "nf"
+    only a neutral t may be given.  Neutral terms are tried first at every
+    level, which covers every closure over one.  `memo` keeps each
+    subterm's class."""
+    if level == "nf":
+        cls = classify_wcf_nf(t, memo)
+        if not cls.memberships:
+            raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
+        if not cls.ne and tau is not None:
+            raise NotTypableNormalForm("only neutral terms accept a target type")
+        level = "ne" if cls.ne else "na" if cls.na else "nb"
+        tau = typing.top if tau is None else tau
+    elif level != "ne" and classify_wcf_nf(t, memo).ne:
+        level, tau = "ne", typing.arg if level == "na" else typing.top
+    rules, former = typing.rules, type(t)
+    if level == "ne":
+        if former is Var:
+            return rules[Var](t.name, tau)
+        if former is App:
+            d_a = yield type_nf(t.arg, "na", None, typing, memo)
+            return rules[App]((yield type_nf(t.fun, "ne", typing.head(d_a, tau), typing, memo)),
+                              d_a)
+        if former is Der:
+            return rules[Der]((yield type_nf(t.body, "ne", typing.der(tau), typing, memo)))
+    elif former is Bang and level == "na":
+        return rules[Bang](t.body, ())
+    elif former is Abs and level == "nb":
+        return rules[Abs](t.binder, (yield type_nf(t.body, "nf", None, typing, memo)))
+    if former is Sub:
+        d_b = yield type_nf(t.body, level, tau, typing, memo)
+        d_a = yield type_nf(t.arg, "ne", typing.closure(d_b, t.binder), typing, memo)
+        return rules[Sub](t.binder, d_b, d_a)
     raise NotTypableNormalForm(print_term(t))
 
 
@@ -502,9 +495,10 @@ def _type_nb(t: Term, memo: FoldMemo) -> Derivation:
 # Renaming and substitution inside derivations
 #
 # These walk exactly like syntax.subst_meta so that every rebuilt node's
-# subject equals the term the meta-operation produces.
+# subject equals the term the meta-operation produces.  Each is a walk on
+# `syntax.unwind`.
 
-def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any], Any]):
+def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any], Any]) -> Walk:
     """d{x:=u}, where `leaf` gives the derivation that replaces each axiom
     for x and `fvu`, once known, holds the free variables of u."""
     if x not in free_vars(d.subject):
@@ -514,34 +508,36 @@ def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any],
         case Var(_):
             return leaf(d)
         case App(_, _) | Der(_):
-            return make(*(_subst(p, x, u, fvu, leaf) for p in ps))
+            return make(*(yield each(_subst(p, x, u, fvu, leaf) for p in ps)))
         case Bang(body):
-            return make(subst_meta(body, x, u), tuple(_subst(p, x, u, fvu, leaf) for p in ps))
+            return make(subst_meta(body, x, u),
+                        tuple((yield each(_subst(p, x, u, fvu, leaf) for p in ps))))
         case Abs(y, body):
-            p_b = ps[0]
-            fvu = free_vars(u) if fvu is None else fvu
-            if y in fvu:
-                y2 = fresh_name(y, fvu | free_vars(body) | {x})
-                p_b = rename_free_d(p_b, y, y2)
-                y = y2
-            return make(y, _subst(p_b, x, u, fvu, leaf))
+            return make(*(yield _subst_under(ps[0], y, body, x, u, fvu, leaf)))
         case Sub(body, y, arg):
             p_b, p_a = ps
             if x in free_vars(arg):
-                p_a = _subst(p_a, x, u, fvu, leaf)
+                p_a = yield _subst(p_a, x, u, fvu, leaf)
             if x != y and x in free_vars(body):
-                fvu = free_vars(u) if fvu is None else fvu
-                if y in fvu:
-                    y2 = fresh_name(y, fvu | free_vars(body) | {x})
-                    p_b = rename_free_d(p_b, y, y2)
-                    y = y2
-                p_b = _subst(p_b, x, u, fvu, leaf)
+                y, p_b = yield _subst_under(p_b, y, body, x, u, fvu, leaf)
             return make(y, p_b, p_a)
     raise IllFormed(f"cannot substitute into {print_term(d.subject)}")
 
 
-def rename_free_d(d, old: str, new: str):
-    """d with its free name `old` renamed to `new`, as subst_meta renames."""
+def _subst_under(d, y: str, body: Term, x: str, u: Term, fvu: frozenset[str] | None,
+                 leaf: Callable[[Any], Any]) -> Walk:
+    """The binder y (not x) and d, which types its body, with u for x, y
+    refreshed first when it would capture a free variable of u."""
+    fvu = free_vars(u) if fvu is None else fvu
+    if y in fvu:
+        y2 = fresh_name(y, fvu | free_vars(body) | {x})
+        y, d = y2, (yield rename_free_d(d, y, y2))
+    return y, (yield _subst(d, x, u, fvu, leaf))
+
+
+def rename_free_d(d, old: str, new: str) -> Walk:
+    """The walk of d with its free name `old` renamed to `new`, as
+    subst_meta renames."""
     return _subst(d, old, Var(new), frozenset((new,)), lambda ax: _maker(ax)(new, ax.type))
 
 
@@ -556,7 +552,7 @@ def subst_derivation(d_t, x: str, d_us: list):
             raise IllFormed("argument derivations type different terms")
     u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
     pool = list(d_us)
-    out = _subst(d_t, x, u, None, _take_from(pool))
+    out = unwind(_subst(d_t, x, u, None, _take_from(pool)))
     assert not pool, "unconsumed argument derivations"
     return out
 
@@ -576,10 +572,10 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     of u per typed occurrence of x."""
     if not term_eq(d.subject, subst_meta(t, x, u)):
         raise IllFormed("subject is not the stated substitution instance")
-    return _antisubst(d, t, x, u)
+    return unwind(_antisubst(d, t, x, u))
 
 
-def _antisubst(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
+def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
     if x not in free_vars(t):
         return d, []
     if isinstance(t, Var):
@@ -587,46 +583,43 @@ def _antisubst(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     make, ps = _maker(d), d.premises
     match t:
         case App(f, a):
-            d_f, us1 = _antisubst(ps[0], f, x, u)
-            d_a, us2 = _antisubst(ps[1], a, x, u)
+            d_f, us1 = yield _antisubst(ps[0], f, x, u)
+            d_a, us2 = yield _antisubst(ps[1], a, x, u)
             return make(d_f, d_a), us1 + us2
         case Bang(b):
-            out, us = [], []
-            for p in ps:
-                dp, usp = _antisubst(p, b, x, u)
-                out.append(dp)
-                us.extend(usp)
-            return make(b, tuple(out)), us
+            pairs = yield each(_antisubst(p, b, x, u) for p in ps)
+            return make(b, tuple(d_p for d_p, _ in pairs)), [d_u for _, us in pairs for d_u in us]
         case Der(b):
-            d_b, us = _antisubst(ps[0], b, x, u)
+            d_b, us = yield _antisubst(ps[0], b, x, u)
             return make(d_b), us
         case Abs(y, b):
-            d_b, us = _antisubst_under(ps[0], b, y, x, u)
+            d_b, us = yield _antisubst_under(ps[0], b, y, x, u)
             return make(y, d_b), us
         case Sub(b, y, a):
             p_b, p_a = ps
             us = []
             if x in free_vars(a):
-                p_a, us = _antisubst(p_a, a, x, u)
+                p_a, us = yield _antisubst(p_a, a, x, u)
             if x != y and x in free_vars(b):
-                p_b, us_b = _antisubst_under(p_b, b, y, x, u)
+                p_b, us_b = yield _antisubst_under(p_b, b, y, x, u)
                 us = us_b + us
             return make(y, p_b, p_a), us
     raise IllFormed(f"cannot decompose at {print_term(t)}")
 
 
-def _antisubst_under(d, b: Term, y: str, x: str, u: Term) -> tuple[Any, list]:
+def _antisubst_under(d, b: Term, y: str, x: str, u: Term) -> Walk:
     """_antisubst of the body b of a binder y, which subst_meta refreshes
     when it would capture a free variable of u."""
     fvu = free_vars(u)
     if y not in fvu:
-        return _antisubst(d, b, x, u)
+        return (yield _antisubst(d, b, x, u))
     y2 = fresh_name(y, fvu | free_vars(b) | {x})
-    d_b, us = _antisubst(d, subst_meta(b, y, Var(y2)), x, u)
-    return _rebind(rename_free_d(d_b, y2, y), b), us
+    d_b, us = yield _antisubst(d, subst_meta(b, y, Var(y2)), x, u)
+    d_b = yield rename_free_d(d_b, y2, y)
+    return (yield _rebind(d_b, b)), us
 
 
-def _rebind(d, t: Term):
+def _rebind(d, t: Term) -> Walk:
     """d rebuilt so that its subject is exactly t, an alpha-variant of it.
 
     Renaming a refreshed binder back does not always restore the original
@@ -637,15 +630,16 @@ def _rebind(d, t: Term):
     make, ps, s = _maker(d), d.premises, d.subject
     match t, s:
         case (App(), App()) | (Der(), Der()):
-            return make(*(_rebind(p, getattr(t, part)) for p, part in zip(ps, PARTS[type(t)])))
+            return make(*(yield each(_rebind(p, getattr(t, part))
+                                     for p, part in zip(ps, PARTS[type(t)]))))
         case Bang(b), Bang(_):
-            return make(b, tuple(_rebind(p, b) for p in ps))
+            return make(b, tuple((yield each(_rebind(p, b) for p in ps))))
         case Abs(y, b), Abs(z, _):
-            p_b = ps[0] if y == z else rename_free_d(ps[0], z, y)
-            return make(y, _rebind(p_b, b))
+            p_b = ps[0] if y == z else (yield rename_free_d(ps[0], z, y))
+            return make(y, (yield _rebind(p_b, b)))
         case Sub(b, y, a), Sub(_, z, _):
-            p_b = ps[0] if y == z else rename_free_d(ps[0], z, y)
-            return make(y, _rebind(p_b, b), _rebind(ps[1], a))
+            p_b = ps[0] if y == z else (yield rename_free_d(ps[0], z, y))
+            return make(y, (yield _rebind(p_b, b)), (yield _rebind(ps[1], a)))
     raise IllFormed(f"{print_term(s)} is not an alpha-variant of {print_term(t)}")
 
 
@@ -704,7 +698,7 @@ def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
         y, (p_b, p_a) = d.subject.binder, d.premises
         if y in avoid:
             y2 = fresh_name(y, avoid | free_vars(p_b.subject))
-            p_b = rename_free_d(p_b, y, y2)
+            p_b = unwind(rename_free_d(p_b, y, y2))
             y = y2
         spine.append((_maker(d), y, p_a))
         d = p_b
@@ -738,7 +732,7 @@ def _fire(d, kind: RuleKind):
             if a_d.rule != CONSUMING_RULE[cls, Bang].tag:
                 raise IllFormed("s! argument must be a consuming bang under closures")
             pool = list(a_d.premises)
-            out = _subst(d_body, x, a_d.subject.body, None, _take_from(pool))
+            out = unwind(_subst(d_body, x, a_d.subject.body, None, _take_from(pool)))
             assert not pool
             return out
 
@@ -799,7 +793,7 @@ def _expand(d, t: Term, kind: RuleKind):
         u_fired, spine_fired = _sbang_parts(t)
         if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
             raise IllFormed("reduct spine does not match the fired closure spine")
-        d_s, d_us = _antisubst(core, t.body, t.binder, u_fired)
+        d_s, d_us = unwind(_antisubst(core, t.body, t.binder, u_fired))
         # the bang body is the first premise's subject, equal to u_fired:
         # the subject check of `expand_derivation` then finds it among the
         # pairs an earlier step proved equal, where bg would walk it
@@ -835,10 +829,10 @@ def _rewrap(cur, chain: list[tuple[Any, Sub]]):
     for node, closure in reversed(chain):
         y_fired, y = node.subject.binder, closure.binder
         if y_fired != y:
-            cur = rename_free_d(cur, y_fired, y)
+            cur = unwind(rename_free_d(cur, y_fired, y))
             renamed = True
         cur = _maker(node)(y, cur, node.premises[1])
-    return _rebind(cur, chain[0][1]) if renamed else cur
+    return unwind(_rebind(cur, chain[0][1])) if renamed else cur
 
 
 def _sbang_parts(t: Sub) -> tuple[Term, tuple[tuple[str, Term], ...]]:
@@ -890,6 +884,3 @@ def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
 def replay_expansion_u(d: Derivation, trace: Trace) -> Derivation:
     return replay(d, trace, expand_derivation_u)
 
-
-subst_derivation_u = subst_derivation
-antisubst_derivation_u = antisubst_derivation

@@ -4,18 +4,25 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
-from bangcalc.qtypes import Mult, TypeParseError, parse_type, sort_key
+from bangcalc.qtypes import (
+    EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, Mult, TypeParseError, ctx_get, mult, parse_type,
+    sort_key,
+)
 from bangcalc.reduction import (
-    ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, fire_db, fire_dbang,
-    fire_sbang,
+    ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, classify_wcf_nf, fire_db,
+    fire_dbang, fire_sbang,
 )
 from bangcalc.serialize import MalformedDerivation
 from bangcalc.syntax import (
     Abs, App, Bang, Der, ParseError, Sub, Var, is_abs_shaped, is_bang_shaped, parse_term,
-    print_term, spine_core, subst_meta,
+    print_term, spine_core, subst_meta, term_eq, w_size,
 )
-from bangcalc.system_e import DerivationE
-from bangcalc.system_u import Derivation
+from bangcalc.system_e import (
+    DerivationE, mk_ae_t, mk_ai_t, mk_ax_e, mk_bg_t, mk_dr_t, mk_es_t,
+)
+from bangcalc.system_u import (
+    Derivation, NotTypableNormalForm, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+)
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -648,3 +655,152 @@ def ref_v_size(t):
         case Sub(b, _, a):
             return 1 + ref_v_size(b) + ref_v_size(a)
     raise NotLambdaTerm(print_term(t))
+
+
+
+# ---------------------------------------------------------------------------
+# Reference normal-form typers: four mutually recursive functions per
+# system, the oracles for the one typer that `system_u.type_nf` runs for U
+# and for E.
+
+def ref_type_normal_form_u(t, target=None):
+    return _ref_type_nf(t, target, {})
+
+
+def _ref_type_nf(t, target, memo):
+    cls = classify_wcf_nf(t, memo)
+    if not cls.memberships:
+        raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
+    if cls.ne:
+        return _ref_type_ne(t, target if target is not None else OMEGA, memo)
+    if target is not None:
+        raise NotTypableNormalForm("only neutral terms accept a target type")
+    if cls.na:
+        return _ref_type_na(t, memo)
+    return _ref_type_nb(t, memo)
+
+
+def _ref_type_ne(t, tau, memo):
+    match t:
+        case Var(x):
+            return mk_ax(x, tau)
+        case App(f, a):
+            d_a = _ref_type_na(a, memo)
+            assert isinstance(d_a.type, Mult)
+            d_f = _ref_type_ne(f, Arrow(d_a.type, tau), memo)
+            return mk_app(d_f, d_a)
+        case Der(b):
+            return mk_dr(_ref_type_ne(b, mult([tau]), memo))
+        case Sub(b, x, a):
+            d_b = _ref_type_ne(b, tau, memo)
+            d_a = _ref_type_ne(a, ctx_get(d_b.context, x), memo)
+            return mk_es(x, d_b, d_a)
+    raise NotTypableNormalForm(print_term(t))
+
+
+def _ref_type_na(t, memo):
+    """A neutral-abs term with a multiset: bangs get the empty multiset by
+    a nullary bg, neutral terms get it directly."""
+    match t:
+        case Bang(b):
+            return mk_bg(b, ())
+        case Sub(b, x, a):
+            d_b = _ref_type_na(b, memo)
+            d_a = _ref_type_ne(a, ctx_get(d_b.context, x), memo)
+            return mk_es(x, d_b, d_a)
+        case _ if classify_wcf_nf(t, memo).ne:
+            return _ref_type_ne(t, EMPTY_MULT, memo)
+    raise NotTypableNormalForm(print_term(t))
+
+
+def _ref_type_nb(t, memo):
+    match t:
+        case Abs(x, b):
+            return mk_abs(x, _ref_type_nf(b, None, memo))
+        case Sub(b, x, a):
+            d_b = _ref_type_nb(b, memo)
+            d_a = _ref_type_ne(a, ctx_get(d_b.context, x), memo)
+            return mk_es(x, d_b, d_a)
+        case _ if classify_wcf_nf(t, memo).ne:
+            return _ref_type_ne(t, OMEGA, memo)
+    raise NotTypableNormalForm(print_term(t))
+
+
+def ref_type_normal_form_tight(t):
+    return _ref_tight_nf(t, {})
+
+
+def _ref_tight_nf(t, memo):
+    cls = classify_wcf_nf(t, memo)
+    if not cls.memberships:
+        raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
+    if cls.ne:
+        d = _ref_tight_ne(t, memo)
+    elif cls.na:
+        d = _ref_tight_arg(t, memo)
+    else:
+        d = _ref_tight_nb(t, memo)
+    assert d.counters == (0, 0, w_size(t))
+    return d
+
+
+def _ref_tight_ne(t, memo):
+    match t:
+        case Var(x):
+            return mk_ax_e(x, TIGHT_NEUTRAL)
+        case App(f, a):
+            return mk_ae_t(_ref_tight_ne(f, memo), _ref_tight_arg(a, memo))
+        case Der(b):
+            return mk_dr_t(_ref_tight_ne(b, memo))
+        case Sub(b, x, a):
+            return mk_es_t(x, _ref_tight_ne(b, memo), _ref_tight_ne(a, memo))
+    raise NotTypableNormalForm(print_term(t))
+
+
+def _ref_tight_arg(t, memo):
+    """Neutral-abs terms: bang-shaped ones get b, neutral ones get n."""
+    if classify_wcf_nf(t, memo).ne:
+        return _ref_tight_ne(t, memo)
+    match t:
+        case Bang(b):
+            return mk_bg_t(b)
+        case Sub(b, x, a):
+            return mk_es_t(x, _ref_tight_arg(b, memo), _ref_tight_ne(a, memo))
+    raise NotTypableNormalForm(print_term(t))
+
+
+def _ref_tight_nb(t, memo):
+    if classify_wcf_nf(t, memo).ne:
+        return _ref_tight_ne(t, memo)
+    match t:
+        case Abs(x, b):
+            return mk_ai_t(x, _ref_tight_nf(b, memo))
+        case Sub(b, x, a):
+            return mk_es_t(x, _ref_tight_nb(b, memo), _ref_tight_ne(a, memo))
+    raise NotTypableNormalForm(print_term(t))
+
+
+def derivation_nodes(d):
+    """The nodes of d in pre-order, walked with an explicit stack."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.premises))
+
+
+def same_derivation(a, b) -> bool:
+    """a == b, node for node, counters included, walked with an explicit
+    stack: the dataclass equality recurses through premises and subjects,
+    which a deep derivation would overflow.  The subject checks share the
+    pairs of subterms found equal, so each pair is compared once."""
+    stack, proved = [(a, b)], {}
+    while stack:
+        a, b = stack.pop()
+        if (type(a) is not type(b) or (a.rule, a.context, a.type) != (b.rule, b.context, b.type)
+                or getattr(a, "counters", None) != getattr(b, "counters", None)
+                or len(a.premises) != len(b.premises)
+                or not term_eq(a.subject, b.subject, proved)):
+            return False
+        stack.extend(zip(a.premises, b.premises))
+    return True

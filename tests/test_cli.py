@@ -208,6 +208,20 @@ def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
         assert message in err.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("command", ["infer", "tight"])
+def test_deep_nested_lambdas_type_in_text_and_end_cleanly_in_machine_output(capsys, command):
+    # the typing and the text output work at 900 levels; `json` may not
+    # nest a derivation that deep, which then exits 2 with one line
+    code, out, _ = run(capsys, command, _nested_lambdas(900))
+    assert code == 0 and ("s=900" if command == "tight" else "size=901") in out
+    code, out, err = run(capsys, command, "--output", "machine", _nested_lambdas(900))
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out.splitlines()[-1])["record"] == "derivation"
+    else:
+        assert code == 2 and err.count("\n") == 1 and "nested too deeply" in err
+
+
 # ---------------------------------------------------------------------------
 # Random command lines
 

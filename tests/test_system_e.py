@@ -10,11 +10,9 @@ from bangcalc.qtypes import (
 from bangcalc.system_e import (
     DerivationE, check_derivation_e, expand_derivation_e, infer_tight,
     is_tight, mk_ae_d, mk_ae_t, mk_ai_d, mk_ai_t, mk_ax_e, mk_bg_d, mk_bg_t,
-    mk_dr_d, mk_es_t, reduce_derivation_e,
-    subst_derivation_e, antisubst_derivation_e, tight_spreading_check,
-    type_normal_form_tight,
+    mk_dr_d, mk_es_t, reduce_derivation_e, tight_spreading_check, type_normal_form_tight,
 )
-from bangcalc.system_u import IllFormed, Untypable
+from bangcalc.system_u import IllFormed, Untypable, antisubst_derivation, subst_derivation
 from bangcalc.gen import rand_bang_term
 
 from conftest import REFRESHED_INNER_BINDERS
@@ -109,21 +107,21 @@ class TestSubstitution:
     def test_variable_case_keeps_argument_counters(self):
         d_t = mk_ax_e("x", TIGHT_NEUTRAL)
         d_u = type_normal_form_tight(t("der(y)"))
-        out = subst_derivation_e(d_t, "x", [d_u])
+        out = subst_derivation(d_t, "x", [d_u])
         assert out == d_u
 
     def test_empty_case_keeps_counters(self):
         d_t = mk_ax_e("y", TIGHT_NEUTRAL)
-        assert subst_derivation_e(d_t, "x", []) == d_t
+        assert subst_derivation(d_t, "x", []) == d_t
 
     def test_counters_add_and_antisubstitution_splits(self):
         d_t = mk_es_t("q", mk_ax_e("x", TIGHT_NEUTRAL), mk_ax_e("q", TIGHT_NEUTRAL))
         # subject x[q \ q]: substitute der(y) for the free x
         d_u = type_normal_form_tight(t("der(y)"))
-        merged = subst_derivation_e(d_t, "x", [d_u])
+        merged = subst_derivation(d_t, "x", [d_u])
         assert check_derivation_e(merged) is None
         assert merged.counters == (d_t.b + d_u.b, d_t.e + d_u.e, d_t.s + d_u.s)
-        back, us = antisubst_derivation_e(merged, d_t.subject, "x", t("der(y)"))
+        back, us = antisubst_derivation(merged, d_t.subject, "x", t("der(y)"))
         assert (back.context, back.subject, back.type, back.counters) == \
             (d_t.context, d_t.subject, d_t.type, d_t.counters)
         assert [u.counters for u in us] == [d_u.counters]

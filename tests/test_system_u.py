@@ -1,23 +1,32 @@
+import contextlib
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given
 
-from bangcalc.syntax import parse_term, w_size
-from bangcalc.reduction import FuelExhausted, normalize_dw
+from bangcalc.syntax import App, Var, parse_term, subst_meta, term_eq, w_size
+from bangcalc.reduction import FuelExhausted, classify_wcf_nf, normalize_dw
 from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult, print_type
 from bangcalc.system_u import (
     Derivation, IllFormed, NotTypableNormalForm, Untypable,
-    antisubst_derivation_u, check_derivation_u, expand_derivation_u, infer_u,
+    antisubst_derivation, check_derivation_u, expand_derivation_u, infer_u,
     mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, reduce_derivation_u, size_u,
-    subst_derivation_u, type_normal_form_u,
+    subst_derivation, type_normal_form_u,
 )
-from bangcalc.gen import rand_bang_term
-from bangcalc.cbn_cbv import embed_cbn
-from bangcalc.system_e import check_derivation_e, infer_tight
+from bangcalc.gen import generate_corpus, rand_bang_term
+from bangcalc.cbn_cbv import (
+    check_derivation_n, check_derivation_v, embed_cbn, infer_n, infer_v, translate_n_to_u,
+    translate_v_to_u,
+)
+from bangcalc.serialize import derivation_from_json, derivation_to_json
+from bangcalc.system_e import check_derivation_e, infer_tight, type_normal_form_tight
 
-from conftest import REFRESHED_INNER_BINDERS, bang_terms, church_term
+from conftest import (
+    REFRESHED_INNER_BINDERS, bang_terms, church_term, derivation_nodes, ref_type_normal_form_tight,
+    ref_type_normal_form_u, same_derivation,
+)
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 TAU = BaseVar(0)
@@ -99,6 +108,41 @@ class TestTypeNormalForm:
             type_normal_form_u(t(r"der((\x.z)[y \ der(y) y])"))
 
 
+def _assert_typers_agree(t):
+    """Both normal-form typers build their reference's derivation of t,
+    node for node, or raise its error; E's counters are (0, 0, w_size) at
+    every node, so at every nf level."""
+    for typer, ref in ((type_normal_form_u, ref_type_normal_form_u),
+                       (type_normal_form_tight, ref_type_normal_form_tight),
+                       (lambda t: type_normal_form_u(t, TAU),
+                        lambda t: ref_type_normal_form_u(t, TAU))):
+        try:
+            want = ref(t)
+        except NotTypableNormalForm as ex:
+            with pytest.raises(NotTypableNormalForm, match=re.escape(str(ex))):
+                typer(t)
+            continue
+        got = typer(t)
+        assert same_derivation(got, want)
+    if classify_wcf_nf(t).memberships:
+        for node in derivation_nodes(type_normal_form_tight(t)):
+            assert node.counters == (0, 0, w_size(node.subject))
+
+
+@given(bang_terms())
+def test_the_typer_builds_the_reference_derivations(term):
+    _assert_typers_agree(term)
+
+
+def test_the_typer_builds_the_reference_derivations_of_corpus_normal_forms():
+    typed = 0
+    for term in generate_corpus(3, 10, 200):
+        trace = normalize_dw(term, 300)
+        _assert_typers_agree(trace.final)
+        typed += bool(classify_wcf_nf(trace.final).memberships)
+    assert typed > 100
+
+
 class TestSubstitution:
     def _setup(self):
         # t = x !x with x used at [o1] -> o2 and at o1; u = der(y) is
@@ -114,25 +158,25 @@ class TestSubstitution:
     def test_variable_case_returns_the_argument_derivation(self):
         d_t = mk_ax("x", TAU)
         d_u = type_normal_form_u(t("der(y)"), TAU)
-        out = subst_derivation_u(d_t, "x", [d_u])
+        out = subst_derivation(d_t, "x", [d_u])
         assert out == d_u
         assert size_u(out) == size_u(d_t) + size_u(d_u) - 1
 
     def test_empty_multiset_leaves_the_derivation_unchanged(self):
         d_t = mk_ax("y", TAU)
-        assert subst_derivation_u(d_t, "x", []) == d_t
+        assert subst_derivation(d_t, "x", []) == d_t
 
     def test_size_identity(self):
         d_t, u, d_us = self._setup()
-        out = subst_derivation_u(d_t, "x", d_us)
+        out = subst_derivation(d_t, "x", d_us)
         assert check_derivation_u(out) is None
         assert out.subject == t("der(y) !(der(y))")
         assert size_u(out) == size_u(d_t) + sum(size_u(d) for d in d_us) - len(d_us)
 
     def test_anti_substitution_inverts(self):
         d_t, u, d_us = self._setup()
-        merged = subst_derivation_u(d_t, "x", d_us)
-        d_back, us_back = antisubst_derivation_u(merged, d_t.subject, "x", u)
+        merged = subst_derivation(d_t, "x", d_us)
+        d_back, us_back = antisubst_derivation(merged, d_t.subject, "x", u)
         assert check_derivation_u(d_back) is None
         assert (d_back.context, d_back.subject, d_back.type) == \
             (d_t.context, d_t.subject, d_t.type)
@@ -143,7 +187,7 @@ class TestSubstitution:
     def test_mismatched_multiset_is_rejected(self):
         d_t = mk_ax("x", TAU)
         with pytest.raises(IllFormed):
-            subst_derivation_u(d_t, "x", [])
+            subst_derivation(d_t, "x", [])
 
 
 class TestReduceExpand:
@@ -251,21 +295,67 @@ def test_typable_implies_weak_clash_free(term):
         assert is_wcf(term)
 
 
-def test_deep_church_derivations_at_the_default_recursion_limit():
-    """church(320) builds derivations some 650 nodes deep; sizing one must
-    not take a frame per node."""
+@contextlib.contextmanager
+def default_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        t = embed_cbn(church_term(320))
-        d = infer_u(t, 10_000)
-        e = infer_tight(t, 10_000)
+        yield
     finally:
         sys.setrecursionlimit(limit)
-    assert check_derivation_u(d) is None and check_derivation_e(e) is None
-    stack, nodes = [d], 0
-    while stack:
-        node = stack.pop()
-        nodes += node.rule != "bg"
-        stack.extend(node.premises)
-    assert size_u(d) == nodes
+
+
+def test_deep_church_derivations_at_the_default_recursion_limit():
+    """church(1280) builds derivations some 2,500 nodes deep: inferring,
+    checking, writing, reading and translating one must not take a frame
+    per node."""
+    t = church_term(1280)
+    for embed, infer, check, to_u in (
+            (embed_cbn, infer_u, check_derivation_u, None),
+            (embed_cbn, infer_tight, check_derivation_e, None),
+            (lambda t: t, infer_n, check_derivation_n, translate_n_to_u),
+            (lambda t: t, infer_v, check_derivation_v, translate_v_to_u)):
+        with default_recursion_limit():
+            d = infer(embed(t), 100_000)
+            assert check(d) is None
+            assert check(derivation_from_json(derivation_to_json(d))) is None
+            if to_u is not None:
+                assert check_derivation_u(to_u(d)) is None
+        if infer is infer_u:
+            assert size_u(d) == sum(node.rule != "bg" for node in derivation_nodes(d))
+
+
+# x (x (... (x y))): its derivations are DEEP_SPINE nodes deep, and their
+# types stay shallow.  The context entry of x at depth k holds k types, so
+# the derivation's size grows with the square of its depth: 2,000 levels
+# keep it near 100 MB.
+DEEP_SPINE = 2_000
+DEEP_TERM = 10_000
+
+
+def _spine(n, leaf="y"):
+    t = Var(leaf)
+    for _ in range(n):
+        t = App(Var("x"), t)
+    return t
+
+
+def test_a_deep_spine_at_the_default_recursion_limit():
+    spine = _spine(DEEP_SPINE)
+    with default_recursion_limit():
+        d, e = type_normal_form_u(spine), type_normal_form_tight(spine)
+        assert check_derivation_u(d) is None and check_derivation_e(e) is None
+        assert size_u(d) == 2 * DEEP_SPINE + 1 and e.counters == (0, 0, DEEP_SPINE)
+        for deep in (d, e):
+            assert same_derivation(derivation_from_json(derivation_to_json(deep)), deep)
+        # the innermost axiom, y : [], is replaced by z : [], and back
+        d_z = type_normal_form_u(Var("z"), EMPTY_MULT)
+        out = subst_derivation(d, "y", [d_z])
+        assert check_derivation_u(out) is None and term_eq(out.subject, _spine(DEEP_SPINE, "z"))
+        d_back, us = antisubst_derivation(out, spine, "y", Var("z"))
+        assert same_derivation(d_back, d) and len(us) == 1 and same_derivation(us[0], d_z)
+
+
+def test_subst_meta_on_a_deep_term_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        assert term_eq(subst_meta(_spine(DEEP_TERM), "y", Var("z")), _spine(DEEP_TERM, "z"))
