@@ -246,75 +246,97 @@ TYPE_TOKENS = TokenTable(
     start=frozenset("o"),
     cont=frozenset("0123456789"),
     word=lambda w: "base" if len(w) > 1 else None,  # o and one or more decimal digits
-    bad=lambda c, i: TypeParseError(f"bad character {c!r} in type"),
-    pair="[]", inner=False)
+    bad=lambda c, i: TypeParseError(f"bad character {c!r} in type"))
 
 
 def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
-    """Parse surface syntax.  As with `syntax.parse_term`, every call given
-    the same `memo` parses each distinct text once: the whole text and each
-    multiset's text are looked up first, they and each multiset element's
-    text are stored once they have parsed, and a text the memo holds is not
-    lexed.  Nor is a run `[E,...,E]` of one element text E the memo holds."""
-    if memo is not None:
-        hit = memo.get(text)
-        if hit is None:
-            hit = _run(text, memo)
+    """Parse surface syntax.  Every call given the same `memo` reads each
+    distinct text once: a text the memo holds or assembles (see
+    `_assembled`) is not lexed, and a parse stores the whole text and each
+    multiset's and each element's text, so equal texts give one object."""
+    if memo is None:
+        memo = {}
+    else:
+        hit = _assembled(text, memo)
         if hit is not None:
             return hit
-    toks = Lexer(text, TYPE_TOKENS, memo)
-    t = _parse_type(toks)
+    toks = Lexer(text, TYPE_TOKENS)
+    t = _parse_type(toks, memo)
     if toks.peek()[0] != "eof":
         raise TypeParseError(f"trailing tokens in type {text!r}")
-    return toks.keep(0, len(text), t)
+    return memo.setdefault(text, t)
 
 
-def _run(text: str, memo: TypeParseMemo) -> Mult | None:
-    """The multiset a run `[E,...,E]` of one element text E that the memo
-    holds parses to, stored in the memo; None for any other text.  E ends
-    at the first "," before which the text is held: no text parses, and so
-    none is held, that ends inside brackets or has a "," outside them."""
-    if text[:1] != "[" or text[-1:] != "]":
-        return None
-    i = text.find(",")
-    while i > 0 and text[1:i] not in memo:
-        i = text.find(",", i + 1)
-    e = text[1:i] if i > 0 else text[1:-1]
-    held = memo.get(e)
-    k = (len(text) - 1) // (len(e) + 1)
-    if held is None or "[" + ",".join([e] * k) + "]" != text:
-        return None
-    return memo.setdefault(text, Mult((held,) * k))
+def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
+    """The type of a text the memo holds or that is assembled from held
+    texts, stored once assembled; None for any other text, which is then
+    parsed.  A text is assembled when it is
+    - a run `[E,...,E]` of one held element text E, where E ends at the
+      first "," before which the text is held;
+    - an arrow `M -> T` whose shortest held text M before a " -> " is a
+      multiset, and whose codomain text T is held or assembled;
+    - where no text before a "," is held, a one-element multiset `[T]`
+      whose element text T is held or assembled.
+    The memo holds only texts that parsed, whose brackets balance, so no
+    such E or M ends inside brackets or holds a "," outside them, and the
+    text parses to what it is assembled to.  Nothing here parses."""
+    # the texts that the current one lies in, outermost first, each with
+    # its arrow's domain, or None for a one-element multiset
+    around: list[tuple[str, Mult | None]] = []
+    while (hit := memo.get(text)) is None:
+        if text[:1] != "[":
+            return None
+        i = text.find(",")
+        while i > 0 and text[1:i] not in memo:
+            i = text.find(",", i + 1)
+        if i > 0:
+            e = text[1:i]
+            k = (len(text) - 1) // (len(e) + 1)
+            if "[" + ",".join([e] * k) + "]" == text:
+                hit = memo[text] = Mult((memo[e],) * k)
+                break
+        j = text.find(" -> ")
+        while j > 0 and text[:j] not in memo:
+            j = text.find(" -> ", j + 4)
+        if j > 0 and type(memo[text[:j]]) is Mult:
+            around.append((text, memo[text[:j]]))
+            text = text[j + 4:]
+        elif i < 0 and text[-1] == "]":
+            around.append((text, None))
+            text = text[1:-1]
+        else:
+            return None
+    for whole, dom in reversed(around):
+        hit = memo[whole] = Mult((hit,)) if dom is None else Arrow(dom, hit)
+    return hit
 
 
-def _parse_type(toks: Lexer) -> Type:
-    head = _parse_type_atom(toks)
+def _parse_type(toks: Lexer, memo: TypeParseMemo) -> Type:
+    head = _parse_type_atom(toks, memo)
     if toks.peek()[0] == "->":
         toks.next()
         if not isinstance(head, Mult):
             raise TypeParseError("arrow domain must be a multiset")
-        return Arrow(head, _parse_type(toks))
+        return Arrow(head, _parse_type(toks, memo))
     return head
 
 
-def _parse_type_atom(toks: Lexer) -> Type:
+def _parse_type_atom(toks: Lexer, memo: TypeParseMemo) -> Type:
     k, v, p = toks.next()
     if k == "[":
-        hit = toks.hits.get(p)
-        if hit is not None:
-            return hit
+        text = toks.text
         if toks.peek()[0] == "]":
-            return toks.keep(p, toks.next()[2] + 1, EMPTY_MULT)
+            return memo.setdefault(text[p:toks.next()[2] + 1], EMPTY_MULT)
         elems, q = [], p  # q is at the "[" or "," before an element
         while True:
-            t = _parse_type(toks)
+            t = _parse_type(toks, memo)
             k, v, r = toks.next()
             if k not in (",", "]"):
                 raise TypeParseError("unterminated multiset" if k == "eof"
                                      else f"unexpected token {v!r} in multiset")
-            elems.append(toks.keep(q + 1, r, t))
+            elems.append(memo.setdefault(text[q + 1:r], t))
             if k == "]":
-                return toks.keep(p, r + 1, mult(elems))
+                return memo.setdefault(text[p:r + 1], mult(elems))
             q = r
     if k == "tight":
         return Tight(v)

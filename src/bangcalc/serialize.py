@@ -10,7 +10,7 @@ import re
 from typing import Any
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, ParseMemo, Sub, Term, Var, Walk, parse_term, print_node,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, parse_term, print_node,
     print_term, unwind,
 )
 from .reduction import (
@@ -105,7 +105,8 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
         raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
 
 
-def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo, types: TypeParseMemo) -> Walk:
+def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
+                          types: TypeParseMemo) -> Walk:
     below = obj.get("premises", [])
     premises = []
     for p in below:
@@ -119,7 +120,7 @@ def _derivation_from_json(obj: dict[str, Any], terms: ParseMemo, types: TypePars
     text = obj["term"]
     subject = terms.get(text)
     if subject is None:
-        subject = terms[text] = _assemble(text, premises, below) or parse_term(text, memo=terms)
+        subject = terms[text] = _assemble(text, premises, below) or parse_term(text)
     ty = parse_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]

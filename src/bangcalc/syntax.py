@@ -15,10 +15,7 @@ the same type; see `is_lambda_term`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable
 
 
@@ -416,58 +413,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_MARKS = {"()": re.compile(r"([()])"), "[]": re.compile(r"([\[\]])")}
-_DEPTH = {"(": 1, "[": 1, ")": -1, "]": -1}
-
-
-def memo_spans(text: str, pair: str, memo: dict,
-               inner: bool) -> list[tuple[int, int, Any]]:
-    """The outermost bracketed parts of text that the memo holds, as
-    (start, end, value) in text order.  `pair` is the brackets, "()" or
-    "[]".  With `inner`, a pair is looked up by the text between its
-    brackets, otherwise by its whole text.  Nothing inside a hit is looked
-    up.  The text is not split when one lookup settles it: when it has one
-    opening bracket, whose pair ends at the next closing one; or, with
-    `inner`, when the text between the first opening and the last closing
-    bracket is a hit, as the memo holds only texts that parsed, whose
-    brackets balance: then these two are a pair, and the only outermost one."""
-    opener, closer = pair
-    o = text.find(opener)
-    if o < 0:
-        return []
-    one = text.find(opener, o + 1) < 0
-    if inner or one:
-        c = text.find(closer, o) if one else text.rfind(closer)
-        hit = memo.get(text[o + 1:c] if inner else text[o:c + 1]) if o < c else None
-        if hit is not None or one:
-            return [] if hit is None else [(o, c + 1, hit)]
-    parts = _MARKS[pair].split(text)
-    at = list(accumulate(map(len, parts)))[::2]  # the offset of each mark
-    chars = parts[1::2]
-    depth = list(accumulate(map(_DEPTH.__getitem__, chars)))  # after each mark
-    spans: list[tuple[int, int, Any]] = []
-    todo = [(0, len(chars))]  # ranges of marks whose pairs, one level down, to look up
-    while todo:
-        s, j = todo.pop()
-        while s < j:
-            if chars[s] != opener:
-                s += 1
-                continue
-            try:  # a pair closes where the depth first falls back below its open's
-                e = depth.index(depth[s] - 1, s + 1)
-            except ValueError:
-                break  # an unclosed pair: the rest lies inside it
-            o, c = at[s], at[e]
-            hit = memo.get(text[o + 1:c] if inner else text[o:c + 1])
-            if hit is not None:
-                spans.append((o, c + 1, hit))
-            else:
-                todo.append((s + 1, e))
-            s = e + 1
-    spans.sort(key=itemgetter(0))
-    return spans
-
-
 Token = tuple[str, str, int]
 
 
@@ -477,42 +422,23 @@ class TokenTable:
     to its kind; a two-character mark is tried first.  A word is a `start`
     character and then `cont` characters; `word` gives its kind, or None if
     it is no token.  `bad(char, offset)` is the error for a character that
-    starts no token.  A memo holds parts in the brackets `pair`, by the text
-    between them if `inner`, else by their whole text (see `memo_spans`)."""
+    starts no token."""
     marks: dict[str, str]
     start: frozenset[str]
     cont: frozenset[str]
     word: Callable[[str], str | None]
     bad: Callable[[str, int], Exception]
-    pair: str
-    inner: bool
 
 
 class Lexer:
     """The tokens of a text, (kind, text, offset) ending in ("eof", "",
-    len(text)), and a cursor over them.  With a memo, each outermost
-    bracketed part that the memo holds is lexed as its opening bracket
-    alone, and `hits` maps that bracket's offset to the value."""
+    len(text)), and a cursor over them."""
 
-    def __init__(self, text: str, table: TokenTable, memo: dict | None = None):
-        self.text, self.table, self.memo = text, table, memo
+    def __init__(self, text: str, table: TokenTable):
+        self.text = text
         self.toks: list[Token] = []
-        self.hits: dict[int, Any] = {}
-        i = 0
-        if memo is not None:
-            opener = table.pair[0]
-            for a, b, value in memo_spans(text, table.pair, memo, table.inner):
-                self._lex(i, a)
-                self.toks.append((table.marks[opener], opener, a))
-                self.hits[a] = value
-                i = b
-        self._lex(i, len(text))
-        self.toks.append(("eof", "", len(text)))
-        self.i = 0
-
-    def _lex(self, i: int, n: int) -> None:
-        text, toks, table = self.text, self.toks, self.table
-        marks, start, cont = table.marks, table.start, table.cont
+        toks, marks, start, cont = self.toks, table.marks, table.start, table.cont
+        i, n = 0, len(text)
         while i < n:
             c = text[i]
             if c.isspace():
@@ -535,6 +461,8 @@ class Lexer:
                         raise table.bad(c, i)
                 toks.append((marks[mark], mark, i))
                 i += len(mark)
+        toks.append(("eof", "", n))
+        self.i = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -550,11 +478,6 @@ class Lexer:
             raise ParseError(f"expected {kind}, found {v!r}", p)
         return k, v, p
 
-    def keep(self, a: int, b: int, value: Any) -> Any:
-        """value, parsed from text[a:b]; with a memo, the first value
-        parsed from that text, which the memo then holds."""
-        return value if self.memo is None else self.memo.setdefault(self.text[a:b], value)
-
 
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
@@ -564,15 +487,10 @@ TERM_TOKENS = TokenTable(
     start=_LETTERS,
     cont=_LETTERS | frozenset("0123456789_'"),
     word=lambda w: "der" if w == "der" else "ident",
-    bad=lambda c, i: ParseError(f"unexpected character {c!r}", i),
-    pair="()", inner=True)
+    bad=lambda c, i: ParseError(f"unexpected character {c!r}", i))
 
 
-# text -> the term it parses to; see `parse_term`
-ParseMemo = dict[str, Term]
-
-
-def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -> Term:
+def parse_term(text: str, strict: bool = False) -> Term:
     """Parse surface syntax.
 
     Grammar (prefix ! / der bind tighter than application, postfix
@@ -583,24 +501,11 @@ def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -
         abs   := ("\\" | "λ") ident "." term
         app   := app post | post
         post  := atom { "[" ident ("\\" | ":=") term "]" }
-        atom  := ident | "!" atom | "der" atom | "der" "(" term ")"
-               | "(" term ")"
+        atom  := ident | "!" atom | "der" atom | "(" term ")"
 
     With strict=True, free names are rejected.
-
-    Every call given the same `memo` parses each distinct text once: the
-    whole text and the text inside each pair of parentheses are looked up
-    first, and stored once they have parsed, so equal texts give the same
-    term object and a text the memo holds is not lexed again.  A strict
-    parse does not use the memo.
     """
-    if strict:
-        memo = None
-    elif memo is not None:
-        hit = memo.get(text)
-        if hit is not None:
-            return hit
-    toks = Lexer(text, TERM_TOKENS, memo)
+    toks = Lexer(text, TERM_TOKENS)
     t = _parse_term(toks)
     k, v, p = toks.peek()
     if k != "eof":
@@ -608,7 +513,7 @@ def parse_term(text: str, strict: bool = False, memo: ParseMemo | None = None) -
     if strict and free_vars(t):
         names = ", ".join(sorted(free_vars(t)))
         raise ParseError(f"unbound names: {names}", 0)
-    return toks.keep(0, len(text), t)
+    return t
 
 
 def _parse_term(toks: Lexer) -> Term:
@@ -655,25 +560,12 @@ def _parse_atom(toks: Lexer) -> Term:
     if k == "!":
         return Bang(_parse_atom(toks))
     if k == "der":
-        k, _, q = toks.peek()
-        if k == "(":
-            toks.next()
-            return Der(_parse_parens(toks, q))
         return Der(_parse_atom(toks))
     if k == "(":
-        return _parse_parens(toks, p)
-    raise ParseError(f"unexpected token {v!r}", p)
-
-
-def _parse_parens(toks: Lexer, p: int) -> Term:
-    """The term inside the "(" just read at offset p, and its ")".  With a
-    memo, a text the memo holds was lexed as the "(" alone; one parsed here
-    is stored."""
-    t = toks.hits.get(p)
-    if t is not None:
+        t = _parse_term(toks)
+        toks.expect(")")
         return t
-    t = _parse_term(toks)
-    return toks.keep(p + 1, toks.expect(")")[2], t)
+    raise ParseError(f"unexpected token {v!r}", p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""The memo paths of `parse_term` and `parse_type` against the plain parse.
+"""The memo path of `parse_type` against the plain parse.
 
-With a memo, both parsers look up a text, its parenthesized or bracketed
-parts and (for types) each multiset element before lexing them, and
+With a memo, the type parser looks a text up, or assembles it from held
+parts (a run of one held element, an arrow from its held domain and its
+codomain, a one-element multiset from its element), before lexing it, and
 `qtypes.mult` keeps elements that are already in order.  The parse
 without a memo is the oracle: with any memo that maps texts to their own
 parses, a text parses to an equal value, or fails with the same exception
-and message, offset included."""
+and message.  The term parser has no memo; its messages are pinned here
+too."""
 
 import random
 
@@ -19,10 +21,11 @@ from bangcalc.qtypes import (
     sort_key,
 )
 from bangcalc.reduction import FuelExhausted
-from bangcalc.syntax import ParseError, memo_spans, parse_term, print_term
+from bangcalc.syntax import ParseError, parse_term, print_term
 from bangcalc.system_u import Untypable, infer_u
 
-# Messages the parsers gave before either took a memo.
+# Messages the parsers gave before either took a memo; the type parser's
+# are also those of its memo path.
 MALFORMED_TERMS = [
     ("", "unexpected token '' (at offset 0)"),
     ("(", "unexpected token '' (at offset 1)"),
@@ -74,6 +77,7 @@ MALFORMED_TYPES = [
     ("[(o0)]", "bad character '(' in type"),
     ("[o0]\t[o1]", "trailing tokens in type '[o0]\\t[o1]'"),
     ("[,]", "unexpected token ',' in type"),
+    ("[o0] -> o0 o1", "trailing tokens in type '[o0] -> o0 o1'"),
 ]
 
 
@@ -107,50 +111,51 @@ def elements(text, start, end):
 
 
 def subtexts(text):
-    """The texts the memos look up inside text: what lies between a pair of
-    parentheses, and each bracketed multiset and its elements."""
-    out = [text[a + 1:b - 1] for a, b in pairs(text, "(", ")")]
+    """The texts the type memo assembles text from: each bracketed multiset
+    and its elements, and both sides of every " -> " in text or in one of
+    these."""
+    out = [text]
     for a, b in pairs(text, "[", "]"):
         out += [text[a:b], *elements(text, a, b)]
-    return out
+    for sub in list(out):
+        j = sub.find(" -> ")
+        while j >= 0:
+            out += [sub[:j], sub[j + 4:]]
+            j = sub.find(" -> ", j + 4)
+    return out[1:]
 
 
-def seeded_memos(text, seed):
-    """A term memo and a type memo that hold the parses of some of text's
-    subtexts: only texts that parse are stored, each as its own parse."""
+def seeded_memo(text, seed):
+    """A type memo that holds the parses of some of text's subtexts: only
+    texts that parse are stored, each as its own parse."""
     rng = random.Random(seed)
-    terms, types = {}, {}
+    types = {}
     for sub in subtexts(text):
         if rng.random() < 0.6:
-            for memo, parse in ((terms, parse_term), (types, parse_type)):
-                kind, value = outcome(parse, sub)
-                if kind == "ok":
-                    memo[sub] = value
-    return terms, types
+            kind, value = outcome(parse_type, sub)
+            if kind == "ok":
+                types[sub] = value
+    return types
 
 
 def assert_memo_paths_agree(text, seed):
-    terms, types = seeded_memos(text, seed)
-    for parse, memo in ((parse_term, terms), (parse_type, types)):
-        assert outcome(parse, text, memo) == outcome(parse, text), (parse.__name__, text)
-        # whatever the memo parse stored is the plain parse of its text
-        for key, value in memo.items():
-            assert outcome(parse, key) == ("ok", value), (parse.__name__, key)
+    types = seeded_memo(text, seed)
+    assert outcome(parse_type, text, types) == outcome(parse_type, text), text
+    # whatever the memo parse stored is the plain parse of its text
+    for key, value in types.items():
+        assert outcome(parse_type, key) == ("ok", value), key
 
 
 @pytest.mark.parametrize("text, message", MALFORMED_TERMS)
 def test_malformed_term_messages_are_pinned(text, message):
     assert outcome(parse_term, text) == ("ParseError", message)
-    for seed in range(4):
-        terms, _ = seeded_memos(text, seed)
-        assert outcome(parse_term, text, terms) == ("ParseError", message)
 
 
 @pytest.mark.parametrize("text, message", MALFORMED_TYPES)
 def test_malformed_type_messages_are_pinned(text, message):
     assert outcome(parse_type, text) == ("TypeParseError", message)
     for seed in range(4):
-        _, types = seeded_memos(text, seed)
+        types = seeded_memo(text, seed)
         assert outcome(parse_type, text, types) == ("TypeParseError", message)
 
 
@@ -197,10 +202,9 @@ def test_memo_paths_agree_on_corpus_text(data, seed):
 
 
 def test_corpus_texts_read_alike_with_a_shared_memo():
-    terms, types = {}, {}
+    types = {}
     for text in CORPUS_TEXTS:
-        for parse, memo in ((parse_term, terms), (parse_type, types)):
-            assert outcome(parse, text, memo) == outcome(parse, text), text
+        assert outcome(parse_type, text, types) == outcome(parse_type, text), text
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +224,7 @@ def test_equal_elements_written_apart(text):
     assert list(want.elements) == sorted(want.elements, key=sort_key)
     for seed in range(4):
         assert_memo_paths_agree(text, seed)
-        _, types = seeded_memos(text, seed)
-        assert parse_type(text, types) == want
+        assert parse_type(text, seeded_memo(text, seed)) == want
 
 
 SORTED = [BaseVar(0), BaseVar(1), Tight("a"), Tight("n"), Mult((BaseVar(0),)), A]
@@ -331,7 +334,7 @@ def test_malformed_run_messages_are_pinned(text, message):
     for e in RUN_ELEMENTS:
         assert outcome(parse_type, text, {e: parse_type(e)}) == ("TypeParseError", message)
     for seed in range(4):
-        _, types = seeded_memos(text, seed)
+        types = seeded_memo(text, seed)
         assert outcome(parse_type, text, types) == ("TypeParseError", message)
 
 
@@ -361,23 +364,45 @@ def test_a_run_reads_as_copies_of_the_held_element(e):
 
 
 # ---------------------------------------------------------------------------
-# What the lexers skip
+# Arrows: a held multiset domain and a held or assembled codomain
 
-def test_memo_spans_are_the_outermost_held_parts():
-    """Types are looked up by a bracketed part's whole text, terms by the
-    text inside a pair of parentheses; element texts are not looked up."""
-    arrow, bag, bags = parse_type("[o0] -> o0"), parse_type("[o0]"), parse_type("[[o0] -> o0]")
-    held = {"[o0] -> o0": arrow, "[o0]": bag, "[[o0] -> o0]": bags}
-    assert memo_spans("[[o0] -> o0,o1, [o0],[[o0] -> o0]]", "[]", held, inner=False) == [
-        (1, 5, bag), (16, 20, bag), (21, 33, bags)]
-    assert memo_spans("[[o0]] -> [[o0] -> o0]", "[]", held, inner=False) == [
-        (1, 5, bag), (10, 22, bags)]
-    assert memo_spans("o0 -> a", "[]", held, inner=False) == []
-    fx, gfx = parse_term("f x"), parse_term("g (f x)")
-    assert memo_spans("(f x) (g (f x)) ((f x)", "()", {"f x": fx}, inner=True) == [
-        (0, 5, fx), (9, 14, fx)]
-    # the text between the first "(" and the last ")" is held: one pair
-    assert memo_spans("\\y. h !(g (f x))", "()", {"f x": fx, "g (f x)": gfx}, inner=True) == [
-        (7, 16, gfx)]
-    assert memo_spans(")(f x)", "()", {"f x": fx}, inner=True) == [(1, 6, fx)]
-    assert memo_spans("f x", "()", {"f x": fx}, inner=True) == []
+ARROWS = [  # a text, and the held texts it is assembled from
+    ("[o0] -> o0", ["[o0]", "o0"]),
+    ("[a] -> [n,n]", ["[a]", "n"]),
+    ("[o0,o0,o0] -> [o0] -> o0", ["[o0,o0,o0]", "[o0] -> o0"]),
+    ("[o0] -> [o1] -> [a] -> n", ["[o0]", "[o1]", "[a]", "n"]),
+    ("[[o0,o0] -> [[] -> []]]", ["[o0,o0]", "[]"]),  # the shape of a V context entry
+]
+
+
+def parts_of(t):
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Mult):
+            stack.extend(t.elements)
+        elif isinstance(t, Arrow):
+            stack += [t.domain, t.codomain]
+    return out
+
+
+@pytest.mark.parametrize("text, held", ARROWS)
+def test_an_arrow_is_assembled_from_its_held_parts_without_lexing(monkeypatch, text, held):
+    memo = {h: parse_type(h) for h in held}
+    values = list(memo.values())
+    monkeypatch.setattr(qtypes, "Lexer", None)  # any parse would fail
+    got = parse_type(text, memo)
+    monkeypatch.undo()
+    assert got == parse_type(text) and memo[text] is got
+    assert all(any(v is p for p in parts_of(got)) for v in values)
+
+
+@pytest.mark.parametrize("text, held", ARROWS)
+def test_near_misses_of_an_assembled_arrow_read_as_the_plain_parse(text, held):
+    for near in [text + " o1", text + " -> ", text + "]", text[:-1], text[1:],
+                 text.replace(" -> ", "->", 1), text.replace(" -> ", " ->  ", 1),
+                 text.replace(" -> ", " -> -> ", 1), "[" + text + "]",
+                 "[" + text + "," + text + "]", text + " -> " + text, "[o0] -> " + text]:
+        memo = {h: parse_type(h) for h in held}
+        assert outcome(parse_type, near, memo) == outcome(parse_type, near), near
