@@ -322,6 +322,23 @@ def test_sort_keys_are_not_recomputed_for_sorted_multisets(monkeypatch):
     assert len(calls) <= len(texts)
 
 
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_memo_hits_are_not_lexed(monkeypatch, n):
+    """A read assembles each node's subject from its premises' subjects and
+    never relexes a subject text, so the term tokens of a read grow with
+    its nodes, not its text."""
+    obj = church_json("u", n)
+    counts = []
+
+    class Counted(syntax.Lexer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(len(self.toks))
+    monkeypatch.setattr(syntax, "Lexer", Counted)
+    derivation_from_json(obj)
+    assert sum(counts) <= 10 * len(list(_nodes(obj)))
+
+
 @pytest.mark.parametrize("system", "uenv")
 @pytest.mark.parametrize("n", [20, 40, 80])
 def test_type_memo_hits_are_not_lexed(monkeypatch, system, n):
