@@ -26,7 +26,7 @@ from .cbn_cbv import (
 )
 from .serialize import (
     FORMAT_VERSION, MalformedDerivation, classification_json,
-    derivation_from_json, derivation_to_json, dump_records, trace_records,
+    derivation_from_json, dump_records, record_text, trace_records,
 )
 from . import acceptance
 
@@ -60,7 +60,7 @@ def _machine(args) -> bool:
 
 
 def _emit_record(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(record_text(obj))
 
 
 def cmd_parse(args) -> int:
@@ -95,7 +95,12 @@ def cmd_reduce(args) -> int:
 
 def cmd_trace(args) -> int:
     t = _parse(args)
-    trace = _normalize_for(args, t)
+    try:
+        trace = _normalize_for(args, t)
+    except FuelExhausted as ex:
+        if _machine(args):  # the steps taken before the fuel ran out
+            print(dump_records(trace_records(ex.trace)))
+        raise
     if _machine(args):
         print(dump_records(trace_records(trace)))
     else:
@@ -179,7 +184,7 @@ def _report_inference(args, res, size_fn) -> int:
     res = _derived(res)
     if _machine(args):
         _emit_record({"record": "derivation", "version": FORMAT_VERSION,
-                      "size": size_fn(res), "derivation": derivation_to_json(res)})
+                      "size": size_fn(res), "derivation": res})
     else:
         print(res.judgement())
         print(f"size={size_fn(res)}")
@@ -200,7 +205,7 @@ def cmd_tight(args) -> int:
     if _machine(args):
         _emit_record({"record": "derivation", "version": FORMAT_VERSION,
                       "counters": list(res.counters), "tight": is_tight(res),
-                      "derivation": derivation_to_json(res)})
+                      "derivation": res})
     else:
         print(res.judgement())
         print(f"counters=(b={res.b}, e={res.e}, s={res.s})  tight={is_tight(res)}")
@@ -235,8 +240,7 @@ def cmd_translate(args) -> int:
     translated = translate(res)
     if _machine(args):
         _emit_record({"record": "translation", "version": FORMAT_VERSION,
-                      "source": derivation_to_json(res),
-                      "image": derivation_to_json(translated)})
+                      "source": res, "image": translated})
     else:
         print(f"source: {res.judgement()}  (size {size_fn(res)})")
         print(f"image:  {translated.judgement()}  (size {size_u(translated)})")

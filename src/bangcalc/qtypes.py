@@ -9,6 +9,7 @@ empty entry (absent means empty).
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass
 
@@ -214,22 +215,26 @@ def print_type(t: Type, memo: TypeMemo | None = None) -> str:
     hit = memo.get(id(t))
     if hit is not None:
         return hit[1]
-    match t:
-        case BaseVar(i):
-            return f"o{i}"
-        case Tight(c):
-            return c
-        case Mult(elems):  # a run of one element object is printed once
+    cls = type(t)
+    if cls is Mult:
+        elems = t.elements
+        if elems and elems == (elems[0],) * len(elems):  # one run: its element printed once
+            text = "[" + ",".join([print_type(elems[0], memo)] * len(elems)) + "]"
+        else:  # each run of one element object printed once
             texts, before = [], None
             for e in elems:
                 if e is not before:
                     e_text, before = print_type(e, memo), e
                 texts.append(e_text)
             text = "[" + ",".join(texts) + "]"
-        case Arrow(dom, cod):
-            text = f"{print_type(dom, memo)} -> {print_type(cod, memo)}"
-        case _:
-            raise TypeError(t)
+    elif cls is Arrow:
+        text = f"{print_type(t.domain, memo)} -> {print_type(t.codomain, memo)}"
+    elif cls is BaseVar:
+        return f"o{t.index}"
+    elif cls is Tight:
+        return t.constant
+    else:
+        raise TypeError(t)
     memo[id(t)] = (t, text)
     return text
 
@@ -270,45 +275,80 @@ def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
 def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
     """The type of a text the memo holds or that is assembled from held
     texts, stored once assembled; None for any other text, which is then
-    parsed.  A text is assembled when it is
-    - a run `[E,...,E]` of one held element text E, where E ends at the
-      first "," before which the text is held;
-    - an arrow `M -> T` whose shortest held text M before a " -> " is a
-      multiset, and whose codomain text T is held or assembled;
-    - where no text before a "," is held, a one-element multiset `[T]`
-      whose element text T is held or assembled.
-    The memo holds only texts that parsed, whose brackets balance, so no
-    such E or M ends inside brackets or holds a "," outside them, and the
-    text parses to what it is assembled to.  Nothing here parses."""
+    parsed.  A text that opens a multiset M is assembled when
+    - M is the whole text, a run `[E,...,E]` of one held element text E;
+    - M is held, and the text is an arrow `M -> T` whose codomain text T
+      is held or assembled;
+    - M is the whole text, a one-element multiset `[T]` whose element
+      text T is held or assembled (V's `[[run] -> [[] -> []]]`).
+    The first " -> " is tried as the end of M, and the first "," as the
+    end of E; where neither settles the text, `_leading` finds both ends
+    in one pass.  So each text costs a fixed number of lookups.  The memo
+    holds only texts that parsed, whose brackets balance, so a held E or M
+    is the one the text opens with, and the text parses to what it is
+    assembled to.  Nothing here parses."""
     # the texts that the current one lies in, outermost first, each with
     # its arrow's domain, or None for a one-element multiset
     around: list[tuple[str, Mult | None]] = []
     while (hit := memo.get(text)) is None:
         if text[:1] != "[":
             return None
-        i = text.find(",")
-        while i > 0 and text[1:i] not in memo:
-            i = text.find(",", i + 1)
-        if i > 0:
-            e = text[1:i]
-            k = (len(text) - 1) // (len(e) + 1)
-            if "[" + ",".join([e] * k) + "]" == text:
-                hit = memo[text] = Mult((memo[e],) * k)
+        end = text.find(" -> ")
+        dom = memo.get(text[:end]) if end > 0 else None
+        if dom is None:  # M does not end at the first " -> "
+            hit = _run(text, text.find(","), memo)
+            if hit is not None:
                 break
-        j = text.find(" -> ")
-        while j > 0 and text[:j] not in memo:
-            j = text.find(" -> ", j + 4)
-        if j > 0 and type(memo[text[:j]]) is Mult:
-            around.append((text, memo[text[:j]]))
-            text = text[j + 4:]
-        elif i < 0 and text[-1] == "]":
-            around.append((text, None))
-            text = text[1:-1]
-        else:
-            return None
+            comma, end = _leading(text)
+            if end == len(text) and comma > 0:  # M is the whole text: a run or nothing
+                hit = _run(text, comma, memo)
+                break
+            if end == len(text):  # M is the whole text, of one element
+                around.append((text, None))
+                text = text[1:-1]
+                continue
+            dom = memo.get(text[:end]) if end > 0 else None
+            if dom is None or not text.startswith(" -> ", end):
+                return None
+        around.append((text, dom))  # a held text "[...]" is a Mult
+        text = text[end + 4:]
+    if hit is None:
+        return None
+    memo[text] = hit
     for whole, dom in reversed(around):
         hit = memo[whole] = Mult((hit,)) if dom is None else Arrow(dom, hit)
     return hit
+
+
+def _run(text: str, comma: int, memo: TypeParseMemo) -> Mult | None:
+    """The text as a run `[E,...,E]` of the held element text E that ends
+    at `comma`, or None."""
+    e = memo.get(text[1:comma]) if comma > 0 else None
+    if e is None:
+        return None
+    k = (len(text) - 1) // comma
+    return Mult((e,) * k) if "[" + ",".join([text[1:comma]] * k) + "]" == text else None
+
+
+_MARKS = re.compile(r"[][,]")
+
+
+def _leading(text: str) -> tuple[int, int]:
+    """For a text that opens with "[": the index of the first "," between
+    the elements of that multiset (-1 if none) and the index just past the
+    "]" that closes it (-1 if none)."""
+    depth, comma = 0, -1
+    for m in _MARKS.finditer(text):
+        c = m[0]
+        if c == "[":
+            depth += 1
+        elif c == "]":
+            depth -= 1
+            if not depth:
+                return comma, m.end()
+        elif depth == 1 and comma < 0:
+            comma = m.start()
+    return comma, -1
 
 
 def _parse_type(toks: Lexer, memo: TypeParseMemo) -> Type:

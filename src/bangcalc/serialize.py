@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quoted  # how json.dumps writes a str
 from typing import Any
 
 from .syntax import (
@@ -53,8 +54,30 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
     return records + [footer]
 
 
+_DERIVATIONS = (Derivation, DerivationE)
+
+
 def dump_records(records: list[dict[str, Any]]) -> str:
-    return "\n".join(json.dumps(r, sort_keys=True) for r in records)
+    return "\n".join(map(record_text, records))
+
+
+def record_text(record: dict[str, Any]) -> str:
+    """One machine record: `json.dumps(record, sort_keys=True)` with each
+    derivation value written as `derivation_to_json` would give it (see
+    `derivation_text`), without building that dict tree."""
+    if not any(isinstance(v, _DERIVATIONS) for v in record.values()):
+        return json.dumps(record, sort_keys=True)
+    out = []
+    for key, value in sorted(record.items()):
+        out += (", " if out else "{", _quoted(key), ": ")
+        if isinstance(value, _DERIVATIONS):
+            if not _derivation_parts(value, out):  # too deep for the writer
+                return json.dumps({k: derivation_to_json(v) if isinstance(v, _DERIVATIONS) else v
+                                   for k, v in record.items()}, sort_keys=True)
+        else:
+            out.append(json.dumps(value, sort_keys=True))
+    out.append("}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +109,72 @@ def _derivation_json(d: Derivation | DerivationE, terms: FoldMemo, types: TypeMe
     if isinstance(d, DerivationE):
         obj["counters"] = list(d.counters)
     return obj
+
+
+# The deepest premise that `derivation_text` writes itself.  `json` nests
+# each node as a dict and its premise list, and from the top of the stack
+# writes derivations 496 nodes deep on Python 3.10, 497 on 3.11, 748 on
+# 3.12 and 4,999 on 3.13, so it writes a record around one 200 premises
+# deep on each, from a stack hundreds of frames deep.  A deeper derivation
+# is written by `json` from `derivation_to_json`, which then writes it, or
+# fails with RecursionError, as it does without this writer.
+TEXT_DEPTH = 200
+
+
+def derivation_text(d: Derivation | DerivationE) -> str:
+    """`json.dumps(derivation_to_json(d), sort_keys=True)`, written in one
+    pre-order pass into one list of parts, each distinct context dict,
+    type and subject printed and escaped once."""
+    out: list[str] = []
+    if _derivation_parts(d, out):
+        return "".join(out)
+    return json.dumps(derivation_to_json(d), sort_keys=True)
+
+
+def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> bool:
+    """Append the parts of `derivation_text(d)` to out; False, with out
+    partly written, for a derivation deeper than TEXT_DEPTH.  Contexts are
+    printed as a node is entered and terms and types as it is left, in
+    the order `_derivation_json` prints them, so the memos grow alike."""
+    terms: FoldMemo = {}
+    types: TypeMemo = {}
+    texts: dict[int, tuple[Any, str]] = {}  # id(context, subject or type) -> (it, its JSON)
+
+    def type_text(t) -> str:
+        hit = texts.get(id(t))
+        if hit is None:
+            hit = texts[id(t)] = (t, _quoted(print_type(t, types)))
+        return hit[1]
+
+    stack: list = [d]  # nodes to enter, and (node,) to leave
+    depth = -1  # of the node entered last, or left last
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, depth = node[0], depth - 1
+            hit = texts.get(id(node.subject))
+            if hit is None:
+                hit = texts[id(node.subject)] = (
+                    node.subject, _quoted(print_term(node.subject, terms)))
+            out += ('], "rule": ', _quoted(node.rule), ', "term": ', hit[1],
+                    ', "type": ', type_text(node.type), "}")
+            continue
+        depth += 1
+        if depth > TEXT_DEPTH:
+            return False
+        ctx = node.context
+        hit = texts.get(id(ctx))
+        if hit is None:
+            hit = texts[id(ctx)] = (ctx, "{" + ", ".join(
+                [f"{_quoted(x)}: {type_text(m)}" for x, m in sorted(ctx.items())]) + "}")
+        # a premise after the first follows its sibling's closing "}"
+        out += (', {"context": ' if depth and out[-1] == "}" else '{"context": ', hit[1])
+        if isinstance(node, DerivationE):
+            out.append(', "counters": [%d, %d, %d]' % node.counters)
+        out.append(', "premises": [')
+        stack.append((node,))
+        stack += reversed(node.premises)
+    return True
 
 
 class MalformedDerivation(ValueError):

@@ -5,8 +5,8 @@ from hypothesis import settings
 
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
 from bangcalc.qtypes import (
-    EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, Mult, TypeParseError, ctx_get, mult, parse_type,
-    sort_key,
+    EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, BaseVar, Mult, Tight, TypeParseError, ctx_get, mult,
+    parse_type, sort_key,
 )
 from bangcalc.reduction import (
     ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, classify_wcf_nf, fire_db,
@@ -181,6 +181,34 @@ def ref_print_term(t) -> str:
                     bs = f"({ref_print_term(b)})"
             return f"{bs}[{x} \\ {ref_print_term(a)}]"
     raise TypeError(t)
+
+
+def ref_print_type(t, memo=None) -> str:
+    """`qtypes.print_type` as it was written with `match`: each run of one
+    element object printed once, its text repeated."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    match t:
+        case BaseVar(i):
+            return f"o{i}"
+        case Tight(c):
+            return c
+        case Mult(elems):
+            texts, before = [], None
+            for e in elems:
+                if e is not before:
+                    e_text, before = ref_print_type(e, memo), e
+                texts.append(e_text)
+            text = "[" + ",".join(texts) + "]"
+        case Arrow(dom, cod):
+            text = f"{ref_print_type(dom, memo)} -> {ref_print_type(cod, memo)}"
+        case _:
+            raise TypeError(t)
+    memo[id(t)] = (t, text)
+    return text
 
 
 def count_folded(monkeypatch, table) -> list:

@@ -12,7 +12,9 @@ from bangcalc.cbn_cbv import embed_cbn, infer_n, infer_v
 from bangcalc.gen import generate_corpus
 from bangcalc.qtypes import print_type
 from bangcalc.reduction import FuelExhausted, normalize_dw
-from bangcalc.serialize import derivation_from_json, derivation_to_json, trace_records
+from bangcalc.serialize import (
+    derivation_from_json, derivation_text, derivation_to_json, trace_records,
+)
 from bangcalc.syntax import (
     Abs, App, Bang, Der, Sub, Var, free_vars, parse_term, print_term, term_eq,
 )
@@ -180,9 +182,11 @@ def plain_printing(monkeypatch):
 def test_serialized_output_matches_plain_printing(monkeypatch):
     traces = [trace_of(t) for t in CORPUS] + [normalize_dw(CHURCH40, FUEL * 10)]
     ds = [d for t in CORPUS[:60] + [CHURCH40] for d in derivations(t)]
-    memoised = ([trace_records(tr) for tr in traces], [derivation_to_json(d) for d in ds])
+    memoised = ([trace_records(tr) for tr in traces], [derivation_to_json(d) for d in ds],
+                [derivation_text(d) for d in ds])
     plain_printing(monkeypatch)
-    assert memoised == ([trace_records(tr) for tr in traces], [derivation_to_json(d) for d in ds])
+    assert memoised == ([trace_records(tr) for tr in traces], [derivation_to_json(d) for d in ds],
+                        [derivation_text(d) for d in ds])
 
 
 def test_cached_facts_leave_equality_hash_and_repr_alone():

@@ -406,3 +406,49 @@ def test_near_misses_of_an_assembled_arrow_read_as_the_plain_parse(text, held):
                  "[" + text + "," + text + "]", text + " -> " + text, "[o0] -> " + text]:
         memo = {h: parse_type(h) for h in held}
         assert outcome(parse_type, near, memo) == outcome(parse_type, near), near
+
+
+# ---------------------------------------------------------------------------
+# A fixed number of lookups per text, however long its first multiset
+
+class CountingMemo(dict):
+    """A memo that counts its lookups; the parse's stores are not counted."""
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+
+def domain_run(e, k):
+    """An arrow whose domain is a run of k arrows e, and texts around it."""
+    return {
+        "arrow": run(e, k) + " -> [o0] -> o0",
+        "run": run(e, k),
+        "one-element": f"[{run(e, k)} -> [[] -> []]]",
+    }
+
+
+@pytest.mark.parametrize("e", ["[o0] -> o0", "[o0,o1] -> o0"])
+@pytest.mark.parametrize("shape", ["arrow", "run", "one-element"])
+@pytest.mark.parametrize("domain_held", [False, True])
+def test_memo_lookups_do_not_grow_with_the_first_multiset(e, shape, domain_held):
+    probes = []
+    for k in (10, 100, 1000):
+        text = domain_run(e, k)[shape]
+        memo = CountingMemo({e: parse_type(e), "[o0] -> o0": parse_type("[o0] -> o0"),
+                             "[[] -> []]": parse_type("[[] -> []]")})
+        if domain_held:
+            memo[run(e, k)] = parse_type(run(e, k))
+        memo.probes = 0
+        assert parse_type(text, memo) == parse_type(text)
+        probes.append(memo.probes)
+    assert probes[0] == probes[1] == probes[2] <= 8, probes
