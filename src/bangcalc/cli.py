@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 failed check, 2 bad input (a parse error,
 malformed derivation JSON, a calculus the command does not take, input
 nested too deeply to read) or machine output nested deeper than `json`
-can write, 3 fuel exhausted, 4 untypable, 5 internal invariant violation.
+can read back, 3 fuel exhausted, 4 untypable, 5 internal invariant violation.
 `main` returns one of them for every input and lets no exception escape.
 """
 

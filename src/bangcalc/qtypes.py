@@ -217,16 +217,12 @@ def print_type(t: Type, memo: TypeMemo | None = None) -> str:
         return hit[1]
     cls = type(t)
     if cls is Mult:
-        elems = t.elements
-        if elems and elems == (elems[0],) * len(elems):  # one run: its element printed once
-            text = "[" + ",".join([print_type(elems[0], memo)] * len(elems)) + "]"
-        else:  # each run of one element object printed once
-            texts, before = [], None
-            for e in elems:
-                if e is not before:
-                    e_text, before = print_type(e, memo), e
-                texts.append(e_text)
-            text = "[" + ",".join(texts) + "]"
+        texts, before = [], None
+        for e in t.elements:  # each run of one element object printed once
+            if e is not before:
+                e_text, before = print_type(e, memo), e
+            texts.append(e_text)
+        text = "[" + ",".join(texts) + "]"
     elif cls is Arrow:
         text = f"{print_type(t.domain, memo)} -> {print_type(t.codomain, memo)}"
     elif cls is BaseVar:
@@ -281,36 +277,34 @@ def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
       is held or assembled;
     - M is the whole text, a one-element multiset `[T]` whose element
       text T is held or assembled (V's `[[run] -> [[] -> []]]`).
-    The first " -> " is tried as the end of M, and the first "," as the
-    end of E; where neither settles the text, `_leading` finds both ends
-    in one pass.  So each text costs a fixed number of lookups.  The memo
-    holds only texts that parsed, whose brackets balance, so a held E or M
-    is the one the text opens with, and the text parses to what it is
-    assembled to.  Nothing here parses."""
+    A run is first tried with E ending at the first ",", which settles
+    most runs without scanning their brackets; `_leading` finds the ends
+    of M and of E in one pass.  So each text costs a fixed number of
+    lookups.  The memo holds only texts that parsed, whose brackets
+    balance, so a held E or M is the one the text opens with, a held M is
+    a Mult, and the text parses to what it is assembled to.  Nothing here
+    parses."""
     # the texts that the current one lies in, outermost first, each with
     # its arrow's domain, or None for a one-element multiset
     around: list[tuple[str, Mult | None]] = []
     while (hit := memo.get(text)) is None:
         if text[:1] != "[":
             return None
-        end = text.find(" -> ")
-        dom = memo.get(text[:end]) if end > 0 else None
-        if dom is None:  # M does not end at the first " -> "
-            hit = _run(text, text.find(","), memo)
-            if hit is not None:
-                break
-            comma, end = _leading(text)
-            if end == len(text) and comma > 0:  # M is the whole text: a run or nothing
+        hit = _run(text, text.find(","), memo)  # E without a ","
+        if hit is not None:
+            break
+        comma, end = _leading(text)
+        if end == len(text):  # M is the whole text
+            if comma > 0:  # a run, or nothing
                 hit = _run(text, comma, memo)
                 break
-            if end == len(text):  # M is the whole text, of one element
-                around.append((text, None))
-                text = text[1:-1]
-                continue
-            dom = memo.get(text[:end]) if end > 0 else None
-            if dom is None or not text.startswith(" -> ", end):
-                return None
-        around.append((text, dom))  # a held text "[...]" is a Mult
+            around.append((text, None))  # of one element
+            text = text[1:-1]
+            continue
+        dom = memo.get(text[:end]) if end > 0 else None
+        if dom is None or not text.startswith(" -> ", end):
+            return None
+        around.append((text, dom))
         text = text[end + 4:]
     if hit is None:
         return None

@@ -64,20 +64,25 @@ def dump_records(records: list[dict[str, Any]]) -> str:
 def record_text(record: dict[str, Any]) -> str:
     """One machine record: `json.dumps(record, sort_keys=True)` with each
     derivation value written as `derivation_to_json` would give it (see
-    `derivation_text`), without building that dict tree."""
+    `derivation_text`), without building that dict tree.  A record more
+    than CHECKED_DEPTH premises deep is read back with `json` first, so
+    one that `json`, and so `typecheck`, cannot read raises
+    RecursionError instead of being written."""
     if not any(isinstance(v, _DERIVATIONS) for v in record.values()):
         return json.dumps(record, sort_keys=True)
-    out = []
+    out: list[str] = []
+    depth = 0
     for key, value in sorted(record.items()):
         out += (", " if out else "{", _quoted(key), ": ")
         if isinstance(value, _DERIVATIONS):
-            if not _derivation_parts(value, out):  # too deep for the writer
-                return json.dumps({k: derivation_to_json(v) if isinstance(v, _DERIVATIONS) else v
-                                   for k, v in record.items()}, sort_keys=True)
+            depth = max(depth, _derivation_parts(value, out))
         else:
             out.append(json.dumps(value, sort_keys=True))
     out.append("}")
-    return "".join(out)
+    text = "".join(out)
+    if depth > CHECKED_DEPTH:
+        json.loads(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +116,31 @@ def _derivation_json(d: Derivation | DerivationE, terms: FoldMemo, types: TypeMe
     return obj
 
 
-# The deepest premise that `derivation_text` writes itself.  `json` nests
-# each node as a dict and its premise list, and from the top of the stack
-# writes derivations 496 nodes deep on Python 3.10, 497 on 3.11, 748 on
-# 3.12 and 4,999 on 3.13, so it writes a record around one 200 premises
-# deep on each, from a stack hundreds of frames deep.  A deeper derivation
-# is written by `json` from `derivation_to_json`, which then writes it, or
-# fails with RecursionError, as it does without this writer.
-TEXT_DEPTH = 200
+# `json` nests each node as a dict and its premise list.  At the default
+# recursion limit, Python 3.11 reads 496 nested nodes from the top of the
+# stack, so a record 200 premises deep is read from any stack under 590
+# frames.  `record_text` reads back only deeper records: at church(80), a
+# read costs about a fifth of the writing.
+CHECKED_DEPTH = 200
 
 
 def derivation_text(d: Derivation | DerivationE) -> str:
     """`json.dumps(derivation_to_json(d), sort_keys=True)`, written in one
     pre-order pass into one list of parts, each distinct context dict,
-    type and subject printed and escaped once."""
+    type and subject printed and escaped once.  It writes derivations of
+    any depth."""
     out: list[str] = []
-    if _derivation_parts(d, out):
-        return "".join(out)
-    return json.dumps(derivation_to_json(d), sort_keys=True)
+    _derivation_parts(d, out)
+    return "".join(out)
 
 
-def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> bool:
-    """Append the parts of `derivation_text(d)` to out; False, with out
-    partly written, for a derivation deeper than TEXT_DEPTH.  Contexts are
-    printed as a node is entered and terms and types as it is left, in
-    the order `_derivation_json` prints them, so the memos grow alike."""
+def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> int:
+    """Append the parts of `derivation_text(d)` to out, and return the
+    depth of d's deepest premise.  Contexts are printed as a node is
+    entered and terms and types as it is left, in the order
+    `_derivation_json` prints them, so the memos grow alike.  A type or
+    subject is printed after its premises' ones, so printing recurses
+    only through the nodes not printed before."""
     terms: FoldMemo = {}
     types: TypeMemo = {}
     texts: dict[int, tuple[Any, str]] = {}  # id(context, subject or type) -> (it, its JSON)
@@ -147,7 +152,7 @@ def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> bool:
         return hit[1]
 
     stack: list = [d]  # nodes to enter, and (node,) to leave
-    depth = -1  # of the node entered last, or left last
+    depth = deepest = -1  # of the node entered last, or left last
     while stack:
         node = stack.pop()
         if type(node) is tuple:
@@ -160,8 +165,7 @@ def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> bool:
                     ', "type": ', type_text(node.type), "}")
             continue
         depth += 1
-        if depth > TEXT_DEPTH:
-            return False
+        deepest = max(deepest, depth)
         ctx = node.context
         hit = texts.get(id(ctx))
         if hit is None:
@@ -174,7 +178,7 @@ def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> bool:
         out.append(', "premises": [')
         stack.append((node,))
         stack += reversed(node.premises)
-    return True
+    return deepest
 
 
 class MalformedDerivation(ValueError):

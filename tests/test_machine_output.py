@@ -1,13 +1,15 @@
 """The machine writer.  `serialize.derivation_text` and `record_text`
 write a derivation in one pass, and are held here to the dict path they
 replace, `json.dumps(derivation_to_json(d), sort_keys=True)`; the
-class-dispatched `print_type` is held to its `match` form; derivations
-deeper than `TEXT_DEPTH` go through `json` as before; and a trace that
-runs out of fuel prints its partial records."""
+class-dispatched `print_type` is held to its `match` form; the writer
+writes derivations of any depth, and a record `json` cannot read back
+raises RecursionError; and a trace that runs out of fuel prints its
+partial records."""
 
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from bangcalc.cli import main
 from bangcalc.qtypes import Arrow, BaseVar, Mult, Tight, parse_type, print_type
 from bangcalc.reduction import FuelExhausted, normalize_dw
 from bangcalc.serialize import (
-    TEXT_DEPTH, derivation_from_json, derivation_text, derivation_to_json, record_text,
+    CHECKED_DEPTH, derivation_from_json, derivation_text, derivation_to_json, record_text,
     trace_records,
 )
 from bangcalc.syntax import Abs, Var, parse_term
@@ -31,11 +33,18 @@ T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 
 
 def dict_path(d) -> str:
-    return json.dumps(derivation_to_json(d), sort_keys=True)
+    # `json` nests each node as a dict and its premise list; church(320)
+    # and the deep derivations below nest past the default recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        return json.dumps(derivation_to_json(d), sort_keys=True)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def outcome(write, d):
-    """What `write` gives for d, or RecursionError where `json` cannot nest it."""
+    """What `write` gives for d, or RecursionError where `json` cannot read it."""
     try:
         return write(d)
     except RecursionError:
@@ -83,7 +92,7 @@ def test_writer_matches_the_dict_path_on_the_acceptance_corpus(system):
 @pytest.mark.parametrize("n", [5, 20, 80, 320])
 def test_writer_matches_the_dict_path_on_church(n):
     for system, d in church_derivations(n).items():
-        assert outcome(derivation_text, d) == outcome(dict_path, d), (n, system)
+        assert derivation_text(d) == dict_path(d), (n, system)
 
 
 @pytest.mark.parametrize("system", sorted(CORPUS))
@@ -154,7 +163,7 @@ def test_print_type_matches_its_match_form_on_church_types():
 
 
 # ---------------------------------------------------------------------------
-# The depth cut-over
+# Deep derivations
 
 def nested_lambdas(n: int):
     t = Var("x0")
@@ -172,27 +181,35 @@ def premise_depth(d) -> int:
     return deepest
 
 
-@pytest.mark.parametrize("depth", [TEXT_DEPTH, TEXT_DEPTH + 1])
 @pytest.mark.parametrize("infer", [infer_u, infer_tight], ids=["u", "e"])
-def test_the_writer_stops_one_premise_past_its_depth(monkeypatch, infer, depth):
-    d = infer(nested_lambdas(depth), FUEL)
+def test_the_writer_writes_a_derivation_deeper_than_json_nests(infer):
+    # 600 premises nest 1,200 levels, past what `json` nests at the
+    # default recursion limit on Python 3.11
+    d = infer(nested_lambdas(600), FUEL)
+    assert premise_depth(d) == 600
+    assert derivation_text(d) == dict_path(d)
+
+
+def as_record(d) -> dict:
+    return {"record": "derivation", "version": 1, "derivation": d}
+
+
+@pytest.mark.parametrize("depth", [CHECKED_DEPTH, CHECKED_DEPTH + 1])
+def test_a_record_past_the_checked_depth_is_read_back(monkeypatch, depth):
+    d = infer_u(nested_lambdas(depth), FUEL)
     assert premise_depth(d) == depth
-    want, record = dict_path(d), {"record": "derivation", "version": 1, "derivation": d}
-    want_record = json.dumps({**record, "derivation": derivation_to_json(d)}, sort_keys=True)
-    calls = []
-    monkeypatch.setattr(serialize, "derivation_to_json",
-                        lambda d, _f=derivation_to_json: calls.append(d) or _f(d))
-    assert derivation_text(d) == want
-    assert record_text(record) == want_record
-    assert len(calls) == (0 if depth <= TEXT_DEPTH else 2)
+    want = json.dumps({**as_record(d), "derivation": derivation_to_json(d)}, sort_keys=True)
+    reads = []
+    monkeypatch.setattr(json, "loads", lambda s, _f=json.loads: reads.append(s) or _f(s))
+    assert record_text(as_record(d)) == want
+    assert reads == ([want] if depth > CHECKED_DEPTH else [])
 
 
-def test_a_derivation_too_deep_for_json_fails_as_on_the_dict_path():
-    d = infer_u(nested_lambdas(5000), 10000)
-    record = {"record": "derivation", "version": 1, "derivation": d}
-    assert outcome(derivation_text, d) == outcome(dict_path, d)
-    assert outcome(record_text, record) == outcome(
-        lambda r: json.dumps({**r, "derivation": derivation_to_json(d)}, sort_keys=True), record)
+def test_a_record_json_cannot_read_back_raises_recursion_error():
+    d = infer_u(nested_lambdas(1000), FUEL)
+    text = '{"derivation": %s, "record": "derivation", "version": 1}' % derivation_text(d)
+    got = outcome(record_text, as_record(d))
+    assert got == (RecursionError if outcome(json.loads, text) is RecursionError else text)
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,21 @@ def test_near_misses_of_an_assembled_arrow_read_as_the_plain_parse(text, held):
         assert outcome(parse_type, near, memo) == outcome(parse_type, near), near
 
 
+@pytest.mark.parametrize("text, read", [
+    ("[o0]->o0 -> o1", ["[o1]", "[[o0]->o0]"]),
+    ("[o0]->o0 -> o1", ["[o0]->o0", "[o0]", "o1"]),
+    ("[o0]->[o1]->o0 -> [o1]", ["[[o0]->[o1]->o0]", "[o1]"]),
+    ("[o0] ->o0 -> o1", ["[[o0] ->o0]", "o1"]),
+])
+def test_a_held_arrow_text_before_an_arrow_reads_as_the_plain_parse(text, read):
+    # the type lexer reads "->" without spaces, so a held text that runs
+    # up to the first " -> " may be an arrow, which is no arrow's domain
+    memo = {}
+    for r in read:
+        parse_type(r, memo)
+    assert outcome(parse_type, text, memo) == outcome(parse_type, text), memo
+
+
 # ---------------------------------------------------------------------------
 # A fixed number of lookups per text, however long its first multiset
 
