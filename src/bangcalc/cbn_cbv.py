@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, each, fold, free_vars, is_bang_shaped,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, fold, free_vars, is_bang_shaped,
     is_lambda_term, print_term, spine_core, subst_meta, term_eq, unwind,
 )
 from .reduction import (
@@ -326,8 +326,10 @@ def _n_to_u(d: Derivation, images: FoldMemo) -> Walk:
         case "app_n" | "es_n":
             assert isinstance(d.subject, (App, Sub))
             head = yield _n_to_u(d.premises[0], images)
-            args = tuple((yield each(_n_to_u(p, images) for p in d.premises[1:])))
-            arg = mk_bg(fold(d.subject.arg, _CBN, images), args)
+            args = []
+            for p in d.premises[1:]:
+                args.append((yield _n_to_u(p, images)))
+            arg = mk_bg(fold(d.subject.arg, _CBN, images), tuple(args))
             return mk_app(head, arg) if d.rule == "app_n" else mk_es(d.subject.binder, head, arg)
     raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
 
@@ -358,8 +360,11 @@ def _u_to_n(d: Derivation, t: Term) -> Walk:
                 raise ImageMismatch(f"expected {'an application' if app else 'a closure'}"
                                     " over a banged argument")
             head = yield _u_to_n(d.premises[0], h)
-            args = tuple((yield each(_u_to_n(p, a) for p in d.premises[1].premises)))
-            return mk_app_n(head, a, args) if app else mk_es_n(t.binder, head, a, args)
+            args = []
+            for p in d.premises[1].premises:
+                args.append((yield _u_to_n(p, a)))
+            return (mk_app_n(head, a, tuple(args)) if app
+                    else mk_es_n(t.binder, head, a, tuple(args)))
     raise NotLambdaTerm(print_term(t))
 
 
@@ -388,8 +393,10 @@ def _v_to_u(d: Derivation, images: FoldMemo) -> Walk:
             assert isinstance(d.subject, Abs)
             x = d.subject.binder
             body_image = fold(d.subject.body, _CBV, images)
-            bodies = yield each(_v_to_u(p, images) for p in d.premises)
-            return mk_bg(Abs(x, body_image), tuple(mk_abs(x, b) for b in bodies))
+            bodies = []
+            for p in d.premises:
+                bodies.append(mk_abs(x, (yield _v_to_u(p, images))))
+            return mk_bg(Abs(x, body_image), tuple(bodies))
         case "app_v":
             assert isinstance(d.subject, App)
             d_f = yield _v_to_u(d.premises[0], images)
@@ -425,7 +432,9 @@ def _u_to_v(d: Derivation, t: Term) -> Walk:
                 raise ImageMismatch("expected a bang node over an abstraction")
             if any(p.rule != "abs" for p in d.premises):
                 raise ImageMismatch("expected abstraction premises under the bang")
-            inner = yield each(_u_to_v(p.premises[0], b) for p in d.premises)
+            inner = []
+            for p in d.premises:
+                inner.append((yield _u_to_v(p.premises[0], b)))
             return mk_abs_v(x, b, tuple(inner))
         case App(f, a):
             if d.rule != "app":

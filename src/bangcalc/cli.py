@@ -10,6 +10,7 @@ can read back, 3 fuel exhausted, 4 untypable, 5 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -303,6 +304,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as ex:  # argparse has printed its usage message
         return ex.code
+    # A command builds only trees, which reference counting frees; the
+    # parser's reference cycles are made above, and freed after the pause.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (ParseError, MalformedDerivation, json.JSONDecodeError) as ex:
@@ -320,6 +325,9 @@ def main(argv=None) -> int:
     except Exception as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

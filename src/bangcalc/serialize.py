@@ -200,12 +200,16 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
 
 def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
                           types: TypeParseMemo) -> Walk:
-    below = obj.get("premises", [])
+    below, entries = obj.get("premises", []), obj.get("context", {})
+    if not isinstance(below, list):
+        raise TypeError("premises must be a list")
+    if not isinstance(entries, dict):
+        raise TypeError("context must be an object")
     premises = []
     for p in below:
         premises.append((yield _derivation_from_json(p, terms, types)))
     context = {}
-    for x, m in obj.get("context", {}).items():
+    for x, m in entries.items():
         ty = parse_type(m, types)
         if not isinstance(ty, Mult):
             raise ValueError(f"context entry for {x} must be a multiset")

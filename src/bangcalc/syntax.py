@@ -16,7 +16,7 @@ the same type; see `is_lambda_term`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 
 class _Node:
@@ -148,15 +148,6 @@ def unwind(walk: Walk) -> Any:
         walk, value = sub, None
 
 
-def each(walks: Iterable[Walk]) -> Walk:
-    """The values of `walks`, in order, as one walk: `yield` cannot appear
-    in a comprehension."""
-    values = []
-    for walk in walks:
-        values.append((yield walk))
-    return values
-
-
 def subst_meta(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding meta-level substitution t{x:=u}.
 
@@ -167,13 +158,14 @@ def subst_meta(t: Term, x: str, u: Term) -> Term:
 
 
 def _subst_meta(t: Term, x: str, u: Term) -> Walk:
-    if x not in free_vars(t):
-        return t
+    """The walk of t{x:=u}, for x free in t.  A part without x free is
+    kept as it stands, without a walk of its own."""
     match t:
         case Var(_):
             return u  # x free in t and t is a variable, so t == Var(x)
         case App(f, a):
-            return App((yield _subst_meta(f, x, u)), (yield _subst_meta(a, x, u)))
+            return App(f if x not in free_vars(f) else (yield _subst_meta(f, x, u)),
+                       a if x not in free_vars(a) else (yield _subst_meta(a, x, u)))
         case Bang(b):
             return Bang((yield _subst_meta(b, x, u)))
         case Der(b):
@@ -183,17 +175,17 @@ def _subst_meta(t: Term, x: str, u: Term) -> Walk:
         case Sub(b, y, a):
             if x != y and x in free_vars(b):
                 y, b = yield _subst_under(y, b, x, u)
-            return Sub(b, y, (yield _subst_meta(a, x, u)))
+            return Sub(b, y, a if x not in free_vars(a) else (yield _subst_meta(a, x, u)))
     raise TypeError(t)
 
 
 def _subst_under(y: str, b: Term, x: str, u: Term) -> Walk:
-    """The binder y (not x) and its body b with u for x, y refreshed first
-    when it would capture a free variable of u."""
+    """The binder y (not x) and its body b, in which x is free, with u for
+    x, y refreshed first when it would capture a free variable of u."""
     fvu = free_vars(u)
     if y in fvu:
         y2 = fresh_name(y, fvu | free_vars(b) | {x})
-        y, b = y2, (yield _subst_meta(b, y, Var(y2)))
+        y, b = y2, b if y not in free_vars(b) else (yield _subst_meta(b, y, Var(y2)))
     return y, (yield _subst_meta(b, x, u))
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, Walk,
-    decompose_list, each, free_vars, fresh_name, print_term, subst_meta, term_eq, unwind,
+    decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq, unwind,
 )
 from .reduction import (
     SELECTORS, Position, RuleKind, FuelExhausted, Trace,
@@ -413,7 +413,9 @@ def _walk_size(d, system: str) -> int:
         if n is None:
             rule = rules.get(node.rule)
             w = 1 if rule is None else rule.weight
-            n = (len(node.type) if w is None else w) + sum((yield each(map(walk, node.premises))))
+            n = len(node.type) if w is None else w
+            for p in node.premises:
+                n += yield walk(p)
             setattr(node, attr, n)
         return n
     return unwind(walk(d))
@@ -496,7 +498,7 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
 #
 # These walk exactly like syntax.subst_meta so that every rebuilt node's
 # subject equals the term the meta-operation produces.  Each is a walk on
-# `syntax.unwind`.
+# `syntax.unwind`, and yields a sub-walk only for a part it may change.
 
 def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any], Any]) -> Walk:
     """d{x:=u}, where `leaf` gives the derivation that replaces each axiom
@@ -507,11 +509,13 @@ def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any],
     match d.subject:
         case Var(_):
             return leaf(d)
-        case App(_, _) | Der(_):
-            return make(*(yield each(_subst(p, x, u, fvu, leaf) for p in ps)))
-        case Bang(body):
-            return make(subst_meta(body, x, u),
-                        tuple((yield each(_subst(p, x, u, fvu, leaf) for p in ps))))
+        case App(_, _) | Der(_) | Bang(_):
+            new = []
+            for p in ps:  # a premise without x free is kept as it stands
+                new.append((yield _subst(p, x, u, fvu, leaf)) if x in free_vars(p.subject) else p)
+            if type(d.subject) is Bang:
+                return make(subst_meta(d.subject.body, x, u), tuple(new))
+            return make(*new)
         case Abs(y, body):
             return make(*(yield _subst_under(ps[0], y, body, x, u, fvu, leaf)))
         case Sub(body, y, arg):
@@ -576,6 +580,8 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
 
 
 def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
+    """The walk of antisubst_derivation; a part of t without x free keeps
+    its premise as it stands, without a walk of its own."""
     if x not in free_vars(t):
         return d, []
     if isinstance(t, Var):
@@ -583,12 +589,16 @@ def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
     make, ps = _maker(d), d.premises
     match t:
         case App(f, a):
-            d_f, us1 = yield _antisubst(ps[0], f, x, u)
-            d_a, us2 = yield _antisubst(ps[1], a, x, u)
+            d_f, us1 = (yield _antisubst(ps[0], f, x, u)) if x in free_vars(f) else (ps[0], [])
+            d_a, us2 = (yield _antisubst(ps[1], a, x, u)) if x in free_vars(a) else (ps[1], [])
             return make(d_f, d_a), us1 + us2
-        case Bang(b):
-            pairs = yield each(_antisubst(p, b, x, u) for p in ps)
-            return make(b, tuple(d_p for d_p, _ in pairs)), [d_u for _, us in pairs for d_u in us]
+        case Bang(b):  # x is free in b, so in every premise's subject
+            d_ps, us = [], []
+            for p in ps:
+                d_p, us_p = yield _antisubst(p, b, x, u)
+                d_ps.append(d_p)
+                us += us_p
+            return make(b, tuple(d_ps)), us
         case Der(b):
             d_b, us = yield _antisubst(ps[0], b, x, u)
             return make(d_b), us
@@ -630,10 +640,15 @@ def _rebind(d, t: Term) -> Walk:
     make, ps, s = _maker(d), d.premises, d.subject
     match t, s:
         case (App(), App()) | (Der(), Der()):
-            return make(*(yield each(_rebind(p, getattr(t, part))
-                                     for p, part in zip(ps, PARTS[type(t)]))))
+            new = []
+            for p, part in zip(ps, PARTS[type(t)]):
+                new.append((yield _rebind(p, getattr(t, part))))
+            return make(*new)
         case Bang(b), Bang(_):
-            return make(b, tuple((yield each(_rebind(p, b) for p in ps))))
+            new = []
+            for p in ps:
+                new.append((yield _rebind(p, b)))
+            return make(b, tuple(new))
         case Abs(y, b), Abs(z, _):
             p_b = ps[0] if y == z else (yield rename_free_d(ps[0], z, y))
             return make(y, (yield _rebind(p_b, b)))

@@ -3,6 +3,7 @@ from bisect import insort
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from bangcalc import cbn_cbv, system_e, system_u
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
 from bangcalc.qtypes import (
     EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, BaseVar, Mult, Tight, TypeParseError, ctx_get, mult,
@@ -209,6 +210,21 @@ def ref_print_type(t, memo=None) -> str:
             raise TypeError(t)
     memo[id(t)] = (t, text)
     return text
+
+
+def count_calls(monkeypatch, module, name, keep=False) -> list:
+    """The calls of module.name, recursive ones included, wherever bangcalc
+    has imported it; with `keep`, each call's first argument."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[0] if keep else None)
+        return orig(*args)
+    for mod in (module, cbn_cbv, system_e, system_u):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def count_folded(monkeypatch, table) -> list:
@@ -439,6 +455,8 @@ def ref_derivation_from_json(obj):
 
 
 def _ref_derivation_from_json(obj):
+    if not isinstance(obj.get("premises", []), list) or not isinstance(obj.get("context", {}), dict):
+        raise TypeError("premises must be a list and context an object")
     premises = tuple(_ref_derivation_from_json(p) for p in obj.get("premises", []))
     context = {}
     for x, m in obj.get("context", {}).items():

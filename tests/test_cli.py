@@ -129,6 +129,12 @@ def _axiom_with_counters(rule, ty):
                        "counters": [0, 0, 0]})
 
 
+def _axiom(**fields):
+    """The U axiom for x, with `fields` set."""
+    return json.dumps({"rule": "ax", "context": {"x": "[o0]"}, "term": "x", "type": "o0",
+                       **fields})
+
+
 def _nested_lambdas(n):
     return "".join(f"\\x{i}. " for i in range(n)) + "x0"
 
@@ -189,13 +195,17 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "u", _u_derivation_json(), "--calculus", "cbv"), 2,
      "unrecognized arguments: --calculus cbv"),
     (("selftest", "--output", "machine"), 2, "unrecognized arguments: --output machine"),
+    (("typecheck", "--system", "u", _axiom(premises={})), 2, "malformed derivation"),
+    (("typecheck", "--system", "u", _axiom(premises="")), 2, "malformed derivation"),
+    (("typecheck", "--system", "u", _axiom(context=[])), 2, "malformed derivation"),
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
         "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
         "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
         "e-node-over-u-node", "seed-on-trace", "fuel-on-classify",
-        "calculus-on-typecheck", "output-on-selftest"] + [
+        "calculus-on-typecheck", "output-on-selftest", "premises-object", "premises-string",
+        "context-list"] + [
         f"{field}-{kind}-{'repeated' if repeated else 'once'}"
         for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):

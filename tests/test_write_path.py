@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from bangcalc import cbn_cbv, qtypes, reduction, syntax, system_e, system_u
+from bangcalc import cbn_cbv, qtypes, reduction, syntax, system_u
 from bangcalc.cbn_cbv import (
     ImageMismatch, _is_value_shaped, check_derivation_n, check_derivation_v, embed_cbn,
     embed_cbv, fire_spine_d, infer_n, infer_v, mk_abs_v, mk_ax_v, translate_n_to_u,
@@ -28,7 +28,7 @@ from bangcalc.system_u import (
 )
 
 from conftest import (
-    bang_terms, church_term, count_folded, ref_ctx_union, ref_nf_bits, ref_wcf_bits,
+    bang_terms, church_term, count_calls, count_folded, ref_ctx_union, ref_nf_bits, ref_wcf_bits,
 )
 
 FUEL = 200
@@ -149,7 +149,7 @@ def test_run_print_matches_the_elementwise_join(ms, shared):
 def test_bg_keys_no_premise_equal_to_its_neighbour(monkeypatch):
     a, b = mk_ax("x", parse_type("[o0] -> o0")), mk_ax("x", parse_type("o1"))
     a2 = mk_ax("x", _copy(a.type))
-    calls = _count(monkeypatch, qtypes, "sort_key", keep=True)
+    calls = count_calls(monkeypatch, qtypes, "sort_key", keep=True)
     in_order = mk_bg(Var("x"), (b, a, a2))
     assert calls and not any(c is a2.type for c in calls)
     assert in_order.premises == (b, a, a2)
@@ -316,27 +316,12 @@ def test_a_mismatched_subject_raises_image_mismatch(embed, back, n):
 # ---------------------------------------------------------------------------
 # Work counts; each fails at the parent of this change
 
-def _count(monkeypatch, module, name, keep=False):
-    """The calls of module.name, recursive ones included, wherever bangcalc
-    has imported it; with `keep`, each call's first argument."""
-    calls = []
-    orig = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args[0] if keep else None)
-        return orig(*args)
-    for mod in (module, cbn_cbv, system_e, system_u):
-        if getattr(mod, name, None) is orig:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_inference_keys_few_types(monkeypatch):
     # 2,316 sort_key calls (recursive ones included) before runs were merged
     # and premises sorted without keys; the equal [o0] -> o0 arrows of the
     # s! anti-substitution made almost all of them.
     t = embed_cbn(church_term(80))
-    calls = _count(monkeypatch, qtypes, "sort_key")
+    calls = count_calls(monkeypatch, qtypes, "sort_key")
     infer_u(t, 10_000)
     assert len(calls) <= 231
 
@@ -362,3 +347,31 @@ def test_each_translation_embeds_each_subterm_once(monkeypatch, n):
         computed = count_folded(monkeypatch, table)
         to_u(infer(t, 10_000))
         assert len(computed) <= 4 * _nodes(t), system
+
+
+def _f_spine(n, leaf):
+    """f (f (... (f leaf))), n applications deep."""
+    t = leaf
+    for _ in range(n):
+        t = App(Var("f"), t)
+    return t
+
+
+def test_subst_meta_walks_only_the_path_to_the_variable(monkeypatch):
+    # one walk per application and one for x; walking every `f` as well
+    # made 101
+    spine = _f_spine(50, Var("x"))
+    walks = count_calls(monkeypatch, syntax, "_subst_meta")
+    assert syntax.subst_meta(spine, "x", Var("z")) == _f_spine(50, Var("z"))
+    assert len(walks) == 51
+
+
+def test_antisubst_walks_only_the_path_to_the_variable(monkeypatch):
+    # one walk per node from the root to the axiom for x; walking every
+    # `f` axiom as well made 101
+    d = system_u.type_normal_form_u(_f_spine(50, Var("z")))
+    walks = count_calls(monkeypatch, system_u, "_antisubst")
+    d_t, d_us = system_u.antisubst_derivation(d, _f_spine(50, Var("x")), "x", Var("z"))
+    assert d_t.subject == _f_spine(50, Var("x")) and [d_u.subject for d_u in d_us] == [Var("z")]
+    assert check_derivation_u(d_t) is None
+    assert len(walks) == 51
