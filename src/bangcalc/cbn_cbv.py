@@ -213,9 +213,9 @@ def v_size(t: Term) -> int:
 
 def app_n(tag: str, d_f: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> tuple:
     """The argument term is explicit because it may be typed zero times."""
+    _all_type(tag, arg, d_args)
     if not isinstance(d_f.type, Arrow):
         raise IllFormed("app_n function premise must have an arrow type")
-    _all_type(tag, arg, d_args)
     if d_f.type.domain != mult(d.type for d in d_args):
         raise IllFormed("app_n argument premises must realize the arrow domain")
     return (ctx_union(d_f.context, *(d.context for d in d_args)), App(d_f.subject, arg),
@@ -269,11 +269,9 @@ rule_table(
     define("ax_n", ax, Var),
     define("abs_n", abs_, Abs),
     define("app_n", app_n, App, fixed=1, shape="app_n must type an application",
-           subjects="app_n head premise must type the function",
-           rest=("arg", "app_n argument premises must type the argument")),
+           subjects="app_n head premise must type the function", rest="arg"),
     define("es_n", es_n, Sub, fixed=1, shape="es_n must type a closure",
-           subjects="es_n head premise must type the body",
-           rest=("arg", "es_n argument premises must type the argument")),
+           subjects="es_n head premise must type the body", rest="arg"),
 )
 rule_table(
     "v",
@@ -282,7 +280,7 @@ rule_table(
     define("abs_v", abs_v, Abs, fixed=0, shape="abs_v must type an abstraction",
            type="abs_v conclusion must collect the premise arrows",
            context="abs_v context must drop the binder from every premise",
-           rest=("body", "abs_v premises must type the body"), weight=None),
+           rest="body", weight=None),
     define("app_v", app_v, App),
     define("es_v", es, Sub),
 )

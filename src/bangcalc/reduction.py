@@ -19,8 +19,8 @@ from itertools import product
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var,
-    canon_key, fold, free_vars, fresh_name, is_abs_shaped, is_bang_shaped, subst_meta,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk,
+    canon_key, fold, free_vars, fresh_name, is_abs_shaped, is_bang_shaped, subst_meta, unwind,
 )
 
 
@@ -447,11 +447,12 @@ def reachable_graph(t: Term, max_states: int = 1000) -> StateGraph:
 
 def trace_profile(graph: StateGraph) -> tuple[int, int, int] | None:
     """(length, b, e) shared by every complete trace, or None if the term
-    does not normalize or trace lengths/counters disagree."""
+    does not normalize or trace lengths/counters disagree.  A walk on
+    `syntax.unwind`, so a trace may be longer than the stack is deep."""
     memo: dict[object, tuple[int, int, int] | None] = {}
     visiting: set = set()
 
-    def go(key) -> tuple[int, int, int] | None:
+    def go(key) -> Walk:
         if key in memo:
             return memo[key]
         if key in visiting:
@@ -463,7 +464,7 @@ def trace_profile(graph: StateGraph) -> tuple[int, int, int] | None:
         else:
             profiles = set()
             for _, kind, nkey in succs:
-                p = go(nkey)
+                p = yield go(nkey)
                 if p is None:
                     profiles.add(None)
                     break
@@ -475,7 +476,7 @@ def trace_profile(graph: StateGraph) -> tuple[int, int, int] | None:
         memo[key] = result
         return result
 
-    return go(graph.start_key)
+    return unwind(go(graph.start_key))
 
 
 def enumerate_maximal_traces(t: Term, fuel: int, max_traces: int = 10000) -> tuple[list[Trace], bool]:
@@ -483,12 +484,13 @@ def enumerate_maximal_traces(t: Term, fuel: int, max_traces: int = 10000) -> tup
 
     Returns (traces, exhausted): exhausted is True if some branch hit the
     fuel bound or the trace cap, in which case the list also contains the
-    incomplete traces found so far (marked completed=False).
+    incomplete traces found so far (marked completed=False).  A walk on
+    `syntax.unwind`, so a trace may be longer than the stack is deep.
     """
     traces: list[Trace] = []
     exhausted = False
 
-    def dfs(cur: Term, steps: list[TraceStep]) -> None:
+    def dfs(cur: Term, steps: list[TraceStep]) -> Walk:
         nonlocal exhausted
         if len(traces) >= max_traces:
             exhausted = True
@@ -504,8 +506,8 @@ def enumerate_maximal_traces(t: Term, fuel: int, max_traces: int = 10000) -> tup
         for pos, kind in rs:
             nxt = step_at(cur, pos, kind)
             steps.append(TraceStep(pos, kind, nxt))
-            dfs(nxt, steps)
+            yield dfs(nxt, steps)
             steps.pop()
 
-    dfs(t, [])
+    unwind(dfs(t, []))
     return traces, exhausted

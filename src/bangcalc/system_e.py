@@ -17,9 +17,9 @@ Exact subject reduction maps the second ae_t shape to es_t across the dB
 step and back, which is what forces both generalizations.
 
 The consuming rules are U's rules with counters added, so renaming,
-substitution and subject reduction/expansion are system_u's engine: this
-module registers its rules into the engine's tables and adds the exact
-counter post-conditions.
+substitution and subject reduction/expansion are system_u's engine, which
+rebuilds E's nodes with E's rules; this module adds the exact counter
+post-conditions.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from .qtypes import (
     ctx_get, ctx_is_tight, ctx_remove, ctx_union, is_tight_mult, print_type,
 )
 from .system_u import (
-    RULES, Counters, NfTyping, Sized, Untypable, Violation, IllFormed,
+    RULES, Counters, NfTyping, Untypable, Violation, IllFormed,
     abs_, app, ax, bg, check_derivation, close, define, dr, es,
-    expand_derivation, infer_with, reduce_derivation, register, replay, rule_table,
+    expand_derivation, infer_with, reduce_derivation, replay, rule_table,
     same_judgement, type_nf,
 )
 
 
 @dataclass(slots=True)  # not frozen, for the reason given at system_u.Derivation
-class DerivationE(Sized):
+class DerivationE:
     rule: str
     context: Context
     subject: Term
@@ -157,18 +157,17 @@ rule_table(
     define("ai_t", ai_t, Abs, **_ABS, type="ai_t conclusion must be a",
            counters=_SIZE.format("ai_t"), delta=(0, 0, 1)),
     define("bg_t", bg_t, Bang, shape=_NO_PREMISES, type=_BG_T, context=_BG_T, counters=_BG_T,
-           rest=("body", _NO_PREMISES), node=DerivationE, delta=(0, 0, 0)),
+           node=DerivationE, delta=(0, 0, 0)),
     define("dr_t", dr_t, Der, **_DER, type="dr_t premise and conclusion must be typed n",
            counters=_SIZE.format("dr_t"), delta=(0, 0, 1)),
     define("es_t", es_t, Sub, **_SUB, counters=_SIZE.format("es_t"), delta=(0, 0, 1)),
 )
 (mk_ax_e, mk_ae_d, mk_ai_d, mk_bg_d, mk_dr_d, mk_es_d,
  mk_ae_t, mk_ai_t, mk_bg_t, mk_dr_t, mk_es_t) = (r.make for r in RULES["e"].values())
-register(DerivationE, RULES["e"])
 
 
 def check_derivation_e(d: DerivationE) -> Violation | None:
-    return check_derivation(d, "e", DerivationE)
+    return check_derivation(d, "e")
 
 
 def is_tight(d: DerivationE) -> bool:

@@ -13,8 +13,9 @@ build nodes bottom-up and raise IllFormed on local rule violations, and
 The engine (renaming, substitution, anti-substitution, subject reduction
 and expansion) is written once for every derivation class.  It rebuilds
 each node through the node's own rule, looked up in `ENGINE`, so a
-system's side conditions and counters come from its own makers; system
-E registers its rules there next to U's.  The transformer operations
+system's side conditions and counters come from its own makers;
+`rule_table` fills the engine's tables from the rules of U and E, the
+systems with consuming rules.  The transformer operations
 mirror the term-level rewriting exactly, so a transformed derivation's
 subject is always the same syntax tree the reduction engine produces.
 """
@@ -81,10 +82,11 @@ class Untypable:
 # Each typing rule of the four systems is one `Rule` in `RULES`.  Its
 # conclusion function, given the rule's tag and its maker's arguments,
 # checks the rule's side conditions on the premises, raising IllFormed
-# with the rule's reason, and returns the conclusion's context, subject
-# and type with the premises.  The maker that inference calls wraps it,
-# and `check_node` calls it again on a node's own premises, so a
-# conclusion is computed in one place only.
+# with the rule's reason (a variadic tail's subjects among them), and
+# returns the conclusion's context, subject and type with the premises.
+# The maker that inference calls wraps it, and `check_node` calls it
+# again on a node's own premises, so a conclusion is computed in one
+# place only.
 #
 # A maker's arguments are the variable's name and the type (rules for a
 # variable); otherwise the binder, if the former binds, then the premises
@@ -101,9 +103,9 @@ Counters = tuple[int, int, int]
 class Rule:
     """One typing rule: its tag, its conclusion function, the subject
     former and premise count it types, and the checker's reason for each
-    kind of fault.  `make` is the rule's node constructor, which
-    `rule_table` gives it, and `parts` names the subject parts that its
-    fixed premises type."""
+    fault that its conclusion function does not raise.  `make` is the
+    rule's node constructor, which `rule_table` gives it, and `parts`
+    names the subject parts that its fixed premises type."""
     tag: str
     conclude: Callable[..., tuple]
     former: type
@@ -113,8 +115,8 @@ class Rule:
     type: str | Callable[[Any], str] = ""  # a callable picks it by the node
     context: str = ""
     counters: str = ""
-    rest: tuple[str, str] | None = None  # (part, reason): further premises all type that part
-    node: type = Derivation
+    rest: str | None = None         # the part any further premises type (`conclude` checks)
+    node: type = Derivation         # the class of its nodes, one for each system
     delta: Counters | None = None   # with counters: added to the premises' sum
     weight: int | None = 1          # the node's share of its derivation's size; None:
                                     # one per element of its (multiset) type
@@ -128,10 +130,16 @@ class Rule:
 def rule_table(system: str, *rules: Rule) -> None:
     """Make `rules` the rules of `system`, in `RULES`, and give each its
     maker: a rule with counters adds its own to its premises', and one
-    without keeps the node's size in `system` on the node (see `sizer`)."""
+    without keeps the node's size in `system` on the node (see `sizer`).
+    A system with consuming rules also fills the engine's tables below."""
+    table = RULES[system] = {rule.tag: rule for rule in rules}
     for rule in rules:
         object.__setattr__(rule, "make", _maker_of(rule, system))
-    RULES[system] = {rule.tag: rule for rule in rules}
+        if rule.consuming:
+            ENGINE[rule.node] = table
+            CONSUMING_RULE[rule.node, rule.former] = rule
+        if rule.closure:
+            APPLICATION_RULE[rule.node, rule.closure] = rule
 
 
 def _maker_of(rule: Rule, system: str) -> Callable[..., Any]:
@@ -167,6 +175,13 @@ def add_counters(delta: Counters, premises) -> Counters:
 
 # system ("u", "e", "n", "v", as `bangcalc typecheck --system`) -> rule tag -> rule
 RULES: dict[str, dict[str, Rule]] = {}
+# derivation class -> the rules the engine rebuilds its nodes with
+ENGINE: dict[type, dict[str, Rule]] = {}
+# (derivation class, term former) -> the consuming rule for that former
+CONSUMING_RULE: dict[tuple[type, type], Rule] = {}
+# (derivation class, closure rule tag) -> the application rule a dB step
+# turns into that closure rule, which expansion turns back
+APPLICATION_RULE: dict[tuple[type, str], Rule] = {}
 
 
 def ax(tag: str, x: str, ty: Type) -> tuple:
@@ -221,8 +236,8 @@ def close(x: str, d_b, d_a) -> tuple:
 PARTS = {Var: (), App: ("fun", "arg"), Abs: ("body",), Bang: (), Der: ("body",),
          Sub: ("body", "arg")}
 
-# The plain rules' reasons by former: shape, premise subjects, type and
-# context, each naming the rule at {}.  System U's rules have these; E, N
+# The plain rules' reasons by former: shape, fixed premise subjects, type
+# and context, each naming the rule at {}.  System U's rules have these; E, N
 # and V keep those that their rules share with U's.
 _PLAIN = {
     Var: ("{} must type a variable with no premises", "", "",
@@ -234,8 +249,7 @@ _PLAIN = {
     Abs: ("{} must type an abstraction from one premise", "{} premise subject must be the body",
           "{} conclusion must move the binder multiset into the arrow",
           "{} context must drop the binder"),
-    Bang: ("{} must type a bang", "{} premise subjects must be the bang body",
-           "{} conclusion must collect the premise types",
+    Bang: ("{} must type a bang", "", "{} conclusion must collect the premise types",
            "{} context must be the union of the premise contexts"),
     Der: ("{} must type a dereliction from one premise", "{} premise subject must be the body",
           "{} premise must be the singleton of the conclusion type",
@@ -253,7 +267,7 @@ def define(tag: str, conclude: Callable[..., tuple], former: type, **fields: Any
     unless `fields` gives others."""
     shape, subjects, ty, context = (reason.format(tag) for reason in _PLAIN[former])
     plain = dict(fixed=len(PARTS[former]), shape=shape, subjects=subjects, type=ty,
-                 context=context, rest=("body", subjects) if former is Bang else None)
+                 context=context, rest="body" if former is Bang else None)
     return Rule(tag, conclude, former, **{**plain, **fields})
 
 
@@ -267,24 +281,6 @@ rule_table(
     define("es", es, Sub, consuming=True),
 )
 mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values())
-
-# derivation class -> the rules the engine rebuilds its nodes with
-ENGINE: dict[type, dict[str, Rule]] = {}
-# (derivation class, term former) -> the consuming rule for that former
-CONSUMING_RULE: dict[tuple[type, type], Rule] = {}
-# (derivation class, closure rule tag) -> the application rule a dB step
-# turns into that closure rule, which expansion turns back
-APPLICATION_RULE: dict[tuple[type, str], Rule] = {}
-
-
-def register(cls: type, rules: dict[str, Rule]) -> None:
-    """Let the engine rebuild nodes of class `cls` with `rules`."""
-    ENGINE[cls] = rules
-    CONSUMING_RULE.update(((cls, r.former), r) for r in rules.values() if r.consuming)
-    APPLICATION_RULE.update(((cls, r.closure), r) for r in rules.values() if r.closure)
-
-
-register(Derivation, RULES["u"])
 
 
 def _maker(d) -> Callable[..., Any]:
@@ -303,14 +299,14 @@ class Violation:
     reason: str
 
 
-def check_derivation(d, system: str, cls: type = Derivation,
-                     tight: bool = False) -> Violation | None:
+def check_derivation(d, system: str, tight: bool = False) -> Violation | None:
     """The first node of d, in pre-order, that breaks the rules of `system`
     (see `check_node`), with the path of premise indices that leads to it.
     With `tight`, tight constants are faults: a derivation read from JSON
     shares its types and context multisets between nodes, so each object
     is looked into once."""
     memo: dict[int, tuple[Type, bool]] | None = {} if tight else None
+    cls = next(iter(RULES[system].values())).node
     stack: list = [(d, None)]  # a node and its link: its index and its parent's link
     push = stack.append
     while stack:
@@ -335,9 +331,9 @@ def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | 
     1. the node prelude: the node class, empty context entries and, when
        `tight` is given, tight constants (looked for once per type object);
     2. the rule's subject former and premise count;
-    3. the premise subjects;
-    4. the rule's side conditions, by calling its conclusion function on
-       the node's own premises;
+    3. the subjects of the premises that type the subject's fixed parts;
+    4. the rule's side conditions (a variadic tail's subjects among them),
+       by calling its conclusion function on the node's own premises;
     5. the node's type, context and counters against that conclusion."""
     if type(d) is not cls:
         return f"system {system.upper()} nodes must {'not ' if cls is Derivation else ''}carry counters"
@@ -358,11 +354,7 @@ def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | 
         if p.subject is not part and not term_eq(p.subject, part):
             return rule.subjects
     if rest:
-        part = getattr(s, rest[0])
-        for p in ps[k:]:
-            if p.subject is not part and not term_eq(p.subject, part):
-                return rest[1]
-        ps = (*ps[:k], part, ps[k:])
+        ps = (*ps[:k], getattr(s, rest), ps[k:])
     # the maker's arguments (see the top of the rule table)
     if former is Var:
         args: tuple = (s.name, d.type)

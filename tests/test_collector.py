@@ -91,8 +91,8 @@ def _command_work(bang, lam):
 def test_the_engine_builds_no_reference_cycles(bang, lam):
     # Reference counting alone frees all of it, so the collector finds no
     # garbage.  Selftest is left out: its exploration closures do form small
-    # cycles (reduction.trace_profile's recursive `go`, say), which the
-    # collector frees once the command has returned.
+    # cycles (reduction.trace_profile's `go`, which names itself, say),
+    # which the collector frees once the command has returned.
     gc.collect()
     with _collector(False):
         _command_work(bang, lam)

@@ -281,7 +281,7 @@ def test_premise_subjects_are_the_node_subterms(monkeypatch):
             rule = system_u.RULES[system][node.rule]
             parts = [getattr(node.subject, part) for part in rule.parts]
             if rule.rest:
-                parts += [getattr(node.subject, rule.rest[0])] * (len(node.premises) - rule.fixed)
+                parts += [getattr(node.subject, rule.rest)] * (len(node.premises) - rule.fixed)
             assert len(parts) == len(node.premises)
             for p, part in zip(node.premises, parts):
                 assert p.subject is part, (system, node.rule)

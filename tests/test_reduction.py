@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given
 
-from bangcalc.syntax import Sub, alpha_eq, canon_key, parse_term, print_term, w_size
+from bangcalc.syntax import (
+    Bang, Der, Sub, Var, alpha_eq, canon_key, parse_term, print_term, w_size,
+)
 from bangcalc.reduction import (
     ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel,
     classify_nf, classify_wcf_nf, detect_clash, enumerate_maximal_traces,
@@ -213,6 +217,30 @@ def test_two_redexes_can_share_a_reduct():
 def test_trace_profile_of_example():
     graph = reachable_graph(t(T0), max_states=100)
     assert trace_profile(graph) == (5, 2, 3)
+
+
+def _der_bang_tower(n):
+    """der(!der(!...der(!x)...)) with n derelictions, built without the
+    parser: its one trace fires the outermost d! n times."""
+    term = Var("x")
+    for _ in range(n):
+        term = Der(Bang(term))
+    return term
+
+
+@pytest.mark.parametrize("n, limit", [(999, {}), (1_200, {"max_states": 2_000})],
+                         ids=["999-default-states", "1200-2000-states"])
+def test_exploration_follows_traces_longer_than_the_recursion_limit(n, limit):
+    assert sys.getrecursionlimit() <= 1_000  # the interpreter's default
+    term = _der_bang_tower(n)
+    graph = reachable_graph(term, **limit)
+    assert len(graph.terms) == n + 1
+    assert trace_profile(graph) == (n, 0, n)
+    traces, exhausted = enumerate_maximal_traces(term, 10_000)
+    assert not exhausted and len(traces) == 1
+    (trace,) = traces
+    assert trace.completed and len(trace.steps) == n and trace.final == Var("x")
+    assert {s.rule for s in trace.steps} == {RuleKind.DBANG}
 
 
 def test_alternate_free_reduction_path_of_the_example():

@@ -24,7 +24,7 @@ from bangcalc.system_e import (
     mk_bg_d, mk_bg_t, mk_dr_d, mk_dr_t, mk_es_d, mk_es_t,
 )
 from bangcalc.system_u import (
-    Derivation, check_derivation_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+    RULES, Derivation, check_derivation_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
 )
 
 O1, O2, O9 = BaseVar(1), BaseVar(2), BaseVar(9)
@@ -783,6 +783,48 @@ def test_the_table_covers_every_case():
 def test_first_violations(system, sample):
     got = {c: first_violation(*c.split(" / ")) for c in cases(system, sample)}
     assert got == {c: REASONS.get(c) for c in got}
+
+
+# A variadic rule's further premises must all type one part of the subject.
+# That is checked before any side condition on the premises' types, so a
+# further premise that types another term is reported first even when a
+# premise also has a wrong type: an app_n node whose head is not typed by
+# an arrow, or an es_n node whose argument's type is not the binder's
+# multiset, say.
+TAIL_SUBJECTS = {
+    "bg": "bg premise subjects must be the bang body",
+    "bg_d": "bg_d premise subjects must be the bang body",
+    "app_n": "app_n argument premises must type the argument",
+    "es_n": "es_n argument premises must type the argument",
+    "abs_v": "abs_v premises must type the body",
+}
+
+
+def _tail(system, sample):
+    d = SYSTEMS[system][2][sample]()
+    return d.premises[RULES[system][d.rule].fixed:]
+
+
+TAILED = [s for s in SAMPLES if _tail(*s)]
+
+
+def test_every_variadic_rule_is_in_the_tail_table():
+    # bg_t takes no premises at all
+    assert {tag for rules in RULES.values() for tag, rule in rules.items()
+            if rule.rest} == set(TAIL_SUBJECTS) | {"bg_t"}
+    assert {SYSTEMS[s][2][sample]().rule for s, sample in TAILED} == set(TAIL_SUBJECTS)
+
+
+@pytest.mark.parametrize("system, sample", TAILED)
+def test_a_wrong_tail_subject_comes_before_a_wrong_premise_type(system, sample):
+    check, _, samples = SYSTEMS[system]
+    d = samples[sample]()
+    for i in range(RULES[system][d.rule].fixed, len(d.premises)):
+        for j in range(len(d.premises)):
+            bad = _with_premise(_with_premise(d, i, subject=Var("w")), j, type=O9)
+            v = check(bad)
+            assert (v.path, v.reason) == ((), TAIL_SUBJECTS[d.rule]), (i, j)
+
 
 
 if __name__ == "__main__":
