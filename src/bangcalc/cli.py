@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed check, 2 bad input (a parse error,
-malformed derivation JSON, a calculus the command does not take, input
-nested too deeply to read) or machine output nested deeper than `json`
-can read back, 3 fuel exhausted, 4 untypable, 5 internal invariant violation.
-`main` returns one of them for every input and lets no exception escape.
+Exit codes: 0 success, 1 failed check, 2 bad input (a parse error, malformed
+derivation JSON, a calculus the command does not take, a type or JSON nested too
+deeply to read) or output nested too deeply to write, 3 fuel exhausted, 4 untypable,
+5 internal error, 130 interrupted, 141 stdout closed.  `main` returns one of them for
+every input and lets no exception escape.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .syntax import ParseError, Term, is_lambda_term, parse_term, print_term, w_size
@@ -37,6 +38,8 @@ EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_UNTYPABLE = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
+EXIT_PIPE = 141  # the shell's code for SIGPIPE
 
 
 class UntypableTerm(Exception):
@@ -309,7 +312,10 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        finally:  # a closed stdout shows here, not in the flush at exit
+            sys.stdout.flush()
     except (ParseError, MalformedDerivation, json.JSONDecodeError) as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return EXIT_PARSE
@@ -322,6 +328,13 @@ def main(argv=None) -> int:
     except UntypableTerm as ex:
         print(f"untypable: {ex}", file=sys.stderr)
         return EXIT_UNTYPABLE
+    except BrokenPipeError:  # as Python's notes on SIGPIPE advise, what is left
+        # to write goes to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_INTERNAL

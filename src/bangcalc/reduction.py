@@ -342,10 +342,6 @@ def detect_clash(t: Term) -> ClashReport:
     return ClashReport(True, None)
 
 
-def is_wcf(t: Term) -> bool:
-    return detect_clash(t).clash_free
-
-
 # ---------------------------------------------------------------------------
 # Traces
 

@@ -498,7 +498,7 @@ def parse_term(text: str, strict: bool = False) -> Term:
     With strict=True, free names are rejected.
     """
     toks = Lexer(text, TERM_TOKENS)
-    t = _parse_term(toks)
+    t = unwind(_parse_term(toks))
     k, v, p = toks.peek()
     if k != "eof":
         raise ParseError(f"trailing input {v!r}", p)
@@ -508,56 +508,42 @@ def parse_term(text: str, strict: bool = False) -> Term:
     return t
 
 
-def _parse_term(toks: Lexer) -> Term:
-    k, _, _ = toks.peek()
-    if k in ("backslash", "lambda"):
-        nxt = toks.toks[toks.i + 1]
-        # a backslash starts an abstraction only when followed by a binder
-        if nxt[0] == "ident":
+def _parse_term(toks: Lexer) -> Walk:
+    """The walk of the `term` at the cursor: it yields the walk of each term
+    nested in it, and reads the `post`s of an application in a loop."""
+    # a backslash starts an abstraction only when followed by a binder
+    if toks.peek()[0] in ("backslash", "lambda") and toks.toks[toks.i + 1][0] == "ident":
+        toks.i += 1
+        _, x, _ = toks.next()
+        toks.expect(".")
+        return Abs(x, (yield _parse_term(toks)))
+    t = None
+    while True:
+        formers = []  # the "!" and "der" before an atom, outermost first
+        k, v, p = toks.next()
+        while k == "!" or k == "der":
+            formers.append(Bang if k == "!" else Der)
+            k, v, p = toks.next()
+        if k == "ident":
+            post = Var(v)
+        elif k == "(":
+            post = yield _parse_term(toks)
+            toks.expect(")")
+        else:
+            raise ParseError(f"unexpected token {v!r}", p)
+        for former in reversed(formers):
+            post = former(post)
+        while toks.peek()[0] == "[":
             toks.next()
             _, x, _ = toks.expect("ident")
-            toks.expect(".")
-            return Abs(x, _parse_term(toks))
-    return _parse_app(toks)
-
-
-def _parse_app(toks: Lexer) -> Term:
-    t = _parse_post(toks)
-    while True:
-        k, _, _ = toks.peek()
-        if k in ("ident", "!", "der", "("):
-            t = App(t, _parse_post(toks))
-        else:
+            k, v, p = toks.next()
+            if k not in ("backslash", "sep"):
+                raise ParseError(f"expected \\\\ or := in closure, found {v!r}", p)
+            post = Sub(post, x, (yield _parse_term(toks)))
+            toks.expect("]")
+        t = post if t is None else App(t, post)
+        if toks.peek()[0] not in ("ident", "!", "der", "("):
             return t
-
-
-def _parse_post(toks: Lexer) -> Term:
-    t = _parse_atom(toks)
-    while toks.peek()[0] == "[":
-        toks.next()
-        _, x, _ = toks.expect("ident")
-        k, v, p = toks.next()
-        if k not in ("backslash", "sep"):
-            raise ParseError(f"expected \\\\ or := in closure, found {v!r}", p)
-        arg = _parse_term(toks)
-        toks.expect("]")
-        t = Sub(t, x, arg)
-    return t
-
-
-def _parse_atom(toks: Lexer) -> Term:
-    k, v, p = toks.next()
-    if k == "ident":
-        return Var(v)
-    if k == "!":
-        return Bang(_parse_atom(toks))
-    if k == "der":
-        return Der(_parse_atom(toks))
-    if k == "(":
-        t = _parse_term(toks)
-        toks.expect(")")
-        return t
-    raise ParseError(f"unexpected token {v!r}", p)
 
 
 # ---------------------------------------------------------------------------

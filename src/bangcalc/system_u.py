@@ -299,14 +299,14 @@ class Violation:
     reason: str
 
 
-def check_derivation(d, system: str, tight: bool = False) -> Violation | None:
+def check_derivation(d, system: str) -> Violation | None:
     """The first node of d, in pre-order, that breaks the rules of `system`
     (see `check_node`), with the path of premise indices that leads to it.
-    With `tight`, tight constants are faults: a derivation read from JSON
-    shares its types and context multisets between nodes, so each object
-    is looked into once."""
-    memo: dict[int, tuple[Type, bool]] | None = {} if tight else None
+    Tight constants belong only to a system whose nodes carry counters; a
+    derivation read from JSON shares its types and context multisets
+    between nodes, so each object is looked into once."""
     cls = next(iter(RULES[system].values())).node
+    memo: dict[int, tuple[Type, bool]] | None = {} if cls is Derivation else None
     stack: list = [(d, None)]  # a node and its link: its index and its parent's link
     push = stack.append
     while stack:
@@ -376,7 +376,7 @@ def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | 
 
 
 def check_derivation_u(d: Derivation) -> Violation | None:
-    return check_derivation(d, "u", tight=True)
+    return check_derivation(d, "u")
 
 
 def sizer(system: str) -> Callable[[Any], int]:

@@ -15,8 +15,8 @@ from bangcalc.reduction import (
 )
 from bangcalc.serialize import MalformedDerivation
 from bangcalc.syntax import (
-    Abs, App, Bang, Der, ParseError, Sub, Var, is_abs_shaped, is_bang_shaped, parse_term,
-    print_term, spine_core, subst_meta, term_eq, w_size,
+    TERM_TOKENS, Abs, App, Bang, Der, Lexer, ParseError, Sub, Var, is_abs_shaped,
+    is_bang_shaped, parse_term, print_term, spine_core, subst_meta, term_eq, w_size,
 )
 from bangcalc.system_e import (
     DerivationE, mk_ae_t, mk_ai_t, mk_ax_e, mk_bg_t, mk_dr_t, mk_es_t,
@@ -442,6 +442,73 @@ def ref_type_tokens(text):
         else:
             raise TypeParseError(f"bad character {c!r} in type")
     return toks + [("eof", "", n)]
+
+
+# ---------------------------------------------------------------------------
+# Reference term parser: the recursive descent, one function per grammar
+# rule, that `syntax.parse_term` ran before its one walk on `unwind`; the
+# oracle for its terms and its error messages, at depths the recursion
+# limit allows.
+
+def ref_parse_term(text):
+    toks = Lexer(text, TERM_TOKENS)
+    t = _ref_parse_term(toks)
+    k, v, p = toks.peek()
+    if k != "eof":
+        raise ParseError(f"trailing input {v!r}", p)
+    return t
+
+
+def _ref_parse_term(toks):
+    k, _, _ = toks.peek()
+    if k in ("backslash", "lambda"):
+        nxt = toks.toks[toks.i + 1]
+        # a backslash starts an abstraction only when followed by a binder
+        if nxt[0] == "ident":
+            toks.next()
+            _, x, _ = toks.expect("ident")
+            toks.expect(".")
+            return Abs(x, _ref_parse_term(toks))
+    return _ref_parse_app(toks)
+
+
+def _ref_parse_app(toks):
+    t = _ref_parse_post(toks)
+    while True:
+        k, _, _ = toks.peek()
+        if k in ("ident", "!", "der", "("):
+            t = App(t, _ref_parse_post(toks))
+        else:
+            return t
+
+
+def _ref_parse_post(toks):
+    t = _ref_parse_atom(toks)
+    while toks.peek()[0] == "[":
+        toks.next()
+        _, x, _ = toks.expect("ident")
+        k, v, p = toks.next()
+        if k not in ("backslash", "sep"):
+            raise ParseError(f"expected \\\\ or := in closure, found {v!r}", p)
+        arg = _ref_parse_term(toks)
+        toks.expect("]")
+        t = Sub(t, x, arg)
+    return t
+
+
+def _ref_parse_atom(toks):
+    k, v, p = toks.next()
+    if k == "ident":
+        return Var(v)
+    if k == "!":
+        return Bang(_ref_parse_atom(toks))
+    if k == "der":
+        return Der(_ref_parse_atom(toks))
+    if k == "(":
+        t = _ref_parse_term(toks)
+        toks.expect(")")
+        return t
+    raise ParseError(f"unexpected token {v!r}", p)
 
 
 def ref_derivation_from_json(obj):

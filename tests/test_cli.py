@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from bangcalc.cli import main
 from bangcalc.gen import generate_corpus
 from bangcalc.serialize import derivation_from_json, derivation_to_json
-from bangcalc.syntax import parse_term, print_term
+from bangcalc.syntax import parse_term, print_term, term_eq
 from bangcalc.system_u import check_derivation_u, infer_u
 from bangcalc.system_e import check_derivation_e, infer_tight
 
@@ -181,8 +181,12 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "e", _e_derivation_with_counters("abc")), 2, "counters"),
     (("typecheck", "--system", "e", _u_derivation_json()), 1, "violation at []"),
     (("reduce", "--fuel", "-5", "x"), 2, "fuel must not be negative"),
-    (("parse", "(" * 2000 + "x" + ")" * 2000), 2, "nested too deeply"),
-    (("tight", _nested_lambdas(1500)), 2, "nested too deeply"),
+    # the term parser reads any depth (see test_deep_terms_run_from_the_cli);
+    # a type's printer, the type parser and `json` still recurse
+    (("infer", _nested_lambdas(1500)), 2, "nested too deeply"),
+    (("typecheck", "--system", "u", "[" * 5000 + "]" * 5000), 2, "nested too deeply"),
+    (("typecheck", "--system", "u", _axiom(type="[o0] -> " * 3000 + "o0")), 2,
+     "nested too deeply"),
     (("embed", "--calculus", "bang", "x"), 2, "embed needs --calculus cbn or cbv"),
     (("translate", "--calculus", "bang", "x"), 2, "translate needs --calculus cbn or cbv"),
     (("typecheck", "--system", "u", _axiom_with_counters("ax", "o0")), 1, "violation at []"),
@@ -198,14 +202,18 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "u", _axiom(premises={})), 2, "malformed derivation"),
     (("typecheck", "--system", "u", _axiom(premises="")), 2, "malformed derivation"),
     (("typecheck", "--system", "u", _axiom(context=[])), 2, "malformed derivation"),
+    (("typecheck", "--system", "n", _axiom(rule="ax_n", context={"x": "[a]"}, type="a")), 1,
+     "violation at []: tight constants do not belong to this system"),
+    (("typecheck", "--system", "v", _axiom(rule="ax_v", context={"x": "[a]"}, type="[a]")), 1,
+     "violation at []: tight constants do not belong to this system"),
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
-        "u-derivation-in-e", "negative-fuel", "deep-parens", "deep-lambdas",
+        "u-derivation-in-e", "negative-fuel", "deep-lambdas", "deep-json", "deep-type-text",
         "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
         "e-node-over-u-node", "seed-on-trace", "fuel-on-classify",
         "calculus-on-typecheck", "output-on-selftest", "premises-object", "premises-string",
-        "context-list"] + [
+        "context-list", "tight-in-n", "tight-in-v"] + [
         f"{field}-{kind}-{'repeated' if repeated else 'once'}"
         for field, kind, repeated in BAD_TEXT_CASES])
 def test_bad_input_gets_a_documented_exit_code(capsys, argv, code, message):
@@ -230,6 +238,26 @@ def test_deep_nested_lambdas_type_in_text_and_end_cleanly_in_machine_output(caps
         assert json.loads(out.splitlines()[-1])["record"] == "derivation"
     else:
         assert code == 2 and err.count("\n") == 1 and "nested too deeply" in err
+
+
+DEEP = 10_000  # ten times the default recursion limit
+DEEP_TERMS = {
+    "parens": "(" * DEEP + "x" + ")" * DEEP,
+    "lambdas": _nested_lambdas(DEEP),
+    "applications": "x (" * DEEP + "x" + ")" * DEEP,
+    "bangs": "!" * DEEP + "x",
+    "ders": "der " * DEEP + "x",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_TERMS)
+def test_deep_terms_run_from_the_cli(capsys, shape):
+    text = DEEP_TERMS[shape]
+    for command in ("parse", "trace", "classify"):
+        code, out, err = run(capsys, command, text)
+        assert (code, err) == (0, ""), command
+        if command == "parse":
+            assert term_eq(parse_term(out), parse_term(text))
 
 
 # ---------------------------------------------------------------------------

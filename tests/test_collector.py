@@ -61,6 +61,21 @@ def test_main_leaves_the_collector_as_it_found_it(monkeypatch, argv, code, enabl
     assert collecting == ([False] if code == 5 else [])
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("error, code", [(BrokenPipeError, 141), (KeyboardInterrupt, 130)],
+                         ids=["closed-stdout", "interrupted"])
+def test_main_leaves_the_collector_as_it_found_it_when_stopped(
+        monkeypatch, tmp_path, error, code, enabled):
+    def stopped_command(args):
+        raise error()
+    monkeypatch.setattr(cli, "cmd_selftest", stopped_command)
+    # a closed stdout is pointed at devnull, which needs a file descriptor
+    with _collector(enabled), open(tmp_path / "out", "w") as out, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["selftest"]) == code
+        assert gc.isenabled() is enabled
+
+
 def _command_work(bang, lam):
     """Everything the term and typecheck commands run, on the bang term
     `bang` and, if given, the lambda term `lam`; what it builds is dropped

@@ -7,7 +7,8 @@ codomain, a one-element multiset from its element), before lexing it, and
 without a memo is the oracle: with any memo that maps texts to their own
 parses, a text parses to an equal value, or fails with the same exception
 and message.  The term parser has no memo; its messages are pinned here
-too."""
+too, and its one walk is checked against the recursive descent it
+replaced (`ref_parse_term`) on the same texts."""
 
 import random
 
@@ -23,6 +24,8 @@ from bangcalc.qtypes import (
 from bangcalc.reduction import FuelExhausted
 from bangcalc.syntax import ParseError, parse_term, print_term
 from bangcalc.system_u import Untypable, infer_u
+
+from conftest import ref_parse_term
 
 # Messages the parsers gave before either took a memo; the type parser's
 # are also those of its memo path.
@@ -199,6 +202,25 @@ def test_memo_paths_agree_on_random_text(text, seed):
 def test_memo_paths_agree_on_corpus_text(data, seed):
     text = mutated(data, data.draw(st.sampled_from(CORPUS_TEXTS)))
     assert_memo_paths_agree(text, seed)
+
+
+def assert_term_parsers_agree(text):
+    assert outcome(parse_term, text) == outcome(ref_parse_term, text), text
+
+
+def test_term_parsers_agree_on_the_corpus_and_the_pinned_messages():
+    for text in CORPUS_TEXTS + [text for text, _ in MALFORMED_TERMS]:
+        assert_term_parsers_agree(text)
+
+
+@given(st.text(alphabet=ALPHABET, max_size=30))
+def test_term_parsers_agree_on_random_text(text):
+    assert_term_parsers_agree(text)
+
+
+@given(st.data())
+def test_term_parsers_agree_on_corpus_text(data):
+    assert_term_parsers_agree(mutated(data, data.draw(st.sampled_from(CORPUS_TEXTS))))
 
 
 def test_corpus_texts_read_alike_with_a_shared_memo():

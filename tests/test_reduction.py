@@ -9,7 +9,7 @@ from bangcalc.syntax import (
 from bangcalc.reduction import (
     ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel,
     classify_nf, classify_wcf_nf, detect_clash, enumerate_maximal_traces,
-    is_wcf, normalize_dw, reachable_graph, redexes, step_at, step_dw,
+    normalize_dw, reachable_graph, redexes, step_at, step_dw,
     trace_profile,
 )
 
@@ -91,7 +91,7 @@ class TestNormalizeDw:
         # normal form carrying a clash (an abstraction as closure argument)
         tr = normalize_dw(t(r"(\x.x x) (\x.x x)"), 50)
         assert len(tr.steps) == 1
-        assert classify_nf(tr.final).normal and not is_wcf(tr.final)
+        assert classify_nf(tr.final).normal and not detect_clash(tr.final).clash_free
 
 
 class TestMaximalTraces:
@@ -167,7 +167,7 @@ def test_normal_form_agreement(term):
 @given(bang_terms())
 def test_wcf_grammar_agrees_with_clash_scan(term):
     wcf_normal = bool(classify_wcf_nf(term).memberships)
-    assert wcf_normal == (classify_nf(term).normal and is_wcf(term))
+    assert wcf_normal == (classify_nf(term).normal and detect_clash(term).clash_free)
 
 
 @given(bang_terms())

@@ -620,7 +620,7 @@ REASONS = {
     "e / es_t / rule bogus": "[] unknown rule 'bogus'",
     "e / es_t / class": "[] system E nodes must carry counters",
     "n / ax_n / type o9": "[] ax_n context must be exactly the singleton for its variable",
-    "n / ax_n / type n": "[] ax_n context must be exactly the singleton for its variable",
+    "n / ax_n / type n": "[] tight constants do not belong to this system",
     "n / ax_n / type []": "[] ax_n context must be exactly the singleton for its variable",
     "n / ax_n / context x=[o9]": "[] ax_n context must be exactly the singleton for its variable",
     "n / ax_n / context x=[]": "[] context stores an empty multiset entry",
@@ -632,7 +632,7 @@ REASONS = {
     "n / ax_n / rule bogus": "[] unknown rule 'bogus'",
     "n / ax_n / class": "[] system N nodes must not carry counters",
     "n / abs_n / type o9": "[] abs_n conclusion must move the binder multiset into the arrow",
-    "n / abs_n / type n": "[] abs_n conclusion must move the binder multiset into the arrow",
+    "n / abs_n / type n": "[] tight constants do not belong to this system",
     "n / abs_n / type []": "[] abs_n conclusion must move the binder multiset into the arrow",
     "n / abs_n / context f=[o9]": "[] abs_n context must drop the binder",
     "n / abs_n / context f=[]": "[] context stores an empty multiset entry",
@@ -646,7 +646,7 @@ REASONS = {
     "n / abs_n / rule bogus": "[] unknown rule 'bogus'",
     "n / abs_n / class": "[] system N nodes must not carry counters",
     "n / app_n / type o9": "[] app_n conclusion must be the arrow codomain",
-    "n / app_n / type n": "[] app_n conclusion must be the arrow codomain",
+    "n / app_n / type n": "[] tight constants do not belong to this system",
     "n / app_n / type []": "[] app_n conclusion must be the arrow codomain",
     "n / app_n / context f=[o9]": "[] app_n context must be the union of the premise contexts",
     "n / app_n / context f=[]": "[] context stores an empty multiset entry",
@@ -667,7 +667,7 @@ REASONS = {
     "n / app_n / rule bogus": "[] unknown rule 'bogus'",
     "n / app_n / class": "[] system N nodes must not carry counters",
     "n / app_n nullary / type o9": "[] app_n conclusion must be the arrow codomain",
-    "n / app_n nullary / type n": "[] app_n conclusion must be the arrow codomain",
+    "n / app_n nullary / type n": "[] tight constants do not belong to this system",
     "n / app_n nullary / type []": "[] app_n conclusion must be the arrow codomain",
     "n / app_n nullary / context f=[o9]": "[] app_n context must be the union of the premise contexts",
     "n / app_n nullary / context f=[]": "[] context stores an empty multiset entry",
@@ -681,7 +681,7 @@ REASONS = {
     "n / app_n nullary / rule bogus": "[] unknown rule 'bogus'",
     "n / app_n nullary / class": "[] system N nodes must not carry counters",
     "n / es_n / type o9": "[] es_n conclusion must keep the body type",
-    "n / es_n / type n": "[] es_n conclusion must keep the body type",
+    "n / es_n / type n": "[] tight constants do not belong to this system",
     "n / es_n / type []": "[] es_n conclusion must keep the body type",
     "n / es_n / context f=[o9]": "[] es_n context must recombine the premise contexts",
     "n / es_n / context f=[]": "[] context stores an empty multiset entry",
@@ -700,7 +700,7 @@ REASONS = {
     "n / es_n / rule bogus": "[] unknown rule 'bogus'",
     "n / es_n / class": "[] system N nodes must not carry counters",
     "v / ax_v / type o9": "[] ax_v must conclude a multiset type",
-    "v / ax_v / type n": "[] ax_v must conclude a multiset type",
+    "v / ax_v / type n": "[] tight constants do not belong to this system",
     "v / ax_v / type []": "[] ax_v context must assign the concluded multiset to its variable",
     "v / ax_v / context x=[o9]": "[] ax_v context must assign the concluded multiset to its variable",
     "v / ax_v / context x=[]": "[] context stores an empty multiset entry",
@@ -712,7 +712,7 @@ REASONS = {
     "v / ax_v / rule bogus": "[] unknown rule 'bogus'",
     "v / ax_v / class": "[] system V nodes must not carry counters",
     "v / ax_v empty / type o9": "[] ax_v must conclude a multiset type",
-    "v / ax_v empty / type n": "[] ax_v must conclude a multiset type",
+    "v / ax_v empty / type n": "[] tight constants do not belong to this system",
     "v / ax_v empty / context w=[o9] added": "[] ax_v context must assign the concluded multiset to its variable",
     "v / ax_v empty / rule abs_v": "[] abs_v must type an abstraction",
     "v / ax_v empty / rule app_v": "[] app_v must type an application from two premises",
@@ -720,7 +720,7 @@ REASONS = {
     "v / ax_v empty / rule bogus": "[] unknown rule 'bogus'",
     "v / ax_v empty / class": "[] system V nodes must not carry counters",
     "v / abs_v / type o9": "[] abs_v conclusion must collect the premise arrows",
-    "v / abs_v / type n": "[] abs_v conclusion must collect the premise arrows",
+    "v / abs_v / type n": "[] tight constants do not belong to this system",
     "v / abs_v / type []": "[] abs_v conclusion must collect the premise arrows",
     "v / abs_v / context w=[o9] added": "[] abs_v context must drop the binder from every premise",
     "v / abs_v / premise 0 subject": "[] abs_v premises must type the body",
@@ -733,7 +733,7 @@ REASONS = {
     "v / abs_v / rule bogus": "[] unknown rule 'bogus'",
     "v / abs_v / class": "[] system V nodes must not carry counters",
     "v / app_v / type o9": "[] app_v conclusion must be the arrow codomain",
-    "v / app_v / type n": "[] app_v conclusion must be the arrow codomain",
+    "v / app_v / type n": "[] tight constants do not belong to this system",
     "v / app_v / type []": "[] app_v conclusion must be the arrow codomain",
     "v / app_v / context f=[o9]": "[] app_v context must be the union of the premise contexts",
     "v / app_v / context f=[]": "[] context stores an empty multiset entry",
@@ -752,7 +752,7 @@ REASONS = {
     "v / app_v / rule bogus": "[] unknown rule 'bogus'",
     "v / app_v / class": "[] system V nodes must not carry counters",
     "v / es_v / type o9": "[] es_v conclusion must keep the body type",
-    "v / es_v / type n": "[] es_v conclusion must keep the body type",
+    "v / es_v / type n": "[] tight constants do not belong to this system",
     "v / es_v / type []": "[] es_v conclusion must keep the body type",
     "v / es_v / context z=[o9]": "[] es_v context must recombine the premise contexts",
     "v / es_v / context z=[]": "[] context stores an empty multiset entry",

@@ -273,7 +273,7 @@ class TestMetaProperties:
                     assert node.type == TIGHT_BANG or isinstance(node.type, Mult)
 
     def test_typable_subjects_are_weak_clash_free(self):
-        from bangcalc.reduction import is_wcf
+        from bangcalc.reduction import detect_clash
         rng = random.Random(10)
         for _ in range(120):
             term = rand_bang_term(rng, rng.randint(2, 7))
@@ -281,7 +281,7 @@ class TestMetaProperties:
             if not isinstance(d, DerivationE):
                 continue
             for node in _sweep_nodes(d):
-                assert is_wcf(node.subject)
+                assert detect_clash(node.subject).clash_free
 
 
 def test_narrow_persistent_application_shape_still_accepted():

@@ -289,10 +289,10 @@ def test_corpus_invariants():
 
 @given(bang_terms(max_leaves=5))
 def test_typable_implies_weak_clash_free(term):
-    from bangcalc.reduction import is_wcf
+    from bangcalc.reduction import detect_clash
     res = infer_u(term, 60)
     if isinstance(res, Derivation):
-        assert is_wcf(term)
+        assert detect_clash(term).clash_free
 
 
 @contextlib.contextmanager
