@@ -181,13 +181,6 @@ def embed_cbv(t: Term) -> Term:
     return fold(t, _CBV)
 
 
-def unbang_value(v: Term) -> Term:
-    """The u with cbv(v) = !u, for a value v."""
-    image = embed_cbv(v)
-    assert isinstance(image, Bang)
-    return image.body
-
-
 # ---------------------------------------------------------------------------
 # Term size measures
 

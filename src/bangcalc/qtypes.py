@@ -276,14 +276,16 @@ def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
     - M is held, and the text is an arrow `M -> T` whose codomain text T
       is held or assembled;
     - M is the whole text, a one-element multiset `[T]` whose element
-      text T is held or assembled (V's `[[run] -> [[] -> []]]`).
+      text T is held or assembled (V's `[[run] -> [[] -> []]]`), unless
+      T is itself a one-element multiset that is not held.
     A run is first tried with E ending at the first ",", which settles
     most runs without scanning their brackets; `_leading` finds the ends
     of M and of E in one pass.  So each text costs a fixed number of
-    lookups.  The memo holds only texts that parsed, whose brackets
-    balance, so a held E or M is the one the text opens with, a held M is
-    a Mult, and the text parses to what it is assembled to.  Nothing here
-    parses."""
+    lookups, and k nested one-element multisets go to the parser after
+    two scans of the text, not k.  The memo holds only texts that parsed,
+    whose brackets balance, so a held E or M is the one the text opens
+    with, a held M is a Mult, and the text parses to what it is assembled
+    to.  Nothing here parses."""
     # the texts that the current one lies in, outermost first, each with
     # its arrow's domain, or None for a one-element multiset
     around: list[tuple[str, Mult | None]] = []
@@ -298,6 +300,8 @@ def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
             if comma > 0:  # a run, or nothing
                 hit = _run(text, comma, memo)
                 break
+            if around and around[-1][1] is None:  # the element of a one-element multiset
+                return None
             around.append((text, None))  # of one element
             text = text[1:-1]
             continue

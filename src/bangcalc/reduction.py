@@ -106,10 +106,6 @@ def subterm_at(t: Term, pos: Position) -> Term:
     return _descend(t, pos)[1]
 
 
-def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    return _rebuild(_descend(t, pos)[0], new)
-
-
 # ---------------------------------------------------------------------------
 # Root-rule firing (shared with the CBN/CBV engine and the derivation engine)
 

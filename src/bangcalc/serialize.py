@@ -209,8 +209,10 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
     for p in below:
         premises.append((yield _derivation_from_json(p, terms, types)))
     context = {}
-    for x, m in entries.items():
-        ty = parse_type(m, types)
+    for x, m in entries.items():  # most texts are held: looked up before `parse_type`
+        ty = types.get(m)
+        if ty is None:
+            ty = parse_type(m, types)
         if not isinstance(ty, Mult):
             raise ValueError(f"context entry for {x} must be a multiset")
         context[x] = ty
@@ -218,7 +220,9 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
     subject = terms.get(text)
     if subject is None:
         subject = terms[text] = _assemble(text, premises, below) or parse_term(text)
-    ty = parse_type(obj["type"], types)
+    ty = types.get(obj["type"])
+    if ty is None:
+        ty = parse_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]
         if not (isinstance(counters, list) and list(map(type, counters)) == [int, int, int]):
@@ -237,19 +241,28 @@ def _assemble(text: str, premises: list, below: list) -> Term | None:
     a variable, for a node without premises, or App(s0, s1), Sub(s0, x, s1),
     Abs(x, s0), Bang(s0) or Der(s0) for the premises' subjects s0 and s1
     and a binder x taken from the text, printed from the premises' texts.
-    Such a text parses to that subject, so at most one matches; else None."""
+    Such a text parses to that subject, so at most one matches; else None.
+    The former the text's first character names is tried first (`\\` Abs,
+    `!` Bang, else Der of one premise), then App, then Sub."""
     if not premises:
         return Var(text) if _NAME.fullmatch(text) else None
     s0, t0, head = premises[0].subject, below[0]["term"], text[:1]
-    cands: list = ([(Abs(text[1:len(text) - len(t0) - 2], s0), t0)] if head == "\\"
-                   else [(Bang(s0), t0)] if head == "!" else [(Der(s0), t0)])
+    if head == "\\":
+        x = text[1:len(text) - len(t0) - 2]
+        t = Abs(x, s0) if _NAME.fullmatch(x) else None
+    else:
+        t = Bang(s0) if head == "!" else Der(s0) if len(premises) == 1 else None
+    if t is not None and print_node(t, t0) == text:
+        return t
     if len(premises) > 1:
         s1, t1 = premises[1].subject, below[1]["term"]
+        t = App(s0, s1)
+        if print_node(t, t0, t1) == text:
+            return t
         left = len(t0) + (3 if type(s0) in (App, Abs) else 1)  # the body text and "["
-        cands += [(App(s0, s1), t0, t1), (Sub(s0, text[left:len(text) - len(t1) - 4], s1), t0, t1)]
-    for t, *parts in cands:
-        x = getattr(t, "binder", None)
-        if (x is None or _NAME.fullmatch(x)) and print_node(t, *parts) == text:
+        x = text[left:len(text) - len(t1) - 4]
+        t = Sub(s0, x, s1)
+        if _NAME.fullmatch(x) and print_node(t, t0, t1) == text:
             return t
     return None
 

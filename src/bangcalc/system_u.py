@@ -8,7 +8,7 @@ reduction length plus normal-form size.
 Derivations store the full judgement at every node.  Each rule of the
 four systems is one entry of `RULES`: the `mk_*` helpers, its makers,
 build nodes bottom-up and raise IllFormed on local rule violations, and
-`check_node` replays them on arbitrary trees (e.g. deserialized ones).
+its check replays them on arbitrary trees (e.g. deserialized ones).
 
 The engine (renaming, substitution, anti-substitution, subject reduction
 and expansion) is written once for every derivation class.  It rebuilds
@@ -84,7 +84,7 @@ class Untypable:
 # checks the rule's side conditions on the premises, raising IllFormed
 # with the rule's reason (a variadic tail's subjects among them), and
 # returns the conclusion's context, subject and type with the premises.
-# The maker that inference calls wraps it, and `check_node` calls it
+# The maker that inference calls wraps it, and the rule's check calls it
 # again on a node's own premises, so a conclusion is computed in one
 # place only.
 #
@@ -104,8 +104,9 @@ class Rule:
     """One typing rule: its tag, its conclusion function, the subject
     former and premise count it types, and the checker's reason for each
     fault that its conclusion function does not raise.  `make` is the
-    rule's node constructor, which `rule_table` gives it, and `parts`
-    names the subject parts that its fixed premises type."""
+    rule's node constructor and `check` its node check, which `rule_table`
+    gives it, and `parts` names the subject parts that its fixed premises
+    type."""
     tag: str
     conclude: Callable[..., tuple]
     former: type
@@ -129,12 +130,14 @@ class Rule:
 
 def rule_table(system: str, *rules: Rule) -> None:
     """Make `rules` the rules of `system`, in `RULES`, and give each its
-    maker: a rule with counters adds its own to its premises', and one
-    without keeps the node's size in `system` on the node (see `sizer`).
-    A system with consuming rules also fills the engine's tables below."""
+    maker and its node check: a rule with counters adds its own to its
+    premises', and one without keeps the node's size in `system` on the
+    node (see `sizer`).  A system with consuming rules also fills the
+    engine's tables below."""
     table = RULES[system] = {rule.tag: rule for rule in rules}
     for rule in rules:
         object.__setattr__(rule, "make", _maker_of(rule, system))
+        object.__setattr__(rule, "check", _checker_of(rule))
         if rule.consuming:
             ENGINE[rule.node] = table
             CONSUMING_RULE[rule.node, rule.former] = rule
@@ -163,6 +166,50 @@ def _maker_of(rule: Rule, system: str) -> Callable[..., Any]:
         setattr(d, attr, n)
         return d
     return make
+
+
+def _checker_of(rule: Rule) -> Callable[[Any], str | None]:
+    """Why a node that passed `check_derivation`'s prelude breaks `rule`, or
+    None.  In this order: its former and premise count, the subjects of its
+    fixed premises, the side conditions, by calling the conclusion function
+    with the maker's arguments (see the top of the rule table), then its
+    type, context and counters against that conclusion."""
+    tag, conclude, former, k, parts, rest = (rule.tag, rule.conclude, rule.former, rule.fixed,
+                                             rule.parts, rule.rest)
+    delta, cls, reason = rule.delta, rule.node, rule.type
+    type_reason = reason if callable(reason) else lambda d: reason
+    binds = former is Abs or former is Sub  # the maker takes the binder first
+
+    def check(d) -> str | None:
+        s, ps = d.subject, d.premises
+        if type(s) is not former or (len(ps) < k if rest else len(ps) != k):
+            return rule.shape
+        for p, part in zip(ps, parts):
+            part = getattr(s, part)
+            if p.subject is not part and not term_eq(p.subject, part):
+                return rule.subjects
+        if rest:
+            ps = (*ps[:k], getattr(s, rest), ps[k:])
+        args = (s.name, d.type) if former is Var else (s.binder, *ps) if binds else ps
+        try:
+            context, _, ty, premises = conclude(tag, *args)
+        except IllFormed as ex:
+            return str(ex)
+        if ty is not d.type and ty != d.type:
+            return type_reason(d)
+        if context != d.context:
+            return rule.context
+        if delta is not None:
+            b, e, z = delta
+            for p in premises:
+                if type(p) is not cls:  # reported when the walk reaches it
+                    return None
+                pb, pe, pz = p.counters
+                b, e, z = b + pb, e + pe, z + pz
+            if (b, e, z) != d.counters:
+                return rule.counters
+        return None
+    return check
 
 
 def add_counters(delta: Counters, premises) -> Counters:
@@ -300,18 +347,32 @@ class Violation:
 
 
 def check_derivation(d, system: str) -> Violation | None:
-    """The first node of d, in pre-order, that breaks the rules of `system`
-    (see `check_node`), with the path of premise indices that leads to it.
-    Tight constants belong only to a system whose nodes carry counters; a
-    derivation read from JSON shares its types and context multisets
-    between nodes, so each object is looked into once."""
-    cls = next(iter(RULES[system].values())).node
+    """The first node of d, in pre-order, that breaks the rules of `system`,
+    with the path of premise indices that leads to it.  The prelude checks
+    a node's class, empty context entries and, without counters, tight
+    constants, looked for once in each type object; then its rule's check."""
+    rules = RULES[system]
+    cls = next(iter(rules.values())).node
     memo: dict[int, tuple[Type, bool]] | None = {} if cls is Derivation else None
+    wrong_class = f"system {system.upper()} nodes must {'not ' * (memo is not None)}carry counters"
     stack: list = [(d, None)]  # a node and its link: its index and its parent's link
     push = stack.append
     while stack:
         node, link = stack.pop()
-        reason = check_node(system, cls, node, memo)
+        if type(node) is not cls:
+            reason = wrong_class
+        else:
+            for m in node.context.values():
+                if not m.elements:
+                    reason = "context stores an empty multiset entry"
+                    break
+            else:
+                if memo is not None and any(map(has_tight_constants,
+                                                (node.type, *node.context.values()), repeat(memo))):
+                    reason = "tight constants do not belong to this system"
+                else:
+                    rule = rules.get(node.rule) if isinstance(node.rule, str) else None
+                    reason = f"unknown rule {node.rule!r}" if rule is None else rule.check(node)
         if reason is not None:
             path = []
             while link is not None:
@@ -321,57 +382,6 @@ def check_derivation(d, system: str) -> Violation | None:
         ps = node.premises
         for i in range(len(ps) - 1, -1, -1):
             push((ps[i], (i, link)))
-    return None
-
-
-def check_node(system: str, cls: type, d, tight: dict[int, tuple[Type, bool]] | None) -> str | None:
-    """Why node d breaks the rules of `system`, whose nodes are of class
-    `cls`, or None.  The checks run in a fixed order:
-
-    1. the node prelude: the node class, empty context entries and, when
-       `tight` is given, tight constants (looked for once per type object);
-    2. the rule's subject former and premise count;
-    3. the subjects of the premises that type the subject's fixed parts;
-    4. the rule's side conditions (a variadic tail's subjects among them),
-       by calling its conclusion function on the node's own premises;
-    5. the node's type, context and counters against that conclusion."""
-    if type(d) is not cls:
-        return f"system {system.upper()} nodes must {'not ' if cls is Derivation else ''}carry counters"
-    for m in d.context.values():
-        if not m.elements:
-            return "context stores an empty multiset entry"
-    if tight is not None and any(map(has_tight_constants, (d.type, *d.context.values()),
-                                     repeat(tight))):
-        return "tight constants do not belong to this system"
-    rule = RULES[system].get(d.rule) if isinstance(d.rule, str) else None
-    if rule is None:
-        return f"unknown rule {d.rule!r}"
-    s, ps, k, former, rest = d.subject, d.premises, rule.fixed, rule.former, rule.rest
-    if type(s) is not former or (len(ps) < k if rest else len(ps) != k):
-        return rule.shape
-    for p, part in zip(ps, rule.parts):
-        part = getattr(s, part)
-        if p.subject is not part and not term_eq(p.subject, part):
-            return rule.subjects
-    if rest:
-        ps = (*ps[:k], getattr(s, rest), ps[k:])
-    # the maker's arguments (see the top of the rule table)
-    if former is Var:
-        args: tuple = (s.name, d.type)
-    else:
-        args = (s.binder, *ps) if former is Abs or former is Sub else ps
-    try:
-        context, _, ty, premises = rule.conclude(rule.tag, *args)
-    except IllFormed as ex:
-        return str(ex)
-    if ty is not d.type and ty != d.type:
-        return rule.type if isinstance(rule.type, str) else rule.type(d)
-    if context != d.context:
-        return rule.context
-    # a premise of another class is reported when the walk reaches it
-    if (rule.delta is not None and all(type(p) is cls for p in premises)
-            and add_counters(rule.delta, premises) != d.counters):
-        return rule.counters
     return None
 
 
@@ -535,22 +545,6 @@ def rename_free_d(d, old: str, new: str) -> Walk:
     """The walk of d with its free name `old` renamed to `new`, as
     subst_meta renames."""
     return _subst(d, old, Var(new), frozenset((new,)), lambda ax: _maker(ax)(new, ax.type))
-
-
-def subst_derivation(d_t, x: str, d_us: list):
-    """Merge derivations of u into a derivation of t, replacing the
-    axioms for x.  The conclusion-type bag of d_us must equal the
-    x-multiset of d_t's context; matching is by type, left to right."""
-    if mult(d.type for d in d_us) != ctx_get(d_t.context, x):
-        raise IllFormed("argument derivations do not realize the multiset of x")
-    for d in d_us[1:]:
-        if not term_eq(d.subject, d_us[0].subject):
-            raise IllFormed("argument derivations type different terms")
-    u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
-    pool = list(d_us)
-    out = unwind(_subst(d_t, x, u, None, _take_from(pool)))
-    assert not pool, "unconsumed argument derivations"
-    return out
 
 
 def _take_from(pool: list) -> Callable[[Any], Any]:

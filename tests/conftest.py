@@ -1,4 +1,5 @@
 from bisect import insort
+from itertools import repeat
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -6,8 +7,8 @@ from hypothesis import settings
 from bangcalc import cbn_cbv, system_e, system_u
 from bangcalc.cbn_cbv import NotLambdaTerm, fire_sv
 from bangcalc.qtypes import (
-    EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, BaseVar, Mult, Tight, TypeParseError, ctx_get, mult,
-    parse_type, sort_key,
+    EMPTY_MULT, OMEGA, TIGHT_NEUTRAL, Arrow, BaseVar, Mult, Tight, TypeParseError, ctx_get,
+    has_tight_constants, mult, parse_type, sort_key,
 )
 from bangcalc.reduction import (
     ClashKind, ClashReport, InvalidPosition, RuleKind, Sel, classify_nf, classify_wcf_nf, fire_db,
@@ -22,7 +23,8 @@ from bangcalc.system_e import (
     DerivationE, mk_ae_t, mk_ai_t, mk_ax_e, mk_bg_t, mk_dr_t, mk_es_t,
 )
 from bangcalc.system_u import (
-    Derivation, NotTypableNormalForm, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+    RULES, Derivation, IllFormed, NotTypableNormalForm, Violation, add_counters, mk_abs, mk_app,
+    mk_ax, mk_bg, mk_dr, mk_es, unwind,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -917,3 +919,85 @@ def same_derivation(a, b) -> bool:
             return False
         stack.extend(zip(a.premises, b.premises))
     return True
+
+
+# ---------------------------------------------------------------------------
+# The generic node check, the oracle for the checks that `system_u.rule_table`
+# builds for each rule
+
+def ref_check_derivation(d, system: str):
+    """The first node of d, in pre-order, that `ref_check_node` rejects in
+    `system`, with the path of premise indices that leads to it."""
+    cls = next(iter(RULES[system].values())).node
+    memo = {} if cls is Derivation else None
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        reason = ref_check_node(system, cls, node, memo)
+        if reason is not None:
+            return Violation(path, reason)
+        stack.extend((p, path + (i,)) for i, p in reversed(list(enumerate(node.premises))))
+    return None
+
+
+def ref_check_node(system: str, cls: type, d, tight):
+    """Why node d breaks the rules of `system`, whose nodes are of class
+    `cls`, or None: the node class, empty context entries, tight constants
+    (when `tight` is given), the rule's former and premise count, the fixed
+    premises' subjects, its conclusion function's side conditions, then
+    the node's type, context and counters against that conclusion."""
+    if type(d) is not cls:
+        return f"system {system.upper()} nodes must {'not ' if cls is Derivation else ''}carry counters"
+    for m in d.context.values():
+        if not m.elements:
+            return "context stores an empty multiset entry"
+    if tight is not None and any(map(has_tight_constants, (d.type, *d.context.values()),
+                                     repeat(tight))):
+        return "tight constants do not belong to this system"
+    rule = RULES[system].get(d.rule) if isinstance(d.rule, str) else None
+    if rule is None:
+        return f"unknown rule {d.rule!r}"
+    s, ps, k, former, rest = d.subject, d.premises, rule.fixed, rule.former, rule.rest
+    if type(s) is not former or (len(ps) < k if rest else len(ps) != k):
+        return rule.shape
+    for p, part in zip(ps, rule.parts):
+        part = getattr(s, part)
+        if p.subject is not part and not term_eq(p.subject, part):
+            return rule.subjects
+    if rest:
+        ps = (*ps[:k], getattr(s, rest), ps[k:])
+    if former is Var:
+        args = (s.name, d.type)
+    else:
+        args = (s.binder, *ps) if former is Abs or former is Sub else ps
+    try:
+        context, _, ty, premises = rule.conclude(rule.tag, *args)
+    except IllFormed as ex:
+        return str(ex)
+    if ty is not d.type and ty != d.type:
+        return rule.type if isinstance(rule.type, str) else rule.type(d)
+    if context != d.context:
+        return rule.context
+    if (rule.delta is not None and all(type(p) is cls for p in premises)
+            and add_counters(rule.delta, premises) != d.counters):
+        return rule.counters
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Engine helpers that only tests call
+
+def subst_derivation(d_t, x: str, d_us: list):
+    """Merge derivations of u into a derivation of t, replacing the
+    axioms for x.  The conclusion-type bag of d_us must equal the
+    x-multiset of d_t's context; matching is by type, left to right."""
+    if mult(d.type for d in d_us) != ctx_get(d_t.context, x):
+        raise IllFormed("argument derivations do not realize the multiset of x")
+    for d in d_us[1:]:
+        if not term_eq(d.subject, d_us[0].subject):
+            raise IllFormed("argument derivations type different terms")
+    u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
+    pool = list(d_us)
+    out = unwind(system_u._subst(d_t, x, u, None, system_u._take_from(pool)))
+    assert not pool, "unconsumed argument derivations"
+    return out

@@ -12,8 +12,7 @@ from bangcalc.cbn_cbv import (
     NotLambdaTerm, check_derivation_n, check_derivation_v, classify_lambda_nf,
     embed_cbn, embed_cbv, infer_n, infer_v, mk_abs_v, mk_ax_n, mk_ax_v,
     n_size, normalize_n, normalize_v, size_n, size_v, step_n, step_v,
-    translate_n_to_u, translate_u_to_n, translate_u_to_v, translate_v_to_u,
-    unbang_value, v_size,
+    translate_n_to_u, translate_u_to_n, translate_u_to_v, translate_v_to_u, v_size,
 )
 from bangcalc.system_u import Derivation, check_derivation_u
 from bangcalc.gen import rand_lambda_term
@@ -23,6 +22,13 @@ from conftest import lambda_terms, lambda_values
 
 def t(s):
     return parse_term(s)
+
+
+def unbang_value(v):
+    """The u with cbv(v) = !u, for a value v."""
+    image = embed_cbv(v)
+    assert isinstance(image, Bang)
+    return image.body
 
 
 OMEGA = r"(\x.x x) (\x.x x)"

@@ -81,7 +81,7 @@ SRC = Path(bangcalc.__file__).parent
 FIELDS = frozenset({"fun", "arg", "body", "binder", "name", "elements", "domain", "codomain",
                     "rule", "context", "subject", "type", "counters", "premises"})
 # attributes set on `system_u.Rule`, which is not a node, after it is built
-RULE_ATTRS = frozenset({"parts", "make"})
+RULE_ATTRS = frozenset({"parts", "make", "check"})
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 

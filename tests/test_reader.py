@@ -429,6 +429,32 @@ def test_u_check_looks_into_each_type_object_once(monkeypatch):
     assert looked and len(looked) == len(set(looked))
 
 
+@pytest.mark.parametrize("held", [[], ["o0", "[o0]"]])
+def test_nested_one_element_multisets_go_to_the_parser_after_linear_work(monkeypatch, held):
+    """k nested one-element multisets `[[...[o0]...]]`: before the text
+    goes to the parser, the characters `_leading` scans and the text stored
+    in the memo stay within a small multiple of the text's length, at
+    every k.  A one-element multiset of a held element is still assembled."""
+    leading, scanned = qtypes._leading, []
+
+    def counted(text):
+        comma, end = leading(text)
+        scanned.append(len(text) if end < 0 else end)  # it stops at the first multiset's end
+        return comma, end
+    monkeypatch.setattr(qtypes, "_leading", counted)
+    for k in (10, 100, 1000, 10_000):
+        text = "[" * k + "o0" + "]" * k
+        memo = {h: qtypes.parse_type(h) for h in held}
+        scanned.clear()
+        assert qtypes._assembled(text, memo) is None
+        stored = sum(len(t) for t in memo if t not in held)
+        assert sum(scanned) + stored <= 3 * len(text), k
+    memo = {h: qtypes.parse_type(h) for h in held}
+    if held:
+        assert qtypes._assembled("[[o0]]", memo) == Mult((memo["[o0]"],))
+        assert memo["[[o0]]"].elements[0] is memo["[o0]"]
+
+
 # ---------------------------------------------------------------------------
 # Mutated derivation JSON through the CLI
 

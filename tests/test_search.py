@@ -10,9 +10,10 @@ from hypothesis import given
 
 from bangcalc.cbn_cbv import n_size, normalize_n, normalize_v, step_n, step_v, v_size
 from bangcalc.gen import generate_corpus
+from bangcalc import reduction
 from bangcalc.reduction import (
     ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel, detect_clash, normalize_dw,
-    redexes, replace_at, step_at, step_dw, subterm_at,
+    redexes, step_at, step_dw, subterm_at,
 )
 from bangcalc.qtypes import EMPTY_MULT, BaseVar, mult
 from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, decompose_list, term_eq
@@ -24,6 +25,11 @@ from conftest import (
 )
 
 DEPTH = 5000
+
+
+def replace_at(t, pos, new):
+    """t with `new` at pos, rebuilt along the path that `step_at` rebuilds."""
+    return reduction._rebuild(reduction._descend(t, pos)[0], new)
 
 
 def outcome(f, *args):

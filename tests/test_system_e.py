@@ -12,10 +12,10 @@ from bangcalc.system_e import (
     is_tight, mk_ae_d, mk_ae_t, mk_ai_d, mk_ai_t, mk_ax_e, mk_bg_d, mk_bg_t,
     mk_dr_d, mk_es_t, reduce_derivation_e, tight_spreading_check, type_normal_form_tight,
 )
-from bangcalc.system_u import IllFormed, Untypable, antisubst_derivation, subst_derivation
+from bangcalc.system_u import IllFormed, Untypable, antisubst_derivation
 from bangcalc.gen import rand_bang_term
 
-from conftest import REFRESHED_INNER_BINDERS
+from conftest import REFRESHED_INNER_BINDERS, subst_derivation
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 

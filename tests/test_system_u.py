@@ -13,7 +13,7 @@ from bangcalc.system_u import (
     Derivation, IllFormed, NotTypableNormalForm, Untypable,
     antisubst_derivation, check_derivation_u, expand_derivation_u, infer_u,
     mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, reduce_derivation_u, size_u,
-    subst_derivation, type_normal_form_u,
+    type_normal_form_u,
 )
 from bangcalc.gen import generate_corpus, rand_bang_term
 from bangcalc.cbn_cbv import (
@@ -25,7 +25,7 @@ from bangcalc.system_e import check_derivation_e, infer_tight, type_normal_form_
 
 from conftest import (
     REFRESHED_INNER_BINDERS, bang_terms, church_term, derivation_nodes, ref_type_normal_form_tight,
-    ref_type_normal_form_u, same_derivation,
+    ref_type_normal_form_u, same_derivation, subst_derivation,
 )
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
