@@ -208,8 +208,8 @@ TypeMemo = dict[int, tuple[Type, str]]
 
 
 def print_type(t: Type, memo: TypeMemo | None = None) -> str:
-    """Surface syntax of t.  As with `syntax.print_term`, every call given
-    the same `memo` prints each node once."""
+    """Surface syntax of t.  Every call given the same `memo` prints each
+    node once, but the codomain arrows of a chain, whose text is the chain's."""
     if memo is None:
         memo = {}
     hit = memo.get(id(t))
@@ -223,8 +223,12 @@ def print_type(t: Type, memo: TypeMemo | None = None) -> str:
                 e_text, before = print_type(e, memo), e
             texts.append(e_text)
         text = "[" + ",".join(texts) + "]"
-    elif cls is Arrow:
-        text = f"{print_type(t.domain, memo)} -> {print_type(t.codomain, memo)}"
+    elif cls is Arrow:  # codomains followed by loop to one held or not an arrow
+        parts, cod = [print_type(t.domain, memo)], t.codomain
+        while type(cod) is Arrow and id(cod) not in memo:
+            parts.append(print_type(cod.domain, memo))
+            cod = cod.codomain
+        text = f"{' -> '.join(parts)} -> {print_type(cod, memo)}"
     elif cls is BaseVar:
         return f"o{t.index}"
     elif cls is Tight:
@@ -269,53 +273,43 @@ def parse_type(text: str, memo: TypeParseMemo | None = None) -> Type:
 
 
 def _assembled(text: str, memo: TypeParseMemo) -> Type | None:
-    """The type of a text the memo holds or that is assembled from held
+    """The type of a text the memo holds or that is one step from held
     texts, stored once assembled; None for any other text, which is then
-    parsed.  A text that opens a multiset M is assembled when
-    - M is the whole text, a run `[E,...,E]` of one held element text E;
-    - M is held, and the text is an arrow `M -> T` whose codomain text T
-      is held or assembled;
-    - M is the whole text, a one-element multiset `[T]` whose element
-      text T is held or assembled (V's `[[run] -> [[] -> []]]`), unless
-      T is itself a one-element multiset that is not held.
-    A run is first tried with E ending at the first ",", which settles
-    most runs without scanning their brackets; `_leading` finds the ends
-    of M and of E in one pass.  So each text costs a fixed number of
-    lookups, and k nested one-element multisets go to the parser after
-    two scans of the text, not k.  The memo holds only texts that parsed,
-    whose brackets balance, so a held E or M is the one the text opens
-    with, a held M is a Mult, and the text parses to what it is assembled
-    to.  Nothing here parses."""
-    # the texts that the current one lies in, outermost first, each with
-    # its arrow's domain, or None for a one-element multiset
-    around: list[tuple[str, Mult | None]] = []
-    while (hit := memo.get(text)) is None:
-        if text[:1] != "[":
-            return None
-        hit = _run(text, text.find(","), memo)  # E without a ","
-        if hit is not None:
-            break
-        comma, end = _leading(text)
-        if end == len(text):  # M is the whole text
-            if comma > 0:  # a run, or nothing
-                hit = _run(text, comma, memo)
-                break
-            if around and around[-1][1] is None:  # the element of a one-element multiset
-                return None
-            around.append((text, None))  # of one element
-            text = text[1:-1]
-            continue
-        dom = memo.get(text[:end]) if end > 0 else None
-        if dom is None or not text.startswith(" -> ", end):
-            return None
-        around.append((text, dom))
-        text = text[end + 4:]
+    parsed.  One step is a run `[E,...,E]` of a held E, an arrow `M -> T`
+    of a held multiset M and a held T, or a one-element multiset `[T]` of
+    a held T or of such an arrow (V's context entry `[[run] -> T]`).  A run
+    is first tried with E ending at the first ",", which needs no scan;
+    else `_leading` finds the ends of M and of E in one pass.  So a text
+    costs at most two scans and a fixed number of lookups.  The memo holds
+    only texts that parsed, whose brackets balance, so a held E or M is
+    the one the text opens with, a held M is a Mult, and the text parses
+    to what it is assembled to.  Nothing here parses."""
+    hit = memo.get(text)
+    if hit is not None or text[:1] != "[":
+        return hit
+    hit = _run(text, text.find(","), memo)  # E without a ","
     if hit is None:
-        return None
-    memo[text] = hit
-    for whole, dom in reversed(around):
-        hit = memo[whole] = Mult((hit,)) if dom is None else Arrow(dom, hit)
+        comma, end = _leading(text)
+        if end < len(text):
+            hit = _arrow(text, end, memo)
+        elif comma > 0:  # a run, or nothing
+            hit = _run(text, comma, memo)
+        else:  # of one element
+            e = text[1:-1]
+            hit = memo.get(e)
+            if hit is None and e[:1] == "[":
+                hit = _arrow(e, _leading(e)[1], memo)
+            hit = None if hit is None else Mult((hit,))
+    if hit is not None:
+        memo[text] = hit
     return hit
+
+
+def _arrow(text: str, end: int, memo: TypeParseMemo) -> Arrow | None:
+    """The text as `M -> T`, M held and ending at `end`, T held; or None."""
+    dom = memo.get(text[:end]) if end > 0 and text.startswith(" -> ", end) else None
+    cod = None if dom is None else memo.get(text[end + 4:])
+    return None if cod is None else Arrow(dom, cod)
 
 
 def _run(text: str, comma: int, memo: TypeParseMemo) -> Mult | None:

@@ -200,13 +200,10 @@ def _checker_of(rule: Rule) -> Callable[[Any], str | None]:
         if context != d.context:
             return rule.context
         if delta is not None:
-            b, e, z = delta
             for p in premises:
                 if type(p) is not cls:  # reported when the walk reaches it
                     return None
-                pb, pe, pz = p.counters
-                b, e, z = b + pb, e + pe, z + pz
-            if (b, e, z) != d.counters:
+            if add_counters(delta, premises) != d.counters:
                 return rule.counters
         return None
     return check

@@ -181,9 +181,10 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
     (("typecheck", "--system", "e", _e_derivation_with_counters("abc")), 2, "counters"),
     (("typecheck", "--system", "e", _u_derivation_json()), 1, "violation at []"),
     (("reduce", "--fuel", "-5", "x"), 2, "fuel must not be negative"),
-    # the term parser reads any depth (see test_deep_terms_run_from_the_cli);
-    # a type's printer, the type parser and `json` still recurse
-    (("infer", _nested_lambdas(1500)), 2, "nested too deeply"),
+    # the term parser reads any depth (see test_deep_terms_run_from_the_cli)
+    # and the type printer prints any arrow depth (see
+    # test_ten_thousand_nested_lambdas_type_in_text); the type parser and
+    # `json` still recurse
     (("typecheck", "--system", "u", "[" * 5000 + "]" * 5000), 2, "nested too deeply"),
     (("typecheck", "--system", "u", _axiom(type="[o0] -> " * 3000 + "o0")), 2,
      "nested too deeply"),
@@ -213,7 +214,7 @@ BAD_TEXT_CASES = [(field, kind, repeated) for field in ("term", "type", "context
 ] + [(("typecheck", "--system", "u", _bad_text(*case)), 2, "malformed derivation")
       for case in BAD_TEXT_CASES],
    ids=["not-json", "missing-field", "not-an-object", "short-counters", "string-counters",
-        "u-derivation-in-e", "negative-fuel", "deep-lambdas", "deep-json", "deep-type-text",
+        "u-derivation-in-e", "negative-fuel", "deep-json", "deep-type-text",
         "deep-multisets",
         "embed-bang", "translate-bang", "counters-in-u", "counters-in-n", "counters-in-v",
         "e-node-over-u-node", "seed-on-trace", "fuel-on-classify",
@@ -263,6 +264,22 @@ def test_deep_terms_run_from_the_cli(capsys, shape):
         assert (code, err) == (0, ""), command
         if command == "parse":
             assert term_eq(parse_term(out), parse_term(text))
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (("infer",), "size=10001"),
+    (("infer", "--calculus", "cbn"), "size=10001"),
+    (("translate", "--calculus", "cbn"), "(size 10001)"),
+])
+def test_ten_thousand_nested_lambdas_type_in_text(capsys, argv, tail):
+    # the type is a 10,000-deep arrow, which the printer walks by loop
+    code, out, err = run(capsys, *argv, _nested_lambdas(DEEP))
+    assert (code, err) == (0, "") and out.rstrip().endswith(tail)
+
+
+def test_nested_lambdas_deeper_than_json_reads_exit_2_with_one_line_in_machine_output(capsys):
+    code, out, err = run(capsys, "infer", "--output", "machine", _nested_lambdas(1500))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------

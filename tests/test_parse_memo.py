@@ -386,14 +386,21 @@ def test_a_run_reads_as_copies_of_the_held_element(e):
 
 
 # ---------------------------------------------------------------------------
-# Arrows: a held multiset domain and a held or assembled codomain
+# Arrows: a held multiset domain and a held codomain
 
-ARROWS = [  # a text, and the held texts it is assembled from
+ARROWS = [  # a text, and the held texts it is assembled from in one step
     ("[o0] -> o0", ["[o0]", "o0"]),
-    ("[a] -> [n,n]", ["[a]", "n"]),
+    ("[a] -> [n,n]", ["[a]", "[n,n]"]),
     ("[o0,o0,o0] -> [o0] -> o0", ["[o0,o0,o0]", "[o0] -> o0"]),
+    ("[o0] -> [o1] -> [a] -> n", ["[o0]", "[o1] -> [a] -> n"]),
+    ("[[o0,o0] -> [[] -> []]]", ["[o0,o0]", "[[] -> []]"]),  # the shape of a V context entry
+]
+
+# texts more than one step from the held texts: they go to the parser
+MULTI_STEP = [
+    ("[a] -> [n,n]", ["[a]", "n"]),
     ("[o0] -> [o1] -> [a] -> n", ["[o0]", "[o1]", "[a]", "n"]),
-    ("[[o0,o0] -> [[] -> []]]", ["[o0,o0]", "[]"]),  # the shape of a V context entry
+    ("[[o0,o0] -> [[] -> []]]", ["[o0,o0]", "[]"]),
 ]
 
 
@@ -426,6 +433,13 @@ def test_near_misses_of_an_assembled_arrow_read_as_the_plain_parse(text, held):
                  text.replace(" -> ", "->", 1), text.replace(" -> ", " ->  ", 1),
                  text.replace(" -> ", " -> -> ", 1), "[" + text + "]",
                  "[" + text + "," + text + "]", text + " -> " + text, "[o0] -> " + text]:
+        memo = {h: parse_type(h) for h in held}
+        assert outcome(parse_type, near, memo) == outcome(parse_type, near), near
+
+
+@pytest.mark.parametrize("text, held", MULTI_STEP)
+def test_a_text_more_than_one_step_from_held_texts_reads_as_the_plain_parse(text, held):
+    for near in [text, text + " o1", text[:-1], "[" + text + "]", "[o0] -> " + text]:
         memo = {h: parse_type(h) for h in held}
         assert outcome(parse_type, near, memo) == outcome(parse_type, near), near
 

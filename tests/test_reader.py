@@ -429,12 +429,8 @@ def test_u_check_looks_into_each_type_object_once(monkeypatch):
     assert looked and len(looked) == len(set(looked))
 
 
-@pytest.mark.parametrize("held", [[], ["o0", "[o0]"]])
-def test_nested_one_element_multisets_go_to_the_parser_after_linear_work(monkeypatch, held):
-    """k nested one-element multisets `[[...[o0]...]]`: before the text
-    goes to the parser, the characters `_leading` scans and the text stored
-    in the memo stay within a small multiple of the text's length, at
-    every k.  A one-element multiset of a held element is still assembled."""
+def count_leading(monkeypatch) -> list[int]:
+    """The list that gets the characters each `_leading` call scans."""
     leading, scanned = qtypes._leading, []
 
     def counted(text):
@@ -442,6 +438,16 @@ def test_nested_one_element_multisets_go_to_the_parser_after_linear_work(monkeyp
         scanned.append(len(text) if end < 0 else end)  # it stops at the first multiset's end
         return comma, end
     monkeypatch.setattr(qtypes, "_leading", counted)
+    return scanned
+
+
+@pytest.mark.parametrize("held", [[], ["o0", "[o0]"]])
+def test_nested_one_element_multisets_go_to_the_parser_after_linear_work(monkeypatch, held):
+    """k nested one-element multisets `[[...[o0]...]]`: before the text
+    goes to the parser, the characters `_leading` scans and the text stored
+    in the memo stay within a small multiple of the text's length, at
+    every k.  A one-element multiset of a held element is still assembled."""
+    scanned = count_leading(monkeypatch)
     for k in (10, 100, 1000, 10_000):
         text = "[" * k + "o0" + "]" * k
         memo = {h: qtypes.parse_type(h) for h in held}
@@ -453,6 +459,23 @@ def test_nested_one_element_multisets_go_to_the_parser_after_linear_work(monkeyp
     if held:
         assert qtypes._assembled("[[o0]]", memo) == Mult((memo["[o0]"],))
         assert memo["[[o0]]"].elements[0] is memo["[o0]"]
+
+
+@pytest.mark.parametrize("shape", ["alternating", "arrows"])
+def test_chains_over_held_texts_go_to_the_parser_after_linear_work(monkeypatch, shape):
+    """k levels of `[[o0] -> [[o0] -> ... o0]]` or of `[o0] -> ... -> o0`,
+    with `[o0]` and `o0` held: what `_leading` scans and what the memo
+    gets stay within three times the text's length, at every k.  One
+    level is one step from the held texts, and is assembled."""
+    scanned = count_leading(monkeypatch)
+    for k in (1, 10, 100, 1000, 10_000):
+        text = "[[o0] -> " * k + "o0" + "]" * k if shape == "alternating" else "[o0] -> " * k + "o0"
+        memo = {h: qtypes.parse_type(h) for h in ("o0", "[o0]")}
+        scanned.clear()
+        got = qtypes._assembled(text, memo)
+        stored = sum(len(t) for t in memo if t not in ("o0", "[o0]"))
+        assert sum(scanned) + stored <= 3 * len(text), k
+        assert got == (qtypes.parse_type(text) if k == 1 else None), k
 
 
 # ---------------------------------------------------------------------------
