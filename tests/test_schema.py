@@ -25,6 +25,9 @@ RECORD_SCHEMAS = {
     "derivation": "derivation_record.schema.json",
     "translation": "translation.schema.json",
     "check": "check.schema.json",
+    "term": "term.schema.json",
+    "normal_form": "normal_form.schema.json",
+    "classification": "classification.schema.json",
 }
 
 
@@ -65,3 +68,14 @@ def test_derivation_schema_pins_the_tree_not_the_record():
     validator = jsonschema.Draft202012Validator(SCHEMAS["derivation.schema.json"], registry=REGISTRY)
     record = json.loads(out)
     assert validator.is_valid(record["derivation"]) and not validator.is_valid(record)
+
+
+def test_classification_shapes_do_not_mix():
+    _, bang = run("classify", "--output", "machine", "x !y")
+    _, lam = run("classify", "--calculus", "cbn", "--output", "machine", "x y")
+    bang, lam = json.loads(bang), json.loads(lam)
+    assert validate(json.dumps(bang)) == validate(json.dumps(lam)) == ["classification"]
+    for broken in ({**bang, "cbn": []}, {**lam, "normal": True}, {**lam, "cbn": ["no"]},
+                   {**bang, "clash": {"position": [], "kind": "nope"}}):
+        with pytest.raises(jsonschema.ValidationError):
+            validate(json.dumps(broken))
