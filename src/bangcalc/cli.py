@@ -28,7 +28,7 @@ from .cbn_cbv import (
 )
 from .serialize import (
     FORMAT_VERSION, MalformedDerivation, classification_json,
-    derivation_from_json, dump_records, record_text, trace_records,
+    derivation_from_json, dump_records, position_to_json, record_text, trace_records,
 )
 from . import acceptance
 
@@ -41,136 +41,122 @@ EXIT_INTERNAL = 5
 EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 EXIT_PIPE = 141  # the shell's code for SIGPIPE
 
+# What each calculus (`--calculus`) and type system (`--system`) runs; the
+# flags' choices are these tables' keys.  The values are the functions
+# themselves, so that a tracer that swaps a module's functions finds them.
+_NORMALIZE = {"bang": normalize_dw, "cbn": normalize_n, "cbv": normalize_v}
+_INFER = {"bang": infer_u, "cbn": infer_n, "cbv": infer_v}
+_SIZE = {"bang": size_u, "cbn": size_n, "cbv": size_v}
+_EMBED = {"cbn": embed_cbn, "cbv": embed_cbv}
+_TO_U = {"cbn": translate_n_to_u, "cbv": translate_v_to_u}
+_CHECKERS = {"u": check_derivation_u, "e": check_derivation_e,
+             "n": check_derivation_n, "v": check_derivation_v}
+
 
 class UntypableTerm(Exception):
     pass
 
 
 def _read_input(args) -> str:
-    if args.term is not None:
-        return args.term
-    return sys.stdin.read()
+    return sys.stdin.read() if args.term is None else args.term
 
 
 def _parse(args) -> Term:
     t = parse_term(_read_input(args), strict=getattr(args, "strict", False))
-    if args.calculus in ("cbn", "cbv") and not is_lambda_term(t):
+    if args.calculus != "bang" and not is_lambda_term(t):
         raise ParseError("bang/der are not part of the lambda fragment", 0)
     return t
 
 
-def _machine(args) -> bool:
-    return args.output == "machine"
+def _emit(args, record, text) -> int:
+    """Print `record` in machine output and `text` otherwise.  Either may be
+    a function that builds it, called only for its own output."""
+    if args.output == "machine":
+        print(record_text(record() if callable(record) else record))
+    else:
+        print(text() if callable(text) else text)
+    return EXIT_OK
 
 
-def _emit_record(obj) -> None:
-    print(record_text(obj))
+def _emit_term(args, t: Term) -> int:
+    text = print_term(t)
+    return _emit(args, {"record": "term", "version": FORMAT_VERSION, "term": text}, text)
+
+
+def _bang_refused(args) -> bool:
+    """Whether a CBN/CBV-only command was given bang, said on stderr if so."""
+    if args.calculus == "bang":
+        print(f"{args.command} needs --calculus cbn or cbv", file=sys.stderr)
+    return args.calculus == "bang"
+
+
+def _position(pos) -> str:
+    return "/".join(position_to_json(pos)) or "root"
 
 
 def cmd_parse(args) -> int:
-    t = _parse(args)
-    if _machine(args):
-        _emit_record({"record": "term", "version": FORMAT_VERSION, "term": print_term(t)})
-    else:
-        print(print_term(t))
-    return EXIT_OK
-
-
-def _normalize_for(args, t: Term):
-    if args.calculus == "cbn":
-        return normalize_n(t, args.fuel)
-    if args.calculus == "cbv":
-        return normalize_v(t, args.fuel)
-    return normalize_dw(t, args.fuel)
+    return _emit_term(args, _parse(args))
 
 
 def cmd_reduce(args) -> int:
-    t = _parse(args)
-    trace = _normalize_for(args, t)
-    if _machine(args):
-        _emit_record({"record": "normal_form", "version": FORMAT_VERSION,
-                      "term": print_term(trace.final), "steps": len(trace.steps),
-                      "b": trace.b, "e": trace.e})
-    else:
-        print(print_term(trace.final))
-        print(f"steps={len(trace.steps)} b={trace.b} e={trace.e}")
-    return EXIT_OK
+    trace = _NORMALIZE[args.calculus](_parse(args), args.fuel)
+    final, steps = print_term(trace.final), len(trace.steps)
+    return _emit(args, {"record": "normal_form", "version": FORMAT_VERSION, "term": final,
+                        "steps": steps, "b": trace.b, "e": trace.e},
+                 f"{final}\nsteps={steps} b={trace.b} e={trace.e}")
 
 
 def cmd_trace(args) -> int:
     t = _parse(args)
     try:
-        trace = _normalize_for(args, t)
+        trace = _NORMALIZE[args.calculus](t, args.fuel)
     except FuelExhausted as ex:
-        if _machine(args):  # the steps taken before the fuel ran out
+        if args.output == "machine":  # the steps taken before the fuel ran out
             print(dump_records(trace_records(ex.trace)))
         raise
-    if _machine(args):
+    if args.output == "machine":
         print(dump_records(trace_records(trace)))
-    else:
-        print(f"start  {print_term(t)}")
-        for i, step in enumerate(trace.steps):
-            pos = "/".join(s.value for s in step.position) or "root"
-            print(f"[{i}] {step.rule.value:3} at {pos:24} -> {print_term(step.result)}")
-        cls = classify_nf(trace.final)
-        print(f"(b,e)=({trace.b},{trace.e})  normal={cls.normal}  "
-              f"classes={sorted(cls.memberships)}  w-size={w_size(trace.final)}")
+        return EXIT_OK
+    print(f"start  {print_term(t)}")
+    for i, step in enumerate(trace.steps):
+        print(f"[{i}] {step.rule.value:3} at {_position(step.position):24} -> "
+              f"{print_term(step.result)}")
+    cls = classify_nf(trace.final)
+    print(f"(b,e)=({trace.b},{trace.e})  normal={cls.normal}  "
+          f"classes={sorted(cls.memberships)}  w-size={w_size(trace.final)}")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     t = _parse(args)
-    if args.calculus in ("cbn", "cbv"):
+    if args.calculus != "bang":
         cls = classify_lambda_nf(t)
-        if _machine(args):
-            _emit_record({"record": "classification", "cbn": sorted(cls.cbn),
-                          "cbv": sorted(cls.cbv)})
-        else:
-            print(f"cbn: {sorted(cls.cbn) or 'not normal'}")
-            print(f"cbv: {sorted(cls.cbv) or 'not normal'}")
-        return EXIT_OK
+        cbn, cbv = sorted(cls.cbn), sorted(cls.cbv)
+        return _emit(args, {"record": "classification", "cbn": cbn, "cbv": cbv},
+                     f"cbn: {cbn or 'not normal'}\ncbv: {cbv or 'not normal'}")
     cls, wcf, clash = classify_nf(t), classify_wcf_nf(t), detect_clash(t)
-    if _machine(args):
-        _emit_record(classification_json(cls, wcf, clash))
-    else:
-        print(f"normal={cls.normal}  classes={sorted(cls.memberships)}")
-        print(f"wcf classes={sorted(wcf.memberships)}  clash_free={clash.clash_free}")
-    return EXIT_OK
+    return _emit(args, lambda: classification_json(cls, wcf, clash),
+                 f"normal={cls.normal}  classes={sorted(cls.memberships)}\n"
+                 f"wcf classes={sorted(wcf.memberships)}  clash_free={clash.clash_free}")
 
 
 def cmd_clash(args) -> int:
     t = _parse(args)
     report = detect_clash(t)
-    if _machine(args):
-        _emit_record(classification_json(classify_nf(t), classify_wcf_nf(t), report))
-    elif report.clash_free:
-        print("clash free")
-    else:
-        pos, kind = report.witness
-        print(f"clash {kind.value} at {'/'.join(s.value for s in pos) or 'root'}")
-    return EXIT_OK
-
-
-_CHECKERS = {
-    "u": check_derivation_u,
-    "e": check_derivation_e,
-    "n": check_derivation_n,
-    "v": check_derivation_v,
-}
+    text = ("clash free" if report.clash_free else
+            f"clash {report.witness[1].value} at {_position(report.witness[0])}")
+    return _emit(args, lambda: classification_json(classify_nf(t), classify_wcf_nf(t), report),
+                 text)
 
 
 def cmd_typecheck(args) -> int:
-    obj = json.loads(_read_input(args))
-    d = derivation_from_json(obj)
-    violation = _CHECKERS[args.system](d)
+    violation = _CHECKERS[args.system](derivation_from_json(json.loads(_read_input(args))))
     if violation is None:
-        print("ok" if not _machine(args) else json.dumps({"record": "check", "ok": True}))
+        print('{"record": "check", "ok": true}' if args.output == "machine" else "ok")
         return EXIT_OK
-    if _machine(args):
-        _emit_record({"record": "check", "ok": False,
-                      "path": list(violation.path), "reason": violation.reason})
-    else:
-        print(f"violation at {list(violation.path)}: {violation.reason}")
+    _emit(args, {"record": "check", "ok": False, "path": list(violation.path),
+                 "reason": violation.reason},
+          f"violation at {list(violation.path)}: {violation.reason}")
     return EXIT_CHECK_FAILED
 
 
@@ -184,71 +170,38 @@ def _derived(res):
     return res
 
 
-def _report_inference(args, res, size_fn) -> int:
-    res = _derived(res)
-    if _machine(args):
-        _emit_record({"record": "derivation", "version": FORMAT_VERSION,
-                      "size": size_fn(res), "derivation": res})
-    else:
-        print(res.judgement())
-        print(f"size={size_fn(res)}")
-    return EXIT_OK
-
-
 def cmd_infer(args) -> int:
-    t = _parse(args)
-    if args.calculus == "cbn":
-        return _report_inference(args, infer_n(t, args.fuel), size_n)
-    if args.calculus == "cbv":
-        return _report_inference(args, infer_v(t, args.fuel), size_v)
-    return _report_inference(args, infer_u(t, args.fuel), size_u)
+    res = _derived(_INFER[args.calculus](_parse(args), args.fuel))
+    size = _SIZE[args.calculus](res)
+    return _emit(args, {"record": "derivation", "version": FORMAT_VERSION, "size": size,
+                        "derivation": res},
+                 lambda: f"{res.judgement()}\nsize={size}")
 
 
 def cmd_tight(args) -> int:
     res = _derived(infer_tight(_parse(args), args.fuel))
-    if _machine(args):
-        _emit_record({"record": "derivation", "version": FORMAT_VERSION,
-                      "counters": list(res.counters), "tight": is_tight(res),
-                      "derivation": res})
-    else:
-        print(res.judgement())
-        print(f"counters=(b={res.b}, e={res.e}, s={res.s})  tight={is_tight(res)}")
-    return EXIT_OK
+    tight = is_tight(res)
+    return _emit(args, {"record": "derivation", "version": FORMAT_VERSION,
+                        "counters": list(res.counters), "tight": tight, "derivation": res},
+                 lambda: f"{res.judgement()}\n"
+                         f"counters=(b={res.b}, e={res.e}, s={res.s})  tight={tight}")
 
 
 def cmd_embed(args) -> int:
-    if args.calculus == "bang":
-        print("embed needs --calculus cbn or cbv", file=sys.stderr)
+    if _bang_refused(args):
         return EXIT_PARSE
-    t = _parse(args)
-    image = embed_cbn(t) if args.calculus == "cbn" else embed_cbv(t)
-    if _machine(args):
-        _emit_record({"record": "term", "version": FORMAT_VERSION, "term": print_term(image)})
-    else:
-        print(print_term(image))
-    return EXIT_OK
+    return _emit_term(args, _EMBED[args.calculus](_parse(args)))
 
 
 def cmd_translate(args) -> int:
-    if args.calculus == "bang":
-        print("translate needs --calculus cbn or cbv", file=sys.stderr)
+    if _bang_refused(args):
         return EXIT_PARSE
-    t = _parse(args)
-    if args.calculus == "cbn":
-        res = infer_n(t, args.fuel)
-        translate, size_fn = translate_n_to_u, size_n
-    else:
-        res = infer_v(t, args.fuel)
-        translate, size_fn = translate_v_to_u, size_v
-    res = _derived(res)
-    translated = translate(res)
-    if _machine(args):
-        _emit_record({"record": "translation", "version": FORMAT_VERSION,
-                      "source": res, "image": translated})
-    else:
-        print(f"source: {res.judgement()}  (size {size_fn(res)})")
-        print(f"image:  {translated.judgement()}  (size {size_u(translated)})")
-    return EXIT_OK
+    res = _derived(_INFER[args.calculus](_parse(args), args.fuel))
+    image = _TO_U[args.calculus](res)
+    return _emit(args, {"record": "translation", "version": FORMAT_VERSION,
+                        "source": res, "image": image},
+                 lambda: f"source: {res.judgement()}  (size {_SIZE[args.calculus](res)})\n"
+                         f"image:  {image.judgement()}  (size {size_u(image)})")
 
 
 def cmd_selftest(args) -> int:
@@ -275,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("term", nargs="?", default=None, help="input term (defaults to stdin)")
         if reduces:
             p.add_argument("--fuel", type=fuel, default=10000)
-        p.add_argument("--calculus", choices=("bang", "cbn", "cbv"), default=calculus)
+        p.add_argument("--calculus", choices=_NORMALIZE, default=calculus)
         p.add_argument("--output", choices=("text", "machine"), default="text")
         p.set_defaults(fn=fn)
 
@@ -289,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typecheck", help="check a derivation given as JSON")
     p.add_argument("term", nargs="?", default=None, help="JSON input (defaults to stdin)")
-    p.add_argument("--system", choices=("u", "e", "n", "v"), required=True)
+    p.add_argument("--system", choices=_CHECKERS, required=True)
     p.add_argument("--output", choices=("text", "machine"), default="text")
     p.set_defaults(fn=cmd_typecheck)
 

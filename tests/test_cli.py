@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from bangcalc import cli
 from bangcalc.cli import main
 from bangcalc.gen import generate_corpus
 from bangcalc.serialize import derivation_from_json, derivation_to_json
@@ -111,6 +112,19 @@ def test_infer_machine_output(capsys):
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "--calculus", "cbn", r"(\x.x) y")
     assert code == 0 and "source:" in out and "image:" in out
+
+
+def test_flag_choices_are_the_dispatch_tables_keys():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    calculi = {name: a.choices for name, p in commands.items()
+               for a in p._actions if a.dest == "calculus"}
+    assert set(calculi) == set(COMMANDS) - {"typecheck"}
+    assert all(list(c) == ["bang", "cbn", "cbv"] == list(cli._NORMALIZE)
+               for c in calculi.values())
+    system = next(a for a in commands["typecheck"]._actions if a.dest == "system")
+    assert list(system.choices) == ["u", "e", "n", "v"] == list(cli._CHECKERS)
+    assert list(cli._INFER) == list(cli._SIZE) == list(cli._NORMALIZE)
+    assert list(cli._EMBED) == list(cli._TO_U) == ["cbn", "cbv"]
 
 
 def _u_derivation_json():
