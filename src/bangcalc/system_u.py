@@ -15,9 +15,9 @@ and expansion) is written once for every derivation class.  It rebuilds
 each node through the node's own rule, looked up in `ENGINE`, so a
 system's side conditions and counters come from its own makers;
 `rule_table` fills the engine's tables from the rules of U and E, the
-systems with consuming rules.  The transformer operations
-mirror the term-level rewriting exactly, so a transformed derivation's
-subject is always the same syntax tree the reduction engine produces.
+systems with consuming rules.  The engine chooses no name: it rebuilds
+along terms the term engine built, so a transformed derivation's subject
+is always the same syntax tree the reduction engine produces.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, Walk,
-    decompose_list, free_vars, fresh_name, print_term, subst_meta, term_eq, unwind,
+    decompose_list, free_vars, print_term, subst_meta, term_eq, unwind,
 )
 from .reduction import (
     SELECTORS, Position, RuleKind, FuelExhausted, Trace,
@@ -495,62 +495,68 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
 # ---------------------------------------------------------------------------
 # Renaming and substitution inside derivations
 #
-# These walk exactly like syntax.subst_meta so that every rebuilt node's
-# subject equals the term the meta-operation produces.  Each is a walk on
-# `syntax.unwind`, and yields a sub-walk only for a part it may change.
+# Every name comes from a term the term engine built: a walk follows that
+# term, so every rebuilt node's subject equals it, binder names included.
+# Each is a walk on `syntax.unwind`, and yields a sub-walk only for a part
+# it may change.
 
-def _subst(d, x: str, u: Term, fvu: frozenset[str] | None, leaf: Callable[[Any], Any]) -> Walk:
-    """d{x:=u}, where `leaf` gives the derivation that replaces each axiom
-    for x and `fvu`, once known, holds the free variables of u."""
-    if x not in free_vars(d.subject):
+def rebuild_as(d, t: Term) -> Walk:
+    """The walk of d rebuilt along t, a term of the shape of d's subject
+    whose free names and binders may differ.  A node is remade by its own
+    rule only where its name, its binder or a premise changed: a part of t
+    that is the subject's own part keeps its premise, and whether a node
+    changed is decided from its premises, except that a bang with no
+    premises compares its body."""
+    s, ps = d.subject, d.premises
+    cls = type(t)
+    if cls is Var:
+        return d if s.name == t.name else _maker(d)(t.name, d.type)
+    new, changed = [], False
+    for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
+        part = getattr(t, attr)
+        q = p if getattr(s, attr) is part else (yield rebuild_as(p, part))
+        new.append(q)
+        changed = changed or q is not p
+    if cls is Bang:
+        changed = changed or not ps and not term_eq(s.body, t.body)
+        return _maker(d)(new[0].subject if new else t.body, tuple(new)) if changed else d
+    if cls is Abs or cls is Sub:
+        return _maker(d)(t.binder, *new) if changed or s.binder != t.binder else d
+    return _maker(d)(*new) if changed else d
+
+
+def _subst(d, x: str, t: Term, pool: list) -> Walk:
+    """The walk of d{x:=u} along t = subst_meta(d.subject, x, u): each
+    axiom for x gives way to the first derivation in `pool` of its type,
+    and a binder that t refreshes is renamed in its body first, as
+    subst_meta renames it."""
+    s = d.subject
+    if x not in free_vars(s):
         return d
-    make, ps = _maker(d), d.premises
-    match d.subject:
-        case Var(_):
-            return leaf(d)
-        case App(_, _) | Der(_) | Bang(_):
-            new = []
-            for p in ps:  # a premise without x free is kept as it stands
-                new.append((yield _subst(p, x, u, fvu, leaf)) if x in free_vars(p.subject) else p)
-            if type(d.subject) is Bang:
-                return make(subst_meta(d.subject.body, x, u), tuple(new))
-            return make(*new)
-        case Abs(y, body):
-            return make(*(yield _subst_under(ps[0], y, body, x, u, fvu, leaf)))
-        case Sub(body, y, arg):
-            p_b, p_a = ps
-            if x in free_vars(arg):
-                p_a = yield _subst(p_a, x, u, fvu, leaf)
-            if x != y and x in free_vars(body):
-                y, p_b = yield _subst_under(p_b, y, body, x, u, fvu, leaf)
-            return make(y, p_b, p_a)
-    raise IllFormed(f"cannot substitute into {print_term(d.subject)}")
-
-
-def _subst_under(d, y: str, body: Term, x: str, u: Term, fvu: frozenset[str] | None,
-                 leaf: Callable[[Any], Any]) -> Walk:
-    """The binder y (not x) and d, which types its body, with u for x, y
-    refreshed first when it would capture a free variable of u."""
-    fvu = free_vars(u) if fvu is None else fvu
-    if y in fvu:
-        y2 = fresh_name(y, fvu | free_vars(body) | {x})
-        y, d = y2, (yield rename_free_d(d, y, y2))
-    return y, (yield _subst(d, x, u, fvu, leaf))
-
-
-def rename_free_d(d, old: str, new: str) -> Walk:
-    """The walk of d with its free name `old` renamed to `new`, as
-    subst_meta renames."""
-    return _subst(d, old, Var(new), frozenset((new,)), lambda ax: _maker(ax)(new, ax.type))
-
-
-def _take_from(pool: list) -> Callable[[Any], Any]:
-    def take(ax):
-        for i, cand in enumerate(pool):
-            if cand.type == ax.type:
+    if type(s) is Var:
+        for i, p in enumerate(pool):
+            if p.type == d.type:
                 return pool.pop(i)
         raise IllFormed("no argument derivation left for an axiom occurrence")
-    return take
+    make, ps = _maker(d), d.premises
+    match s:
+        case App() | Der() | Bang():
+            parts = ("body",) * len(ps) if type(s) is Bang else PARTS[type(s)]
+            new = []
+            for p, part in zip(ps, parts):  # a premise without x free is kept as it stands
+                new.append((yield _subst(p, x, getattr(t, part), pool))
+                           if x in free_vars(p.subject) else p)
+            return make(t.body, tuple(new)) if type(s) is Bang else make(*new)
+        case Abs(y, body) | Sub(body, y, _):
+            p_b, p_a = ps[0], ps[1:]
+            if p_a and x in free_vars(p_a[0].subject):
+                p_a = ((yield _subst(p_a[0], x, t.arg, pool)),)
+            if x != y and x in free_vars(body):
+                if t.binder != y:
+                    p_b = yield rebuild_as(p_b, subst_meta(body, y, Var(t.binder)))
+                p_b = yield _subst(p_b, x, t.body, pool)
+            return make(t.binder, p_b, *p_a)
+    raise IllFormed(f"cannot substitute into {print_term(s)}")
 
 
 def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
@@ -586,7 +592,7 @@ def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
             d_b, us = yield _antisubst(ps[0], b, x, u)
             return make(d_b), us
         case Abs(y, b):
-            d_b, us = yield _antisubst_under(ps[0], b, y, x, u)
+            d_b, us = yield _antisubst_under(d, y, b, x, u)
             return make(y, d_b), us
         case Sub(b, y, a):
             p_b, p_a = ps
@@ -594,51 +600,18 @@ def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
             if x in free_vars(a):
                 p_a, us = yield _antisubst(p_a, a, x, u)
             if x != y and x in free_vars(b):
-                p_b, us_b = yield _antisubst_under(p_b, b, y, x, u)
+                p_b, us_b = yield _antisubst_under(d, y, b, x, u)
                 us = us_b + us
             return make(y, p_b, p_a), us
     raise IllFormed(f"cannot decompose at {print_term(t)}")
 
 
-def _antisubst_under(d, b: Term, y: str, x: str, u: Term) -> Walk:
-    """_antisubst of the body b of a binder y, which subst_meta refreshes
-    when it would capture a free variable of u."""
-    fvu = free_vars(u)
-    if y not in fvu:
-        return (yield _antisubst(d, b, x, u))
-    y2 = fresh_name(y, fvu | free_vars(b) | {x})
-    d_b, us = yield _antisubst(d, subst_meta(b, y, Var(y2)), x, u)
-    d_b = yield rename_free_d(d_b, y2, y)
-    return (yield _rebind(d_b, b)), us
-
-
-def _rebind(d, t: Term) -> Walk:
-    """d rebuilt so that its subject is exactly t, an alpha-variant of it.
-
-    Renaming a refreshed binder back does not always restore the original
-    term: the refresh may have renamed an inner binder too.  Where a binder
-    of d's subject differs from t's, it is renamed to t's."""
-    if term_eq(d.subject, t):
-        return d
-    make, ps, s = _maker(d), d.premises, d.subject
-    match t, s:
-        case (App(), App()) | (Der(), Der()):
-            new = []
-            for p, part in zip(ps, PARTS[type(t)]):
-                new.append((yield _rebind(p, getattr(t, part))))
-            return make(*new)
-        case Bang(b), Bang(_):
-            new = []
-            for p in ps:
-                new.append((yield _rebind(p, b)))
-            return make(b, tuple(new))
-        case Abs(y, b), Abs(z, _):
-            p_b = ps[0] if y == z else (yield rename_free_d(ps[0], z, y))
-            return make(y, (yield _rebind(p_b, b)))
-        case Sub(b, y, a), Sub(_, z, _):
-            p_b = ps[0] if y == z else (yield rename_free_d(ps[0], z, y))
-            return make(y, (yield _rebind(p_b, b)), (yield _rebind(ps[1], a)))
-    raise IllFormed(f"{print_term(s)} is not an alpha-variant of {print_term(t)}")
+def _antisubst_under(d, y: str, b: Term, x: str, u: Term) -> Walk:
+    """_antisubst of the body b of a binder y, which d's subject has as
+    subst_meta refreshed it; a refreshed body is rebuilt back along b."""
+    y2 = d.subject.binder
+    d_b, us = yield _antisubst(d.premises[0], b if y2 == y else subst_meta(b, y, Var(y2)), x, u)
+    return (d_b if y2 == y else (yield rebuild_as(d_b, b))), us
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +663,13 @@ def same_judgement(d, e) -> bool:
 def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
     """reduction.fire_spine on derivations: d types L<c>; the result types
     L<c'> with at_core giving the derivation of c', and the binders of L
-    that are in `avoid` refreshed, outermost first."""
+    that are in `avoid` refreshed as fire_spine refreshes them."""
+    if avoid:
+        d = unwind(rebuild_as(d, fire_spine(d.subject, avoid, lambda c: c)))
     spine = []
     while isinstance(d.subject, Sub):
-        y, (p_b, p_a) = d.subject.binder, d.premises
-        if y in avoid:
-            y2 = fresh_name(y, avoid | free_vars(p_b.subject))
-            p_b = unwind(rename_free_d(p_b, y, y2))
-            y = y2
-        spine.append((_maker(d), y, p_a))
-        d = p_b
+        spine.append((_maker(d), d.subject.binder, d.premises[1]))
+        d = d.premises[0]
     d = at_core(d)
     for make, y, p_a in reversed(spine):
         d = make(y, d, p_a)
@@ -730,7 +700,7 @@ def _fire(d, kind: RuleKind):
             if a_d.rule != CONSUMING_RULE[cls, Bang].tag:
                 raise IllFormed("s! argument must be a consuming bang under closures")
             pool = list(a_d.premises)
-            out = unwind(_subst(d_body, x, a_d.subject.body, None, _take_from(pool)))
+            out = unwind(_subst(d_body, x, subst_meta(d_body.subject, x, a_d.subject.body), pool))
             assert not pool
             return out
 
@@ -821,16 +791,15 @@ def _peel_spine(d, spine: Term) -> tuple[list[tuple[Any, Sub]], Any]:
 
 
 def _rewrap(cur, chain: list[tuple[Any, Sub]]):
-    """Wrap cur in the peeled closure nodes, innermost first, renaming each
-    binder the firing refreshed back to its pre-step name."""
+    """Wrap cur in the peeled closure nodes, innermost first, with the
+    binders the firing gave them, and rebuild the whole along the pre-step
+    spine if the firing refreshed one."""
     renamed = False
     for node, closure in reversed(chain):
-        y_fired, y = node.subject.binder, closure.binder
-        if y_fired != y:
-            cur = unwind(rename_free_d(cur, y_fired, y))
-            renamed = True
+        y = node.subject.binder
+        renamed = renamed or y != closure.binder
         cur = _maker(node)(y, cur, node.premises[1])
-    return unwind(_rebind(cur, chain[0][1])) if renamed else cur
+    return unwind(rebuild_as(cur, chain[0][1])) if renamed else cur
 
 
 def _sbang_parts(t: Sub) -> tuple[Term, tuple[tuple[str, Term], ...]]:

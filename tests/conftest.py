@@ -998,6 +998,6 @@ def subst_derivation(d_t, x: str, d_us: list):
             raise IllFormed("argument derivations type different terms")
     u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
     pool = list(d_us)
-    out = unwind(system_u._subst(d_t, x, u, None, system_u._take_from(pool)))
+    out = unwind(system_u._subst(d_t, x, subst_meta(d_t.subject, x, u), pool))
     assert not pool, "unconsumed argument derivations"
     return out

@@ -44,10 +44,16 @@ def test_a_closed_stdout_exits_quietly():
 
 
 def test_sigint_exits_with_one_line():
-    # reducing 1,500 spine redexes takes seconds, long after the start-up
-    with bangcalc("reduce", spine(1500)) as proc:
+    # reducing 3,000 spine redexes takes about 12 s on a 2-vCPU host, so
+    # the run cannot end before the signal; a child that outlives the
+    # timeout is killed, so that a lost interrupt fails with its output
+    with bangcalc("reduce", spine(3000)) as proc:
         time.sleep(1.0)
         proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=60)
-    assert proc.returncode == EXIT_INTERRUPTED == 130
-    assert (out, err) == ("", "interrupted\n")
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, err = proc.communicate()
+    assert (proc.returncode, out, err) == (EXIT_INTERRUPTED, "", "interrupted\n")
+    assert EXIT_INTERRUPTED == 130
