@@ -224,9 +224,12 @@ def criterion_9_translation_round_trips(seed: int = 0, count: int = 300) -> Crit
                 continue
             if check(d) is not None:
                 return False, f"bad {name} derivation for {print_term(t)}"
-            du = to_u(d)
+            du = to_u(d)  # the image the inference kept
             if check_derivation_u(du) is not None:
                 return False, f"bad translated U derivation for {print_term(t)}"
+            # a copy without the image is walked, to the same derivation
+            if to_u(Derivation(d.rule, d.context, d.subject, d.type, d.premises)) != du:
+                return False, f"{name} kept image is not the translation of {print_term(t)}"
             back = from_u(du, t)
             if check(back) is not None or \
                     (back.context, back.subject, back.type) != (d.context, d.subject, d.type):

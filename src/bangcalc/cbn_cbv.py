@@ -23,8 +23,9 @@ from .reduction import (
 )
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
-    RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax, check_derivation, define,
-    es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, rule_table, sizer,
+    RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax, check_derivation,
+    check_derivation_u, define, es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr,
+    mk_es, rule_table, sizer,
 )
 
 
@@ -298,12 +299,18 @@ size_v = sizer("v")
 # ---------------------------------------------------------------------------
 # Derivation translations
 
-# Each translation to U embeds the subterms that its bg nodes need on its
-# own, so that `mk_bg` compares the premise subjects with images that were
-# not built from them.
+# An N or V derivation read back from a U derivation keeps that derivation
+# on its root (`_read_back`), and the translation to U returns it.  The
+# back-translations keep only one that passes the U checker, since the
+# walk reads just its rules, leaf types and binders.  A derivation without
+# one, as one read from JSON, built by the makers or copied, is walked:
+# the walk embeds the subterms that its bg nodes need on its own, so that
+# `mk_bg` compares the premise subjects with images that were not built
+# from them.
 
 def translate_n_to_u(d: Derivation) -> Derivation:
-    return unwind(_n_to_u(d, {}))
+    image = getattr(d, "_image", None)
+    return unwind(_n_to_u(d, {})) if image is None else image
 
 
 def _n_to_u(d: Derivation, images: FoldMemo) -> Walk:
@@ -329,10 +336,19 @@ class ImageMismatch(ValueError):
     pass
 
 
+def _read_back(walk: Walk, image: Derivation | None) -> Derivation:
+    """The N or V derivation that `walk` reads back from the U derivation
+    `image`, keeping `image` (None: none) on its root, a node the walk
+    made."""
+    d = unwind(walk)
+    d._image = image
+    return d
+
+
 def translate_u_to_n(d: Derivation, t: Term) -> Derivation:
     if not term_eq(d.subject, embed_cbn(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
-    return unwind(_u_to_n(d, t))
+    return _read_back(_u_to_n(d, t), d if check_derivation_u(d) is None else None)
 
 
 def _u_to_n(d: Derivation, t: Term) -> Walk:
@@ -371,7 +387,8 @@ def _rebang(d: Derivation) -> Derivation:
 
 
 def translate_v_to_u(d: Derivation) -> Derivation:
-    return unwind(_v_to_u(d, {}))
+    image = getattr(d, "_image", None)
+    return unwind(_v_to_u(d, {})) if image is None else image
 
 
 def _v_to_u(d: Derivation, images: FoldMemo) -> Walk:
@@ -405,7 +422,7 @@ def _v_to_u(d: Derivation, images: FoldMemo) -> Walk:
 def translate_u_to_v(d: Derivation, t: Term) -> Derivation:
     if not term_eq(d.subject, embed_cbv(t)):
         raise ImageMismatch("derivation subject is not the embedding of the term")
-    return unwind(_u_to_v(d, t))
+    return _read_back(_u_to_v(d, t), d if check_derivation_u(d) is None else None)
 
 
 def _u_to_v(d: Derivation, t: Term) -> Walk:
@@ -448,13 +465,13 @@ def _u_to_v(d: Derivation, t: Term) -> Walk:
 # Inference through the embeddings
 
 # The embedding rejects a non-lambda term, and infer_u derives exactly its
-# image, so the derivation is translated back without a check.
+# image, so the derivation is translated back without a check, and kept.
 
 def infer_n(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     res = infer_u(embed_cbn(t), fuel)
-    return unwind(_u_to_n(res, t)) if isinstance(res, Derivation) else res
+    return _read_back(_u_to_n(res, t), res) if isinstance(res, Derivation) else res
 
 
 def infer_v(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     res = infer_u(embed_cbv(t), fuel)
-    return unwind(_u_to_v(res, t)) if isinstance(res, Derivation) else res
+    return _read_back(_u_to_v(res, t), res) if isinstance(res, Derivation) else res

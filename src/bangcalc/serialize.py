@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from json.encoder import encode_basestring_ascii as _quoted  # how json.dumps writes a str
 from typing import Any
 
@@ -67,7 +68,8 @@ def record_text(record: dict[str, Any]) -> str:
     `derivation_text`), without building that dict tree.  A record more
     than CHECKED_DEPTH premises deep is read back with `json` first, so
     one that `json`, and so `typecheck`, cannot read raises
-    RecursionError instead of being written."""
+    RecursionError instead of being written; one deeper than the recursion
+    limit raises it before a subject or type is printed."""
     if not any(isinstance(v, _DERIVATIONS) for v in record.values()):
         return json.dumps(record, sort_keys=True)
     out: list[str] = []
@@ -75,7 +77,7 @@ def record_text(record: dict[str, Any]) -> str:
     for key, value in sorted(record.items()):
         out += (", " if out else "{", _quoted(key), ": ")
         if isinstance(value, _DERIVATIONS):
-            depth = max(depth, _derivation_parts(value, out))
+            depth = max(depth, _derivation_parts(value, out, sys.getrecursionlimit()))
         else:
             out.append(json.dumps(value, sort_keys=True))
     out.append("}")
@@ -134,9 +136,10 @@ def derivation_text(d: Derivation | DerivationE) -> str:
     return "".join(out)
 
 
-def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> int:
+def _derivation_parts(d: Derivation | DerivationE, out: list[str], limit: int = sys.maxsize) -> int:
     """Append the parts of `derivation_text(d)` to out, and return the
-    depth of d's deepest premise.  Contexts are printed as a node is
+    depth of d's deepest premise; raise RecursionError on entering a node
+    deeper than `limit`.  Contexts are printed as a node is
     entered and terms and types as it is left, in the order
     `_derivation_json` prints them, so the memos grow alike.  A type or
     subject is printed after its premises' ones, so printing recurses
@@ -165,7 +168,10 @@ def _derivation_parts(d: Derivation | DerivationE, out: list[str]) -> int:
                     ', "type": ', type_text(node.type), "}")
             continue
         depth += 1
-        deepest = max(deepest, depth)
+        if depth > deepest:
+            deepest = depth
+            if depth > limit:
+                raise RecursionError(f"derivation deeper than {limit} premises")
         ctx = node.context
         hit = texts.get(id(ctx))
         if hit is None:

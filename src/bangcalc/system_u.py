@@ -23,7 +23,6 @@ is always the same syntax tree the reduction engine produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable
 
 from .syntax import (
@@ -42,7 +41,9 @@ from .qtypes import (
 
 
 class Sized:
-    __slots__ = ("_size_u", "_size_n", "_size_v")  # a derivation node's sizes; see `sizer`
+    # a derivation node's sizes (see `sizer`), and the U derivation that an
+    # N or V root was read from (see `cbn_cbv.translate_n_to_u`)
+    __slots__ = ("_size_u", "_size_n", "_size_v", "_image")
 
 
 @dataclass(slots=True)
@@ -364,8 +365,14 @@ def check_derivation(d, system: str) -> Violation | None:
                     reason = "context stores an empty multiset entry"
                     break
             else:
-                if memo is not None and any(map(has_tight_constants,
-                                                (node.type, *node.context.values()), repeat(memo))):
+                tight = False
+                if memo is not None:  # most types were looked into at another node
+                    for t in (node.type, *node.context.values()):
+                        hit = memo.get(id(t))
+                        if has_tight_constants(t, memo) if hit is None else hit[1]:
+                            tight = True
+                            break
+                if tight:
                     reason = "tight constants do not belong to this system"
                 else:
                     rule = rules.get(node.rule) if isinstance(node.rule, str) else None

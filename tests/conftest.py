@@ -84,6 +84,12 @@ def church_term(n: int):
     return App(App(Abs("f", Abs("x", body)), Abs("y", Var("y"))), Var("z"))
 
 
+def without_image(d):
+    """A copy of the N or V root d without the U derivation it keeps, which
+    `translate_n_to_u` and `translate_v_to_u` then walk."""
+    return Derivation(d.rule, d.context, d.subject, d.type, d.premises)
+
+
 # ---------------------------------------------------------------------------
 # Reference walkers: plain recursion that caches nothing, the oracles for
 # the per-node facts bangcalc computes once and keeps and for its folds.

@@ -13,7 +13,9 @@ import random
 import pytest
 
 from bangcalc import reduction, syntax
+from bangcalc.cbn_cbv import infer_n, infer_v, translate_n_to_u, translate_v_to_u
 from bangcalc.reduction import FuelExhausted, normalize_dw, step_at
+from bangcalc.serialize import derivation_text
 from bangcalc.syntax import (
     Abs, App, Bang, Der, Sub, Var, canon_key, parse_term, print_term, subst_meta, term_eq, unwind,
 )
@@ -25,7 +27,7 @@ from bangcalc.system_u import (
     reduce_derivation_u, type_normal_form_u,
 )
 
-from conftest import count_calls, subst_derivation
+from conftest import count_calls, subst_derivation, without_image
 
 # term -> its reducts along the dw trace
 CASES = {
@@ -142,6 +144,43 @@ def test_capture_heavy_terms_type_each_reduct_exactly(system, monkeypatch):
             assert d.subject == t and check(d) is None, print_term(t)
     # the corpus reaches the refreshes it is meant for
     assert typed > 500 and len(renames) > 500
+
+
+def lambda_term(t):
+    """t with its bangs and derelictions erased: a lambda term with t's
+    binders and names."""
+    match t:
+        case Var():
+            return t
+        case Bang(b) | Der(b):
+            return lambda_term(b)
+        case Abs(x, b):
+            return Abs(x, lambda_term(b))
+        case App(f, a):
+            return App(lambda_term(f), lambda_term(a))
+        case Sub(b, x, a):
+            return Sub(lambda_term(b), x, lambda_term(a))
+
+
+@pytest.mark.parametrize("infer, to_u", [(infer_n, translate_n_to_u), (infer_v, translate_v_to_u)],
+                         ids=["n", "v"])
+def test_capture_heavy_lambda_terms_keep_the_image_their_walk_builds(infer, to_u, monkeypatch):
+    # an inferred N or V derivation keeps the U derivation it was read
+    # from; a copy without it is walked, to the same derivation
+    rng = random.Random(26)
+    renames = count_renames(monkeypatch)
+    typed = 0
+    for _ in range(1000):
+        t = lambda_term(capture_term(rng, rng.randint(2, 12)))
+        d = infer(t, 200)
+        if isinstance(d, (Untypable, FuelExhausted)):
+            continue
+        typed += 1
+        image, walked = to_u(d), to_u(without_image(d))
+        assert walked == image and derivation_text(walked) == derivation_text(image), \
+            print_term(t)
+    # the corpus reaches the refreshes it is meant for
+    assert typed > 500 and len(renames) > 200
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ import pytest
 
 import bangcalc
 from bangcalc import acceptance, cbn_cbv, cli, qtypes, reduction, serialize, syntax, system_e, system_u
-from bangcalc.cbn_cbv import embed_cbn, infer_n, infer_v
+from bangcalc.cbn_cbv import (
+    embed_cbn, infer_n, infer_v, translate_n_to_u, translate_u_to_n, translate_u_to_v,
+    translate_v_to_u,
+)
 from bangcalc.gen import generate_corpus
 from bangcalc.qtypes import print_type
 from bangcalc.reduction import FuelExhausted, normalize_dw
@@ -23,6 +26,7 @@ from bangcalc.system_u import Derivation, check_derivation_u, infer_u, size_u
 
 from conftest import (
     church_term, count_folded, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
+    without_image,
 )
 
 FUEL = 60
@@ -207,6 +211,28 @@ def test_cached_facts_leave_equality_hash_and_repr_alone():
     assert hash(back.subject) == hash(d.subject)
     assert derivation_to_json(back) == derivation_to_json(d)
     assert check_derivation_u(back) is None and size_u(back) == size_u(d)
+
+
+@pytest.mark.parametrize("n", [5, 20, 80])
+def test_the_kept_image_leaves_equality_repr_and_json_alone(n):
+    t = church_term(n)
+    for infer, to_u, back in ((infer_n, translate_n_to_u, translate_u_to_n),
+                              (infer_v, translate_v_to_u, translate_u_to_v)):
+        d = infer(t, FUEL * 10)
+        image = to_u(d)
+        assert d._image is image
+        copy = without_image(d)
+        assert not hasattr(copy, "_image")
+        assert copy == d and repr(copy) == repr(d)
+        assert derivation_to_json(copy) == derivation_to_json(d)
+        assert derivation_text(copy) == derivation_text(d)
+        # a copy is walked, to the derivation the inference kept
+        assert derivation_text(to_u(copy)) == derivation_text(image)
+        read = derivation_from_json(derivation_to_json(d))
+        assert not hasattr(read, "_image") and read == d
+        assert derivation_text(to_u(read)) == derivation_text(image)
+        # a back-translation keeps the U derivation it read
+        assert to_u(back(image, t)) is image
 
 
 @pytest.fixture

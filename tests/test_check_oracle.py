@@ -16,11 +16,14 @@ import pytest
 
 from bangcalc.cbn_cbv import embed_cbn, infer_n, infer_v
 from bangcalc.gen import generate_corpus
-from bangcalc.qtypes import EMPTY_MULT, BaseVar, mult
+from bangcalc.qtypes import EMPTY_MULT, TIGHT_NEUTRAL, BaseVar, mult
 from bangcalc.reduction import FuelExhausted
 from bangcalc.serialize import derivation_from_json, derivation_to_json
 from bangcalc.system_e import DerivationE, infer_tight
-from bangcalc.system_u import RULES, Derivation, Untypable, check_derivation, infer_u
+from bangcalc.syntax import Var
+from bangcalc.system_u import (
+    RULES, Derivation, Untypable, Violation, check_derivation, infer_u,
+)
 
 from conftest import church_term, ref_check_derivation
 
@@ -177,3 +180,25 @@ def test_the_inputs_cover_every_system_and_tampering():
     seen = {how for system, d in DERIVATIONS for how, _ in tampered(system, d, rng, 1)}
     assert seen == set(TAMPER)
 
+
+
+@pytest.mark.parametrize("tight_in", ["type", "entry"])
+def test_an_empty_entry_is_reported_before_a_tight_constant(tight_in):
+    # both faults at one node, the tight constant in its type or in the
+    # entry before the empty one: the prelude reports the empty entry
+    tight = mult([TIGHT_NEUTRAL])
+    context = {"a": tight if tight_in == "entry" else mult([BaseVar(0)]), "b": EMPTY_MULT}
+    node = Derivation("ax", context, Var("x"), tight if tight_in == "type" else BaseVar(0))
+    want = Violation((), "context stores an empty multiset entry")
+    for system in "unv":
+        assert check_derivation(node, system) == want == ref_check_derivation(node, system)
+
+
+@pytest.mark.parametrize("at", range(3))
+def test_a_tight_constant_is_found_in_the_type_or_any_entry(at):
+    plain, tight = mult([BaseVar(0)]), mult([TIGHT_NEUTRAL])
+    context = {x: tight if at == i else plain for i, x in enumerate("ab", 1)}
+    node = Derivation("ax", context, Var("x"), tight if at == 0 else BaseVar(0))
+    want = Violation((), "tight constants do not belong to this system")
+    for system in "unv":
+        assert check_derivation(node, system) == want == ref_check_derivation(node, system)

@@ -26,7 +26,7 @@ from bangcalc.syntax import Abs, Var, parse_term
 from bangcalc.system_e import DerivationE, infer_tight
 from bangcalc.system_u import Derivation, infer_u
 
-from conftest import church_term, ref_print_type
+from conftest import church_term, count_calls, ref_print_type
 
 FUEL = 500
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
@@ -210,6 +210,18 @@ def test_a_record_json_cannot_read_back_raises_recursion_error():
     text = '{"derivation": %s, "record": "derivation", "version": 1}' % derivation_text(d)
     got = outcome(record_text, as_record(d))
     assert got == (RecursionError if outcome(json.loads, text) is RecursionError else text)
+
+
+@pytest.mark.parametrize("argv", [("infer",), ("infer", "--calculus", "cbn"), ("tight",),
+                                  ("translate", "--calculus", "cbn")])
+def test_a_record_deeper_than_the_recursion_limit_is_refused_before_printing(monkeypatch, argv):
+    # writing 10,000 nested lambdas before the read-back refused them took
+    # 2.1 GB: each node restates its subject and type in full
+    printed = count_calls(monkeypatch, serialize, "print_term")
+    text = "".join(f"\\x{i}. " for i in range(10_000)) + "x0"
+    code, out, err = run(*argv, "--output", "machine", text)
+    assert (code, out, err) == (2, "", "nested too deeply: recursion limit exceeded\n")
+    assert printed == []
 
 
 # ---------------------------------------------------------------------------

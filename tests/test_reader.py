@@ -387,10 +387,12 @@ def _distinct_types(d):
 
 
 def test_u_check_looks_at_each_run_once(monkeypatch):
-    """Beyond the checker's own calls, one for each node's type and context
-    entry, the tight-constant search makes one call for each distinct type
-    object and each run of one repeated element: the k copies of a church
-    context's element are looked at once, not k times."""
+    """The checker calls the tight-constant search at most once for each
+    distinct object among the nodes' types and context entries (it looks
+    each up in the search's memo first), and beyond those calls the search
+    makes one call for each distinct type object and each run of one
+    repeated element: the k copies of a church context's element are
+    looked at once, not k times."""
     d = derivation_from_json(church_json("u", 80))
     distinct, runs = _distinct_types(d)
     calls, depth = [], [0]
@@ -406,8 +408,9 @@ def test_u_check_looks_at_each_run_once(monkeypatch):
     for mod in (qtypes, system_u):
         monkeypatch.setattr(mod, "has_tight_constants", counted)
     assert check_derivation_u(d) is None
-    top = sum(1 + len(node.context) for node in _derivations(d))
-    assert calls.count(0) == top
+    entries = {id(t) for node in _derivations(d) for t in (node.type, *node.context.values())}
+    top = calls.count(0)
+    assert 0 < top <= len(entries)
     assert len(calls) - top <= distinct + runs
 
 

@@ -20,6 +20,7 @@ from bangcalc.qtypes import (
     Arrow, BaseVar, Mult, Tight, ctx_union, mult, parse_type, print_type, sort_key,
 )
 from bangcalc.reduction import classify_nf, classify_wcf_nf
+from bangcalc.serialize import derivation_text
 from bangcalc.syntax import (
     Abs, App, Bang, Var, decompose_list, is_abs_shaped, is_bang_shaped, term_eq,
 )
@@ -29,6 +30,7 @@ from bangcalc.system_u import (
 
 from conftest import (
     bang_terms, church_term, count_calls, count_folded, ref_ctx_union, ref_nf_bits, ref_wcf_bits,
+    without_image,
 )
 
 FUEL = 200
@@ -256,12 +258,32 @@ def test_translations_match_the_reference():
             d = infer(t, FUEL)
             if not isinstance(d, Derivation):
                 continue
-            image = to_u(d)
-            assert image == ref(d)
+            image = to_u(d)  # the one the inference kept
+            walked = to_u(without_image(d))
+            assert walked == image == ref(d)
+            assert derivation_text(walked) == derivation_text(image)
             assert check_derivation_u(image) is None
             assert back(image, t) == d
             done[system] += 1
     assert done["n"] > 100 and done["v"] > 100
+
+
+@pytest.mark.parametrize("embed, back, to_u, check", [
+    (embed_cbn, translate_u_to_n, translate_n_to_u, check_derivation_n),
+    (embed_cbv, translate_u_to_v, translate_v_to_u, check_derivation_v),
+], ids=["n", "v"])
+def test_a_back_translation_keeps_only_a_u_derivation_that_checks(embed, back, to_u, check):
+    # the walk back reads only rules, leaf types and binders, so it reads a
+    # checked N or V derivation from a U one with a wrong context; that one
+    # is not kept, and the translation to U walks
+    t = syntax.parse_term(r"(\x. x) y")
+    du = infer_u(embed(t), FUEL)
+    wrong = dataclasses.replace(du.premises[0], context={"q": mult([BaseVar(7)])})
+    bad = dataclasses.replace(du, premises=(wrong, *du.premises[1:]))
+    assert check_derivation_u(bad) is not None
+    d = back(bad, t)
+    assert check(d) is None and to_u(d) == du
+    assert to_u(back(du, t)) is du
 
 
 def test_translations_still_check_premise_subjects():
@@ -345,7 +367,7 @@ def test_each_translation_embeds_each_subterm_once(monkeypatch, n):
     for system, table, infer, to_u in (("v", cbn_cbv._CBV, infer_v, translate_v_to_u),
                                        ("n", cbn_cbv._CBN, infer_n, translate_n_to_u)):
         computed = count_folded(monkeypatch, table)
-        to_u(infer(t, 10_000))
+        to_u(without_image(infer(t, 10_000)))  # walked, not the image the inference kept
         assert len(computed) <= 4 * _nodes(t), system
 
 
