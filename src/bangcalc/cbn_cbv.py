@@ -12,6 +12,7 @@ application heads on the fly so normal forms are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .syntax import (
     Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, fold, free_vars, is_bang_shaped,
@@ -23,9 +24,9 @@ from .reduction import (
 )
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
-    RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax, check_derivation,
-    check_derivation_u, define, es, fire_spine_d, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr,
-    mk_es, rule_table, sizer,
+    CONSUMING_RULE, RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax,
+    check_derivation, check_derivation_u, define, es, fire_spine_d, infer_u, maker_args, mk_bg,
+    mk_dr, rule_table, sizer,
 )
 
 
@@ -257,26 +258,33 @@ def app_v(tag: str, d_f: Derivation, d_a: Derivation) -> tuple:
             arrow.codomain, (d_f, d_a))
 
 
-# ax_n, abs_n and es_v are U's ax, abs and es under their own tags
+# A rule's image is the pattern of its U image, whose root is U's consuming
+# rule for the same former: "same", over the premises' images; "bang_rest",
+# the argument premises' images under one bang of the embedded argument;
+# "bang_each", under one bang, one node per premise, or per element of a
+# variable's multiset type; "head", an application whose head image is
+# derelicted, or un-banged along its closure spine when the head is
+# value-shaped.  ax_n, abs_n and es_v are U's ax, abs and es under their
+# own tags.
 rule_table(
     "n",
-    define("ax_n", ax, Var),
-    define("abs_n", abs_, Abs),
+    define("ax_n", ax, Var, image="same"),
+    define("abs_n", abs_, Abs, image="same"),
     define("app_n", app_n, App, fixed=1, shape="app_n must type an application",
-           subjects="app_n head premise must type the function", rest="arg"),
+           subjects="app_n head premise must type the function", rest="arg", image="bang_rest"),
     define("es_n", es_n, Sub, fixed=1, shape="es_n must type a closure",
-           subjects="es_n head premise must type the body", rest="arg"),
+           subjects="es_n head premise must type the body", rest="arg", image="bang_rest"),
 )
 rule_table(
     "v",
-    define("ax_v", ax_v, Var, weight=None,
+    define("ax_v", ax_v, Var, weight=None, image="bang_each",
            context="ax_v context must assign the concluded multiset to its variable"),
     define("abs_v", abs_v, Abs, fixed=0, shape="abs_v must type an abstraction",
            type="abs_v conclusion must collect the premise arrows",
            context="abs_v context must drop the binder from every premise",
-           rest="body", weight=None),
-    define("app_v", app_v, App),
-    define("es_v", es, Sub),
+           rest="body", weight=None, image="bang_each"),
+    define("app_v", app_v, App, image="head"),
+    define("es_v", es, Sub, image="same"),
 )
 mk_ax_n, mk_abs_n, mk_app_n, mk_es_n = (r.make for r in RULES["n"].values())
 mk_ax_v, mk_abs_v, mk_app_v, mk_es_v = (r.make for r in RULES["v"].values())
@@ -297,181 +305,119 @@ size_v = sizer("v")
 
 
 # ---------------------------------------------------------------------------
-# Derivation translations
-
+# Derivation translations: `_to_u` builds each rule's image, raising
+# IllFormed on a node that its rule does not fit, and `_from_u` matches it,
+# raising ImageMismatch on a U node that does not fit the image; the
+# makers raise IllFormed on the rest.
+#
 # An N or V derivation read back from a U derivation keeps that derivation
-# on its root (`_read_back`), and the translation to U returns it.  The
-# back-translations keep only one that passes the U checker, since the
-# walk reads just its rules, leaf types and binders.  A derivation without
-# one, as one read from JSON, built by the makers or copied, is walked:
-# the walk embeds the subterms that its bg nodes need on its own, so that
-# `mk_bg` compares the premise subjects with images that were not built
-# from them.
-
-def translate_n_to_u(d: Derivation) -> Derivation:
-    image = getattr(d, "_image", None)
-    return unwind(_n_to_u(d, {})) if image is None else image
-
-
-def _n_to_u(d: Derivation, images: FoldMemo) -> Walk:
-    match d.rule:
-        case "ax_n":
-            assert isinstance(d.subject, Var)
-            return mk_ax(d.subject.name, d.type)
-        case "abs_n":
-            assert isinstance(d.subject, Abs)
-            return mk_abs(d.subject.binder, (yield _n_to_u(d.premises[0], images)))
-        case "app_n" | "es_n":
-            assert isinstance(d.subject, (App, Sub))
-            head = yield _n_to_u(d.premises[0], images)
-            args = []
-            for p in d.premises[1:]:
-                args.append((yield _n_to_u(p, images)))
-            arg = mk_bg(fold(d.subject.arg, _CBN, images), tuple(args))
-            return mk_app(head, arg) if d.rule == "app_n" else mk_es(d.subject.binder, head, arg)
-    raise IllFormed(f"not a call-by-name rule: {d.rule!r}")
-
+# on its root, and the translation to U returns it.  The back-translations
+# keep only one that passes the U checker, since the walk reads just its
+# rules, leaf types and binders.  A derivation without one, as one read
+# from JSON, built by the makers or copied, is walked: the walk embeds the
+# subterms that its bg nodes need on its own, so that `mk_bg` compares the
+# premise subjects with images that were not built from them.
 
 class ImageMismatch(ValueError):
     pass
 
 
+_EMBED = {"n": embed_cbn, "v": embed_cbv}  # the functions themselves, for a tracer to swap
+_EMBED_FOLD = {"n": _CBN, "v": _CBV}
+_RULE_OF = {system: {r.former: r for r in RULES[system].values()} for system in "nv"}
+
+
+def _to_u(d: Derivation, system: str, images: FoldMemo) -> Walk:
+    """The walk of the U image of d, a derivation of `system`; `images`
+    keeps the embedded subterms."""
+    rule = RULES[system].get(d.rule)
+    if rule is None:
+        raise IllFormed(f"not a system {system.upper()} rule: {d.rule!r}")
+    if not rule.fits(d):
+        raise IllFormed(rule.shape)
+    s, kind, k = d.subject, rule.image, rule.fixed
+    u = CONSUMING_RULE[Derivation, rule.former]
+    ps = []
+    for p in d.premises:
+        ps.append((yield _to_u(p, system, images)))
+    if kind == "bang_rest":
+        ps[k:] = [mk_bg(fold(getattr(s, rule.rest), _EMBED_FOLD[system], images), tuple(ps[k:]))]
+    elif kind == "head":
+        ps[0] = (fire_spine_d(ps[0], frozenset(), _unbang) if _is_value_shaped(s.fun)
+                 else mk_dr(ps[0]))
+    elif kind == "bang_each":  # a variable's rule refuses a type that is not a multiset
+        each = ([(ty, ()) for ty in rule.conclude(rule.tag, s.name, d.type)[2].elements]
+                if rule.former is Var else [(None, (p,)) for p in ps])
+        return mk_bg(fold(s, _EMBED_FOLD[system], images).body,
+                     tuple(u.make(*maker_args(u, s, ty, q)) for ty, q in each))
+    return u.make(*maker_args(u, s, d.type, ps))
+
+
+def _unbang(d: Derivation) -> Derivation:
+    """From the image of a value typed [sigma], the one of its body typed sigma."""
+    if d.rule != "bg" or len(d.premises) != 1:
+        raise IllFormed("app_v function premise must be a singleton arrow multiset")
+    return d.premises[0]
+
+
+def _expect(d: Derivation, former: type) -> Derivation:
+    """d, if U's consuming rule for `former` is its rule and fits it."""
+    u = CONSUMING_RULE[Derivation, former]
+    if d.rule != u.tag or not u.fits(d):
+        raise ImageMismatch(f"expected rule {u.tag}: {u.shape}")
+    return d
+
+
+def _from_u(d: Derivation, t: Term, system: str) -> Walk:
+    """The walk of the derivation of `system` for the lambda term t whose
+    image is the U derivation d."""
+    rule = _RULE_OF[system][type(t)]
+    kind, former = rule.image, rule.former
+    ps = _expect(d, Bang if kind == "bang_each" else former).premises
+    if kind == "bang_rest":
+        ps = (*ps[:-1], *_expect(ps[-1], Bang).premises)
+    elif kind == "bang_each":
+        ps = [q for p in ps for q in _expect(p, former).premises]
+    elif kind == "head" and _is_value_shaped(t.fun):
+        node = ps[0]  # the closures of the spine, before fire_spine_d takes it apart
+        while type(node.subject) is Sub:
+            node = _expect(node, Sub).premises[0]
+        ps = (fire_spine_d(ps[0], frozenset(), lambda c: mk_bg(c.subject, (c,))), ps[1])
+    elif kind == "head":
+        ps = (_expect(ps[0], Der).premises[0], ps[1])
+    new = []
+    for i, p in enumerate(ps):
+        part = rule.parts[i] if i < rule.fixed else rule.rest
+        new.append((yield _from_u(p, getattr(t, part), system)))
+    return rule.make(*maker_args(rule, t, d.type, new))
+
+
 def _read_back(walk: Walk, image: Derivation | None) -> Derivation:
-    """The N or V derivation that `walk` reads back from the U derivation
-    `image`, keeping `image` (None: none) on its root, a node the walk
-    made."""
+    """The derivation `walk` reads back from `image`, keeping it (None: none)
+    on its root, a node the walk made."""
     d = unwind(walk)
     d._image = image
     return d
 
 
-def translate_u_to_n(d: Derivation, t: Term) -> Derivation:
-    if not term_eq(d.subject, embed_cbn(t)):
-        raise ImageMismatch("derivation subject is not the embedding of the term")
-    return _read_back(_u_to_n(d, t), d if check_derivation_u(d) is None else None)
+def _translations(system: str) -> tuple[Callable, Callable, Callable]:
+    """The translation of a derivation of `system` to U, the one back, and
+    inference through the embedding, whose image infer_u derives exactly:
+    its derivation is read back without a check, and kept."""
+    def to_u(d: Derivation) -> Derivation:
+        image = getattr(d, "_image", None)
+        return unwind(_to_u(d, system, {})) if image is None else image
+
+    def from_u(d: Derivation, t: Term) -> Derivation:
+        if not term_eq(d.subject, _EMBED[system](t)):
+            raise ImageMismatch("derivation subject is not the embedding of the term")
+        return _read_back(_from_u(d, t, system), d if check_derivation_u(d) is None else None)
+
+    def infer(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
+        res = infer_u(_EMBED[system](t), fuel)
+        return _read_back(_from_u(res, t, system), res) if isinstance(res, Derivation) else res
+    return to_u, from_u, infer
 
 
-def _u_to_n(d: Derivation, t: Term) -> Walk:
-    match t:
-        case Var(x):
-            if d.rule != "ax":
-                raise ImageMismatch("expected an axiom")
-            return mk_ax_n(x, d.type)
-        case Abs(x, b):
-            if d.rule != "abs":
-                raise ImageMismatch("expected an abstraction node")
-            return mk_abs_n(x, (yield _u_to_n(d.premises[0], b)))
-        case App(h, a) | Sub(h, _, a):
-            app = isinstance(t, App)
-            if d.rule != ("app" if app else "es") or d.premises[1].rule != "bg":
-                raise ImageMismatch(f"expected {'an application' if app else 'a closure'}"
-                                    " over a banged argument")
-            head = yield _u_to_n(d.premises[0], h)
-            args = []
-            for p in d.premises[1].premises:
-                args.append((yield _u_to_n(p, a)))
-            return (mk_app_n(head, a, tuple(args)) if app
-                    else mk_es_n(t.binder, head, a, tuple(args)))
-    raise NotLambdaTerm(print_term(t))
-
-
-def _unbang(d: Derivation) -> Derivation:
-    """From a derivation of !r : [sigma], the derivation of r : sigma."""
-    if d.rule != "bg" or len(d.premises) != 1:
-        raise ImageMismatch("expected a unary bang node at the head")
-    return d.premises[0]
-
-
-def _rebang(d: Derivation) -> Derivation:
-    return mk_bg(d.subject, (d,))
-
-
-def translate_v_to_u(d: Derivation) -> Derivation:
-    image = getattr(d, "_image", None)
-    return unwind(_v_to_u(d, {})) if image is None else image
-
-
-def _v_to_u(d: Derivation, images: FoldMemo) -> Walk:
-    match d.rule:
-        case "ax_v":
-            assert isinstance(d.subject, Var) and isinstance(d.type, Mult)
-            x = d.subject.name
-            return mk_bg(Var(x), tuple(mk_ax(x, ty) for ty in d.type.elements))
-        case "abs_v":
-            assert isinstance(d.subject, Abs)
-            x = d.subject.binder
-            body_image = fold(d.subject.body, _CBV, images)
-            bodies = []
-            for p in d.premises:
-                bodies.append(mk_abs(x, (yield _v_to_u(p, images))))
-            return mk_bg(Abs(x, body_image), tuple(bodies))
-        case "app_v":
-            assert isinstance(d.subject, App)
-            d_f = yield _v_to_u(d.premises[0], images)
-            d_a = yield _v_to_u(d.premises[1], images)
-            if _is_value_shaped(d.subject.fun):
-                return mk_app(fire_spine_d(d_f, frozenset(), _unbang), d_a)
-            return mk_app(mk_dr(d_f), d_a)
-        case "es_v":
-            assert isinstance(d.subject, Sub)
-            return mk_es(d.subject.binder, (yield _v_to_u(d.premises[0], images)),
-                         (yield _v_to_u(d.premises[1], images)))
-    raise IllFormed(f"not a call-by-value rule: {d.rule!r}")
-
-
-def translate_u_to_v(d: Derivation, t: Term) -> Derivation:
-    if not term_eq(d.subject, embed_cbv(t)):
-        raise ImageMismatch("derivation subject is not the embedding of the term")
-    return _read_back(_u_to_v(d, t), d if check_derivation_u(d) is None else None)
-
-
-def _u_to_v(d: Derivation, t: Term) -> Walk:
-    match t:
-        case Var(x):
-            if d.rule != "bg":
-                raise ImageMismatch("expected a bang node over a variable")
-            assert isinstance(d.type, Mult)
-            for p in d.premises:
-                if p.rule != "ax":
-                    raise ImageMismatch("expected axiom premises under the bang")
-            return mk_ax_v(x, d.type)
-        case Abs(x, b):
-            if d.rule != "bg":
-                raise ImageMismatch("expected a bang node over an abstraction")
-            if any(p.rule != "abs" for p in d.premises):
-                raise ImageMismatch("expected abstraction premises under the bang")
-            inner = []
-            for p in d.premises:
-                inner.append((yield _u_to_v(p.premises[0], b)))
-            return mk_abs_v(x, b, tuple(inner))
-        case App(f, a):
-            if d.rule != "app":
-                raise ImageMismatch("expected an application node")
-            if _is_value_shaped(f):
-                d_f = yield _u_to_v(fire_spine_d(d.premises[0], frozenset(), _rebang), f)
-            else:
-                if d.premises[0].rule != "dr":
-                    raise ImageMismatch("expected a dereliction at the head")
-                d_f = yield _u_to_v(d.premises[0].premises[0], f)
-            return mk_app_v(d_f, (yield _u_to_v(d.premises[1], a)))
-        case Sub(b, x, a):
-            if d.rule != "es":
-                raise ImageMismatch("expected a closure node")
-            return mk_es_v(x, (yield _u_to_v(d.premises[0], b)), (yield _u_to_v(d.premises[1], a)))
-    raise NotLambdaTerm(print_term(t))
-
-
-# ---------------------------------------------------------------------------
-# Inference through the embeddings
-
-# The embedding rejects a non-lambda term, and infer_u derives exactly its
-# image, so the derivation is translated back without a check, and kept.
-
-def infer_n(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
-    res = infer_u(embed_cbn(t), fuel)
-    return _read_back(_u_to_n(res, t), res) if isinstance(res, Derivation) else res
-
-
-def infer_v(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
-    res = infer_u(embed_cbv(t), fuel)
-    return _read_back(_u_to_v(res, t), res) if isinstance(res, Derivation) else res
+translate_n_to_u, translate_u_to_n, infer_n = _translations("n")
+translate_v_to_u, translate_u_to_v, infer_v = _translations("v")

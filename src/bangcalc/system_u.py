@@ -87,15 +87,7 @@ class Untypable:
 # returns the conclusion's context, subject and type with the premises.
 # The maker that inference calls wraps it, and the rule's check calls it
 # again on a node's own premises, so a conclusion is computed in one
-# place only.
-#
-# A maker's arguments are the variable's name and the type (rules for a
-# variable); otherwise the binder, if the former binds, then the premises
-# that type the subject's parts in order, then, for a rule with a variadic
-# tail (every bang rule has one), the part the tail types and the tail:
-# app (function, argument), abs (binder, body), bg (body term, premises),
-# dr (body), es (binder, body, argument), app_n (function, argument term,
-# argument premises), and so on.
+# place only.  `maker_args` gives a maker's arguments.
 
 Counters = tuple[int, int, int]
 
@@ -124,9 +116,31 @@ class Rule:
                                     # one per element of its (multiset) type
     consuming: bool = False         # the rule the engine rebuilds its former with
     closure: str | None = None      # an application rule: the closure rule dB turns it into
+    image: str | None = None        # an N or V rule: its U image (see `cbn_cbv`)
 
     def __post_init__(self):
         object.__setattr__(self, "parts", PARTS[self.former][:self.fixed])
+
+    def fits(self, d) -> bool:
+        """Whether node d has the rule's subject former and premise count."""
+        n, k = len(d.premises), self.fixed
+        return type(d.subject) is self.former and (n >= k if self.rest else n == k)
+
+
+def maker_args(rule: Rule, subject: Term, ty: Type, premises) -> tuple:
+    """The arguments of `rule`'s maker for a node of `subject` and `ty` over
+    `premises`: a variable's name and `ty`; otherwise the binder, if any,
+    the premises of the subject's parts in order, then the part a variadic
+    tail types and the tail.  So app (function, argument), bg (body term,
+    premises), es (binder, body, argument), app_n (function, argument term,
+    argument premises)."""
+    former = rule.former
+    if former is Var:
+        return subject.name, ty
+    if rule.rest:
+        k = rule.fixed
+        premises = (*premises[:k], getattr(subject, rule.rest), tuple(premises[k:]))
+    return (subject.binder, *premises) if former is Abs or former is Sub else tuple(premises)
 
 
 def rule_table(system: str, *rules: Rule) -> None:
@@ -173,27 +187,22 @@ def _checker_of(rule: Rule) -> Callable[[Any], str | None]:
     """Why a node that passed `check_derivation`'s prelude breaks `rule`, or
     None.  In this order: its former and premise count, the subjects of its
     fixed premises, the side conditions, by calling the conclusion function
-    with the maker's arguments (see the top of the rule table), then its
-    type, context and counters against that conclusion."""
-    tag, conclude, former, k, parts, rest = (rule.tag, rule.conclude, rule.former, rule.fixed,
-                                             rule.parts, rule.rest)
-    delta, cls, reason = rule.delta, rule.node, rule.type
+    with the maker's arguments, then its type, context and counters against
+    that conclusion."""
+    tag, conclude, parts, delta, cls, reason = (rule.tag, rule.conclude, rule.parts, rule.delta,
+                                                rule.node, rule.type)
     type_reason = reason if callable(reason) else lambda d: reason
-    binds = former is Abs or former is Sub  # the maker takes the binder first
 
     def check(d) -> str | None:
-        s, ps = d.subject, d.premises
-        if type(s) is not former or (len(ps) < k if rest else len(ps) != k):
+        if not rule.fits(d):
             return rule.shape
-        for p, part in zip(ps, parts):
+        s = d.subject
+        for p, part in zip(d.premises, parts):
             part = getattr(s, part)
             if p.subject is not part and not term_eq(p.subject, part):
                 return rule.subjects
-        if rest:
-            ps = (*ps[:k], getattr(s, rest), ps[k:])
-        args = (s.name, d.type) if former is Var else (s.binder, *ps) if binds else ps
         try:
-            context, _, ty, premises = conclude(tag, *args)
+            context, _, ty, premises = conclude(tag, *maker_args(rule, s, d.type, d.premises))
         except IllFormed as ex:
             return str(ex)
         if ty is not d.type and ty != d.type:

@@ -13,7 +13,9 @@ import random
 import pytest
 
 from bangcalc import reduction, syntax
-from bangcalc.cbn_cbv import infer_n, infer_v, translate_n_to_u, translate_v_to_u
+from bangcalc.cbn_cbv import (
+    infer_n, infer_v, translate_n_to_u, translate_u_to_n, translate_u_to_v, translate_v_to_u,
+)
 from bangcalc.reduction import FuelExhausted, normalize_dw, step_at
 from bangcalc.serialize import derivation_text
 from bangcalc.syntax import (
@@ -28,6 +30,7 @@ from bangcalc.system_u import (
 )
 
 from conftest import count_calls, subst_derivation, without_image
+from test_write_path import ref_translate_n_to_u, ref_translate_v_to_u
 
 # term -> its reducts along the dw trace
 CASES = {
@@ -162,11 +165,15 @@ def lambda_term(t):
             return Sub(lambda_term(b), x, lambda_term(a))
 
 
-@pytest.mark.parametrize("infer, to_u", [(infer_n, translate_n_to_u), (infer_v, translate_v_to_u)],
-                         ids=["n", "v"])
-def test_capture_heavy_lambda_terms_keep_the_image_their_walk_builds(infer, to_u, monkeypatch):
+@pytest.mark.parametrize("infer, to_u, ref, back", [
+    (infer_n, translate_n_to_u, ref_translate_n_to_u, translate_u_to_n),
+    (infer_v, translate_v_to_u, ref_translate_v_to_u, translate_u_to_v),
+], ids=["n", "v"])
+def test_capture_heavy_lambda_terms_keep_the_image_their_walk_builds(infer, to_u, ref, back,
+                                                                     monkeypatch):
     # an inferred N or V derivation keeps the U derivation it was read
-    # from; a copy without it is walked, to the same derivation
+    # from; a copy without it is walked, to the same derivation, which the
+    # reference translation builds too and which translates back to it
     rng = random.Random(26)
     renames = count_renames(monkeypatch)
     typed = 0
@@ -177,8 +184,8 @@ def test_capture_heavy_lambda_terms_keep_the_image_their_walk_builds(infer, to_u
             continue
         typed += 1
         image, walked = to_u(d), to_u(without_image(d))
-        assert walked == image and derivation_text(walked) == derivation_text(image), \
-            print_term(t)
+        assert walked == image == ref(d) and back(walked, t) == d, print_term(t)
+        assert derivation_text(walked) == derivation_text(image), print_term(t)
     # the corpus reaches the refreshes it is meant for
     assert typed > 500 and len(renames) > 200
 

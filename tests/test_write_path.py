@@ -5,6 +5,7 @@ against a plain reference kept here, and its work is counted."""
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 from bangcalc import cbn_cbv, qtypes, reduction, syntax, system_u
 from bangcalc.cbn_cbv import (
     ImageMismatch, _is_value_shaped, check_derivation_n, check_derivation_v, embed_cbn,
-    embed_cbv, fire_spine_d, infer_n, infer_v, mk_abs_v, mk_ax_v, translate_n_to_u,
+    embed_cbv, fire_spine_d, infer_n, infer_v, mk_abs_v, mk_ax_n, mk_ax_v, translate_n_to_u,
     translate_u_to_n, translate_u_to_v, translate_v_to_u,
 )
 from bangcalc.gen import generate_corpus, rand_bang_term, rand_lambda_term
@@ -25,7 +26,8 @@ from bangcalc.syntax import (
     Abs, App, Bang, Var, decompose_list, is_abs_shaped, is_bang_shaped, term_eq,
 )
 from bangcalc.system_u import (
-    Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+    RULES, Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr,
+    mk_es,
 )
 
 from conftest import (
@@ -333,6 +335,112 @@ def test_a_mismatched_subject_raises_image_mismatch(embed, back, n):
     for other in (church_term(n - 1), church_term(n + 1)):
         with pytest.raises(ImageMismatch):
             back(d, other)
+
+
+# ---------------------------------------------------------------------------
+# The image table: every entry walked both ways, and malformed input refused
+
+def test_every_rule_has_an_image_walked_both_ways(monkeypatch):
+    walked = {"to": Counter(), "from": Counter()}
+    to_u, from_u = cbn_cbv._to_u, cbn_cbv._from_u
+
+    def counted_to_u(d, system, images):
+        walked["to"][d.rule] += 1
+        return to_u(d, system, images)
+
+    def counted_from_u(d, t, system):
+        walked["from"][cbn_cbv._RULE_OF[system][type(t)].tag] += 1
+        return from_u(d, t, system)
+    monkeypatch.setattr(cbn_cbv, "_to_u", counted_to_u)
+    monkeypatch.setattr(cbn_cbv, "_from_u", counted_from_u)
+    for t in TRANSLATION_CORPUS:
+        for infer, to_u_of, back in ((infer_n, translate_n_to_u, translate_u_to_n),
+                                     (infer_v, translate_v_to_u, translate_u_to_v)):
+            d = infer(t, FUEL)
+            if isinstance(d, Derivation):
+                assert back(to_u_of(without_image(d)), t) == d
+    rules = [rule for system in "nv" for rule in RULES[system].values()]
+    assert {rule.image for rule in rules} == {"same", "bang_rest", "bang_each", "head"}
+    tags = {rule.tag for rule in rules}
+    assert set(walked["to"]) == set(walked["from"]) == tags and len(tags) == 8
+
+
+# Each derivation that differs from an inferred one at one node: its rule
+# tag swapped for each other tag of U, N and V, its last premise dropped,
+# or its last premise repeated
+TAMPER_CORPUS = generate_corpus(3, 10, 150, lam=True) + [church_term(3)]
+TAGS = sorted({tag for system in "unv" for tag in RULES[system]})
+
+
+def _replaced(d, path, node):
+    if not path:
+        return node
+    ps = list(d.premises)
+    ps[path[0]] = _replaced(ps[path[0]], path[1:], node)
+    return Derivation(d.rule, d.context, d.subject, d.type, tuple(ps))
+
+
+def _tampered(d):
+    """Each tampered copy of d, with whether its tag was swapped."""
+    stack = [((), d)]
+    while stack:
+        path, node = stack.pop()
+        stack.extend((path + (i,), p) for i, p in enumerate(node.premises))
+        changed = [(True, dataclasses.replace(node, rule=tag)) for tag in TAGS if tag != node.rule]
+        ps = node.premises
+        if ps:
+            changed += [(False, dataclasses.replace(node, premises=ps[:-1])),
+                        (False, dataclasses.replace(node, premises=ps + ps[-1:]))]
+        for swapped, bad in changed:
+            yield swapped, _replaced(d, path, bad)
+
+
+def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
+    # The walkers before the image table crashed on 4,443 of these cases
+    # (AssertionError, IndexError, AttributeError, TypeError) and translated
+    # 336 tampered N and V derivations to U.
+    outcomes = Counter()
+    for t in TAMPER_CORPUS:
+        for infer, to_u, back, check in (
+                (infer_n, translate_n_to_u, translate_u_to_n, check_derivation_n),
+                (infer_v, translate_v_to_u, translate_u_to_v, check_derivation_v)):
+            d = infer(t, FUEL)
+            if not isinstance(d, Derivation):
+                continue
+            for _, bad in _tampered(without_image(d)):
+                with pytest.raises(IllFormed):
+                    to_u(bad)
+                outcomes["forward refused"] += 1
+            # every node of an image has the rule its pattern names, so a
+            # swapped tag never reads back; a premise dropped or repeated
+            # under a bang may read back to another derivation that checks
+            for swapped, bad in _tampered(to_u(d)):
+                try:
+                    read = back(bad, t)
+                except (ImageMismatch, IllFormed) as ex:
+                    assert not swapped or type(ex) is ImageMismatch, (syntax.print_term(t), ex)
+                    outcomes[type(ex).__name__] += 1
+                else:
+                    assert not swapped and check(read) is None, syntax.print_term(t)
+                    outcomes["returned"] += 1
+    assert outcomes["forward refused"] > 10_000 and outcomes["ImageMismatch"] > 10_000, outcomes
+
+
+def test_the_forward_walk_refuses_a_node_its_rule_does_not_fit():
+    ax = mk_ax_n("x", BaseVar(0))
+    twice = Derivation("abs_n", {}, Abs("x", Var("x")), Arrow(mult([BaseVar(0)]), BaseVar(0)),
+                       (ax, ax))
+    with pytest.raises(IllFormed, match="abs_n must type an abstraction from one premise"):
+        translate_n_to_u(twice)
+    not_a_multiset = Derivation("ax_v", {"x": mult([BaseVar(0)])}, Var("x"), BaseVar(0))
+    with pytest.raises(IllFormed, match="ax_v must conclude a multiset type"):
+        translate_v_to_u(not_a_multiset)
+    # a value-shaped head typed by another multiset than a singleton arrow
+    d = infer_v(syntax.parse_term(r"(\x. x) y"), FUEL)
+    head = mk_abs_v("x", Var("x"), ())
+    bad = Derivation("app_v", d.context, d.subject, d.type, (head, d.premises[1]))
+    with pytest.raises(IllFormed, match="app_v function premise must be a singleton arrow"):
+        translate_v_to_u(bad)
 
 
 # ---------------------------------------------------------------------------
