@@ -416,6 +416,11 @@ def _translations(system: str) -> tuple[Callable, Callable, Callable]:
     def infer(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
         res = infer_u(_EMBED[system](t), fuel)
         return _read_back(_from_u(res, t, system), res) if isinstance(res, Derivation) else res
+
+    # Each takes its public name, so tracebacks and reprs tell N from V.
+    for f, name in ((to_u, f"translate_{system}_to_u"), (from_u, f"translate_u_to_{system}"),
+                    (infer, f"infer_{system}")):
+        f.__name__ = f.__qualname__ = name
     return to_u, from_u, infer
 
 
