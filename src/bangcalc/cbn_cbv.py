@@ -378,6 +378,8 @@ def _from_u(d: Derivation, t: Term, system: str) -> Walk:
         ps = (*ps[:-1], *_expect(ps[-1], Bang).premises)
     elif kind == "bang_each":
         ps = [q for p in ps for q in _expect(p, former).premises]
+        if former is Var and mult(p.type for p in d.premises) != d.type:  # ax_v reads d.type
+            raise ImageMismatch("bg type must be the multiset of its ax premises' types")
     elif kind == "head" and _is_value_shaped(t.fun):
         node = ps[0]  # the closures of the spine, before fire_spine_d takes it apart
         while type(node.subject) is Sub:

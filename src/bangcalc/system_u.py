@@ -17,7 +17,9 @@ system's side conditions and counters come from its own makers;
 `rule_table` fills the engine's tables from the rules of U and E, the
 systems with consuming rules.  The engine chooses no name: it rebuilds
 along terms the term engine built, so a transformed derivation's subject
-is always the same syntax tree the reduction engine produces.
+is always the same syntax tree the reduction engine produces.  Renaming
+and substitution are one rebuild walk, and each rule, which acts through
+a closure spine, fires and expands on one spine walk.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from typing import Any, Callable
 
 from .syntax import (
     Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, Walk,
-    decompose_list, free_vars, print_term, subst_meta, term_eq, unwind,
+    free_vars, print_term, subst_meta, term_eq, unwind,
 )
 from .reduction import (
-    SELECTORS, Position, RuleKind, FuelExhausted, Trace,
+    SELECTORS, W_RULES, Position, RuleKind, FuelExhausted, Trace,
     classify_wcf_nf, fire_spine, normalize_dw, subterm_at,
 )
 from .qtypes import (
@@ -513,24 +515,37 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
 #
 # Every name comes from a term the term engine built: a walk follows that
 # term, so every rebuilt node's subject equals it, binder names included.
-# Each is a walk on `syntax.unwind`, and yields a sub-walk only for a part
-# it may change.
+# One walk renames and substitutes, along a renamed term or along
+# `subst_meta`'s result; anti-substitution walks the other way, from an
+# instance back to the term.  Each is a walk on `syntax.unwind`, and
+# yields a sub-walk only for a part it may change.
 
-def rebuild_as(d, t: Term) -> Walk:
+def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Walk:
     """The walk of d rebuilt along t, a term of the shape of d's subject
-    whose free names and binders may differ.  A node is remade by its own
-    rule only where its name, its binder or a premise changed: a part of t
-    that is the subject's own part keeps its premise, and whether a node
-    changed is decided from its premises, except that a bang with no
-    premises compares its body."""
+    whose free names and binders may differ; or, given x and `pool`, along
+    t = subst_meta(d.subject, x, u), where each axiom for a free x takes
+    the first derivation in `pool` of its type, axioms taken in the order
+    of the walk (pre-order, a node's premises in order).  A node is remade
+    by its own rule only where its name, its binder or a premise changed:
+    a part of t that is the subject's own part keeps its premise, and
+    whether a node changed is decided from its premises, except that a
+    bang with no premises compares its body."""
     s, ps = d.subject, d.premises
-    cls = type(t)
+    cls = type(s)
     if cls is Var:
+        if s.name == x:
+            for i, p in enumerate(pool):
+                if p.type == d.type:
+                    return pool.pop(i)
+            raise IllFormed("no argument derivation left for an axiom occurrence")
         return d if s.name == t.name else _maker(d)(t.name, d.type)
     new, changed = [], False
+    # no x is free below a binder x, though the walk may enter its body
+    inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
     for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
         part = getattr(t, attr)
-        q = p if getattr(s, attr) is part else (yield rebuild_as(p, part))
+        q = p if getattr(s, attr) is part else (
+            yield rebuild_as(p, part, inner if attr == "body" else x, pool))
         new.append(q)
         changed = changed or q is not p
     if cls is Bang:
@@ -539,40 +554,6 @@ def rebuild_as(d, t: Term) -> Walk:
     if cls is Abs or cls is Sub:
         return _maker(d)(t.binder, *new) if changed or s.binder != t.binder else d
     return _maker(d)(*new) if changed else d
-
-
-def _subst(d, x: str, t: Term, pool: list) -> Walk:
-    """The walk of d{x:=u} along t = subst_meta(d.subject, x, u): each
-    axiom for x gives way to the first derivation in `pool` of its type,
-    and a binder that t refreshes is renamed in its body first, as
-    subst_meta renames it."""
-    s = d.subject
-    if x not in free_vars(s):
-        return d
-    if type(s) is Var:
-        for i, p in enumerate(pool):
-            if p.type == d.type:
-                return pool.pop(i)
-        raise IllFormed("no argument derivation left for an axiom occurrence")
-    make, ps = _maker(d), d.premises
-    match s:
-        case App() | Der() | Bang():
-            parts = ("body",) * len(ps) if type(s) is Bang else PARTS[type(s)]
-            new = []
-            for p, part in zip(ps, parts):  # a premise without x free is kept as it stands
-                new.append((yield _subst(p, x, getattr(t, part), pool))
-                           if x in free_vars(p.subject) else p)
-            return make(t.body, tuple(new)) if type(s) is Bang else make(*new)
-        case Abs(y, body) | Sub(body, y, _):
-            p_b, p_a = ps[0], ps[1:]
-            if p_a and x in free_vars(p_a[0].subject):
-                p_a = ((yield _subst(p_a[0], x, t.arg, pool)),)
-            if x != y and x in free_vars(body):
-                if t.binder != y:
-                    p_b = yield rebuild_as(p_b, subst_meta(body, y, Var(t.binder)))
-                p_b = yield _subst(p_b, x, t.body, pool)
-            return make(t.binder, p_b, *p_a)
-    raise IllFormed(f"cannot substitute into {print_term(s)}")
 
 
 def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
@@ -682,14 +663,29 @@ def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
     that are in `avoid` refreshed as fire_spine refreshes them."""
     if avoid:
         d = unwind(rebuild_as(d, fire_spine(d.subject, avoid, lambda c: c)))
-    spine = []
-    while isinstance(d.subject, Sub):
-        spine.append((_maker(d), d.subject.binder, d.premises[1]))
-        d = d.premises[0]
-    d = at_core(d)
-    for make, y, p_a in reversed(spine):
-        d = make(y, d, p_a)
-    return d
+    return _on_spine(d, d.subject, at_core)[0]
+
+
+def _on_spine(d, spine: Term, at_core: Callable[[Any], Any]) -> tuple[Any, Any]:
+    """(d', e): e is the node of d under its first closure nodes, one for
+    each closure of the maximal closure spine of `spine`, and d' is d with
+    at_core(e) in its place, wrapped in those nodes again by their own
+    rules and binders, and rebuilt along `spine` if one of the binders is
+    not its closure's (expansion gives the pre-step term, which firing
+    refreshed)."""
+    peeled, s = [], spine
+    while isinstance(s, Sub):
+        if not isinstance(d.subject, Sub):
+            raise IllFormed("closure spine shorter than the redex spine")
+        peeled.append((d, s.binder))
+        d, s = d.premises[0], s.body
+    core, d = d, at_core(d)
+    renamed = False
+    for node, y in reversed(peeled):
+        binder = node.subject.binder
+        renamed = renamed or binder != y
+        d = _maker(node)(binder, d, node.premises[1])
+    return unwind(rebuild_as(d, spine)) if renamed else d, core
 
 
 def _fire(d, kind: RuleKind):
@@ -716,8 +712,10 @@ def _fire(d, kind: RuleKind):
             if a_d.rule != CONSUMING_RULE[cls, Bang].tag:
                 raise IllFormed("s! argument must be a consuming bang under closures")
             pool = list(a_d.premises)
-            out = unwind(_subst(d_body, x, subst_meta(d_body.subject, x, a_d.subject.body), pool))
-            assert not pool
+            t = subst_meta(d_body.subject, x, a_d.subject.body)
+            out = unwind(rebuild_as(d_body, t, x, pool))
+            if pool:
+                raise IllFormed("s! argument has a premise that no axiom occurrence takes")
             return out
 
         return fire_spine_d(d_arg, free_vars(d_body.subject) - {x}, at_bang)
@@ -760,71 +758,44 @@ def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind],
 
 
 def _expand(d, t: Term, kind: RuleKind):
-    cls = type(d)
+    fires = W_RULES.get(type(t))
+    if fires is None or fires(t) is not kind:
+        raise IllFormed(f"{kind} step does not fit the term at its position")
+    cls, bang = type(d), CONSUMING_RULE[type(d), Bang].make
     if kind is RuleKind.DB:
-        assert isinstance(t, App)
-        chain, core = _peel_spine(d, t.fun)
-        app = APPLICATION_RULE.get((cls, core.rule))
-        if app is None:
-            raise IllFormed("dB reduct core must be a closure node")
-        cur = CONSUMING_RULE[cls, Abs].make(core.subject.binder, core.premises[0])
-        return app.make(_rewrap(cur, chain), core.premises[1])
+        def to_abs(c):
+            if (cls, c.rule) not in APPLICATION_RULE:
+                raise IllFormed("dB reduct core must be a closure node")
+            return CONSUMING_RULE[cls, Abs].make(c.subject.binder, c.premises[0])
+
+        fun, closure = _on_spine(d, t.fun, to_abs)
+        return APPLICATION_RULE[cls, closure.rule].make(fun, closure.premises[1])
 
     if kind is RuleKind.SBANG:
-        assert isinstance(t, Sub)
-        chain, core = _peel_spine(d, t.arg)
-        # replay the firing renames to know the bang body actually substituted
-        u_fired, spine_fired = _sbang_parts(t)
-        if [y for y, _ in spine_fired] != [node.subject.binder for node, _ in chain]:
-            raise IllFormed("reduct spine does not match the fired closure spine")
-        d_s, d_us = unwind(_antisubst(core, t.body, t.binder, u_fired))
-        # the bang body is the first premise's subject, equal to u_fired:
-        # the subject check of `expand_derivation` then finds it among the
-        # pairs an earlier step proved equal, where bg would walk it
-        body = d_us[0].subject if d_us else u_fired
-        cur = CONSUMING_RULE[cls, Bang].make(body, tuple(d_us))
-        return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, _rewrap(cur, chain))
+        # replay the firing's refreshes to know the bang body it substituted
+        fired, s = t.arg, d.subject
+        if isinstance(fired, Sub):
+            fired = fire_spine(fired, free_vars(t.body) - {t.binder}, lambda b: b)
+        while isinstance(fired, Sub):
+            if not isinstance(s, Sub) or s.binder != fired.binder:
+                raise IllFormed("reduct spine does not match the fired closure spine")
+            fired, s = fired.body, s.body
+        d_s = None
 
-    if kind is RuleKind.DBANG:
-        assert isinstance(t, Der)
-        chain, core = _peel_spine(d, t.body)
-        cur = CONSUMING_RULE[cls, Bang].make(core.subject, (core,))
-        return CONSUMING_RULE[cls, Der].make(_rewrap(cur, chain))
+        def rebang(c):
+            nonlocal d_s
+            d_s, d_us = unwind(_antisubst(c, t.body, t.binder, fired.body))
+            # the bang body is the first premise's subject, equal to the
+            # fired one: the subject check of `expand_derivation` then finds
+            # it among the pairs an earlier step proved equal, where bg
+            # would walk it
+            return bang(d_us[0].subject if d_us else fired.body, tuple(d_us))
 
-    raise IllFormed(f"{kind} is not a bang-calculus rule")
+        arg, _ = _on_spine(d, t.arg, rebang)
+        return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, arg)
 
-
-def _peel_spine(d, spine: Term) -> tuple[list[tuple[Any, Sub]], Any]:
-    """The closure nodes of d, one per closure of the pre-step spine, each
-    paired with that closure, and the node under them."""
-    chain = []
-    while isinstance(spine, Sub):
-        if not isinstance(d.subject, Sub):
-            raise IllFormed("closure spine shorter than the redex spine")
-        chain.append((d, spine))
-        d, spine = d.premises[0], spine.body
-    return chain, d
-
-
-def _rewrap(cur, chain: list[tuple[Any, Sub]]):
-    """Wrap cur in the peeled closure nodes, innermost first, with the
-    binders the firing gave them, and rebuild the whole along the pre-step
-    spine if the firing refreshed one."""
-    renamed = False
-    for node, closure in reversed(chain):
-        y = node.subject.binder
-        renamed = renamed or y != closure.binder
-        cur = _maker(node)(y, cur, node.premises[1])
-    return unwind(rebuild_as(cur, chain[0][1])) if renamed else cur
-
-
-def _sbang_parts(t: Sub) -> tuple[Term, tuple[tuple[str, Term], ...]]:
-    """The bang body and closure spine as the s! firing renames them."""
-    if isinstance(t.arg, Bang):  # no spine, so nothing to rename
-        return t.arg.body, ()
-    fired = decompose_list(fire_spine(t.arg, free_vars(t.body) - {t.binder}, lambda bang: bang))
-    assert isinstance(fired.core, Bang)
-    return fired.core.body, fired.spine
+    # d!, the one kind the check above leaves
+    return CONSUMING_RULE[cls, Der].make(_on_spine(d, t.body, lambda c: bang(c.subject, (c,)))[0])
 
 
 # ---------------------------------------------------------------------------

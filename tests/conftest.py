@@ -996,7 +996,10 @@ def ref_check_node(system: str, cls: type, d, tight):
 def subst_derivation(d_t, x: str, d_us: list):
     """Merge derivations of u into a derivation of t, replacing the
     axioms for x.  The conclusion-type bag of d_us must equal the
-    x-multiset of d_t's context; matching is by type, left to right."""
+    x-multiset of d_t's context.  Each axiom for x takes the first
+    derivation of its type still in d_us, the axioms in the rebuild walk's
+    order: pre-order, a node's premises in order (a closure's body before
+    its argument)."""
     if mult(d.type for d in d_us) != ctx_get(d_t.context, x):
         raise IllFormed("argument derivations do not realize the multiset of x")
     for d in d_us[1:]:
@@ -1004,6 +1007,6 @@ def subst_derivation(d_t, x: str, d_us: list):
             raise IllFormed("argument derivations type different terms")
     u = d_us[0].subject if d_us else Var(x)  # unused when the pool is empty
     pool = list(d_us)
-    out = unwind(system_u._subst(d_t, x, subst_meta(d_t.subject, x, u), pool))
+    out = unwind(system_u.rebuild_as(d_t, subst_meta(d_t.subject, x, u), x, pool))
     assert not pool, "unconsumed argument derivations"
     return out

@@ -34,7 +34,8 @@ from test_write_path import ref_translate_n_to_u, ref_translate_v_to_u
 
 # term -> its reducts along the dw trace
 CASES = {
-    # s! substitutes y under the binder y (`system_u._subst`)
+    # s! substitutes y under the binder y (`system_u.rebuild_as`, along
+    # the `subst_meta` result)
     r"(\y. x)[x \ !y]": [r"\y0. y"],
     # dB through a closure whose binder is free in the argument (`fire_spine_d`)
     r"((\x. z)[y \ !w]) y": [r"z[x \ y][y0 \ !w]", r"z[x \ y]"],
@@ -48,7 +49,7 @@ CASES = {
     # a firing through two closures refreshes the outer binder y1 to y0,
     # the pre-step name of the inner one, which it refreshes to y2: no
     # binder can be renamed back on its own, so expansion rebuilds the
-    # whole spine along the pre-step one (`system_u._rewrap`)
+    # whole spine along the pre-step one (`system_u._on_spine`)
     r"(\x. y1)[y0 \ y1][y1 \ x] y1": [r"y0[x \ y1][y2 \ y0][y0 \ x]"],
     r"(\y1. !der(y0))[y \ (\y0. y)[y0 \ y][y \ y0] !y[x \ y1]]": [
         r"(\y1. !der(y0))[y \ y0[y1 \ !y[x \ y1]][y2 \ y0][y0 \ y0]]",

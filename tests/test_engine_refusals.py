@@ -12,7 +12,7 @@ from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult
 from bangcalc.reduction import RuleKind, Sel
 from bangcalc.syntax import Bang, Der, Sub, Var, parse_term
 from bangcalc.system_u import (
-    Derivation, IllFormed, expand_derivation, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
+    Derivation, IllFormed, expand_derivation, infer_u, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
     reduce_derivation,
 )
 
@@ -62,6 +62,15 @@ def test_an_axiom_occurrence_needs_an_argument_derivation(premises):
             reduce_derivation, d, (ROOT, RuleKind.SBANG))
 
 
+@pytest.mark.parametrize("body", [Var("x"), Var("z")], ids=["one-occurrence", "none"])
+def test_every_bang_premise_must_be_taken_by_an_axiom_occurrence(body):
+    # x[x \ !y] and z[x \ !y] whose bang has a premise more than x's axioms take
+    bang = mk_bg(Var("y"), (mk_ax("y", O), mk_ax("y", O)))
+    d = Derivation("es", {}, Sub(body, "x", Bang(Var("y"))), O, (mk_ax(body.name, O), bang))
+    refused("s! argument has a premise that no axiom occurrence takes",
+            reduce_derivation, d, (ROOT, RuleKind.SBANG))
+
+
 def test_dbang_redex_must_be_typed_by_the_dereliction_rule():
     refused("d! redex must be typed by the consuming dereliction rule",
             reduce_derivation, mk_ax("x", O), (ROOT, RuleKind.DBANG))
@@ -101,3 +110,11 @@ def test_the_reduct_spine_must_be_the_fired_spine():
     d = mk_es("w", mk_ax("y", O), mk_bg(Var("z"), ()))
     refused("reduct spine does not match the fired closure spine",
             expand_derivation, d, parse_term(r"x[x \ (!y)[y \ !z]]"), (ROOT, RuleKind.SBANG))
+
+
+@pytest.mark.parametrize("kind", [RuleKind.SBANG, RuleKind.DBANG, RuleKind.S])
+def test_an_expansion_step_must_fit_the_term_at_its_position(kind):
+    # a dB redex, expanded as another kind of step
+    t = parse_term(r"(\x. x) !y")
+    refused(f"{kind} step does not fit the term at its position",
+            expand_derivation, infer_u(t, 100), t, (ROOT, kind))

@@ -184,6 +184,16 @@ class TestSubstitution:
             sorted(print_type(d.type) for d in d_us)
         assert size_u(merged) == size_u(d_back) + sum(size_u(d) for d in us_back) - len(us_back)
 
+    def test_an_occurrence_bound_by_a_binder_of_the_name_is_kept(self):
+        # !((\x. x) x) over two premises, each built on its own subject:
+        # only the free x of each takes an argument derivation
+        o1, o2 = BaseVar(1), BaseVar(2)
+        ps = [mk_app(mk_abs("x", mk_ax("x", o)), mk_ax("x", mult([o]))) for o in (o1, o2)]
+        d_t = mk_bg(ps[0].subject, tuple(ps))
+        out = subst_derivation(d_t, "x", [mk_ax("y", mult([o])) for o in (o1, o2)])
+        assert out.subject == t(r"!((\x. x) y)") and check_derivation_u(out) is None
+        assert out.context == {"y": mult([mult([o1]), mult([o2])])}
+
     def test_mismatched_multiset_is_rejected(self):
         d_t = mk_ax("x", TAU)
         with pytest.raises(IllFormed):

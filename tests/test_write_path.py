@@ -412,8 +412,9 @@ def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
                     to_u(bad)
                 outcomes["forward refused"] += 1
             # every node of an image has the rule its pattern names, so a
-            # swapped tag never reads back; a premise dropped or repeated
-            # under a bang may read back to another derivation that checks
+            # swapped tag never reads back; nor does a premise dropped or
+            # repeated under a bang, whose type then no longer collects the
+            # types of its premises
             for swapped, bad in _tampered(to_u(d)):
                 try:
                     read = back(bad, t)
@@ -424,6 +425,7 @@ def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
                     assert not swapped and check(read) is None, syntax.print_term(t)
                     outcomes["returned"] += 1
     assert outcomes["forward refused"] > 10_000 and outcomes["ImageMismatch"] > 10_000, outcomes
+    assert outcomes["returned"] == 0, outcomes
 
 
 def test_the_forward_walk_refuses_a_node_its_rule_does_not_fit():
