@@ -8,8 +8,8 @@ from .syntax import (
 )
 from .reduction import (
     RuleKind, Trace, FuelExhausted,
-    classify_nf, classify_wcf_nf, detect_clash, enumerate_maximal_traces,
-    normalize_dw, redexes, step_at, step_dw,
+    classify_nf, classify_wcf_nf, detect_clash, normalize_dw, redexes,
+    step_at, step_dw,
 )
 from .system_u import (
     Derivation, Untypable, check_derivation_u, infer_u, size_u,

@@ -25,8 +25,8 @@ from .reduction import (
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
     CONSUMING_RULE, RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax,
-    check_derivation, check_derivation_u, define, es, fire_spine_d, infer_u, maker_args, mk_bg,
-    mk_dr, rule_table, sizer,
+    check_derivation, check_derivation_u, define, es, fire_spine_d, fitting_rule, infer_u,
+    maker_args, mk_bg, mk_dr, rule_table, sizer, unbang,
 )
 
 
@@ -355,17 +355,17 @@ def _to_u(d: Derivation, system: str, images: FoldMemo) -> Walk:
 
 def _unbang(d: Derivation) -> Derivation:
     """From the image of a value typed [sigma], the one of its body typed sigma."""
-    if d.rule != "bg" or len(d.premises) != 1:
-        raise IllFormed("app_v function premise must be a singleton arrow multiset")
-    return d.premises[0]
+    return unbang(d, "app_v function premise must be a singleton arrow multiset")
 
 
-def _expect(d: Derivation, former: type) -> Derivation:
-    """d, if U's consuming rule for `former` is its rule and fits it."""
-    u = CONSUMING_RULE[Derivation, former]
-    if d.rule != u.tag or not u.fits(d):
-        raise ImageMismatch(f"expected rule {u.tag}: {u.shape}")
-    return d
+# former -> U's consuming rule for it, and the read-back's refusal of another node
+_EXPECTED = {former: (u, f"expected rule {u.tag}: {u.shape}")
+             for (cls, former), u in CONSUMING_RULE.items() if cls is Derivation}
+
+
+def _expect(d: Derivation, former: type) -> tuple:
+    """d's premises, if U's consuming rule for `former` is d's rule and fits it."""
+    return fitting_rule(d, *_EXPECTED[former], ImageMismatch) and d.premises
 
 
 def _from_u(d: Derivation, t: Term, system: str) -> Walk:
@@ -373,20 +373,20 @@ def _from_u(d: Derivation, t: Term, system: str) -> Walk:
     image is the U derivation d."""
     rule = _RULE_OF[system][type(t)]
     kind, former = rule.image, rule.former
-    ps = _expect(d, Bang if kind == "bang_each" else former).premises
+    ps = _expect(d, Bang if kind == "bang_each" else former)
     if kind == "bang_rest":
-        ps = (*ps[:-1], *_expect(ps[-1], Bang).premises)
+        ps = (*ps[:-1], *_expect(ps[-1], Bang))
     elif kind == "bang_each":
-        ps = [q for p in ps for q in _expect(p, former).premises]
+        ps = [q for p in ps for q in _expect(p, former)]
         if former is Var and mult(p.type for p in d.premises) != d.type:  # ax_v reads d.type
             raise ImageMismatch("bg type must be the multiset of its ax premises' types")
     elif kind == "head" and _is_value_shaped(t.fun):
         node = ps[0]  # the closures of the spine, before fire_spine_d takes it apart
         while type(node.subject) is Sub:
-            node = _expect(node, Sub).premises[0]
+            node = _expect(node, Sub)[0]
         ps = (fire_spine_d(ps[0], frozenset(), lambda c: mk_bg(c.subject, (c,))), ps[1])
     elif kind == "head":
-        ps = (_expect(ps[0], Der).premises[0], ps[1])
+        ps = (_expect(ps[0], Der)[0], ps[1])
     new = []
     for i, p in enumerate(ps):
         part = rule.parts[i] if i < rule.fixed else rule.rest

@@ -256,15 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as ex:  # argparse has printed its usage message
-        return ex.code
     # A command builds only trees, which reference counting frees; the
-    # parser's reference cycles are made above, and freed after the pause.
+    # parser's reference cycles are freed after the pause.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as ex:  # argparse has printed its usage message
+            return ex.code
         try:
             return args.fn(args)
         finally:  # a closed stdout shows here, not in the flush at exit

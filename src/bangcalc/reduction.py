@@ -470,36 +470,3 @@ def trace_profile(graph: StateGraph) -> tuple[int, int, int] | None:
 
     return unwind(go(graph.start_key))
 
-
-def enumerate_maximal_traces(t: Term, fuel: int, max_traces: int = 10000) -> tuple[list[Trace], bool]:
-    """All maximal ->w traces from t, each cut off at `fuel` steps.
-
-    Returns (traces, exhausted): exhausted is True if some branch hit the
-    fuel bound or the trace cap, in which case the list also contains the
-    incomplete traces found so far (marked completed=False).  A walk on
-    `syntax.unwind`, so a trace may be longer than the stack is deep.
-    """
-    traces: list[Trace] = []
-    exhausted = False
-
-    def dfs(cur: Term, steps: list[TraceStep]) -> Walk:
-        nonlocal exhausted
-        if len(traces) >= max_traces:
-            exhausted = True
-            return
-        rs = redexes(cur)
-        if not rs:
-            traces.append(Trace(t, tuple(steps), completed=True))
-            return
-        if len(steps) >= fuel:
-            exhausted = True
-            traces.append(Trace(t, tuple(steps), completed=False))
-            return
-        for pos, kind in rs:
-            nxt = step_at(cur, pos, kind)
-            steps.append(TraceStep(pos, kind, nxt))
-            yield dfs(nxt, steps)
-            steps.pop()
-
-    unwind(dfs(t, []))
-    return traces, exhausted

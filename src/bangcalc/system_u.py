@@ -12,10 +12,11 @@ its check replays them on arbitrary trees (e.g. deserialized ones).
 
 The engine (renaming, substitution, anti-substitution, subject reduction
 and expansion) is written once for every derivation class.  It rebuilds
-each node through the node's own rule, looked up in `ENGINE`, so a
-system's side conditions and counters come from its own makers;
-`rule_table` fills the engine's tables from the rules of U and E, the
-systems with consuming rules.  The engine chooses no name: it rebuilds
+each node through the node's own rule, looked up in `ENGINE` by
+`fitting_rule`, the one check of a node's shape before the engine takes
+it apart, so a system's side conditions and counters come from its own
+makers; `rule_table` fills the engine's tables from the rules of U and
+E, the systems with consuming rules.  The engine chooses no name: it rebuilds
 along terms the term engine built, so a transformed derivation's subject
 is always the same syntax tree the reduction engine produces.  Renaming
 and substitution are one rebuild walk, and each rule, which acts through
@@ -125,8 +126,9 @@ class Rule:
 
     def fits(self, d) -> bool:
         """Whether node d has the rule's subject former and premise count."""
-        n, k = len(d.premises), self.fixed
-        return type(d.subject) is self.former and (n >= k if self.rest else n == k)
+        n = len(d.premises)
+        return type(d.subject) is self.former and (
+            n == self.fixed or self.rest is not None and n > self.fixed)
 
 
 def maker_args(rule: Rule, subject: Term, ty: Type, premises) -> tuple:
@@ -339,11 +341,24 @@ rule_table(
 mk_ax, mk_app, mk_abs, mk_bg, mk_dr, mk_es = (r.make for r in RULES["u"].values())
 
 
-def _maker(d) -> Callable[..., Any]:
+def fitting_rule(d, expected: Rule | type, reason: str, error: type = IllFormed) -> Rule:
+    """d's rule in the engine's table for d's class, if it is `expected`, or
+    a rule for the term former `expected`, and it fits d (`Rule.fits`); else
+    `error(reason)`, with d's tag for any `{}` in the reason.  The engine and
+    the read-back take a node's premises apart by position only after it."""
     rule = ENGINE[type(d)].get(d.rule)
-    if rule is None:
-        raise IllFormed(f"unknown rule {d.rule!r}")
-    return rule.make
+    if rule is None or rule is not expected and rule.former is not expected or not rule.fits(d):
+        raise error(reason.format(d.rule))
+    return rule
+
+
+def unbang(d, reason: str):
+    """The one premise of d, a unary consuming bang; IllFormed(reason) if d
+    is not one."""
+    fitting_rule(d, CONSUMING_RULE[type(d), Bang], reason)
+    if len(d.premises) != 1:
+        raise IllFormed(reason)
+    return d.premises[0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +535,10 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
 # instance back to the term.  Each is a walk on `syntax.unwind`, and
 # yields a sub-walk only for a part it may change.
 
+_UNFIT = "rule {!r} does not fit its node"
+_NOT_INSTANCE = "subject is not the stated substitution instance"
+
+
 def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Walk:
     """The walk of d rebuilt along t, a term of the shape of d's subject
     whose free names and binders may differ; or, given x and `pool`, along
@@ -538,7 +557,7 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
                 if p.type == d.type:
                     return pool.pop(i)
             raise IllFormed("no argument derivation left for an axiom occurrence")
-        return d if s.name == t.name else _maker(d)(t.name, d.type)
+        return d if s.name == t.name else fitting_rule(d, Var, _UNFIT).make(t.name, d.type)
     new, changed = [], False
     # no x is free below a binder x, though the walk may enter its body
     inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
@@ -550,10 +569,11 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
         changed = changed or q is not p
     if cls is Bang:
         changed = changed or not ps and not term_eq(s.body, t.body)
-        return _maker(d)(new[0].subject if new else t.body, tuple(new)) if changed else d
-    if cls is Abs or cls is Sub:
-        return _maker(d)(t.binder, *new) if changed or s.binder != t.binder else d
-    return _maker(d)(*new) if changed else d
+        new = (new[0].subject if new else t.body, tuple(new))
+    elif cls is Abs or cls is Sub:
+        changed = changed or s.binder != t.binder
+        new.insert(0, t.binder)
+    return fitting_rule(d, cls, _UNFIT).make(*new) if changed else d
 
 
 def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
@@ -561,18 +581,17 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     derivation of t (with x recorded in its context) plus one derivation
     of u per typed occurrence of x."""
     if not term_eq(d.subject, subst_meta(t, x, u)):
-        raise IllFormed("subject is not the stated substitution instance")
-    return unwind(_antisubst(d, t, x, u))
+        raise IllFormed(_NOT_INSTANCE)
+    return unwind(_antisubst(d, t, x, u)) if x in free_vars(t) else (d, [])
 
 
 def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
-    """The walk of antisubst_derivation; a part of t without x free keeps
-    its premise as it stands, without a walk of its own."""
-    if x not in free_vars(t):
-        return d, []
+    """The walk of antisubst_derivation for a t with x free; a part of t
+    without x free keeps its premise as it stands, without a walk of its
+    own."""
     if isinstance(t, Var):
         return CONSUMING_RULE[type(d), Var].make(x, d.type), [d]
-    make, ps = _maker(d), d.premises
+    make, ps = fitting_rule(d, type(t), _NOT_INSTANCE).make, d.premises
     match t:
         case App(f, a):
             d_f, us1 = (yield _antisubst(ps[0], f, x, u)) if x in free_vars(f) else (ps[0], [])
@@ -600,7 +619,6 @@ def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
                 p_b, us_b = yield _antisubst_under(d, y, b, x, u)
                 us = us_b + us
             return make(y, p_b, p_a), us
-    raise IllFormed(f"cannot decompose at {print_term(t)}")
 
 
 def _antisubst_under(d, y: str, b: Term, x: str, u: Term) -> Walk:
@@ -614,6 +632,12 @@ def _antisubst_under(d, y: str, b: Term, x: str, u: Term) -> Walk:
 # ---------------------------------------------------------------------------
 # Subject reduction / expansion
 
+# selector -> the former of the node it enters, the index of the premise
+# that types the part it selects, and the refusal of a node that does not fit
+_STEPS = {sel: (former, PARTS[former].index(attr), f"position step {sel} does not match rule {{}}")
+          for sel, (former, attr, _) in SELECTORS.items()}
+
+
 def _at(d, pos: Position, fire: Callable[..., Any], *args):
     """d with `fire(node, *args)` in place of its node at pos, the nodes
     above rebuilt."""
@@ -621,18 +645,14 @@ def _at(d, pos: Position, fire: Callable[..., Any], *args):
         return fire(d, *args)
     above = []
     for sel in pos:
-        former, attr, _ = SELECTORS[sel]
-        if not isinstance(d.subject, former):
-            raise IllFormed(f"position step {sel} does not match rule {d.rule}")
-        idx = PARTS[former].index(attr)
-        above.append((d, idx))
+        former, idx, reason = _STEPS[sel]
+        above.append((d, idx, fitting_rule(d, former, reason)))
         d = d.premises[idx]
     d = fire(d, *args)
-    for node, idx in reversed(above):
+    for node, idx, rule in reversed(above):
         ps = list(node.premises)
         ps[idx] = d
-        binder = (node.subject.binder,) if isinstance(node.subject, (Abs, Sub)) else ()
-        d = _maker(node)(*binder, *ps)
+        d = rule.make(*maker_args(rule, node.subject, node.type, ps))
     return d
 
 
@@ -675,42 +695,37 @@ def _on_spine(d, spine: Term, at_core: Callable[[Any], Any]) -> tuple[Any, Any]:
     refreshed)."""
     peeled, s = [], spine
     while isinstance(s, Sub):
-        if not isinstance(d.subject, Sub):
-            raise IllFormed("closure spine shorter than the redex spine")
-        peeled.append((d, s.binder))
+        rule = fitting_rule(d, Sub, "closure spine shorter than the redex spine")
+        peeled.append((d, s.binder, rule))
         d, s = d.premises[0], s.body
     core, d = d, at_core(d)
     renamed = False
-    for node, y in reversed(peeled):
+    for node, y, rule in reversed(peeled):
         binder = node.subject.binder
         renamed = renamed or binder != y
-        d = _maker(node)(binder, d, node.premises[1])
+        d = rule.make(binder, d, node.premises[1])
     return unwind(rebuild_as(d, spine)) if renamed else d, core
 
 
 def _fire(d, kind: RuleKind):
     cls = type(d)
     if kind is RuleKind.DB:
-        closure = getattr(ENGINE[cls].get(d.rule), "closure", None)
-        if closure is None:
-            raise IllFormed("dB redex must be typed by an application rule")
-        close, d_u = ENGINE[cls][closure].make, d.premises[1]
+        closure = fitting_rule(d, App, "dB redex must be typed by an application rule").closure
+        close, d_u, lam = ENGINE[cls][closure].make, d.premises[1], CONSUMING_RULE[cls, Abs]
 
         def at_abs(f_d):
-            if f_d.rule != CONSUMING_RULE[cls, Abs].tag:
-                raise IllFormed("dB function must be a consuming abstraction under closures")
+            fitting_rule(f_d, lam, "dB function must be a consuming abstraction under closures")
             return close(f_d.subject.binder, f_d.premises[0], d_u)
 
         return fire_spine_d(d.premises[0], free_vars(d_u.subject), at_abs)
 
     if kind is RuleKind.SBANG:
-        if d.rule != CONSUMING_RULE[cls, Sub].tag:
-            raise IllFormed("s! redex must be typed by the consuming closure rule")
-        x, (d_body, d_arg) = d.subject.binder, d.premises
+        fitting_rule(d, CONSUMING_RULE[cls, Sub],
+                     "s! redex must be typed by the consuming closure rule")
+        x, (d_body, d_arg), bang = d.subject.binder, d.premises, CONSUMING_RULE[cls, Bang]
 
         def at_bang(a_d):
-            if a_d.rule != CONSUMING_RULE[cls, Bang].tag:
-                raise IllFormed("s! argument must be a consuming bang under closures")
+            fitting_rule(a_d, bang, "s! argument must be a consuming bang under closures")
             pool = list(a_d.premises)
             t = subst_meta(d_body.subject, x, a_d.subject.body)
             out = unwind(rebuild_as(d_body, t, x, pool))
@@ -721,15 +736,10 @@ def _fire(d, kind: RuleKind):
         return fire_spine_d(d_arg, free_vars(d_body.subject) - {x}, at_bang)
 
     if kind is RuleKind.DBANG:
-        if d.rule != CONSUMING_RULE[cls, Der].tag:
-            raise IllFormed("d! redex must be typed by the consuming dereliction rule")
-
-        def unbang(b_d):
-            if b_d.rule != CONSUMING_RULE[cls, Bang].tag or len(b_d.premises) != 1:
-                raise IllFormed("d! body must be a unary consuming bang under closures")
-            return b_d.premises[0]
-
-        return fire_spine_d(d.premises[0], frozenset(), unbang)
+        fitting_rule(d, CONSUMING_RULE[cls, Der],
+                     "d! redex must be typed by the consuming dereliction rule")
+        reason = "d! body must be a unary consuming bang under closures"
+        return fire_spine_d(d.premises[0], frozenset(), lambda b_d: unbang(b_d, reason))
 
     raise IllFormed(f"{kind} is not a bang-calculus rule")
 
@@ -764,8 +774,7 @@ def _expand(d, t: Term, kind: RuleKind):
     cls, bang = type(d), CONSUMING_RULE[type(d), Bang].make
     if kind is RuleKind.DB:
         def to_abs(c):
-            if (cls, c.rule) not in APPLICATION_RULE:
-                raise IllFormed("dB reduct core must be a closure node")
+            fitting_rule(c, Sub, "dB reduct core must be a closure node")
             return CONSUMING_RULE[cls, Abs].make(c.subject.binder, c.premises[0])
 
         fun, closure = _on_spine(d, t.fun, to_abs)
@@ -784,7 +793,8 @@ def _expand(d, t: Term, kind: RuleKind):
 
         def rebang(c):
             nonlocal d_s
-            d_s, d_us = unwind(_antisubst(c, t.body, t.binder, fired.body))
+            d_s, d_us = (unwind(_antisubst(c, t.body, t.binder, fired.body))
+                         if t.binder in free_vars(t.body) else (c, []))
             # the bang body is the first premise's subject, equal to the
             # fired one: the subject check of `expand_derivation` then finds
             # it among the pairs an earlier step proved equal, where bg

@@ -1,3 +1,4 @@
+import dataclasses
 from bisect import insort
 from itertools import repeat
 
@@ -88,6 +89,32 @@ def without_image(d):
     """A copy of the N or V root d without the U derivation it keeps, which
     `translate_n_to_u` and `translate_v_to_u` then walk."""
     return Derivation(d.rule, d.context, d.subject, d.type, d.premises)
+
+
+def _replaced(d, path, node):
+    """d with node in place of its node at `path` (premise indices)."""
+    if not path:
+        return node
+    ps = list(d.premises)
+    ps[path[0]] = _replaced(ps[path[0]], path[1:], node)
+    return dataclasses.replace(d, premises=tuple(ps))
+
+
+def tampered(d, tags):
+    """Each copy of d that differs from it at one node: the node's tag
+    swapped for each other tag in `tags`, its last premise dropped, or its
+    last premise repeated; each with whether its tag was swapped."""
+    stack = [((), d)]
+    while stack:
+        path, node = stack.pop()
+        stack.extend((path + (i,), p) for i, p in enumerate(node.premises))
+        changed = [(True, dataclasses.replace(node, rule=tag)) for tag in tags if tag != node.rule]
+        ps = node.premises
+        if ps:
+            changed += [(False, dataclasses.replace(node, premises=ps[:-1])),
+                        (False, dataclasses.replace(node, premises=ps + ps[-1:]))]
+        for swapped, bad in changed:
+            yield swapped, _replaced(d, path, bad)
 
 
 # ---------------------------------------------------------------------------

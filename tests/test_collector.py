@@ -1,5 +1,6 @@
-"""The cyclic collector: `cli.main` pauses it while a command runs, and the
-engine builds no reference cycles, which is what makes the pause safe."""
+"""The cyclic collector: `cli.main` pauses it while it builds its parser and
+runs a command, and the engine builds no reference cycles, which is what
+makes the pause safe."""
 
 import contextlib
 import gc
@@ -74,6 +75,21 @@ def test_main_leaves_the_collector_as_it_found_it_when_stopped(
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["selftest"]) == code
         assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_parser_is_built_in_the_pause_and_an_interrupt_there_exits_130(monkeypatch, enabled):
+    building = []  # as parser construction found the collector
+
+    def interrupted_build():
+        building.append(gc.isenabled())
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "build_parser", interrupted_build)
+    err = io.StringIO()
+    with _collector(enabled), contextlib.redirect_stderr(err):
+        assert cli.main(["parse", "x"]) == 130
+        assert gc.isenabled() is enabled
+    assert building == [False] and err.getvalue() == "interrupted\n"
 
 
 def _command_work(bang, lam):

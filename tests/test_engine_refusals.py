@@ -90,6 +90,16 @@ def test_a_position_step_must_match_the_node():
             reduce_derivation, mk_ax("x", O), ((Sel.FUN,), RuleKind.DB))
 
 
+@pytest.mark.parametrize("pos, reason", [
+    (ROOT, "dB redex must be typed by an application rule"),
+    ((Sel.FUN,), "position step fun does not match rule app"),
+], ids=["at-the-redex", "above-it"])
+def test_a_node_without_its_premises_is_not_taken_apart(pos, reason):
+    # an app node of (\x. x) !y built with no premises
+    d = Derivation("app", {}, parse_term(r"(\x. x) !y"), O, ())
+    refused(reason, reduce_derivation, d, (pos, RuleKind.DB))
+
+
 # ---------------------------------------------------------------------------
 # Subject expansion
 
@@ -110,6 +120,14 @@ def test_the_reduct_spine_must_be_the_fired_spine():
     d = mk_es("w", mk_ax("y", O), mk_bg(Var("z"), ()))
     refused("reduct spine does not match the fired closure spine",
             expand_derivation, d, parse_term(r"x[x \ (!y)[y \ !z]]"), (ROOT, RuleKind.SBANG))
+
+
+@pytest.mark.parametrize("text", [r"(x x)[x \ !y]", r"(\z. x)[x \ !y]"],
+                         ids=["application", "abstraction"])
+def test_the_sbang_reduct_core_must_be_the_substitution_instance(text):
+    # z is not an instance of x x, nor of \z. x, under x := y
+    refused("subject is not the stated substitution instance",
+            expand_derivation, mk_ax("z", O), parse_term(text), (ROOT, RuleKind.SBANG))
 
 
 @pytest.mark.parametrize("kind", [RuleKind.SBANG, RuleKind.DBANG, RuleKind.S])

@@ -8,9 +8,8 @@ from bangcalc.syntax import (
 )
 from bangcalc.reduction import (
     ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel,
-    classify_nf, classify_wcf_nf, detect_clash, enumerate_maximal_traces,
-    normalize_dw, reachable_graph, redexes, step_at, step_dw,
-    trace_profile,
+    classify_nf, classify_wcf_nf, detect_clash, normalize_dw, reachable_graph, redexes,
+    step_at, step_dw, trace_profile,
 )
 
 from conftest import bang_terms
@@ -94,23 +93,27 @@ class TestNormalizeDw:
         assert classify_nf(tr.final).normal and not detect_clash(tr.final).clash_free
 
 
+def _end_states(graph):
+    """The terms of the states where a maximal trace of the graph ends."""
+    return [graph.terms[key] for key, succs in graph.edges.items() if not succs]
+
+
 class TestMaximalTraces:
+    # every maximal trace, seen through the graph of the states it passes:
+    # the (length, b, e) all of them share, and the states they end in
     def test_all_example_traces_have_length_five(self):
-        traces, exhausted = enumerate_maximal_traces(t(T0), 50)
-        assert not exhausted and traces
-        assert {len(x.steps) for x in traces} == {5}
-        assert all(alpha_eq(x.final, t(r"\z.z")) for x in traces)
+        graph = reachable_graph(t(T0))
+        assert trace_profile(graph) == (5, 2, 3)
+        ends = _end_states(graph)
+        assert ends and all(alpha_eq(end, t(r"\z.z")) for end in ends)
 
     def test_variable_has_one_empty_trace(self):
-        traces, exhausted = enumerate_maximal_traces(t("x"), 10)
-        assert not exhausted and len(traces) == 1 and traces[0].steps == ()
+        graph = reachable_graph(t("x"))
+        assert trace_profile(graph) == (0, 0, 0) and _end_states(graph) == [t("x")]
 
     def test_confluent_endpoints_and_equal_length(self):
-        traces, exhausted = enumerate_maximal_traces(t(r"(\x.x) !y !z"), 50)
-        assert not exhausted
-        finals = {canon_key(x.final) for x in traces}
-        lengths = {(len(x.steps), x.b, x.e) for x in traces}
-        assert len(finals) == 1 and len(lengths) == 1
+        graph = reachable_graph(t(r"(\x.x) !y !z"))
+        assert trace_profile(graph) is not None and len(_end_states(graph)) == 1
 
 
 class TestClassify:
@@ -235,12 +238,8 @@ def test_exploration_follows_traces_longer_than_the_recursion_limit(n, limit):
     term = _der_bang_tower(n)
     graph = reachable_graph(term, **limit)
     assert len(graph.terms) == n + 1
-    assert trace_profile(graph) == (n, 0, n)
-    traces, exhausted = enumerate_maximal_traces(term, 10_000)
-    assert not exhausted and len(traces) == 1
-    (trace,) = traces
-    assert trace.completed and len(trace.steps) == n and trace.final == Var("x")
-    assert {s.rule for s in trace.steps} == {RuleKind.DBANG}
+    assert trace_profile(graph) == (n, 0, n) and _end_states(graph) == [Var("x")]
+    assert {kind for succs in graph.edges.values() for _, kind, _ in succs} == {RuleKind.DBANG}
 
 
 def test_alternate_free_reduction_path_of_the_example():

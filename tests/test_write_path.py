@@ -32,7 +32,7 @@ from bangcalc.system_u import (
 
 from conftest import (
     bang_terms, church_term, count_calls, count_folded, ref_ctx_union, ref_nf_bits, ref_wcf_bits,
-    without_image,
+    tampered, without_image,
 )
 
 FUEL = 200
@@ -372,29 +372,6 @@ TAMPER_CORPUS = generate_corpus(3, 10, 150, lam=True) + [church_term(3)]
 TAGS = sorted({tag for system in "unv" for tag in RULES[system]})
 
 
-def _replaced(d, path, node):
-    if not path:
-        return node
-    ps = list(d.premises)
-    ps[path[0]] = _replaced(ps[path[0]], path[1:], node)
-    return Derivation(d.rule, d.context, d.subject, d.type, tuple(ps))
-
-
-def _tampered(d):
-    """Each tampered copy of d, with whether its tag was swapped."""
-    stack = [((), d)]
-    while stack:
-        path, node = stack.pop()
-        stack.extend((path + (i,), p) for i, p in enumerate(node.premises))
-        changed = [(True, dataclasses.replace(node, rule=tag)) for tag in TAGS if tag != node.rule]
-        ps = node.premises
-        if ps:
-            changed += [(False, dataclasses.replace(node, premises=ps[:-1])),
-                        (False, dataclasses.replace(node, premises=ps + ps[-1:]))]
-        for swapped, bad in changed:
-            yield swapped, _replaced(d, path, bad)
-
-
 def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
     # The walkers before the image table crashed on 4,443 of these cases
     # (AssertionError, IndexError, AttributeError, TypeError) and translated
@@ -407,7 +384,7 @@ def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
             d = infer(t, FUEL)
             if not isinstance(d, Derivation):
                 continue
-            for _, bad in _tampered(without_image(d)):
+            for _, bad in tampered(without_image(d), TAGS):
                 with pytest.raises(IllFormed):
                     to_u(bad)
                 outcomes["forward refused"] += 1
@@ -415,7 +392,7 @@ def test_a_tampered_derivation_is_refused_or_translates_to_a_checked_one():
             # swapped tag never reads back; nor does a premise dropped or
             # repeated under a bang, whose type then no longer collects the
             # types of its premises
-            for swapped, bad in _tampered(to_u(d)):
+            for swapped, bad in tampered(to_u(d), TAGS):
                 try:
                     read = back(bad, t)
                 except (ImageMismatch, IllFormed) as ex:
