@@ -3,7 +3,7 @@ explicit substitutions, plus its call-by-name / call-by-value fragment."""
 
 from .syntax import (
     Abs, App, Bang, Der, Sub, Term, Var,
-    alpha_eq, decompose_list, free_vars, parse_term, print_term, subst_meta,
+    alpha_eq, free_vars, parse_term, print_term, subst_meta,
     w_size,
 )
 from .reduction import (

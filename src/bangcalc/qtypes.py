@@ -92,11 +92,9 @@ def is_tight_mult(m: Mult) -> bool:
     return all(isinstance(e, Tight) for e in m.elements)
 
 
-def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]] | None = None) -> bool:
+def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]]) -> bool:
     """Whether t holds a tight constant.  Every call given the same `memo`
     (id(node) -> (node, answer), as `TypeMemo`) looks into each node once."""
-    if memo is None:
-        memo = {}
     hit = memo.get(id(t))
     if hit is not None:
         return hit[1]

@@ -259,10 +259,6 @@ class NfClass:
     def nb(self) -> bool:
         return "nb" in self.memberships
 
-    @property
-    def no(self) -> bool:
-        return "no" in self.memberships
-
 
 # (ne, na, nb) memberships of the weak normal-form grammars, as fold tables
 _NF_BITS = {
@@ -312,9 +308,6 @@ class ClashKind(Enum):
     SUB_OF_ABS = "sub_of_abs"     # t[y \\ L<\\x.u>]
     DER_OF_ABS = "der_of_abs"     # der(L<\\x.u>)
     ARG_IS_ABS = "arg_is_abs"     # t (L<\\x.u>)
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(slots=True, unsafe_hash=True)

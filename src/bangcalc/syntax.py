@@ -350,23 +350,9 @@ def w_size(t: Term, memo: FoldMemo | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Closure spines
 
-@dataclass(slots=True, unsafe_hash=True)
-class ListDecomposition:
-    """Maximal outer closure spine, outermost first, plus a non-Sub core."""
-    spine: tuple[tuple[str, Term], ...]
-    core: Term
-
-
-def decompose_list(t: Term) -> ListDecomposition:
-    spine: list[tuple[str, Term]] = []
-    while isinstance(t, Sub):
-        spine.append((t.binder, t.arg))
-        t = t.body
-    return ListDecomposition(tuple(spine), t)
-
-
 def spine_core(t: Term) -> Term:
-    """The core of t's closure spine: `decompose_list(t).core`."""
+    """The core of t's maximal outer closure spine: t = L<core>, the core
+    not a closure."""
     while isinstance(t, Sub):
         t = t.body
     return t

@@ -531,12 +531,13 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
 # Every name comes from a term the term engine built: a walk follows that
 # term, so every rebuilt node's subject equals it, binder names included.
 # One walk renames and substitutes, along a renamed term or along
-# `subst_meta`'s result; anti-substitution walks the other way, from an
-# instance back to the term.  Each is a walk on `syntax.unwind`, and
-# yields a sub-walk only for a part it may change.
+# `subst_meta`'s result; anti-substitution walks the other way on the same
+# premise loop, from an instance back to the term.  Each is a walk on
+# `syntax.unwind`, and yields a sub-walk only for a part it may change.
 
 _UNFIT = "rule {!r} does not fit its node"
 _NOT_INSTANCE = "subject is not the stated substitution instance"
+_OTHER_FORMER = "subject former differs from the term it is rebuilt along"
 
 
 def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Walk:
@@ -551,13 +552,16 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     bang with no premises compares its body."""
     s, ps = d.subject, d.premises
     cls = type(s)
+    if cls is Var and s.name == x:
+        for i, p in enumerate(pool):
+            if p.type == d.type:
+                return pool.pop(i)
+        raise IllFormed("no argument derivation left for an axiom occurrence")
+    if type(t) is not cls:
+        raise IllFormed(_OTHER_FORMER)
+    rule = fitting_rule(d, cls, _UNFIT)
     if cls is Var:
-        if s.name == x:
-            for i, p in enumerate(pool):
-                if p.type == d.type:
-                    return pool.pop(i)
-            raise IllFormed("no argument derivation left for an axiom occurrence")
-        return d if s.name == t.name else fitting_rule(d, Var, _UNFIT).make(t.name, d.type)
+        return d if s.name == t.name else rule.make(t.name, d.type)
     new, changed = [], False
     # no x is free below a binder x, though the walk may enter its body
     inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
@@ -573,7 +577,7 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     elif cls is Abs or cls is Sub:
         changed = changed or s.binder != t.binder
         new.insert(0, t.binder)
-    return fitting_rule(d, cls, _UNFIT).make(*new) if changed else d
+    return rule.make(*new) if changed else d
 
 
 def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
@@ -582,51 +586,33 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
     of u per typed occurrence of x."""
     if not term_eq(d.subject, subst_meta(t, x, u)):
         raise IllFormed(_NOT_INSTANCE)
-    return unwind(_antisubst(d, t, x, u)) if x in free_vars(t) else (d, [])
+    us: list = []
+    return (unwind(_antisubst(d, t, x, us)) if x in free_vars(t) else d), us
 
 
-def _antisubst(d, t: Term, x: str, u: Term) -> Walk:
-    """The walk of antisubst_derivation for a t with x free; a part of t
-    without x free keeps its premise as it stands, without a walk of its
-    own."""
-    if isinstance(t, Var):
-        return CONSUMING_RULE[type(d), Var].make(x, d.type), [d]
-    make, ps = fitting_rule(d, type(t), _NOT_INSTANCE).make, d.premises
-    match t:
-        case App(f, a):
-            d_f, us1 = (yield _antisubst(ps[0], f, x, u)) if x in free_vars(f) else (ps[0], [])
-            d_a, us2 = (yield _antisubst(ps[1], a, x, u)) if x in free_vars(a) else (ps[1], [])
-            return make(d_f, d_a), us1 + us2
-        case Bang(b):  # x is free in b, so in every premise's subject
-            d_ps, us = [], []
-            for p in ps:
-                d_p, us_p = yield _antisubst(p, b, x, u)
-                d_ps.append(d_p)
-                us += us_p
-            return make(b, tuple(d_ps)), us
-        case Der(b):
-            d_b, us = yield _antisubst(ps[0], b, x, u)
-            return make(d_b), us
-        case Abs(y, b):
-            d_b, us = yield _antisubst_under(d, y, b, x, u)
-            return make(y, d_b), us
-        case Sub(b, y, a):
-            p_b, p_a = ps
-            us = []
-            if x in free_vars(a):
-                p_a, us = yield _antisubst(p_a, a, x, u)
-            if x != y and x in free_vars(b):
-                p_b, us_b = yield _antisubst_under(d, y, b, x, u)
-                us = us_b + us
-            return make(y, p_b, p_a), us
-
-
-def _antisubst_under(d, y: str, b: Term, x: str, u: Term) -> Walk:
-    """_antisubst of the body b of a binder y, which d's subject has as
-    subst_meta refreshed it; a refreshed body is rebuilt back along b."""
-    y2 = d.subject.binder
-    d_b, us = yield _antisubst(d.premises[0], b if y2 == y else subst_meta(b, y, Var(y2)), x, u)
-    return (d_b if y2 == y else (yield rebuild_as(d_b, b))), us
+def _antisubst(d, t: Term, x: str, us: list) -> Walk:
+    """The walk of antisubst_derivation for a t with x free, which appends
+    the derivation each axiom for x takes the place of to `us`, in the
+    order of the walk.  A part of t without x free, or under a binder x,
+    keeps its premise as it stands; a body whose binder subst_meta
+    refreshed is walked along the refreshed body, then rebuilt along t's."""
+    cls = type(t)
+    if cls is Var:
+        us.append(d)
+        return CONSUMING_RULE[type(d), Var].make(x, d.type)
+    rule, ps = fitting_rule(d, cls, _NOT_INSTANCE), d.premises
+    y = t.binder if cls is Abs or cls is Sub else None
+    new = [] if y is None else [y]  # the maker's arguments
+    for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
+        part = getattr(t, attr)
+        if x not in free_vars(part) or attr == "body" and y == x:
+            new.append(p)
+        elif attr == "body" and y is not None and d.subject.binder != y:
+            p = yield _antisubst(p, subst_meta(part, y, Var(d.subject.binder)), x, us)
+            new.append((yield rebuild_as(p, part)))
+        else:
+            new.append((yield _antisubst(p, part, x, us)))
+    return rule.make(t.body, tuple(new)) if cls is Bang else rule.make(*new)
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +779,9 @@ def _expand(d, t: Term, kind: RuleKind):
 
         def rebang(c):
             nonlocal d_s
-            d_s, d_us = (unwind(_antisubst(c, t.body, t.binder, fired.body))
-                         if t.binder in free_vars(t.body) else (c, []))
+            d_us: list = []
+            d_s = (unwind(_antisubst(c, t.body, t.binder, d_us))
+                   if t.binder in free_vars(t.body) else c)
             # the bang body is the first premise's subject, equal to the
             # fired one: the subject check of `expand_derivation` then finds
             # it among the pairs an earlier step proved equal, where bg

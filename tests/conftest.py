@@ -117,6 +117,22 @@ def tampered(d, tags):
             yield swapped, _replaced(d, path, bad)
 
 
+def reordered(d):
+    """Each copy of d that differs from it at one node: the node's premises
+    in reverse order, when it has two or more, or one of its premises in
+    place of that premise's own first premise."""
+    stack = [((), d)]
+    while stack:
+        path, node = stack.pop()
+        ps = node.premises
+        stack.extend((path + (i,), p) for i, p in enumerate(ps))
+        if len(ps) > 1:
+            yield _replaced(d, path, dataclasses.replace(node, premises=ps[::-1]))
+        for i, p in enumerate(ps):
+            if p.premises:
+                yield _replaced(d, path + (i,), p.premises[0])
+
+
 # ---------------------------------------------------------------------------
 # Reference walkers: plain recursion that caches nothing, the oracles for
 # the per-node facts bangcalc computes once and keeps and for its folds.

@@ -6,6 +6,8 @@ must end in `IllFormed` with the reason below, not in another exception.
 Each case is reached through `reduce_derivation` or `expand_derivation`
 with a hand-built derivation or step."""
 
+from dataclasses import replace
+
 import pytest
 
 from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult
@@ -69,6 +71,16 @@ def test_every_bang_premise_must_be_taken_by_an_axiom_occurrence(body):
     d = Derivation("es", {}, Sub(body, "x", Bang(Var("y"))), O, (mk_ax(body.name, O), bang))
     refused("s! argument has a premise that no axiom occurrence takes",
             reduce_derivation, d, (ROOT, RuleKind.SBANG))
+
+
+def test_a_rebuilt_premise_must_have_the_former_of_its_part():
+    # (y !x)[x \ !z] with its app node's premises swapped: the substitution
+    # walk rebuilds the y axiom along !z, the part the bang premise types
+    d = infer_u(parse_term(r"(y !x)[x \ !z]"), 100)
+    body = d.premises[0]
+    swapped = replace(d, premises=(replace(body, premises=body.premises[::-1]), d.premises[1]))
+    refused("subject former differs from the term it is rebuilt along",
+            reduce_derivation, swapped, (ROOT, RuleKind.SBANG))
 
 
 def test_dbang_redex_must_be_typed_by_the_dereliction_rule():

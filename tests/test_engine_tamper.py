@@ -4,9 +4,11 @@
 The U and E derivations along the dw trace of each corpus term are taken
 apart by subject reduction at every step, and the next one by subject
 expansion back across it, each with one node changed: its tag swapped for
-every other tag of its system, or its last premise dropped or repeated.
-A returned derivation may still hold a tampered node that the step kept
-as it was; the callers' judgement and measure checks are not run here."""
+every other tag of its system, or its last premise dropped or repeated;
+or its premises reversed, or one premise replaced by its own first
+premise.  A returned derivation may still hold a tampered node that the
+step kept as it was; the callers' judgement and measure checks are not
+run here."""
 
 from collections import Counter
 
@@ -15,7 +17,7 @@ from bangcalc.reduction import normalize_dw
 from bangcalc.system_e import infer_tight
 from bangcalc.system_u import RULES, IllFormed, expand_derivation, infer_u, reduce_derivation
 
-from conftest import tampered
+from conftest import reordered, tampered
 
 FUEL = 200
 
@@ -30,10 +32,9 @@ def _outcome(run, *args) -> str:
     return "returned"
 
 
-def test_a_tampered_derivation_is_refused_or_stepped():
-    # Before the engine read premises only through `fitting_rule`, 1,355 of
-    # these cases ended in TypeError (959), IndexError (188),
-    # AttributeError (120) or ValueError (88).
+def _sweep(copies) -> Counter:
+    """The outcome of each step on each of `copies(d, tags)`, for every
+    derivation d of the sweep and the tags of its system."""
     outcomes = Counter()
     for t in generate_corpus(5, 9, 60):
         trace = normalize_dw(t, FUEL)
@@ -46,11 +47,27 @@ def test_a_tampered_derivation_is_refused_or_stepped():
             for i, s in enumerate(trace.steps):
                 step = (s.position, s.rule)
                 reduct = reduce_derivation(d, step)
-                for _, bad in tampered(d, tags):
+                for bad in copies(d, tags):
                     outcomes[_outcome(reduce_derivation, bad, step)] += 1
-                for _, bad in tampered(reduct, tags):
+                for bad in copies(reduct, tags):
                     outcomes[_outcome(expand_derivation, bad, terms[i], step)] += 1
                 d = reduct
+    return outcomes
+
+
+def test_a_tampered_derivation_is_refused_or_stepped():
+    # Before the engine read premises only through `fitting_rule`, 1,355 of
+    # these cases ended in TypeError (959), IndexError (188),
+    # AttributeError (120) or ValueError (88).
+    outcomes = _sweep(lambda d, tags: (bad for _, bad in tampered(d, tags)))
     assert set(outcomes) == {"IllFormed", "returned"}, outcomes
     # the size of the sweep, so that a smaller corpus or fewer cases show
     assert sum(outcomes.values()) == 7_523, outcomes
+
+
+def test_a_derivation_with_reordered_premises_is_refused_or_stepped():
+    # Before the rebuild walk checked the target's former, 18 of these
+    # cases ended in AttributeError in `rebuild_as`.
+    outcomes = _sweep(lambda d, tags: reordered(d))
+    assert set(outcomes) == {"IllFormed", "returned"}, outcomes
+    assert sum(outcomes.values()) == 554, outcomes

@@ -13,7 +13,7 @@ import pytest
 import bangcalc
 from bangcalc.qtypes import Arrow, BaseVar, Mult, Tight
 from bangcalc.reduction import ClashReport, RuleKind, TraceStep
-from bangcalc.syntax import Abs, App, Bang, Der, ListDecomposition, Sub, Var
+from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var
 from bangcalc.system_e import DerivationE
 from bangcalc.system_u import RULES, Derivation, Sized
 
@@ -37,7 +37,6 @@ NODES = {
     DerivationE: (("rule", "context", "subject", "type", "counters", "premises"),
                   DerivationE("ax", {"x": Mult((TY,))}, X, TY, (0, 0, 0))),
     TraceStep: (("position", "rule", "result"), TraceStep((), RuleKind.DB, X)),
-    ListDecomposition: (("spine", "core"), ListDecomposition((("y", X),), X)),
     ClashReport: (("clash_free", "witness"), ClashReport(True, None)),
 }
 CACHES = {"_fv"} | set(Sized.__slots__)

@@ -398,7 +398,7 @@ def test_u_check_looks_at_each_run_once(monkeypatch):
     calls, depth = [], [0]
     has_tight = qtypes.has_tight_constants
 
-    def counted(t, memo=None):
+    def counted(t, memo):
         calls.append(depth[0])
         depth[0] += 1
         try:
@@ -422,10 +422,10 @@ def test_u_check_looks_into_each_type_object_once(monkeypatch):
     looked = []
     has_tight = qtypes.has_tight_constants
 
-    def counted(t, memo=None):
-        if memo is None or id(t) not in memo:
+    def counted(t, memo):
+        if id(t) not in memo:
             looked.append(id(t))
-        return has_tight(t) if memo is None else has_tight(t, memo)
+        return has_tight(t, memo)
     for mod in (qtypes, system_u):
         monkeypatch.setattr(mod, "has_tight_constants", counted)
     assert check_derivation_u(d) is None

@@ -7,7 +7,7 @@ from bangcalc.syntax import (
     Bang, Der, Sub, Var, alpha_eq, canon_key, parse_term, print_term, w_size,
 )
 from bangcalc.reduction import (
-    ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel,
+    ClashKind, FuelExhausted, InvalidPosition, RuleKind, Sel, StateLimitExceeded,
     classify_nf, classify_wcf_nf, detect_clash, normalize_dw, reachable_graph, redexes,
     step_at, step_dw, trace_profile,
 )
@@ -51,6 +51,8 @@ class TestStepAt:
             step_at(t("x"), (), RuleKind.DB)
         with pytest.raises(InvalidPosition):
             step_at(t(r"(\x.x) y"), (), RuleKind.SBANG)
+        with pytest.raises(InvalidPosition, match="not a d! redex"):
+            step_at(t("der(x)"), (), RuleKind.DBANG)
 
 
 class TestStepDw:
@@ -79,6 +81,14 @@ class TestNormalizeDw:
     def test_normal_term_has_empty_trace(self):
         tr = normalize_dw(t(r"\z.z"), 5)
         assert tr.steps == () and (tr.b, tr.e) == (0, 0)
+
+    def test_fuel_is_the_number_of_steps_taken(self):
+        # the example takes 5 steps: fuel 5 completes it, fuel 4 stops short
+        tr = normalize_dw(t(T0), 5)
+        assert tr.completed and len(tr.steps) == 5
+        with pytest.raises(FuelExhausted) as ex:
+            normalize_dw(t(T0), 4)
+        assert not ex.value.trace.completed and len(ex.value.trace.steps) == 4
 
     def test_name_image_of_omega_diverges(self):
         with pytest.raises(FuelExhausted) as ex:
@@ -114,6 +124,15 @@ class TestMaximalTraces:
     def test_confluent_endpoints_and_equal_length(self):
         graph = reachable_graph(t(r"(\x.x) !y !z"))
         assert trace_profile(graph) is not None and len(_end_states(graph)) == 1
+
+    def test_a_cycle_has_no_profile(self):
+        # the name image of omega steps to itself: two states, no end
+        graph = reachable_graph(t(CBN_OMEGA))
+        assert len(graph.terms) == 2 and trace_profile(graph) is None
+
+    def test_exploration_stops_at_its_state_limit(self):
+        with pytest.raises(StateLimitExceeded):
+            reachable_graph(t(T0), max_states=1)
 
 
 class TestClassify:

@@ -18,7 +18,7 @@ from bangcalc.cbn_cbv import (
     mk_ax_n, mk_ax_v, mk_es_n, mk_es_v,
 )
 from bangcalc.qtypes import Arrow, BaseVar, TIGHT_ABS, TIGHT_NEUTRAL, mult
-from bangcalc.syntax import Var
+from bangcalc.syntax import Abs, Sub, Var
 from bangcalc.system_e import (
     DerivationE, check_derivation_e, mk_ae_d, mk_ae_t, mk_ai_d, mk_ai_t, mk_ax_e,
     mk_bg_d, mk_bg_t, mk_dr_d, mk_dr_t, mk_es_d, mk_es_t,
@@ -826,6 +826,23 @@ def test_a_wrong_tail_subject_comes_before_a_wrong_premise_type(system, sample):
             assert (v.path, v.reason) == ((), TAIL_SUBJECTS[d.rule]), (i, j)
 
 
+
+# A persistent binder rule needs a tight multiset for its binder, which no
+# maker can give another: an ax node for x typed n whose context holds
+# x:[o0] is built by hand, and the node over it is refused at the root.
+_UNTIGHT_X = DerivationE("ax", {"x": m(BaseVar(0))}, Var("x"), N, (0, 0, 0))
+
+
+@pytest.mark.parametrize("d, reason", [
+    (DerivationE("ai_t", {}, Abs("x", Var("x")), A, (0, 0, 1), (_UNTIGHT_X,)),
+     "ai_t requires a tight multiset for the binder"),
+    (DerivationE("es_t", {"y": m(N)}, Sub(Var("x"), "x", Var("y")), N, (0, 0, 1),
+                 (_UNTIGHT_X, mk_ax_e("y", N))),
+     "es_t requires a tight multiset for the binder"),
+], ids=["ai_t", "es_t"])
+def test_a_persistent_binder_needs_a_tight_multiset(d, reason):
+    v = check_derivation_e(d)
+    assert (v.path, v.reason) == ((), reason)
 
 if __name__ == "__main__":
     for s in SAMPLES:

@@ -16,7 +16,7 @@ from bangcalc.reduction import (
     redexes, step_at, step_dw, subterm_at,
 )
 from bangcalc.qtypes import EMPTY_MULT, BaseVar, mult
-from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, decompose_list, term_eq
+from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, term_eq
 from bangcalc.system_u import mk_abs, mk_app, mk_ax, mk_es, reduce_derivation_u
 
 from conftest import (
@@ -155,6 +155,9 @@ def test_a_redex_under_a_long_closure_spine_fires(k):
     d = mk_app(d, mk_ax("w", mult([BaseVar(0)])))
     pos, kind, reduct = step_dw(App(f, Var("w")))
     assert (pos, kind) == ((), RuleKind.DB)
-    spine = decompose_list(reduct)
-    assert spine.core == Var("x") and spine.spine[::k] == ((f"y{k - 1}", Var("z")), ("x", Var("w")))
+    spine, core = [], reduct
+    while isinstance(core, Sub):
+        spine.append((core.binder, core.arg))
+        core = core.body
+    assert core == Var("x") and spine[::k] == [(f"y{k - 1}", Var("z")), ("x", Var("w"))]
     assert term_eq(reduce_derivation_u(d, (pos, kind)).subject, reduct)

@@ -3,7 +3,7 @@ from hypothesis import given
 
 from bangcalc.syntax import (
     Abs, App, Bang, Der, Sub, Var, ParseError,
-    alpha_eq, decompose_list, free_vars, parse_term, print_term,
+    alpha_eq, free_vars, parse_term, print_term, spine_core,
     subst_meta, w_size,
 )
 
@@ -106,19 +106,12 @@ class TestWSize:
 
 
 class TestDecompose:
-    def test_spine_is_outermost_first(self):
-        term = t(r"(\x. x)[y \ u][z \ v]")
-        dec = decompose_list(term)
-        assert [b for b, _ in dec.spine] == ["z", "y"]
-        assert dec.core == t(r"\x. x")
-
+    # a term is L<core>: a closure spine L around a core that is no closure
     def test_bang_core(self):
-        dec = decompose_list(t("!x"))
-        assert dec.spine == () and dec.core == t("!x")
+        assert spine_core(t("!x")) == t("!x")
 
     def test_other_core(self):
-        dec = decompose_list(t(r"x[y \ u]"))
-        assert dec.spine == (("y", Var("u")),) and dec.core == Var("x")
+        assert spine_core(t(r"(x[y \ u])[z \ v]")) == Var("x")
 
 
 def _freshen_all_binders(term, salt=0):
@@ -157,11 +150,3 @@ def test_w_size_alpha_invariant(term):
     assert alpha_eq(term, variant)
     assert w_size(term) == w_size(variant)
 
-
-@given(bang_terms())
-def test_decompose_rewrap_identity(term):
-    dec = decompose_list(term)
-    rewrapped = dec.core
-    for binder, arg in reversed(dec.spine):
-        rewrapped = Sub(rewrapped, binder, arg)
-    assert rewrapped == term and not isinstance(dec.core, Sub)

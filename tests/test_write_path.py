@@ -23,7 +23,7 @@ from bangcalc.qtypes import (
 from bangcalc.reduction import classify_nf, classify_wcf_nf
 from bangcalc.serialize import derivation_text
 from bangcalc.syntax import (
-    Abs, App, Bang, Var, decompose_list, is_abs_shaped, is_bang_shaped, term_eq,
+    Abs, App, Bang, Sub, Var, is_abs_shaped, is_bang_shaped, term_eq,
 )
 from bangcalc.system_u import (
     RULES, Derivation, IllFormed, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg, mk_dr,
@@ -170,7 +170,9 @@ SHAPE_CORPUS = [rand_bang_term(random.Random(seed), size)
 
 def test_shape_helpers_match_the_list_decomposition():
     for t in SHAPE_CORPUS:
-        core = decompose_list(t).core
+        core = t
+        while isinstance(core, Sub):
+            core = core.body
         assert is_abs_shaped(t) is isinstance(core, Abs)
         assert is_bang_shaped(t) is isinstance(core, Bang)
 
