@@ -281,10 +281,13 @@ def alpha_eq(t: Term, u: Term) -> bool:
 # that its id stays its own
 FoldMemo = dict[int, tuple[Any, Any]]
 
+_FOLD_DEPTH = 200  # the levels a fold recurses; its callers need that much stack
+
 
 def fold(t: Term, table: dict, memo: FoldMemo | None = None) -> Any:
-    """The value of t under `table`, computed post-order with an explicit
-    stack, so that a deep term does not exhaust the interpreter's.
+    """The value of t under `table`, computed post-order, left child first:
+    recursively down to `_FOLD_DEPTH` levels and with an explicit stack
+    below them, so that a deep term does not exhaust the interpreter's.
 
     `table` maps each former it takes to (the attributes of the children
     it enters, a function of the node and those children's values, in that
@@ -294,10 +297,31 @@ def fold(t: Term, table: dict, memo: FoldMemo | None = None) -> Any:
     table.  TypeError on a former the table does not take."""
     if memo is None:
         memo = {}
-    get = memo.get
-    hit = get(id(t))  # most calls given a shared memo end here
+    return _fold_down(t, table, memo, _FOLD_DEPTH)
+
+
+def _fold_down(t: Term, table: dict, memo: FoldMemo, depth: int) -> Any:
+    entry = table.get(type(t))
+    if entry is None or not depth:  # the explicit stack raises the TypeError
+        return _fold_stack(t, table, memo)
+    attrs, f = entry
+    if not attrs:
+        return f(t)
+    hit = memo.get(id(t))
     if hit is not None:
         return hit[1]
+    depth -= 1
+    if len(attrs) == 1:
+        value = f(t, _fold_down(getattr(t, attrs[0]), table, memo, depth))
+    else:  # arguments are evaluated in order: the first child before the second
+        value = f(t, _fold_down(getattr(t, attrs[0]), table, memo, depth),
+                  _fold_down(getattr(t, attrs[1]), table, memo, depth))
+    memo[id(t)] = (t, value)
+    return value
+
+
+def _fold_stack(t: Term, table: dict, memo: FoldMemo) -> Any:
+    get = memo.get
     todo: list = [t]  # nodes to enter; below an entered node's children, it and its entry
     vals: list = []   # the values of the children of the entered nodes, in order
     while todo:

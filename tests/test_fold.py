@@ -2,13 +2,17 @@
 matches its plain recursive oracle in conftest, with and without a memo
 shared across terms, rejects the formers it does not take, and walks
 towers far deeper than the interpreter's recursion limit, as do the other
-iterative walkers, `free_vars` and `canon_key`."""
+iterative walkers, `free_vars` and `canon_key`.  The fold recurses down to
+`syntax._FOLD_DEPTH` levels and goes on with an explicit stack below them;
+the explicit stack alone is its reference walk, every node is computed
+once across the two, and the recursion needs no more stack than its depth."""
 
+import operator
 import sys
 
 import pytest
 
-from bangcalc import cbn_cbv, reduction
+from bangcalc import cbn_cbv, reduction, syntax
 from bangcalc.cbn_cbv import NotLambdaTerm, classify_lambda_nf, embed_cbn, embed_cbv, normalize_n
 from bangcalc.gen import generate_corpus
 from bangcalc.reduction import FuelExhausted, classify_nf, classify_wcf_nf, normalize_dw
@@ -18,8 +22,8 @@ from bangcalc.syntax import (
 )
 
 from conftest import (
-    church_term, ref_cbn_bits, ref_cbv_bits, ref_embed_cbn, ref_embed_cbv, ref_free_vars,
-    ref_is_lambda_term, ref_nf_bits, ref_print_term, ref_w_size, ref_wcf_bits,
+    church_term, count_folded, ref_cbn_bits, ref_cbv_bits, ref_embed_cbn, ref_embed_cbv,
+    ref_free_vars, ref_is_lambda_term, ref_nf_bits, ref_print_term, ref_w_size, ref_wcf_bits,
 )
 
 FUEL = 60
@@ -152,6 +156,121 @@ def test_folds_walk_towers_deeper_than_the_recursion_limit(name):
     assert classify_lambda_nf(t) == classify_lambda_nf(three)
     assert term_eq(embed_cbn(t), tower(*cbn, DEEP))
     assert term_eq(embed_cbv(t), tower(*cbv, DEEP) if cbv else _cbv_app_fun(DEEP))
+
+
+# ---------------------------------------------------------------------------
+# The fold's two walks: recursion down to the depth budget, an explicit
+# stack below it
+
+BUDGET = syntax._FOLD_DEPTH
+BUDGET_DEPTHS = (BUDGET - 1, BUDGET, BUDGET + 1, 2 * BUDGET, DEEP)
+# every fold table, with the equality of its values
+FOLD_TABLES = [
+    (syntax._W_SIZE, operator.eq), (syntax._PRINT, operator.eq), (syntax._LAMBDA, operator.eq),
+    (reduction._NF_BITS, operator.eq), (reduction._WCF_BITS, operator.eq),
+    *((table, same) for table, _, same in LAMBDA_FOLDS),
+]
+
+
+def folded(t, table, memo):
+    """(True, t's value under `table`), or (False, the text of its refusal)."""
+    try:
+        return True, fold(t, table, memo)
+    except NotLambdaTerm as refused:
+        return False, str(refused)
+
+
+def assert_walks_agree(monkeypatch, fresh, shared):
+    """Every fold table values the terms alike with the default depth budget
+    and with none (the explicit stack alone): each term of `fresh` with a
+    memo of its own, and the terms of `shared`, in order, with one memo."""
+    for table, same in FOLD_TABLES:
+        for terms, one_memo in ((fresh, False), (shared, True)):
+            got = {}
+            for depth in (0, BUDGET):
+                monkeypatch.setattr(syntax, "_FOLD_DEPTH", depth)
+                memo = {}
+                got[depth] = [folded(t, table, memo if one_memo else {}) for t in terms]
+            for (ok, want), (ok2, value) in zip(got[0], got[BUDGET], strict=True):
+                assert ok is ok2 and (same(value, want) if ok else value == want)
+
+
+def test_the_recursive_fold_matches_the_explicit_stack_on_the_corpus(monkeypatch):
+    terms = BANG_TERMS + LAMBDA_TERMS
+    assert_walks_agree(monkeypatch, terms, terms)
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_the_recursive_fold_matches_the_explicit_stack_about_the_budget(name, monkeypatch):
+    level, leaf = TOWERS[name][:2]
+    fresh = [tower(level, leaf, n) for n in BUDGET_DEPTHS]
+    grown, t, below = [], leaf, 0  # each tower the one before with levels put on top
+    for n in BUDGET_DEPTHS:
+        t, below = tower(level, t, n - below), n
+        grown.append(t)
+    assert_walks_agree(monkeypatch, fresh, grown)
+
+
+def inner_nodes(t, table) -> dict:
+    """id -> node of the distinct nodes of t that enter a child under `table`."""
+    seen, todo = {}, [t]
+    while todo:
+        node = todo.pop()
+        attrs = table[type(node)][0]
+        if attrs and id(node) not in seen:
+            seen[id(node)] = node
+            todo += (getattr(node, attr) for attr in attrs)
+    return seen
+
+
+@pytest.mark.parametrize("table", [syntax._PRINT, reduction._WCF_BITS], ids=["print", "wcf"])
+def test_a_fold_across_the_budget_computes_each_node_once(table, monkeypatch):
+    stacked = []
+    monkeypatch.setattr(syntax, "_fold_stack", lambda t, *rest, _f=syntax._fold_stack:
+                        stacked.append(t) or _f(t, *rest))
+    computed = count_folded(monkeypatch, table)
+    for level, leaf, *_ in TOWERS.values():
+        deep = tower(level, leaf, 3 * BUDGET)
+        t = App(deep, deep)  # the second child is the first's memo hit
+        memo = {}
+        stacked.clear()
+        computed.clear()
+        value = fold(t, table, memo)
+        want = inner_nodes(t, table)
+        # the explicit stack took over below the budget (a bang is a leaf of wcf)
+        assert bool(stacked) is (len(want) > BUDGET)
+        inner = [node for node in computed if table[type(node)][0]]
+        assert len(inner) == len(want) and {id(node) for node in inner} == set(want) == set(memo)
+        computed.clear()
+        assert fold(t, table, memo) == value and computed == []
+        fold(deep, table, memo)  # a leaf is valued where it is met, held or not
+        assert not any(table[type(node)][0] for node in computed)
+
+
+def stack_depth() -> int:
+    """The frames on the interpreter's stack, the caller's included."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+# the stack a fold may take: its documented depth budget, 200 levels, and 50
+# frames more; a larger budget fails here rather than on a user's deep input
+HEADROOM = 200 + 50
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_folds_need_only_their_depth_budget_of_stack(name):
+    level, leaf = TOWERS[name][:2]
+    t, three = tower(level, leaf, DEEP), tower(level, leaf, 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + HEADROOM)
+    try:
+        text, cls = print_term(t), classify_wcf_nf(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(text) > DEEP and cls is classify_wcf_nf(three)
 
 
 def test_alpha_eq_takes_equal_towers_deeper_than_the_recursion_limit():
