@@ -26,7 +26,7 @@ from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
     CONSUMING_RULE, RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax,
     check_derivation, check_derivation_u, define, es, fire_spine_d, fitting_rule, infer_u,
-    maker_args, mk_bg, mk_dr, rule_table, sizer, unbang,
+    on_spine, rule_table, sizer, unbang,
 )
 
 
@@ -206,23 +206,24 @@ def v_size(t: Term) -> int:
 # ---------------------------------------------------------------------------
 # Systems N and V (reusing the plain Derivation nodes with their own tags)
 
-def app_n(tag: str, d_f: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> tuple:
-    """The argument term is explicit because it may be typed zero times."""
-    _all_type(tag, arg, d_args)
+def app_n(tag: str, t: App, ty, ps: tuple) -> tuple:
+    """The argument premises type the argument, which may be typed zero times."""
+    d_f, d_args = ps[0], ps[1:]
+    _all_type(tag, t.arg, d_args)
     if not isinstance(d_f.type, Arrow):
         raise IllFormed("app_n function premise must have an arrow type")
     if d_f.type.domain != mult(d.type for d in d_args):
         raise IllFormed("app_n argument premises must realize the arrow domain")
-    return (ctx_union(d_f.context, *(d.context for d in d_args)), App(d_f.subject, arg),
-            d_f.type.codomain, (d_f, *d_args))
+    return ctx_union(d_f.context, *(d.context for d in d_args)), d_f.type.codomain, ps
 
 
-def es_n(tag: str, x: str, d_b: Derivation, arg: Term, d_args: tuple[Derivation, ...]) -> tuple:
-    _all_type(tag, arg, d_args)
-    if ctx_get(d_b.context, x) != mult(d.type for d in d_args):
+def es_n(tag: str, t: Sub, ty, ps: tuple) -> tuple:
+    d_b, d_args = ps[0], ps[1:]
+    _all_type(tag, t.arg, d_args)
+    if ctx_get(d_b.context, t.binder) != mult(d.type for d in d_args):
         raise IllFormed("es_n argument premises must realize the multiset of the bound name")
-    return (ctx_union(ctx_remove(d_b.context, x), *(d.context for d in d_args)),
-            Sub(d_b.subject, x, arg), d_b.type, (d_b, *d_args))
+    return (ctx_union(ctx_remove(d_b.context, t.binder), *(d.context for d in d_args)),
+            d_b.type, ps)
 
 
 def _all_type(tag: str, arg: Term, d_args: tuple[Derivation, ...]) -> None:
@@ -231,31 +232,30 @@ def _all_type(tag: str, arg: Term, d_args: tuple[Derivation, ...]) -> None:
             raise IllFormed(f"{tag} argument premises must type the argument")
 
 
-def ax_v(tag: str, x: str, m: Mult) -> tuple:
+def ax_v(tag: str, t: Var, m: Mult, ps: tuple) -> tuple:
     if not isinstance(m, Mult):
         raise IllFormed("ax_v must conclude a multiset type")
-    return {x: m} if m.elements else {}, Var(x), m, ()
+    return {t.name: m} if m.elements else {}, m, ps
 
 
-def abs_v(tag: str, x: str, body: Term, premises: tuple[Derivation, ...]) -> tuple:
-    arrows = []
-    for p in premises:
+def abs_v(tag: str, t: Abs, ty, ps: tuple) -> tuple:
+    x, body, arrows = t.binder, t.body, []
+    for p in ps:
         if p.subject is not body and not term_eq(p.subject, body):
             raise IllFormed("abs_v premises must type the body")
         arrows.append(Arrow(ctx_get(p.context, x), p.type))
-    return (ctx_union(*(ctx_remove(p.context, x) for p in premises)), Abs(x, body),
-            mult(arrows), tuple(premises))
+    return ctx_union(*(ctx_remove(p.context, x) for p in ps)), mult(arrows), ps
 
 
-def app_v(tag: str, d_f: Derivation, d_a: Derivation) -> tuple:
+def app_v(tag: str, t: App, ty, ps: tuple) -> tuple:
+    d_f, d_a = ps
     ft = d_f.type
     if not isinstance(ft, Mult) or len(ft) != 1 or not isinstance(ft.elements[0], Arrow):
         raise IllFormed("app_v function premise must be a singleton arrow multiset")
     arrow = ft.elements[0]
     if d_a.type != arrow.domain:
         raise IllFormed("app_v argument premise must match the arrow domain")
-    return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
-            arrow.codomain, (d_f, d_a))
+    return ctx_union(d_f.context, d_a.context), arrow.codomain, ps
 
 
 # A rule's image is the pattern of its U image, whose root is U's consuming
@@ -305,18 +305,19 @@ size_v = sizer("v")
 
 
 # ---------------------------------------------------------------------------
-# Derivation translations: `_to_u` builds each rule's image, raising
-# IllFormed on a node that its rule does not fit, and `_from_u` matches it,
-# raising ImageMismatch on a U node that does not fit the image; the
-# makers raise IllFormed on the rest.
+# Derivation translations: `_to_u` builds each rule's image along the
+# memoized embedding, raising IllFormed on a node that its rule does not
+# fit, and `_from_u` matches it along the lambda term, raising
+# ImageMismatch on a U node that does not fit the image; the rules'
+# remakes raise IllFormed on the rest.
 #
 # An N or V derivation read back from a U derivation keeps that derivation
 # on its root, and the translation to U returns it.  The back-translations
 # keep only one that passes the U checker, since the walk reads just its
 # rules, leaf types and binders.  A derivation without one, as one read
-# from JSON, built by the makers or copied, is walked: the walk embeds the
-# subterms that its bg nodes need on its own, so that `mk_bg` compares the
-# premise subjects with images that were not built from them.
+# from JSON, built by the makers or copied, is walked: the walk embeds each
+# subject on its own, so that the remakes compare the premise subjects
+# with images that were not built from them.
 
 class ImageMismatch(ValueError):
     pass
@@ -325,6 +326,7 @@ class ImageMismatch(ValueError):
 _EMBED = {"n": embed_cbn, "v": embed_cbv}  # the functions themselves, for a tracer to swap
 _EMBED_FOLD = {"n": _CBN, "v": _CBV}
 _RULE_OF = {system: {r.former: r for r in RULES[system].values()} for system in "nv"}
+_BG, _DR = (CONSUMING_RULE[Derivation, former].remake for former in (Bang, Der))
 
 
 def _to_u(d: Derivation, system: str, images: FoldMemo) -> Walk:
@@ -333,24 +335,23 @@ def _to_u(d: Derivation, system: str, images: FoldMemo) -> Walk:
     rule = RULES[system].get(d.rule)
     if rule is None:
         raise IllFormed(f"not a system {system.upper()} rule: {d.rule!r}")
-    if not rule.fits(d):
-        raise IllFormed(rule.shape)
     s, kind, k = d.subject, rule.image, rule.fixed
-    u = CONSUMING_RULE[Derivation, rule.former]
+    if not rule.fits(s, len(d.premises)):
+        raise IllFormed(rule.shape)
+    e, u = fold(s, _EMBED_FOLD[system], images), CONSUMING_RULE[Derivation, rule.former].remake
     ps = []
     for p in d.premises:
         ps.append((yield _to_u(p, system, images)))
     if kind == "bang_rest":
-        ps[k:] = [mk_bg(fold(getattr(s, rule.rest), _EMBED_FOLD[system], images), tuple(ps[k:]))]
+        ps[k:] = [_BG(getattr(e, rule.rest), None, tuple(ps[k:]))]
     elif kind == "head":
-        ps[0] = (fire_spine_d(ps[0], frozenset(), _unbang) if _is_value_shaped(s.fun)
-                 else mk_dr(ps[0]))
+        ps[0] = (on_spine(ps[0], e.fun, _unbang)[0] if _is_value_shaped(s.fun)
+                 else _DR(e.fun, None, (ps[0],)))
     elif kind == "bang_each":  # a variable's rule refuses a type that is not a multiset
-        each = ([(ty, ()) for ty in rule.conclude(rule.tag, s.name, d.type)[2].elements]
+        each = ([(ty, ()) for ty in rule.conclude(rule.tag, s, d.type, ())[1].elements]
                 if rule.former is Var else [(None, (p,)) for p in ps])
-        return mk_bg(fold(s, _EMBED_FOLD[system], images).body,
-                     tuple(u.make(*maker_args(u, s, ty, q)) for ty, q in each))
-    return u.make(*maker_args(u, s, d.type, ps))
+        return _BG(e, None, tuple(u(e.body, ty, q) for ty, q in each))
+    return u(e, d.type, tuple(ps))
 
 
 def _unbang(d: Derivation) -> Derivation:
@@ -384,14 +385,14 @@ def _from_u(d: Derivation, t: Term, system: str) -> Walk:
         node = ps[0]  # the closures of the spine, before fire_spine_d takes it apart
         while type(node.subject) is Sub:
             node = _expect(node, Sub)[0]
-        ps = (fire_spine_d(ps[0], frozenset(), lambda c: mk_bg(c.subject, (c,))), ps[1])
+        ps = (fire_spine_d(ps[0], frozenset(), lambda c: _BG(Bang(c.subject), None, (c,))), ps[1])
     elif kind == "head":
         ps = (_expect(ps[0], Der)[0], ps[1])
     new = []
     for i, p in enumerate(ps):
         part = rule.parts[i] if i < rule.fixed else rule.rest
         new.append((yield _from_u(p, getattr(t, part), system)))
-    return rule.make(*maker_args(rule, t, d.type, new))
+    return rule.remake(t, d.type, tuple(new))
 
 
 def _read_back(walk: Walk, image: Derivation | None) -> Derivation:

@@ -223,18 +223,12 @@ def canon_key(t: Term) -> tuple:
     return tuple(key)
 
 
-# id(a) -> (a, b), a term a found equal to b; a is held so that its id stays its own
-ProvedEqual = dict[int, tuple[Term, Term]]
-
-
-def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
+def term_eq(t: Term, u: Term) -> bool:
     """t == u, walked with an explicit stack so that a deep term does not
-    exhaust the interpreter's; subterms that are one object are not walked.
-    Every call given the same `proved` does not walk a pair an earlier call
-    found equal, and records the pairs it finds equal."""
+    exhaust the interpreter's; subterms that are one object are not walked."""
     if t is u:
         return True
-    stack, walked = [(t, u)], []  # pairs of distinct objects only
+    stack = [(t, u)]  # pairs of distinct objects only
     while stack:
         a, b = stack.pop()
         cls = type(a)
@@ -244,12 +238,6 @@ def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
             if a.name != b.name:
                 return False
             continue
-        if proved is not None:  # a variable is compared sooner than looked up
-            key = id(a)
-            hit = proved.get(key)
-            if hit is not None and hit[1] is b:
-                continue
-            walked.append((key, (a, b)))
         if cls is App:
             x, y = a.fun, b.fun
             if x is not y:
@@ -265,8 +253,6 @@ def term_eq(t: Term, u: Term, proved: ProvedEqual | None = None) -> bool:
             x, y = a.body, b.body
         if x is not y:
             stack.append((x, y))
-    if proved is not None:  # every pair walked is equal, as t and u are
-        proved.update(walked)
     return True
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Bang, Der, ProvedEqual, Sub, Term, Var, print_term, unwind, w_size,
+    Abs, App, Bang, Der, Sub, Term, Var, print_term, unwind, w_size,
 )
 from .reduction import (
     Position, RuleKind, FuelExhausted, Trace, classify_nf,
@@ -75,7 +75,8 @@ class DerivationE:
 # Rules.  The consuming rules are U's conclusions with a counter delta;
 # the persistent ones have conclusions of their own.
 
-def ae_t(tag: str, d_f: DerivationE, d_a: DerivationE) -> tuple:
+def ae_t(tag: str, t: App, ty, ps: tuple) -> tuple:
+    d_f, d_a = ps
     if d_f.type == TIGHT_NEUTRAL:
         if d_a.type not in (TIGHT_BANG, TIGHT_NEUTRAL):
             raise IllFormed("ae_t argument must be a tight constant different from a")
@@ -86,35 +87,36 @@ def ae_t(tag: str, d_f: DerivationE, d_a: DerivationE) -> tuple:
         result = d_f.type.codomain
     else:
         raise IllFormed("ae_t function must be typed n or with a tight-domain arrow")
-    return ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject), result, (d_f, d_a)
+    return ctx_union(d_f.context, d_a.context), result, ps
 
 
-def ai_t(tag: str, x: str, d_b: DerivationE) -> tuple:
+def ai_t(tag: str, t: Abs, ty, ps: tuple) -> tuple:
+    d_b = ps[0]
     if not isinstance(d_b.type, Tight):
         raise IllFormed("ai_t body must have a tight constant type")
-    if not is_tight_mult(ctx_get(d_b.context, x)):
+    if not is_tight_mult(ctx_get(d_b.context, t.binder)):
         raise IllFormed("ai_t requires a tight multiset for the binder")
-    return ctx_remove(d_b.context, x), Abs(x, d_b.subject), TIGHT_ABS, (d_b,)
+    return ctx_remove(d_b.context, t.binder), TIGHT_ABS, ps
 
 
-def bg_t(tag: str, body: Term, premises: tuple = ()) -> tuple:
-    if premises:
+def bg_t(tag: str, t: Bang, ty, ps: tuple) -> tuple:
+    if ps:
         raise IllFormed(_NO_PREMISES)
-    return {}, Bang(body), TIGHT_BANG, ()
+    return {}, TIGHT_BANG, ps
 
 
-def dr_t(tag: str, d_b: DerivationE) -> tuple:
-    if d_b.type != TIGHT_NEUTRAL:
+def dr_t(tag: str, t: Der, ty, ps: tuple) -> tuple:
+    if ps[0].type != TIGHT_NEUTRAL:
         raise IllFormed("dr_t premise and conclusion must be typed n")
-    return d_b.context, Der(d_b.subject), TIGHT_NEUTRAL, (d_b,)
+    return ps[0].context, TIGHT_NEUTRAL, ps
 
 
-def es_t(tag: str, x: str, d_b: DerivationE, d_a: DerivationE) -> tuple:
-    if d_a.type != TIGHT_NEUTRAL:
+def es_t(tag: str, t: Sub, ty, ps: tuple) -> tuple:
+    if ps[1].type != TIGHT_NEUTRAL:
         raise IllFormed("es_t argument must be typed n")
-    if not is_tight_mult(ctx_get(d_b.context, x)):
+    if not is_tight_mult(ctx_get(ps[0].context, t.binder)):
         raise IllFormed("es_t requires a tight multiset for the binder")
-    return close(x, d_b, d_a)
+    return close(t.binder, ps)
 
 
 # The node class and the shape, premise-subject and context reasons that
@@ -186,8 +188,10 @@ def tight_spreading_check(d: DerivationE) -> bool:
 # Constructive tight typing of wcf normal forms
 
 _N = TIGHT_NEUTRAL
-E_TYPING = NfTyping({Var: mk_ax_e, App: mk_ae_t, Abs: mk_ai_t, Bang: mk_bg_t, Der: mk_dr_t,
-                     Sub: mk_es_t}, _N, _N, lambda d_a, tau: _N, lambda tau: _N, lambda d_b, x: _N)
+# the axiom and the persistent rules, by former
+E_TYPING = NfTyping({r.former: r.remake for r in RULES["e"].values()
+                     if not r.consuming or r.former is Var},
+                    _N, _N, lambda d_a, tau: _N, lambda tau: _N, lambda d_b, x: _N)
 
 
 def type_normal_form_tight(t: Term) -> DerivationE:
@@ -213,11 +217,10 @@ def reduce_derivation_e(d: DerivationE, step: tuple[Position, RuleKind]) -> Deri
     return out
 
 
-def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind],
-                        proved: ProvedEqual | None = None) -> DerivationE:
+def expand_derivation_e(d: DerivationE, t: Term, step: tuple[Position, RuleKind]) -> DerivationE:
     """Exact subject expansion: rebuild a derivation for t from one for
     its dw-reduct, raising the matching counter by exactly one."""
-    out = expand_derivation(d, t, step, proved)
+    out = expand_derivation(d, t, step)
     b, e, s = d.counters
     expect = (b + 1, e, s) if step[1].multiplicative else (b, e + 1, s)
     if out.counters != expect or not same_judgement(out, d):

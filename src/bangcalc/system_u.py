@@ -6,21 +6,23 @@ non-idempotent, so derivation size (number of nodes except bg) bounds
 reduction length plus normal-form size.
 
 Derivations store the full judgement at every node.  Each rule of the
-four systems is one entry of `RULES`: the `mk_*` helpers, its makers,
-build nodes bottom-up and raise IllFormed on local rule violations, and
-its check replays them on arbitrary trees (e.g. deserialized ones).
+four systems is one entry of `RULES`: its remake builds a node along the
+term it is given, raising IllFormed on local rule violations, its maker
+(the `mk_*` helpers) builds that term from its arguments first, and its
+check replays the same steps on arbitrary trees (e.g. deserialized ones).
 
 The engine (renaming, substitution, anti-substitution, subject reduction
-and expansion) is written once for every derivation class.  It rebuilds
+and expansion) is written once for every derivation class.  It remakes
 each node through the node's own rule, looked up in `ENGINE` by
 `fitting_rule`, the one check of a node's shape before the engine takes
 it apart, so a system's side conditions and counters come from its own
-makers; `rule_table` fills the engine's tables from the rules of U and
-E, the systems with consuming rules.  The engine chooses no name: it rebuilds
-along terms the term engine built, so a transformed derivation's subject
-is always the same syntax tree the reduction engine produces.  Renaming
-and substitution are one rebuild walk, and each rule, which acts through
-a closure spine, fires and expands on one spine walk.
+rules; `rule_table` fills the engine's tables from the rules of U and E,
+the systems with consuming rules.  The engine chooses no name: it remakes
+each node along the term the term engine built, so a transformed
+derivation's subject is always the same objects the reduction engine
+produces, and replay keeps no memo of equal terms.  Renaming and
+substitution are one rebuild walk, and each rule, which acts through a
+closure spine, fires and expands on one spine walk.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, ProvedEqual, Sub, Term, Var, Walk,
-    free_vars, print_term, subst_meta, term_eq, unwind,
+    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk,
+    free_vars, print_term, spine_core, subst_meta, term_eq, unwind,
 )
 from .reduction import (
     SELECTORS, W_RULES, Position, RuleKind, FuelExhausted, Trace,
@@ -72,7 +74,11 @@ class IllFormed(ValueError):
 
 class NotTypableNormalForm(ValueError):
     """Raised when a constructive typing is requested for a term that is
-    not a weak clash-free normal form."""
+    not a weak clash-free normal form.  The message is the first argument
+    with the terms after it printed at its {}s, when it is read."""
+
+    def __str__(self) -> str:
+        return self.args[0].format(*map(print_term, self.args[1:]))
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,13 @@ class Untypable:
 # Rules
 #
 # Each typing rule of the four systems is one `Rule` in `RULES`.  Its
-# conclusion function, given the rule's tag and its maker's arguments,
-# checks the rule's side conditions on the premises, raising IllFormed
-# with the rule's reason (a variadic tail's subjects among them), and
-# returns the conclusion's context, subject and type with the premises.
-# The maker that inference calls wraps it, and the rule's check calls it
-# again on a node's own premises, so a conclusion is computed in one
-# place only.  `maker_args` gives a maker's arguments.
+# conclusion function, given the rule's tag and a node's subject, type and
+# premises (a tuple), checks the rule's side conditions on the premises,
+# raising IllFormed with the rule's reason (a variadic tail's subjects
+# among them), and returns the conclusion's context and type with the
+# premises (bg's sorted by type).  It reads the name, the binder and a
+# variadic part from the subject, and the type only where the rule is
+# given one (ax, ax_v).  A conclusion is computed there only.
 
 Counters = tuple[int, int, int]
 
@@ -99,10 +105,10 @@ Counters = tuple[int, int, int]
 class Rule:
     """One typing rule: its tag, its conclusion function, the subject
     former and premise count it types, and the checker's reason for each
-    fault that its conclusion function does not raise.  `make` is the
-    rule's node constructor and `check` its node check, which `rule_table`
-    gives it, and `parts` names the subject parts that its fixed premises
-    type."""
+    fault that its conclusion function does not raise.  `rule_table` gives
+    it `remake`, `make`, its maker for the public `mk_*` names, and
+    `check`, its node check; `parts` names the subject parts that its
+    fixed premises type."""
     tag: str
     conclude: Callable[..., tuple]
     former: type
@@ -124,39 +130,22 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "parts", PARTS[self.former][:self.fixed])
 
-    def fits(self, d) -> bool:
-        """Whether node d has the rule's subject former and premise count."""
-        n = len(d.premises)
-        return type(d.subject) is self.former and (
+    def fits(self, t: Term, n: int) -> bool:
+        """Whether a subject t over n premises has the rule's former and premise count."""
+        return type(t) is self.former and (
             n == self.fixed or self.rest is not None and n > self.fixed)
-
-
-def maker_args(rule: Rule, subject: Term, ty: Type, premises) -> tuple:
-    """The arguments of `rule`'s maker for a node of `subject` and `ty` over
-    `premises`: a variable's name and `ty`; otherwise the binder, if any,
-    the premises of the subject's parts in order, then the part a variadic
-    tail types and the tail.  So app (function, argument), bg (body term,
-    premises), es (binder, body, argument), app_n (function, argument term,
-    argument premises)."""
-    former = rule.former
-    if former is Var:
-        return subject.name, ty
-    if rule.rest:
-        k = rule.fixed
-        premises = (*premises[:k], getattr(subject, rule.rest), tuple(premises[k:]))
-    return (subject.binder, *premises) if former is Abs or former is Sub else tuple(premises)
 
 
 def rule_table(system: str, *rules: Rule) -> None:
     """Make `rules` the rules of `system`, in `RULES`, and give each its
-    maker and its node check: a rule with counters adds its own to its
-    premises', and one without keeps the node's size in `system` on the
-    node (see `sizer`).  A system with consuming rules also fills the
-    engine's tables below."""
+    remake, maker and check (see `_closures`).  A system with consuming
+    rules also fills the engine's tables below."""
     table = RULES[system] = {rule.tag: rule for rule in rules}
     for rule in rules:
-        object.__setattr__(rule, "make", _maker_of(rule, system))
-        object.__setattr__(rule, "check", _checker_of(rule))
+        remake, make, check = _closures(rule, system)
+        object.__setattr__(rule, "remake", remake)
+        object.__setattr__(rule, "make", make)
+        object.__setattr__(rule, "check", check)
         if rule.consuming:
             ENGINE[rule.node] = table
             CONSUMING_RULE[rule.node, rule.former] = rule
@@ -164,49 +153,68 @@ def rule_table(system: str, *rules: Rule) -> None:
             APPLICATION_RULE[rule.node, rule.closure] = rule
 
 
-def _maker_of(rule: Rule, system: str) -> Callable[..., Any]:
-    tag, conclude, node, delta, weight = rule.tag, rule.conclude, rule.node, rule.delta, rule.weight
-    if delta is not None:
-        def make(*args):
-            context, subject, ty, ps = conclude(tag, *args)
-            return node(tag, context, subject, ty, add_counters(delta, ps), ps)
-        return make
-    attr = "_size_" + system
+def _closures(rule: Rule, system: str) -> tuple[Callable, Callable, Callable]:
+    """The rule's remake, maker and check.  `remake(t, ty, premises)` is
+    its node over `premises` with t itself as subject, once t has the
+    rule's former and premise count, each fixed premise's subject is t's
+    own part (an object that is not is compared) and the conclusion
+    function passed; IllFormed with the rule's reason for the first that
+    fails.  The maker builds t from its arguments: a variable's name and
+    type; else the binder, if any, the premises of the parts in order,
+    then the part a variadic tail types and the tail.  The check takes
+    remake's steps on a node's own subject, type and premises, then
+    compares the conclusion's type, context and counters with the node's."""
+    tag, conclude, fits, former, k, parts, rest, node, delta, weight = (
+        rule.tag, rule.conclude, rule.fits, rule.former, rule.fixed, rule.parts, rule.rest,
+        rule.node, rule.delta, rule.weight)
+
+    def conclusion(t: Term, ty: Type | None, premises: tuple) -> tuple:
+        if not fits(t, len(premises)):
+            raise IllFormed(rule.shape)
+        for p, part in zip(premises, parts):
+            part = getattr(t, part)
+            if p.subject is not part and not term_eq(p.subject, part):
+                raise IllFormed(rule.subjects)
+        return conclude(tag, t, ty, premises)
+
+    if delta is not None:  # the premises' counters and the rule's own
+        def remake(t, ty, premises):
+            context, ty, ps = conclusion(t, ty, premises)
+            return node(tag, context, t, ty, add_counters(delta, ps), ps)
+    else:
+        attr = "_size_" + system
+
+        def remake(t, ty, premises):
+            # the node's size in `system` (see `sizer`) from its weight and
+            # its premises' sizes, which they keep, or a walk for one read
+            context, ty, ps = conclusion(t, ty, premises)
+            d = node(tag, context, t, ty, ps)
+            n = len(ty) if weight is None else weight
+            for p in ps:
+                m = getattr(p, attr, None)
+                n += _walk_size(p, system) if m is None else m
+            setattr(d, attr, n)
+            return d
+
+    bound = former is Abs or former is Sub
 
     def make(*args):
-        # the node's size from its weight and its premises' sizes, which
-        # their makers kept, or a walk for one that was read
-        context, subject, ty, ps = conclude(tag, *args)
-        d = node(tag, context, subject, ty, ps)
-        n = len(ty) if weight is None else weight
-        for p in ps:
-            m = getattr(p, attr, None)
-            n += _walk_size(p, system) if m is None else m
-        setattr(d, attr, n)
-        return d
-    return make
+        if former is Var:
+            return remake(Var(args[0]), args[1], ())
+        fields = {"binder": args[0]} if bound else {}
+        args = args[bound:]
+        premises = args[:k]
+        fields.update(zip(parts, (p.subject for p in premises)))
+        if rest:
+            fields[rest] = args[k]
+            premises += tuple(args[k + 1]) if len(args) > k + 1 else ()
+        return remake(former(**fields), None, premises)
 
-
-def _checker_of(rule: Rule) -> Callable[[Any], str | None]:
-    """Why a node that passed `check_derivation`'s prelude breaks `rule`, or
-    None.  In this order: its former and premise count, the subjects of its
-    fixed premises, the side conditions, by calling the conclusion function
-    with the maker's arguments, then its type, context and counters against
-    that conclusion."""
-    tag, conclude, parts, delta, cls, reason = (rule.tag, rule.conclude, rule.parts, rule.delta,
-                                                rule.node, rule.type)
-    type_reason = reason if callable(reason) else lambda d: reason
+    type_reason = rule.type if callable(rule.type) else lambda d: rule.type
 
     def check(d) -> str | None:
-        if not rule.fits(d):
-            return rule.shape
-        s = d.subject
-        for p, part in zip(d.premises, parts):
-            part = getattr(s, part)
-            if p.subject is not part and not term_eq(p.subject, part):
-                return rule.subjects
         try:
-            context, _, ty, premises = conclude(tag, *maker_args(rule, s, d.type, d.premises))
+            context, ty, premises = conclusion(d.subject, d.type, d.premises)
         except IllFormed as ex:
             return str(ex)
         if ty is not d.type and ty != d.type:
@@ -215,12 +223,12 @@ def _checker_of(rule: Rule) -> Callable[[Any], str | None]:
             return rule.context
         if delta is not None:
             for p in premises:
-                if type(p) is not cls:  # reported when the walk reaches it
+                if type(p) is not node:  # reported when the walk reaches it
                     return None
             if add_counters(delta, premises) != d.counters:
                 return rule.counters
         return None
-    return check
+    return remake, make, check
 
 
 def add_counters(delta: Counters, premises) -> Counters:
@@ -242,52 +250,54 @@ CONSUMING_RULE: dict[tuple[type, type], Rule] = {}
 APPLICATION_RULE: dict[tuple[type, str], Rule] = {}
 
 
-def ax(tag: str, x: str, ty: Type) -> tuple:
-    return {x: Mult((ty,))}, Var(x), ty, ()
+def ax(tag: str, t: Var, ty: Type, ps: tuple) -> tuple:
+    return {t.name: Mult((ty,))}, ty, ps
 
 
-def app(tag: str, d_f, d_a) -> tuple:
+def app(tag: str, t: App, ty, ps: tuple) -> tuple:
+    d_f, d_a = ps
     if not isinstance(d_f.type, Arrow):
         raise IllFormed(f"{tag} function premise must have an arrow type")
     if d_a.type != d_f.type.domain:
         raise IllFormed(f"{tag} argument premise must match the arrow domain")
-    return (ctx_union(d_f.context, d_a.context), App(d_f.subject, d_a.subject),
-            d_f.type.codomain, (d_f, d_a))
+    return ctx_union(d_f.context, d_a.context), d_f.type.codomain, ps
 
 
-def abs_(tag: str, x: str, d_b) -> tuple:
-    return (ctx_remove(d_b.context, x), Abs(x, d_b.subject),
-            Arrow(ctx_get(d_b.context, x), d_b.type), (d_b,))
+def abs_(tag: str, t: Abs, ty, ps: tuple) -> tuple:
+    d_b, x = ps[0], t.binder
+    return ctx_remove(d_b.context, x), Arrow(ctx_get(d_b.context, x), d_b.type), ps
 
 
-def bg(tag: str, body: Term, premises: tuple) -> tuple:
-    for p in premises:
+def bg(tag: str, t: Bang, ty, ps: tuple) -> tuple:
+    body = t.body
+    for p in ps:
         if p.subject is not body and not term_eq(p.subject, body):
             raise IllFormed(f"{tag} premise subjects must be the bang body")
     # stably sorted by type, so their types make a multiset as they stand;
     # keyed only when out of order
-    if len(premises) > 1 and not is_sorted([p.type for p in premises]):
-        premises = tuple(sorted(premises, key=lambda p: sort_key(p.type)))
-    return (ctx_union(*(p.context for p in premises)), Bang(body),
-            Mult(tuple(p.type for p in premises)), premises)
+    if len(ps) > 1 and not is_sorted([p.type for p in ps]):
+        ps = tuple(sorted(ps, key=lambda p: sort_key(p.type)))
+    return ctx_union(*(p.context for p in ps)), Mult(tuple(p.type for p in ps)), ps
 
 
-def dr(tag: str, d_b) -> tuple:
+def dr(tag: str, t: Der, ty, ps: tuple) -> tuple:
+    d_b = ps[0]
     if not isinstance(d_b.type, Mult) or len(d_b.type) != 1:
         raise IllFormed(f"{tag} premise must be the singleton of the conclusion type")
-    return d_b.context, Der(d_b.subject), d_b.type.elements[0], (d_b,)
+    return d_b.context, d_b.type.elements[0], ps
 
 
-def es(tag: str, x: str, d_b, d_a) -> tuple:
-    if d_a.type != ctx_get(d_b.context, x):
+def es(tag: str, t: Sub, ty, ps: tuple) -> tuple:
+    if ps[1].type != ctx_get(ps[0].context, t.binder):
         raise IllFormed(f"{tag} argument premise must be typed with the binder multiset")
-    return close(x, d_b, d_a)
+    return close(t.binder, ps)
 
 
-def close(x: str, d_b, d_a) -> tuple:
-    """The conclusion of a closure rule: d_b's type, x's entry dropped."""
-    return (ctx_union(ctx_remove(d_b.context, x), d_a.context), Sub(d_b.subject, x, d_a.subject),
-            d_b.type, (d_b, d_a))
+def close(x: str, ps: tuple) -> tuple:
+    """The conclusion of a closure rule over its body's and its argument's
+    premises: the body's type, x's entry dropped."""
+    d_b, d_a = ps
+    return ctx_union(ctx_remove(d_b.context, x), d_a.context), d_b.type, ps
 
 
 # the parts of a subject that a rule's fixed premises type, in order
@@ -347,7 +357,8 @@ def fitting_rule(d, expected: Rule | type, reason: str, error: type = IllFormed)
     `error(reason)`, with d's tag for any `{}` in the reason.  The engine and
     the read-back take a node's premises apart by position only after it."""
     rule = ENGINE[type(d)].get(d.rule)
-    if rule is None or rule is not expected and rule.former is not expected or not rule.fits(d):
+    if (rule is None or rule is not expected and rule.former is not expected
+            or not rule.fits(d.subject, len(d.premises))):
         raise error(reason.format(d.rule))
     return rule
 
@@ -423,7 +434,7 @@ def sizer(system: str) -> Callable[[Any], int]:
     """The size function of `system`: the sum of a derivation's node
     weights, each given by the node's rule in `system` (1 for a rule it
     does not have).  A node keeps it in its slot for the system: the
-    system's makers set it, and a node built otherwise, as one read from
+    system's remakes set it, and a node built otherwise, as one read from
     JSON, is sized by a walk the first time it is asked for."""
     attr = "_size_" + system
 
@@ -461,9 +472,10 @@ size_u = sizer("u")  # nodes of a U derivation other than bg
 
 @dataclass(frozen=True)
 class NfTyping:
-    """How a system types weak clash-free normal forms: its rule for each
-    former, and the type it hands down to a neutral subterm (given here as
-    U's; E hands down n to every one), tau being the node's own target."""
+    """How a system types weak clash-free normal forms: the remake of its
+    rule for each former, and the type it hands down to a neutral subterm
+    (given here as U's; E hands down n to every one), tau being the node's
+    own target, which only the variable's rule reads."""
     rules: dict[type, Callable[..., Any]]
     top: Type                            # at the top, and in an nb position
     arg: Type                            # in an na position
@@ -473,7 +485,7 @@ class NfTyping:
                                          # and the binder
 
 
-U_TYPING = NfTyping({Var: mk_ax, App: mk_app, Abs: mk_abs, Bang: mk_bg, Der: mk_dr, Sub: mk_es},
+U_TYPING = NfTyping({r.former: r.remake for r in RULES["u"].values()},
                     OMEGA, EMPTY_MULT, lambda d_a, tau: Arrow(d_a.type, tau),
                     lambda tau: mult([tau]), lambda d_b, x: ctx_get(d_b.context, x))
 
@@ -492,47 +504,43 @@ def type_nf(t: Term, level: str, tau: Type | None, typing: NfTyping, memo: FoldM
     """The walk that types t, in the grammar `level` ("ne", "na", "nb", or
     "nf" for any), by `typing`; a neutral t is typed tau, which at "nf"
     only a neutral t may be given.  Neutral terms are tried first at every
-    level, which covers every closure over one.  `memo` keeps each
-    subterm's class."""
+    level, which covers every closure over one.  Each node is remade along
+    t's own subterm.  `memo` keeps each subterm's class."""
     if level == "nf":
         cls = classify_wcf_nf(t, memo)
         if not cls.memberships:
-            raise NotTypableNormalForm(f"{print_term(t)} is not a weak clash-free normal form")
+            raise NotTypableNormalForm("{} is not a weak clash-free normal form", t)
         if not cls.ne and tau is not None:
             raise NotTypableNormalForm("only neutral terms accept a target type")
         level = "ne" if cls.ne else "na" if cls.na else "nb"
         tau = typing.top if tau is None else tau
     elif level != "ne" and classify_wcf_nf(t, memo).ne:
         level, tau = "ne", typing.arg if level == "na" else typing.top
-    rules, former = typing.rules, type(t)
-    if level == "ne":
-        if former is Var:
-            return rules[Var](t.name, tau)
-        if former is App:
-            d_a = yield type_nf(t.arg, "na", None, typing, memo)
-            return rules[App]((yield type_nf(t.fun, "ne", typing.head(d_a, tau), typing, memo)),
-                              d_a)
-        if former is Der:
-            return rules[Der]((yield type_nf(t.body, "ne", typing.der(tau), typing, memo)))
-    elif former is Bang and level == "na":
-        return rules[Bang](t.body, ())
-    elif former is Abs and level == "nb":
-        return rules[Abs](t.binder, (yield type_nf(t.body, "nf", None, typing, memo)))
+    former, ps = type(t), ()
     if former is Sub:
         d_b = yield type_nf(t.body, level, tau, typing, memo)
-        d_a = yield type_nf(t.arg, "ne", typing.closure(d_b, t.binder), typing, memo)
-        return rules[Sub](t.binder, d_b, d_a)
-    raise NotTypableNormalForm(print_term(t))
+        ps = d_b, (yield type_nf(t.arg, "ne", typing.closure(d_b, t.binder), typing, memo))
+    elif former is App and level == "ne":
+        d_a = yield type_nf(t.arg, "na", None, typing, memo)
+        ps = (yield type_nf(t.fun, "ne", typing.head(d_a, tau), typing, memo)), d_a
+    elif former is Der and level == "ne":
+        ps = ((yield type_nf(t.body, "ne", typing.der(tau), typing, memo)),)
+    elif former is Abs and level == "nb":
+        ps = ((yield type_nf(t.body, "nf", None, typing, memo)),)
+    elif not (former is Var and level == "ne" or former is Bang and level == "na"):
+        raise NotTypableNormalForm("{}", t)
+    return typing.rules[former](t, tau, ps)
 
 
 # ---------------------------------------------------------------------------
 # Renaming and substitution inside derivations
 #
 # Every name comes from a term the term engine built: a walk follows that
-# term, so every rebuilt node's subject equals it, binder names included.
-# One walk renames and substitutes, along a renamed term or along
-# `subst_meta`'s result; anti-substitution walks the other way on the same
-# premise loop, from an instance back to the term.  Each is a walk on
+# term and remakes each node it changes along the term's own subterm, so
+# every rebuilt node's subject is that term's object, binder names
+# included.  One walk renames and substitutes, along a renamed term or
+# along `subst_meta`'s result; anti-substitution walks the other way on the
+# same premise loop, from an instance back to the term.  Each is a walk on
 # `syntax.unwind`, and yields a sub-walk only for a part it may change.
 
 _UNFIT = "rule {!r} does not fit its node"
@@ -544,40 +552,35 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     """The walk of d rebuilt along t, a term of the shape of d's subject
     whose free names and binders may differ; or, given x and `pool`, along
     t = subst_meta(d.subject, x, u), where each axiom for a free x takes
-    the first derivation in `pool` of its type, axioms taken in the order
-    of the walk (pre-order, a node's premises in order).  A node is remade
-    by its own rule only where its name, its binder or a premise changed:
-    a part of t that is the subject's own part keeps its premise, and
-    whether a node changed is decided from its premises, except that a
-    bang with no premises compares its body."""
-    s, ps = d.subject, d.premises
+    the first derivation in `pool` of its type, rebuilt along u, axioms
+    taken in the order of the walk (pre-order, a node's premises in
+    order).  A premise whose subject is t's own part is kept, and every
+    other node is remade by its own rule along t."""
+    s = d.subject
     cls = type(s)
     if cls is Var and s.name == x:
         for i, p in enumerate(pool):
             if p.type == d.type:
-                return pool.pop(i)
+                return (yield rebuild_as(pool.pop(i), t))
         raise IllFormed("no argument derivation left for an axiom occurrence")
+    if s is t:
+        return d
     if type(t) is not cls:
         raise IllFormed(_OTHER_FORMER)
     rule = fitting_rule(d, cls, _UNFIT)
-    if cls is Var:
-        return d if s.name == t.name else rule.make(t.name, d.type)
-    new, changed = [], False
     # no x is free below a binder x, though the walk may enter its body
     inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
-    for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
+    new = []
+    for p, attr in zip(d.premises, ("body",) * len(d.premises) if cls is Bang else PARTS[cls]):
         part = getattr(t, attr)
-        q = p if getattr(s, attr) is part else (
-            yield rebuild_as(p, part, inner if attr == "body" else x, pool))
-        new.append(q)
-        changed = changed or q is not p
-    if cls is Bang:
-        changed = changed or not ps and not term_eq(s.body, t.body)
-        new = (new[0].subject if new else t.body, tuple(new))
-    elif cls is Abs or cls is Sub:
-        changed = changed or s.binder != t.binder
-        new.insert(0, t.binder)
-    return rule.make(*new) if changed else d
+        new.append(p if p.subject is part else
+                   (yield rebuild_as(p, part, inner if attr == "body" else x, pool)))
+    return rule.remake(t, d.type, tuple(new))
+
+
+def along(d, t: Term):
+    """d rebuilt along t (see `rebuild_as`): d itself if its subject is t."""
+    return unwind(rebuild_as(d, t))
 
 
 def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
@@ -593,16 +596,17 @@ def antisubst_derivation(d, t: Term, x: str, u: Term) -> tuple[Any, list]:
 def _antisubst(d, t: Term, x: str, us: list) -> Walk:
     """The walk of antisubst_derivation for a t with x free, which appends
     the derivation each axiom for x takes the place of to `us`, in the
-    order of the walk.  A part of t without x free, or under a binder x,
-    keeps its premise as it stands; a body whose binder subst_meta
-    refreshed is walked along the refreshed body, then rebuilt along t's."""
+    order of the walk, and remakes each node along t.  A part of t without
+    x free, or under a binder x, keeps its premise as it stands; a body
+    whose binder subst_meta refreshed is walked along the refreshed body,
+    then rebuilt along t's."""
     cls = type(t)
     if cls is Var:
         us.append(d)
-        return CONSUMING_RULE[type(d), Var].make(x, d.type)
+        return CONSUMING_RULE[type(d), Var].remake(t, d.type, ())
     rule, ps = fitting_rule(d, cls, _NOT_INSTANCE), d.premises
     y = t.binder if cls is Abs or cls is Sub else None
-    new = [] if y is None else [y]  # the maker's arguments
+    new = []
     for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
         part = getattr(t, attr)
         if x not in free_vars(part) or attr == "body" and y == x:
@@ -612,33 +616,38 @@ def _antisubst(d, t: Term, x: str, us: list) -> Walk:
             new.append((yield rebuild_as(p, part)))
         else:
             new.append((yield _antisubst(p, part, x, us)))
-    return rule.make(t.body, tuple(new)) if cls is Bang else rule.make(*new)
+    return rule.remake(t, d.type, tuple(new))
 
 
 # ---------------------------------------------------------------------------
 # Subject reduction / expansion
 
 # selector -> the former of the node it enters, the index of the premise
-# that types the part it selects, and the refusal of a node that does not fit
-_STEPS = {sel: (former, PARTS[former].index(attr), f"position step {sel} does not match rule {{}}")
+# that types the part it selects, that part, and the refusal of a node
+# that does not fit
+_STEPS = {sel: (former, PARTS[former].index(attr), attr,
+                f"position step {sel} does not match rule {{}}")
           for sel, (former, attr, _) in SELECTORS.items()}
 
 
-def _at(d, pos: Position, fire: Callable[..., Any], *args):
-    """d with `fire(node, *args)` in place of its node at pos, the nodes
-    above rebuilt."""
-    if not pos:
-        return fire(d, *args)
+def _at(d, pos: Position, fire: Callable[[Any], Any], t: Term | None = None):
+    """d with fire(node) in place of its node at pos, the nodes above
+    remade along t, the term d types; with no t, along the term that
+    `reduction.SELECTORS` builds around the new node's subject (the
+    reduct, as the term engine builds it)."""
     above = []
     for sel in pos:
-        former, idx, reason = _STEPS[sel]
-        above.append((d, idx, fitting_rule(d, former, reason)))
+        former, idx, attr, reason = _STEPS[sel]
+        above.append((d, idx, fitting_rule(d, former, reason), t, sel))
         d = d.premises[idx]
-    d = fire(d, *args)
-    for node, idx, rule in reversed(above):
+        if t is not None:
+            t = getattr(t, attr)
+    d = fire(d)
+    for node, idx, rule, s, sel in reversed(above):
         ps = list(node.premises)
         ps[idx] = d
-        d = rule.make(*maker_args(rule, node.subject, node.type, ps))
+        d = rule.remake(SELECTORS[sel][2](node.subject, d.subject) if s is None else s, None,
+                        tuple(ps))
     return d
 
 
@@ -646,7 +655,7 @@ def reduce_derivation(d, step: tuple[Position, RuleKind]):
     """A derivation of the reduct across the given redex, built rule by
     rule; the callers check how the judgement and the measure move."""
     pos, kind = step
-    return _at(d, pos, _fire, kind)
+    return _at(d, pos, lambda node: _fire(node, kind))
 
 
 def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Derivation:
@@ -668,40 +677,40 @@ def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
     L<c'> with at_core giving the derivation of c', and the binders of L
     that are in `avoid` refreshed as fire_spine refreshes them."""
     if avoid:
-        d = unwind(rebuild_as(d, fire_spine(d.subject, avoid, lambda c: c)))
-    return _on_spine(d, d.subject, at_core)[0]
+        d = along(d, fire_spine(d.subject, avoid, lambda c: c))
+    return on_spine(d, d.subject, at_core)[0]
 
 
-def _on_spine(d, spine: Term, at_core: Callable[[Any], Any]) -> tuple[Any, Any]:
+def on_spine(d, spine: Term, at_core: Callable[[Any], Any]) -> tuple[Any, Any]:
     """(d', e): e is the node of d under its first closure nodes, one for
-    each closure of the maximal closure spine of `spine`, and d' is d with
-    at_core(e) in its place, wrapped in those nodes again by their own
-    rules and binders, and rebuilt along `spine` if one of the binders is
-    not its closure's (expansion gives the pre-step term, which firing
-    refreshed)."""
+    each closure of the maximal closure spine of `spine`, and d' is
+    at_core(e) wrapped in those nodes again, each remade by its own rule
+    along spine's closure at its level, or along one of its binder and
+    argument over the new body if that is another term.  An argument
+    premise is rebuilt along the argument, which renames back what a
+    firing refreshed when expansion follows the pre-step term."""
     peeled, s = [], spine
-    while isinstance(s, Sub):
-        rule = fitting_rule(d, Sub, "closure spine shorter than the redex spine")
-        peeled.append((d, s.binder, rule))
+    while type(s) is Sub:
+        peeled.append((d, s, fitting_rule(d, Sub, "closure spine shorter than the redex spine")))
         d, s = d.premises[0], s.body
     core, d = d, at_core(d)
-    renamed = False
-    for node, y, rule in reversed(peeled):
-        binder = node.subject.binder
-        renamed = renamed or binder != y
-        d = rule.make(binder, d, node.premises[1])
-    return unwind(rebuild_as(d, spine)) if renamed else d, core
+    for node, s, rule in reversed(peeled):
+        if s.body is not d.subject:
+            s = Sub(d.subject, s.binder, s.arg)
+        d = rule.remake(s, None, (d, along(node.premises[1], s.arg)))
+    return d, core
 
 
 def _fire(d, kind: RuleKind):
     cls = type(d)
     if kind is RuleKind.DB:
         closure = fitting_rule(d, App, "dB redex must be typed by an application rule").closure
-        close, d_u, lam = ENGINE[cls][closure].make, d.premises[1], CONSUMING_RULE[cls, Abs]
+        close, d_u, lam = ENGINE[cls][closure].remake, d.premises[1], CONSUMING_RULE[cls, Abs]
 
         def at_abs(f_d):
             fitting_rule(f_d, lam, "dB function must be a consuming abstraction under closures")
-            return close(f_d.subject.binder, f_d.premises[0], d_u)
+            f = f_d.subject
+            return close(Sub(f.body, f.binder, d_u.subject), None, (f_d.premises[0], d_u))
 
         return fire_spine_d(d.premises[0], free_vars(d_u.subject), at_abs)
 
@@ -730,24 +739,22 @@ def _fire(d, kind: RuleKind):
     raise IllFormed(f"{kind} is not a bang-calculus rule")
 
 
-def expand_derivation(d, t: Term, step: tuple[Position, RuleKind],
-                      proved: ProvedEqual | None = None):
+def expand_derivation(d, t: Term, step: tuple[Position, RuleKind]):
     """A derivation of t from one of its reduct across the given redex,
-    built rule by rule; the callers check how the judgement and the
-    measure move.  The rebuilt subject is checked against t with
-    `term_eq`, which is given `proved`."""
+    built rule by rule along t, so its subject is t itself; the callers
+    check how the judgement and the measure move."""
     pos, kind = step
-    out = _at(d, pos, _expand, subterm_at(t, pos), kind)
-    if not term_eq(out.subject, t, proved):
+    s = subterm_at(t, pos)
+    out = _at(d, pos, lambda node: _expand(node, s, kind), t)
+    if out.subject is not t and not term_eq(out.subject, t):
         raise IllFormed("expansion did not rebuild the stated term")
     return out
 
 
-def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind],
-                        proved: ProvedEqual | None = None) -> Derivation:
+def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind]) -> Derivation:
     """Weighted subject expansion: from a derivation of the reduct of t at
     the given redex, build a derivation of t itself."""
-    out = expand_derivation(d, t, step, proved)
+    out = expand_derivation(d, t, step)
     if not same_judgement(out, d) or size_u(out) <= size_u(d):
         raise IllFormed("subject expansion did not preserve the judgement")
     return out
@@ -757,17 +764,19 @@ def _expand(d, t: Term, kind: RuleKind):
     fires = W_RULES.get(type(t))
     if fires is None or fires(t) is not kind:
         raise IllFormed(f"{kind} step does not fit the term at its position")
-    cls, bang = type(d), CONSUMING_RULE[type(d), Bang].make
+    cls, bang = type(d), CONSUMING_RULE[type(d), Bang].remake
     if kind is RuleKind.DB:
+        f = spine_core(t.fun)
+
         def to_abs(c):
             fitting_rule(c, Sub, "dB reduct core must be a closure node")
-            return CONSUMING_RULE[cls, Abs].make(c.subject.binder, c.premises[0])
+            return CONSUMING_RULE[cls, Abs].remake(f, None, (along(c.premises[0], f.body),))
 
-        fun, closure = _on_spine(d, t.fun, to_abs)
-        return APPLICATION_RULE[cls, closure.rule].make(fun, closure.premises[1])
+        fun, closure = on_spine(d, t.fun, to_abs)
+        return APPLICATION_RULE[cls, closure.rule].remake(t, None, (fun, closure.premises[1]))
 
     if kind is RuleKind.SBANG:
-        # replay the firing's refreshes to know the bang body it substituted
+        # the reduct's closures have the binders of the fired spine
         fired, s = t.arg, d.subject
         if isinstance(fired, Sub):
             fired = fire_spine(fired, free_vars(t.body) - {t.binder}, lambda b: b)
@@ -775,24 +784,22 @@ def _expand(d, t: Term, kind: RuleKind):
             if not isinstance(s, Sub) or s.binder != fired.binder:
                 raise IllFormed("reduct spine does not match the fired closure spine")
             fired, s = fired.body, s.body
-        d_s = None
+        b, d_s = spine_core(t.arg), None
 
         def rebang(c):
             nonlocal d_s
             d_us: list = []
             d_s = (unwind(_antisubst(c, t.body, t.binder, d_us))
                    if t.binder in free_vars(t.body) else c)
-            # the bang body is the first premise's subject, equal to the
-            # fired one: the subject check of `expand_derivation` then finds
-            # it among the pairs an earlier step proved equal, where bg
-            # would walk it
-            return bang(d_us[0].subject if d_us else fired.body, tuple(d_us))
+            return bang(b, None, tuple(along(p, b.body) for p in d_us))
 
-        arg, _ = _on_spine(d, t.arg, rebang)
-        return CONSUMING_RULE[cls, Sub].make(t.binder, d_s, arg)
+        arg, _ = on_spine(d, t.arg, rebang)
+        return CONSUMING_RULE[cls, Sub].remake(t, None, (d_s, arg))
 
     # d!, the one kind the check above leaves
-    return CONSUMING_RULE[cls, Der].make(_on_spine(d, t.body, lambda c: bang(c.subject, (c,)))[0])
+    b = spine_core(t.body)
+    arg, _ = on_spine(d, t.body, lambda c: bang(b, None, (along(c, b.body),)))
+    return CONSUMING_RULE[cls, Der].remake(t, None, (arg,))
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +824,12 @@ def infer_with(t: Term, fuel: int, type_nf: Callable[[Term], Any],
 
 
 def replay(d, trace: Trace, expand: Callable[..., Any]):
-    """Expand d back along the trace.  Consecutive rebuilt subjects, and
-    consecutive trace terms, share most of their subterms, so the subject
-    checks share one `proved` and each compares only what a step changed."""
+    """Expand d back along the trace.  Each step remakes what it changes
+    along its trace term, which shares the rest with the next one, so
+    every step's subject check finds the term itself."""
     terms = [trace.start] + [s.result for s in trace.steps]
-    proved: ProvedEqual = {}
     for i in range(len(trace.steps) - 1, -1, -1):
-        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule), proved)
+        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
     return d
 
 
@@ -834,4 +840,3 @@ def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
 
 def replay_expansion_u(d: Derivation, trace: Trace) -> Derivation:
     return replay(d, trace, expand_derivation_u)
-

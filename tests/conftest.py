@@ -964,9 +964,34 @@ def same_derivation(a, b) -> bool:
         if (type(a) is not type(b) or (a.rule, a.context, a.type) != (b.rule, b.context, b.type)
                 or getattr(a, "counters", None) != getattr(b, "counters", None)
                 or len(a.premises) != len(b.premises)
-                or not term_eq(a.subject, b.subject, proved)):
+                or not _same_term(a.subject, b.subject, proved)):
             return False
         stack.extend(zip(a.premises, b.premises))
+    return True
+
+
+def _same_term(t, u, proved: dict) -> bool:
+    """t == u, walked with an explicit stack, without walking a pair that
+    `proved` holds (id(a) -> (a, b), a found equal to b; a is held so that
+    its id stays its own); records each pair it finds equal."""
+    stack, walked = [(t, u)], []
+    while stack:
+        a, b = stack.pop()
+        if a is b or proved.get(id(a), (a, None))[1] is b:
+            continue
+        cls = type(a)
+        if cls is not type(b) or cls is Var and a.name != b.name:
+            return False
+        if cls is Var:
+            continue
+        if (cls is Abs or cls is Sub) and a.binder != b.binder:
+            return False
+        walked.append((id(a), (a, b)))
+        if cls is App:
+            stack += [(a.fun, b.fun), (a.arg, b.arg)]
+        else:
+            stack += [(a.body, b.body)] + ([(a.arg, b.arg)] if cls is Sub else [])
+    proved.update(walked)
     return True
 
 
@@ -1013,14 +1038,8 @@ def ref_check_node(system: str, cls: type, d, tight):
         part = getattr(s, part)
         if p.subject is not part and not term_eq(p.subject, part):
             return rule.subjects
-    if rest:
-        ps = (*ps[:k], getattr(s, rest), ps[k:])
-    if former is Var:
-        args = (s.name, d.type)
-    else:
-        args = (s.binder, *ps) if former is Abs or former is Sub else ps
     try:
-        context, _, ty, premises = rule.conclude(rule.tag, *args)
+        context, ty, premises = rule.conclude(rule.tag, s, d.type, ps)
     except IllFormed as ex:
         return str(ex)
     if ty is not d.type and ty != d.type:

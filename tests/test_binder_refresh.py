@@ -42,14 +42,15 @@ CASES = {
     # the refresh of y renames the inner binder y0 as well, below an
     # application or a dereliction, and below a bang: the expansion that
     # inference replays rebuilds the body back along the pre-step term
-    # (`system_u._antisubst_under`)
+    # (`system_u._antisubst`)
     r"(\y. (\y0. y) x)[x \ !y]": [r"\y0. (\y1. y0) y", r"\y0. y0[y1 \ y]"],
     r"(\y. der ((\y0. y) x))[x \ !y]": [r"\y0. der((\y1. y0) y)", r"\y0. der(y0[y1 \ y])"],
     r"(\y. der (!(\y0. y x)))[x \ !y]": [r"\y0. der(!(\y1. y0 y))", r"\y0. \y1. y0 y"],
     # a firing through two closures refreshes the outer binder y1 to y0,
     # the pre-step name of the inner one, which it refreshes to y2: no
-    # binder can be renamed back on its own, so expansion rebuilds the
-    # whole spine along the pre-step one (`system_u._on_spine`)
+    # binder can be renamed back on its own, so expansion remakes each
+    # closure along the pre-step spine, its argument and the core rebuilt
+    # along that spine's (`system_u.on_spine`)
     r"(\x. y1)[y0 \ y1][y1 \ x] y1": [r"y0[x \ y1][y2 \ y0][y0 \ x]"],
     r"(\y1. !der(y0))[y \ (\y0. y)[y0 \ y][y \ y0] !y[x \ y1]]": [
         r"(\y1. !der(y0))[y \ y0[y1 \ !y[x \ y1]][y2 \ y0][y0 \ y0]]",

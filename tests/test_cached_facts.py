@@ -268,25 +268,31 @@ def test_replay_work_is_linear_in_steps_and_nodes(call_counts):
 
 @pytest.mark.parametrize("n", [80, 160])
 def test_cbv_replay_compares_each_pair_of_subterms_once(monkeypatch, n):
-    # The rebuilt subjects of a CBV image share no objects with the trace's
-    # terms, so comparing each whole subject with its trace term walks a
-    # number of node pairs quadratic in n (about 80,000 at n = 160);
-    # skipping the pairs an earlier step's check proved equal leaves about 12n.
+    # Replay remakes each node it changes along the step's trace term, which
+    # shares the rest with the next one, so every subject check, of a
+    # premise against its node's part or of a step's result against its
+    # term, finds one object.  When nodes built their subjects from their
+    # premises, the subjects of the CBV image shared no objects with the
+    # trace's terms, and comparing them walked about 80,000 node pairs at
+    # n = 160, or about 12n with a memo of the pairs proved equal.
     walked = []
     term_eq = system_u.term_eq
 
-    def counted(t, u, proved=None):
+    def counted(t, u):
         stack = [(t, u)]
         while stack:
             a, b = stack.pop()
-            if a is not b and (proved is None or proved.get(id(a), (a, None))[1] is not b):
+            if a is not b:
                 walked.append(a)
                 stack += zip(_children(a), _children(b))
-        return term_eq(t, u, proved)
+        return term_eq(t, u)
     monkeypatch.setattr(system_u, "term_eq", counted)
-    d = infer_v(church_term(n), 10_000)
-    assert d.subject == church_term(n) and cbn_cbv.check_derivation_v(d) is None
-    assert len(walked) < 20 * n, len(walked)
+    monkeypatch.setattr(cbn_cbv, "term_eq", counted)
+    for infer, check in ((infer_n, cbn_cbv.check_derivation_n),
+                         (infer_v, cbn_cbv.check_derivation_v)):
+        d = infer(church_term(n), 10_000)
+        assert d.subject == church_term(n) and check(d) is None
+        assert walked == [], (infer.__name__, len(walked))
 
 
 def _children(t):

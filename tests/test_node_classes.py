@@ -80,7 +80,7 @@ SRC = Path(bangcalc.__file__).parent
 FIELDS = frozenset({"fun", "arg", "body", "binder", "name", "elements", "domain", "codomain",
                     "rule", "context", "subject", "type", "counters", "premises"})
 # attributes set on `system_u.Rule`, which is not a node, after it is built
-RULE_ATTRS = frozenset({"parts", "make", "check"})
+RULE_ATTRS = frozenset({"parts", "remake", "make", "check"})
 SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given
 
+from bangcalc import system_u
 from bangcalc.syntax import App, Var, parse_term, subst_meta, term_eq, w_size
 from bangcalc.reduction import FuelExhausted, classify_wcf_nf, normalize_dw
 from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult, print_type
@@ -106,6 +107,21 @@ class TestTypeNormalForm:
             type_normal_form_u(t(r"(\x.x) !y"))
         with pytest.raises(NotTypableNormalForm):
             type_normal_form_u(t(r"der((\x.z)[y \ der(y) y])"))
+
+
+def test_an_untypable_normal_form_is_printed_only_when_its_message_is_read(monkeypatch):
+    # infer_with discards the message; the clash is found without printing
+    printed = []
+    monkeypatch.setattr(system_u, "print_term", lambda t, memo=None: printed.append(t) or "")
+    assert isinstance(infer_u(t(r"(\x. !x) y z"), 100), Untypable)
+    assert printed == []
+    monkeypatch.undo()
+    # the message is the one that was printed when the error was raised
+    for text, target, message in ((r"!x y", None, "!x y is not a weak clash-free normal form"),
+                                  (r"\x. x", TAU, "only neutral terms accept a target type")):
+        with pytest.raises(NotTypableNormalForm) as ex:
+            type_normal_form_u(t(text), target)
+        assert str(ex.value) == message
 
 
 def _assert_typers_agree(t):

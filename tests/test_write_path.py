@@ -293,9 +293,10 @@ def test_a_back_translation_keeps_only_a_u_derivation_that_checks(embed, back, t
 def test_translations_still_check_premise_subjects():
     good = mk_abs_v("x", Var("x"), (mk_ax_v("x", mult([BaseVar(0)])),))
     assert check_derivation_v(good) is None and translate_v_to_u(good)
-    # the body image is embedded from the subject, not taken from a premise
+    # the body image is embedded from the subject, not taken from a premise:
+    # its abstraction is remade along that image, whose body is not the premise's
     bad = Derivation("abs_v", good.context, Abs("x", Var("y")), good.type, good.premises)
-    with pytest.raises(IllFormed, match="bg premise subjects"):
+    with pytest.raises(IllFormed, match="abs premise subject must be the body"):
         translate_v_to_u(bad)
     app = infer_n(syntax.parse_term(r"(\x. x) y"), FUEL)
     bad = Derivation("app_n", app.context, App(Var("f"), Var("z")), app.type, app.premises)
