@@ -62,59 +62,49 @@ class Sub(_Node):
 
 
 Term = Var | App | Abs | Bang | Der | Sub
-_ENTERED = object()  # see free_vars
+
+# the children of each former, in the order every walk takes them
+CHILDREN = {Var: (), App: ("fun", "arg"), Abs: ("body",), Bang: ("body",), Der: ("body",),
+            Sub: ("body", "arg")}
+
+
+def _children(t: Term) -> list[Term]:
+    """t's children (see `CHILDREN`); TypeError if t is no term."""
+    attrs = CHILDREN.get(type(t))
+    if attrs is None:
+        raise TypeError(t)
+    return [getattr(t, attr) for attr in attrs]
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """The free names of t.  Each node keeps its set in its `_fv` slot, which
-    the dataclass methods ignore, given post-order with an explicit stack;
-    a node whose set equals a child's shares that set."""
-    try:
-        return t._fv
-    except AttributeError:
-        pass
-    todo: list = [t]  # nodes to enter; below an entered node's children, it and _ENTERED
-    pop = todo.pop
-    while todo:
-        node = pop()
-        if node is _ENTERED:  # the node below has its children's sets
-            node = pop()
-            cls = type(node)
-            fv = (node.fun if cls is App else node.body)._fv
-            if cls is Abs or cls is Sub:
-                fv = _without(fv, node.binder)
-            node._fv = _union(fv, node.arg._fv) if cls is App or cls is Sub else fv
-        elif not hasattr(node, "_fv"):
-            cls = type(node)
-            if cls is Var:
-                node._fv = frozenset((node.name,))
-            elif cls is App:
-                todo += (node, _ENTERED, node.arg, node.fun)
-            elif cls is Sub:
-                todo += (node, _ENTERED, node.arg, node.body)
-            elif cls is Abs or cls is Bang or cls is Der:
-                todo += (node, _ENTERED, node.body)
-            else:
-                raise TypeError(node)
-    return t._fv
+    the dataclass methods ignore; a node whose set equals a child's shares
+    that set."""
+    fv = getattr(t, "_fv", None)
+    return fv if fv is not None else unwind(_free_vars(t))
 
 
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _without(a: frozenset[str], x: str) -> frozenset[str]:
-    return a - {x} if x in a else a
+def _free_vars(t: Term) -> Walk:
+    """The walk of free_vars for a t that holds no set: it yields only for
+    a child that holds none and is no variable."""
+    sets = []
+    for child in _children(t):
+        fv = getattr(child, "_fv", None)
+        if fv is None and type(child) is Var:
+            fv = child._fv = frozenset((child.name,))
+        sets.append(fv if fv is not None else (yield _free_vars(child)))
+    fv = sets[0] if sets else frozenset((t.name,))  # no child: a variable
+    if (type(t) is Abs or type(t) is Sub) and t.binder in fv:
+        fv = fv - {t.binder}
+    if len(sets) == 2 and not sets[1] <= fv:  # else fv is the union, as is
+        fv = sets[1] if fv <= sets[1] else fv | sets[1]
+    t._fv = fv
+    return fv
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """Least-suffix fresh name: base itself, else stem0, stem1, ..."""
-    if base not in avoid:
-        return base
+    """The least-suffix fresh name for base, which is in `avoid`: stem0,
+    stem1, ..., where stem is base without its trailing digits."""
     stem = base.rstrip("0123456789") or base
     k = 0
     while f"{stem}{k}" in avoid:
@@ -194,65 +184,52 @@ _CANON_TAG = {App: "@", Abs: "\\", Bang: "!", Der: "d", Sub: "s"}
 
 def canon_key(t: Term) -> tuple:
     """Nameless canonical form; equal keys iff alpha-equivalent terms.  It is
-    t in pre-order, flat, so that it is built, compared and hashed without
+    t in pre-order, flat, so that it is compared and hashed without
     recursion: a bound variable is "b" and the depth of its binder, a free
     one "f" and its name, any other node its tag."""
     key: list = []
-    env: dict[str, int | None] = {}  # a name -> the depth of its binder, None if free
-    depth = 0                        # the binders entered and not yet left
-    todo: list = [t]  # terms, and (name, its entry before) on leaving a binder
-    while todo:
-        node = todo.pop()
-        cls = type(node)
-        if cls is Var:
-            d = env.get(node.name)
-            key += ("f", node.name) if d is None else ("b", d)
-        elif cls is tuple:
-            env[node[0]] = node[1]
-            depth -= 1
-        else:
-            if cls not in _CANON_TAG:
-                raise TypeError(node)
-            key.append(_CANON_TAG[cls])
-            if cls is App or cls is Sub:
-                todo.append(node.arg)
-            if cls is Abs or cls is Sub:
-                todo.append((node.binder, env.get(node.binder)))
-                env[node.binder], depth = depth, depth + 1
-            todo.append(node.fun if cls is App else node.body)
+    unwind(_canon_key(t, key, {}, 0))
     return tuple(key)
 
 
+def _canon_key(t: Term, key: list, env: dict[str, int | None], depth: int) -> Walk:
+    """The walk that appends t's key to `key`, under the binders `env` maps
+    to their depths (None: free), `depth` of them entered."""
+    cls = type(t)
+    if cls is Var:
+        d = env.get(t.name)
+        key += ("f", t.name) if d is None else ("b", d)
+        return
+    parts = _children(t)
+    key.append(_CANON_TAG[cls])
+    if cls is Abs or cls is Sub:
+        x = t.binder
+        outer, env[x] = env.get(x), depth
+        yield _canon_key(parts.pop(0), key, env, depth + 1)
+        env[x] = outer  # a closure's argument is outside its binder
+    for part in parts:
+        yield _canon_key(part, key, env, depth)
+
+
 def term_eq(t: Term, u: Term) -> bool:
-    """t == u, walked with an explicit stack so that a deep term does not
-    exhaust the interpreter's; subterms that are one object are not walked."""
-    if t is u:
-        return True
-    stack = [(t, u)]  # pairs of distinct objects only
-    while stack:
-        a, b = stack.pop()
-        cls = type(a)
-        if cls is not type(b):
+    """t == u, walked on `unwind` so that a deep term does not exhaust the
+    interpreter's stack; subterms that are one object are not walked."""
+    return t is u or unwind(_term_eq(t, u))
+
+
+def _term_eq(t: Term, u: Term) -> Walk:
+    """The walk of t == u for distinct objects: False at the first
+    difference, children that are one object taken as equal."""
+    cls = type(t)
+    if cls is not type(u):
+        return False
+    if cls is Var:
+        return t.name == u.name
+    if (cls is Abs or cls is Sub) and t.binder != u.binder:
+        return False
+    for a, b in zip(_children(t), _children(u)):
+        if a is not b and not (yield _term_eq(a, b)):
             return False
-        if cls is Var:
-            if a.name != b.name:
-                return False
-            continue
-        if cls is App:
-            x, y = a.fun, b.fun
-            if x is not y:
-                stack.append((x, y))
-            x, y = a.arg, b.arg
-        else:
-            if (cls is Abs or cls is Sub) and a.binder != b.binder:
-                return False
-            if cls is Sub:
-                x, y = a.arg, b.arg
-                if x is not y:
-                    stack.append((x, y))
-            x, y = a.body, b.body
-        if x is not y:
-            stack.append((x, y))
     return True
 
 
@@ -272,8 +249,8 @@ _FOLD_DEPTH = 200  # the levels a fold recurses; its callers need that much stac
 
 def fold(t: Term, table: dict, memo: FoldMemo | None = None) -> Any:
     """The value of t under `table`, computed post-order, left child first:
-    recursively down to `_FOLD_DEPTH` levels and with an explicit stack
-    below them, so that a deep term does not exhaust the interpreter's.
+    recursively down to `_FOLD_DEPTH` levels and on `unwind` below them, so
+    that a deep term does not exhaust the interpreter's stack.
 
     `table` maps each former it takes to (the attributes of the children
     it enters, a function of the node and those children's values, in that
@@ -288,8 +265,8 @@ def fold(t: Term, table: dict, memo: FoldMemo | None = None) -> Any:
 
 def _fold_down(t: Term, table: dict, memo: FoldMemo, depth: int) -> Any:
     entry = table.get(type(t))
-    if entry is None or not depth:  # the explicit stack raises the TypeError
-        return _fold_stack(t, table, memo)
+    if entry is None or not depth:  # the walk raises the TypeError
+        return unwind(_fold_walk(t, table, memo))
     attrs, f = entry
     if not attrs:
         return f(t)
@@ -306,41 +283,23 @@ def _fold_down(t: Term, table: dict, memo: FoldMemo, depth: int) -> Any:
     return value
 
 
-def _fold_stack(t: Term, table: dict, memo: FoldMemo) -> Any:
-    get = memo.get
-    todo: list = [t]  # nodes to enter; below an entered node's children, it and its entry
-    vals: list = []   # the values of the children of the entered nodes, in order
-    while todo:
-        node = todo.pop()
-        cls = type(node)
-        if cls is tuple:  # an entry: the node below it has its children valued
-            attrs, f = node
-            node = todo.pop()
-            if len(attrs) == 1:
-                value = f(node, vals.pop())
-            else:
-                last = vals.pop()
-                value = f(node, vals.pop(), last)
-            memo[id(node)] = (node, value)
-            vals.append(value)
-            continue
-        hit = get(id(node))
-        if hit is not None:
-            vals.append(hit[1])
-            continue
-        try:
-            entry = table[cls]
-        except KeyError:
-            raise TypeError(node) from None
-        attrs = entry[0]
-        if not attrs:
-            vals.append(entry[1](node))
-            continue
-        todo.append(node)
-        todo.append(entry)
-        for attr in reversed(attrs):
-            todo.append(getattr(node, attr))
-    return vals[0]
+def _fold_walk(t: Term, table: dict, memo: FoldMemo) -> Walk:
+    """The walk of `_fold_down` below its depth budget."""
+    entry = table.get(type(t))
+    if entry is None:
+        raise TypeError(t)
+    attrs, f = entry
+    if not attrs:
+        return f(t)
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    values = []
+    for attr in attrs:
+        values.append((yield _fold_walk(getattr(t, attr), table, memo)))
+    value = f(t, *values)
+    memo[id(t)] = (t, value)
+    return value
 
 
 _W_SIZE = {

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk,
+    CHILDREN, Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk,
     free_vars, print_term, spine_core, subst_meta, term_eq, unwind,
 )
 from .reduction import (
@@ -301,8 +301,7 @@ def close(x: str, ps: tuple) -> tuple:
 
 
 # the parts of a subject that a rule's fixed premises type, in order
-PARTS = {Var: (), App: ("fun", "arg"), Abs: ("body",), Bang: (), Der: ("body",),
-         Sub: ("body", "arg")}
+PARTS = {**CHILDREN, Bang: ()}
 
 # The plain rules' reasons by former: shape, fixed premise subjects, type
 # and context, each naming the rule at {}.  System U's rules have these; E, N
@@ -554,8 +553,9 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     t = subst_meta(d.subject, x, u), where each axiom for a free x takes
     the first derivation in `pool` of its type, rebuilt along u, axioms
     taken in the order of the walk (pre-order, a node's premises in
-    order).  A premise whose subject is t's own part is kept, and every
-    other node is remade by its own rule along t."""
+    order).  A premise whose subject is t's own part, with no x free in
+    it, is kept: an occurrence of x that is u's own object is still
+    substituted.  Every other node is remade by its own rule along t."""
     s = d.subject
     cls = type(s)
     if cls is Var and s.name == x:
@@ -572,9 +572,9 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
     new = []
     for p, attr in zip(d.premises, ("body",) * len(d.premises) if cls is Bang else PARTS[cls]):
-        part = getattr(t, attr)
-        new.append(p if p.subject is part else
-                   (yield rebuild_as(p, part, inner if attr == "body" else x, pool)))
+        part, y = getattr(t, attr), inner if attr == "body" else x
+        new.append(p if p.subject is part and (y is None or y not in free_vars(part)) else
+                   (yield rebuild_as(p, part, y, pool)))
     return rule.remake(t, d.type, tuple(new))
 
 

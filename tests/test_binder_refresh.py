@@ -79,6 +79,26 @@ def test_each_step_types_the_reduct_exactly(text, system):
     assert reducts == CASES[text]
 
 
+# terms built with one Var object for the occurrence of x and for the body
+# of the bang: after s!, the occurrence is the argument's own object, and
+# its axiom must still give way to the argument's derivation
+# (`system_u.rebuild_as`)
+X = Var("x")
+SHARED = {"der": Sub(Der(X), "x", Bang(X)), "abs": Sub(Abs("y", X), "x", Bang(X))}
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("name", SHARED)
+def test_an_occurrence_that_is_the_argument_object_is_substituted(name, system):
+    infer, reduce_derivation, check = SYSTEMS[system]
+    t = SHARED[name]
+    d = infer(t, 100)
+    (taken,) = d.premises[1].premises  # the bang's premise, typing x
+    (step,) = normalize_dw(t, 100).steps
+    d = reduce_derivation(d, (step.position, step.rule))
+    assert d.subject == step.result and check(d) is None and d.premises[0] is taken
+
+
 # ---------------------------------------------------------------------------
 # Capture-heavy generated terms: every binder and free name from one small
 # pool, so that substitutions and firings keep refreshing binders into

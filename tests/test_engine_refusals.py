@@ -3,8 +3,8 @@
 Subject reduction and expansion take a derivation and a step from their
 caller; a derivation built without makers, or a step that does not fit,
 must end in `IllFormed` with the reason below, not in another exception.
-Each case is reached through `reduce_derivation` or `expand_derivation`
-with a hand-built derivation or step."""
+Each case is reached through `reduce_derivation`, `expand_derivation` or
+`antisubst_derivation` with a hand-built derivation or step."""
 
 from dataclasses import replace
 
@@ -14,8 +14,8 @@ from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult
 from bangcalc.reduction import RuleKind, Sel
 from bangcalc.syntax import Bang, Der, Sub, Var, parse_term
 from bangcalc.system_u import (
-    Derivation, IllFormed, expand_derivation, infer_u, mk_app, mk_ax, mk_bg, mk_dr, mk_es,
-    reduce_derivation,
+    Derivation, IllFormed, antisubst_derivation, expand_derivation, infer_u, mk_app, mk_ax, mk_bg,
+    mk_dr, mk_es, reduce_derivation,
 )
 
 O = BaseVar(0)
@@ -112,6 +112,12 @@ def test_a_node_without_its_premises_is_not_taken_apart(pos, reason):
     refused(reason, reduce_derivation, d, (pos, RuleKind.DB))
 
 
+def test_a_reduction_step_must_be_a_bang_calculus_rule():
+    # s is a rule of the CBN/CBV engine, not of the bang calculus
+    refused("s is not a bang-calculus rule",
+            reduce_derivation, mk_ax("x", O), (ROOT, RuleKind.S))
+
+
 # ---------------------------------------------------------------------------
 # Subject expansion
 
@@ -148,3 +154,10 @@ def test_an_expansion_step_must_fit_the_term_at_its_position(kind):
     t = parse_term(r"(\x. x) !y")
     refused(f"{kind} step does not fit the term at its position",
             expand_derivation, infer_u(t, 100), t, (ROOT, kind))
+
+
+def test_anti_substitution_needs_the_stated_instance():
+    # y types neither x{x:=z} = z nor x y{x:=z} = z y
+    for t in (Var("x"), parse_term("x y")):
+        refused("subject is not the stated substitution instance",
+                antisubst_derivation, mk_ax("y", O), t, "x", Var("z"))

@@ -2,10 +2,11 @@
 matches its plain recursive oracle in conftest, with and without a memo
 shared across terms, rejects the formers it does not take, and walks
 towers far deeper than the interpreter's recursion limit, as do the other
-iterative walkers, `free_vars` and `canon_key`.  The fold recurses down to
-`syntax._FOLD_DEPTH` levels and goes on with an explicit stack below them;
-the explicit stack alone is its reference walk, every node is computed
-once across the two, and the recursion needs no more stack than its depth."""
+walks on `syntax.unwind`, `free_vars`, `canon_key` and `term_eq`.  The
+fold recurses down to `syntax._FOLD_DEPTH` levels and goes on with its walk
+on `unwind` below them; that walk alone is its reference, every node is
+computed once across the two, and the recursion needs no more stack than
+its depth."""
 
 import operator
 import sys
@@ -159,8 +160,8 @@ def test_folds_walk_towers_deeper_than_the_recursion_limit(name):
 
 
 # ---------------------------------------------------------------------------
-# The fold's two walks: recursion down to the depth budget, an explicit
-# stack below it
+# The fold's two walks: recursion down to the depth budget, a walk on
+# `unwind` below it
 
 BUDGET = syntax._FOLD_DEPTH
 BUDGET_DEPTHS = (BUDGET - 1, BUDGET, BUDGET + 1, 2 * BUDGET, DEEP)
@@ -182,7 +183,7 @@ def folded(t, table, memo):
 
 def assert_walks_agree(monkeypatch, fresh, shared):
     """Every fold table values the terms alike with the default depth budget
-    and with none (the explicit stack alone): each term of `fresh` with a
+    and with none (the walk on `unwind` alone): each term of `fresh` with a
     memo of its own, and the terms of `shared`, in order, with one memo."""
     for table, same in FOLD_TABLES:
         for terms, one_memo in ((fresh, False), (shared, True)):
@@ -225,20 +226,20 @@ def inner_nodes(t, table) -> dict:
 
 @pytest.mark.parametrize("table", [syntax._PRINT, reduction._WCF_BITS], ids=["print", "wcf"])
 def test_a_fold_across_the_budget_computes_each_node_once(table, monkeypatch):
-    stacked = []
-    monkeypatch.setattr(syntax, "_fold_stack", lambda t, *rest, _f=syntax._fold_stack:
-                        stacked.append(t) or _f(t, *rest))
+    walked = []
+    monkeypatch.setattr(syntax, "_fold_walk", lambda t, *rest, _f=syntax._fold_walk:
+                        walked.append(t) or _f(t, *rest))
     computed = count_folded(monkeypatch, table)
     for level, leaf, *_ in TOWERS.values():
         deep = tower(level, leaf, 3 * BUDGET)
         t = App(deep, deep)  # the second child is the first's memo hit
         memo = {}
-        stacked.clear()
+        walked.clear()
         computed.clear()
         value = fold(t, table, memo)
         want = inner_nodes(t, table)
-        # the explicit stack took over below the budget (a bang is a leaf of wcf)
-        assert bool(stacked) is (len(want) > BUDGET)
+        # the walk took over below the budget (a bang is a leaf of wcf)
+        assert bool(walked) is (len(want) > BUDGET)
         inner = [node for node in computed if table[type(node)][0]]
         assert len(inner) == len(want) and {id(node) for node in inner} == set(want) == set(memo)
         computed.clear()
