@@ -31,7 +31,9 @@ from bangcalc.reduction import (
     FuelExhausted, StateLimitExceeded, detect_clash, normalize_dw, reachable_graph, trace_profile,
 )
 from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, term_eq, w_size
-from bangcalc.system_e import DerivationE, check_derivation_e, infer_tight, is_tight, reduce_derivation_e
+from bangcalc.system_e import (
+    DerivationE, check_derivation_e, infer_tight, is_tight, reduce_derivation_e,
+)
 from bangcalc.system_u import (
     RULES, Derivation, check_derivation_u, infer_u, reduce_derivation_u, size_u,
 )
