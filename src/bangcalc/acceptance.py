@@ -76,15 +76,14 @@ def criterion_3_plain_size(seed: int = 0) -> CriterionResult:
     return ok, f"size={sz} check={check_derivation_u(phi0)}"
 
 
-def _normalizing_bang_corpus(seed: int, want: int, max_size: int = 8,
-                             fuel: int = 500) -> list[tuple[Term, Trace]]:
-    """Terms with a wcf normal form, paired with their dw trace."""
+def _normalizing_bang_corpus(seed: int, want: int) -> list[tuple[Term, Trace]]:
+    """Terms of at most 8 nodes with a wcf normal form, paired with their dw trace."""
     rng = random.Random(seed)
     out = []
     while len(out) < want:
-        t = rand_bang_term(rng, rng.randint(2, max_size))
+        t = rand_bang_term(rng, rng.randint(2, 8))
         try:
-            trace = normalize_dw(t, fuel)
+            trace = normalize_dw(t, 500)
         except FuelExhausted:
             continue
         if classify_wcf_nf(trace.final).memberships:
@@ -92,8 +91,8 @@ def _normalizing_bang_corpus(seed: int, want: int, max_size: int = 8,
     return out
 
 
-def criterion_4_exactness_sweep(seed: int = 0, count: int = 500) -> CriterionResult:
-    corpus = _normalizing_bang_corpus(seed, count)
+def criterion_4_exactness_sweep(seed: int = 0) -> CriterionResult:
+    corpus = _normalizing_bang_corpus(seed, 500)
     for t, trace in corpus:
         d = infer_tight(t, 500)
         if not isinstance(d, DerivationE):
@@ -107,10 +106,10 @@ def criterion_4_exactness_sweep(seed: int = 0, count: int = 500) -> CriterionRes
     return True, f"{len(corpus)} terms, all counters exact"
 
 
-def criterion_5_diamond_equal_length(seed: int = 0, count: int = 300) -> CriterionResult:
+def criterion_5_diamond_equal_length(seed: int = 0) -> CriterionResult:
     rng = random.Random(seed + 1)
     done = 0
-    while done < count:
+    while done < 300:
         t = rand_bang_term(rng, rng.randint(2, 8))
         try:
             graph = reachable_graph(t, max_states=200)
@@ -138,8 +137,8 @@ def criterion_5_diamond_equal_length(seed: int = 0, count: int = 300) -> Criteri
     return True, f"{done} state graphs checked"
 
 
-def criterion_6_wsr_monotonic(seed: int = 0, count: int = 200) -> CriterionResult:
-    corpus = _normalizing_bang_corpus(seed + 2, count)
+def criterion_6_wsr_monotonic(seed: int = 0) -> CriterionResult:
+    corpus = _normalizing_bang_corpus(seed + 2, 200)
     checked = 0
     for t, trace in corpus:
         d = infer_u(t, 500)
@@ -164,23 +163,22 @@ def criterion_7_clash_filtering(seed: int = 0) -> CriterionResult:
         return False, "example term is not reducible"
     trace = normalize_dw(r, 100)
     nf = trace.final
-    ok = (classify_nf(nf).normal
-          and not classify_wcf_nf(nf).memberships
-          and isinstance(infer_u(r, 100), Untypable))
-    return ok, f"nf={print_term(nf)} untypable={isinstance(infer_u(r, 100), Untypable)}"
+    untypable = isinstance(infer_u(r, 100), Untypable)
+    ok = classify_nf(nf).normal and not classify_wcf_nf(nf).memberships and untypable
+    return ok, f"nf={print_term(nf)} untypable={untypable}"
 
 
-def _lambda_corpus(seed: int, count: int, max_size: int = 8) -> list[Term]:
+def _lambda_corpus(seed: int, count: int) -> list[Term]:
     rng = random.Random(seed + 3)
-    return [rand_lambda_term(rng, rng.randint(2, max_size)) for _ in range(count)]
+    return [rand_lambda_term(rng, rng.randint(2, 8)) for _ in range(count)]
 
 
 def _one_w_step_to(image: Term, target: Term) -> bool:
     return any(alpha_eq(step_at(image, p, k), target) for p, k in redexes(image))
 
 
-def criterion_8_embedding(seed: int = 0, count: int = 300) -> CriterionResult:
-    corpus = _lambda_corpus(seed, count)
+def criterion_8_embedding(seed: int = 0) -> CriterionResult:
+    corpus = _lambda_corpus(seed, 300)
     for t in corpus:
         cls = classify_lambda_nf(t)
         if cls.n_normal and redexes(embed_cbn(t)):
@@ -213,9 +211,9 @@ def criterion_8_embedding(seed: int = 0, count: int = 300) -> CriterionResult:
     return True, f"{len(corpus)} lambda terms"
 
 
-def criterion_9_translation_round_trips(seed: int = 0, count: int = 300) -> CriterionResult:
+def criterion_9_translation_round_trips(seed: int = 0) -> CriterionResult:
     done = {"N": 0, "V": 0}
-    for t in _lambda_corpus(seed + 4, count):
+    for t in _lambda_corpus(seed + 4, 300):
         for name, infer, check, to_u, from_u in (
                 ("N", infer_n, check_derivation_n, translate_n_to_u, translate_u_to_n),
                 ("V", infer_v, check_derivation_v, translate_v_to_u, translate_u_to_v)):
@@ -238,9 +236,9 @@ def criterion_9_translation_round_trips(seed: int = 0, count: int = 300) -> Crit
     return True, f"{done['N']} CBN and {done['V']} CBV round trips"
 
 
-def criterion_10_quantitative_cbn_cbv(seed: int = 0, count: int = 300) -> CriterionResult:
+def criterion_10_quantitative_cbn_cbv(seed: int = 0) -> CriterionResult:
     done = {"CBN": 0, "CBV": 0}
-    for t in _lambda_corpus(seed + 5, count):
+    for t in _lambda_corpus(seed + 5, 300):
         for name, infer, normalize, size, term_size in (
                 ("CBN", infer_n, normalize_n, size_n, n_size),
                 ("CBV", infer_v, normalize_v, size_v, v_size)):
@@ -253,9 +251,9 @@ def criterion_10_quantitative_cbn_cbv(seed: int = 0, count: int = 300) -> Criter
     return True, f"{done['CBN']} CBN and {done['CBV']} CBV bounds hold"
 
 
-def criterion_11_tight_meta(seed: int = 0, count: int = 300) -> CriterionResult:
+def criterion_11_tight_meta(seed: int = 0) -> CriterionResult:
     produced = []
-    for t, _ in _normalizing_bang_corpus(seed, count):
+    for t, _ in _normalizing_bang_corpus(seed, 300):
         d = infer_tight(t, 500)
         if isinstance(d, DerivationE):
             produced.append(d)
@@ -292,10 +290,10 @@ CRITERIA: list[tuple[str, Callable[[int], CriterionResult]]] = [
 ]
 
 
-def run_all(seed: int = 0, out=print) -> bool:
+def run_all(seed: int = 0) -> bool:
     all_ok = True
     for name, fn in CRITERIA:
         ok, detail = fn(seed)
-        out(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         all_ok = all_ok and ok
     return all_ok

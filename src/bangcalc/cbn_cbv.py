@@ -25,7 +25,7 @@ from .reduction import (
 from .qtypes import Arrow, Mult, ctx_get, ctx_remove, ctx_union, mult
 from .system_u import (
     CONSUMING_RULE, RULES, Derivation, IllFormed, Untypable, Violation, abs_, ax,
-    check_derivation, check_derivation_u, define, es, fire_spine_d, fitting_rule, infer_u,
+    check_derivation, define, es, fire_spine_d, fitting_rule, infer_u,
     on_spine, rule_table, sizer, unbang,
 )
 
@@ -209,7 +209,6 @@ def v_size(t: Term) -> int:
 def app_n(tag: str, t: App, ty, ps: tuple) -> tuple:
     """The argument premises type the argument, which may be typed zero times."""
     d_f, d_args = ps[0], ps[1:]
-    _all_type(tag, t.arg, d_args)
     if not isinstance(d_f.type, Arrow):
         raise IllFormed("app_n function premise must have an arrow type")
     if d_f.type.domain != mult(d.type for d in d_args):
@@ -219,17 +218,10 @@ def app_n(tag: str, t: App, ty, ps: tuple) -> tuple:
 
 def es_n(tag: str, t: Sub, ty, ps: tuple) -> tuple:
     d_b, d_args = ps[0], ps[1:]
-    _all_type(tag, t.arg, d_args)
     if ctx_get(d_b.context, t.binder) != mult(d.type for d in d_args):
         raise IllFormed("es_n argument premises must realize the multiset of the bound name")
     return (ctx_union(ctx_remove(d_b.context, t.binder), *(d.context for d in d_args)),
             d_b.type, ps)
-
-
-def _all_type(tag: str, arg: Term, d_args: tuple[Derivation, ...]) -> None:
-    for d in d_args:
-        if d.subject is not arg and not term_eq(d.subject, arg):
-            raise IllFormed(f"{tag} argument premises must type the argument")
 
 
 def ax_v(tag: str, t: Var, m: Mult, ps: tuple) -> tuple:
@@ -239,12 +231,9 @@ def ax_v(tag: str, t: Var, m: Mult, ps: tuple) -> tuple:
 
 
 def abs_v(tag: str, t: Abs, ty, ps: tuple) -> tuple:
-    x, body, arrows = t.binder, t.body, []
-    for p in ps:
-        if p.subject is not body and not term_eq(p.subject, body):
-            raise IllFormed("abs_v premises must type the body")
-        arrows.append(Arrow(ctx_get(p.context, x), p.type))
-    return ctx_union(*(ctx_remove(p.context, x) for p in ps)), mult(arrows), ps
+    x = t.binder
+    return (ctx_union(*(ctx_remove(p.context, x) for p in ps)),
+            mult(Arrow(ctx_get(p.context, x), p.type) for p in ps), ps)
 
 
 def app_v(tag: str, t: App, ty, ps: tuple) -> tuple:
@@ -311,13 +300,12 @@ size_v = sizer("v")
 # ImageMismatch on a U node that does not fit the image; the rules'
 # remakes raise IllFormed on the rest.
 #
-# An N or V derivation read back from a U derivation keeps that derivation
-# on its root, and the translation to U returns it.  The back-translations
-# keep only one that passes the U checker, since the walk reads just its
-# rules, leaf types and binders.  A derivation without one, as one read
-# from JSON, built by the makers or copied, is walked: the walk embeds each
-# subject on its own, so that the remakes compare the premise subjects
-# with images that were not built from them.
+# An N or V derivation that inference reads back from its U derivation
+# keeps that derivation on its root, and the translation to U returns it.
+# Any other, as one read back by a translation, read from JSON, built by
+# the makers or copied, is walked: the walk embeds each subject on its
+# own, so that the remakes compare the premise subjects with images that
+# were not built from them.
 
 class ImageMismatch(ValueError):
     pass
@@ -389,24 +377,15 @@ def _from_u(d: Derivation, t: Term, system: str) -> Walk:
     elif kind == "head":
         ps = (_expect(ps[0], Der)[0], ps[1])
     new = []
-    for i, p in enumerate(ps):
-        part = rule.parts[i] if i < rule.fixed else rule.rest
+    for p, part in zip(ps, rule.premise_parts(len(ps))):
         new.append((yield _from_u(p, getattr(t, part), system)))
     return rule.remake(t, d.type, tuple(new))
-
-
-def _read_back(walk: Walk, image: Derivation | None) -> Derivation:
-    """The derivation `walk` reads back from `image`, keeping it (None: none)
-    on its root, a node the walk made."""
-    d = unwind(walk)
-    d._image = image
-    return d
 
 
 def _translations(system: str) -> tuple[Callable, Callable, Callable]:
     """The translation of a derivation of `system` to U, the one back, and
     inference through the embedding, whose image infer_u derives exactly:
-    its derivation is read back without a check, and kept."""
+    its derivation is read back without a check, and kept on the root."""
     def to_u(d: Derivation) -> Derivation:
         image = getattr(d, "_image", None)
         return unwind(_to_u(d, system, {})) if image is None else image
@@ -414,11 +393,15 @@ def _translations(system: str) -> tuple[Callable, Callable, Callable]:
     def from_u(d: Derivation, t: Term) -> Derivation:
         if not term_eq(d.subject, _EMBED[system](t)):
             raise ImageMismatch("derivation subject is not the embedding of the term")
-        return _read_back(_from_u(d, t, system), d if check_derivation_u(d) is None else None)
+        return unwind(_from_u(d, t, system))
 
     def infer(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
         res = infer_u(_EMBED[system](t), fuel)
-        return _read_back(_from_u(res, t, system), res) if isinstance(res, Derivation) else res
+        if not isinstance(res, Derivation):
+            return res
+        d = unwind(_from_u(res, t, system))
+        d._image = res
+        return d
 
     # Each takes its public name, so tracebacks and reprs tell N from V.
     for f, name in ((to_u, f"translate_{system}_to_u"), (from_u, f"translate_u_to_{system}"),

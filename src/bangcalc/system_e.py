@@ -100,8 +100,6 @@ def ai_t(tag: str, t: Abs, ty, ps: tuple) -> tuple:
 
 
 def bg_t(tag: str, t: Bang, ty, ps: tuple) -> tuple:
-    if ps:
-        raise IllFormed(_NO_PREMISES)
     return {}, TIGHT_BANG, ps
 
 
@@ -134,7 +132,6 @@ _SUB = dict(node=DerivationE, shape="closure rules need two premises on a closur
             subjects="closure premise subjects must be the parts",
             context="closure context must recombine the premise contexts",
             type="closure conclusion must keep the body type")
-_NO_PREMISES = "bg_t must type a bang with no premises"
 _BG_T = "bg_t must conclude b with empty context and zero counters"
 _SIZE = "{} must add exactly one to the size counter"
 
@@ -158,8 +155,8 @@ rule_table(
            counters=_SIZE.format("ae_t"), delta=(0, 0, 1), closure="es_t"),
     define("ai_t", ai_t, Abs, **_ABS, type="ai_t conclusion must be a",
            counters=_SIZE.format("ai_t"), delta=(0, 0, 1)),
-    define("bg_t", bg_t, Bang, shape=_NO_PREMISES, type=_BG_T, context=_BG_T, counters=_BG_T,
-           node=DerivationE, delta=(0, 0, 0)),
+    define("bg_t", bg_t, Bang, shape="bg_t must type a bang with no premises", type=_BG_T,
+           context=_BG_T, counters=_BG_T, node=DerivationE, delta=(0, 0, 0), rest=None),
     define("dr_t", dr_t, Der, **_DER, type="dr_t premise and conclusion must be typed n",
            counters=_SIZE.format("dr_t"), delta=(0, 0, 1)),
     define("es_t", es_t, Sub, **_SUB, counters=_SIZE.format("es_t"), delta=(0, 0, 1)),

@@ -47,7 +47,7 @@ from .qtypes import (
 
 class Sized:
     # a derivation node's sizes (see `sizer`), and the U derivation that an
-    # N or V root was read from (see `cbn_cbv.translate_n_to_u`)
+    # inferred N or V root was read from (see `cbn_cbv.infer_n`)
     __slots__ = ("_size_u", "_size_n", "_size_v", "_image")
 
 
@@ -92,11 +92,11 @@ class Untypable:
 # Each typing rule of the four systems is one `Rule` in `RULES`.  Its
 # conclusion function, given the rule's tag and a node's subject, type and
 # premises (a tuple), checks the rule's side conditions on the premises,
-# raising IllFormed with the rule's reason (a variadic tail's subjects
-# among them), and returns the conclusion's context and type with the
-# premises (bg's sorted by type).  It reads the name, the binder and a
-# variadic part from the subject, and the type only where the rule is
-# given one (ax, ax_v).  A conclusion is computed there only.
+# raising IllFormed with the rule's reason, and returns the conclusion's
+# context and type with the premises (bg's sorted by type); each premise's
+# subject is checked before it is called.  It reads the name, the binder
+# and a variadic part from the subject, and the type only where the rule
+# is given one (ax, ax_v).  A conclusion is computed there only.
 
 Counters = tuple[int, int, int]
 
@@ -118,7 +118,7 @@ class Rule:
     type: str | Callable[[Any], str] = ""  # a callable picks it by the node
     context: str = ""
     counters: str = ""
-    rest: str | None = None         # the part any further premises type (`conclude` checks)
+    rest: str | None = None         # the part any further premises type
     node: type = Derivation         # the class of its nodes, one for each system
     delta: Counters | None = None   # with counters: added to the premises' sum
     weight: int | None = 1          # the node's share of its derivation's size; None:
@@ -134,6 +134,10 @@ class Rule:
         """Whether a subject t over n premises has the rule's former and premise count."""
         return type(t) is self.former and (
             n == self.fixed or self.rest is not None and n > self.fixed)
+
+    def premise_parts(self, n: int) -> tuple[str, ...]:
+        """The subject part that each of n premises types, n a count the rule fits."""
+        return self.parts + (self.rest,) * (n - self.fixed)
 
 
 def rule_table(system: str, *rules: Rule) -> None:
@@ -156,17 +160,20 @@ def rule_table(system: str, *rules: Rule) -> None:
 def _closures(rule: Rule, system: str) -> tuple[Callable, Callable, Callable]:
     """The rule's remake, maker and check.  `remake(t, ty, premises)` is
     its node over `premises` with t itself as subject, once t has the
-    rule's former and premise count, each fixed premise's subject is t's
-    own part (an object that is not is compared) and the conclusion
-    function passed; IllFormed with the rule's reason for the first that
-    fails.  The maker builds t from its arguments: a variable's name and
-    type; else the binder, if any, the premises of the parts in order,
-    then the part a variadic tail types and the tail.  The check takes
+    rule's former and premise count, each premise's subject is the part of
+    t it types (an object that is not is compared), the fixed premises'
+    first, and the conclusion function passed; IllFormed with the rule's
+    reason for the first that fails.  The maker builds t from its
+    arguments: a variable's name and type; else the binder, if any, the
+    premises of the parts in order, then the part that no fixed premise
+    types and any premises of it.  The check takes
     remake's steps on a node's own subject, type and premises, then
     compares the conclusion's type, context and counters with the node's."""
     tag, conclude, fits, former, k, parts, rest, node, delta, weight = (
         rule.tag, rule.conclude, rule.fits, rule.former, rule.fixed, rule.parts, rule.rest,
         rule.node, rule.delta, rule.weight)
+
+    tail = rest and _TAIL[former].format(tag)
 
     def conclusion(t: Term, ty: Type | None, premises: tuple) -> tuple:
         if not fits(t, len(premises)):
@@ -175,6 +182,11 @@ def _closures(rule: Rule, system: str) -> tuple[Callable, Callable, Callable]:
             part = getattr(t, part)
             if p.subject is not part and not term_eq(p.subject, part):
                 raise IllFormed(rule.subjects)
+        if len(premises) > k:
+            part = getattr(t, rest)
+            for p in premises[k:]:
+                if p.subject is not part and not term_eq(p.subject, part):
+                    raise IllFormed(tail)
         return conclude(tag, t, ty, premises)
 
     if delta is not None:  # the premises' counters and the rule's own
@@ -196,7 +208,7 @@ def _closures(rule: Rule, system: str) -> tuple[Callable, Callable, Callable]:
             setattr(d, attr, n)
             return d
 
-    bound = former is Abs or former is Sub
+    bound, untyped = former is Abs or former is Sub, CHILDREN[former][k:]
 
     def make(*args):
         if former is Var:
@@ -205,8 +217,8 @@ def _closures(rule: Rule, system: str) -> tuple[Callable, Callable, Callable]:
         args = args[bound:]
         premises = args[:k]
         fields.update(zip(parts, (p.subject for p in premises)))
-        if rest:
-            fields[rest] = args[k]
+        if untyped:
+            fields[untyped[0]] = args[k]
             premises += tuple(args[k + 1]) if len(args) > k + 1 else ()
         return remake(former(**fields), None, premises)
 
@@ -269,10 +281,6 @@ def abs_(tag: str, t: Abs, ty, ps: tuple) -> tuple:
 
 
 def bg(tag: str, t: Bang, ty, ps: tuple) -> tuple:
-    body = t.body
-    for p in ps:
-        if p.subject is not body and not term_eq(p.subject, body):
-            raise IllFormed(f"{tag} premise subjects must be the bang body")
     # stably sorted by type, so their types make a multiset as they stand;
     # keyed only when out of order
     if len(ps) > 1 and not is_sorted([p.type for p in ps]):
@@ -326,6 +334,11 @@ _PLAIN = {
           "{} conclusion must keep the body type",
           "{} context must recombine the premise contexts"),
 }
+# A variadic rule's reason for a further premise that types another term, by former
+_TAIL = {Bang: "{} premise subjects must be the bang body",
+         App: "{} argument premises must type the argument",
+         Sub: "{} argument premises must type the argument",
+         Abs: "{} premises must type the body"}
 
 
 def define(tag: str, conclude: Callable[..., tuple], former: type, **fields: Any) -> Rule:
@@ -571,7 +584,7 @@ def rebuild_as(d, t: Term, x: str | None = None, pool: list | None = None) -> Wa
     # no x is free below a binder x, though the walk may enter its body
     inner = None if (cls is Abs or cls is Sub) and s.binder == x else x
     new = []
-    for p, attr in zip(d.premises, ("body",) * len(d.premises) if cls is Bang else PARTS[cls]):
+    for p, attr in zip(d.premises, rule.premise_parts(len(d.premises))):
         part, y = getattr(t, attr), inner if attr == "body" else x
         new.append(p if p.subject is part and (y is None or y not in free_vars(part)) else
                    (yield rebuild_as(p, part, y, pool)))
@@ -607,7 +620,7 @@ def _antisubst(d, t: Term, x: str, us: list) -> Walk:
     rule, ps = fitting_rule(d, cls, _NOT_INSTANCE), d.premises
     y = t.binder if cls is Abs or cls is Sub else None
     new = []
-    for p, attr in zip(ps, ("body",) * len(ps) if cls is Bang else PARTS[cls]):
+    for p, attr in zip(ps, rule.premise_parts(len(ps))):
         part = getattr(t, attr)
         if x not in free_vars(part) or attr == "body" and y == x:
             new.append(p)

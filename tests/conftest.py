@@ -1018,8 +1018,9 @@ def ref_check_node(system: str, cls: type, d, tight):
     """Why node d breaks the rules of `system`, whose nodes are of class
     `cls`, or None: the node class, empty context entries, tight constants
     (when `tight` is given), the rule's former and premise count, the fixed
-    premises' subjects, its conclusion function's side conditions, then
-    the node's type, context and counters against that conclusion."""
+    premises' subjects, then the further ones' (`system_u._TAIL`), its
+    conclusion function's side conditions, then the node's type, context
+    and counters against that conclusion."""
     if type(d) is not cls:
         return f"system {system.upper()} nodes must {'not ' if cls is Derivation else ''}carry counters"
     for m in d.context.values():
@@ -1038,6 +1039,9 @@ def ref_check_node(system: str, cls: type, d, tight):
         part = getattr(s, part)
         if p.subject is not part and not term_eq(p.subject, part):
             return rule.subjects
+    for p in ps[k:]:
+        if not term_eq(p.subject, getattr(s, rest)):
+            return system_u._TAIL[former].format(rule.tag)
     try:
         context, ty, premises = rule.conclude(rule.tag, s, d.type, ps)
     except IllFormed as ex:

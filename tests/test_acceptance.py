@@ -7,6 +7,9 @@ same functions from the command line.
 import pytest
 
 from bangcalc import acceptance
+from bangcalc.cbn_cbv import embed_cbv, step_v
+from bangcalc.reduction import RuleKind, redexes, step_at
+from bangcalc.syntax import alpha_eq, parse_term
 
 SEED = 0
 
@@ -16,3 +19,25 @@ def test_criterion(name, fn):
     ok, detail = fn(SEED)
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, detail
+
+
+# Criterion 8 accepts a CBV step whose image takes a dB step, then a d!
+# step.  Seed 0's corpus never needs that branch; seed 1's needs it twice.
+def test_criterion_8_at_seed_1_passes():
+    ok, detail = acceptance.criterion_8_embedding(1)
+    assert ok, detail
+
+
+def test_a_cbv_step_whose_image_takes_db_then_d_bang():
+    t = parse_term(r"(\x. x) x x")
+    _, kind, reduct = step_v(t)
+    assert kind is RuleKind.DB and alpha_eq(reduct, parse_term(r"x[x \ x] x"))
+    image, target = embed_cbv(t), embed_cbv(reduct)
+    assert alpha_eq(image, parse_term(r"der((\x. !x) !x) !x"))
+    assert alpha_eq(target, parse_term(r"x[x \ !x] !x"))
+    assert not acceptance._one_w_step_to(image, target)
+    (pos, first), = redexes(image)
+    mid = step_at(image, pos, first)
+    assert first is RuleKind.DB
+    assert [alpha_eq(step_at(mid, p, k), target) for p, k in redexes(mid)
+            if k is RuleKind.DBANG] == [True]

@@ -231,8 +231,8 @@ def test_the_kept_image_leaves_equality_repr_and_json_alone(n):
         read = derivation_from_json(derivation_to_json(d))
         assert not hasattr(read, "_image") and read == d
         assert derivation_text(to_u(read)) == derivation_text(image)
-        # a back-translation keeps the U derivation it read
-        assert to_u(back(image, t)) is image
+        # a back-translation keeps no image: the translation to U walks it
+        assert to_u(back(image, t)) == image
 
 
 @pytest.fixture
