@@ -11,11 +11,11 @@ from bangcalc.qtypes import BaseVar, mult
 from bangcalc.cbn_cbv import (
     NotLambdaTerm, check_derivation_n, check_derivation_v, classify_lambda_nf,
     embed_cbn, embed_cbv, infer_n, infer_v, mk_abs_v, mk_ax_n, mk_ax_v,
-    n_size, normalize_n, normalize_v, size_n, size_v, step_n, step_v,
-    translate_n_to_u, translate_u_to_n, translate_u_to_v, translate_v_to_u, v_size,
+    n_size, normalize_n, normalize_v, size_n, size_v, step_n, step_v, v_size,
 )
-from bangcalc.system_u import Derivation, check_derivation_u
+from bangcalc.system_u import Derivation
 from bangcalc.gen import rand_lambda_term
+from bangcalc.acceptance import check_bound, check_round_trip
 
 from conftest import lambda_terms, lambda_values
 
@@ -220,43 +220,27 @@ class TestInferAndTranslate:
         assert isinstance(infer_n(t(OMEGA), 50), FuelExhausted)
         assert isinstance(infer_v(t(OMEGA), 50), FuelExhausted)
 
+    # selftest criteria 9 and 10's checks
     def test_round_trips_preserve_judgements(self):
         rng = random.Random(13)
-        n_done = v_done = 0
+        done = {"N": 0, "V": 0}
         for _ in range(120):
             term = rand_lambda_term(rng, rng.randint(2, 7))
-            dn = infer_n(term, 200)
-            if isinstance(dn, Derivation):
-                du = translate_n_to_u(dn)
-                assert check_derivation_u(du) is None
-                assert (du.context, du.type) == (dn.context, dn.type)
-                back = translate_u_to_n(du, term)
-                assert (back.context, back.subject, back.type) == \
-                    (dn.context, dn.subject, dn.type)
-                n_done += 1
-            dv = infer_v(term, 200)
-            if isinstance(dv, Derivation):
-                du = translate_v_to_u(dv)
-                assert check_derivation_u(du) is None
-                assert (du.context, du.type) == (dv.context, dv.type)
-                back = translate_u_to_v(du, term)
-                assert (back.context, back.subject, back.type) == \
-                    (dv.context, dv.subject, dv.type)
-                v_done += 1
-        assert n_done > 30 and v_done > 30
+            for name, infer in (("N", infer_n), ("V", infer_v)):
+                d = infer(term, 200)
+                if isinstance(d, Derivation):
+                    assert check_round_trip(term, d, name) is None
+                    done[name] += 1
+        assert done["N"] > 30 and done["V"] > 30
 
     def test_quantitative_bounds_hold_on_a_corpus(self):
         rng = random.Random(14)
         for _ in range(120):
             term = rand_lambda_term(rng, rng.randint(2, 7))
-            dn = infer_n(term, 200)
-            if isinstance(dn, Derivation):
-                tr = normalize_n(term, 200)
-                assert size_n(dn) >= tr.b + tr.e + n_size(tr.final)
-            dv = infer_v(term, 200)
-            if isinstance(dv, Derivation):
-                tr = normalize_v(term, 200)
-                assert size_v(dv) >= tr.b + tr.e + v_size(tr.final)
+            for name, infer in (("N", infer_n), ("V", infer_v)):
+                d = infer(term, 200)
+                if isinstance(d, Derivation):
+                    assert check_bound(term, d, name) is None
 
     def test_expansion_keeps_binders_renamed_back_under_antisubstitution(self):
         # Expansion refreshes a binder of the pre-step body during

@@ -58,10 +58,11 @@ def derived(results):
 def corpus_derivations() -> dict[str, list]:
     """Derivations in u, e, n and v of the acceptance corpora, and the U
     images of the n and v ones."""
-    bang = [t for t, _ in acceptance._normalizing_bang_corpus(0, 80)]
+    tight = acceptance._tight_corpus(0)[:80]  # criterion 4's terms and derivations
+    bang = [t for t, _, _ in tight]
     lam = acceptance._lambda_corpus(0, 80)
     out = {"u": derived(infer_u(t, FUEL) for t in bang),
-           "e": derived(infer_tight(t, FUEL) for t in bang),
+           "e": derived(d for _, _, d in tight),
            "n": derived(infer_n(t, FUEL) for t in lam),
            "v": derived(infer_v(t, FUEL) for t in lam)}
     out["n-image"] = [translate_n_to_u(d) for d in out["n"]]

@@ -1,17 +1,17 @@
-"""Every small term, not a sample: each node of an inferred derivation has
-as its subject the very object of the term at its position.
+"""Every small term, not a sample: selftest's per-term theorem checks
+(`bangcalc.acceptance`: criteria 4, 5, 6 and 11 on bang terms, 8, 9 and 10
+on lambda terms), and the subjects of each derivation inferred for it.
 
-Inference types the normal form along its own subterms and replays subject
-expansion along each trace term, remaking every node it changes along that
-term, which shares the rest with the next one.  So no subject is a copy of
-the term's part, and every subject check ends at an identity test.  The
-terms are every bang term of at most 5 nodes and every lambda term (no
+The terms are every bang term of at most 5 nodes and every lambda term (no
 closures) of at most 6 nodes over the names x, y and y0, not taken up to
 renaming, so that the names a refresh picks (y0, y1) collide with the
-term's own.
+term's own.  Each is inferred once per system.  Inference types the normal
+form along its own subterms and replays subject expansion along each trace
+term, remaking every node it changes along that term, which shares the
+rest with the next one.  So each node's subject must be the very object of
+the term at its position, and every subject check ends at an identity test.
 
-The same terms are checked against the paper's theorems (`theorem_counts`).
-Run as a script, this file checks them at larger bounds:
+Run as a script, this file checks the same at larger bounds:
 
     python tests/test_small_scope.py 6 7
 
@@ -23,20 +23,17 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from bangcalc.cbn_cbv import (
-    check_derivation_n, check_derivation_v, embed_cbn, embed_cbv, infer_n, infer_v, n_size,
-    normalize_n, normalize_v, size_n, size_v, v_size,
+from bangcalc.acceptance import (
+    check_bound, check_diamond, check_exact_tight, check_round_trip, check_simulation,
+    check_tight_meta, check_weighted_reduction,
 )
+from bangcalc.cbn_cbv import embed_cbn, embed_cbv, infer_n, infer_v
 from bangcalc.reduction import (
     FuelExhausted, StateLimitExceeded, detect_clash, normalize_dw, reachable_graph, trace_profile,
 )
-from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, term_eq, w_size
-from bangcalc.system_e import (
-    DerivationE, check_derivation_e, infer_tight, is_tight, reduce_derivation_e,
-)
-from bangcalc.system_u import (
-    RULES, Derivation, check_derivation_u, infer_u, reduce_derivation_u, size_u,
-)
+from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, term_eq
+from bangcalc.system_e import DerivationE, infer_tight
+from bangcalc.system_u import RULES, Derivation, infer_u
 
 NAMES = ("x", "y", "y0")
 FUEL = 200
@@ -82,42 +79,16 @@ def test_the_enumeration_has_the_expected_size():
     assert len(up_to(5, False)) == 9_183 and len(up_to(6, True)) == 4_962
 
 
-def _check_bang(t, typed: list) -> None:
-    for infer, check, system in ((infer_u, check_derivation_u, "u"),
-                                 (infer_tight, check_derivation_e, "e")):
-        d = infer(t, FUEL)
-        if hasattr(d, "premises"):
-            assert check(d) is None, t
-            assert misplaced(d, t, system) == [], (system, t)
-            typed.append(system)
+INFER = {"u": infer_u, "e": infer_tight, "n": infer_n, "v": infer_v}
 
 
-def test_bang_derivations_follow_their_term():
-    typed: list = []
-    for t in up_to(5, False):
-        _check_bang(t, typed)
-    # the typable terms, so that a smaller enumeration or fewer walks show
-    assert typed.count("u") == typed.count("e") == 6_420
-
-
-def test_lambda_derivations_and_their_images_follow_their_terms():
-    typed: list = []
-    for t in up_to(6, True):
-        _check_bang(t, typed)
-        for infer, check, system, embed in ((infer_n, check_derivation_n, "n", embed_cbn),
-                                            (infer_v, check_derivation_v, "v", embed_cbv)):
-            d = infer(t, FUEL)
-            if not hasattr(d, "premises"):
-                continue
-            assert check(d) is None, t
-            assert misplaced(d, t, system) == [], (system, t)
-            # the kept image types the embedding infer built; each of its
-            # nodes has that term's own object as its subject
-            image = d._image
-            assert term_eq(image.subject, embed(t)) and check_derivation_u(image) is None, t
-            assert misplaced(image, image.subject, "u") == [], (system, t)
-            typed.append(system)
-    assert typed.count("n") == typed.count("v") == 4_962
+def inferred(t, systems: str) -> dict:
+    """t's inference in each system, once; every node of a derivation has
+    the object of t at its position as its subject."""
+    out = {system: INFER[system](t, FUEL) for system in systems}
+    for system, d in out.items():
+        assert not hasattr(d, "premises") or misplaced(d, t, system) == [], (system, t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +97,26 @@ def test_lambda_derivations_and_their_images_follow_their_terms():
 STATES = 400  # the states a term's reduction graph may reach
 
 
+def tally(seen: Counter, *failures) -> None:
+    """Count each failure text a check returned, so that it shows in the counts."""
+    seen.update(filter(None, failures))
+
+
+def tally_typed_bang(seen: Counter, t, trace, d: dict) -> None:
+    """The checks of a bang term that U and E type, given its dw trace and
+    its U and E derivations."""
+    tally(seen, check_exact_tight(t, trace, d["e"]), check_weighted_reduction(t, trace, d["u"]),
+          check_tight_meta(d["e"]))
+
+
 def theorem_counts(bang_nodes: int, lambda_nodes: int) -> Counter:
-    """Check, on every bang term of at most `bang_nodes` nodes and every
-    lambda term of at most `lambda_nodes`, that
-    - every dw trace has the (length, b, e) of every complete trace;
-    - a term is typable iff its normal form is clash-free;
-    - |Phi| >= steps + |nf| in U, and subject reduction in U and E goes
-      through every dw step;
-    - `infer_tight` is tight, with counters (b, e, |nf|);
-    - the N and V sizes bound the CBN and CBV steps plus the normal form's
-      size (selftest criterion 10).
-    Count the terms, those each check could not take, and the typable."""
+    """Run the checks on every bang term of at most `bang_nodes` nodes and
+    every lambda term of at most `lambda_nodes`, and count the terms, those
+    the checks could not take, the typable and each failure text.  Besides
+    the subjects, what no check covers is asserted here: every dw trace has
+    the (length, b, e) of every complete trace, a term is typable iff its
+    normal form is clash-free, and an N or V derivation's U image types the
+    embedding."""
     seen: Counter = Counter()
     for t in up_to(bang_nodes, False):
         seen["bang"] += 1
@@ -148,33 +128,36 @@ def theorem_counts(bang_nodes: int, lambda_nodes: int) -> Counter:
         except StateLimitExceeded:
             seen["bang over the states"] += 1
             continue
-        steps, b, e, nf = len(trace.steps), trace.b, trace.e, trace.final
-        assert trace_profile(graph) == (steps, b, e), t
-        d, d_e = infer_u(t, FUEL), infer_tight(t, FUEL)
-        typable = detect_clash(nf).clash_free
-        assert isinstance(d, Derivation) is isinstance(d_e, DerivationE) is typable, t
+        assert trace_profile(graph) == (len(trace.steps), trace.b, trace.e), t
+        d = inferred(t, "ue")
+        typable = detect_clash(trace.final).clash_free
+        assert isinstance(d["u"], Derivation) is isinstance(d["e"], DerivationE) is typable, t
         seen["typable" if typable else "untypable"] += 1
-        if not typable:
-            continue
-        assert size_u(d) >= steps + w_size(nf), t
-        assert is_tight(d_e) and d_e.counters == (b, e, w_size(nf)), t
-        for step in trace.steps:
-            d = reduce_derivation_u(d, (step.position, step.rule))
-            d_e = reduce_derivation_e(d_e, (step.position, step.rule))
+        tally(seen, check_diamond(graph))
+        if typable:
+            tally_typed_bang(seen, t, trace, d)
     for t in up_to(lambda_nodes, True):
         seen["lambda"] += 1
-        for name, infer, normalize, size, term_size in (
-                ("n", infer_n, normalize_n, size_n, n_size),
-                ("v", infer_v, normalize_v, size_v, v_size)):
-            d = infer(t, FUEL)
-            if isinstance(d, Derivation):
-                trace = normalize(t, FUEL)
-                assert size(d) >= trace.b + trace.e + term_size(trace.final), (name, t)
-                seen[f"{name} typable"] += 1
+        d = inferred(t, "uenv")
+        if isinstance(d["u"], Derivation):
+            tally_typed_bang(seen, t, normalize_dw(t, FUEL), d)
+        tally(seen, check_simulation(t))
+        for system, embed in (("n", embed_cbn), ("v", embed_cbv)):
+            if not isinstance(d[system], Derivation):
+                continue
+            seen[f"{system} typable"] += 1
+            name = system.upper()
+            tally(seen, check_round_trip(t, d[system], name), check_bound(t, d[system], name))
+            # the kept image types the embedding infer built; each of its
+            # nodes has that term's own object as its subject
+            image = d[system]._image
+            assert term_eq(image.subject, embed(t)), (system, t)
+            assert misplaced(image, image.subject, "u") == [], (system, t)
     return seen
 
 
 def test_the_theorems_hold_on_every_small_term():
+    # the typable counts, so that a smaller enumeration or fewer walks show
     assert theorem_counts(5, 6) == {"bang": 9_183, "typable": 6_420, "untypable": 2_763,
                                     "lambda": 4_962, "n typable": 4_962, "v typable": 4_962}
 

@@ -17,6 +17,7 @@ from bangcalc.system_u import (
     type_normal_form_u,
 )
 from bangcalc.gen import generate_corpus, rand_bang_term
+from bangcalc.acceptance import check_weighted_reduction
 from bangcalc.cbn_cbv import (
     check_derivation_n, check_derivation_v, embed_cbn, infer_n, infer_v, translate_n_to_u,
     translate_v_to_u,
@@ -304,11 +305,10 @@ def test_corpus_invariants():
         if not isinstance(res, Derivation):
             continue
         typable += 1
-        assert check_derivation_u(res) is None
         assert res.subject == term
-        # quantitative soundness and the size floor
-        tr = normalize_dw(term, 300)
-        assert size_u(res) >= tr.b + tr.e + w_size(tr.final)
+        # the checker, quantitative soundness and weighted subject reduction
+        # (selftest criterion 6's check), and the size floor
+        assert check_weighted_reduction(term, normalize_dw(term, 300), res) is None
         assert size_u(res) >= w_size(term)
     assert typable > 30
 
