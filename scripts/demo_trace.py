@@ -9,8 +9,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bangcalc.syntax import parse_term, print_term, w_size
 from bangcalc.reduction import normalize_dw
-from bangcalc.system_u import infer_u, size_u, reduce_derivation_u
-from bangcalc.system_e import infer_tight, reduce_derivation_e
+from bangcalc.system_u import infer_u, size_u, subject_reduction
+from bangcalc.system_e import infer_tight
 
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
 
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"\nplain     {du.judgement()}   size {size_u(du)}")
     sizes = [size_u(du)]
     for step in trace.steps:
-        du = reduce_derivation_u(du, (step.position, step.rule))
+        du = subject_reduction(du, (step.position, step.rule))
         sizes.append(size_u(du))
     print(f"          sizes along the trace: {sizes}")
 
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"\ntight     {de.judgement()}")
     counters = [de.counters]
     for step in trace.steps:
-        de = reduce_derivation_e(de, (step.position, step.rule))
+        de = subject_reduction(de, (step.position, step.rule))
         counters.append(de.counters)
     print(f"          counters along the trace: {counters}")
 

@@ -21,11 +21,11 @@ from .reduction import (
 from .qtypes import BaseVar, Arrow, mult
 from .system_u import (
     Derivation, IllFormed, Untypable, check_derivation_u, infer_u, mk_abs, mk_app,
-    mk_ax, mk_bg, mk_dr, reduce_derivation_u, size_u,
+    mk_ax, mk_bg, mk_dr, size_u, subject_reduction,
 )
 from .system_e import (
-    DerivationE, check_derivation_e, infer_tight, is_tight, reduce_derivation_e,
-    tight_spreading_check, type_normal_form_tight,
+    DerivationE, check_derivation_e, infer_tight, is_tight, tight_spreading_check,
+    type_normal_form_tight,
 )
 from .cbn_cbv import (
     check_derivation_n, check_derivation_v, classify_lambda_nf,
@@ -138,7 +138,7 @@ def check_exact_tight(t: Term, trace: Trace, d) -> str | None:
         return f"{print_term(t)}: produced derivation is broken"
     try:
         for st in trace.steps:
-            d = reduce_derivation_e(d, (st.position, st.rule))
+            d = subject_reduction(d, (st.position, st.rule))
     except IllFormed:
         return f"{print_term(t)}: subject reduction broke the tight derivation"
     return None
@@ -175,7 +175,7 @@ def check_weighted_reduction(t: Term, trace: Trace, d) -> str | None:
         return f"size bound fails on {print_term(t)}"
     for st in trace.steps:
         try:
-            cur = reduce_derivation_u(d, (st.position, st.rule))
+            cur = subject_reduction(d, (st.position, st.rule))
         except IllFormed:
             cur = None
         if cur is None or check_derivation_u(cur) is not None:
@@ -256,13 +256,13 @@ def check_tight_meta(d: DerivationE) -> str | None:
             return f"b=e=0 characterisation fails on {print_term(d.subject)}"
         if d.b == 0 and d.e == 0 and d.s != w_size(d.subject):
             return f"tight size fails on {print_term(d.subject)}"
-    if not _spreading_everywhere(d):
-        return f"tight spreading fails inside {print_term(d.subject)}"
+    stack = [d]  # an explicit one, so that a deep d does not exhaust the interpreter's
+    while stack:
+        node = stack.pop()
+        if not tight_spreading_check(node):
+            return f"tight spreading fails inside {print_term(d.subject)}"
+        stack.extend(node.premises)
     return None
-
-
-def _spreading_everywhere(d: DerivationE) -> bool:
-    return tight_spreading_check(d) and all(_spreading_everywhere(p) for p in d.premises)
 
 
 def _verdict(failures: Iterable[str | None], passed: str) -> CriterionResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .syntax import (
-    Abs, App, Bang, Der, FoldMemo, Sub, Term, Var, Walk, fold, free_vars, is_bang_shaped,
+    Abs, App, Bang, Der, Sub, Term, Var, Walk, fold, free_vars, is_bang_shaped,
     is_lambda_term, print_term, spine_core, subst_meta, term_eq, unwind,
 )
 from .reduction import (
@@ -317,19 +317,29 @@ _RULE_OF = {system: {r.former: r for r in RULES[system].values()} for system in 
 _BG, _DR = (CONSUMING_RULE[Derivation, former].remake for former in (Bang, Der))
 
 
-def _to_u(d: Derivation, system: str, images: FoldMemo) -> Walk:
-    """The walk of the U image of d, a derivation of `system`; `images`
-    keeps the embedded subterms."""
+def _embedder(system: str) -> Callable[[Term], Term]:
+    """The embedding of `system` on one memo, which keeps each variable's
+    image too (a fold values a leaf where it meets it, and CBV's image of a
+    variable is a new bang), so no remake along the images compares two."""
+    table, memo = _EMBED_FOLD[system], {}
+    leaf = table[Var][1]
+    table = {**table, Var: ((), lambda t: memo.setdefault(id(t), (t, leaf(t)))[1])}
+    return lambda t: fold(t, table, memo)
+
+
+def _to_u(d: Derivation, system: str, embed: Callable[[Term], Term]) -> Walk:
+    """The walk of the U image of d, a derivation of `system`, whose
+    subjects `embed` (see `_embedder`) embeds."""
     rule = RULES[system].get(d.rule)
     if rule is None:
         raise IllFormed(f"not a system {system.upper()} rule: {d.rule!r}")
     s, kind, k = d.subject, rule.image, rule.fixed
     if not rule.fits(s, len(d.premises)):
         raise IllFormed(rule.shape)
-    e, u = fold(s, _EMBED_FOLD[system], images), CONSUMING_RULE[Derivation, rule.former].remake
+    e, u = embed(s), CONSUMING_RULE[Derivation, rule.former].remake
     ps = []
     for p in d.premises:
-        ps.append((yield _to_u(p, system, images)))
+        ps.append((yield _to_u(p, system, embed)))
     if kind == "bang_rest":
         ps[k:] = [_BG(getattr(e, rule.rest), None, tuple(ps[k:]))]
     elif kind == "head":
@@ -388,7 +398,7 @@ def _translations(system: str) -> tuple[Callable, Callable, Callable]:
     its derivation is read back without a check, and kept on the root."""
     def to_u(d: Derivation) -> Derivation:
         image = getattr(d, "_image", None)
-        return unwind(_to_u(d, system, {})) if image is None else image
+        return unwind(_to_u(d, system, _embedder(system))) if image is None else image
 
     def from_u(d: Derivation, t: Term) -> Derivation:
         if not term_eq(d.subject, _EMBED[system](t)):

@@ -666,23 +666,34 @@ def _at(d, pos: Position, fire: Callable[[Any], Any], t: Term | None = None):
 
 def reduce_derivation(d, step: tuple[Position, RuleKind]):
     """A derivation of the reduct across the given redex, built rule by
-    rule; the callers check how the judgement and the measure move."""
+    rule; `subject_reduction` checks how the judgement and the measure move."""
     pos, kind = step
     return _at(d, pos, lambda node: _fire(node, kind))
 
 
-def reduce_derivation_u(d: Derivation, step: tuple[Position, RuleKind]) -> Derivation:
-    """Weighted subject reduction: transform a derivation of t into one of
-    the reduct across the given redex; size strictly decreases."""
-    out = reduce_derivation(d, step)
-    if not same_judgement(out, d) or size_u(out) >= size_u(d):
-        raise IllFormed("subject reduction did not preserve the judgement")
+def subject_reduction(d, step: tuple[Position, RuleKind]):
+    """The paper's subject reduction across the given redex (see `_theorem`)."""
+    return _theorem(d, reduce_derivation(d, step), step[1], -1, "reduction")
+
+
+def subject_expansion(d, t: Term, step: tuple[Position, RuleKind]):
+    """The paper's subject expansion to t, whose reduct d types (see `_theorem`)."""
+    return _theorem(d, expand_derivation(d, t, step), step[1], 1, "expansion")
+
+
+def _theorem(d, out, kind: RuleKind, sign: int, direction: str):
+    """out, the engine's transform of d across a step of `kind`, if it has
+    d's judgement and d's measure moved by `sign` as the step theorem of d's
+    system says: in U the size, strictly; in E the counter of the step's
+    kind (b for dB, e for s! and d!), by exactly one, and no other."""
+    if isinstance(d, Derivation):
+        moved = (size_u(out) - size_u(d)) * sign > 0
+    else:
+        b, e, s = d.counters
+        moved = out.counters == ((b + sign, e, s) if kind.multiplicative else (b, e + sign, s))
+    if not moved or out.type != d.type or out.context != d.context:
+        raise IllFormed(f"subject {direction} did not keep the judgement and move the measure")
     return out
-
-
-def same_judgement(d, e) -> bool:
-    """Whether d and e have one context and one type."""
-    return d.type == e.type and d.context == e.context
 
 
 def fire_spine_d(d, avoid: frozenset[str], at_core: Callable[[Any], Any]):
@@ -754,22 +765,13 @@ def _fire(d, kind: RuleKind):
 
 def expand_derivation(d, t: Term, step: tuple[Position, RuleKind]):
     """A derivation of t from one of its reduct across the given redex,
-    built rule by rule along t, so its subject is t itself; the callers
-    check how the judgement and the measure move."""
+    built rule by rule along t, so its subject is t itself;
+    `subject_expansion` checks how the judgement and the measure move."""
     pos, kind = step
     s = subterm_at(t, pos)
     out = _at(d, pos, lambda node: _expand(node, s, kind), t)
     if out.subject is not t and not term_eq(out.subject, t):
         raise IllFormed("expansion did not rebuild the stated term")
-    return out
-
-
-def expand_derivation_u(d: Derivation, t: Term, step: tuple[Position, RuleKind]) -> Derivation:
-    """Weighted subject expansion: from a derivation of the reduct of t at
-    the given redex, build a derivation of t itself."""
-    out = expand_derivation(d, t, step)
-    if not same_judgement(out, d) or size_u(out) <= size_u(d):
-        raise IllFormed("subject expansion did not preserve the judgement")
     return out
 
 
@@ -836,13 +838,13 @@ def infer_with(t: Term, fuel: int, type_nf: Callable[[Term], Any],
     return replay_trace(d, trace)
 
 
-def replay(d, trace: Trace, expand: Callable[..., Any]):
-    """Expand d back along the trace.  Each step remakes what it changes
-    along its trace term, which shares the rest with the next one, so
-    every step's subject check finds the term itself."""
+def replay(d, trace: Trace):
+    """Expand d back along the trace by subject expansion.  Each step
+    remakes what it changes along its trace term, which shares the rest
+    with the next one, so every step's subject check finds the term itself."""
     terms = [trace.start] + [s.result for s in trace.steps]
     for i in range(len(trace.steps) - 1, -1, -1):
-        d = expand(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
+        d = subject_expansion(d, terms[i], (trace.steps[i].position, trace.steps[i].rule))
     return d
 
 
@@ -851,5 +853,4 @@ def infer_u(t: Term, fuel: int) -> Derivation | Untypable | FuelExhausted:
     return infer_with(t, fuel, type_normal_form_u, replay_expansion_u)
 
 
-def replay_expansion_u(d: Derivation, trace: Trace) -> Derivation:
-    return replay(d, trace, expand_derivation_u)
+replay_expansion_u = replay  # the name `infer_u` replays by, for bench/tracer.py's span

@@ -11,7 +11,7 @@ from bangcalc.cbn_cbv import embed_cbn, embed_cbv, infer_n, infer_v, step_v
 from bangcalc.reduction import RuleKind, normalize_dw, reachable_graph, redexes, step_at
 from bangcalc.syntax import Bang, Der, alpha_eq, parse_term, print_term
 from bangcalc.qtypes import TIGHT_NEUTRAL, mult
-from bangcalc.system_e import DerivationE, infer_tight
+from bangcalc.system_e import DerivationE, infer_tight, type_normal_form_tight
 from bangcalc.system_u import infer_u
 
 SEED = 0
@@ -81,6 +81,22 @@ def test_the_weighted_reduction_check_fails_on_a_trace_of_another_term():
     trace = normalize_dw(parse_term(r"(\x.x) !(\z.z)"), 10)
     assert acceptance.check_weighted_reduction(T0, trace, infer_u(T0, 100)) == \
         f"reduction broke the derivation on {print_term(T0)}"
+
+
+def test_the_weighted_reduction_check_fails_on_a_reduct_that_is_not_smaller(monkeypatch):
+    # the criterion's own size check, the independent oracle of the post-condition
+    # that `subject_reduction` checks, seen with the theorem's step replaced by no step
+    monkeypatch.setattr(acceptance, "subject_reduction", lambda d, step: d)
+    assert acceptance.check_weighted_reduction(T0, normalize_dw(T0, 100), infer_u(T0, 100)) == \
+        f"size did not decrease on {print_term(T0)}"
+
+
+def test_the_spreading_walk_takes_a_deep_derivation():
+    # 3,000 nested derelictions over x: deeper than the interpreter's stack
+    t = parse_term("x")
+    for _ in range(3000):
+        t = Der(t)
+    assert acceptance.check_tight_meta(type_normal_form_tight(t)) is None
 
 
 def test_the_simulation_check_fails_on_a_tampered_embedding(monkeypatch):

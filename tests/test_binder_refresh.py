@@ -21,12 +21,10 @@ from bangcalc.serialize import derivation_text
 from bangcalc.syntax import (
     Abs, App, Bang, Der, Sub, Var, canon_key, parse_term, print_term, subst_meta, term_eq, unwind,
 )
-from bangcalc.system_e import (
-    check_derivation_e, infer_tight, reduce_derivation_e, type_normal_form_tight,
-)
+from bangcalc.system_e import check_derivation_e, infer_tight, type_normal_form_tight
 from bangcalc.system_u import (
-    Derivation, Untypable, check_derivation_u, infer_u, mk_ax, rebuild_as,
-    reduce_derivation_u, type_normal_form_u,
+    Derivation, Untypable, check_derivation_u, infer_u, mk_ax, rebuild_as, subject_reduction,
+    type_normal_form_u,
 )
 
 from conftest import count_calls, subst_derivation, without_image
@@ -58,22 +56,22 @@ CASES = {
 }
 
 SYSTEMS = {
-    "u": (infer_u, reduce_derivation_u, check_derivation_u),
-    "e": (infer_tight, reduce_derivation_e, check_derivation_e),
+    "u": (infer_u, check_derivation_u),
+    "e": (infer_tight, check_derivation_e),
 }
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("text", CASES)
 def test_each_step_types_the_reduct_exactly(text, system):
-    infer, reduce_derivation, check = SYSTEMS[system]
+    infer, check = SYSTEMS[system]
     t = parse_term(text)
     d = infer(t, 100)
     assert d.subject == t and check(d) is None
     reducts = []
     for step in normalize_dw(t, 100).steps:
         t = step_at(t, step.position, step.rule)
-        d = reduce_derivation(d, (step.position, step.rule))
+        d = subject_reduction(d, (step.position, step.rule))
         assert d.subject == t and check(d) is None
         reducts.append(print_term(t))
     assert reducts == CASES[text]
@@ -90,12 +88,12 @@ SHARED = {"der": Sub(Der(X), "x", Bang(X)), "abs": Sub(Abs("y", X), "x", Bang(X)
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("name", SHARED)
 def test_an_occurrence_that_is_the_argument_object_is_substituted(name, system):
-    infer, reduce_derivation, check = SYSTEMS[system]
+    infer, check = SYSTEMS[system]
     t = SHARED[name]
     d = infer(t, 100)
     (taken,) = d.premises[1].premises  # the bang's premise, typing x
     (step,) = normalize_dw(t, 100).steps
-    d = reduce_derivation(d, (step.position, step.rule))
+    d = subject_reduction(d, (step.position, step.rule))
     assert d.subject == step.result and check(d) is None and d.premises[0] is taken
 
 
@@ -148,7 +146,7 @@ def count_renames(monkeypatch) -> list:
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_capture_heavy_terms_type_each_reduct_exactly(system, monkeypatch):
-    infer, reduce_derivation, check = SYSTEMS[system]
+    infer, check = SYSTEMS[system]
     rng = random.Random(25)
     renames = count_renames(monkeypatch)
     typed = 0
@@ -165,7 +163,7 @@ def test_capture_heavy_terms_type_each_reduct_exactly(system, monkeypatch):
             continue
         for step in steps:
             t = step_at(t, step.position, step.rule)
-            d = reduce_derivation(d, (step.position, step.rule))
+            d = subject_reduction(d, (step.position, step.rule))
             assert d.subject == t and check(d) is None, print_term(t)
     # the corpus reaches the refreshes it is meant for
     assert typed > 500 and len(renames) > 500

@@ -25,7 +25,7 @@ from bangcalc.system_e import infer_tight
 from bangcalc.system_u import Derivation, check_derivation_u, infer_u, size_u
 
 from conftest import (
-    church_term, count_folded, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
+    church_term, count_calls, count_folded, ref_free_vars, ref_print_term, ref_size_n, ref_size_u, ref_size_v,
     without_image,
 )
 
@@ -297,3 +297,16 @@ def test_cbv_replay_compares_each_pair_of_subterms_once(monkeypatch, n):
 
 def _children(t):
     return [getattr(t, f.name) for f in dataclasses.fields(t) if f.name not in ("name", "binder")]
+
+
+@pytest.mark.parametrize("calculus", ["n", "v"])
+def test_the_walk_to_u_embeds_each_variable_once(monkeypatch, calculus):
+    # The walk embeds each node's subject with one memo, so a premise's
+    # image is its node's part of the image, and no remake compares two
+    # objects.  CBV embeds a variable as a new bang; when each fold built
+    # its own, church(80)'s walk compared 82 pairs.
+    infer, to_u = {"n": (infer_n, translate_n_to_u), "v": (infer_v, translate_v_to_u)}[calculus]
+    d = infer(church_term(80), 10_000)
+    compared = count_calls(monkeypatch, syntax, "term_eq")
+    walked = to_u(without_image(d))
+    assert compared == [] and walked == d._image

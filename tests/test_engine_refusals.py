@@ -4,18 +4,23 @@ Subject reduction and expansion take a derivation and a step from their
 caller; a derivation built without makers, or a step that does not fit,
 must end in `IllFormed` with the reason below, not in another exception.
 Each case is reached through `reduce_derivation`, `expand_derivation` or
-`antisubst_derivation` with a hand-built derivation or step."""
+`antisubst_derivation` with a hand-built derivation or step.  The last
+section reaches the step theorems' post-conditions, which
+`subject_reduction` and `subject_expansion` check on the engine's output,
+with the engine swapped for one that breaks them."""
 
 from dataclasses import replace
 
 import pytest
 
+from bangcalc import system_u
 from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult
-from bangcalc.reduction import RuleKind, Sel
+from bangcalc.reduction import RuleKind, Sel, normalize_dw
 from bangcalc.syntax import Bang, Der, Sub, Var, parse_term
+from bangcalc.system_e import infer_tight
 from bangcalc.system_u import (
     Derivation, IllFormed, antisubst_derivation, expand_derivation, infer_u, mk_app, mk_ax, mk_bg,
-    mk_dr, mk_es, reduce_derivation,
+    mk_dr, mk_es, reduce_derivation, subject_expansion, subject_reduction,
 )
 
 O = BaseVar(0)
@@ -161,3 +166,69 @@ def test_anti_substitution_needs_the_stated_instance():
     for t in (Var("x"), parse_term("x y")):
         refused("subject is not the stated substitution instance",
                 antisubst_derivation, mk_ax("y", O), t, "x", Var("z"))
+
+
+def test_expansion_must_rebuild_the_stated_term(monkeypatch):
+    # der(!x) -d!-> x, expanded by an engine whose redex node types y
+    monkeypatch.setattr(system_u, "_expand", lambda d, t, kind: mk_ax("y", O))
+    refused("expansion did not rebuild the stated term",
+            expand_derivation, mk_ax("x", O), parse_term("der(!x)"), (ROOT, RuleKind.DBANG))
+
+
+# ---------------------------------------------------------------------------
+# The step theorems: the engine's output must keep the judgement and move
+# the measure, |Φ| strictly in U and the step's counter by exactly one in E
+
+T0 = parse_term(r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))")
+REDUCTION = "subject reduction did not keep the judgement and move the measure"
+EXPANSION = "subject expansion did not keep the judgement and move the measure"
+INFER = {"u": infer_u, "e": infer_tight}
+
+
+def _across_the_first_step(system):
+    """T0's derivation in `system`, its reduct's across T0's first step (d!),
+    and that step."""
+    d = INFER[system](T0, 100)
+    first = normalize_dw(T0, 100).steps[0]
+    step = (first.position, first.rule)
+    return d, reduce_derivation(d, step), step
+
+
+# an engine output that breaks the theorem, given the input and the true output
+DOCTORED = {
+    "judgement": lambda d, out: replace(out, context={**out.context, "w": mult([O])}),
+    "measure": lambda d, out: d,
+}
+
+
+@pytest.mark.parametrize("doctor", DOCTORED)
+@pytest.mark.parametrize("system", INFER)
+def test_subject_reduction_checks_the_judgement_and_the_measure(system, doctor, monkeypatch):
+    d, reduct, step = _across_the_first_step(system)
+    assert subject_reduction(d, step) is not d
+    monkeypatch.setattr(system_u, "reduce_derivation", lambda d, step: DOCTORED[doctor](d, reduct))
+    refused(REDUCTION, subject_reduction, d, step)
+
+
+@pytest.mark.parametrize("doctor", DOCTORED)
+@pytest.mark.parametrize("system", INFER)
+def test_subject_expansion_checks_the_judgement_and_the_measure(system, doctor, monkeypatch):
+    d, reduct, step = _across_the_first_step(system)
+    assert subject_expansion(reduct, T0, step).subject is T0
+    monkeypatch.setattr(system_u, "expand_derivation",
+                        lambda r, t, step: DOCTORED[doctor](r, d))
+    refused(EXPANSION, subject_expansion, reduct, T0, step)
+
+
+@pytest.mark.parametrize("counters", [(1, 3, 1), (2, 1, 1), (2, 2, 2)],
+                         ids=["the-other-counter", "by-two", "the-size-counter"])
+def test_an_exact_step_moves_only_its_own_counter_by_one(counters, monkeypatch):
+    # T0's first step is d!: (2, 3, 1) must become (2, 2, 1), and back
+    d, reduct, step = _across_the_first_step("e")
+    assert (d.counters, reduct.counters) == ((2, 3, 1), (2, 2, 1))
+    monkeypatch.setattr(system_u, "reduce_derivation",
+                        lambda d, step: replace(reduct, counters=counters))
+    refused(REDUCTION, subject_reduction, d, step)
+    monkeypatch.setattr(system_u, "expand_derivation",
+                        lambda r, t, step: replace(d, counters=counters))
+    refused(EXPANSION, subject_expansion, reduct, T0, step)

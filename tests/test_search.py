@@ -17,7 +17,7 @@ from bangcalc.reduction import (
 )
 from bangcalc.qtypes import EMPTY_MULT, BaseVar, mult
 from bangcalc.syntax import Abs, App, Bang, Der, Sub, Var, term_eq
-from bangcalc.system_u import mk_abs, mk_app, mk_ax, mk_es, reduce_derivation_u
+from bangcalc.system_u import mk_abs, mk_app, mk_ax, mk_es, subject_reduction
 
 from conftest import (
     bang_terms, lambda_terms, ref_detect_clash, ref_n_size, ref_redexes, ref_replace_at,
@@ -160,4 +160,4 @@ def test_a_redex_under_a_long_closure_spine_fires(k):
         spine.append((core.binder, core.arg))
         core = core.body
     assert core == Var("x") and spine[::k] == [(f"y{k - 1}", Var("z")), ("x", Var("w"))]
-    assert term_eq(reduce_derivation_u(d, (pos, kind)).subject, reduct)
+    assert term_eq(subject_reduction(d, (pos, kind)).subject, reduct)

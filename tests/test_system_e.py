@@ -8,11 +8,12 @@ from bangcalc.qtypes import (
     Arrow, BaseVar, Mult, Tight, TIGHT_ABS, TIGHT_BANG, TIGHT_NEUTRAL, mult,
 )
 from bangcalc.system_e import (
-    DerivationE, check_derivation_e, expand_derivation_e, infer_tight,
-    is_tight, mk_ae_d, mk_ae_t, mk_ai_d, mk_ai_t, mk_ax_e, mk_bg_d, mk_bg_t,
-    mk_dr_d, mk_es_t, reduce_derivation_e, type_normal_form_tight,
+    DerivationE, check_derivation_e, infer_tight, is_tight, mk_ae_d, mk_ae_t, mk_ai_d,
+    mk_ai_t, mk_ax_e, mk_bg_d, mk_bg_t, mk_dr_d, mk_es_t, type_normal_form_tight,
 )
-from bangcalc.system_u import IllFormed, Untypable, antisubst_derivation
+from bangcalc.system_u import (
+    IllFormed, Untypable, antisubst_derivation, subject_expansion, subject_reduction,
+)
 from bangcalc.gen import rand_bang_term
 from bangcalc.acceptance import check_tight_meta
 
@@ -132,7 +133,7 @@ class TestExactReduceExpand:
     def test_dereliction_step_lowers_e(self):
         d = example_tight_derivation()
         tr = normalize_dw(t(T0), 100)
-        d1 = reduce_derivation_e(d, (tr.steps[0].position, tr.steps[0].rule))
+        d1 = subject_reduction(d, (tr.steps[0].position, tr.steps[0].rule))
         assert d1.counters == (2, 2, 1)
         assert check_derivation_e(d1) is None
 
@@ -140,7 +141,7 @@ class TestExactReduceExpand:
         term = t(r"(\x.x) !y")
         tr = normalize_dw(term, 10)
         d = infer_tight(term, 10)
-        d1 = reduce_derivation_e(d, (tr.steps[0].position, tr.steps[0].rule))
+        d1 = subject_reduction(d, (tr.steps[0].position, tr.steps[0].rule))
         assert (d1.b, d1.e, d1.s) == (d.b - 1, d.e, d.s)
 
     def test_trace_ends_at_size_only_counters(self):
@@ -148,7 +149,7 @@ class TestExactReduceExpand:
         tr = normalize_dw(term, 100)
         d = infer_tight(term, 100)
         for st in tr.steps:
-            d = reduce_derivation_e(d, (st.position, st.rule))
+            d = subject_reduction(d, (st.position, st.rule))
         assert d.counters == (0, 0, 1)
 
     def test_full_replay_reaches_the_example_counters(self):
@@ -157,7 +158,7 @@ class TestExactReduceExpand:
         d = type_normal_form_tight(tr.final)
         terms = [term] + [s.result for s in tr.steps]
         for i in range(len(tr.steps) - 1, -1, -1):
-            d = expand_derivation_e(d, terms[i], (tr.steps[i].position, tr.steps[i].rule))
+            d = subject_expansion(d, terms[i], (tr.steps[i].position, tr.steps[i].rule))
         assert d.counters == (2, 3, 1) and d.subject == term
 
     def test_zero_step_replay_is_identity(self):

@@ -12,9 +12,8 @@ from bangcalc.reduction import FuelExhausted, classify_wcf_nf, normalize_dw
 from bangcalc.qtypes import Arrow, BaseVar, EMPTY_MULT, mult, print_type
 from bangcalc.system_u import (
     Derivation, IllFormed, NotTypableNormalForm, Untypable,
-    antisubst_derivation, check_derivation_u, expand_derivation_u, infer_u,
-    mk_abs, mk_app, mk_ax, mk_bg, mk_dr, mk_es, reduce_derivation_u, size_u,
-    type_normal_form_u,
+    antisubst_derivation, check_derivation_u, infer_u, mk_abs, mk_app, mk_ax, mk_bg,
+    mk_dr, mk_es, size_u, subject_expansion, subject_reduction, type_normal_form_u,
 )
 from bangcalc.gen import generate_corpus, rand_bang_term
 from bangcalc.acceptance import check_weighted_reduction
@@ -223,7 +222,7 @@ class TestReduceExpand:
         d = infer_u(term, 10)
         tr = normalize_dw(term, 10)
         step = (tr.steps[0].position, tr.steps[0].rule)
-        d2 = reduce_derivation_u(d, step)
+        d2 = subject_reduction(d, step)
         assert check_derivation_u(d2) is None
         assert size_u(d) == size_u(d2) + 1
 
@@ -231,7 +230,7 @@ class TestReduceExpand:
         term = t(r"y[x \ !z]")
         d = infer_u(term, 10)
         tr = normalize_dw(term, 10)
-        d2 = reduce_derivation_u(d, (tr.steps[0].position, tr.steps[0].rule))
+        d2 = subject_reduction(d, (tr.steps[0].position, tr.steps[0].rule))
         assert d2.context == d.context and d2.type == d.type
 
     def test_expansion_strictly_increases_size(self):
@@ -241,7 +240,7 @@ class TestReduceExpand:
         terms = [term] + [s.result for s in tr.steps]
         sizes = [size_u(d)]
         for i in range(len(tr.steps) - 1, -1, -1):
-            d = expand_derivation_u(d, terms[i], (tr.steps[i].position, tr.steps[i].rule))
+            d = subject_expansion(d, terms[i], (tr.steps[i].position, tr.steps[i].rule))
             assert check_derivation_u(d) is None
             sizes.append(size_u(d))
         assert d.subject == term
@@ -253,7 +252,7 @@ class TestReduceExpand:
         term = t(r"y[x \ !z]")
         tr = normalize_dw(term, 10)
         d = type_normal_form_u(tr.final, TAU)
-        d2 = expand_derivation_u(d, term, (tr.steps[0].position, tr.steps[0].rule))
+        d2 = subject_expansion(d, term, (tr.steps[0].position, tr.steps[0].rule))
         assert d2.rule == "es"
         bang = d2.premises[1]
         assert bang.rule == "bg" and bang.premises == () and bang.subject == t("!z")
@@ -263,7 +262,7 @@ class TestReduceExpand:
         term = t(r"der(!x)")
         tr = normalize_dw(term, 10)
         d = type_normal_form_u(tr.final, TAU)
-        d2 = expand_derivation_u(d, term, (tr.steps[0].position, tr.steps[0].rule))
+        d2 = subject_expansion(d, term, (tr.steps[0].position, tr.steps[0].rule))
         # a dereliction node is counted, the bang node underneath is not
         assert size_u(d2) == size_u(d) + 1
         assert check_derivation_u(d2) is None
