@@ -107,23 +107,23 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    t = _parse(args)
     try:
-        trace = _NORMALIZE[args.calculus](t, args.fuel)
-    except FuelExhausted as ex:
-        if args.output == "machine":  # the steps taken before the fuel ran out
-            print(dump_records(trace_records(ex.trace)))
-        raise
+        trace, exhausted = _NORMALIZE[args.calculus](_parse(args), args.fuel), None
+    except FuelExhausted as ex:  # the steps taken before the fuel ran out are printed
+        trace, exhausted = ex.trace, ex
     if args.output == "machine":
         print(dump_records(trace_records(trace)))
-        return EXIT_OK
-    print(f"start  {print_term(t)}")
-    for i, step in enumerate(trace.steps):
-        print(f"[{i}] {step.rule.value:3} at {_position(step.position):24} -> "
-              f"{print_term(step.result)}")
-    cls = classify_nf(trace.final)
-    print(f"(b,e)=({trace.b},{trace.e})  normal={cls.normal}  "
-          f"classes={sorted(cls.memberships)}  w-size={w_size(trace.final)}")
+    else:
+        print(f"start  {print_term(trace.start)}")
+        for i, step in enumerate(trace.steps):
+            print(f"[{i}] {step.rule.value:3} at {_position(step.position):24} -> "
+                  f"{print_term(step.result)}")
+        if exhausted is None:
+            cls = classify_nf(trace.final)
+            print(f"(b,e)=({trace.b},{trace.e})  normal={cls.normal}  "
+                  f"classes={sorted(cls.memberships)}  w-size={w_size(trace.final)}")
+    if exhausted is not None:
+        raise exhausted
     return EXIT_OK
 
 

@@ -103,6 +103,10 @@ def has_tight_constants(t: Type, memo: dict[int, tuple[Type, bool]]) -> bool:
             found = True
         case BaseVar(_):
             found = False
+        # k copies of one element object (a church context entry) are
+        # looked at once, without a loop over them
+        case Mult(elems) if elems and elems[0] is elems[-1] and elems.count(elems[0]) == len(elems):
+            found = has_tight_constants(elems[0], memo)
         case Mult(elems):  # a run of one element object is looked at once
             found = any(has_tight_constants(e, memo)
                         for e, before in zip(elems, (None, *elems)) if e is not before)

@@ -56,6 +56,8 @@ def trace_records(trace: Trace) -> list[dict[str, Any]]:
 
 
 _DERIVATIONS = (Derivation, DerivationE)
+# what `json.dumps(value, sort_keys=True)` runs, its encoder built once
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def dump_records(records: list[dict[str, Any]]) -> str:
@@ -71,7 +73,7 @@ def record_text(record: dict[str, Any]) -> str:
     RecursionError instead of being written; one deeper than the recursion
     limit raises it before a subject or type is printed."""
     if not any(isinstance(v, _DERIVATIONS) for v in record.values()):
-        return json.dumps(record, sort_keys=True)
+        return _encode(record)
     out: list[str] = []
     depth = 0
     for key, value in sorted(record.items()):
@@ -79,7 +81,7 @@ def record_text(record: dict[str, Any]) -> str:
         if isinstance(value, _DERIVATIONS):
             depth = max(depth, _derivation_parts(value, out, sys.getrecursionlimit()))
         else:
-            out.append(json.dumps(value, sort_keys=True))
+            out.append(_encode(value))
     out.append("}")
     text = "".join(out)
     if depth > CHECKED_DEPTH:
@@ -197,15 +199,18 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
     subject, type and context in full, so one read parses each distinct
     text once, and equal texts give the same object.  A node's subject is
     its premises' subjects under one former, so it is assembled from them
-    where the printer writes it as the node's text (see `_assemble`)."""
+    where the printer writes it as the node's text (see `_assemble`).
+    Equal subtrees are read as one node: a node whose rule, texts, context
+    entries, counters and premise objects are those of a node already read
+    is that node, so repeated subtrees are one shared object."""
     try:
-        return unwind(_derivation_from_json(obj, {}, {}))
+        return unwind(_derivation_from_json(obj, {}, {}, {}))
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
 
 
 def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
-                          types: TypeParseMemo) -> Walk:
+                          types: TypeParseMemo, nodes: dict[tuple, tuple]) -> Walk:
     below, entries = obj.get("premises", []), obj.get("context", {})
     if not isinstance(below, list):
         raise TypeError("premises must be a list")
@@ -213,7 +218,21 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
         raise TypeError("context must be an object")
     premises = []
     for p in below:
-        premises.append((yield _derivation_from_json(p, terms, types)))
+        premises.append((yield _derivation_from_json(p, terms, types, nodes)))
+    # the node read before with this rule, texts and premise objects is
+    # this one if its context entries and counters are equal too, and of
+    # the kinds a node holds: `True == 1`, yet a rule True reads otherwise
+    rule, counters = obj.get("rule"), obj.get("counters", ())
+    key = None
+    if type(rule) is str:
+        key = (rule, obj.get("term"), obj.get("type"), *map(id, premises))
+        try:
+            hit = nodes.get(key)
+        except TypeError:  # a text that cannot be hashed
+            key = hit = None
+        if (hit is not None and hit[0] == entries and hit[1] == counters
+                and (counters == () or list(map(type, counters)) == [int, int, int])):
+            return hit[2]
     context = {}
     for x, m in entries.items():  # most texts are held: looked up before `parse_type`
         ty = types.get(m)
@@ -233,9 +252,12 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
         counters = obj["counters"]
         if not (isinstance(counters, list) and list(map(type, counters)) == [int, int, int]):
             raise ValueError("counters must be a list of three integers")
-        return DerivationE(obj["rule"], context, subject, ty,  # type: ignore[arg-type]
-                           tuple(counters), tuple(premises))
-    return Derivation(obj["rule"], context, subject, ty, tuple(premises))  # type: ignore[arg-type]
+        node: Any = DerivationE(obj["rule"], context, subject, ty, tuple(counters), tuple(premises))
+    else:
+        node = Derivation(obj["rule"], context, subject, ty, tuple(premises))
+    if key is not None:
+        nodes[key] = (entries, counters, node)
+    return node
 
 
 # a word that the term lexer reads as an identifier: any but `der`

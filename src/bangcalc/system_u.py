@@ -397,15 +397,21 @@ def check_derivation(d, system: str) -> Violation | None:
     """The first node of d, in pre-order, that breaks the rules of `system`,
     with the path of premise indices that leads to it.  The prelude checks
     a node's class, empty context entries and, without counters, tight
-    constants, looked for once in each type object; then its rule's check."""
+    constants, looked for once in each type object; then its rule's check.
+    A node object is checked once: its check reads only its own subtree,
+    which pre-order checks in full before it meets the object again (a
+    read shares equal subtrees), so an object that passed is skipped."""
     rules = RULES[system]
     cls = next(iter(rules.values())).node
     memo: dict[int, tuple[Type, bool]] | None = {} if cls is Derivation else None
     wrong_class = f"system {system.upper()} nodes must {'not ' * (memo is not None)}carry counters"
     stack: list = [(d, None)]  # a node and its link: its index and its parent's link
     push = stack.append
+    passed: set[int] = set()  # the ids of the node objects whose check passed
     while stack:
         node, link = stack.pop()
+        if id(node) in passed:
+            continue
         if type(node) is not cls:
             reason = wrong_class
         else:
@@ -432,6 +438,7 @@ def check_derivation(d, system: str) -> Violation | None:
                 i, link = link
                 path.append(i)
             return Violation(tuple(reversed(path)), reason)
+        passed.add(id(node))
         ps = node.premises
         for i in range(len(ps) - 1, -1, -1):
             push((ps[i], (i, link)))

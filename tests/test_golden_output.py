@@ -295,7 +295,7 @@ TEXT_DIGESTS = {
     "tight church5-cbn": "ccba45c6eea251ea33b744834f0fd36691e2c68d0b38373908b6f67e40298df3",
     "trace --calculus cbn church5": "807d004dd10accc04e17e2fc53f409d94d90fb2e7dee54640a5f124015406f59",
     "trace --calculus cbv church5": "da0ad0ee0bfcf50dc0b605a5097f6b7b283401b7d074d958e7f8a6bc3b1b6500",
-    "trace --fuel 2 T0": "1ca2d96828a86bde429c86688cd4d2a76c3097d2de1afaad5e3b01e98ea6cda6",
+    "trace --fuel 2 T0": "94d20b4cdd6333239053f781e1984892f7825f5128f20e91110872b9f7ba5b28",
     "trace T0": "c08f2ab1159f4cafd489a55f471b4367c80acff0e14c533d7bdd284e8d9339d3",
     "trace church5-cbn": "c38c3a797ccdf0b30d7bb569a131a6a186f3fe86133f3723bc3d3953b69c60d7",
     "translate --calculus bang": "d261b5eb6ef118506e9e2971394ea7b402e7d51bf822e8ba365c64286fcdc572",

@@ -27,6 +27,7 @@ from bangcalc.system_e import DerivationE, infer_tight
 from bangcalc.system_u import Derivation, infer_u
 
 from conftest import church_term, count_calls, ref_print_type
+from test_golden_output import CASES, machine_output
 
 FUEL = 500
 T0 = r"der(!(\x.\y.x)) !(\z.z) !((\x.x x) (\x.x x))"
@@ -120,6 +121,19 @@ def test_records_match_the_dict_path():
         assert record_text(r) == json.dumps(as_dicts, sort_keys=True)
     plain = {"record": "normal_form", "version": 1, "term": "\\x. x", "steps": 0, "b": 0, "e": 0}
     assert record_text(plain) == json.dumps(plain, sort_keys=True)
+
+
+def test_plain_records_are_written_as_json_dumps_writes_them():
+    """A record without derivation objects goes through one shared encoder:
+    the bytes of `json.dumps(r, sort_keys=True)`, on every record of the
+    golden machine outputs and on one holding non-ASCII text."""
+    records = [json.loads(line) for name in sorted(CASES)
+               for line in machine_output(name).splitlines()]
+    records.append({"record": "term", "version": 1, "term": "λx. x", "note": "é ü ∀ 😀 \u0000",
+                    "nested": {"z": [None, True, 1.5, -0.0], "a": {"ß": "\\"}}})
+    assert len(records) > 100
+    for r in records:
+        assert record_text(r) == json.dumps(r, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +271,19 @@ def test_partial_trace_is_the_records_of_the_partial_trace(fuel):
     assert out == "\n".join(json.dumps(r, sort_keys=True) for r in trace_records(ex.value.trace)) + "\n"
 
 
-@pytest.mark.parametrize("argv", [("trace",), ("infer", "--output", "machine"),
+def test_trace_out_of_fuel_prints_its_partial_text():
+    """The start line and the steps taken, as a completed trace prints
+    them, without its summary line."""
+    assert run("trace", "--fuel", "2", T0) == (3, (
+        "start  der(!(\\x. \\y. x)) !(\\z. z) !((\\x. x x) (\\x. x x))\n"
+        "[0] d!  at fun/fun                  -> (\\x. \\y. x) !(\\z. z) !((\\x. x x) (\\x. x x))\n"
+        "[1] dB  at fun                      -> (\\y. x)[x \\ !(\\z. z)] !((\\x. x x) (\\x. x x))\n"
+    ), "fuel exhausted\n")
+    _, full, _ = run("trace", T0)
+    assert full.startswith(run("trace", "--fuel", "2", T0)[1])
+
+
+@pytest.mark.parametrize("argv", [("infer", "--output", "machine"),
                                   ("tight", "--output", "machine"), ("reduce", "--output", "machine")])
 def test_other_commands_out_of_fuel_print_nothing(argv):
     assert run(*argv, "--fuel", "2", T0) == (3, "", "fuel exhausted\n")
