@@ -176,19 +176,31 @@ def _lone(ctx: Context) -> Context:
 
 def _merge(ms: list[Mult]) -> Mult:
     """The bag union of sorted multisets.  The other bags' elements go into
-    the largest by binary search, so its own elements are not keyed again.
-    An element equal to the last one goes at the end, where `insort` puts
-    it, as that last object: a run stays one object and is not keyed."""
-    i = max(range(len(ms)), key=lambda j: len(ms[j]))
-    out = list(ms[i].elements)
-    for j, m in enumerate(ms):
-        if j != i:
-            for e in m.elements:
-                last = out[-1]
-                if e is last or e == last:
-                    out.append(last)
-                else:
-                    insort(out, e, key=sort_key)
+    the largest (the first of equal length) by binary search, so its own
+    elements are not keyed again.  An element equal to the last one goes
+    at the end, where `insort` puts it, as that last object: a run stays
+    one object and is not keyed.  So two bags whose smaller holds only
+    the larger's last element object, or equals of it (a church context
+    entry), merge to the larger's elements and that object once for each,
+    found by one `count` in C."""
+    if len(ms) == 2:
+        base, other = ms[0].elements, ms[1].elements
+        if len(other) > len(base):
+            base, other = other, base
+        if other.count(base[-1]) == len(other):
+            return Mult(base + (base[-1],) * len(other))
+        others = [other]
+    else:
+        i = max(range(len(ms)), key=lambda j: len(ms[j]))
+        base, others = ms[i].elements, [m.elements for j, m in enumerate(ms) if j != i]
+    out = list(base)
+    for elements in others:
+        for e in elements:
+            last = out[-1]
+            if e is last or e == last:
+                out.append(last)
+            else:
+                insort(out, e, key=sort_key)
     return Mult(tuple(out))
 
 

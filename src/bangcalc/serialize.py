@@ -200,17 +200,31 @@ def derivation_from_json(obj: dict[str, Any]) -> Derivation | DerivationE:
     text once, and equal texts give the same object.  A node's subject is
     its premises' subjects under one former, so it is assembled from them
     where the printer writes it as the node's text (see `_assemble`).
-    Equal subtrees are read as one node: a node whose rule, texts, context
+    Equal subtrees are read as one node.  A repeated subderivation is
+    recognised by comparing its JSON before it is walked: a premise whose
+    JSON equals that of the subtree first read under its rule and texts is
+    that node (see `_is_copy`).  Any other node whose rule, texts, context
     entries, counters and premise objects are those of a node already read
     is that node, so repeated subtrees are one shared object."""
     try:
-        return unwind(_derivation_from_json(obj, {}, {}, {}))
+        return unwind(_derivation_from_json(obj, None, {}, {}, {}, _Firsts()))
     except (AttributeError, KeyError, TypeError, ValueError) as ex:
         raise MalformedDerivation(f"malformed derivation ({type(ex).__name__}: {ex})") from ex
 
 
-def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
-                          types: TypeParseMemo, nodes: dict[tuple, tuple]) -> Walk:
+class _Firsts(dict):
+    """For one read: (rule, term, type) -> (JSON, node) of the first
+    subtree read under it.  `loose` is set once the read has met counters
+    or a rule that is not a text, and `compare` cleared once a compare has
+    gone too deep for the stack (see `_is_copy`)."""
+    loose = False
+    compare = True
+
+
+def _derivation_from_json(obj: dict[str, Any], key: tuple | None, terms: dict[str, Term],
+                          types: TypeParseMemo, nodes: dict[tuple, tuple], firsts: _Firsts) -> Walk:
+    """Read obj, whose (rule, term, type) is key, or None at the root;
+    nodes maps (rule, term, type, premise ids) to (context, counters, node)."""
     below, entries = obj.get("premises", []), obj.get("context", {})
     if not isinstance(below, list):
         raise TypeError("premises must be a list")
@@ -218,18 +232,28 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
         raise TypeError("context must be an object")
     premises = []
     for p in below:
-        premises.append((yield _derivation_from_json(p, terms, types, nodes)))
+        try:
+            k = (p["rule"], p["term"], p["type"])
+            first = firsts.get(k)
+        except (KeyError, TypeError):  # not a node, or a text that cannot be hashed
+            k = first = None
+        if first is not None and _is_copy(p, first[0], firsts):
+            node = first[1]
+        else:
+            node = yield _derivation_from_json(p, k, terms, types, nodes, firsts)
+            if first is None and k is not None:
+                firsts[k] = (p, node)
+        premises.append(node)
     # the node read before with this rule, texts and premise objects is
     # this one if its context entries and counters are equal too, and of
     # the kinds a node holds: `True == 1`, yet a rule True reads otherwise
-    rule, counters = obj.get("rule"), obj.get("counters", ())
-    key = None
-    if type(rule) is str:
-        key = (rule, obj.get("term"), obj.get("type"), *map(id, premises))
-        try:
-            hit = nodes.get(key)
-        except TypeError:  # a text that cannot be hashed
-            key = hit = None
+    rule, counters = obj.get("rule") if key is None else key[0], obj.get("counters", ())
+    if type(rule) is not str:
+        key = None
+        firsts.loose = True
+    elif key is not None:
+        key = (*key, *map(id, premises)) if premises else key
+        hit = nodes.get(key)
         if (hit is not None and hit[0] == entries and hit[1] == counters
                 and (counters == () or list(map(type, counters)) == [int, int, int])):
             return hit[2]
@@ -250,14 +274,37 @@ def _derivation_from_json(obj: dict[str, Any], terms: dict[str, Term],
         ty = parse_type(obj["type"], types)
     if "counters" in obj:
         counters = obj["counters"]
-        if not (isinstance(counters, list) and list(map(type, counters)) == [int, int, int]):
+        if not (isinstance(counters, list) and len(counters) == 3
+                and type(counters[0]) is type(counters[1]) is type(counters[2]) is int):
             raise ValueError("counters must be a list of three integers")
+        firsts.loose = True
         node: Any = DerivationE(obj["rule"], context, subject, ty, tuple(counters), tuple(premises))
     else:
         node = Derivation(obj["rule"], context, subject, ty, tuple(premises))
     if key is not None:
         nodes[key] = (entries, counters, node)
     return node
+
+
+def _is_copy(obj: Any, first: dict[str, Any], firsts: _Firsts) -> bool:
+    """Whether obj reads as the node read from `first`, without reading it:
+    their JSON is equal, and, once the read is loose, each node of obj has
+    a text rule and three ints for counters, since `==` takes true and 1.0
+    for 1.  A compare too deep for the stack says no, then and after."""
+    try:
+        if not firsts.compare or obj != first:
+            return False
+    except RecursionError:
+        firsts.compare = False
+        return False
+    stack = [obj] if firsts.loose else []
+    while stack:
+        o = stack.pop()
+        a, b, c = o.get("counters", (0, 0, 0))  # three numbers, each equal to an int
+        if type(o["rule"]) is not str or not type(a) is type(b) is type(c) is int:
+            return False
+        stack += o.get("premises", ())
+    return True
 
 
 # a word that the term lexer reads as an identifier: any but `der`

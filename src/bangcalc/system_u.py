@@ -422,11 +422,13 @@ def check_derivation(d, system: str) -> Violation | None:
             else:
                 tight = False
                 if memo is not None:  # most types were looked into at another node
-                    for t in (node.type, *node.context.values()):
-                        hit = memo.get(id(t))
-                        if has_tight_constants(t, memo) if hit is None else hit[1]:
-                            tight = True
+                    hit = memo.get(id(node.type))
+                    tight = has_tight_constants(node.type, memo) if hit is None else hit[1]
+                    for m in node.context.values():
+                        if tight:
                             break
+                        hit = memo.get(id(m))
+                        tight = has_tight_constants(m, memo) if hit is None else hit[1]
                 if tight:
                     reason = "tight constants do not belong to this system"
                 else:

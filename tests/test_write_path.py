@@ -127,6 +127,33 @@ def test_merge_keeps_a_run_of_equal_elements_as_one_object():
     assert out == Mult((arrow,) * 4) and all(e is arrow for e in out.elements)
 
 
+def test_merge_of_two_bags_returns_the_general_forms_objects():
+    """Two bags whose smaller holds only the larger's last element object,
+    or equals of it, merge without the loop; any other pair takes it.
+    Either way the merge holds the objects of the general form (the
+    reference union's entry): on equal lengths the first bag's, and the
+    larger bag's last object once for each element equal to it."""
+    a, b, c = parse_type("[o0] -> o0"), parse_type("[o0] -> o0"), parse_type("[o0] -> o0")
+    z, z2 = parse_type("[o1] -> o0"), parse_type("[o1] -> o0")  # each run sorted: a < z
+    cases = [
+        ((a, a), (b, b), (a,) * 4),             # equal lengths: the first bag is the base
+        ((b, b), (a, a), (b,) * 4),
+        ((a,), (a, a, a), (a,) * 4),            # the larger's last element object
+        ((a, a, a), (b, c), (a,) * 5),          # distinct objects equal to it
+        ((a, z), (z2,), (a, z, z)),             # equal to the last, not the first
+        ((a, a, a), (b, z), None),              # one element differs: the general loop
+        ((a, z), (b,), None),                   # the last differs: the general loop
+    ]
+    for first, second, want in cases:
+        m, n = Mult(first), Mult(second)
+        assert m == mult(first) and n == mult(second)
+        out, ref = qtypes._merge([m, n]), ref_ctx_union({"x": m}, {"x": n})["x"]
+        assert out == ref and len(out.elements) == len(ref.elements)
+        assert all(e is f for e, f in zip(out.elements, ref.elements)), (first, second)
+        if want is not None:
+            assert all(e is f for e, f in zip(out.elements, want)) and len(want) == len(out)
+
+
 def ref_print_type(t):
     match t:
         case BaseVar(i):
